@@ -392,16 +392,19 @@ impl NylonEngine {
         // RouteMap storage health: snapshot-time walk over every node's
         // table (read-only — the hot path carries no histogram state).
         let mut probe = nylon_obs::Histogram::new();
-        let (mut entries, mut capacity) = (0u64, 0u64);
+        let (mut entries, mut capacity, mut reclaimed_early) = (0u64, 0u64, 0u64);
         for node in &self.nodes {
             let (len, cap) = node.routing.probe_stats(&mut probe);
             entries += len;
             capacity += cap;
+            reclaimed_early += node.routing.reclaimed_early();
         }
         out.counter("routing", "installs", s.routes_installed);
         out.counter("routing", "ttl_expiries", s.route_ttl_expiries);
+        out.counter("routing", "reclaimed_early", reclaimed_early);
         out.gauge("routing", "entries", entries);
         out.gauge("routing", "slots", capacity);
+        out.gauge("routing", "slot_bytes", capacity * RoutingTable::SLOT_BYTES as u64);
         let snap = probe.snapshot();
         if snap.count > 0 {
             out.histogram("routing", "probe_len", snap);
@@ -548,9 +551,20 @@ impl NylonEngine {
     }
 
     /// Kills a set of peers simultaneously (fail-stop churn).
+    ///
+    /// Only a fault plan can revive a peer, so without one the dead peers'
+    /// routing tables and pending maps are freed on the spot instead of
+    /// being carried to the end of the run (views stay: dead peers keep
+    /// their last view).
     pub fn kill_peers(&mut self, peers: &[PeerId]) {
         for p in peers {
             self.net.kill_peer(*p);
+            if self.faults.is_none() {
+                let node = &mut self.nodes[p.index()];
+                node.routing.release();
+                node.pending_punch = DenseMap::new();
+                node.pending_sent = DenseMap::new();
+            }
         }
     }
 
@@ -1243,6 +1257,33 @@ mod tests {
         let before = eng.stats().requests_completed;
         eng.run_rounds(10);
         assert!(eng.stats().requests_completed > before, "gossip stalled after churn");
+    }
+
+    #[test]
+    fn killed_peers_release_their_storage() {
+        // No fault plan, so no Revive: a kill wave must free the victims'
+        // tables and pending maps, and leave the run byte-for-byte what it
+        // was (the victims never read them again).
+        let run = |release: bool| {
+            let mut eng = mixed_engine(10, 20, 15, 5, 5);
+            eng.run_rounds(30);
+            let victims: Vec<PeerId> = eng.alive_peers().take(25).collect();
+            if release {
+                eng.kill_peers(&victims);
+                for v in &victims {
+                    let node = &eng.nodes[v.index()];
+                    assert_eq!(node.routing.probe_stats(&mut nylon_obs::Histogram::new()), (0, 0));
+                    assert_eq!(node.pending_punch.capacity() + node.pending_sent.capacity(), 0);
+                    assert!(!node.view.is_empty(), "dead peers keep their last view");
+                }
+            } else {
+                victims.iter().for_each(|v| eng.net.kill_peer(*v));
+            }
+            eng.run_rounds(30);
+            let views: Vec<Vec<PeerId>> = (0..50).map(|i| eng.view_of(PeerId(i)).ids()).collect();
+            (eng.stats(), eng.net().drop_counters(), views)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

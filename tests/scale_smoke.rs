@@ -9,8 +9,13 @@
 //! bounded (20 rounds, one engine) so it stays a CI-friendly smoke test
 //! rather than a benchmark.
 
+use nylon::routing::RoutingTable;
+use nylon::NylonConfig;
 use nylon_gossip::{BaselineEngine, GossipConfig, PeerSampler, Sharded, ShardedConfig};
 use nylon_net::{NatClass, NatType, NetConfig};
+use nylon_obs::MetricValue;
+use nylon_workloads::runner::build;
+use nylon_workloads::scenario::Scenario;
 
 #[test]
 fn hundred_thousand_nodes_twenty_rounds() {
@@ -44,6 +49,30 @@ fn hundred_thousand_nodes_twenty_rounds() {
         .filter(|p| eng.view_of(**p).len() == eng.config().view_size)
         .count();
     assert!(full > 85_000, "only {full} views filled at scale");
+}
+
+/// Nylon's per-node routing footprint, gated on exact counts (so it
+/// cannot flake on a noisy host): 5 000 peers at 70 % NAT — the ledger's
+/// `nylon-steady-20k` population in miniature — past the first full 90 s
+/// expiry cadence. Capacity must track the *live* routes: at most three
+/// packed slots per live entry, and no more than 13 KiB of slots per node.
+#[test]
+fn nylon_routing_footprint_tracks_live_routes() {
+    const PEERS: u64 = 5_000;
+    let mut eng = build(&Scenario::new(PEERS as usize, 70.0, 5), NylonConfig::default());
+    eng.run_rounds(40);
+    let mut report = nylon_obs::Report::new();
+    PeerSampler::obs_report(&eng, &mut report);
+    let gauge = |metric: &str| match report.get("routing", metric) {
+        Some(MetricValue::Gauge(v)) => *v,
+        other => panic!("routing/{metric} is not a gauge: {other:?}"),
+    };
+    let (entries, slots) = (gauge("entries"), gauge("slots"));
+    assert!(entries > 100 * PEERS, "tables never filled: {entries} live routes");
+    assert!(slots <= 3 * entries, "{slots} slots for {entries} live routes");
+    assert_eq!(gauge("slot_bytes"), slots * RoutingTable::SLOT_BYTES as u64);
+    let per_node = gauge("slot_bytes") / PEERS;
+    assert!(per_node <= 13 * 1024, "{per_node} B of routing slots per node");
 }
 
 /// The PR-6 headline run: one million nodes for ten rounds on the
