@@ -25,7 +25,8 @@
 //! * [`config`] — protocol parameters ([`NylonConfig`]).
 //! * [`message`] — the wire protocol of Figure 6 ([`NylonMsg`]).
 //! * [`routing`] — RVP chains with TTLs ([`routing::RoutingTable`]).
-//! * [`engine`] — the event-driven protocol engine ([`NylonEngine`]).
+//! * [`engine`] — the protocol handlers ([`Nylon`]), hosted by the generic
+//!   `nylon_gossip::Engine` as [`NylonEngine`].
 //! * [`static_rvp`] — the "assign every natted peer a public RVP" strawman
 //!   the paper argues against, used as an ablation baseline.
 //!
@@ -64,7 +65,6 @@ pub mod sampler;
 pub mod static_rvp;
 
 pub use config::NylonConfig;
-pub use engine::{NylonEngine, NylonStats};
+pub use engine::{Nylon, NylonEngine, NylonStats};
 pub use message::{NylonMsg, WireEntry, WireSizeModel};
-pub use sampler::StaticRvpConfig;
-pub use static_rvp::{StaticRvpEngine, StaticRvpStats};
+pub use static_rvp::{StaticRvp, StaticRvpConfig, StaticRvpEngine, StaticRvpStats};

@@ -1,23 +1,16 @@
-//! [`PeerSampler`] implementations for the engines in this crate.
+//! How [`NylonConfig`] builds its engine, plus the `PeerSampler`-level
+//! tests of the two engines in this crate.
 //!
-//! [`NylonEngine`] and the [`StaticRvpEngine`] strawman plug into the same
-//! generic experiment harness as the baseline: see
-//! [`nylon_gossip::sampler`] for the trait contract. The only
-//! protocol-specific answer each engine gives is
-//! [`PeerSampler::edge_usable`] — for Nylon, a natted reference is usable
-//! when a live *route* towards it exists (direct hole or RVP chain),
-//! because reachability through relays is the protocol's whole point, so
-//! the oracle asks the routing table, not the raw NAT state.
+//! [`NylonEngine`] and the `StaticRvpEngine` strawman plug into the same
+//! generic experiment harness as the baseline through the one
+//! `PeerSampler` impl of `nylon_gossip::Engine`; see
+//! [`nylon_gossip::sampler`] for the trait contract.
 
-use nylon_gossip::{
-    GossipConfig, NodeDescriptor, PartialView, PeerSampler, SamplerConfig, ShardSampler,
-};
-use nylon_net::{NatClass, NetConfig, PeerId, TrafficStats};
-use nylon_sim::{ShardPlan, SimDuration, SimTime};
+use nylon_gossip::SamplerConfig;
+use nylon_net::NetConfig;
 
 use crate::config::NylonConfig;
 use crate::engine::NylonEngine;
-use crate::static_rvp::StaticRvpEngine;
 
 impl SamplerConfig for NylonConfig {
     type Sampler = NylonEngine;
@@ -34,241 +27,13 @@ impl SamplerConfig for NylonConfig {
     }
 }
 
-impl PeerSampler for NylonEngine {
-    type Config = NylonConfig;
-
-    fn with_seed(cfg: NylonConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        NylonEngine::new(cfg, net_cfg, seed)
-    }
-
-    fn add_peer(&mut self, class: NatClass) -> PeerId {
-        NylonEngine::add_peer(self, class)
-    }
-
-    fn enable_port_forwarding(&mut self, peer: PeerId) {
-        NylonEngine::enable_port_forwarding(self, peer);
-    }
-
-    fn install_fault_plan(&mut self, plan: nylon_faults::FaultPlan) {
-        NylonEngine::install_fault_plan(self, plan);
-    }
-
-    fn fault_stats(&self) -> nylon_faults::FaultStats {
-        NylonEngine::fault_stats(self)
-    }
-
-    fn bootstrap_random_public(&mut self, per_view: usize) {
-        NylonEngine::bootstrap_random_public(self, per_view);
-    }
-
-    fn start(&mut self) {
-        NylonEngine::start(self);
-    }
-
-    fn run_for(&mut self, dur: SimDuration) {
-        NylonEngine::run_for(self, dur);
-    }
-
-    fn run_rounds(&mut self, n: u64) {
-        NylonEngine::run_rounds(self, n);
-    }
-
-    fn kill_peers(&mut self, peers: &[PeerId]) {
-        NylonEngine::kill_peers(self, peers);
-    }
-
-    fn now(&self) -> SimTime {
-        NylonEngine::now(self)
-    }
-
-    fn shuffle_period(&self) -> SimDuration {
-        self.config().shuffle_period
-    }
-
-    fn peer_count(&self) -> usize {
-        self.net().peer_count()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        self.net().is_alive(peer)
-    }
-
-    fn class_of(&self, peer: PeerId) -> NatClass {
-        self.net().class_of(peer)
-    }
-
-    fn traffic_of(&self, peer: PeerId) -> TrafficStats {
-        self.net().stats_of(peer)
-    }
-
-    fn alive_peers(&self) -> Vec<PeerId> {
-        self.net().alive_peers().collect()
-    }
-
-    fn view_of(&self, peer: PeerId) -> &PartialView {
-        NylonEngine::view_of(self, peer)
-    }
-
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        NylonEngine::view_of_mut(self, peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        NylonEngine::descriptor_of(self, peer)
-    }
-
-    /// An entry is usable when the target is alive and either public or
-    /// reachable through a live route (direct hole or RVP chain).
-    fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        d.id.index() < self.net().peer_count()
-            && self.net().is_alive(d.id)
-            && (d.class.is_public() || self.routing_of(holder).next_rvp(d.id).is_some())
-    }
-
-    fn obs_report(&self, out: &mut nylon_obs::Report) {
-        NylonEngine::obs_report(self, out);
-    }
-}
-
-/// Configuration newtype binding [`GossipConfig`] parameters to the
-/// [`StaticRvpEngine`] (the plain `GossipConfig` already builds the
-/// baseline, and a config type can build only one engine).
-#[derive(Debug, Clone, Default)]
-pub struct StaticRvpConfig(pub GossipConfig);
-
-impl SamplerConfig for StaticRvpConfig {
-    type Sampler = StaticRvpEngine;
-
-    fn set_view_size(&mut self, view_size: usize) {
-        self.0.view_size = view_size;
-    }
-}
-
-impl PeerSampler for StaticRvpEngine {
-    type Config = StaticRvpConfig;
-
-    fn with_seed(cfg: StaticRvpConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        StaticRvpEngine::new(cfg.0, net_cfg, seed)
-    }
-
-    fn add_peer(&mut self, class: NatClass) -> PeerId {
-        StaticRvpEngine::add_peer(self, class)
-    }
-
-    fn enable_port_forwarding(&mut self, peer: PeerId) {
-        StaticRvpEngine::enable_port_forwarding(self, peer);
-    }
-
-    fn install_fault_plan(&mut self, plan: nylon_faults::FaultPlan) {
-        StaticRvpEngine::install_fault_plan(self, plan);
-    }
-
-    fn fault_stats(&self) -> nylon_faults::FaultStats {
-        StaticRvpEngine::fault_stats(self)
-    }
-
-    fn bootstrap_random_public(&mut self, per_view: usize) {
-        StaticRvpEngine::bootstrap_random_public(self, per_view);
-    }
-
-    fn start(&mut self) {
-        StaticRvpEngine::start(self);
-    }
-
-    fn run_for(&mut self, dur: SimDuration) {
-        StaticRvpEngine::run_for(self, dur);
-    }
-
-    fn run_rounds(&mut self, n: u64) {
-        StaticRvpEngine::run_rounds(self, n);
-    }
-
-    fn kill_peers(&mut self, peers: &[PeerId]) {
-        StaticRvpEngine::kill_peers(self, peers);
-    }
-
-    fn now(&self) -> SimTime {
-        StaticRvpEngine::now(self)
-    }
-
-    fn shuffle_period(&self) -> SimDuration {
-        self.config().shuffle_period
-    }
-
-    fn peer_count(&self) -> usize {
-        self.net().peer_count()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        self.net().is_alive(peer)
-    }
-
-    fn class_of(&self, peer: PeerId) -> NatClass {
-        self.net().class_of(peer)
-    }
-
-    fn traffic_of(&self, peer: PeerId) -> TrafficStats {
-        self.net().stats_of(peer)
-    }
-
-    fn alive_peers(&self) -> Vec<PeerId> {
-        self.net().alive_peers().collect()
-    }
-
-    fn view_of(&self, peer: PeerId) -> &PartialView {
-        StaticRvpEngine::view_of(self, peer)
-    }
-
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        StaticRvpEngine::view_of_mut(self, peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        StaticRvpEngine::descriptor_of(self, peer)
-    }
-
-    fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        StaticRvpEngine::edge_usable(self, holder, d)
-    }
-
-    fn obs_report(&self, out: &mut nylon_obs::Report) {
-        StaticRvpEngine::obs_report(self, out);
-    }
-}
-
-// Both engines' usability oracles read only holder-local protocol state
-// (Nylon's routing table, the strawman's RVP bindings) plus globally
-// replicated facts (liveness, classes), so the default holder-shard
-// delegation of `edge_usable_sharded` is exact and neither impl overrides
-// it. Contrast with the baseline, whose packet-level oracle spans both
-// ends' NAT state.
-impl ShardSampler for NylonEngine {
-    fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        NylonEngine::set_shard(self, plan, idx);
-    }
-
-    fn net_config(&self) -> &NetConfig {
-        self.net().config()
-    }
-}
-
-impl ShardSampler for StaticRvpEngine {
-    fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        StaticRvpEngine::set_shard(self, plan, idx);
-    }
-
-    fn net_config(&self) -> &NetConfig {
-        self.net().config()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::NylonStats;
-    use crate::static_rvp::StaticRvpStats;
-    use nylon_gossip::{Sharded, ShardedConfig};
-    use nylon_net::NatType;
+    use crate::static_rvp::StaticRvpConfig;
+    use nylon_gossip::{PeerSampler, ShardSampler, Sharded, ShardedConfig};
+    use nylon_net::{NatClass, NatType, PeerId};
+    use nylon_sim::SimDuration;
 
     fn drive<C: SamplerConfig>(cfg: C, seed: u64) -> C::Sampler {
         let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), seed);
@@ -300,7 +65,7 @@ mod tests {
         for p in PeerSampler::alive_peers(&eng) {
             for d in eng.view_of(p).iter() {
                 if d.class.is_natted() && PeerSampler::edge_usable(&eng, p, d) {
-                    assert!(eng.routing_of(p).next_rvp(d.id).is_some());
+                    assert!(eng.protocol().routing_of(p).next_rvp(d.id).is_some());
                 }
             }
         }
@@ -379,11 +144,7 @@ mod tests {
     fn sharded_nylon_is_shard_count_independent() {
         let fp = |shards| {
             let eng = run_sharded(NylonConfig::default(), shards, 15, 25, 21);
-            let stats: NylonStats =
-                eng.shards().iter().fold(NylonStats::default(), |mut acc, e| {
-                    acc.merge(&e.stats());
-                    acc
-                });
+            let stats = eng.stats();
             assert!(stats.punch_successes > 0, "holes must get punched");
             shard_fingerprint(&eng, format!("{stats:?}"))
         };
@@ -400,11 +161,7 @@ mod tests {
         // forks of the node streams).
         let fp = |shards| {
             let eng = run_sharded(NylonConfig::default(), shards, 0, 30, 33);
-            let stats: NylonStats =
-                eng.shards().iter().fold(NylonStats::default(), |mut acc, e| {
-                    acc.merge(&e.stats());
-                    acc
-                });
+            let stats = eng.stats();
             assert!(stats.shuffles_initiated > 0);
             shard_fingerprint(&eng, format!("{stats:?}"))
         };
@@ -416,11 +173,7 @@ mod tests {
     fn sharded_static_rvp_is_shard_count_independent() {
         let fp = |shards| {
             let eng = run_sharded(StaticRvpConfig::default(), shards, 10, 30, 5);
-            let stats: StaticRvpStats =
-                eng.shards().iter().fold(StaticRvpStats::default(), |mut acc, e| {
-                    acc.merge(&e.stats());
-                    acc
-                });
+            let stats = eng.stats();
             assert!(stats.relays > 0, "natted shuffles must be relayed");
             shard_fingerprint(&eng, format!("{stats:?}"))
         };

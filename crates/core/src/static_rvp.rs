@@ -16,13 +16,12 @@
 //! period (proactive keep-alive, unlike Nylon's reactive punching) and
 //! re-bind to a fresh public peer if their RVP dies.
 
-use nylon_faults::{FaultPlan, FaultRuntime, FaultStats};
-use nylon_gossip::{sort_tick_batch, GossipConfig, NodeDescriptor, PartialView, ShardCtx};
-use nylon_net::{
-    BufferPool, Delivery, DenseMap, Endpoint, InFlight, NatClass, NetConfig, Network, PeerId, Slab,
-    SlabKey,
+use nylon_faults::FaultPlan;
+use nylon_gossip::{
+    Engine, GossipConfig, Host, NodeDescriptor, PartialView, Protocol, ProtocolStats, SamplerConfig,
 };
-use nylon_sim::{FxHashSet, ShardPlan, ShardWorker, Sim, SimDuration, SimRng, SimTime};
+use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
+use nylon_sim::{FxHashSet, SimDuration, SimRng};
 
 /// A descriptor annotated with the peer's RVP binding (`None` for public
 /// peers).
@@ -86,12 +85,8 @@ pub struct StaticRvpStats {
     pub failovers: u64,
 }
 
-impl StaticRvpStats {
-    /// Adds another counter set into this one. In a sharded run every
-    /// protocol event is counted on exactly one shard (the one owning the
-    /// acting node), so summing per-shard counters reproduces the
-    /// single-engine totals.
-    pub fn merge(&mut self, other: &StaticRvpStats) {
+impl ProtocolStats for StaticRvpStats {
+    fn merge(&mut self, other: &StaticRvpStats) {
         self.shuffles_initiated += other.shuffles_initiated;
         self.empty_view_rounds += other.empty_view_rounds;
         self.relays += other.relays;
@@ -119,38 +114,35 @@ struct Node {
     silent_rounds: u8,
 }
 
-/// Engine events. `Deliver` carries a slab handle — the ~100 B
-/// [`InFlight`] datagram parks in the engine's flight slab while the
-/// 4-byte key travels through the timer wheel.
-#[derive(Debug)]
-enum Ev {
-    Shuffle(PeerId),
-    Deliver(SlabKey),
-    Purge,
-    /// The next fault-plan event is due (see [`FaultRuntime::next_at`]).
-    Fault,
-}
-
-// The whole point of the slab indirection: wheeled events stay slim.
-const _: () = assert!(std::mem::size_of::<Ev>() <= 32, "Ev must stay slim for the timer wheel");
-
-const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
-
 /// Hardened mode: after this many consecutive shuffle rounds with no
 /// RESPONSE arriving, a natted peer assumes its relay path is dead (stale
 /// hole, silently crashed RVP) and re-registers with a different RVP.
 const FAILOVER_SILENT_ROUNDS: u8 = 3;
 
-/// Engine for the static-RVP strawman. API mirrors
-/// [`nylon::NylonEngine`](crate::NylonEngine).
+/// Configuration newtype binding [`GossipConfig`] parameters to the
+/// static-RVP scheme, which uses plain (push/pull, rand, healer) shuffles
+/// (the plain `GossipConfig` already builds the baseline, and a config
+/// type can build only one engine).
+#[derive(Debug, Clone, Default)]
+pub struct StaticRvpConfig(pub GossipConfig);
+
+impl SamplerConfig for StaticRvpConfig {
+    type Sampler = StaticRvpEngine;
+
+    fn set_view_size(&mut self, view_size: usize) {
+        self.0.view_size = view_size;
+    }
+}
+
+/// The fabric as the static-RVP handlers see it.
+type RvpHost = Host<StaticRvpMsg>;
+
+/// The static-RVP strawman; see the module docs.
 #[derive(Debug)]
-pub struct StaticRvpEngine {
-    sim: Sim<Ev>,
-    net: Network<StaticRvpMsg>,
-    cfg: GossipConfig,
+pub struct StaticRvp {
+    cfg: StaticRvpConfig,
     nodes: Vec<Node>,
     stats: StaticRvpStats,
-    started: bool,
     /// Recycled wire-view buffers (see `nylon_net::pool`): steady-state
     /// shuffling allocates nothing.
     entry_pool: BufferPool<BoundDescriptor>,
@@ -160,298 +152,25 @@ pub struct StaticRvpEngine {
     scratch_descs: Vec<NodeDescriptor>,
     /// Reused scratch for the binding-cache keep set (merge truncation).
     scratch_keep: FxHashSet<PeerId>,
-    /// In-flight datagrams, parked here while their 4-byte handle travels
-    /// through the timer wheel (see [`Ev`]); slots recycle.
-    flights: Slab<InFlight<StaticRvpMsg>>,
-    /// `Some` when this engine is one worker of a sharded run (see
-    /// `nylon_gossip::sharded`).
-    shard: Option<ShardCtx<StaticRvpMsg>>,
-    /// Installed fault plan, if any (see [`install_fault_plan`]).
-    ///
-    /// [`install_fault_plan`]: StaticRvpEngine::install_fault_plan
-    faults: Option<FaultRuntime>,
     /// Graceful-degradation mode from the fault plan: silence-based RVP
     /// failover instead of waiting for TTL death.
     harden: bool,
 }
 
-impl StaticRvpEngine {
-    /// Creates an engine with the generic protocol configuration (the
-    /// strawman uses plain (push/pull, rand, healer) shuffles).
-    pub fn new(cfg: GossipConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        let sim = Sim::new(seed);
-        let net = Network::new(net_cfg, seed ^ 0x4E59_4C4F_4E00_0003);
-        StaticRvpEngine {
-            sim,
-            net,
-            cfg,
-            nodes: Vec::new(),
-            stats: StaticRvpStats::default(),
-            started: false,
-            entry_pool: BufferPool::new(),
-            id_pool: BufferPool::new(),
-            scratch_descs: Vec::new(),
-            scratch_keep: FxHashSet::default(),
-            flights: Slab::new(),
-            shard: None,
-            faults: None,
-            harden: false,
-        }
+/// Engine for the static-RVP strawman: [`StaticRvp`] on the shared
+/// [`Engine`] host.
+pub type StaticRvpEngine = Engine<StaticRvp>;
+
+impl StaticRvp {
+    fn self_descriptor(&self, host: &RvpHost, peer: PeerId) -> BoundDescriptor {
+        BoundDescriptor { descriptor: host.descriptor_of(peer), rvp: self.nodes[peer.index()].rvp }
     }
 
-    /// Installs a compiled [`FaultPlan`]: applies its topology mutations
-    /// (stacked CGN, hairpin toggles) immediately and schedules its timed
-    /// events. Call after the population is added and before
-    /// [`bootstrap_random_public`](Self::bootstrap_random_public), so
-    /// descriptors advertise post-CGN identities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has started or a plan is already installed.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(!self.started, "install the fault plan before start()");
-        assert!(self.faults.is_none(), "fault plan already installed");
-        self.harden = plan.harden;
-        plan.apply_topology(&mut self.net);
-        let count_global = self.shard.as_ref().is_none_or(|s| s.idx == 0);
-        let rt = FaultRuntime::new(plan, count_global);
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
-        self.faults = Some(rt);
-    }
-
-    /// Fault counters (all zero when no plan is installed).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
-    }
-
-    /// Turns this engine into worker `idx` of a sharded run (see
-    /// `nylon_gossip::sharded`). Must be called on a fresh engine, before
-    /// any peer is added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has already been populated or started.
-    pub fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        assert!(!self.started && self.nodes.is_empty(), "set_shard requires a fresh engine");
-        self.shard = Some(ShardCtx::new(plan, idx));
-    }
-
-    /// Whether this engine materializes protocol state for `peer` — always
-    /// true outside shard mode.
-    fn owns(&self, peer: PeerId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(peer))
-    }
-
-    /// Total events processed by the local event loop.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &GossipConfig {
-        &self.cfg
-    }
-
-    /// The underlying network.
-    pub fn net(&self) -> &Network<StaticRvpMsg> {
-        &self.net
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> StaticRvpStats {
-        self.stats
-    }
-
-    /// Reports kernel, net, and engine-layer telemetry into `out`.
-    /// Read-only: see `PeerSampler::obs_report`'s contract.
-    pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.sim.obs_report(out);
-        self.net.obs_report(out);
-        self.entry_pool.obs_report(out);
-        self.id_pool.obs_report(out);
-        let s = &self.stats;
-        out.counter("engine.static_rvp", "shuffles_initiated", s.shuffles_initiated);
-        out.counter("engine.static_rvp", "empty_view_rounds", s.empty_view_rounds);
-        out.counter("engine.static_rvp", "rvp_relays", s.relays);
-        out.counter("engine.static_rvp", "rvp_relay_failures", s.relay_failures);
-        out.counter("engine.static_rvp", "pings_sent", s.pings_sent);
-        out.counter("engine.static_rvp", "requests_completed", s.requests_completed);
-        out.counter("engine.static_rvp", "responses_completed", s.responses_completed);
-        out.counter("engine.static_rvp", "rebinds", s.rebinds);
-        out.counter("engine.static_rvp", "rvp_failovers", s.failovers);
-        if let Some(f) = &self.faults {
-            f.obs_report(out);
-        }
-    }
-
-    /// Adds a peer. Natted peers are bound to a uniformly random public RVP
-    /// when the engine starts.
-    pub fn add_peer(&mut self, class: NatClass) -> PeerId {
-        let id = self.net.add_peer(class);
-        let rng = self.sim.rng().fork(0x5374_5276_0000_0000 | id.0 as u64);
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.view_size),
-            rvp: None,
-            clients: DenseMap::new(),
-            pending_sent: DenseMap::new(),
-            rng,
-            bindings: DenseMap::new(),
-            silent_rounds: 0,
-        });
-        id
-    }
-
-    /// Enables a permanent UPnP/NAT-PMP port forwarding for a natted peer
-    /// (no-op for public peers). Call before bootstrapping so descriptors
-    /// advertise the forwarded endpoint.
-    pub fn enable_port_forwarding(&mut self, peer: PeerId) {
-        let _ = self.net.enable_port_forwarding(peer);
-    }
-
-    /// Whether `holder` could shuffle over this view entry right now: the
-    /// target is alive and either public or relayable through an RVP the
-    /// holder knows about (and which is itself still alive).
-    pub fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        if d.id.index() >= self.net.peer_count() || !self.net.is_alive(d.id) {
-            return false;
-        }
-        if d.class.is_public() {
-            return true;
-        }
-        match self.nodes[holder.index()].bindings.get(&d.id) {
-            Some(Some(rvp)) => self.net.is_alive(*rvp),
-            _ => false,
-        }
-    }
-
-    /// Fills views with random public peers, as in the paper's bootstrap.
-    pub fn bootstrap_random_public(&mut self, per_view: usize) {
-        let publics: Vec<PeerId> =
-            self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect();
-        assert!(!publics.is_empty(), "the static-RVP scheme requires at least one public peer");
-        let all: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in all {
-            // Shard mode: other shards fill this node's view (from the
-            // same per-node stream); no global state is touched here.
-            if !self.owns(p) {
-                continue;
-            }
-            let candidates: Vec<PeerId> = publics.iter().copied().filter(|q| *q != p).collect();
-            let chosen = {
-                let node = &mut self.nodes[p.index()];
-                node.rng.sample_without_replacement(&candidates, per_view)
-            };
-            for q in chosen {
-                let d = NodeDescriptor::new(q, self.net.identity_endpoint(q), self.net.class_of(q));
-                let node = &mut self.nodes[p.index()];
-                node.view.insert(d);
-                node.bindings.insert(q, None);
-            }
-        }
-    }
-
-    /// Binds natted peers to RVPs and schedules shuffles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice or if no public peer exists.
-    pub fn start(&mut self) {
-        assert!(!self.started, "engine already started");
-        self.started = true;
-        let publics: Vec<PeerId> =
-            self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect();
-        assert!(!publics.is_empty(), "no public peers to act as RVPs");
-        let all: Vec<PeerId> = self.net.alive_peers().collect();
-        let period = self.cfg.shuffle_period.as_millis();
-        for p in all {
-            // In shard mode only owned nodes bind RVPs and get timers;
-            // both draws come from the node's own forked stream, so
-            // skipping them cannot shift any other node's draws.
-            if !self.owns(p) {
-                continue;
-            }
-            if self.net.class_of(p).is_natted() {
-                let rvp = {
-                    let node = &mut self.nodes[p.index()];
-                    *node.rng.pick(&publics).expect("publics non-empty")
-                };
-                self.nodes[p.index()].rvp = Some(rvp);
-            }
-            let phase = {
-                let node = &mut self.nodes[p.index()];
-                SimDuration::from_millis(node.rng.gen_range(0..period))
-            };
-            self.sim.schedule_after(phase, Ev::Shuffle(p));
-        }
-        self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-    }
-
-    /// Runs for `dur` of virtual time.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.sim.now() + dur;
-        while let Some((_, ev)) = self.sim.step_before(deadline) {
-            self.handle(ev);
-        }
-        self.sim.advance_to(deadline);
-    }
-
-    /// Runs for `n` shuffle periods.
-    pub fn run_rounds(&mut self, n: u64) {
-        self.run_for(self.cfg.shuffle_period * n);
-    }
-
-    /// Kills peers (fail-stop).
-    pub fn kill_peers(&mut self, peers: &[PeerId]) {
-        for p in peers {
-            self.net.kill_peer(*p);
-        }
-    }
-
-    /// The view of a peer.
-    pub fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
-    }
-
-    /// Mutable view access (the adversary seam; see
-    /// [`nylon_gossip::PeerSampler::view_of_mut`]).
-    pub fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
-    }
-
-    /// A peer's fresh (age-0) self-descriptor, as it would advertise
-    /// itself in a shuffle.
-    pub fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        self.self_descriptor(peer).descriptor
-    }
-
-    /// Iterator over alive peers.
-    pub fn alive_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.net.alive_peers()
-    }
-
-    fn self_descriptor(&self, peer: PeerId) -> BoundDescriptor {
-        BoundDescriptor {
-            descriptor: NodeDescriptor::new(
-                peer,
-                self.net.identity_endpoint(peer),
-                self.net.class_of(peer),
-            ),
-            rvp: self.nodes[peer.index()].rvp,
-        }
-    }
-
-    fn wire_view(&mut self, peer: PeerId) -> Vec<BoundDescriptor> {
+    fn wire_view(&mut self, host: &RvpHost, peer: PeerId) -> Vec<BoundDescriptor> {
         let mut out = self.entry_pool.acquire();
         let node = &self.nodes[peer.index()];
         out.reserve(node.view.len() + 1);
-        out.push(self.self_descriptor(peer));
+        out.push(self.self_descriptor(host, peer));
         for d in node.view.iter() {
             let rvp = node.bindings.get(&d.id).copied().flatten();
             out.push(BoundDescriptor { descriptor: *d, rvp });
@@ -459,264 +178,69 @@ impl StaticRvpEngine {
         out
     }
 
-    /// Returns a consumed message's entry buffer to the pool.
-    fn recycle_msg(&mut self, msg: StaticRvpMsg) {
-        match msg {
-            StaticRvpMsg::Request { entries, .. } | StaticRvpMsg::Response { entries, .. } => {
-                self.entry_pool.release(entries)
-            }
-            StaticRvpMsg::Ping { .. } => {}
-        }
+    /// A pooled id buffer holding the descriptor ids of `entries`.
+    fn sent_ids(&mut self, entries: &[BoundDescriptor]) -> Vec<PeerId> {
+        let mut sent = self.id_pool.acquire();
+        sent.extend(entries.iter().map(|e| e.descriptor.id));
+        sent
     }
 
-    fn message_bytes(&self, msg: &StaticRvpMsg) -> u32 {
-        // Same size model as Nylon: 16 B per annotated entry, 20 B of
-        // header + addressing; PING is header-only.
-        match msg {
-            StaticRvpMsg::Request { entries, .. } | StaticRvpMsg::Response { entries, .. } => {
-                20 + 16 * entries.len() as u32
-            }
-            StaticRvpMsg::Ping { .. } => 8,
-        }
-    }
-
-    fn send_msg(&mut self, from: PeerId, to_ep: Endpoint, msg: StaticRvpMsg) {
-        let now = self.sim.now();
-        let bytes = self.message_bytes(&msg);
-        if let Some(flight) = self.net.send(now, from, to_ep, msg, bytes) {
-            if let Some(ctx) = &mut self.shard {
-                ctx.stage(&self.net, flight);
-                return;
-            }
-            let at = flight.arrive_at;
-            self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(flight)));
-        }
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::Shuffle(p) => self.on_shuffle(p),
-            Ev::Deliver(key) => {
-                let flight = self.flights.remove(key);
-                self.on_deliver(flight);
-            }
-            Ev::Purge => {
-                let now = self.sim.now();
-                self.net.purge_expired_nat_state(now);
-                self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-            }
-            Ev::Fault => self.on_fault(),
-        }
-    }
-
-    fn on_fault(&mut self) {
-        let now = self.sim.now();
-        let Some(rt) = self.faults.as_mut() else { return };
-        let shard = self.shard.as_ref();
-        rt.apply_due(now, &mut self.net, |p| shard.is_none_or(|s| s.owns(p)), &mut Vec::new());
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
-    }
-
-    fn on_shuffle(&mut self, p: PeerId) {
-        if !self.net.is_alive(p) {
-            // Under a fault plan peers can be revived later: keep the timer
-            // chain ticking idle so a revived peer resumes at its original
-            // phase. Without faults, death is permanent and the chain ends
-            // here (byte-identical to the pre-fault-plane behavior).
-            if self.faults.is_some() {
-                self.sim.schedule_after(self.cfg.shuffle_period, Ev::Shuffle(p));
-            }
-            return;
-        }
-        // Keep-alive / re-bind: a natted peer pings its RVP every period.
-        if self.net.class_of(p).is_natted() {
-            let rvp_dead = self.nodes[p.index()].rvp.is_none_or(|r| !self.net.is_alive(r));
-            if rvp_dead {
-                let publics: Vec<PeerId> =
-                    self.net.alive_peers().filter(|q| self.net.class_of(*q).is_public()).collect();
-                if publics.is_empty() {
-                    // No RVP available: skip this round entirely.
-                    self.sim.schedule_after(self.cfg.shuffle_period, Ev::Shuffle(p));
-                    return;
-                }
-                let rvp = {
-                    let node = &mut self.nodes[p.index()];
-                    *node.rng.pick(&publics).expect("publics non-empty")
-                };
-                self.nodes[p.index()].rvp = Some(rvp);
-                self.nodes[p.index()].silent_rounds = 0;
-                self.stats.rebinds += 1;
-            } else if self.harden && self.nodes[p.index()].silent_rounds >= FAILOVER_SILENT_ROUNDS {
-                // Silence-based failover: the RVP looks alive by TTL but no
-                // RESPONSE has made it back for several rounds — its relay
-                // state (our hole, its client table) may be stale. Re-register
-                // with a different live RVP from the view rather than
-                // blackholing until the TTL catches up.
-                let cur = self.nodes[p.index()].rvp;
-                let mut candidates: Vec<PeerId> = self.nodes[p.index()]
-                    .view
-                    .iter()
-                    .filter(|d| d.class.is_public())
-                    .map(|d| d.id)
-                    .filter(|q| Some(*q) != cur && self.net.is_alive(*q))
-                    .collect();
-                if candidates.is_empty() {
-                    candidates = self
-                        .net
-                        .alive_peers()
-                        .filter(|q| self.net.class_of(*q).is_public() && Some(*q) != cur)
-                        .collect();
-                }
-                let picked = {
-                    let node = &mut self.nodes[p.index()];
-                    node.rng.pick(&candidates).copied()
-                };
-                if let Some(rvp) = picked {
-                    self.nodes[p.index()].rvp = Some(rvp);
-                    self.stats.failovers += 1;
-                }
-                self.nodes[p.index()].silent_rounds = 0;
-            }
-            if self.harden {
-                let node = &mut self.nodes[p.index()];
-                node.silent_rounds = node.silent_rounds.saturating_add(1);
-            }
-            let rvp = self.nodes[p.index()].rvp.expect("just bound");
-            let rvp_ep = self.net.identity_endpoint(rvp);
-            self.stats.pings_sent += 1;
-            self.send_msg(p, rvp_ep, StaticRvpMsg::Ping { from: p });
-        }
-        let target = {
+    /// Keep-alive / re-bind: a natted peer pings its RVP every period.
+    /// Returns `false` when no RVP is available and the round is lost.
+    fn keep_alive(&mut self, host: &mut RvpHost, p: PeerId) -> bool {
+        let rvp_dead = self.nodes[p.index()].rvp.is_none_or(|r| !host.net.is_alive(r));
+        if rvp_dead {
+            let publics = host.alive_publics();
             let node = &mut self.nodes[p.index()];
-            node.view.select_target(self.cfg.selection, &mut node.rng)
-        };
-        match target {
-            None => self.stats.empty_view_rounds += 1,
-            Some(target) => {
-                self.stats.shuffles_initiated += 1;
-                let entries = self.wire_view(p);
-                let mut sent = self.id_pool.acquire();
-                sent.extend(entries.iter().map(|e| e.descriptor.id));
-                if let Some(old) = self.nodes[p.index()].pending_sent.insert(target.id, sent) {
-                    self.id_pool.release(old);
-                }
-                let msg = StaticRvpMsg::Request {
-                    src: self.self_descriptor(p),
-                    dest: target.id,
-                    entries,
-                };
-                if target.class.is_public() {
-                    let ep = self.net.identity_endpoint(target.id);
-                    self.send_msg(p, ep, msg);
-                } else {
-                    // Route via the target's RVP.
-                    let rvp = self.nodes[p.index()].bindings.get(&target.id).copied().flatten();
-                    match rvp.filter(|r| self.net.is_alive(*r)) {
-                        Some(r) => {
-                            let ep = self.net.identity_endpoint(r);
-                            self.send_msg(p, ep, msg);
-                        }
-                        None => {
-                            // Binding unknown or RVP dead: the reference is
-                            // unusable (the failure mode the paper points
-                            // out). Drop it.
-                            self.nodes[p.index()].view.remove(target.id);
-                            self.recycle_msg(msg);
-                        }
-                    }
-                }
+            let Some(rvp) = node.rng.pick(&publics) else { return false };
+            node.rvp = Some(*rvp);
+            node.silent_rounds = 0;
+            self.stats.rebinds += 1;
+        } else if self.harden && self.nodes[p.index()].silent_rounds >= FAILOVER_SILENT_ROUNDS {
+            // Silence-based failover: the RVP looks alive by TTL but no
+            // RESPONSE has made it back for several rounds — its relay
+            // state (our hole, its client table) may be stale. Re-register
+            // with a different live RVP from the view rather than
+            // blackholing until the TTL catches up.
+            let cur = self.nodes[p.index()].rvp;
+            let mut candidates: Vec<PeerId> = self.nodes[p.index()]
+                .view
+                .iter()
+                .filter(|d| d.class.is_public())
+                .map(|d| d.id)
+                .filter(|q| Some(*q) != cur && host.net.is_alive(*q))
+                .collect();
+            if candidates.is_empty() {
+                candidates = host.alive_publics();
+                candidates.retain(|q| Some(*q) != cur);
             }
+            let node = &mut self.nodes[p.index()];
+            if let Some(rvp) = node.rng.pick(&candidates) {
+                node.rvp = Some(*rvp);
+                self.stats.failovers += 1;
+            }
+            node.silent_rounds = 0;
         }
-        self.nodes[p.index()].view.increase_age();
-        self.sim.schedule_after(self.cfg.shuffle_period, Ev::Shuffle(p));
+        let node = &mut self.nodes[p.index()];
+        if self.harden {
+            node.silent_rounds = node.silent_rounds.saturating_add(1);
+        }
+        let rvp_ep = host.net.identity_endpoint(node.rvp.expect("just bound"));
+        self.stats.pings_sent += 1;
+        host.send_msg(self, p, rvp_ep, StaticRvpMsg::Ping { from: p });
+        true
     }
 
-    fn on_deliver(&mut self, flight: InFlight<StaticRvpMsg>) {
-        let now = self.sim.now();
-        let (to, from_ep, msg) = match self.net.deliver(now, flight) {
-            Delivery::ToPeer { to, from_ep, payload } => (to, from_ep, payload),
-            Delivery::Dropped { payload, .. } => {
-                // The drop is counted by the fabric; the payload buffer
-                // still goes back to the pool.
-                self.recycle_msg(payload);
-                return;
+    /// RVP duty: forward `msg` through the hole of client `dest`.
+    fn relay(&mut self, host: &mut RvpHost, rvp: PeerId, dest: PeerId, msg: StaticRvpMsg) {
+        match self.nodes[rvp.index()].clients.get(&dest).copied() {
+            Some(client_ep) => {
+                self.stats.relays += 1;
+                host.send_msg(self, rvp, client_ep, msg);
             }
-        };
-        match msg {
-            StaticRvpMsg::Ping { from } => {
-                // RVP duty: remember the client's hole endpoint.
-                self.nodes[to.index()].clients.insert(from, from_ep);
-            }
-            StaticRvpMsg::Request { src, dest, entries } => {
-                if dest != to {
-                    // We are the target's RVP: forward through the client's
-                    // hole.
-                    match self.nodes[to.index()].clients.get(&dest).copied() {
-                        Some(client_ep) => {
-                            self.stats.relays += 1;
-                            self.send_msg(
-                                to,
-                                client_ep,
-                                StaticRvpMsg::Request { src, dest, entries },
-                            );
-                        }
-                        None => {
-                            self.stats.relay_failures += 1;
-                            self.entry_pool.release(entries);
-                        }
-                    }
-                    return;
-                }
-                self.stats.requests_completed += 1;
-                let resp_entries = self.wire_view(to);
-                let mut resp_sent = self.id_pool.acquire();
-                resp_sent.extend(resp_entries.iter().map(|e| e.descriptor.id));
-                let resp = StaticRvpMsg::Response {
-                    from: to,
-                    dest: src.descriptor.id,
-                    entries: resp_entries,
-                };
-                if src.descriptor.class.is_public() {
-                    let ep = self.net.identity_endpoint(src.descriptor.id);
-                    self.send_msg(to, ep, resp);
-                } else if let Some(r) = src.rvp.filter(|r| self.net.is_alive(*r)) {
-                    let ep = self.net.identity_endpoint(r);
-                    self.send_msg(to, ep, resp);
-                } else {
-                    // No way back to the initiator: the response is never
-                    // sent (the paper's failure mode); recycle it.
-                    self.recycle_msg(resp);
-                }
-                self.merge(to, &entries, &resp_sent);
-                self.id_pool.release(resp_sent);
-                self.entry_pool.release(entries);
-            }
-            StaticRvpMsg::Response { from, dest, entries } => {
-                if dest != to {
-                    match self.nodes[to.index()].clients.get(&dest).copied() {
-                        Some(client_ep) => {
-                            self.stats.relays += 1;
-                            self.send_msg(
-                                to,
-                                client_ep,
-                                StaticRvpMsg::Response { from, dest, entries },
-                            );
-                        }
-                        None => {
-                            self.stats.relay_failures += 1;
-                            self.entry_pool.release(entries);
-                        }
-                    }
-                    return;
-                }
-                self.stats.responses_completed += 1;
-                self.nodes[to.index()].silent_rounds = 0;
-                let sent = self.nodes[to.index()].pending_sent.remove(&from).unwrap_or_default();
-                self.merge(to, &entries, &sent);
-                self.id_pool.release(sent);
-                self.entry_pool.release(entries);
+            None => {
+                self.stats.relay_failures += 1;
+                self.recycle(msg);
             }
         }
     }
@@ -732,7 +256,7 @@ impl StaticRvpEngine {
                 node.bindings.insert(e.descriptor.id, e.rvp);
             }
         }
-        node.view.merge_and_truncate(&descriptors, sent, self.cfg.merge, &mut node.rng);
+        node.view.merge_and_truncate(&descriptors, sent, self.cfg.0.merge, &mut node.rng);
         // Bound the binding cache: keep only bindings for current view
         // entries plus a small slack of recently seen peers.
         if node.bindings.len() > 8 * node.view.capacity() {
@@ -745,37 +269,250 @@ impl StaticRvpEngine {
     }
 }
 
-impl ShardWorker for StaticRvpEngine {
-    type Envelope = InFlight<StaticRvpMsg>;
+impl Protocol for StaticRvp {
+    type Config = StaticRvpConfig;
+    type Msg = StaticRvpMsg;
+    type Stats = StaticRvpStats;
 
-    fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<InFlight<StaticRvpMsg>>]) {
-        while let Some((_, ev)) = self.sim.step_before(boundary) {
-            self.handle(ev);
+    const NODE_RNG_LABEL: u64 = 0x5374_5276_0000_0000;
+    const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0003;
+
+    fn new(cfg: StaticRvpConfig, _net_cfg: &NetConfig) -> Self {
+        StaticRvp {
+            cfg,
+            nodes: Vec::new(),
+            stats: StaticRvpStats::default(),
+            entry_pool: BufferPool::new(),
+            id_pool: BufferPool::new(),
+            scratch_descs: Vec::new(),
+            scratch_keep: FxHashSet::default(),
+            harden: false,
         }
-        self.sim.advance_to(boundary);
-        self.shard.as_mut().expect("run_tick requires shard mode").drain_into(out);
     }
 
-    fn absorb(&mut self, mut batch: Vec<InFlight<StaticRvpMsg>>) {
-        sort_tick_batch(&mut batch);
-        for f in batch {
-            let at = f.arrive_at;
-            self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(f)));
+    fn config(&self) -> &StaticRvpConfig {
+        &self.cfg
+    }
+
+    fn shuffle_period(&self) -> SimDuration {
+        self.cfg.0.shuffle_period
+    }
+
+    fn stats(&self) -> StaticRvpStats {
+        self.stats
+    }
+
+    fn add_node(&mut self, id: PeerId, rng: SimRng) {
+        self.nodes.push(Node {
+            view: PartialView::new(id, self.cfg.0.view_size),
+            rvp: None,
+            clients: DenseMap::new(),
+            pending_sent: DenseMap::new(),
+            rng,
+            bindings: DenseMap::new(),
+            silent_rounds: 0,
+        });
+    }
+
+    fn view_of(&self, peer: PeerId) -> &PartialView {
+        &self.nodes[peer.index()].view
+    }
+
+    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
+        &mut self.nodes[peer.index()].view
+    }
+
+    fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
+        &mut self.nodes[peer.index()].rng
+    }
+
+    /// The contact enters the view along with its RVP binding.
+    fn join_contact(&mut self, host: &mut RvpHost, p: PeerId, contact: PeerId) {
+        let rvp = self.nodes[contact.index()].rvp;
+        let node = &mut self.nodes[p.index()];
+        node.view.insert(host.descriptor_of(contact));
+        node.bindings.insert(contact, rvp);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the population has no public peer.
+    fn bootstrap(&mut self, host: &mut RvpHost, per_view: usize) {
+        let has_public = !host.alive_publics().is_empty();
+        assert!(has_public, "the static-RVP scheme requires at least one public peer");
+        nylon_gossip::host::bootstrap_views(self, host, per_view);
+    }
+
+    /// Binds every natted peer about to start to a uniformly random public
+    /// RVP.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a natted peer needs an RVP and no public peer is alive.
+    fn on_start(&mut self, host: &RvpHost, peers: &[PeerId]) {
+        let publics = host.alive_publics();
+        for p in peers.iter().filter(|p| host.net.class_of(**p).is_natted()) {
+            let node = &mut self.nodes[p.index()];
+            node.rvp = Some(*node.rng.pick(&publics).expect("no public peers to act as RVPs"));
         }
     }
 
-    fn envelope_bytes(envelope: &InFlight<StaticRvpMsg>) -> u64 {
-        envelope.wire_bytes as u64
+    fn on_round(&mut self, host: &mut RvpHost, p: PeerId) {
+        if host.net.class_of(p).is_natted() && !self.keep_alive(host, p) {
+            return;
+        }
+        let target = {
+            let node = &mut self.nodes[p.index()];
+            node.view.select_target(self.cfg.0.selection, &mut node.rng)
+        };
+        match target {
+            None => self.stats.empty_view_rounds += 1,
+            Some(target) => {
+                host.log_sample(target.id);
+                self.stats.shuffles_initiated += 1;
+                let entries = self.wire_view(host, p);
+                let sent = self.sent_ids(&entries);
+                if let Some(old) = self.nodes[p.index()].pending_sent.insert(target.id, sent) {
+                    self.id_pool.release(old);
+                }
+                let msg = StaticRvpMsg::Request {
+                    src: self.self_descriptor(host, p),
+                    dest: target.id,
+                    entries,
+                };
+                // Natted targets are reached via their RVP.
+                let hop = if target.class.is_public() {
+                    Some(target.id)
+                } else {
+                    let rvp = self.nodes[p.index()].bindings.get(&target.id).copied().flatten();
+                    rvp.filter(|r| host.net.is_alive(*r))
+                };
+                match hop {
+                    Some(hop) => host.send_msg(self, p, host.net.identity_endpoint(hop), msg),
+                    None => {
+                        // Binding unknown or RVP dead: the reference is
+                        // unusable (the failure mode the paper points
+                        // out). Drop it.
+                        self.nodes[p.index()].view.remove(target.id);
+                        self.recycle(msg);
+                    }
+                }
+            }
+        }
+        self.nodes[p.index()].view.increase_age();
+    }
+
+    fn on_msg(&mut self, host: &mut RvpHost, to: PeerId, from_ep: Endpoint, msg: StaticRvpMsg) {
+        match msg {
+            StaticRvpMsg::Ping { from } => {
+                // RVP duty: remember the client's hole endpoint.
+                self.nodes[to.index()].clients.insert(from, from_ep);
+            }
+            // We are the addressee's RVP.
+            StaticRvpMsg::Request { dest, .. } | StaticRvpMsg::Response { dest, .. }
+                if dest != to =>
+            {
+                self.relay(host, to, dest, msg)
+            }
+            StaticRvpMsg::Request { src, entries, .. } => {
+                self.stats.requests_completed += 1;
+                let resp_entries = self.wire_view(host, to);
+                let resp_sent = self.sent_ids(&resp_entries);
+                let resp = StaticRvpMsg::Response {
+                    from: to,
+                    dest: src.descriptor.id,
+                    entries: resp_entries,
+                };
+                let hop = if src.descriptor.class.is_public() {
+                    Some(src.descriptor.id)
+                } else {
+                    src.rvp.filter(|r| host.net.is_alive(*r))
+                };
+                match hop {
+                    Some(hop) => host.send_msg(self, to, host.net.identity_endpoint(hop), resp),
+                    // No way back to the initiator: the response is never
+                    // sent (the paper's failure mode); recycle it.
+                    None => self.recycle(resp),
+                }
+                self.merge(to, &entries, &resp_sent);
+                self.id_pool.release(resp_sent);
+                self.entry_pool.release(entries);
+            }
+            StaticRvpMsg::Response { from, entries, .. } => {
+                self.stats.responses_completed += 1;
+                self.nodes[to.index()].silent_rounds = 0;
+                let sent = self.nodes[to.index()].pending_sent.remove(&from).unwrap_or_default();
+                self.merge(to, &entries, &sent);
+                self.id_pool.release(sent);
+                self.entry_pool.release(entries);
+            }
+        }
+    }
+
+    fn payload_bytes(&self, msg: &StaticRvpMsg) -> u32 {
+        // Same size model as Nylon: 16 B per annotated entry, 20 B of
+        // header + addressing; PING is header-only.
+        match msg {
+            StaticRvpMsg::Request { entries, .. } | StaticRvpMsg::Response { entries, .. } => {
+                20 + 16 * entries.len() as u32
+            }
+            StaticRvpMsg::Ping { .. } => 8,
+        }
+    }
+
+    fn recycle(&mut self, msg: StaticRvpMsg) {
+        match msg {
+            StaticRvpMsg::Request { entries, .. } | StaticRvpMsg::Response { entries, .. } => {
+                self.entry_pool.release(entries)
+            }
+            StaticRvpMsg::Ping { .. } => {}
+        }
+    }
+
+    /// Whether `holder` could shuffle over this view entry right now: the
+    /// target is alive and either public or relayable through an RVP the
+    /// holder knows about (and which is itself still alive).
+    fn edge_usable(&self, host: &RvpHost, holder: PeerId, d: &NodeDescriptor) -> bool {
+        if d.id.index() >= host.net.peer_count() || !host.net.is_alive(d.id) {
+            return false;
+        }
+        if d.class.is_public() {
+            return true;
+        }
+        match self.nodes[holder.index()].bindings.get(&d.id) {
+            Some(Some(rvp)) => host.net.is_alive(*rvp),
+            _ => false,
+        }
+    }
+
+    fn obs_report(&self, out: &mut nylon_obs::Report) {
+        self.entry_pool.obs_report(out);
+        self.id_pool.obs_report(out);
+        let s = &self.stats;
+        out.counter("engine.static_rvp", "shuffles_initiated", s.shuffles_initiated);
+        out.counter("engine.static_rvp", "empty_view_rounds", s.empty_view_rounds);
+        out.counter("engine.static_rvp", "rvp_relays", s.relays);
+        out.counter("engine.static_rvp", "rvp_relay_failures", s.relay_failures);
+        out.counter("engine.static_rvp", "pings_sent", s.pings_sent);
+        out.counter("engine.static_rvp", "requests_completed", s.requests_completed);
+        out.counter("engine.static_rvp", "responses_completed", s.responses_completed);
+        out.counter("engine.static_rvp", "rebinds", s.rebinds);
+        out.counter("engine.static_rvp", "rvp_failovers", s.failovers);
+    }
+
+    fn on_fault_plan(&mut self, plan: &FaultPlan) {
+        self.harden = plan.harden;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nylon_net::NatType;
+    use nylon_net::{NatClass, NatType};
+    use nylon_sim::SimTime;
 
     fn engine(publics: usize, natted: usize, seed: u64) -> StaticRvpEngine {
-        let mut eng = StaticRvpEngine::new(GossipConfig::default(), NetConfig::default(), seed);
+        let mut eng = StaticRvpEngine::new(StaticRvpConfig::default(), NetConfig::default(), seed);
         for _ in 0..publics {
             eng.add_peer(NatClass::Public);
         }
@@ -840,6 +577,26 @@ mod tests {
     }
 
     #[test]
+    fn join_after_start_gets_integrated() {
+        let mut eng = engine(10, 20, 11);
+        eng.run_rounds(10);
+        let contact = eng.alive_peers().next().unwrap();
+        let newbie =
+            eng.add_peer_with_bootstrap(NatClass::Natted(NatType::PortRestrictedCone), &[contact]);
+        let rvp = eng.protocol().nodes[newbie.index()].rvp.expect("a natted joiner binds an RVP");
+        assert!(eng.net().class_of(rvp).is_public());
+        eng.run_rounds(30);
+        assert!(!eng.view_of(newbie).is_empty());
+        let known = eng
+            .alive_peers()
+            .collect::<Vec<_>>()
+            .iter()
+            .filter(|p| eng.view_of(**p).contains(newbie))
+            .count();
+        assert!(known > 0, "joining natted peer never advertised");
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
             let mut eng = engine(8, 24, seed);
@@ -871,7 +628,7 @@ mod tests {
         let mut eng = engine(10, 40, 9);
         eng.run_rounds(60);
         for p in eng.alive_peers().collect::<Vec<_>>() {
-            let n = eng.nodes[p.index()].bindings.len();
+            let n = eng.protocol().nodes[p.index()].bindings.len();
             assert!(n <= 8 * 15 + 16, "bindings cache of {p} grew to {n}");
         }
     }
@@ -890,7 +647,7 @@ mod tests {
     /// A partition leaves RVPs alive by TTL but silently unreachable — the
     /// exact blackhole silence-based failover exists for.
     fn faulted_engine(harden: bool, seed: u64) -> StaticRvpEngine {
-        let mut eng = StaticRvpEngine::new(GossipConfig::default(), NetConfig::default(), seed);
+        let mut eng = StaticRvpEngine::new(StaticRvpConfig::default(), NetConfig::default(), seed);
         for _ in 0..8 {
             eng.add_peer(NatClass::Public);
         }
@@ -929,7 +686,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one public peer")]
     fn requires_public_peers() {
-        let mut eng = StaticRvpEngine::new(GossipConfig::default(), NetConfig::default(), 1);
+        let mut eng = StaticRvpEngine::new(StaticRvpConfig::default(), NetConfig::default(), 1);
         eng.add_peer(NatClass::Natted(NatType::RestrictedCone));
         eng.bootstrap_random_public(4);
     }

@@ -5,14 +5,13 @@
 //! unreachable entries silently vanish — which is exactly the degradation
 //! Figures 2–4 quantify.
 
-use nylon_faults::{FaultPlan, FaultRuntime, FaultStats};
-use nylon_net::{
-    BufferPool, Delivery, DenseMap, Endpoint, InFlight, NatClass, NetConfig, Network, Outbound,
-    PeerId, Slab, SlabKey,
-};
-use nylon_sim::{ShardPlan, ShardWorker, Sim, SimDuration, SimRng, SimTime};
+use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
+use nylon_sim::{SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
+use crate::host::{
+    directly_reachable, directly_reachable_sharded, Engine, Host, Protocol, ProtocolStats,
+};
 use crate::policy::{GossipConfig, PropagationPolicy};
 use crate::view::PartialView;
 
@@ -36,90 +35,22 @@ pub enum BaselineMsg {
     },
 }
 
-/// Engine events.
-///
-/// `Deliver` carries only a slab handle: the actual [`InFlight`] datagram
-/// (~100 B of endpoints, accounting and payload) parks in the engine's
-/// flight slab while the event moves through the timer wheel, so every
-/// push/pop/cascade copies one machine word instead of a cache line.
-#[derive(Debug)]
-enum Ev {
-    /// A peer's shuffle timer fired.
-    Shuffle(PeerId),
-    /// A datagram arrives; the handle resolves in the flight slab.
-    Deliver(SlabKey),
-    /// Periodic NAT state garbage collection.
-    Purge,
-    /// The next fault-plan event is due (see [`nylon_faults`]).
-    Fault,
-}
-
-// The whole point of the slab indirection: wheeled events stay slim.
-const _: () = assert!(std::mem::size_of::<Ev>() <= 32, "Ev must stay slim for the timer wheel");
-
-/// Shard-mode state of an engine acting as one worker of a sharded run.
-///
-/// In shard mode the engine still holds the *full* population (the address
-/// plan, liveness, and per-node RNG labels are pure functions of the add
-/// order, so replicating them costs no determinism), but only materializes
-/// protocol state — view contents, timers, NAT sessions — for the nodes
-/// the plan assigns to `idx`. Every datagram, including ones between two
-/// co-located nodes, is staged into `staged[dst_shard]` instead of being
-/// scheduled directly, so delivery order is fixed by the canonical merge
-/// in `absorb`, never by which nodes happen to share a shard.
-#[derive(Debug)]
-pub struct ShardCtx<P> {
-    /// The node→shard assignment shared by all workers of the run.
-    pub plan: ShardPlan,
-    /// This worker's shard index.
-    pub idx: usize,
-    /// Outgoing flights staged per destination shard, drained by
-    /// [`ShardWorker::run_tick`] at the end of each tick.
-    pub staged: Vec<Vec<InFlight<P>>>,
-}
-
-impl<P> ShardCtx<P> {
-    /// A context for shard `idx` of `plan`, with empty staging buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not a valid shard of `plan`.
-    pub fn new(plan: ShardPlan, idx: usize) -> Self {
-        assert!(idx < plan.shards(), "shard index out of range");
-        ShardCtx { plan, idx, staged: (0..plan.shards()).map(|_| Vec::new()).collect() }
-    }
-
-    /// Whether this shard owns `peer`.
-    pub fn owns(&self, peer: PeerId) -> bool {
-        self.plan.shard_of(peer.0) == self.idx
-    }
-
-    /// Stages a flight for the shard owning its addressee, or for this
-    /// shard when the destination is unroutable (the local `deliver` then
-    /// counts the drop — on a fixed shard, so counters stay deterministic).
-    pub fn stage<P2>(&mut self, net: &Network<P2>, flight: InFlight<P>) {
-        let dst = match net.addressee_of(flight.dst_ep) {
-            Some(q) => self.plan.shard_of(q.0),
-            None => self.idx,
-        };
-        self.staged[dst].push(flight);
-    }
-
-    /// Moves this tick's staged flights into the driver's outboxes.
-    pub fn drain_into(&mut self, out: &mut [Vec<InFlight<P>>]) {
-        for (dst, staged) in self.staged.iter_mut().enumerate() {
-            out[dst].append(staged);
+impl BaselineMsg {
+    /// The shipped descriptors, whichever way the message travels.
+    pub(crate) fn into_entries(self) -> Vec<NodeDescriptor> {
+        match self {
+            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => entries,
         }
     }
-}
 
-/// Sorts a merged tick batch into the canonical delivery order: arrival
-/// instant, then sending node (per-sender order is positional — a sender's
-/// flights arrive already in its send order, and a stable sort keeps them
-/// there). The key is a pure function of the logical message stream, which
-/// is what makes sharded output independent of the shard count.
-pub fn sort_tick_batch<P>(batch: &mut [InFlight<P>]) {
-    batch.sort_by_key(|f| (f.arrive_at, f.sender.0));
+    /// Number of shipped descriptors.
+    pub(crate) fn entry_count(&self) -> usize {
+        match self {
+            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
+                entries.len()
+            }
+        }
+    }
 }
 
 /// Aggregate protocol counters.
@@ -135,12 +66,8 @@ pub struct ShuffleStats {
     pub responses_received: u64,
 }
 
-impl ShuffleStats {
-    /// Adds another counter set into this one. In a sharded run every
-    /// protocol event is counted on exactly one shard (the one owning the
-    /// acting node), so summing the per-shard counters reproduces the
-    /// single-engine totals.
-    pub fn merge(&mut self, other: &ShuffleStats) {
+impl ProtocolStats for ShuffleStats {
+    fn merge(&mut self, other: &ShuffleStats) {
         self.initiated += other.initiated;
         self.empty_view_rounds += other.empty_view_rounds;
         self.requests_received += other.requests_received;
@@ -156,466 +83,81 @@ struct Node {
     pending_sent: DenseMap<PeerId, Vec<PeerId>>,
 }
 
-/// Interval between NAT garbage-collection sweeps.
-const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
-
-/// The baseline peer-sampling engine.
+/// The generic (NAT-oblivious) protocol of Figure 1, parameterized by a
+/// [`GossipConfig`].
 ///
-/// Usage: construct, [`add_peer`](Self::add_peer) the population,
-/// [`bootstrap_random_public`](Self::bootstrap_random_public),
-/// [`start`](Self::start), then [`run_rounds`](Self::run_rounds) /
-/// [`run_for`](Self::run_for). See the crate-level example.
+/// Bootstrap is the host's default. With no public peer at all it falls
+/// back to uniformly chosen arbitrary peers, whose NATs make many of these
+/// entries immediately unusable — that is the point of the 100 % NAT data
+/// point.
 #[derive(Debug)]
-pub struct BaselineEngine {
-    sim: Sim<Ev>,
-    net: Network<BaselineMsg>,
+pub struct Baseline {
     cfg: GossipConfig,
     nodes: Vec<Node>,
     stats: ShuffleStats,
-    started: bool,
-    sample_log: Option<Vec<u32>>,
-    wire_tap: Option<Vec<Outbound<BaselineMsg>>>,
     /// Recycled descriptor buffers for shuffle payloads: in steady state
     /// no exchange allocates (see `nylon_net::pool`).
     payload_pool: BufferPool<NodeDescriptor>,
     /// Recycled id buffers for the shipped-id lists of the swapper merge.
     id_pool: BufferPool<PeerId>,
-    /// In-flight datagrams, parked here while their 4-byte handle travels
-    /// through the timer wheel (see [`Ev`]); slots recycle, so the slab's
-    /// footprint is the high-water mark of concurrent flights.
-    flights: Slab<InFlight<BaselineMsg>>,
-    /// `Some` when this engine is one worker of a sharded run.
-    shard: Option<ShardCtx<BaselineMsg>>,
-    /// `Some` when a fault plan is installed (see
-    /// [`install_fault_plan`](Self::install_fault_plan)).
-    faults: Option<FaultRuntime>,
 }
 
-impl BaselineEngine {
-    /// Creates an engine with the given protocol and fabric configuration;
-    /// `seed` drives every random choice in the run.
-    pub fn new(cfg: GossipConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        let sim = Sim::new(seed);
-        let net = Network::new(net_cfg, seed ^ 0x4E59_4C4F_4E00_0001);
-        BaselineEngine {
-            sim,
-            net,
+/// The baseline peer-sampling engine; see [`Engine`] for the lifecycle.
+pub type BaselineEngine = Engine<Baseline>;
+
+impl Protocol for Baseline {
+    type Config = GossipConfig;
+    type Msg = BaselineMsg;
+    type Stats = ShuffleStats;
+
+    const NODE_RNG_LABEL: u64 = 0x6E6F_6465_0000_0000;
+    const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0001;
+
+    fn new(cfg: GossipConfig, _net_cfg: &NetConfig) -> Self {
+        Baseline {
             cfg,
             nodes: Vec::new(),
             stats: ShuffleStats::default(),
-            started: false,
-            sample_log: None,
-            wire_tap: None,
             payload_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
-            flights: Slab::new(),
-            shard: None,
-            faults: None,
         }
     }
 
-    /// Installs a compiled fault plan: applies its topology faults now and
-    /// schedules its timed events. Call after the population is added and
-    /// before bootstrap, so descriptors advertise post-CGN identities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has already started or a plan is installed.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(!self.started, "install the fault plan before start()");
-        assert!(self.faults.is_none(), "fault plan already installed");
-        plan.apply_topology(&mut self.net);
-        let count_global = self.shard.as_ref().is_none_or(|s| s.idx == 0);
-        let rt = FaultRuntime::new(plan, count_global);
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
-        self.faults = Some(rt);
-    }
-
-    /// Counters of faults applied so far (ownership-filtered in shard
-    /// mode; see [`FaultStats`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
-    }
-
-    /// Turns this engine into worker `idx` of a sharded run (see
-    /// [`crate::sharded`]). Must be called on a fresh engine, before any
-    /// peer is added: the shard plan gates which nodes get timers and
-    /// protocol state from the very first add.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has already been populated or started.
-    pub fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        assert!(!self.started && self.nodes.is_empty(), "set_shard requires a fresh engine");
-        self.shard = Some(ShardCtx::new(plan, idx));
-    }
-
-    /// Whether this engine materializes protocol state for `peer` — always
-    /// true outside shard mode.
-    fn owns(&self, peer: PeerId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(peer))
-    }
-
-    /// Total events processed by the local event loop.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Switches the engine to wire-tap mode: datagrams are no longer routed
-    /// through the simulated fabric but collected for an external transport
-    /// (see [`BaselineEngine::take_outbound`]), and inbound datagrams enter
-    /// via [`BaselineEngine::deliver_wire`]. Protocol behaviour is
-    /// untouched — only the carriage substrate changes.
-    ///
-    /// Note: in this mode the fabric's NAT state sees no traffic, so the
-    /// packet-level `reachable` oracle (and therefore this engine's
-    /// `edge_usable`) reflects the wire's NAT emulation, not the internal
-    /// one.
-    pub fn enable_wire_tap(&mut self) {
-        self.wire_tap = Some(Vec::new());
-    }
-
-    /// Drains the datagrams queued since the last call (wire-tap mode).
-    pub fn take_outbound(&mut self) -> Vec<Outbound<BaselineMsg>> {
-        self.wire_tap.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Injects a datagram received from an external transport, addressed to
-    /// `to` and observed as coming from `from_ep` (post-NAT). The protocol
-    /// handling is identical to a simulated delivery.
-    pub fn deliver_wire(&mut self, to: PeerId, from_ep: Endpoint, msg: BaselineMsg) {
-        if !self.net.is_alive(to) {
-            return;
-        }
-        self.net.note_received(to, self.payload_bytes(&msg));
-        self.on_msg(to, from_ep, msg);
-    }
-
-    /// Modeled payload size of a message, per the config's wire-size model.
-    fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
-        match msg {
-            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
-                self.cfg.message_bytes(entries.len())
-            }
-        }
-    }
-
-    /// Sends `msg` to `to_ep`: through the fabric normally, or onto the
-    /// wire-tap queue when an external transport carries the datagrams.
-    fn send_msg(&mut self, from: PeerId, to_ep: Endpoint, msg: BaselineMsg) {
-        let bytes = self.payload_bytes(&msg);
-        if let Some(tap) = &mut self.wire_tap {
-            tap.push(Outbound { from, dst: to_ep, payload_bytes: bytes, payload: msg });
-            self.net.note_sent(from, bytes);
-            return;
-        }
-        let now = self.sim.now();
-        if let Some(flight) = self.net.send(now, from, to_ep, msg, bytes) {
-            if let Some(ctx) = &mut self.shard {
-                ctx.stage(&self.net, flight);
-            } else {
-                let at = flight.arrive_at;
-                self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(flight)));
-            }
-        }
-    }
-
-    /// Starts recording every gossip-target selection (peer ids, in
-    /// selection order) for randomness analysis. Call before running.
-    pub fn enable_sample_log(&mut self) {
-        self.sample_log = Some(Vec::new());
-    }
-
-    /// The recorded target selections, if logging was enabled.
-    pub fn sample_log(&self) -> Option<&[u32]> {
-        self.sample_log.as_deref()
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &GossipConfig {
+    fn config(&self) -> &GossipConfig {
         &self.cfg
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
+    fn shuffle_period(&self) -> SimDuration {
+        self.cfg.shuffle_period
     }
 
-    /// The underlying network (for oracles and traffic stats).
-    pub fn net(&self) -> &Network<BaselineMsg> {
-        &self.net
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> ShuffleStats {
+    fn stats(&self) -> ShuffleStats {
         self.stats
     }
 
-    /// Reports kernel, net, and engine-layer telemetry into `out`.
-    /// Read-only: see [`PeerSampler::obs_report`]'s contract.
-    ///
-    /// [`PeerSampler::obs_report`]: crate::PeerSampler::obs_report
-    pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.sim.obs_report(out);
-        self.net.obs_report(out);
-        self.payload_pool.obs_report(out);
-        self.id_pool.obs_report(out);
-        out.counter("engine.baseline", "shuffles_initiated", self.stats.initiated);
-        out.counter("engine.baseline", "empty_view_rounds", self.stats.empty_view_rounds);
-        out.counter("engine.baseline", "requests_received", self.stats.requests_received);
-        out.counter("engine.baseline", "responses_received", self.stats.responses_received);
-        if let Some(f) = &self.faults {
-            f.obs_report(out);
-        }
-    }
-
-    /// Adds a peer of the given NAT class and returns its id.
-    ///
-    /// If the engine is already running, the peer starts shuffling one
-    /// random phase into the next period (a joining node).
-    pub fn add_peer(&mut self, class: NatClass) -> PeerId {
-        let id = self.net.add_peer(class);
-        let rng = self.sim.rng().fork(0x6E6F_6465_0000_0000 | id.0 as u64);
+    fn add_node(&mut self, id: PeerId, rng: SimRng) {
         self.nodes.push(Node {
             view: PartialView::new(id, self.cfg.view_size),
             rng,
             pending_sent: DenseMap::new(),
         });
-        if self.started && self.owns(id) {
-            let phase = {
-                let period = self.cfg.shuffle_period.as_millis();
-                let node = &mut self.nodes[id.index()];
-                SimDuration::from_millis(node.rng.gen_range(0..period))
-            };
-            self.sim.schedule_after(phase, Ev::Shuffle(id));
-        }
-        id
     }
 
-    /// Enables a permanent UPnP/NAT-PMP port forwarding for a natted peer
-    /// (no-op for public peers). Call before bootstrapping so descriptors
-    /// advertise the forwarded endpoint.
-    pub fn enable_port_forwarding(&mut self, peer: PeerId) {
-        let _ = self.net.enable_port_forwarding(peer);
-    }
-
-    /// Adds a peer whose initial view contains descriptors of `contacts`
-    /// (the join path: a new node knows a few existing members).
-    pub fn add_peer_with_bootstrap(&mut self, class: NatClass, contacts: &[PeerId]) -> PeerId {
-        let id = self.add_peer(class);
-        for c in contacts {
-            if *c == id || !self.net.is_alive(*c) {
-                continue;
-            }
-            let d = NodeDescriptor::new(*c, self.net.identity_endpoint(*c), self.net.class_of(*c));
-            self.nodes[id.index()].view.insert(d);
-        }
-        id
-    }
-
-    /// Fills every view with up to `per_view` uniformly chosen *public*
-    /// peers (the paper's bootstrap: "all peers' views are filled with
-    /// randomly chosen public peers", guaranteeing an initially connected
-    /// graph).
-    ///
-    /// If the population has no public peers at all, falls back to
-    /// uniformly chosen arbitrary peers (their NATs make many of these
-    /// entries immediately unusable for the baseline — that is the point of
-    /// the 100 % NAT data point).
-    pub fn bootstrap_random_public(&mut self, per_view: usize) {
-        let publics: Vec<PeerId> =
-            self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect();
-        let everyone: Vec<PeerId> = self.net.alive_peers().collect();
-        let pool = if publics.is_empty() { everyone } else { publics };
-        let all: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in all {
-            // Shard mode: other shards fill this node's view (from the
-            // same per-node stream); no box state is touched here, so the
-            // whole iteration can be skipped.
-            if !self.owns(p) {
-                continue;
-            }
-            let candidates: Vec<PeerId> = pool.iter().copied().filter(|q| *q != p).collect();
-            let chosen = {
-                let node = &mut self.nodes[p.index()];
-                node.rng.sample_without_replacement(&candidates, per_view)
-            };
-            for q in chosen {
-                let d = NodeDescriptor::new(q, self.net.identity_endpoint(q), self.net.class_of(q));
-                self.nodes[p.index()].view.insert(d);
-            }
-        }
-    }
-
-    /// Scalable variant of [`bootstrap_random_public`]: each peer draws its
-    /// `per_view` public contacts by rejection sampling against its view
-    /// instead of materialising (and shuffling) a full candidate list.
-    ///
-    /// The exhaustive variant is O(n) RNG work *per peer* — fine at paper
-    /// scale, prohibitive at the 100k-node measurement scale. This one is
-    /// O(per_view) expected per peer. Both fill views with uniformly chosen
-    /// public peers (arbitrary peers when no public peer exists), but their
-    /// RNG draw patterns differ, so the figure pipeline keeps the original
-    /// and replay output is untouched.
-    pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
-        let publics: Vec<PeerId> =
-            self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect();
-        let fallback = publics.is_empty();
-        let pool: Vec<PeerId> = if fallback { self.net.alive_peers().collect() } else { publics };
-        let all: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in all {
-            if !self.owns(p) {
-                continue; // see bootstrap_random_public
-            }
-            // The pool minus self can be smaller than per_view. Membership
-            // of `p` follows from its class (or is certain in fallback
-            // mode) — a `pool.contains` scan here would reintroduce the
-            // O(n²) this function exists to avoid.
-            let in_pool = fallback || self.net.class_of(p).is_public();
-            let want = per_view.min(pool.len().saturating_sub(usize::from(in_pool)));
-            let mut picked = Vec::with_capacity(want);
-            let mut attempts = 0usize;
-            let budget = 20 * per_view + 64;
-            while picked.len() < want && attempts < budget {
-                attempts += 1;
-                let q = {
-                    let node = &mut self.nodes[p.index()];
-                    *node.rng.pick(&pool).expect("bootstrap pool non-empty")
-                };
-                if q == p || picked.contains(&q) {
-                    continue;
-                }
-                picked.push(q);
-            }
-            for q in picked {
-                let d = NodeDescriptor::new(q, self.net.identity_endpoint(q), self.net.class_of(q));
-                self.nodes[p.index()].view.insert(d);
-            }
-        }
-    }
-
-    /// Schedules the first shuffle of every peer (random phase within one
-    /// period) and the periodic NAT garbage collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn start(&mut self) {
-        assert!(!self.started, "engine already started");
-        self.started = true;
-        let period = self.cfg.shuffle_period.as_millis();
-        let peers: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in peers {
-            // In shard mode only owned nodes get timers; skipping the
-            // phase draw too is safe because each node draws from its own
-            // forked stream.
-            if !self.owns(p) {
-                continue;
-            }
-            let phase = {
-                let node = &mut self.nodes[p.index()];
-                SimDuration::from_millis(node.rng.gen_range(0..period))
-            };
-            self.sim.schedule_after(phase, Ev::Shuffle(p));
-        }
-        self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-    }
-
-    /// Runs the simulation for `dur` of virtual time.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.sim.now() + dur;
-        while let Some((_, ev)) = self.sim.step_before(deadline) {
-            self.handle(ev);
-        }
-        self.sim.advance_to(deadline);
-    }
-
-    /// Runs for `n` shuffle periods.
-    pub fn run_rounds(&mut self, n: u64) {
-        self.run_for(self.cfg.shuffle_period * n);
-    }
-
-    /// Kills a set of peers simultaneously (fail-stop churn).
-    pub fn kill_peers(&mut self, peers: &[PeerId]) {
-        for p in peers {
-            self.net.kill_peer(*p);
-        }
-    }
-
-    /// The view of a peer (dead peers keep their last view).
-    pub fn view_of(&self, peer: PeerId) -> &PartialView {
+    fn view_of(&self, peer: PeerId) -> &PartialView {
         &self.nodes[peer.index()].view
     }
 
-    /// Mutable view access (the adversary seam; see
-    /// [`crate::PeerSampler::view_of_mut`]).
-    pub fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
+    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
         &mut self.nodes[peer.index()].view
     }
 
-    /// A peer's fresh (age-0) self-descriptor, as it would advertise
-    /// itself in a shuffle.
-    pub fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        self.self_descriptor(peer)
-    }
-
-    /// Iterator over alive peers.
-    pub fn alive_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.net.alive_peers()
-    }
-
-    /// A peer's fresh self-descriptor.
-    fn self_descriptor(&self, peer: PeerId) -> NodeDescriptor {
-        NodeDescriptor::new(peer, self.net.identity_endpoint(peer), self.net.class_of(peer))
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::Shuffle(p) => self.on_shuffle(p),
-            Ev::Deliver(key) => {
-                let flight = self.flights.remove(key);
-                self.on_deliver(flight);
-            }
-            Ev::Purge => {
-                let now = self.sim.now();
-                self.net.purge_expired_nat_state(now);
-                self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-            }
-            Ev::Fault => self.on_fault(),
-        }
-    }
-
-    /// Applies due fault-plan events and re-arms for the next instant.
-    ///
-    /// Revived peers need no timer surgery: with a fault plan installed,
-    /// dead peers' shuffle chains keep ticking idle (see
-    /// [`on_shuffle`](Self::on_shuffle)), so a revived peer resumes at its
-    /// original phase on every shard identically.
-    fn on_fault(&mut self) {
-        let now = self.sim.now();
-        let Some(rt) = self.faults.as_mut() else { return };
-        let shard = self.shard.as_ref();
-        rt.apply_due(now, &mut self.net, |p| shard.is_none_or(|s| s.owns(p)), &mut Vec::new());
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
+    fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
+        &mut self.nodes[peer.index()].rng
     }
 
     /// Figure 1, lines 1–7: select target, ship view, age entries.
-    fn on_shuffle(&mut self, p: PeerId) {
-        if !self.net.is_alive(p) {
-            // Dead peers stop shuffling; the timer chain normally ends
-            // here. Under a fault plan the chain keeps ticking idle so a
-            // later Revive fault resumes shuffling at the original phase
-            // (no rescheduling, hence no cross-shard tie hazards).
-            if self.faults.is_some() {
-                self.sim.schedule_after(self.cfg.shuffle_period, Ev::Shuffle(p));
-            }
-            return;
-        }
-        let self_d = self.self_descriptor(p);
+    fn on_round(&mut self, host: &mut Host<BaselineMsg>, p: PeerId) {
+        let self_d = host.descriptor_of(p);
         let target = {
             let node = &mut self.nodes[p.index()];
             node.view.select_target(self.cfg.selection, &mut node.rng)
@@ -623,9 +165,7 @@ impl BaselineEngine {
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(target) => {
-                if let Some(log) = &mut self.sample_log {
-                    log.push(target.id.0);
-                }
+                host.log_sample(target.id);
                 let mut payload = self.payload_pool.acquire();
                 self.nodes[p.index()].view.write_shuffle_payload(self_d, &mut payload);
                 let mut sent_ids = self.id_pool.acquire();
@@ -634,45 +174,25 @@ impl BaselineEngine {
                     self.id_pool.release(old);
                 }
                 let msg = BaselineMsg::Request { from: p, entries: payload };
-                self.send_msg(p, target.addr, msg);
+                host.send_msg(self, p, target.addr, msg);
                 self.stats.initiated += 1;
             }
         }
         self.nodes[p.index()].view.increase_age();
-        self.sim.schedule_after(self.cfg.shuffle_period, Ev::Shuffle(p));
     }
 
-    fn on_deliver(&mut self, flight: InFlight<BaselineMsg>) {
-        let now = self.sim.now();
-        let (to, from_ep, msg) = match self.net.deliver(now, flight) {
-            Delivery::ToPeer { to, from_ep, payload } => (to, from_ep, payload),
-            Delivery::Dropped { payload, .. } => {
-                // The drop is counted by the fabric; the payload buffer
-                // still goes back to the pool.
-                self.recycle_msg(payload);
-                return;
-            }
-        };
-        self.on_msg(to, from_ep, msg);
-    }
-
-    /// Returns a consumed message's entry buffer to the pool.
-    fn recycle_msg(&mut self, msg: BaselineMsg) {
-        match msg {
-            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
-                self.payload_pool.release(entries)
-            }
-        }
-    }
-
-    /// Protocol handling of a delivered message, independent of the
-    /// carriage substrate (simulated fabric or live transport).
-    fn on_msg(&mut self, to: PeerId, from_ep: Endpoint, msg: BaselineMsg) {
+    fn on_msg(
+        &mut self,
+        host: &mut Host<BaselineMsg>,
+        to: PeerId,
+        from_ep: Endpoint,
+        msg: BaselineMsg,
+    ) {
         match msg {
             // Figure 1, lines 8–12: answer (push/pull), then merge.
-            BaselineMsg::Request { from, entries } => {
+            BaselineMsg::Request { entries, .. } => {
                 self.stats.requests_received += 1;
-                let self_d = self.self_descriptor(to);
+                let self_d = host.descriptor_of(to);
                 let mut sent_ids = self.id_pool.acquire();
                 if self.cfg.propagation == PropagationPolicy::PushPull {
                     let mut payload = self.payload_pool.acquire();
@@ -681,13 +201,12 @@ impl BaselineEngine {
                     let msg = BaselineMsg::Response { from: to, entries: payload };
                     // Reply to the *observed* source endpoint: travels back
                     // through whatever hole the request opened.
-                    self.send_msg(to, from_ep, msg);
+                    host.send_msg(self, to, from_ep, msg);
                 }
                 let node = &mut self.nodes[to.index()];
                 node.view.merge_and_truncate(&entries, &sent_ids, self.cfg.merge, &mut node.rng);
                 self.id_pool.release(sent_ids);
                 self.payload_pool.release(entries);
-                let _ = from;
             }
             // Figure 1, lines 4–6: initiator merges the pulled view.
             BaselineMsg::Response { from, entries } => {
@@ -700,29 +219,84 @@ impl BaselineEngine {
             }
         }
     }
+
+    fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
+        self.cfg.message_bytes(msg.entry_count())
+    }
+
+    fn recycle(&mut self, msg: BaselineMsg) {
+        self.payload_pool.release(msg.into_entries());
+    }
+
+    /// The baseline has no traversal machinery: an entry is usable only if
+    /// the raw NAT state admits a packet from the holder right now.
+    fn edge_usable(&self, host: &Host<BaselineMsg>, holder: PeerId, d: &NodeDescriptor) -> bool {
+        directly_reachable(host, holder, d)
+    }
+
+    fn edge_usable_sharded(
+        &self,
+        holder_host: &Host<BaselineMsg>,
+        target_host: &Host<BaselineMsg>,
+        holder: PeerId,
+        d: &NodeDescriptor,
+    ) -> bool {
+        directly_reachable_sharded(holder_host, target_host, holder, d)
+    }
+
+    fn obs_report(&self, out: &mut nylon_obs::Report) {
+        self.payload_pool.obs_report(out);
+        self.id_pool.obs_report(out);
+        out.counter("engine.baseline", "shuffles_initiated", self.stats.initiated);
+        out.counter("engine.baseline", "empty_view_rounds", self.stats.empty_view_rounds);
+        out.counter("engine.baseline", "requests_received", self.stats.requests_received);
+        out.counter("engine.baseline", "responses_received", self.stats.responses_received);
+    }
 }
 
-impl ShardWorker for BaselineEngine {
-    type Envelope = InFlight<BaselineMsg>;
-
-    fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<InFlight<BaselineMsg>>]) {
-        while let Some((_, ev)) = self.sim.step_before(boundary) {
-            self.handle(ev);
+impl Engine<Baseline> {
+    /// Scalable variant of
+    /// [`bootstrap_random_public`](Engine::bootstrap_random_public): each
+    /// peer draws its `per_view` public contacts by rejection sampling
+    /// against its view instead of materialising (and shuffling) a full
+    /// candidate list.
+    ///
+    /// The exhaustive variant is O(n) RNG work *per peer* — fine at paper
+    /// scale, prohibitive at the 100k-node measurement scale. This one is
+    /// O(per_view) expected per peer. Both fill views with uniformly chosen
+    /// public peers (arbitrary peers when no public peer exists), but their
+    /// RNG draw patterns differ, so the figure pipeline keeps the original
+    /// and replay output is untouched.
+    pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
+        let (proto, host) = (&mut self.proto, &self.host);
+        let (pool, fallback) = host.bootstrap_pool();
+        let all: Vec<PeerId> = host.net.alive_peers().collect();
+        for p in all {
+            if !host.owns(p) {
+                continue; // the owner shard fills this node's view
+            }
+            // The pool minus self can be smaller than per_view. Membership
+            // of `p` follows from its class (or is certain in fallback
+            // mode) — a `pool.contains` scan here would reintroduce the
+            // O(n²) this function exists to avoid.
+            let in_pool = fallback || host.net.class_of(p).is_public();
+            let want = per_view.min(pool.len().saturating_sub(usize::from(in_pool)));
+            let mut picked = Vec::with_capacity(want);
+            let mut attempts = 0usize;
+            let budget = 20 * per_view + 64;
+            let node = &mut proto.nodes[p.index()];
+            while picked.len() < want && attempts < budget {
+                attempts += 1;
+                let q = *node.rng.pick(&pool).expect("bootstrap pool non-empty");
+                if q == p || picked.contains(&q) {
+                    continue;
+                }
+                picked.push(q);
+            }
+            for q in picked {
+                node.view.insert(host.descriptor_of(q));
+            }
         }
-        self.sim.advance_to(boundary);
-        self.shard.as_mut().expect("run_tick requires shard mode").drain_into(out);
-    }
-
-    fn absorb(&mut self, mut batch: Vec<InFlight<BaselineMsg>>) {
-        sort_tick_batch(&mut batch);
-        for f in batch {
-            let at = f.arrive_at;
-            self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(f)));
-        }
-    }
-
-    fn envelope_bytes(envelope: &InFlight<BaselineMsg>) -> u64 {
-        envelope.wire_bytes as u64
     }
 }
 
@@ -730,7 +304,7 @@ impl ShardWorker for BaselineEngine {
 mod tests {
     use super::*;
     use crate::policy::{MergePolicy, SelectionPolicy};
-    use nylon_net::NatType;
+    use nylon_net::{NatClass, NatType};
 
     fn engine_with(publics: usize, natted: usize, nat: NatType, seed: u64) -> BaselineEngine {
         let mut eng = BaselineEngine::new(GossipConfig::default(), NetConfig::default(), seed);
@@ -868,13 +442,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine already started")]
-    fn double_start_panics() {
-        let mut eng = engine_with(5, 0, NatType::PortRestrictedCone, 1);
-        eng.start();
-    }
-
-    #[test]
     fn staleness_emerges_from_nat_filters() {
         // With many PRC peers, some requests die at NAT boxes: completion
         // drops below initiation.
@@ -931,22 +498,6 @@ mod tests {
         assert!(
             fc_failures * 10 < prc_failures.max(1),
             "FC ({fc_failures}) must drop far less than PRC ({prc_failures})"
-        );
-    }
-
-    #[test]
-    fn flight_slab_recycles_slots() {
-        // The slab must converge to the high-water mark of concurrent
-        // in-flight datagrams: slots recycle, no monotonic growth.
-        let mut eng = engine_with(30, 10, NatType::PortRestrictedCone, 33);
-        eng.run_rounds(20);
-        let high = eng.flights.slot_count();
-        assert!(high > 0, "warm-up must have scheduled deliveries");
-        eng.run_rounds(1_000);
-        assert!(
-            eng.flights.slot_count() <= high * 2 + 8,
-            "flight slab grew from {high} to {} slots over 1k rounds",
-            eng.flights.slot_count()
         );
     }
 

@@ -14,10 +14,12 @@
 //!   [`MergePolicy::Healer`] keeps the youngest, [`MergePolicy::Swapper`]
 //!   keeps what was received (dropping what was sent).
 //!
-//! The engine in [`engine`] runs any of the six push/pull configurations
+//! The protocol in [`engine`] runs any of the six push/pull configurations
 //! the paper evaluates on top of [`nylon_net::Network`], which is where the
 //! NAT damage studied in Figures 2–4 of the paper comes from: the baseline
 //! protocol addresses view entries directly and has no traversal machinery.
+//! Like every protocol of the workspace it is two handlers hosted by the
+//! one generic [`Engine`] of [`host`].
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@
 
 pub mod descriptor;
 pub mod engine;
+pub mod host;
 pub mod peerswap;
 pub mod policy;
 pub mod sampler;
@@ -54,8 +57,9 @@ pub mod sharded;
 pub mod view;
 
 pub use descriptor::NodeDescriptor;
-pub use engine::{sort_tick_batch, BaselineEngine, BaselineMsg, ShardCtx, ShuffleStats};
-pub use peerswap::{PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
+pub use engine::{Baseline, BaselineEngine, BaselineMsg, ShuffleStats};
+pub use host::{sort_tick_batch, Engine, Host, Protocol, ProtocolStats};
+pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
 pub use sampler::{PeerSampler, SamplerConfig};
 pub use sharded::{lockstep_tick, ShardSampler, Sharded, ShardedConfig};

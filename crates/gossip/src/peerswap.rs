@@ -19,21 +19,19 @@
 //! references it cannot exercise at a bounded cost of one entry per
 //! silent round, while committed exchanges keep refilling it.
 //!
-//! The engine is a full [`PeerSampler`](crate::PeerSampler) +
-//! [`ShardWorker`]/[`ShardSampler`](crate::ShardSampler) citizen and
+//! The protocol runs on the shared [`Engine`] host like the others and
 //! reuses [`BaselineMsg`] as its wire message (a swap request/response is
 //! structurally a shuffle request/response), so the transport crate's
 //! versioned codec carries PeerSwap traffic unmodified.
 
-use nylon_faults::{FaultPlan, FaultRuntime, FaultStats};
-use nylon_net::{
-    BufferPool, Delivery, Endpoint, InFlight, NatClass, NetConfig, Network, Outbound, PeerId, Slab,
-    SlabKey,
-};
-use nylon_sim::{ShardPlan, ShardWorker, Sim, SimDuration, SimRng, SimTime};
+use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
+use nylon_sim::{SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
-use crate::engine::{sort_tick_batch, BaselineMsg, ShardCtx};
+use crate::engine::BaselineMsg;
+use crate::host::{
+    directly_reachable, directly_reachable_sharded, Engine, Host, Protocol, ProtocolStats,
+};
 use crate::policy::SelectionPolicy;
 use crate::view::PartialView;
 
@@ -74,20 +72,13 @@ impl PeerSwapConfig {
     }
 }
 
-/// Engine events; see [`crate::engine`] for the slab-handle rationale.
-#[derive(Debug)]
-enum Ev {
-    /// A peer's swap timer fired.
-    Swap(PeerId),
-    /// A datagram arrives; the handle resolves in the flight slab.
-    Deliver(SlabKey),
-    /// Periodic NAT state garbage collection.
-    Purge,
-    /// The next fault-plan event is due (see [`nylon_faults`]).
-    Fault,
-}
+impl crate::sampler::SamplerConfig for PeerSwapConfig {
+    type Sampler = PeerSwapEngine;
 
-const _: () = assert!(std::mem::size_of::<Ev>() <= 32, "Ev must stay slim for the timer wheel");
+    fn set_view_size(&mut self, view_size: usize) {
+        self.view_size = view_size;
+    }
+}
 
 /// Aggregate PeerSwap counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,10 +97,8 @@ pub struct PeerSwapStats {
     pub swaps_unanswered: u64,
 }
 
-impl PeerSwapStats {
-    /// Adds another counter set into this one (per-shard merge; every
-    /// event is counted on exactly one shard).
-    pub fn merge(&mut self, other: &PeerSwapStats) {
+impl ProtocolStats for PeerSwapStats {
+    fn merge(&mut self, other: &PeerSwapStats) {
         self.swaps_initiated += other.swaps_initiated;
         self.empty_view_rounds += other.empty_view_rounds;
         self.requests_received += other.requests_received;
@@ -127,389 +116,46 @@ struct Node {
     pending: Option<(PeerId, Vec<PeerId>)>,
 }
 
-/// Interval between NAT garbage-collection sweeps.
-const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
-
-/// The PeerSwap engine. Same lifecycle as the other engines: construct,
-/// [`add_peer`](Self::add_peer), [`bootstrap_random_public`](Self::bootstrap_random_public),
-/// [`start`](Self::start), then [`run_rounds`](Self::run_rounds).
+/// The PeerSwap protocol; see the module docs.
 #[derive(Debug)]
-pub struct PeerSwapEngine {
-    sim: Sim<Ev>,
-    net: Network<BaselineMsg>,
+pub struct PeerSwap {
     cfg: PeerSwapConfig,
     nodes: Vec<Node>,
     stats: PeerSwapStats,
-    started: bool,
-    sample_log: Option<Vec<u32>>,
-    wire_tap: Option<Vec<Outbound<BaselineMsg>>>,
     payload_pool: BufferPool<NodeDescriptor>,
     id_pool: BufferPool<PeerId>,
-    flights: Slab<InFlight<BaselineMsg>>,
-    shard: Option<ShardCtx<BaselineMsg>>,
-    /// `Some` when a fault plan is installed (see
-    /// [`install_fault_plan`](Self::install_fault_plan)).
-    faults: Option<FaultRuntime>,
 }
 
-impl PeerSwapEngine {
-    /// Creates an engine; `seed` drives every random choice in the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a view size above 128 (the batch sampler tracks chosen
-    /// slots in a 128-bit mask, like the healer merge's id-membership
-    /// masks).
-    pub fn new(cfg: PeerSwapConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        assert!(cfg.view_size <= 128, "PeerSwap supports view sizes up to 128");
-        let sim = Sim::new(seed);
-        let net = Network::new(net_cfg, seed ^ 0x4E59_4C4F_4E00_0001);
-        PeerSwapEngine {
-            sim,
-            net,
-            cfg,
-            nodes: Vec::new(),
-            stats: PeerSwapStats::default(),
-            started: false,
-            sample_log: None,
-            wire_tap: None,
-            payload_pool: BufferPool::new(),
-            id_pool: BufferPool::new(),
-            flights: Slab::new(),
-            shard: None,
-            faults: None,
-        }
-    }
+/// The PeerSwap engine; see [`Engine`] for the lifecycle.
+pub type PeerSwapEngine = Engine<PeerSwap>;
 
-    /// Installs a compiled fault plan: applies its topology faults now and
-    /// schedules its timed events. Call after the population is added and
-    /// before bootstrap, so descriptors advertise post-CGN identities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has already started or a plan is installed.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(!self.started, "install the fault plan before start()");
-        assert!(self.faults.is_none(), "fault plan already installed");
-        plan.apply_topology(&mut self.net);
-        let count_global = self.shard.as_ref().is_none_or(|s| s.idx == 0);
-        let rt = FaultRuntime::new(plan, count_global);
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
-        self.faults = Some(rt);
-    }
-
-    /// Counters of faults applied so far (ownership-filtered in shard
-    /// mode; see [`FaultStats`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
-    }
-
-    /// Turns this engine into worker `idx` of a sharded run (see
-    /// [`crate::sharded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has already been populated or started.
-    pub fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        assert!(!self.started && self.nodes.is_empty(), "set_shard requires a fresh engine");
-        self.shard = Some(ShardCtx::new(plan, idx));
-    }
-
-    /// Whether this engine materializes protocol state for `peer` — always
-    /// true outside shard mode.
-    fn owns(&self, peer: PeerId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(peer))
-    }
-
-    /// Total events processed by the local event loop.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Switches the engine to wire-tap mode (external transport carries
-    /// the datagrams); see [`crate::BaselineEngine::enable_wire_tap`].
-    pub fn enable_wire_tap(&mut self) {
-        self.wire_tap = Some(Vec::new());
-    }
-
-    /// Drains the datagrams queued since the last call (wire-tap mode).
-    pub fn take_outbound(&mut self) -> Vec<Outbound<BaselineMsg>> {
-        self.wire_tap.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Injects a datagram received from an external transport.
-    pub fn deliver_wire(&mut self, to: PeerId, from_ep: Endpoint, msg: BaselineMsg) {
-        if !self.net.is_alive(to) {
-            return;
-        }
-        self.net.note_received(to, self.payload_bytes(&msg));
-        self.on_msg(to, from_ep, msg);
-    }
-
-    /// Modeled payload size of a message, per the config's wire-size model.
-    fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
-        match msg {
-            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
-                self.cfg.message_bytes(entries.len())
+/// Copies `want` distinct random view entries of `node` into `out`,
+/// recording their ids in `sent` (the replacement candidates when the
+/// counterpart batch arrives). Chosen slots are tracked in a 128-bit
+/// mask; [`PeerSwap::new`] bounds the view size accordingly.
+fn sample_copies(
+    node: &mut Node,
+    want: usize,
+    out: &mut Vec<NodeDescriptor>,
+    sent: &mut Vec<PeerId>,
+) {
+    let len = node.view.len();
+    let want = want.min(len);
+    let mut chosen: u128 = 0;
+    for _ in 0..want {
+        let d = loop {
+            let idx = node.rng.pick_index(len).expect("len > 0 since want <= len");
+            if chosen & (1 << idx) == 0 {
+                chosen |= 1 << idx;
+                break node.view.as_slice()[idx];
             }
-        }
+        };
+        out.push(d);
+        sent.push(d.id);
     }
+}
 
-    /// Sends `msg` to `to_ep`: through the fabric normally, or onto the
-    /// wire-tap queue when an external transport carries the datagrams.
-    fn send_msg(&mut self, from: PeerId, to_ep: Endpoint, msg: BaselineMsg) {
-        let bytes = self.payload_bytes(&msg);
-        if let Some(tap) = &mut self.wire_tap {
-            tap.push(Outbound { from, dst: to_ep, payload_bytes: bytes, payload: msg });
-            self.net.note_sent(from, bytes);
-            return;
-        }
-        let now = self.sim.now();
-        if let Some(flight) = self.net.send(now, from, to_ep, msg, bytes) {
-            if let Some(ctx) = &mut self.shard {
-                ctx.stage(&self.net, flight);
-            } else {
-                let at = flight.arrive_at;
-                self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(flight)));
-            }
-        }
-    }
-
-    /// Starts recording every swap-partner selection (peer ids, in
-    /// selection order) for randomness analysis. Call before running.
-    pub fn enable_sample_log(&mut self) {
-        self.sample_log = Some(Vec::new());
-    }
-
-    /// The recorded partner selections, if logging was enabled.
-    pub fn sample_log(&self) -> Option<&[u32]> {
-        self.sample_log.as_deref()
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &PeerSwapConfig {
-        &self.cfg
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The underlying network (for oracles and traffic stats).
-    pub fn net(&self) -> &Network<BaselineMsg> {
-        &self.net
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> PeerSwapStats {
-        self.stats
-    }
-
-    /// Reports kernel, net, and engine-layer telemetry into `out`.
-    /// Read-only: see [`PeerSampler::obs_report`]'s contract.
-    ///
-    /// [`PeerSampler::obs_report`]: crate::PeerSampler::obs_report
-    pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.sim.obs_report(out);
-        self.net.obs_report(out);
-        self.payload_pool.obs_report(out);
-        self.id_pool.obs_report(out);
-        out.counter("engine.peerswap", "swaps_initiated", self.stats.swaps_initiated);
-        out.counter("engine.peerswap", "empty_view_rounds", self.stats.empty_view_rounds);
-        out.counter("engine.peerswap", "requests_received", self.stats.requests_received);
-        out.counter("engine.peerswap", "responses_received", self.stats.responses_received);
-        out.counter("engine.peerswap", "swaps_unanswered", self.stats.swaps_unanswered);
-        if let Some(f) = &self.faults {
-            f.obs_report(out);
-        }
-    }
-
-    /// Adds a peer of the given NAT class and returns its id. A peer added
-    /// to a running engine starts swapping one random phase into the next
-    /// period.
-    pub fn add_peer(&mut self, class: NatClass) -> PeerId {
-        let id = self.net.add_peer(class);
-        let rng = self.sim.rng().fork(0x6E6F_6465_0000_0000 | id.0 as u64);
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.view_size),
-            rng,
-            pending: None,
-        });
-        if self.started && self.owns(id) {
-            let phase = {
-                let period = self.cfg.shuffle_period.as_millis();
-                let node = &mut self.nodes[id.index()];
-                SimDuration::from_millis(node.rng.gen_range(0..period))
-            };
-            self.sim.schedule_after(phase, Ev::Swap(id));
-        }
-        id
-    }
-
-    /// Enables a permanent UPnP/NAT-PMP port forwarding for a natted peer
-    /// (no-op for public peers). Call before bootstrapping.
-    pub fn enable_port_forwarding(&mut self, peer: PeerId) {
-        let _ = self.net.enable_port_forwarding(peer);
-    }
-
-    /// Adds a peer whose initial view contains descriptors of `contacts`.
-    pub fn add_peer_with_bootstrap(&mut self, class: NatClass, contacts: &[PeerId]) -> PeerId {
-        let id = self.add_peer(class);
-        for c in contacts {
-            if *c == id || !self.net.is_alive(*c) {
-                continue;
-            }
-            let d = NodeDescriptor::new(*c, self.net.identity_endpoint(*c), self.net.class_of(*c));
-            self.nodes[id.index()].view.insert(d);
-        }
-        id
-    }
-
-    /// Fills every view with up to `per_view` uniformly chosen *public*
-    /// peers (arbitrary peers when no public peer exists); same contract as
-    /// [`crate::BaselineEngine::bootstrap_random_public`].
-    pub fn bootstrap_random_public(&mut self, per_view: usize) {
-        let publics: Vec<PeerId> =
-            self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect();
-        let everyone: Vec<PeerId> = self.net.alive_peers().collect();
-        let pool = if publics.is_empty() { everyone } else { publics };
-        let all: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in all {
-            if !self.owns(p) {
-                continue; // other shards fill this node's view identically
-            }
-            let candidates: Vec<PeerId> = pool.iter().copied().filter(|q| *q != p).collect();
-            let chosen = {
-                let node = &mut self.nodes[p.index()];
-                node.rng.sample_without_replacement(&candidates, per_view)
-            };
-            for q in chosen {
-                let d = NodeDescriptor::new(q, self.net.identity_endpoint(q), self.net.class_of(q));
-                self.nodes[p.index()].view.insert(d);
-            }
-        }
-    }
-
-    /// Schedules the first swap of every peer (random phase within one
-    /// period) and the periodic NAT garbage collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn start(&mut self) {
-        assert!(!self.started, "engine already started");
-        self.started = true;
-        let period = self.cfg.shuffle_period.as_millis();
-        let peers: Vec<PeerId> = self.net.alive_peers().collect();
-        for p in peers {
-            if !self.owns(p) {
-                continue; // only owned nodes get timers; streams stay pure
-            }
-            let phase = {
-                let node = &mut self.nodes[p.index()];
-                SimDuration::from_millis(node.rng.gen_range(0..period))
-            };
-            self.sim.schedule_after(phase, Ev::Swap(p));
-        }
-        self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-    }
-
-    /// Runs the simulation for `dur` of virtual time.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.sim.now() + dur;
-        while let Some((_, ev)) = self.sim.step_before(deadline) {
-            self.handle(ev);
-        }
-        self.sim.advance_to(deadline);
-    }
-
-    /// Runs for `n` swap periods.
-    pub fn run_rounds(&mut self, n: u64) {
-        self.run_for(self.cfg.shuffle_period * n);
-    }
-
-    /// Kills a set of peers simultaneously (fail-stop churn).
-    pub fn kill_peers(&mut self, peers: &[PeerId]) {
-        for p in peers {
-            self.net.kill_peer(*p);
-        }
-    }
-
-    /// The view of a peer (dead peers keep their last view).
-    pub fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
-    }
-
-    /// Mutable view access (the adversary seam; see
-    /// [`crate::PeerSampler::view_of_mut`]).
-    pub fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
-    }
-
-    /// Iterator over alive peers.
-    pub fn alive_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.net.alive_peers()
-    }
-
-    /// A peer's fresh self-descriptor.
-    fn self_descriptor(&self, peer: PeerId) -> NodeDescriptor {
-        NodeDescriptor::new(peer, self.net.identity_endpoint(peer), self.net.class_of(peer))
-    }
-
-    /// Whether `holder` could communicate over this view entry right now.
-    /// PeerSwap, like the baseline, addresses entries directly and has no
-    /// traversal machinery, so usability is raw NAT reachability.
-    pub fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        d.id.index() < self.net.peer_count()
-            && self.net.is_alive(d.id)
-            && self.net.reachable(self.now(), holder, d.id, d.addr)
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::Swap(p) => self.on_swap(p),
-            Ev::Deliver(key) => {
-                let flight = self.flights.remove(key);
-                self.on_deliver(flight);
-            }
-            Ev::Purge => {
-                let now = self.sim.now();
-                self.net.purge_expired_nat_state(now);
-                self.sim.schedule_after(PURGE_EVERY, Ev::Purge);
-            }
-            Ev::Fault => self.on_fault(),
-        }
-    }
-
-    /// Copies `want` distinct random view entries of `peer` into `out`,
-    /// recording their ids in `sent` (the replacement candidates when the
-    /// counterpart batch arrives). Chosen slots are tracked in a 128-bit
-    /// mask; `new` bounds the view size accordingly.
-    fn sample_copies(
-        node: &mut Node,
-        want: usize,
-        out: &mut Vec<NodeDescriptor>,
-        sent: &mut Vec<PeerId>,
-    ) {
-        let len = node.view.len();
-        let want = want.min(len);
-        let mut chosen: u128 = 0;
-        for _ in 0..want {
-            let d = loop {
-                let idx = node.rng.pick_index(len).expect("len > 0 since want <= len");
-                if chosen & (1 << idx) == 0 {
-                    chosen |= 1 << idx;
-                    break node.view.as_slice()[idx];
-                }
-            };
-            out.push(d);
-            sent.push(d.id);
-        }
-    }
-
+impl PeerSwap {
     /// Adopts a received batch into `peer`'s view: refresh duplicates,
     /// fill empty slots, then *replace* entries whose copies were shipped
     /// in the other direction (`sent`). Entries that fit nowhere are
@@ -533,35 +179,69 @@ impl PeerSwapEngine {
             }
         }
     }
+}
+
+impl Protocol for PeerSwap {
+    type Config = PeerSwapConfig;
+    type Msg = BaselineMsg;
+    type Stats = PeerSwapStats;
+
+    const NODE_RNG_LABEL: u64 = 0x6E6F_6465_0000_0000;
+    const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0001;
+
+    /// # Panics
+    ///
+    /// Panics on a view size above 128 (the batch sampler tracks chosen
+    /// slots in a 128-bit mask, like the healer merge's id-membership
+    /// masks).
+    fn new(cfg: PeerSwapConfig, _net_cfg: &NetConfig) -> Self {
+        assert!(cfg.view_size <= 128, "PeerSwap supports view sizes up to 128");
+        PeerSwap {
+            cfg,
+            nodes: Vec::new(),
+            stats: PeerSwapStats::default(),
+            payload_pool: BufferPool::new(),
+            id_pool: BufferPool::new(),
+        }
+    }
+
+    fn config(&self) -> &PeerSwapConfig {
+        &self.cfg
+    }
+
+    fn shuffle_period(&self) -> SimDuration {
+        self.cfg.shuffle_period
+    }
+
+    fn stats(&self) -> PeerSwapStats {
+        self.stats
+    }
+
+    fn add_node(&mut self, id: PeerId, rng: SimRng) {
+        self.nodes.push(Node {
+            view: PartialView::new(id, self.cfg.view_size),
+            rng,
+            pending: None,
+        });
+    }
+
+    fn view_of(&self, peer: PeerId) -> &PartialView {
+        &self.nodes[peer.index()].view
+    }
+
+    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
+        &mut self.nodes[peer.index()].view
+    }
+
+    fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
+        &mut self.nodes[peer.index()].rng
+    }
 
     /// One initiated swap: shed the partner's entry (it will be refilled by
     /// the response — or stay gone if the partner is unreachable), ship a
     /// fresh self-descriptor plus copies of a random batch.
-    /// Applies due fault-plan events and re-arms for the next instant.
-    /// Revived peers resume at their original phase: under a fault plan,
-    /// dead peers' swap chains keep ticking idle (see
-    /// [`on_swap`](Self::on_swap)).
-    fn on_fault(&mut self) {
-        let now = self.sim.now();
-        let Some(rt) = self.faults.as_mut() else { return };
-        let shard = self.shard.as_ref();
-        rt.apply_due(now, &mut self.net, |p| shard.is_none_or(|s| s.owns(p)), &mut Vec::new());
-        if let Some(at) = rt.next_at() {
-            self.sim.schedule_at(at, Ev::Fault);
-        }
-    }
-
-    fn on_swap(&mut self, p: PeerId) {
-        if !self.net.is_alive(p) {
-            // Dead peers stop swapping; the timer chain normally ends
-            // here. Under a fault plan the chain keeps ticking idle so a
-            // later Revive fault resumes swapping at the original phase.
-            if self.faults.is_some() {
-                self.sim.schedule_after(self.cfg.shuffle_period, Ev::Swap(p));
-            }
-            return;
-        }
-        let self_d = self.self_descriptor(p);
+    fn on_round(&mut self, host: &mut Host<BaselineMsg>, p: PeerId) {
+        let self_d = host.descriptor_of(p);
         // An unanswered previous swap is Cyclon-style failure detection:
         // the shed partner entry stays gone, nothing to roll back.
         if let Some((_, sent)) = self.nodes[p.index()].pending.take() {
@@ -575,9 +255,7 @@ impl PeerSwapEngine {
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(t) => {
-                if let Some(log) = &mut self.sample_log {
-                    log.push(t.id.0);
-                }
+                host.log_sample(t.id);
                 let mut payload = self.payload_pool.acquire();
                 let mut sent = self.id_pool.acquire();
                 // The fresh self-descriptor fills the slot the partner's
@@ -587,60 +265,43 @@ impl PeerSwapEngine {
                     let node = &mut self.nodes[p.index()];
                     node.view.remove(t.id).expect("selected partner is in the view");
                     let extra = self.cfg.swap_len.saturating_sub(1);
-                    Self::sample_copies(node, extra, &mut payload, &mut sent);
+                    sample_copies(node, extra, &mut payload, &mut sent);
                     node.pending = Some((t.id, sent));
                 }
-                self.send_msg(p, t.addr, BaselineMsg::Request { from: p, entries: payload });
+                host.send_msg(self, p, t.addr, BaselineMsg::Request { from: p, entries: payload });
                 self.stats.swaps_initiated += 1;
             }
         }
         self.nodes[p.index()].view.increase_age();
-        self.sim.schedule_after(self.cfg.shuffle_period, Ev::Swap(p));
     }
 
-    fn on_deliver(&mut self, flight: InFlight<BaselineMsg>) {
-        let now = self.sim.now();
-        let (to, from_ep, msg) = match self.net.deliver(now, flight) {
-            Delivery::ToPeer { to, from_ep, payload } => (to, from_ep, payload),
-            Delivery::Dropped { payload, .. } => {
-                self.recycle_msg(payload);
-                return;
-            }
-        };
-        self.on_msg(to, from_ep, msg);
-    }
-
-    /// Returns a consumed message's entry buffer to the pool.
-    fn recycle_msg(&mut self, msg: BaselineMsg) {
-        match msg {
-            BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
-                self.payload_pool.release(entries)
-            }
-        }
-    }
-
-    /// Protocol handling of a delivered message, independent of the
-    /// carriage substrate.
-    fn on_msg(&mut self, to: PeerId, from_ep: Endpoint, msg: BaselineMsg) {
+    fn on_msg(
+        &mut self,
+        host: &mut Host<BaselineMsg>,
+        to: PeerId,
+        from_ep: Endpoint,
+        msg: BaselineMsg,
+    ) {
         match msg {
             // The partner's side of a swap: answer with copies of an
             // equally sized batch, then replace those entries with the
             // received ones.
-            BaselineMsg::Request { from, entries } => {
+            BaselineMsg::Request { entries, .. } => {
                 self.stats.requests_received += 1;
                 let mut reply = self.payload_pool.acquire();
                 let mut sent = self.id_pool.acquire();
-                {
-                    let node = &mut self.nodes[to.index()];
-                    Self::sample_copies(node, entries.len(), &mut reply, &mut sent);
-                }
+                sample_copies(&mut self.nodes[to.index()], entries.len(), &mut reply, &mut sent);
                 // Reply to the observed source endpoint: travels back
                 // through whatever hole the request opened.
-                self.send_msg(to, from_ep, BaselineMsg::Response { from: to, entries: reply });
+                host.send_msg(
+                    self,
+                    to,
+                    from_ep,
+                    BaselineMsg::Response { from: to, entries: reply },
+                );
                 self.adopt(to, &entries, &mut sent);
                 self.id_pool.release(sent);
                 self.payload_pool.release(entries);
-                let _ = from;
             }
             // The initiator's side: the swap committed — replace the
             // shipped copies with what the partner gave up.
@@ -666,179 +327,46 @@ impl PeerSwapEngine {
             }
         }
     }
-}
 
-impl crate::sampler::SamplerConfig for PeerSwapConfig {
-    type Sampler = PeerSwapEngine;
-
-    fn set_view_size(&mut self, view_size: usize) {
-        self.view_size = view_size;
-    }
-}
-
-impl crate::sampler::PeerSampler for PeerSwapEngine {
-    type Config = PeerSwapConfig;
-
-    fn with_seed(cfg: PeerSwapConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        PeerSwapEngine::new(cfg, net_cfg, seed)
+    fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
+        self.cfg.message_bytes(msg.entry_count())
     }
 
-    fn add_peer(&mut self, class: NatClass) -> PeerId {
-        PeerSwapEngine::add_peer(self, class)
+    fn recycle(&mut self, msg: BaselineMsg) {
+        self.payload_pool.release(msg.into_entries());
     }
 
-    fn enable_port_forwarding(&mut self, peer: PeerId) {
-        PeerSwapEngine::enable_port_forwarding(self, peer);
+    /// PeerSwap, like the baseline, addresses entries directly and has no
+    /// traversal machinery, so usability is raw NAT reachability.
+    fn edge_usable(&self, host: &Host<BaselineMsg>, holder: PeerId, d: &NodeDescriptor) -> bool {
+        directly_reachable(host, holder, d)
     }
 
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        PeerSwapEngine::install_fault_plan(self, plan);
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        PeerSwapEngine::fault_stats(self)
-    }
-
-    fn bootstrap_random_public(&mut self, per_view: usize) {
-        PeerSwapEngine::bootstrap_random_public(self, per_view);
-    }
-
-    fn start(&mut self) {
-        PeerSwapEngine::start(self);
-    }
-
-    fn run_for(&mut self, dur: SimDuration) {
-        PeerSwapEngine::run_for(self, dur);
-    }
-
-    fn run_rounds(&mut self, n: u64) {
-        PeerSwapEngine::run_rounds(self, n);
-    }
-
-    fn kill_peers(&mut self, peers: &[PeerId]) {
-        PeerSwapEngine::kill_peers(self, peers);
-    }
-
-    fn now(&self) -> SimTime {
-        PeerSwapEngine::now(self)
-    }
-
-    fn shuffle_period(&self) -> SimDuration {
-        self.config().shuffle_period
-    }
-
-    fn peer_count(&self) -> usize {
-        self.net().peer_count()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        self.net().is_alive(peer)
-    }
-
-    fn class_of(&self, peer: PeerId) -> NatClass {
-        self.net().class_of(peer)
-    }
-
-    fn traffic_of(&self, peer: PeerId) -> nylon_net::TrafficStats {
-        self.net().stats_of(peer)
-    }
-
-    fn alive_peers(&self) -> Vec<PeerId> {
-        self.net().alive_peers().collect()
-    }
-
-    fn view_of(&self, peer: PeerId) -> &PartialView {
-        PeerSwapEngine::view_of(self, peer)
-    }
-
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        PeerSwapEngine::view_of_mut(self, peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        self.self_descriptor(peer)
-    }
-
-    /// Like the baseline, PeerSwap addresses entries directly: usability
-    /// is raw packet-level NAT reachability.
-    fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        PeerSwapEngine::edge_usable(self, holder, d)
-    }
-
-    fn obs_report(&self, out: &mut nylon_obs::Report) {
-        PeerSwapEngine::obs_report(self, out);
-    }
-}
-
-impl crate::sharded::ShardSampler for PeerSwapEngine {
-    fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        PeerSwapEngine::set_shard(self, plan, idx);
-    }
-
-    fn net_config(&self) -> &NetConfig {
-        self.net().config()
-    }
-
-    /// Raw reachability spans both ends' NAT state, exactly like the
-    /// baseline: preview egress translation on the holder's shard, test
-    /// ingress admission against the target's authoritative copy.
     fn edge_usable_sharded(
-        holder_shard: &Self,
-        target_shard: &Self,
+        &self,
+        holder_host: &Host<BaselineMsg>,
+        target_host: &Host<BaselineMsg>,
         holder: PeerId,
         d: &NodeDescriptor,
     ) -> bool {
-        if d.id.index() >= holder_shard.net().peer_count() || !holder_shard.net().is_alive(d.id) {
-            return false;
-        }
-        let now = holder_shard.now();
-        match holder_shard.net().egress_src_preview(now, holder, d.addr) {
-            None => false,
-            Some(src_ep) => target_shard.net().ingress_would_admit(now, d.id, d.addr, src_ep),
-        }
-    }
-}
-
-impl crate::sharded::Sharded<PeerSwapEngine> {
-    /// Run-wide protocol counters: the per-shard counters summed (each
-    /// protocol event is counted on exactly one shard).
-    pub fn stats(&self) -> PeerSwapStats {
-        let mut total = PeerSwapStats::default();
-        for e in self.shards() {
-            total.merge(&e.stats());
-        }
-        total
-    }
-}
-
-impl ShardWorker for PeerSwapEngine {
-    type Envelope = InFlight<BaselineMsg>;
-
-    fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<InFlight<BaselineMsg>>]) {
-        while let Some((_, ev)) = self.sim.step_before(boundary) {
-            self.handle(ev);
-        }
-        self.sim.advance_to(boundary);
-        self.shard.as_mut().expect("run_tick requires shard mode").drain_into(out);
+        directly_reachable_sharded(holder_host, target_host, holder, d)
     }
 
-    fn absorb(&mut self, mut batch: Vec<InFlight<BaselineMsg>>) {
-        sort_tick_batch(&mut batch);
-        for f in batch {
-            let at = f.arrive_at;
-            self.sim.schedule_at(at, Ev::Deliver(self.flights.insert(f)));
-        }
-    }
-
-    fn envelope_bytes(envelope: &InFlight<BaselineMsg>) -> u64 {
-        envelope.wire_bytes as u64
+    fn obs_report(&self, out: &mut nylon_obs::Report) {
+        self.payload_pool.obs_report(out);
+        self.id_pool.obs_report(out);
+        out.counter("engine.peerswap", "swaps_initiated", self.stats.swaps_initiated);
+        out.counter("engine.peerswap", "empty_view_rounds", self.stats.empty_view_rounds);
+        out.counter("engine.peerswap", "requests_received", self.stats.requests_received);
+        out.counter("engine.peerswap", "responses_received", self.stats.responses_received);
+        out.counter("engine.peerswap", "swaps_unanswered", self.stats.swaps_unanswered);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nylon_net::NatType;
+    use nylon_net::{NatClass, NatType};
 
     fn engine_with(publics: usize, natted: usize, nat: NatType, seed: u64) -> PeerSwapEngine {
         let mut eng = PeerSwapEngine::new(PeerSwapConfig::default(), NetConfig::default(), seed);
@@ -971,27 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_slab_recycles_slots() {
-        let mut eng = engine_with(30, 10, NatType::PortRestrictedCone, 33);
-        eng.run_rounds(20);
-        let high = eng.flights.slot_count();
-        assert!(high > 0, "warm-up must have scheduled deliveries");
-        eng.run_rounds(1_000);
-        assert!(
-            eng.flights.slot_count() <= high * 2 + 8,
-            "flight slab grew from {high} to {} slots over 1k rounds",
-            eng.flights.slot_count()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "engine already started")]
-    fn double_start_panics() {
-        let mut eng = engine_with(5, 0, NatType::PortRestrictedCone, 1);
-        eng.start();
-    }
-
-    #[test]
     fn shard_count_and_map_do_not_change_the_run() {
         use crate::sampler::PeerSampler;
         use crate::sharded::{Sharded, ShardedConfig};
@@ -1031,25 +538,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn wire_tap_carries_baseline_msgs() {
-        // PeerSwap reuses the baseline wire message, so the tap yields
-        // codec-compatible datagrams.
-        let mut eng = PeerSwapEngine::new(PeerSwapConfig::default(), NetConfig::default(), 3);
-        for _ in 0..10 {
-            eng.add_peer(NatClass::Public);
-        }
-        eng.bootstrap_random_public(4);
-        eng.enable_wire_tap();
-        eng.start();
-        eng.run_rounds(2);
-        let out = eng.take_outbound();
-        assert!(!out.is_empty(), "swaps must emit datagrams onto the tap");
-        assert!(out.iter().all(|o| matches!(
-            o.payload,
-            BaselineMsg::Request { .. } | BaselineMsg::Response { .. }
-        )));
     }
 }

@@ -46,11 +46,12 @@ pub trait SamplerConfig: Clone + Send + Sync + 'static {
 
 /// A gossip-based peer-sampling engine over the simulated NAT-aware fabric.
 ///
-/// The methods mirror the engines' inherent API one-to-one; implementations
-/// are pure forwarders. Generic drivers (the experiment harness, metrics
-/// extraction) program against this trait; code that needs an engine's
-/// protocol-specific surface (Nylon's routing tables, the baseline's
-/// shuffle counters) keeps using the concrete type.
+/// The methods mirror [`Engine`](crate::Engine)'s inherent API one-to-one,
+/// and its impl — the only engine-side one — is a pure forwarder. Generic
+/// drivers (the experiment harness, metrics extraction) program against
+/// this trait; code that needs a protocol-specific surface (Nylon's
+/// routing tables, the baseline's shuffle counters) keeps using the
+/// concrete type.
 pub trait PeerSampler: Sized {
     /// The configuration that builds this engine.
     type Config: SamplerConfig<Sampler = Self>;
@@ -161,102 +162,6 @@ impl SamplerConfig for GossipConfig {
 
     fn set_view_size(&mut self, view_size: usize) {
         self.view_size = view_size;
-    }
-}
-
-impl PeerSampler for BaselineEngine {
-    type Config = GossipConfig;
-
-    fn with_seed(cfg: GossipConfig, net_cfg: NetConfig, seed: u64) -> Self {
-        BaselineEngine::new(cfg, net_cfg, seed)
-    }
-
-    fn add_peer(&mut self, class: NatClass) -> PeerId {
-        BaselineEngine::add_peer(self, class)
-    }
-
-    fn enable_port_forwarding(&mut self, peer: PeerId) {
-        BaselineEngine::enable_port_forwarding(self, peer);
-    }
-
-    fn install_fault_plan(&mut self, plan: nylon_faults::FaultPlan) {
-        BaselineEngine::install_fault_plan(self, plan);
-    }
-
-    fn fault_stats(&self) -> nylon_faults::FaultStats {
-        BaselineEngine::fault_stats(self)
-    }
-
-    fn bootstrap_random_public(&mut self, per_view: usize) {
-        BaselineEngine::bootstrap_random_public(self, per_view);
-    }
-
-    fn start(&mut self) {
-        BaselineEngine::start(self);
-    }
-
-    fn run_for(&mut self, dur: SimDuration) {
-        BaselineEngine::run_for(self, dur);
-    }
-
-    fn run_rounds(&mut self, n: u64) {
-        BaselineEngine::run_rounds(self, n);
-    }
-
-    fn kill_peers(&mut self, peers: &[PeerId]) {
-        BaselineEngine::kill_peers(self, peers);
-    }
-
-    fn now(&self) -> SimTime {
-        BaselineEngine::now(self)
-    }
-
-    fn shuffle_period(&self) -> SimDuration {
-        self.config().shuffle_period
-    }
-
-    fn peer_count(&self) -> usize {
-        self.net().peer_count()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        self.net().is_alive(peer)
-    }
-
-    fn class_of(&self, peer: PeerId) -> NatClass {
-        self.net().class_of(peer)
-    }
-
-    fn traffic_of(&self, peer: PeerId) -> TrafficStats {
-        self.net().stats_of(peer)
-    }
-
-    fn alive_peers(&self) -> Vec<PeerId> {
-        self.net().alive_peers().collect()
-    }
-
-    fn view_of(&self, peer: PeerId) -> &PartialView {
-        BaselineEngine::view_of(self, peer)
-    }
-
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        BaselineEngine::view_of_mut(self, peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        BaselineEngine::descriptor_of(self, peer)
-    }
-
-    /// The baseline has no traversal machinery: an entry is usable only if
-    /// the raw NAT state admits a packet from the holder right now.
-    fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
-        d.id.index() < self.net().peer_count()
-            && self.net().is_alive(d.id)
-            && self.net().reachable(self.now(), holder, d.id, d.addr)
-    }
-
-    fn obs_report(&self, out: &mut nylon_obs::Report) {
-        BaselineEngine::obs_report(self, out);
     }
 }
 

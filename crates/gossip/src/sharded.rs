@@ -6,7 +6,7 @@
 //! functions of the add order) but materializes protocol state — views,
 //! timers, NAT sessions, RNG draws — only for the nodes its shard owns;
 //! every datagram crosses a tick barrier and is merged in canonical order
-//! (see [`crate::engine::sort_tick_batch`]). Because each node draws from
+//! (see [`crate::host::sort_tick_batch`]). Because each node draws from
 //! its own forked RNG stream and the merge key is a pure function of the
 //! logical message stream, the observable output of a sharded run is
 //! byte-identical for *every* shard count and node→shard map.
@@ -144,21 +144,6 @@ impl Sharded<BaselineEngine> {
     /// fills the views of its owned nodes in O(per_view) per node.
     pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
         self.for_each_shard(|e| e.bootstrap_random_public_sparse(per_view));
-    }
-
-    /// Run-wide protocol counters: the per-shard counters summed (each
-    /// protocol event is counted on exactly one shard).
-    pub fn stats(&self) -> crate::engine::ShuffleStats {
-        let mut total = crate::engine::ShuffleStats::default();
-        for e in self.shards() {
-            total.merge(&e.stats());
-        }
-        total
-    }
-
-    /// Total events processed across all shard event loops.
-    pub fn events_processed(&self) -> u64 {
-        self.shards().iter().map(|e| e.events_processed()).sum()
     }
 }
 
@@ -300,36 +285,6 @@ impl<E: ShardSampler> PeerSampler for Sharded<E> {
                 out.counter("shard", &format!("lane{i}_events"), *events);
             }
             out.absorb(&lane);
-        }
-    }
-}
-
-impl ShardSampler for BaselineEngine {
-    fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
-        BaselineEngine::set_shard(self, plan, idx);
-    }
-
-    fn net_config(&self) -> &NetConfig {
-        self.net().config()
-    }
-
-    /// The baseline's oracle is raw packet-level reachability, which spans
-    /// both ends' NAT state: egress translation is previewed on the
-    /// holder's shard, ingress filtering on the target's — each against
-    /// the authoritative copy.
-    fn edge_usable_sharded(
-        holder_shard: &Self,
-        target_shard: &Self,
-        holder: PeerId,
-        d: &NodeDescriptor,
-    ) -> bool {
-        if d.id.index() >= holder_shard.net().peer_count() || !holder_shard.net().is_alive(d.id) {
-            return false;
-        }
-        let now = holder_shard.now();
-        match holder_shard.net().egress_src_preview(now, holder, d.addr) {
-            None => false,
-            Some(src_ep) => target_shard.net().ingress_would_admit(now, d.id, d.addr, src_ep),
         }
     }
 }

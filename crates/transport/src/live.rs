@@ -12,8 +12,8 @@
 
 use std::net::SocketAddr;
 
-use nylon::{NylonConfig, NylonEngine, NylonMsg};
-use nylon_gossip::{BaselineEngine, BaselineMsg, PeerSampler};
+use nylon::NylonConfig;
+use nylon_gossip::{Engine, PeerSampler, Protocol};
 use nylon_net::{private_endpoint, Endpoint, NatClass, NetConfig, Outbound, PeerId};
 use nylon_sim::{SimDuration, SimTime};
 
@@ -25,9 +25,10 @@ use crate::udp::{bind_loopback, UdpTransport};
 
 /// A [`PeerSampler`] whose datagrams an external transport can carry.
 ///
-/// The methods forward to the engines' wire-tap seam; implementations hold
-/// no protocol logic (that is the acceptance bar for the transport layer:
-/// the engine code path is shared, nothing is re-implemented here).
+/// The methods forward to the engine host's wire-tap seam; the one
+/// implementation holds no protocol logic (that is the acceptance bar for
+/// the transport layer: the engine code path is shared, nothing is
+/// re-implemented here).
 pub trait LiveSampler: PeerSampler {
     /// The engine's wire message type.
     type Payload: WireMessage + Send + 'static;
@@ -52,35 +53,24 @@ pub trait LiveSampler: PeerSampler {
     }
 }
 
-impl LiveSampler for NylonEngine {
-    type Payload = NylonMsg;
+/// Every engine whose protocol speaks a codec-carried message runs live:
+/// the wire-tap seam belongs to the shared host, not to a protocol.
+impl<P: Protocol> LiveSampler for Engine<P>
+where
+    P::Msg: WireMessage,
+{
+    type Payload = P::Msg;
 
     fn enable_wire_tap(&mut self) {
-        NylonEngine::enable_wire_tap(self);
+        Engine::enable_wire_tap(self);
     }
 
-    fn take_outbound(&mut self) -> Vec<Outbound<NylonMsg>> {
-        NylonEngine::take_outbound(self)
+    fn take_outbound(&mut self) -> Vec<Outbound<P::Msg>> {
+        Engine::take_outbound(self)
     }
 
-    fn deliver_wire(&mut self, to: PeerId, from_ep: Endpoint, msg: NylonMsg) {
-        NylonEngine::deliver_wire(self, to, from_ep, msg);
-    }
-}
-
-impl LiveSampler for BaselineEngine {
-    type Payload = BaselineMsg;
-
-    fn enable_wire_tap(&mut self) {
-        BaselineEngine::enable_wire_tap(self);
-    }
-
-    fn take_outbound(&mut self) -> Vec<Outbound<BaselineMsg>> {
-        BaselineEngine::take_outbound(self)
-    }
-
-    fn deliver_wire(&mut self, to: PeerId, from_ep: Endpoint, msg: BaselineMsg) {
-        BaselineEngine::deliver_wire(self, to, from_ep, msg);
+    fn deliver_wire(&mut self, to: PeerId, from_ep: Endpoint, msg: P::Msg) {
+        Engine::deliver_wire(self, to, from_ep, msg);
     }
 }
 
@@ -204,7 +194,8 @@ pub fn udp_over_emulated_nat<P: WireMessage + Send + 'static>(
 mod tests {
     use super::*;
     use crate::transport::SimTransport;
-    use nylon::NylonConfig;
+    use nylon::{NylonEngine, NylonMsg};
+    use nylon_gossip::{BaselineMsg, PeerSwapConfig, PeerSwapEngine};
     use nylon_net::NatType;
 
     fn classes() -> Vec<NatClass> {
@@ -242,6 +233,30 @@ mod tests {
         assert!(s.relayed_requests > 0, "SYM combinations must relay over the transport");
         for p in eng.alive_peers().collect::<Vec<_>>() {
             assert!(!eng.view_of(p).is_empty(), "empty view at {p}");
+        }
+    }
+
+    /// PeerSwap speaks the baseline's wire message, so the blanket impl
+    /// puts it on the live path with no code of its own.
+    #[test]
+    fn peerswap_over_sim_transport_converges() {
+        let classes = vec![NatClass::Public; 30];
+        let mut engine = PeerSwapEngine::new(PeerSwapConfig::default(), NetConfig::default(), 5);
+        for c in &classes {
+            engine.add_peer(*c);
+        }
+        engine.bootstrap_random_public(8);
+        engine.start();
+        let transport: SimTransport<BaselineMsg> =
+            SimTransport::new(&classes, NetConfig::default(), 0xF0);
+        let mut runner = LiveRunner::new(engine, transport, SimDuration::from_millis(500));
+        runner.run_rounds(30);
+        let eng = runner.into_engine();
+        let s = eng.stats();
+        assert!(s.swaps_initiated > 0);
+        assert!(s.responses_received * 10 > s.swaps_initiated * 9, "swaps must commit: {s:?}");
+        for p in eng.alive_peers().collect::<Vec<_>>() {
+            assert!(eng.view_of(p).len() >= 12, "view of {p} failed to fill over the transport");
         }
     }
 

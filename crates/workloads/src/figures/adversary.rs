@@ -27,7 +27,7 @@ use nylon_metrics::randomness::{chi_square_uniform, dispersion_index};
 
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-use crate::runner::{adversarial_cfg, biggest_cluster_pct};
+use crate::runner::{adversarial_cfg, biggest_cluster_pct, build};
 use crate::scenario::Scenario;
 
 use super::common::{dispatch_engine, mean_finite, point_seeds};
@@ -77,7 +77,7 @@ fn randomness_sample(scale: &FigureScale, kind: EngineKind, nat_pct: f64, seed: 
         ]
     }
     let scn = Scenario::new(scale.peers, nat_pct, seed);
-    dispatch_engine!(kind, scale.shards, &scn, |cfg| cfg, measure, scale.rounds)
+    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Attacked-run metrics shared by the capture and eclipse cells:
@@ -139,8 +139,7 @@ fn attacked_sample(
     dispatch_engine!(
         kind,
         scale.shards,
-        &scn,
-        |cfg| adversarial_cfg(&scn, cfg, strategy.clone()),
+        |cfg| build(&scn, adversarial_cfg(&scn, cfg, strategy.clone())),
         measure,
         scale.rounds,
     )

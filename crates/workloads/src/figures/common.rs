@@ -17,127 +17,57 @@ use crate::scenario::{NatMix, Scenario};
 
 use super::{EngineKind, FigureScale};
 
-/// Builds the engine selected by `$kind` from its default config over the
-/// scenario `$scn` — on the reference kernel when `$shards` is 0, on the
-/// sharded driver otherwise — and passes it to the generic function
-/// `$measure` along with any trailing arguments.
+/// Builds the engine selected by `$kind` from its default config — on the
+/// reference kernel when `$shards` is 0, on the sharded driver otherwise —
+/// and passes it to the generic function `$measure` along with any
+/// trailing arguments.
 ///
-/// `$wrap` is pasted syntactically into every arm, so a closure literal
-/// (e.g. one wrapping the config in
-/// [`nylon_adversary::MaliciousConfig`]) instantiates independently per
-/// engine type; pass `|cfg| cfg` for an honest run. `$measure` must be
-/// the path of a function generic over [`PeerSampler`] (a closure would
-/// pin one concrete engine type).
+/// `$build` turns the (possibly sharded) engine config into the built
+/// engine. It is pasted syntactically into every arm, so a closure literal
+/// instantiates independently per engine type: `|cfg| build(&scn, cfg)`
+/// for an honest run, one wrapping the config in
+/// [`nylon_adversary::MaliciousConfig`] for an attacked one, one calling
+/// [`crate::runner::build_with_faults`] for the `resilience` sweeps, which
+/// vary fault intensity per point (cells honoring the `--faults` spec
+/// override use the scenario's own [`crate::scenario::Scenario::faults`]
+/// field instead). `$measure` must be the path of a function generic over
+/// [`PeerSampler`] (a closure would pin one concrete engine type).
 macro_rules! dispatch_engine {
-    ($kind:expr, $shards:expr, $scn:expr, $wrap:expr, $measure:path $(, $extra:expr)* $(,)?) => {{
+    ($kind:expr, $shards:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {{
         use $crate::figures::EngineKind as __Kind;
-        use $crate::runner::build as __build;
         use nylon_gossip::ShardedConfig as __Sharded;
         match ($kind, $shards) {
             (__Kind::Baseline, 0) => {
-                $measure(__build($scn, ($wrap)(nylon_gossip::GossipConfig::default())) $(, $extra)*)
+                $measure(($build)(nylon_gossip::GossipConfig::default()) $(, $extra)*)
             }
             (__Kind::Baseline, s) => $measure(
-                __build($scn, ($wrap)(__Sharded::new(nylon_gossip::GossipConfig::default(), s)))
-                $(, $extra)*,
+                ($build)(__Sharded::new(nylon_gossip::GossipConfig::default(), s)) $(, $extra)*
             ),
-            (__Kind::Nylon, 0) => {
-                $measure(__build($scn, ($wrap)(nylon::NylonConfig::default())) $(, $extra)*)
-            }
+            (__Kind::Nylon, 0) => $measure(($build)(nylon::NylonConfig::default()) $(, $extra)*),
             (__Kind::Nylon, s) => $measure(
-                __build($scn, ($wrap)(__Sharded::new(nylon::NylonConfig::default(), s)))
-                $(, $extra)*,
+                ($build)(__Sharded::new(nylon::NylonConfig::default(), s)) $(, $extra)*
             ),
             (__Kind::StaticRvp, 0) => {
-                $measure(__build($scn, ($wrap)(nylon::StaticRvpConfig::default())) $(, $extra)*)
+                $measure(($build)(nylon::StaticRvpConfig::default()) $(, $extra)*)
             }
             (__Kind::StaticRvp, s) => $measure(
-                __build($scn, ($wrap)(__Sharded::new(nylon::StaticRvpConfig::default(), s)))
-                $(, $extra)*,
+                ($build)(__Sharded::new(nylon::StaticRvpConfig::default(), s)) $(, $extra)*
             ),
             (__Kind::PeerSwap, 0) => {
-                $measure(__build($scn, ($wrap)(nylon_gossip::PeerSwapConfig::default())) $(, $extra)*)
+                $measure(($build)(nylon_gossip::PeerSwapConfig::default()) $(, $extra)*)
             }
             (__Kind::PeerSwap, s) => $measure(
-                __build($scn, ($wrap)(__Sharded::new(nylon_gossip::PeerSwapConfig::default(), s)))
-                $(, $extra)*,
+                ($build)(__Sharded::new(nylon_gossip::PeerSwapConfig::default(), s)) $(, $extra)*
             ),
         }
     }};
 }
 pub(crate) use dispatch_engine;
 
-/// [`dispatch_engine!`] with an explicit [`nylon_faults::FaultConfig`]:
-/// builds through [`crate::runner::build_with_faults`], so the cell's
-/// engine gets the compiled fault plan installed before bootstrap. The
-/// `resilience` sweeps — which vary fault intensity per point — go through
-/// here; cells honoring the `--faults` spec override use the scenario's
-/// own [`crate::scenario::Scenario::faults`] field instead.
-macro_rules! dispatch_engine_faults {
-    ($kind:expr, $shards:expr, $scn:expr, $fcfg:expr, $measure:path $(, $extra:expr)* $(,)?) => {{
-        use $crate::figures::EngineKind as __Kind;
-        use $crate::runner::build_with_faults as __build;
-        use nylon_gossip::ShardedConfig as __Sharded;
-        match ($kind, $shards) {
-            (__Kind::Baseline, 0) => {
-                $measure(__build($scn, nylon_gossip::GossipConfig::default(), $fcfg) $(, $extra)*)
-            }
-            (__Kind::Baseline, s) => $measure(
-                __build($scn, __Sharded::new(nylon_gossip::GossipConfig::default(), s), $fcfg)
-                $(, $extra)*,
-            ),
-            (__Kind::Nylon, 0) => {
-                $measure(__build($scn, nylon::NylonConfig::default(), $fcfg) $(, $extra)*)
-            }
-            (__Kind::Nylon, s) => $measure(
-                __build($scn, __Sharded::new(nylon::NylonConfig::default(), s), $fcfg)
-                $(, $extra)*,
-            ),
-            (__Kind::StaticRvp, 0) => {
-                $measure(__build($scn, nylon::StaticRvpConfig::default(), $fcfg) $(, $extra)*)
-            }
-            (__Kind::StaticRvp, s) => $measure(
-                __build($scn, __Sharded::new(nylon::StaticRvpConfig::default(), s), $fcfg)
-                $(, $extra)*,
-            ),
-            (__Kind::PeerSwap, 0) => {
-                $measure(__build($scn, nylon_gossip::PeerSwapConfig::default(), $fcfg) $(, $extra)*)
-            }
-            (__Kind::PeerSwap, s) => $measure(
-                __build($scn, __Sharded::new(nylon_gossip::PeerSwapConfig::default(), s), $fcfg)
-                $(, $extra)*,
-            ),
-        }
-    }};
-}
-pub(crate) use dispatch_engine_faults;
-
 /// Derives the seed list for a data point, mixing figure-specific salt so
 /// different figures do not share seeds.
 pub fn point_seeds(scale: &FigureScale, salt: u64) -> Vec<u64> {
     seeds(scale.seeds, scale.base_seed ^ salt)
-}
-
-/// Merged protocol counters of a Nylon run, direct or sharded — the one
-/// engine-specific read the chain-length and punch-retry cells need
-/// beyond [`PeerSampler`].
-pub(crate) trait NylonStatsSource {
-    fn nylon_stats(&self) -> NylonStats;
-}
-
-impl NylonStatsSource for NylonEngine {
-    fn nylon_stats(&self) -> NylonStats {
-        self.stats()
-    }
-}
-
-impl NylonStatsSource for Sharded<NylonEngine> {
-    fn nylon_stats(&self) -> NylonStats {
-        self.shards().iter().fold(NylonStats::default(), |mut acc, e| {
-            acc.merge(&e.stats());
-            acc
-        })
-    }
 }
 
 /// Biggest-cluster percentage for a baseline configuration at one NAT
@@ -189,7 +119,7 @@ pub fn engine_cluster_sample(
         faults: scale.faults.filter(|s| !s.is_none()),
         ..Scenario::new(scale.peers, nat_pct, seed)
     };
-    dispatch_engine!(kind, scale.shards, &scn, |cfg| cfg, measure, scale.rounds)
+    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Staleness metrics at one NAT percentage (a Figures 3/4 cell):
@@ -222,7 +152,7 @@ pub fn baseline_staleness_sample(
         vec![stale, natted]
     }
     let kind = scale.engine.unwrap_or(EngineKind::Baseline);
-    dispatch_engine!(kind, scale.shards, &scn, |cfg| cfg, measure, scale.rounds)
+    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Runs an engine through a warmup third of `rounds` and measures per-class
@@ -260,7 +190,7 @@ pub fn nylon_bandwidth_sample(scale: &FigureScale, nat_pct: f64, seed: u64) -> V
         ..Scenario::new(scale.peers, nat_pct, seed)
     };
     let kind = scale.engine.unwrap_or(EngineKind::Nylon);
-    dispatch_engine!(kind, scale.shards, &scn, |cfg| cfg, measure, scale.rounds)
+    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Bandwidth of the NAT-oblivious reference, (push/pull, rand, healer), in
@@ -287,12 +217,12 @@ pub fn nylon_chain_sample(
     nat_pct: f64,
     seed: u64,
 ) -> Vec<f64> {
-    fn measure<S: PeerSampler + NylonStatsSource>(mut eng: S, rounds: u64) -> Vec<f64> {
+    fn measure<S: PeerSampler>(mut eng: S, rounds: u64, stats: fn(&S) -> NylonStats) -> Vec<f64> {
         let warmup = rounds / 3;
         eng.run_rounds(warmup);
-        let before = eng.nylon_stats();
+        let before = stats(&eng);
         eng.run_rounds(rounds - warmup);
-        let after = eng.nylon_stats();
+        let after = stats(&eng);
         let hops = after.chain_hops_sum - before.chain_hops_sum;
         let samples = after.chain_samples - before.chain_samples;
         obs_flush(&eng);
@@ -305,8 +235,8 @@ pub fn nylon_chain_sample(
     };
     let cfg = NylonConfig { view_size, ..NylonConfig::default() };
     match scale.shards {
-        0 => measure(build(&scn, cfg), scale.rounds),
-        s => measure(build(&scn, ShardedConfig::new(cfg, s)), scale.rounds),
+        0 => measure(build(&scn, cfg), scale.rounds, NylonEngine::stats),
+        s => measure(build(&scn, ShardedConfig::new(cfg, s)), scale.rounds, Sharded::stats),
     }
 }
 

@@ -75,7 +75,9 @@ fn main() {
         aggregate_round(&mut nyl_vals, |p| {
             nyl.view_of(p)
                 .iter()
-                .filter(|d| d.class.is_public() || nyl.routing_of(p).next_rvp(d.id).is_some())
+                .filter(|d| {
+                    d.class.is_public() || nyl.protocol().routing_of(p).next_rvp(d.id).is_some()
+                })
                 .map(|d| d.id)
                 .next()
         });

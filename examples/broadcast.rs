@@ -44,7 +44,9 @@ fn main() {
     let nylon_coverage = spread(|p| {
         nyl.view_of(p)
             .iter()
-            .filter(|d| d.class.is_public() || nyl.routing_of(p).next_rvp(d.id).is_some())
+            .filter(|d| {
+                d.class.is_public() || nyl.protocol().routing_of(p).next_rvp(d.id).is_some()
+            })
             .map(|d| d.id)
             .collect()
     });

@@ -76,7 +76,7 @@ proptest! {
         let mut eng = build(&scn, NylonConfig::default());
         eng.run_rounds(25);
         for p in eng.alive_peers().collect::<Vec<_>>() {
-            let rt = eng.routing_of(p);
+            let rt = eng.protocol().routing_of(p);
             for (dest, entry) in rt.iter() {
                 prop_assert!(dest != p, "route to self at {p}");
                 prop_assert!(!entry.ttl.is_zero(), "expired entry not purged");

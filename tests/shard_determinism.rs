@@ -38,6 +38,41 @@ fn render(name: &str, scale: &FigureScale) -> String {
         .join("\n---\n")
 }
 
+/// The stdout of `repro NAMES --peers 40 --seeds 1 --rounds 10`, on the
+/// direct kernel for `shards == 0` (the CLI's "no `--shards` flag") and
+/// with `--shards N` otherwise: the transcript the goldens were cut from.
+fn cli_transcript(names: &[&str], shards: usize) -> String {
+    let scale = FigureScale { peers: 40, seeds: 1, rounds: 10, shards, ..FigureScale::default() };
+    names
+        .iter()
+        .flat_map(|name| generate(name, &scale).expect("known figure name"))
+        .map(|t| format!("## {}\n\n{}\n", t.title, t.to_markdown()))
+        .collect()
+}
+
+#[test]
+fn committed_goldens_are_reproduced_on_both_kernels() {
+    // Two byte families (the direct kernel breaks same-instant ties
+    // differently from the barrier merge), each pinned by a transcript cut
+    // from the pre-`Engine<P>` binary. The all-engine pair runs every
+    // protocol under faults and an adversary; fig9/table1 is the older,
+    // sharded-only golden.
+    let all_engines = ["randomness", "resilience", "eclipse"];
+    assert_eq!(cli_transcript(&all_engines, 0), include_str!("golden/all_engines_direct.txt"));
+    for shards in [1, 2, 4] {
+        assert_eq!(
+            cli_transcript(&all_engines, shards),
+            include_str!("golden/all_engines_sharded.txt"),
+            "all-engine golden diverged at --shards {shards}"
+        );
+        assert_eq!(
+            cli_transcript(&["fig9", "table1"], shards),
+            include_str!("golden/fig9_table1.txt"),
+            "fig9/table1 golden diverged at --shards {shards}"
+        );
+    }
+}
+
 #[test]
 fn fig9_is_byte_identical_at_shards_1_2_4() {
     // fig9 runs the full Nylon engine (RVP chains, hole punching) on the
