@@ -1,8 +1,9 @@
 //! A counting global allocator, so "zero-alloc" claims are measured, not
 //! asserted.
 //!
-//! Compiled only under the `bench-alloc` feature; bench targets opt in by
-//! registering [`CountingAlloc`] as their `#[global_allocator]`. Counters
+//! Targets opt in by registering [`CountingAlloc`] as their
+//! `#[global_allocator]`: the bench targets under the `bench-alloc`
+//! feature, allocation-count tests (`tests/idle_fabric.rs`) always. Counters
 //! are process-global relaxed atomics — precise enough for steady-state
 //! allocations-per-operation deltas, cheap enough (<1 ns per event) to not
 //! distort the timing medians taken in the same run.

@@ -8,7 +8,6 @@
 //! `cargo bench`; benches track the cost of regenerating each artifact and
 //! guard against performance regressions in the simulator.
 
-#[cfg(feature = "bench-alloc")]
 pub mod counting_alloc;
 
 use nylon_workloads::figures::FigureScale;

@@ -124,6 +124,15 @@ struct Punch {
     addr: Endpoint,
 }
 
+/// The ids shipped in one outstanding shuffle, for the swapper merge.
+#[derive(Debug, Default)]
+struct SentIds {
+    /// Past this instant no RESPONSE can arrive (see
+    /// [`Nylon::reply_horizon`]) and the round-start sweep drops the entry.
+    expires: SimTime,
+    ids: Vec<PeerId>,
+}
+
 #[derive(Debug)]
 struct Node {
     view: PartialView,
@@ -133,8 +142,11 @@ struct Node {
     routing: RoutingTable,
     /// Outstanding hole punches by target.
     pending_punch: DenseMap<PeerId, Punch>,
-    /// Ids shipped per outstanding shuffle, for the swapper merge policy.
-    pending_sent: DenseMap<PeerId, Vec<PeerId>>,
+    /// Outstanding shuffles by target. More than one can be open at once
+    /// (a punch that completes a round late sends its REQUEST next to the
+    /// current round's), so unlike the baseline's this is a map — aged out
+    /// at round start, because most unanswered requests are never retried.
+    pending_sent: DenseMap<PeerId, SentIds>,
     rng: SimRng,
 }
 
@@ -160,6 +172,10 @@ pub struct Nylon {
     id_pool: BufferPool<PeerId>,
     /// Reused scratch for the descriptor projection of a merge.
     scratch_descs: Vec<NodeDescriptor>,
+    /// Longest a RESPONSE can trail its REQUEST: both may be relayed
+    /// `max_forward_hops` times, and every transmission takes at most the
+    /// fabric's latency plus jitter.
+    reply_horizon: SimDuration,
     /// Graceful-degradation switch, cached off the installed fault plan:
     /// punch retries, stale-mapping re-punch.
     harden: bool,
@@ -229,11 +245,12 @@ impl Nylon {
         v
     }
 
-    /// Records the ids shipped to `target`, recycling any buffer left from
-    /// an earlier, unanswered exchange with the same target.
-    fn note_pending_sent(&mut self, p: PeerId, target: PeerId, sent: Vec<PeerId>) {
+    /// Records the ids shipped to `target` at `now`, recycling any buffer
+    /// left from an earlier, unanswered exchange with the same target.
+    fn note_pending_sent(&mut self, now: SimTime, p: PeerId, target: PeerId, ids: Vec<PeerId>) {
+        let sent = SentIds { expires: now + self.reply_horizon, ids };
         if let Some(old) = self.nodes[p.index()].pending_sent.insert(target, sent) {
-            self.id_pool.release(old);
+            self.id_pool.release(old.ids);
         }
     }
 
@@ -365,7 +382,7 @@ impl Nylon {
         if direct {
             let entries = self.wire_view(host, p, t);
             let sent = Self::sent_ids(&mut self.id_pool, &entries);
-            self.note_pending_sent(p, t, sent);
+            self.note_pending_sent(host.now(), p, t, sent);
             let ep = self
                 .contact_ep(host, p, t, Some(target.addr))
                 .expect("fallback endpoint always present");
@@ -382,7 +399,7 @@ impl Nylon {
             let sent = Self::sent_ids(&mut self.id_pool, &entries);
             let msg = Self::request(host, p, t, entries);
             if self.route_and_send(host, p, t, msg) {
-                self.note_pending_sent(p, t, sent);
+                self.note_pending_sent(host.now(), p, t, sent);
                 self.stats.relayed_requests += 1;
             } else {
                 self.id_pool.release(sent);
@@ -471,6 +488,8 @@ impl Protocol for Nylon {
             cfg.hole_timeout, net_cfg.hole_timeout,
             "protocol HOLE_TIMEOUT must match the NAT boxes' rule lifetime"
         );
+        let reply_horizon = (net_cfg.latency + net_cfg.latency_jitter)
+            * (2 * (u64::from(cfg.max_forward_hops) + 1));
         Nylon {
             cfg,
             nodes: Vec::new(),
@@ -478,6 +497,7 @@ impl Protocol for Nylon {
             entry_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
             scratch_descs: Vec::new(),
+            reply_horizon,
             harden: false,
         }
     }
@@ -593,6 +613,18 @@ impl Protocol for Nylon {
                 self.stats.punch_timeouts += (before - node.pending_punch.len()) as u64;
             }
         }
+        // Forget shuffles whose RESPONSE can no longer arrive.
+        let node = &mut self.nodes[p.index()];
+        if !node.pending_sent.is_empty() {
+            let id_pool = &mut self.id_pool;
+            node.pending_sent.retain(|_, sent| {
+                let open = sent.expires > now;
+                if !open {
+                    id_pool.release(std::mem::take(&mut sent.ids));
+                }
+                open
+            });
+        }
         let target = {
             let node = &mut self.nodes[p.index()];
             node.view.select_target(self.cfg.selection, &mut node.rng)
@@ -676,8 +708,8 @@ impl Protocol for Nylon {
                     self.learn_reverse_chain(to, from, via, hops);
                 }
                 let sent = self.nodes[to.index()].pending_sent.remove(&from).unwrap_or_default();
-                self.merge_shuffle(to, from, &entries, &sent);
-                self.id_pool.release(sent);
+                self.merge_shuffle(to, from, &entries, &sent.ids);
+                self.id_pool.release(sent.ids);
                 self.entry_pool.release(entries);
             }
             NylonMsg::OpenHole { src, dest, via, hops } => {
@@ -713,7 +745,7 @@ impl Protocol for Nylon {
                     }
                     let entries = self.wire_view(host, to, from);
                     let sent = Self::sent_ids(&mut self.id_pool, &entries);
-                    self.note_pending_sent(to, from, sent);
+                    self.note_pending_sent(host.now(), to, from, sent);
                     host.send_msg(self, to, from_ep, Self::request(host, to, from, entries));
                 }
             }
@@ -767,6 +799,8 @@ impl Protocol for Nylon {
         out.counter("engine.nylon", "punch_retries", s.punch_retries);
         out.counter("engine.nylon", "punch_retry_wins", s.punch_retry_wins);
         out.counter("engine.nylon", "stale_repunches", s.stale_repunches);
+        let pending: usize = self.nodes.iter().map(|n| n.pending_sent.len()).sum();
+        out.gauge("engine.nylon", "pending_exchanges", pending as u64);
         // RouteMap storage health: snapshot-time walk over every node's
         // table (read-only — the hot path carries no histogram state).
         let mut probe = nylon_obs::Histogram::new();
@@ -796,7 +830,9 @@ impl Protocol for Nylon {
         let node = &mut self.nodes[peer.index()];
         node.routing.release();
         node.pending_punch = DenseMap::new();
-        node.pending_sent = DenseMap::new();
+        for (_, sent) in std::mem::take(&mut node.pending_sent).iter_mut() {
+            self.id_pool.release(std::mem::take(&mut sent.ids));
+        }
     }
 
     fn on_fault_plan(&mut self, plan: &FaultPlan) {

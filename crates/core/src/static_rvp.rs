@@ -106,7 +106,11 @@ struct Node {
     rvp: Option<PeerId>,
     /// For public peers: observed endpoints of natted clients bound to us.
     clients: DenseMap<PeerId, Endpoint>,
-    pending_sent: DenseMap<PeerId, Vec<PeerId>>,
+    /// The one outstanding shuffle: the target plus the ids shipped to it.
+    /// A new round abandons it — the same as remembering every unanswered
+    /// request as long as a reply (at most four relay hops) takes less
+    /// than one shuffle period.
+    pending: Option<(PeerId, Vec<PeerId>)>,
     rng: SimRng,
     /// RVP annotations learned alongside view entries.
     bindings: DenseMap<PeerId, Option<PeerId>>,
@@ -307,7 +311,7 @@ impl Protocol for StaticRvp {
             view: PartialView::new(id, self.cfg.0.view_size),
             rvp: None,
             clients: DenseMap::new(),
-            pending_sent: DenseMap::new(),
+            pending: None,
             rng,
             bindings: DenseMap::new(),
             silent_rounds: 0,
@@ -358,6 +362,9 @@ impl Protocol for StaticRvp {
     }
 
     fn on_round(&mut self, host: &mut RvpHost, p: PeerId) {
+        if let Some((_, unanswered)) = self.nodes[p.index()].pending.take() {
+            self.id_pool.release(unanswered);
+        }
         if host.net.class_of(p).is_natted() && !self.keep_alive(host, p) {
             return;
         }
@@ -372,9 +379,7 @@ impl Protocol for StaticRvp {
                 self.stats.shuffles_initiated += 1;
                 let entries = self.wire_view(host, p);
                 let sent = self.sent_ids(&entries);
-                if let Some(old) = self.nodes[p.index()].pending_sent.insert(target.id, sent) {
-                    self.id_pool.release(old);
-                }
+                self.nodes[p.index()].pending = Some((target.id, sent));
                 let msg = StaticRvpMsg::Request {
                     src: self.self_descriptor(host, p),
                     dest: target.id,
@@ -441,7 +446,8 @@ impl Protocol for StaticRvp {
             StaticRvpMsg::Response { from, entries, .. } => {
                 self.stats.responses_completed += 1;
                 self.nodes[to.index()].silent_rounds = 0;
-                let sent = self.nodes[to.index()].pending_sent.remove(&from).unwrap_or_default();
+                let answered = self.nodes[to.index()].pending.take_if(|(t, _)| *t == from);
+                let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
                 self.merge(to, &entries, &sent);
                 self.id_pool.release(sent);
                 self.entry_pool.release(entries);
@@ -498,6 +504,8 @@ impl Protocol for StaticRvp {
         out.counter("engine.static_rvp", "responses_completed", s.responses_completed);
         out.counter("engine.static_rvp", "rebinds", s.rebinds);
         out.counter("engine.static_rvp", "rvp_failovers", s.failovers);
+        let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
+        out.gauge("engine.static_rvp", "pending_exchanges", pending as u64);
     }
 
     fn on_fault_plan(&mut self, plan: &FaultPlan) {

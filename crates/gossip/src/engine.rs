@@ -5,7 +5,7 @@
 //! unreachable entries silently vanish — which is exactly the degradation
 //! Figures 2–4 quantify.
 
-use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
+use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
 use nylon_sim::{SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
@@ -79,8 +79,9 @@ impl ProtocolStats for ShuffleStats {
 struct Node {
     view: PartialView,
     rng: SimRng,
-    /// Ids shipped per outstanding request, for the swapper merge.
-    pending_sent: DenseMap<PeerId, Vec<PeerId>>,
+    /// The one exchange the active thread of Figure 1 is waiting on: the
+    /// target plus the ids shipped to it, for the swapper merge.
+    pending: Option<(PeerId, Vec<PeerId>)>,
 }
 
 /// The generic (NAT-oblivious) protocol of Figure 1, parameterized by a
@@ -90,6 +91,13 @@ struct Node {
 /// back to uniformly chosen arbitrary peers, whose NATs make many of these
 /// entries immediately unusable — that is the point of the 100 % NAT data
 /// point.
+///
+/// A node holds at most one outstanding exchange: starting a round
+/// abandons the previous one, so per-node state stays bounded however many
+/// requests NATs swallow. This equals remembering every unanswered request
+/// as long as a reply takes less than one shuffle period (100 ms against
+/// 5 s at the paper's settings); a later reply still merges, only without
+/// its shipped-id list.
 #[derive(Debug)]
 pub struct Baseline {
     cfg: GossipConfig,
@@ -139,7 +147,7 @@ impl Protocol for Baseline {
         self.nodes.push(Node {
             view: PartialView::new(id, self.cfg.view_size),
             rng,
-            pending_sent: DenseMap::new(),
+            pending: None,
         });
     }
 
@@ -158,6 +166,9 @@ impl Protocol for Baseline {
     /// Figure 1, lines 1–7: select target, ship view, age entries.
     fn on_round(&mut self, host: &mut Host<BaselineMsg>, p: PeerId) {
         let self_d = host.descriptor_of(p);
+        if let Some((_, unanswered)) = self.nodes[p.index()].pending.take() {
+            self.id_pool.release(unanswered);
+        }
         let target = {
             let node = &mut self.nodes[p.index()];
             node.view.select_target(self.cfg.selection, &mut node.rng)
@@ -170,9 +181,7 @@ impl Protocol for Baseline {
                 self.nodes[p.index()].view.write_shuffle_payload(self_d, &mut payload);
                 let mut sent_ids = self.id_pool.acquire();
                 sent_ids.extend(payload.iter().map(|d| d.id));
-                if let Some(old) = self.nodes[p.index()].pending_sent.insert(target.id, sent_ids) {
-                    self.id_pool.release(old);
-                }
+                self.nodes[p.index()].pending = Some((target.id, sent_ids));
                 let msg = BaselineMsg::Request { from: p, entries: payload };
                 host.send_msg(self, p, target.addr, msg);
                 self.stats.initiated += 1;
@@ -212,7 +221,8 @@ impl Protocol for Baseline {
             BaselineMsg::Response { from, entries } => {
                 self.stats.responses_received += 1;
                 let node = &mut self.nodes[to.index()];
-                let sent = node.pending_sent.remove(&from).unwrap_or_default();
+                let answered = node.pending.take_if(|(target, _)| *target == from);
+                let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
                 node.view.merge_and_truncate(&entries, &sent, self.cfg.merge, &mut node.rng);
                 self.id_pool.release(sent);
                 self.payload_pool.release(entries);
@@ -251,6 +261,8 @@ impl Protocol for Baseline {
         out.counter("engine.baseline", "empty_view_rounds", self.stats.empty_view_rounds);
         out.counter("engine.baseline", "requests_received", self.stats.requests_received);
         out.counter("engine.baseline", "responses_received", self.stats.responses_received);
+        let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
+        out.gauge("engine.baseline", "pending_exchanges", pending as u64);
     }
 }
 

@@ -49,8 +49,11 @@ pub trait ProtocolStats: Copy + Default + fmt::Debug {
 /// # Call order
 ///
 /// 1. [`new`](Self::new), then [`add_node`](Self::add_node) once per peer
-///    in id order (on *every* shard: node structs exist everywhere, state
-///    is only driven on the owner).
+///    in id order — on *every* shard, but state is only driven on the
+///    owner, so a node holds no heap until a handler first acts for it:
+///    `add_node` allocates nothing (views, maps and tables size themselves
+///    on first insert), which is what keeps S replicas of a population
+///    cheap.
 /// 2. Optionally [`on_fault_plan`](Self::on_fault_plan), then
 ///    [`bootstrap`](Self::bootstrap).
 /// 3. [`on_start`](Self::on_start) with the owned alive peers, after which
@@ -155,7 +158,11 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
         self.edge_usable(holder_host, holder, d)
     }
 
-    /// Reports protocol-layer telemetry (counters, pools) into `out`.
+    /// Reports protocol-layer telemetry (counters, pools) into `out`,
+    /// including the gauge `engine.<protocol>/pending_exchanges`: the
+    /// exchanges nodes still wait on, which must track live state rather
+    /// than history. Gauges merge by maximum, so under `--shards N` it
+    /// reads as the fullest shard's count.
     fn obs_report(&self, out: &mut nylon_obs::Report);
 
     /// `peers` (owned, alive) are about to get their first round timer.
@@ -246,7 +253,8 @@ const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
 /// plan, liveness, and per-node RNG labels are pure functions of the add
 /// order, so replicating them costs no determinism), but only materializes
 /// protocol state — view contents, timers, NAT sessions — for the nodes
-/// the plan assigns to `idx`. Every datagram, including ones between two
+/// the plan assigns to `idx`; the others stay heap-free (see
+/// [`Protocol`]'s call order). Every datagram, including ones between two
 /// co-located nodes, is staged into `staged[dst_shard]` instead of being
 /// scheduled directly, so delivery order is fixed by the canonical merge
 /// in `absorb`, never by which nodes happen to share a shard.

@@ -360,6 +360,8 @@ impl Protocol for PeerSwap {
         out.counter("engine.peerswap", "requests_received", self.stats.requests_received);
         out.counter("engine.peerswap", "responses_received", self.stats.responses_received);
         out.counter("engine.peerswap", "swaps_unanswered", self.stats.swaps_unanswered);
+        let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
+        out.gauge("engine.peerswap", "pending_exchanges", pending as u64);
     }
 }
 

@@ -38,13 +38,24 @@ pub struct PartialView {
 
 impl PartialView {
     /// An empty view owned by `owner` holding at most `capacity` entries.
+    /// The buffer is allocated when the first entry arrives: every shard
+    /// of a sharded run holds every node's view, but fills only the ones
+    /// it owns.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(owner: PeerId, capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
-        PartialView { owner, capacity, entries: Vec::with_capacity(capacity) }
+        PartialView { owner, capacity, entries: Vec::new() }
+    }
+
+    /// Sizes the still-unallocated buffer of a view about to receive its
+    /// first entry.
+    fn reserve_first(&mut self) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(self.capacity);
+        }
     }
 
     /// The peer owning this view.
@@ -102,6 +113,7 @@ impl PartialView {
         if d.id == self.owner {
             return;
         }
+        self.reserve_first();
         if let Some(existing) = self.entries.iter_mut().find(|e| e.id == d.id) {
             if d.age < existing.age {
                 *existing = d;
@@ -171,6 +183,7 @@ impl PartialView {
         // (mod 64). A clear bit proves the id is absent, so the common
         // case — a received descriptor not in the view — pushes without
         // scanning; only possible collisions pay the exact linear check.
+        self.reserve_first();
         let mut mask = 0u64;
         for e in &self.entries {
             mask |= 1 << (e.id.0 & 63);

@@ -1,4 +1,12 @@
 //! The NAT device state machine: mappings, filtering rules, hole expiry.
+//!
+//! A box costs nothing until it carries traffic. A sharded run replicates
+//! every box on every shard, but only the shard owning the peer behind a
+//! box ever sends through it; everywhere else the box is its address and
+//! its port reservations. So the one cone mapping a subscriber box ever
+//! holds lives inline (`ConeTable`), the tables only some boxes need —
+//! symmetric mappings, UPnP forwardings — are allocated on first use, and
+//! [`NatBox::new`] plus [`NatBox::stable_public_endpoint`] touch no heap.
 
 use nylon_sim::{SimDuration, SimTime};
 
@@ -69,6 +77,131 @@ impl ConeMapping {
         }
         self.sessions.iter().any(|(r, s)| s.expires > now && r.ip == src.ip)
     }
+
+    /// The filtering rule of a cone box of `nat_type` applied to `src`.
+    fn admits(&self, nat_type: NatType, now: SimTime, src: Endpoint) -> bool {
+        match nat_type {
+            NatType::FullCone => true,
+            NatType::RestrictedCone => self.admits_ip(now, src),
+            NatType::PortRestrictedCone => self.sessions.get(&src).is_some_and(|s| s.expires > now),
+            NatType::Symmetric => unreachable!("cone mapping on a symmetric box"),
+        }
+    }
+}
+
+/// The cone mappings of a box, one per private endpoint behind it.
+///
+/// A subscriber box fronts exactly one private endpoint, so the first
+/// mapping lives inline and resolving a private endpoint or a public port
+/// is one comparison. Only a carrier-grade box stacked over a *symmetric*
+/// subscriber box sees more — one per mapping of the inner box — and then
+/// everything moves into maps, inserted in arrival order so that their
+/// iteration order (which [`NatBox::rebind`] hands out fresh ports in) is
+/// the one a map holding every mapping from the start would have.
+#[derive(Debug, Clone, Default)]
+enum ConeTable {
+    #[default]
+    Empty,
+    One(Endpoint, ConeMapping),
+    Many(Box<ConeMaps>),
+}
+
+#[derive(Debug, Clone, Default)]
+struct ConeMaps {
+    by_private: DenseMap<Endpoint, ConeMapping>,
+    /// Reverse index: public port → owning private endpoint.
+    by_port: DenseMap<Port, Endpoint>,
+}
+
+impl ConeTable {
+    fn get(&self, private: &Endpoint) -> Option<&ConeMapping> {
+        match self {
+            ConeTable::One(p, m) if p == private => Some(m),
+            ConeTable::Many(maps) => maps.by_private.get(private),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, private: &Endpoint) -> Option<&mut ConeMapping> {
+        match self {
+            ConeTable::One(p, m) if p == private => Some(m),
+            ConeTable::Many(maps) => maps.by_private.get_mut(private),
+            _ => None,
+        }
+    }
+
+    /// The mapping holding public `port`, with its private endpoint.
+    fn at_port(&self, port: Port) -> Option<(Endpoint, &ConeMapping)> {
+        match self {
+            ConeTable::One(p, m) if m.port == port => Some((*p, m)),
+            ConeTable::Many(maps) => {
+                let private = *maps.by_port.get(&port)?;
+                Some((private, maps.by_private.get(&private)?))
+            }
+            _ => None,
+        }
+    }
+
+    fn at_port_mut(&mut self, port: Port) -> Option<(Endpoint, &mut ConeMapping)> {
+        match self {
+            ConeTable::One(p, m) if m.port == port => Some((*p, m)),
+            ConeTable::Many(maps) => {
+                let private = *maps.by_port.get(&port)?;
+                Some((private, maps.by_private.get_mut(&private)?))
+            }
+            _ => None,
+        }
+    }
+
+    /// Adds the mapping of a private endpoint not yet in the table.
+    fn insert(&mut self, private: Endpoint, mapping: ConeMapping) {
+        match std::mem::take(self) {
+            ConeTable::Empty => *self = ConeTable::One(private, mapping),
+            ConeTable::One(first, first_mapping) => {
+                let mut maps = Box::<ConeMaps>::default();
+                for (p, m) in [(first, first_mapping), (private, mapping)] {
+                    maps.by_port.insert(m.port, p);
+                    maps.by_private.insert(p, m);
+                }
+                *self = ConeTable::Many(maps);
+            }
+            ConeTable::Many(mut maps) => {
+                maps.by_port.insert(mapping.port, private);
+                maps.by_private.insert(private, mapping);
+                *self = ConeTable::Many(maps);
+            }
+        }
+    }
+
+    /// Moves the mapping of `private` to `port`.
+    fn move_port(&mut self, private: &Endpoint, port: Port) -> &mut ConeMapping {
+        if let ConeTable::Many(maps) = self {
+            let old = maps.by_private.get(private).expect("mapping exists").port;
+            maps.by_port.remove(&old);
+            maps.by_port.insert(port, *private);
+        }
+        let mapping = self.get_mut(private).expect("mapping exists");
+        mapping.port = port;
+        mapping
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Endpoint, &ConeMapping)> {
+        let (one, many) = match self {
+            ConeTable::Empty => (None, None),
+            ConeTable::One(p, m) => (Some((*p, m)), None),
+            ConeTable::Many(maps) => (None, Some(maps.by_private.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (Endpoint, &mut ConeMapping)> {
+        let (one, many) = match self {
+            ConeTable::Empty => (None, None),
+            ConeTable::One(p, m) => (Some((*p, m)), None),
+            ConeTable::Many(maps) => (None, Some(maps.by_private.iter_mut())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 /// A symmetric (per-destination) mapping.
@@ -77,6 +210,18 @@ struct SymMapping {
     private: Endpoint,
     remote: Endpoint,
     expires: SimTime,
+}
+
+/// The tables only some boxes ever need, allocated on first use.
+#[derive(Debug, Clone, Default)]
+struct RareTables {
+    /// Symmetric mappings keyed by (private, remote).
+    sym: DenseMap<(Endpoint, Endpoint), Port>,
+    /// Reverse index: public port → symmetric mapping.
+    sym_by_port: DenseMap<Port, SymMapping>,
+    /// Permanent UPnP/NAT-PMP port forwardings: public port → private
+    /// endpoint, never expiring and never filtered.
+    forwarded: DenseMap<Port, Endpoint>,
 }
 
 /// A NAT device fronting one or more private endpoints.
@@ -114,19 +259,14 @@ pub struct NatBox {
     public_ip: Ip,
     nat_type: NatType,
     hole_timeout: SimDuration,
-    /// Cone state, keyed by private endpoint. The mapping carries the
-    /// stable port reservation, so the egress hot path touches one map
-    /// instead of a separate reservation table.
-    cone: DenseMap<Endpoint, ConeMapping>,
-    /// Reverse index: public port → owning private endpoint (cone).
-    cone_by_port: DenseMap<Port, Endpoint>,
-    /// Symmetric mappings keyed by (private, remote).
-    sym: DenseMap<(Endpoint, Endpoint), Port>,
-    /// Reverse index: public port → symmetric mapping.
-    sym_by_port: DenseMap<Port, SymMapping>,
-    /// Permanent UPnP/NAT-PMP port forwardings: public port → private
-    /// endpoint, never expiring and never filtered.
-    forwarded: DenseMap<Port, Endpoint>,
+    /// Cone state. The mapping carries the stable port reservation, so the
+    /// egress hot path touches one table instead of a separate reservation
+    /// table.
+    cone: ConeTable,
+    rare: Option<Box<RareTables>>,
+    /// Whether a packet ever left through this box — until one does there
+    /// is no session to expire.
+    carried: bool,
     /// Hairpinning (NAT loopback): whether a packet from the private side
     /// addressed to this box's own public endpoint is translated back in.
     /// A vendor option that most devices ship disabled — the default here.
@@ -137,6 +277,9 @@ pub struct NatBox {
 /// First port handed out by the allocator (below are considered reserved).
 const FIRST_DYNAMIC_PORT: u16 = 1024;
 
+// The idle-fabric contract: every shard of a sharded run holds every box.
+const _: () = assert!(std::mem::size_of::<NatBox>() <= 160, "NatBox must stay small while idle");
+
 impl NatBox {
     /// Creates a NAT box that owns `public_ip` and behaves per `nat_type`,
     /// expiring rules `hole_timeout` after the last activity.
@@ -145,11 +288,9 @@ impl NatBox {
             public_ip,
             nat_type,
             hole_timeout,
-            cone: DenseMap::new(),
-            cone_by_port: DenseMap::new(),
-            sym: DenseMap::new(),
-            sym_by_port: DenseMap::new(),
-            forwarded: DenseMap::new(),
+            cone: ConeTable::Empty,
+            rare: None,
+            carried: false,
             hairpin: false,
             next_port: FIRST_DYNAMIC_PORT,
         }
@@ -158,6 +299,14 @@ impl NatBox {
     /// Enables or disables hairpinning (NAT loopback) on this box.
     pub fn set_hairpin(&mut self, enabled: bool) {
         self.hairpin = enabled;
+    }
+
+    fn rare(&self) -> Option<&RareTables> {
+        self.rare.as_deref()
+    }
+
+    fn rare_mut(&mut self) -> &mut RareTables {
+        self.rare.get_or_insert_with(Box::default)
     }
 
     /// `true` if this box translates hairpin packets (see
@@ -197,19 +346,15 @@ impl NatBox {
     /// mappings were affected.
     pub fn rebind(&mut self) -> u64 {
         let mut moved = 0u64;
-        let privates: Vec<Endpoint> = self.cone.iter().map(|(p, _)| p).collect();
-        for private in privates {
-            let old_port = self.cone.get(&private).expect("key just listed").port;
-            if self.forwarded.contains_key(&old_port) {
+        let mappings: Vec<(Endpoint, Port)> = self.cone.iter().map(|(p, m)| (p, m.port)).collect();
+        for (private, old_port) in mappings {
+            if self.is_forwarded(old_port) {
                 continue; // UPnP-pinned: the reservation survives.
             }
             // Allocate before releasing the old port so the fresh port is
             // guaranteed to differ.
             let new_port = self.alloc_port();
-            self.cone_by_port.remove(&old_port);
-            self.cone_by_port.insert(new_port, private);
-            let mapping = self.cone.get_mut(&private).expect("key just listed");
-            mapping.port = new_port;
+            let mapping = self.cone.move_port(&private, new_port);
             mapping.sessions.clear();
             // Sessions only ever gain lifetime, which is what makes
             // `max_expires` a liveness oracle — a rebind is the one event
@@ -217,9 +362,11 @@ impl NatBox {
             mapping.max_expires = SimTime::ZERO;
             moved += 1;
         }
-        moved += self.sym_by_port.len() as u64;
-        self.sym.clear();
-        self.sym_by_port.clear();
+        if let Some(rare) = &mut self.rare {
+            moved += rare.sym_by_port.len() as u64;
+            rare.sym.clear();
+            rare.sym_by_port.clear();
+        }
         moved
     }
 
@@ -233,7 +380,8 @@ impl NatBox {
     /// no expiry, no filtering — regardless of the box's NAT type.
     /// Idempotent per private endpoint.
     pub fn enable_port_forwarding(&mut self, private: Endpoint) -> Endpoint {
-        if let Some((port, _)) = self.forwarded.iter().find(|(_, p)| **p == private) {
+        let forwarded = self.rare().and_then(|r| r.forwarded.iter().find(|(_, p)| **p == private));
+        if let Some((port, _)) = forwarded {
             return Endpoint::new(self.public_ip, port);
         }
         // Reuse the stable reservation for cone boxes so the identity
@@ -242,13 +390,13 @@ impl NatBox {
             Some(ep) => ep.port,
             None => self.alloc_port(),
         };
-        self.forwarded.insert(port, private);
+        self.rare_mut().forwarded.insert(port, private);
         Endpoint::new(self.public_ip, port)
     }
 
     /// `true` if `public_port` is a permanent UPnP forwarding.
     pub fn is_forwarded(&self, public_port: Port) -> bool {
-        self.forwarded.contains_key(&public_port)
+        self.rare().is_some_and(|r| r.forwarded.contains_key(&public_port))
     }
 
     /// The public IP owned by this box.
@@ -272,10 +420,11 @@ impl NatBox {
             let p = Port(self.next_port);
             self.next_port =
                 if self.next_port == u16::MAX { FIRST_DYNAMIC_PORT } else { self.next_port + 1 };
-            if !self.cone_by_port.contains_key(&p)
-                && !self.sym_by_port.contains_key(&p)
-                && !self.forwarded.contains_key(&p)
-            {
+            let taken = self.cone.at_port(p).is_some()
+                || self.rare().is_some_and(|r| {
+                    r.sym_by_port.contains_key(&p) || r.forwarded.contains_key(&p)
+                });
+            if !taken {
                 return p;
             }
         }
@@ -294,7 +443,6 @@ impl NatBox {
             return Some(Endpoint::new(self.public_ip, m.port));
         }
         let port = self.alloc_port();
-        self.cone_by_port.insert(port, private);
         self.cone.insert(private, ConeMapping::new(port));
         Some(Endpoint::new(self.public_ip, port))
     }
@@ -304,40 +452,41 @@ impl NatBox {
     /// public source endpoint the packet leaves with.
     pub fn on_outbound(&mut self, now: SimTime, private: Endpoint, remote: Endpoint) -> Endpoint {
         let expires = now + self.hole_timeout;
+        let public_ip = self.public_ip;
+        self.carried = true;
         if self.nat_type.is_cone() {
             if let Some(mapping) = self.cone.get_mut(&private) {
                 mapping.note(remote, expires);
-                return Endpoint::new(self.public_ip, mapping.port);
+                return Endpoint::new(public_ip, mapping.port);
             }
             let port = self.alloc_port();
             let mut mapping = ConeMapping::new(port);
             mapping.note(remote, expires);
-            self.cone_by_port.insert(port, private);
             self.cone.insert(private, mapping);
-            Endpoint::new(self.public_ip, port)
+            Endpoint::new(public_ip, port)
         } else {
             let key = (private, remote);
+            let rare = self.rare_mut();
             // A live mapping keeps its port; an expired one is replaced by a
             // fresh port, which is exactly what makes symmetric NATs hard to
             // traverse.
-            if let Some(port) = self.sym.get(&key).copied() {
-                let live = self
+            if let Some(port) = rare.sym.get(&key).copied() {
+                let live = rare
                     .sym_by_port
-                    .get(&port)
-                    .is_some_and(|m| m.expires > now && m.private == private && m.remote == remote);
-                if live {
-                    if let Some(m) = self.sym_by_port.get_mut(&port) {
-                        m.expires = expires;
-                    }
-                    return Endpoint::new(self.public_ip, port);
+                    .get_mut(&port)
+                    .filter(|m| m.expires > now && m.private == private && m.remote == remote);
+                if let Some(m) = live {
+                    m.expires = expires;
+                    return Endpoint::new(public_ip, port);
                 }
-                self.sym.remove(&key);
-                self.sym_by_port.remove(&port);
+                rare.sym.remove(&key);
+                rare.sym_by_port.remove(&port);
             }
             let port = self.alloc_port();
-            self.sym.insert(key, port);
-            self.sym_by_port.insert(port, SymMapping { private, remote, expires });
-            Endpoint::new(self.public_ip, port)
+            let rare = self.rare_mut();
+            rare.sym.insert(key, port);
+            rare.sym_by_port.insert(port, SymMapping { private, remote, expires });
+            Endpoint::new(public_ip, port)
         }
     }
 
@@ -353,42 +502,32 @@ impl NatBox {
         if public_port == Port::UNKNOWN {
             return Err(NatReject::NoMapping);
         }
-        if let Some(private) = self.forwarded.get(&public_port) {
+        if let Some(private) = self.rare().and_then(|r| r.forwarded.get(&public_port)) {
             return Ok(*private);
         }
-        if self.nat_type.is_cone() {
-            let private = *self.cone_by_port.get(&public_port).ok_or(NatReject::NoMapping)?;
-            let admitted = {
-                let mapping = self.cone.get(&private).ok_or(NatReject::NoMapping)?;
-                if !mapping.live(now) {
-                    return Err(NatReject::NoMapping);
-                }
-                match self.nat_type {
-                    NatType::FullCone => true,
-                    NatType::RestrictedCone => mapping.admits_ip(now, src),
-                    NatType::PortRestrictedCone => {
-                        mapping.sessions.get(&src).is_some_and(|s| s.expires > now)
-                    }
-                    NatType::Symmetric => unreachable!("cone branch"),
-                }
-            };
-            if !admitted {
+        let (nat_type, expires) = (self.nat_type, now + self.hole_timeout);
+        if nat_type.is_cone() {
+            let (private, mapping) =
+                self.cone.at_port_mut(public_port).ok_or(NatReject::NoMapping)?;
+            if !mapping.live(now) {
+                return Err(NatReject::NoMapping);
+            }
+            if !mapping.admits(nat_type, now, src) {
                 return Err(NatReject::Filtered);
             }
             // Receiving refreshes the session ("sent (or received)").
-            let expires = now + self.hole_timeout;
-            let mapping = self.cone.get_mut(&private).expect("mapping checked above");
             mapping.note(src, expires);
             Ok(private)
         } else {
-            let m = self.sym_by_port.get_mut(&public_port).ok_or(NatReject::NoMapping)?;
+            let sym = self.rare.as_mut().and_then(|r| r.sym_by_port.get_mut(&public_port));
+            let m = sym.ok_or(NatReject::NoMapping)?;
             if m.expires <= now {
                 return Err(NatReject::NoMapping);
             }
             if m.remote != src {
                 return Err(NatReject::Filtered);
             }
-            m.expires = now + self.hole_timeout;
+            m.expires = expires;
             Ok(m.private)
         }
     }
@@ -409,26 +548,14 @@ impl NatBox {
         if public_port == Port::UNKNOWN {
             return None;
         }
-        if let Some(private) = self.forwarded.get(&public_port) {
+        if let Some(private) = self.rare().and_then(|r| r.forwarded.get(&public_port)) {
             return Some(*private);
         }
         if self.nat_type.is_cone() {
-            let private = *self.cone_by_port.get(&public_port)?;
-            let mapping = self.cone.get(&private)?;
-            if !mapping.live(now) {
-                return None;
-            }
-            let admitted = match self.nat_type {
-                NatType::FullCone => true,
-                NatType::RestrictedCone => mapping.admits_ip(now, src),
-                NatType::PortRestrictedCone => {
-                    mapping.sessions.get(&src).is_some_and(|s| s.expires > now)
-                }
-                NatType::Symmetric => unreachable!("cone branch"),
-            };
-            admitted.then_some(private)
+            let (private, mapping) = self.cone.at_port(public_port)?;
+            (mapping.live(now) && mapping.admits(self.nat_type, now, src)).then_some(private)
         } else {
-            let m = self.sym_by_port.get(&public_port)?;
+            let m = self.rare()?.sym_by_port.get(&public_port)?;
             (m.expires > now && m.remote == src).then_some(m.private)
         }
     }
@@ -449,11 +576,13 @@ impl NatBox {
                 None => (Endpoint::new(self.public_ip, Port::UNKNOWN), true),
             }
         } else {
-            match self.sym.get(&(private, remote)) {
-                Some(port) if self.sym_by_port.get(port).is_some_and(|m| m.expires > now) => {
-                    (Endpoint::new(self.public_ip, *port), false)
-                }
-                _ => (Endpoint::new(self.public_ip, Port::UNKNOWN), true),
+            let live = self.rare().and_then(|r| {
+                let port = r.sym.get(&(private, remote))?;
+                r.sym_by_port.get(port).is_some_and(|m| m.expires > now).then_some(*port)
+            });
+            match live {
+                Some(port) => (Endpoint::new(self.public_ip, port), false),
+                None => (Endpoint::new(self.public_ip, Port::UNKNOWN), true),
             }
         }
     }
@@ -462,27 +591,45 @@ impl NatBox {
     pub fn live_rule_count(&self, now: SimTime) -> usize {
         let cone: usize = self
             .cone
-            .values()
-            .map(|m| m.sessions.values().filter(|s| s.expires > now).count())
+            .iter()
+            .map(|(_, m)| m.sessions.values().filter(|s| s.expires > now).count())
             .sum();
-        let sym = self.sym_by_port.values().filter(|m| m.expires > now).count();
+        let sym =
+            self.rare().map_or(0, |r| r.sym_by_port.values().filter(|m| m.expires > now).count());
         cone + sym
+    }
+
+    /// Sessions held (cone sessions plus symmetric mappings, expired ones
+    /// included until the next purge) and the map slots allocated to hold
+    /// them — what `net/nat_sessions` and `net/nat_session_slots` sum.
+    pub fn session_footprint(&self) -> (usize, usize) {
+        let (mut held, mut slots) =
+            self.rare().map_or((0, 0), |r| (r.sym_by_port.len(), r.sym_by_port.capacity()));
+        for (_, mapping) in self.cone.iter() {
+            held += mapping.sessions.len();
+            slots += mapping.sessions.capacity();
+        }
+        (held, slots)
     }
 
     /// Drops expired sessions and mappings to bound memory. Port
     /// reservations for cone mappings are kept (they are the peer's stable
     /// identity).
     pub fn purge_expired(&mut self, now: SimTime) {
+        if !self.carried {
+            return;
+        }
         // Mappings themselves persist (the port is the peer's stable
         // identity); only expired sessions are reclaimed.
-        for mapping in self.cone.values_mut() {
+        for (_, mapping) in self.cone.iter_mut() {
             mapping.sessions.retain(|_, s| s.expires > now);
         }
+        let Some(rare) = &mut self.rare else { return };
         let dead: Vec<Port> =
-            self.sym_by_port.iter().filter(|(_, m)| m.expires <= now).map(|(p, _)| p).collect();
+            rare.sym_by_port.iter().filter(|(_, m)| m.expires <= now).map(|(p, _)| p).collect();
         for port in dead {
-            if let Some(m) = self.sym_by_port.remove(&port) {
-                self.sym.remove(&(m.private, m.remote));
+            if let Some(m) = rare.sym_by_port.remove(&port) {
+                rare.sym.remove(&(m.private, m.remote));
             }
         }
     }
@@ -691,8 +838,9 @@ mod tests {
         nat.purge_expired(later);
         assert_eq!(nat.live_rule_count(later), 0);
         // Internals are actually emptied, not just filtered.
-        assert!(nat.sym_by_port.is_empty());
-        assert!(nat.sym.is_empty());
+        let rare = nat.rare().expect("symmetric tables exist");
+        assert!(rare.sym_by_port.is_empty());
+        assert!(rare.sym.is_empty());
     }
 
     #[test]
@@ -795,6 +943,46 @@ mod tests {
         assert_eq!(nat.on_inbound(SimTime::from_secs(1), fwd.port, remote(9)), Ok(private()));
         let dyn_after = nat.on_outbound(SimTime::from_secs(1), p2, remote(1));
         assert_ne!(dyn_before.port, dyn_after.port);
+    }
+
+    #[test]
+    fn idle_box_holds_one_inline_mapping() {
+        let mut nat = boxed(NatType::PortRestrictedCone);
+        let ep = nat.stable_public_endpoint(private()).unwrap();
+        assert!(matches!(nat.cone, ConeTable::One(..)) && nat.rare.is_none());
+        assert_eq!(nat.session_footprint(), (0, 0));
+        // Nothing was ever sent: the purge has nothing to walk.
+        assert!(!nat.carried);
+        nat.purge_expired(SimTime::from_secs(1_000));
+        nat.on_outbound(SimTime::ZERO, private(), remote(1));
+        assert_eq!(nat.session_footprint().0, 1);
+        assert_eq!(nat.stable_public_endpoint(private()), Some(ep));
+    }
+
+    #[test]
+    fn spilled_cone_table_keeps_single_map_order() {
+        // A carrier box over a symmetric subscriber sees many private
+        // endpoints. The table must iterate — and `rebind` therefore
+        // re-port — in the order of one map filled from the first mapping
+        // on, whatever it stored inline before spilling.
+        let mut nat = boxed(NatType::PortRestrictedCone);
+        let mut single_map: DenseMap<Endpoint, ()> = DenseMap::new();
+        for i in 0..40 {
+            let p = Endpoint::new(Ip(0x4000_0001), Port(2000 + i));
+            nat.on_outbound(SimTime::ZERO, p, remote(1));
+            single_map.insert(p, ());
+            let order: Vec<Endpoint> = nat.cone.iter().map(|(p, _)| p).collect();
+            assert_eq!(order, single_map.iter().map(|(p, _)| p).collect::<Vec<_>>());
+        }
+        assert!(matches!(nat.cone, ConeTable::Many(_)));
+        assert_eq!(nat.rebind(), 40);
+        let fresh: Vec<Port> = nat.cone.iter().map(|(_, m)| m.port).collect();
+        assert!(fresh.windows(2).all(|w| w[0].0 + 1 == w[1].0), "ports follow iteration order");
+        // The reverse index moved with the ports.
+        for (p, _) in single_map.iter() {
+            let public = nat.on_outbound(SimTime::from_secs(1), p, remote(2));
+            assert_eq!(nat.on_inbound(SimTime::from_secs(1), public.port, remote(2)), Ok(p));
+        }
     }
 
     #[test]

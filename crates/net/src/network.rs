@@ -1,9 +1,18 @@
 //! The simulated network fabric: NAT egress/ingress, latency, loss,
 //! accounting.
+//!
+//! The address plan is arithmetic on creation order, so resolving an
+//! address needs no lookup table: public peer `i` listens on
+//! `PUBLIC_PEER_IP_BASE + i`, NAT box `b` (subscriber or carrier-grade)
+//! owns `NAT_IP_BASE + b`, and peer `i` binds the private endpoint
+//! `Ip::PRIVATE_BASE + i` ([`private_endpoint`]). Subtracting the base and
+//! checking the index against what exists answers "who owns this IP" for
+//! delivery, shard routing ([`Network::addressee_of`]) and the
+//! carrier-grade chain walk alike.
 
 use std::fmt;
 
-use nylon_sim::{FxHashMap, SimDuration, SimRng, SimTime};
+use nylon_sim::{SimDuration, SimRng, SimTime};
 
 use crate::addr::{Endpoint, Ip, PeerId, Port};
 use crate::nat::NatClass;
@@ -250,6 +259,7 @@ fn fault_hash(sender: PeerId, dst: Endpoint, now: SimTime, salt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Who a public IP of the address plan belongs to.
 #[derive(Debug, Clone, Copy)]
 enum IpOwner {
     PublicPeer(PeerId),
@@ -301,8 +311,7 @@ pub struct Network<P> {
     cfg: NetConfig,
     peers: Vec<PeerSlot>,
     boxes: Vec<NatBox>,
-    ip_owner: FxHashMap<Ip, IpOwner>,
-    peer_by_private: FxHashMap<Endpoint, PeerId>,
+    /// The peer behind each box, parallel to `boxes`.
     box_owner: Vec<PeerId>,
     stats: Vec<TrafficStats>,
     drops: DropCounters,
@@ -334,8 +343,6 @@ impl<P> Network<P> {
             cfg,
             peers: Vec::new(),
             boxes: Vec::new(),
-            ip_owner: FxHashMap::default(),
-            peer_by_private: FxHashMap::default(),
             box_owner: Vec::new(),
             stats: Vec::new(),
             drops: DropCounters::default(),
@@ -349,8 +356,16 @@ impl<P> Network<P> {
     }
 
     /// Reports net-layer telemetry into `out`: traffic totals across all
-    /// peers, the wire-size distribution, and every drop counter. Read-only
-    /// over existing state — stats on/off cannot change a run.
+    /// peers, the wire-size distribution, every drop counter, and the NAT
+    /// session footprint. Read-only over existing state — stats on/off
+    /// cannot change a run.
+    ///
+    /// `net/nat_sessions` is the number of sessions the boxes hold and
+    /// `net/nat_session_slots` the map slots allocated for them (see
+    /// [`NatBox::session_footprint`]) — the `routing/entries` versus
+    /// `routing/slots` pair, for the fabric. Like those they are gauges,
+    /// which reports merge by maximum: under `--shards N` they read as the
+    /// fullest shard's count, not the run's total.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         let mut totals = TrafficStats::default();
         for st in &self.stats {
@@ -364,6 +379,14 @@ impl<P> Network<P> {
         out.counter("net", "datagrams_sent", totals.msgs_sent);
         out.counter("net", "datagrams_received", totals.msgs_received);
         out.gauge("net", "alive_peers", self.alive_count as u64);
+        let (mut sessions, mut slots) = (0u64, 0u64);
+        for b in &self.boxes {
+            let (held, allocated) = b.session_footprint();
+            sessions += held as u64;
+            slots += allocated as u64;
+        }
+        out.gauge("net", "nat_sessions", sessions);
+        out.gauge("net", "nat_session_slots", slots);
         let snap = self.wire_hist.snapshot();
         if snap.count > 0 {
             out.histogram("net", "wire_bytes", snap);
@@ -390,13 +413,11 @@ impl<P> Network<P> {
     /// reserved immediately.
     pub fn add_peer(&mut self, class: NatClass) -> PeerId {
         let id = PeerId(self.peers.len() as u32);
-        let private_ep = Endpoint::new(Ip(Ip::PRIVATE_BASE + id.0), Port(PRIVATE_PORT));
+        let private_ep = private_endpoint(id);
         let (identity_ep, nat_box) = match class {
             NatClass::Public => {
                 let ip = Ip(PUBLIC_PEER_IP_BASE + id.0);
-                let ep = Endpoint::new(ip, Port(PUBLIC_PEER_PORT));
-                self.ip_owner.insert(ip, IpOwner::PublicPeer(id));
-                (ep, None)
+                (Endpoint::new(ip, Port(PUBLIC_PEER_PORT)), None)
             }
             NatClass::Natted(t) => {
                 let box_idx = self.boxes.len();
@@ -406,7 +427,6 @@ impl<P> Network<P> {
                     .stable_public_endpoint(private_ep)
                     .unwrap_or(Endpoint::new(ip, Port::UNKNOWN));
                 self.boxes.push(nat);
-                self.ip_owner.insert(ip, IpOwner::Nat(box_idx));
                 self.box_owner.push(id);
                 (identity, Some(box_idx))
             }
@@ -415,7 +435,6 @@ impl<P> Network<P> {
             self.peer_rng.push(self.rng.fork(0x7065_6572_0000_0000 | u64::from(id.0)));
             // "peer"
         }
-        self.peer_by_private.insert(private_ep, id);
         self.peers.push(PeerSlot {
             class,
             private_ep,
@@ -427,6 +446,27 @@ impl<P> Network<P> {
         self.stats.push(TrafficStats::default());
         self.alive_count += 1;
         id
+    }
+
+    /// The owner of a public IP under the address plan: a public peer or
+    /// a NAT box. `None` for addresses the plan has not handed out —
+    /// including the would-be public address of a natted peer.
+    fn owner_of_ip(&self, ip: Ip) -> Option<IpOwner> {
+        if let Some(b) = ip.0.checked_sub(NAT_IP_BASE) {
+            return ((b as usize) < self.boxes.len()).then_some(IpOwner::Nat(b as usize));
+        }
+        let id = ip.0.checked_sub(PUBLIC_PEER_IP_BASE)?;
+        let slot = self.peers.get(id as usize)?;
+        slot.nat_box.is_none().then_some(IpOwner::PublicPeer(PeerId(id)))
+    }
+
+    /// The peer bound to `private`, if it is a peer's private endpoint
+    /// (and not, say, the public side of a subscriber box as a carrier box
+    /// sees it).
+    fn peer_at_private(&self, private: Endpoint) -> Option<PeerId> {
+        let id = private.ip.0.checked_sub(Ip::PRIVATE_BASE)?;
+        (private.port == Port(PRIVATE_PORT) && (id as usize) < self.peers.len())
+            .then_some(PeerId(id))
     }
 
     /// Total number of peers ever added (dead peers keep their slot).
@@ -559,8 +599,8 @@ impl<P> Network<P> {
     /// against the NAT state at arrival time.
     pub fn deliver(&mut self, now: SimTime, flight: InFlight<P>) -> Delivery<P> {
         let InFlight { dst_ep, src_ep, wire_bytes, payload, .. } = flight;
-        let owner = match self.ip_owner.get(&dst_ep.ip) {
-            Some(o) => *o,
+        let owner = match self.owner_of_ip(dst_ep.ip) {
+            Some(o) => o,
             None => {
                 self.drops.bump(DropReason::NoRoute);
                 return Delivery::Dropped { reason: DropReason::NoRoute, payload };
@@ -584,13 +624,13 @@ impl<P> Network<P> {
                 let (mut b, mut port) = (first, dst_ep.port);
                 loop {
                     let reason = match self.boxes[b].on_inbound(now, port, src_ep) {
-                        Ok(private) => match self.peer_by_private.get(&private) {
-                            Some(pid) => break *pid,
+                        Ok(private) => match self.peer_at_private(private) {
+                            Some(pid) => break pid,
                             // Not a peer: the next hop of a carrier-grade
                             // chain (the subscriber box behind this one).
-                            None => match self.ip_owner.get(&private.ip) {
-                                Some(IpOwner::Nat(nb)) if *nb != b => {
-                                    b = *nb;
+                            None => match self.owner_of_ip(private.ip) {
+                                Some(IpOwner::Nat(nb)) if nb != b => {
+                                    b = nb;
                                     port = private.port;
                                     continue;
                                 }
@@ -709,9 +749,9 @@ impl<P> Network<P> {
                     match self.boxes[b].peek_inbound(now, port, src_ep) {
                         None => return false,
                         Some(ep) if ep == tslot.private_ep => return true,
-                        Some(ep) => match self.ip_owner.get(&ep.ip) {
-                            Some(IpOwner::Nat(nb)) if *nb != b => {
-                                b = *nb;
+                        Some(ep) => match self.owner_of_ip(ep.ip) {
+                            Some(IpOwner::Nat(nb)) if nb != b => {
+                                b = nb;
                                 port = ep.port;
                             }
                             _ => return false,
@@ -732,9 +772,9 @@ impl<P> Network<P> {
     /// resolves the same destination — it is how cross-shard datagrams are
     /// routed to the shard holding the authoritative ingress NAT state.
     pub fn addressee_of(&self, dst_ep: Endpoint) -> Option<PeerId> {
-        match self.ip_owner.get(&dst_ep.ip)? {
-            IpOwner::PublicPeer(pid) => Some(*pid),
-            IpOwner::Nat(b) => Some(self.box_owner[*b]),
+        match self.owner_of_ip(dst_ep.ip)? {
+            IpOwner::PublicPeer(pid) => Some(pid),
+            IpOwner::Nat(b) => Some(self.box_owner[b]),
         }
     }
 
@@ -917,7 +957,6 @@ impl<P> Network<P> {
         let box_idx = self.boxes.len();
         let ip = Ip(NAT_IP_BASE + box_idx as u32);
         self.boxes.push(NatBox::new(ip, nat_type, self.cfg.hole_timeout));
-        self.ip_owner.insert(ip, IpOwner::Nat(box_idx));
         self.box_owner.push(peer);
         self.peers[peer.index()].outer_box = Some(box_idx);
         self.refresh_identity(peer);

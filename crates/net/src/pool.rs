@@ -27,7 +27,8 @@ pub struct PoolStats {
     pub acquired: u64,
     /// Acquisitions served from the free list (no allocation).
     pub recycled: u64,
-    /// Buffers returned to the free list.
+    /// Buffers handed back — kept for reuse or, past the free-list bound,
+    /// dropped — so `acquired - released` is what is still out.
     pub released: u64,
 }
 
@@ -82,11 +83,11 @@ impl<T> BufferPool<T> {
     /// Returns a buffer to the free list (cleared; capacity survives).
     #[inline]
     pub fn release(&mut self, mut buf: Vec<T>) {
+        self.stats.released += 1;
         if self.free.len() >= MAX_FREE {
             return;
         }
         buf.clear();
-        self.stats.released += 1;
         self.free.push(buf);
     }
 
@@ -169,6 +170,6 @@ mod tests {
             pool.release(Vec::new());
         }
         assert_eq!(pool.idle(), MAX_FREE);
-        assert_eq!(pool.stats().released, MAX_FREE as u64);
+        assert_eq!(pool.stats().released, MAX_FREE as u64 + 10, "dropped buffers came back too");
     }
 }

@@ -1,0 +1,78 @@
+//! Memory probe: prints the process' resident set (`VmRSS`, MiB) after
+//! every lifecycle stage of one population — construct, `add_peer`,
+//! bootstrap, start, every 12th of 144 rounds, and the cluster + staleness
+//! snapshot. The stage tables in README "Per-node footprint" come from it:
+//!
+//! ```text
+//! cargo run --release --example footprint -- baseline 200000 2
+//! ```
+//!
+//! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<shards>`
+//! 0 is the direct kernel. The population is the ledger's (70 % NAT,
+//! seed 5); the baseline bootstraps sparsely, as its ledger workloads at
+//! this scale do — the exhaustive bootstrap is O(n²).
+
+use nylon::{NylonConfig, StaticRvpConfig};
+use nylon_gossip::{GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardedConfig};
+use nylon_net::NetConfig;
+use nylon_workloads::{runner, Scenario};
+
+fn stage(name: &str) {
+    let rss = nylon_obs::process::rss_bytes().map_or(f64::NAN, |b| b as f64);
+    println!("{name:<14} {:>9.1} MiB", rss / (1024.0 * 1024.0));
+}
+
+fn probe<C: SamplerConfig>(cfg: C, peers: usize, bootstrap: impl FnOnce(&mut C::Sampler, usize)) {
+    let scn = Scenario::new(peers, 70.0, 5);
+    let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
+    stage("construct");
+    for class in scn.classes() {
+        eng.add_peer(class);
+    }
+    stage("add_peer");
+    bootstrap(&mut eng, scn.bootstrap_contacts);
+    stage("bootstrap");
+    eng.start();
+    stage("start");
+    for round in (12..=144).step_by(12) {
+        eng.run_rounds(12);
+        stage(&format!("round {round}"));
+    }
+    let (cluster, stale) = (runner::biggest_cluster_pct(&eng), runner::staleness(&eng).stale_pct);
+    stage("snapshot");
+    println!("biggest cluster {cluster:.2} %, stale references {stale:.2} %");
+}
+
+/// One protocol on the direct kernel (`shards` 0) or the sharded one.
+macro_rules! on_kernel {
+    ($cfg:expr, $peers:expr, $shards:expr, $boot:expr) => {
+        match $shards {
+            0 => probe($cfg, $peers, $boot),
+            s => probe(ShardedConfig::new($cfg, s), $peers, $boot),
+        }
+    };
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed: Option<(&String, (usize, usize))> = match args.as_slice() {
+        [proto, peers, shards] => peers.parse().ok().zip(shards.parse().ok()).map(|n| (proto, n)),
+        _ => None,
+    };
+    let Some((proto, (peers, shards))) = parsed else {
+        eprintln!("usage: footprint <baseline|nylon|static-rvp|peerswap> <peers> <shards>");
+        std::process::exit(1);
+    };
+    match proto.as_str() {
+        "baseline" => on_kernel!(GossipConfig::default(), peers, shards, |e, n| e
+            .bootstrap_random_public_sparse(n)),
+        "nylon" => {
+            on_kernel!(NylonConfig::default(), peers, shards, |e, n| e.bootstrap_random_public(n))
+        }
+        "static-rvp" => on_kernel!(StaticRvpConfig::default(), peers, shards, |e, n| e
+            .bootstrap_random_public(n)),
+        "peerswap" => on_kernel!(PeerSwapConfig::default(), peers, shards, |e, n| e
+            .bootstrap_random_public(n)),
+        other => panic!("unknown protocol {other}"),
+    }
+}

@@ -10,12 +10,15 @@
 //! rather than a benchmark.
 
 use nylon::routing::RoutingTable;
-use nylon::NylonConfig;
-use nylon_gossip::{BaselineEngine, GossipConfig, PeerSampler, Sharded, ShardedConfig};
+use nylon::{NylonConfig, StaticRvpConfig};
+use nylon_gossip::{
+    BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardSampler,
+    Sharded, ShardedConfig,
+};
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_obs::MetricValue;
 use nylon_workloads::runner::build;
-use nylon_workloads::scenario::Scenario;
+use nylon_workloads::scenario::{NatMix, Scenario};
 
 #[test]
 fn hundred_thousand_nodes_twenty_rounds() {
@@ -73,6 +76,87 @@ fn nylon_routing_footprint_tracks_live_routes() {
     assert_eq!(gauge("slot_bytes"), slots * RoutingTable::SLOT_BYTES as u64);
     let per_node = gauge("slot_bytes") / PEERS;
     assert!(per_node <= 13 * 1024, "{per_node} B of routing slots per node");
+}
+
+/// One counter or gauge of `eng`'s telemetry.
+fn metric<S: PeerSampler>(eng: &S, layer: &str, name: &str) -> u64 {
+    let mut report = nylon_obs::Report::new();
+    eng.obs_report(&mut report);
+    match report.get(layer, name) {
+        Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
+        other => panic!("{layer}/{name} is not a count: {other:?}"),
+    }
+}
+
+/// Exchange state must track *live* exchanges, not history: buffers
+/// outstanding and exchanges pending are the same at round 200 as at
+/// round 40, up to what is in flight at the instant of the snapshot (a
+/// tenth of the population is generous: a round trip is 100 ms of a 5 s
+/// period). Runs on two shards. A buffer acquired on one shard may be
+/// released on another, so buffers are counted run-wide (counters merge
+/// by sum); gauges merge by maximum, so exchanges pending are read
+/// worker by worker and added up. `one_slot` protocols additionally hold
+/// at most one exchange per peer.
+fn assert_exchange_state_is_bounded<C: SamplerConfig>(
+    scn: &Scenario,
+    cfg: C,
+    layer: &str,
+    one_slot: bool,
+) where
+    C::Sampler: ShardSampler,
+{
+    // (pooled buffers handed out and not yet returned, exchanges the
+    // protocol says it still waits on)
+    let state = |eng: &Sharded<C::Sampler>| {
+        let buffers =
+            metric(eng, "kernel", "pool_acquired") - metric(eng, "kernel", "pool_released");
+        let pending = eng.shards().iter().map(|w| metric(w, layer, "pending_exchanges")).sum();
+        (buffers, pending)
+    };
+    let slack = scn.peers as u64 / 10;
+    let mut eng = build(scn, ShardedConfig::new(cfg, 2));
+    eng.run_rounds(40);
+    let (buffers40, pending40) = state(&eng);
+    eng.run_rounds(160);
+    let (buffers, pending): (u64, u64) = state(&eng);
+    let at = format!("{layer} at {} % NAT", scn.nat_pct);
+    assert!(buffers <= buffers40 + slack, "{at}: {buffers40} -> {buffers} buffers outstanding");
+    assert!(pending <= pending40 + slack, "{at}: {pending40} -> {pending} exchanges pending");
+    assert!(buffers <= pending + slack, "{at}: {buffers} buffers for {pending} exchanges");
+    if one_slot {
+        assert!(pending <= scn.peers as u64, "{at}: {pending} exchanges pending");
+    }
+}
+
+/// The leak gate: the paper's mix at 70 % NAT, where 46 % of the
+/// baseline's requests are never answered, and a population whose natted
+/// peers are all symmetric, where nearly none are.
+#[test]
+fn exchange_state_tracks_live_exchanges() {
+    let mixed = Scenario::new(2_000, 70.0, 5);
+    let symmetric = Scenario {
+        mix: NatMix { fc: 0.0, rc: 0.0, prc: 0.0, sym: 1.0 },
+        ..Scenario::new(2_000, 95.0, 5)
+    };
+    for scn in [&mixed, &symmetric] {
+        assert_exchange_state_is_bounded(scn, GossipConfig::default(), "engine.baseline", true);
+        assert_exchange_state_is_bounded(
+            scn,
+            StaticRvpConfig::default(),
+            "engine.static_rvp",
+            true,
+        );
+        assert_exchange_state_is_bounded(scn, PeerSwapConfig::default(), "engine.peerswap", true);
+        assert_exchange_state_is_bounded(scn, NylonConfig::default(), "engine.nylon", false);
+    }
+}
+
+/// The same gate at the routing-footprint test's population.
+#[test]
+fn exchange_state_is_bounded_at_five_thousand_peers() {
+    let scn = Scenario::new(5_000, 70.0, 5);
+    assert_exchange_state_is_bounded(&scn, GossipConfig::default(), "engine.baseline", true);
+    assert_exchange_state_is_bounded(&scn, NylonConfig::default(), "engine.nylon", false);
 }
 
 /// The PR-6 headline run: one million nodes for ten rounds on the
