@@ -19,7 +19,7 @@ use nylon_sim::{SimDuration, SimRng, SimTime};
 
 use crate::config::NylonConfig;
 use crate::message::{NylonMsg, WireEntry};
-use crate::routing::RoutingTable;
+use crate::routing::{RouteWork, RoutingTable};
 
 /// Aggregate Nylon protocol counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -805,15 +805,25 @@ impl Protocol for Nylon {
         // table (read-only — the hot path carries no histogram state).
         let mut probe = nylon_obs::Histogram::new();
         let (mut entries, mut capacity, mut reclaimed_early) = (0u64, 0u64, 0u64);
+        let mut work = RouteWork::default();
         for node in &self.nodes {
             let (len, cap) = node.routing.probe_stats(&mut probe);
             entries += len;
             capacity += cap;
             reclaimed_early += node.routing.reclaimed_early();
+            let w = node.routing.work();
+            work.sweeps += w.sweeps;
+            work.sweep_slots += w.sweep_slots;
+            work.rebuilds += w.rebuilds;
+            work.rebuild_slots += w.rebuild_slots;
         }
         out.counter("routing", "installs", s.routes_installed);
         out.counter("routing", "ttl_expiries", s.route_ttl_expiries);
         out.counter("routing", "reclaimed_early", reclaimed_early);
+        out.counter("routing", "sweeps", work.sweeps);
+        out.counter("routing", "sweep_slots", work.sweep_slots);
+        out.counter("routing", "rebuilds", work.rebuilds);
+        out.counter("routing", "rebuild_slots", work.rebuild_slots);
         out.gauge("routing", "entries", entries);
         out.gauge("routing", "slots", capacity);
         out.gauge("routing", "slot_bytes", capacity * RoutingTable::SLOT_BYTES as u64);

@@ -17,18 +17,59 @@
 //! peer owns one table — so it is a purpose-built open-addressed table of
 //! packed slots rather than a generic hash map:
 //!
-//! * one lane of 24-byte [`RouteSlot`]s (const-asserted): key, expiry and
-//!   payload side by side, so a probe hit, a commit or a backward shift
-//!   touches one cache line, probed linearly from an fxhash-derived start;
-//! * power-of-two capacity, ≤ 3/4 load factor, backward-shift deletion
-//!   (no tombstones, so chains never rot and the table compacts in place
-//!   without rehashing);
+//! * one lane of 16-byte [`RouteSlot`]s (const-asserted), four to a cache
+//!   line: key, expiry and payload side by side, so a probe hit, a commit
+//!   or a backward shift touches one line, probed linearly from an
+//!   fxhash-derived start;
+//! * *fitted* capacity — any multiple of four slots, not a power of two —
+//!   at ≤ 3/4 load, with backward-shift deletion (no tombstones, so chains
+//!   never rot and a sweep compacts in place without rehashing);
 //! * batch installs reserve once per shuffle, so a whole descriptor run
 //!   pays a single occupancy/growth check;
 //! * *reclaim before grow*: a reservation that would cross the load
-//!   threshold first purges the lapsed entries and grows only if the
+//!   threshold first purges the lapsed entries and rebuilds only if the
 //!   threshold is still crossed, so capacity tracks the *live* routes, not
 //!   live plus up to a sweep period of stale ones.
+//!
+//! ## Slot layout
+//!
+//! | field        | type  | holds                                             |
+//! |--------------|-------|---------------------------------------------------|
+//! | `key`        | `u32` | destination; [`DenseKey::EMPTY`] marks a vacancy  |
+//! | `via`        | `u32` | chain route: the RVP — direct route: contact IP   |
+//! | `expires_lo` | `u32` | absolute expiry in ms, bits 0‥32                  |
+//! | `port`       | `u16` | direct route: contact port                        |
+//! | `expires_hi` | `u8`  | absolute expiry in ms, bits 32‥40                 |
+//! | `meta`       | `u8`  | hops (5 bits), `DIRECT`, `HAS_CONTACT`            |
+//!
+//! A direct route's RVP *is* its key and only direct routes carry a
+//! contact, so the two never need `via` at once. Forty bits of
+//! milliseconds are 34.8 years of virtual time (`RouteSlot::HORIZON`);
+//! an expiry past it saturates, which can only lapse a route early.
+//!
+//! ## The fit rule
+//!
+//! Every rebuild allocates `RouteMap::fit(n)` slots for the `n` entries
+//! it must hold: `n × 4/3` for the load factor times a fixed 5/4 of
+//! headroom, i.e. 5/3 slots per entry, rounded up to a whole cache line. A
+//! rebuild happens when a reservation still does not fit after the lapsed
+//! entries were reclaimed — the table was over 3/4 full of live routes, so
+//! the new capacity is at least 5/4 of the old, growth is geometric and
+//! installs stay amortised O(1) — or when a sweep, scheduled or early,
+//! leaves the table over *twice* its fit: a table that overshot during
+//! warm-up or lost its traffic follows its routes back down, to no storage
+//! at all once the last one lapsed. Between growing at 3/4 load and
+//! shrinking at 3/10 there is no population that can do both, so a steady
+//! table never thrashes.
+//!
+//! Headroom is the one trade in here. Lapsed routes stay resident until a
+//! sweep, and the slack above the live routes is what they fill before a
+//! reservation forces one: less headroom means fewer bytes per node and
+//! more frequent (if shorter) sweeps, more means the opposite. At 20 000
+//! peers a quarter of headroom costs about 1.9 slots per live route and a
+//! sweep every three to four rounds; the power-of-two table it replaces
+//! paid 2.6 24-byte slots for one every five to six.
+//! [`RoutingTable::work`] counts both sides exactly.
 //!
 //! Expiry bookkeeping is an age accumulator plus a *lower bound on the
 //! earliest expiry*: entries expire passively (every accessor filters by
@@ -71,65 +112,155 @@ pub const MAX_ROUTE_HOPS: u8 = 16;
 /// memory and can run rarely.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(90);
 
-/// One packed slot; a `key` of [`DenseKey::EMPTY`] marks it vacant, and its
-/// other fields are then never read.
+/// One packed slot (layout table in the module docs); a `key` of
+/// [`DenseKey::EMPTY`] marks it vacant, and its other fields are then
+/// never read.
 #[derive(Debug, Clone, Copy)]
 struct RouteSlot {
-    /// Absolute expiry against the table's age accumulator.
-    expires: SimDuration,
     key: PeerId,
-    rvp: PeerId,
+    /// The RVP of a chain route; the IP of a direct route's contact.
+    via: u32,
+    expires_lo: u32,
     /// Last observed (post-NAT) endpoint of the destination, recorded
     /// alongside direct routes: replies travel back through the hole it
     /// names. Only meaningful while the route is direct — exactly the
     /// lifetime the engines need, which is why the endpoint lives here
     /// instead of in a second per-node map paying a second lookup per
-    /// receive. Stored unpacked behind `has_contact`: an
-    /// `Option<Endpoint>` is 12 bytes and would push the slot to 32.
-    ip: Ip,
+    /// receive.
     port: Port,
-    has_contact: bool,
-    hops: u8,
+    expires_hi: u8,
+    meta: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<RouteSlot>() == RoutingTable::SLOT_BYTES);
+const _: () = assert!(RoutingTable::SLOT_BYTES == 16 && std::mem::size_of::<RouteSlot>() == 16);
+const _: () = assert!(MAX_ROUTE_HOPS <= RouteSlot::HOPS_MASK);
 
 impl RouteSlot {
-    const VACANT: RouteSlot = RouteSlot::new(PeerId::EMPTY, SimDuration::ZERO, PeerId::EMPTY, 0);
+    /// `meta`: the hop count's bits, and the two flags above them.
+    const HOPS_MASK: u8 = 0x1f;
+    const DIRECT: u8 = 0x20;
+    const HAS_CONTACT: u8 = 0x40;
 
-    /// A contact-less route.
-    const fn new(key: PeerId, expires: SimDuration, rvp: PeerId, hops: u8) -> Self {
-        RouteSlot { expires, key, rvp, ip: Ip(0), port: Port(0), has_contact: false, hops }
+    /// The latest expiry a slot can hold: 2⁴⁰ − 1 ms, 34.8 years of
+    /// virtual time.
+    const HORIZON: SimDuration = SimDuration::from_millis((1 << 40) - 1);
+
+    const VACANT: RouteSlot = RouteSlot {
+        key: PeerId::EMPTY,
+        via: 0,
+        expires_lo: 0,
+        port: Port(0),
+        expires_hi: 0,
+        meta: 0,
+    };
+
+    /// The 40 stored bits of `expires`, saturating at [`Self::HORIZON`]:
+    /// a stored expiry never exceeds the one asked for, so no lapsed route
+    /// reads as live.
+    const fn pack_expiry(expires: SimDuration) -> (u32, u8) {
+        let horizon = Self::HORIZON.as_millis();
+        let ms = if expires.as_millis() < horizon { expires.as_millis() } else { horizon };
+        (ms as u32, (ms >> 32) as u8)
+    }
+
+    fn new(key: PeerId, expires: SimDuration, via: u32, port: Port, meta: u8) -> Self {
+        debug_assert!(expires <= Self::HORIZON, "route expiry {expires} past the slot's 40 bits");
+        let (expires_lo, expires_hi) = Self::pack_expiry(expires);
+        RouteSlot { key, via, expires_lo, port, expires_hi, meta }
+    }
+
+    /// A chain route through `rvp` (never the key itself, never a contact).
+    fn chain(key: PeerId, expires: SimDuration, rvp: PeerId, hops: u8) -> Self {
+        Self::new(key, expires, rvp.0, Port(0), hops)
+    }
+
+    /// A direct route, with the endpoint its last datagram came from.
+    fn direct(key: PeerId, expires: SimDuration, contact: Option<Endpoint>) -> Self {
+        match contact {
+            Some(ep) => {
+                Self::new(key, expires, ep.ip.0, ep.port, 1 | Self::DIRECT | Self::HAS_CONTACT)
+            }
+            None => Self::new(key, expires, 0, Port(0), 1 | Self::DIRECT),
+        }
+    }
+
+    /// Absolute expiry against the table's age accumulator.
+    #[inline]
+    fn expires(&self) -> SimDuration {
+        SimDuration::from_millis(u64::from(self.expires_hi) << 32 | u64::from(self.expires_lo))
+    }
+
+    #[inline]
+    fn is_direct(&self) -> bool {
+        self.meta & Self::DIRECT != 0
+    }
+
+    #[inline]
+    fn rvp(&self) -> PeerId {
+        if self.is_direct() {
+            self.key
+        } else {
+            PeerId(self.via)
+        }
+    }
+
+    #[inline]
+    fn hops(&self) -> u8 {
+        self.meta & Self::HOPS_MASK
     }
 
     fn contact(&self) -> Option<Endpoint> {
-        self.has_contact.then_some(Endpoint::new(self.ip, self.port))
-    }
-
-    fn set_contact(&mut self, contact: Option<Endpoint>) {
-        let ep = contact.unwrap_or_default();
-        (self.ip, self.port, self.has_contact) = (ep.ip, ep.port, contact.is_some());
+        (self.meta & Self::HAS_CONTACT != 0).then_some(Endpoint::new(Ip(self.via), self.port))
     }
 
     fn entry(&self, age: SimDuration) -> RouteEntry {
-        RouteEntry { rvp: self.rvp, ttl: self.expires.saturating_sub(age), hops: self.hops }
+        RouteEntry { rvp: self.rvp(), ttl: self.expires().saturating_sub(age), hops: self.hops() }
     }
 }
 
-/// The open-addressed storage: one lane of packed [`RouteSlot`]s.
+/// The open-addressed storage: one lane of packed [`RouteSlot`]s, any
+/// multiple of four long, so every index step wraps explicitly.
 #[derive(Debug, Clone, Default)]
 struct RouteMap {
     slots: Vec<RouteSlot>,
     len: usize,
-    /// `capacity - 1`; meaningless while `slots` is empty.
-    mask: usize,
 }
 
 impl RouteMap {
+    /// Slots a rebuild allocates to hold `entries`: 4/3 for the load
+    /// factor times 5/4 of headroom, in whole cache lines (module docs,
+    /// "The fit rule"). Nothing for no entries.
+    fn fit(entries: usize) -> usize {
+        (entries * 5).div_ceil(3).next_multiple_of(4)
+    }
+
+    /// The slot `key` hashes to in a table of `cap` slots: multiply-high
+    /// range reduction of the folded fx hash, uniform over any `cap`
+    /// without a division.
     #[inline]
-    fn slot_of(key: PeerId, mask: usize) -> usize {
+    fn home(key: PeerId, cap: usize) -> usize {
         let h = key.hash_u64();
-        (h ^ (h >> 32)) as usize & mask
+        ((u64::from((h ^ (h >> 32)) as u32) * cap as u64) >> 32) as usize
+    }
+
+    /// The slot after `i`, cyclically.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// Steps from slot `from` forward to slot `to`, cyclically.
+    #[inline]
+    fn distance(&self, from: usize, to: usize) -> usize {
+        if to >= from {
+            to - from
+        } else {
+            to + self.slots.len() - from
+        }
     }
 
     /// Probes for `key`: `Ok` is the slot holding it, `Err` the vacant slot
@@ -138,7 +269,7 @@ impl RouteMap {
     /// have — inserts reserve first, lookups only look at `Ok`.
     #[inline]
     fn probe(&self, key: PeerId) -> Result<usize, usize> {
-        let mut i = Self::slot_of(key, self.mask);
+        let mut i = Self::home(key, self.slots.len());
         loop {
             let k = self.slots.get(i).map_or(PeerId::EMPTY, |s| s.key);
             if k == key {
@@ -147,7 +278,7 @@ impl RouteMap {
             if k == PeerId::EMPTY {
                 return Err(i);
             }
-            i = (i + 1) & self.mask;
+            i = self.next(i);
         }
     }
 
@@ -166,19 +297,13 @@ impl RouteMap {
         (self.len + additional) * 4 <= self.slots.len() * 3
     }
 
-    /// Rehashes into the smallest power-of-two capacity with room for
-    /// `additional` more entries.
-    fn grow_for(&mut self, additional: usize) {
-        let mut cap = self.slots.len().max(8);
-        while (self.len + additional) * 4 > cap * 3 {
-            cap *= 2;
-        }
+    /// Rehashes every entry into a fresh lane of `cap` slots.
+    fn rebuild(&mut self, cap: usize) {
         let old = std::mem::replace(&mut self.slots, vec![RouteSlot::VACANT; cap]);
-        self.mask = cap - 1;
         for slot in old.into_iter().filter(|s| s.key != PeerId::EMPTY) {
-            let mut i = Self::slot_of(slot.key, self.mask);
+            let mut i = Self::home(slot.key, cap);
             while self.slots[i].key != PeerId::EMPTY {
-                i = (i + 1) & self.mask;
+                i = self.next(i);
             }
             self.slots[i] = slot;
         }
@@ -189,18 +314,17 @@ impl RouteMap {
     fn remove_at(&mut self, mut i: usize) {
         self.slots[i].key = PeerId::EMPTY;
         self.len -= 1;
-        let mask = self.mask;
-        let mut j = (i + 1) & mask;
+        let mut j = self.next(i);
         while self.slots[j].key != PeerId::EMPTY {
-            let home = Self::slot_of(self.slots[j].key, mask);
+            let home = Self::home(self.slots[j].key, self.slots.len());
             // slots[j] may move into the hole at i only if its home slot
             // is not inside the cyclic interval (i, j].
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
+            if self.distance(home, j) >= self.distance(i, j) {
                 self.slots[i] = self.slots[j];
                 self.slots[j].key = PeerId::EMPTY;
                 i = j;
             }
-            j = (j + 1) & mask;
+            j = self.next(j);
         }
     }
 
@@ -220,7 +344,7 @@ impl RouteMap {
         // twice, which is idempotent.
         while i < cap {
             if self.slots[i].key != PeerId::EMPTY {
-                let e = self.slots[i].expires;
+                let e = self.slots[i].expires();
                 if e <= age {
                     self.remove_at(i);
                     purged += 1;
@@ -233,6 +357,20 @@ impl RouteMap {
         }
         (purged, min)
     }
+}
+
+/// What keeping a table fitted has cost over its lifetime (telemetry):
+/// the other side of the bytes that [`RoutingTable::probe_stats`] reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteWork {
+    /// Expiry sweeps run, scheduled or early.
+    pub sweeps: u64,
+    /// Slots those sweeps walked (each walks the whole table).
+    pub sweep_slots: u64,
+    /// Storage rebuilds, growing or shrinking.
+    pub rebuilds: u64,
+    /// Slots those rebuilds walked: the old lane read, the new one written.
+    pub rebuild_slots: u64,
 }
 
 /// The routing table of one Nylon peer, backed by [`RouteMap`] (see the
@@ -270,11 +408,12 @@ pub struct RoutingTable {
     /// and how many of them `decrease_ttls` has reported so far.
     reclaimed_early: u64,
     reclaims_reported: u64,
+    work: RouteWork,
 }
 
 impl RoutingTable {
     /// Bytes of storage per slot (live, stale or vacant).
-    pub const SLOT_BYTES: usize = 24;
+    pub const SLOT_BYTES: usize = 16;
 
     /// An empty table owned by `owner`.
     pub fn new(owner: PeerId) -> Self {
@@ -286,6 +425,7 @@ impl RoutingTable {
             min_expires: None,
             reclaimed_early: 0,
             reclaims_reported: 0,
+            work: RouteWork::default(),
         }
     }
 
@@ -310,23 +450,36 @@ impl RoutingTable {
     /// Purges the lapsed entries and tightens the earliest-expiry bound to
     /// the exact survivor minimum. Returns the purge count.
     fn sweep(&mut self) -> u64 {
+        self.work.sweeps += 1;
+        self.work.sweep_slots += self.map.slots.len() as u64;
         let (purged, new_min) = self.map.sweep_expired(self.age);
         self.min_expires = new_min;
         purged
     }
 
+    /// Rebuilds the storage to [`RouteMap::fit`] `additional` more entries
+    /// when they do not fit under the load factor, or when the table is
+    /// over twice that fit.
+    fn refit(&mut self, additional: usize) {
+        let (cap, fit) = (self.map.slots.len(), RouteMap::fit(self.map.len + additional));
+        if !self.map.has_room(additional) || cap > 2 * fit {
+            self.work.rebuilds += 1;
+            self.work.rebuild_slots += (cap + fit) as u64;
+            self.map.rebuild(fit);
+        }
+    }
+
     /// Room for `additional` more entries, reclaiming before growing: the
-    /// lapsed entries go first, and capacity doubles only if the load
-    /// threshold is still crossed without them.
+    /// lapsed entries go first, and the storage is rebuilt only if the
+    /// load threshold is still crossed without them (or they were most of
+    /// the table).
     #[inline]
     fn reserve(&mut self, additional: usize) {
         if !self.map.has_room(additional) {
             if self.may_hold_stale() {
                 self.reclaimed_early += self.sweep();
             }
-            if !self.map.has_room(additional) {
-                self.map.grow_for(additional);
-            }
+            self.refit(additional);
         }
     }
 
@@ -334,7 +487,7 @@ impl RoutingTable {
     /// accessor shares.
     #[inline]
     fn find_live(&self, dest: PeerId) -> Option<&RouteSlot> {
-        self.map.probe(dest).ok().map(|i| &self.map.slots[i]).filter(|s| s.expires > self.age)
+        self.map.probe(dest).ok().map(|i| &self.map.slots[i]).filter(|s| s.expires() > self.age)
     }
 
     /// Number of live routes. O(1) while the earliest-expiry bound proves
@@ -356,12 +509,12 @@ impl RoutingTable {
     /// The next RVP towards `dest` (`Some(dest)` itself when direct), or
     /// `None` when no live route exists (Figure 6 `next_RVP()`).
     pub fn next_rvp(&self, dest: PeerId) -> Option<PeerId> {
-        self.find_live(dest).map(|s| s.rvp)
+        self.find_live(dest).map(RouteSlot::rvp)
     }
 
     /// `true` if a live direct route (open NAT hole) to `dest` exists.
     pub fn is_direct(&self, dest: PeerId) -> bool {
-        self.next_rvp(dest) == Some(dest)
+        self.find_live(dest).is_some_and(RouteSlot::is_direct)
     }
 
     /// Remaining TTL of the route towards `dest`.
@@ -393,7 +546,7 @@ impl RoutingTable {
         if dest == self.owner || ttl.is_zero() {
             return;
         }
-        let expires = self.age + ttl;
+        let fresh = RouteSlot::direct(dest, self.age + ttl, observed);
         self.reserve(1);
         match self.map.probe(dest) {
             Ok(i) => {
@@ -406,28 +559,23 @@ impl RoutingTable {
                 // reset to the fresh observation (the silent-blackhole
                 // fix: never serve a dead contact on borrowed time).
                 let s = &mut self.map.slots[i];
-                let stale = s.expires <= self.age;
-                let remapped =
-                    !stale && matches!((observed, s.contact()), (Some(o), Some(c)) if o != c);
-                (s.rvp, s.hops) = (dest, 1);
-                if stale || remapped {
-                    s.set_contact(observed);
-                    s.expires = expires;
+                let (stale, prior) = (s.expires() <= self.age, s.contact());
+                let remapped = !stale && matches!((observed, prior), (Some(o), Some(c)) if o != c);
+                *s = if stale || remapped {
+                    fresh
                 } else {
-                    s.set_contact(observed.or(s.contact()));
-                    s.expires = s.expires.max(expires);
-                }
+                    let expires = s.expires().max(fresh.expires());
+                    RouteSlot::direct(dest, expires, observed.or(prior))
+                };
                 if remapped {
                     // The reset may have *shortened* this entry's expiry
                     // below the tracked earliest-expiry bound.
-                    self.note_expiry(expires);
+                    self.note_expiry(fresh.expires());
                 }
             }
             Err(i) => {
-                let mut slot = RouteSlot::new(dest, expires, dest, 1);
-                slot.set_contact(observed);
-                self.map.commit(i, slot);
-                self.note_expiry(expires);
+                self.map.commit(i, fresh);
+                self.note_expiry(fresh.expires());
             }
         }
     }
@@ -435,7 +583,7 @@ impl RoutingTable {
     /// The last observed endpoint of `dest`, available exactly while a
     /// live *direct* route exists (replies through the hole it names).
     pub fn contact_of(&self, dest: PeerId) -> Option<Endpoint> {
-        self.find_live(dest).filter(|s| s.rvp == dest).and_then(RouteSlot::contact)
+        self.find_live(dest).and_then(RouteSlot::contact)
     }
 
     /// Updates (or creates) the entry for `dest` (Figure 6
@@ -467,24 +615,25 @@ impl RoutingTable {
     /// `ttl > 0` and `hops <= MAX_ROUTE_HOPS` hold on entry.
     #[inline]
     fn update_chain_prereserved(&mut self, dest: PeerId, rvp: PeerId, ttl: SimDuration, hops: u8) {
-        let new = RouteSlot::new(dest, self.age + ttl, rvp, hops.max(2));
+        let hops = hops.max(2);
+        let new = RouteSlot::chain(dest, self.age + ttl, rvp, hops);
+        let expires = new.expires();
         match self.map.probe(dest) {
             Err(i) => {
                 self.map.commit(i, new);
-                self.note_expiry(new.expires);
+                self.note_expiry(expires);
             }
             Ok(i) => {
                 let cur = &mut self.map.slots[i];
-                let stale = cur.expires <= self.age;
-                if !stale && cur.rvp == dest {
+                let stale = cur.expires() <= self.age;
+                if !stale && cur.is_direct() {
                     // Keep the direct route.
-                } else if !stale && cur.rvp == rvp {
+                } else if !stale && cur.rvp() == rvp {
                     // Same provider: take the fresher estimate.
-                    cur.expires = cur.expires.max(new.expires);
-                    cur.hops = new.hops;
+                    *cur = RouteSlot::chain(dest, cur.expires().max(expires), rvp, hops);
                 } else if stale
-                    || new.hops < cur.hops
-                    || (new.hops == cur.hops && new.expires > cur.expires)
+                    || hops < cur.hops()
+                    || (hops == cur.hops() && expires > cur.expires())
                 {
                     // A stale entry is observably absent, so the update
                     // wins outright; a live one loses to a shorter chain
@@ -492,7 +641,7 @@ impl RoutingTable {
                     // replacement may expire earlier than what it
                     // displaced.
                     *cur = new;
-                    self.note_expiry(new.expires);
+                    self.note_expiry(expires);
                 }
             }
         }
@@ -549,9 +698,10 @@ impl RoutingTable {
     /// O(1) bookkeeping: advances the age accumulator. Expiry itself is
     /// enforced by the read-path filters; every `SWEEP_EVERY` of
     /// accumulated age an amortized sweep purges the lapsed entries in one
-    /// pass (backward-shift compaction — no rehash, no reallocation). When
-    /// the earliest-expiry bound proves nothing has lapsed, the scheduled
-    /// sweep is skipped without touching the slots.
+    /// pass (backward-shift compaction, then a rebuild only if the table is
+    /// left over twice its fit). When the earliest-expiry bound proves
+    /// nothing has lapsed, the scheduled sweep is skipped without touching
+    /// the slots.
     ///
     /// Returns the number of entries physically purged since the last
     /// scheduled sweep — by that sweep or by reclaim-before-grow in
@@ -563,15 +713,24 @@ impl RoutingTable {
             return 0;
         }
         self.next_sweep = self.age + SWEEP_EVERY;
-        let early = self.reclaimed_early
+        let mut purged = self.reclaimed_early
             - std::mem::replace(&mut self.reclaims_reported, self.reclaimed_early);
-        early + if self.may_hold_stale() { self.sweep() } else { 0 }
+        if self.may_hold_stale() {
+            purged += self.sweep();
+            self.refit(0);
+        }
+        purged
     }
 
     /// Entries purged ahead of the scheduled sweep by reclaim-before-grow,
     /// over the table's lifetime (telemetry).
     pub fn reclaimed_early(&self) -> u64 {
         self.reclaimed_early
+    }
+
+    /// Sweeps and rebuilds over the table's lifetime (telemetry).
+    pub fn work(&self) -> RouteWork {
+        self.work
     }
 
     /// Drops every route and frees the slot storage — for a peer that will
@@ -587,7 +746,7 @@ impl RoutingTable {
         self.map.probe(dest).ok().and_then(|i| {
             let s = self.map.slots[i];
             self.map.remove_at(i);
-            (s.expires > self.age).then(|| s.entry(self.age))
+            (s.expires() > self.age).then(|| s.entry(self.age))
         })
     }
 
@@ -615,7 +774,7 @@ impl RoutingTable {
         self.map
             .slots
             .iter()
-            .filter(|s| s.key != PeerId::EMPTY && s.expires > self.age)
+            .filter(|s| s.key != PeerId::EMPTY && s.expires() > self.age)
             .map(|s| (s.key, s.entry(self.age)))
     }
 
@@ -627,9 +786,9 @@ impl RoutingTable {
     pub fn probe_stats(&self, hist: &mut nylon_obs::Histogram) -> (u64, u64) {
         let mut live = 0u64;
         for (i, s) in self.map.slots.iter().enumerate().filter(|(_, s)| s.key != PeerId::EMPTY) {
-            live += u64::from(s.expires > self.age);
-            let home = RouteMap::slot_of(s.key, self.map.mask);
-            hist.record((i.wrapping_sub(home) & self.map.mask) as u64);
+            live += u64::from(s.expires() > self.age);
+            let home = RouteMap::home(s.key, self.map.slots.len());
+            hist.record(self.map.distance(home, i) as u64);
         }
         (live, self.map.slots.len() as u64)
     }
@@ -915,6 +1074,65 @@ mod tests {
         t.decrease_ttls(S60);
         t.update_direct(PeerId(2), S30);
         assert_eq!(t.contact_of(PeerId(2)), None);
+
+        // One key through chain → direct → stale → chain: its `via` word is
+        // an RVP, then a contact IP, then an RVP again, and neither reading
+        // ever sees the other's bits.
+        let (mut t, k) = (rt(), PeerId(5));
+        let route = |rvp, ttl, hops| Some(RouteEntry { rvp: PeerId(rvp), ttl, hops });
+        t.update_next_rvp(k, PeerId(0x0A00_0001), S60, 3);
+        assert_eq!((t.entry_of(k), t.contact_of(k)), (route(0x0A00_0001, S60, 3), None));
+        t.update_direct(k, S30);
+        assert_eq!((t.entry_of(k), t.contact_of(k)), (route(5, S60, 1), None), "RVP read as IP");
+        t.touch_direct(k, S30, ep(0xDEAD_BEEF, 4242));
+        assert_eq!(t.contact_of(k), Some(ep(0xDEAD_BEEF, 4242)));
+        t.update_next_rvp(k, PeerId(7), S90, 2);
+        assert_eq!(t.entry_of(k), route(5, S60, 1), "a chain never downgrades a live hole");
+        t.decrease_ttls(S60);
+        assert!(t.map.probe(k).is_ok(), "lapsed but still resident");
+        assert_eq!((t.entry_of(k), t.contact_of(k)), (None, None));
+        t.update_next_rvp(k, PeerId(7), S30, 4);
+        assert_eq!((t.entry_of(k), t.contact_of(k)), (route(7, S30, 4), None), "IP read as RVP");
+        assert_eq!(t.resolve_first_hop(k, 4), None, "no direct hop behind the stale contact");
+    }
+
+    #[test]
+    fn expiry_is_exact_across_the_32_bit_boundary() {
+        // 2³² ms is 49.7 days of age: a 90 s route installed 30 s before it
+        // has an expiry whose low word wrapped and whose high byte is 1.
+        let mut t = rt();
+        t.decrease_ttls(SimDuration::from_millis((1 << 32) - 30_000));
+        t.update_direct(PeerId(1), S90);
+        t.update_next_rvp(PeerId(2), PeerId(1), SimDuration::from_secs(10), 2);
+        assert_eq!(t.ttl_of(PeerId(1)), Some(S90));
+        // Equal-length chains: the longer TTL wins, on either side of 2³².
+        t.update_next_rvp(PeerId(9), PeerId(1), SimDuration::from_secs(20), 2);
+        t.update_next_rvp(PeerId(9), PeerId(2), S60, 2);
+        assert_eq!(t.next_rvp(PeerId(9)), Some(PeerId(2)), "an expiry above 2^32 read as earlier");
+        t.update_next_rvp(PeerId(9), PeerId(3), SimDuration::from_secs(25), 2);
+        assert_eq!(t.next_rvp(PeerId(9)), Some(PeerId(2)), "an expiry below 2^32 read as later");
+        t.decrease_ttls(SimDuration::from_secs(10));
+        assert_eq!((t.ttl_of(PeerId(2)), t.len()), (None, 2));
+        t.decrease_ttls(S30);
+        assert_eq!(t.ttl_of(PeerId(1)), Some(SimDuration::from_secs(50)), "age past 2^32");
+        assert_eq!(t.ttl_of(PeerId(9)), Some(SimDuration::from_secs(20)));
+        t.decrease_ttls(SimDuration::from_secs(50));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn expiry_clamp_never_revives_a_lapsed_route() {
+        let horizon = RouteSlot::HORIZON.as_millis();
+        for asked in [horizon - 1, horizon, horizon + 1, 2 * horizon, u64::MAX] {
+            let (expires_lo, expires_hi) = RouteSlot::pack_expiry(SimDuration::from_millis(asked));
+            let stored = RouteSlot { expires_lo, expires_hi, ..RouteSlot::VACANT }.expires();
+            assert_eq!(stored.as_millis(), asked.min(horizon));
+            // Live is `expires > age`: a stored expiry at or below the one
+            // asked for cannot pass where that one fails.
+            for age in [asked - 1, asked, horizon, u64::MAX] {
+                assert!(stored.as_millis() <= age || asked > age);
+            }
+        }
     }
 
     #[test]
@@ -932,8 +1150,9 @@ mod tests {
             peak_live = peak_live.max(t.len());
         }
         assert!((200..=230).contains(&peak_live), "peak live {peak_live}");
-        let bound = ((peak_live + 16) * 4).div_ceil(3).next_power_of_two();
-        assert_eq!(bound, 512);
+        // The largest reservation ever made was for the live routes plus
+        // one batch; lapsed-but-resident ones must not have added to it.
+        let bound = RouteMap::fit(peak_live + 16);
         assert!(
             t.map.slots.len() <= bound,
             "{} slots for {peak_live} live routes: stale entries forced a growth",
@@ -944,6 +1163,35 @@ mod tests {
         let unreported = t.reclaimed_early - t.reclaims_reported;
         let installed = u64::from(next_id - 2) + 1;
         assert_eq!(purged + unreported + t.map.len as u64, installed);
+    }
+
+    #[test]
+    fn capacity_follows_live_routes_down() {
+        let round = SimDuration::from_secs(5);
+        let mut t = rt();
+        t.update_direct(PeerId(1), S90);
+        t.install_from_shuffle(PeerId(1), (2..601).map(|i| (PeerId(i), S90, 1)));
+        assert_eq!(t.len(), 600);
+        assert!(t.map.slots.len() >= 800, "{} slots for 600 routes", t.map.slots.len());
+        // Traffic drops to six fresh routes a round, ~100 live: one sweep
+        // cadence later the warm-up capacity is gone.
+        let mut next_id = 1_000;
+        for _ in 0..SWEEP_EVERY.as_millis() / round.as_millis() {
+            t.update_direct(PeerId(1), S90);
+            t.install_from_shuffle(PeerId(1), (next_id..next_id + 6).map(|i| (PeerId(i), S90, 1)));
+            next_id += 6;
+            t.decrease_ttls(round);
+        }
+        let (live, slots) = (t.len(), t.map.slots.len());
+        assert!((90..=120).contains(&live), "{live} live routes");
+        assert!(slots <= 2 * RouteMap::fit(live), "{slots} slots for {live} live routes");
+        // Traffic stops: once the last route lapsed a sweep frees the lane.
+        for _ in 0..2 * SWEEP_EVERY.as_millis() / round.as_millis() {
+            t.decrease_ttls(round);
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.map.slots.capacity(), 0, "an empty table still holds storage");
+        assert!(t.work().rebuilds >= 3, "grew, shrank and released: {:?}", t.work());
     }
 
     #[test]
@@ -965,7 +1213,7 @@ mod tests {
                 t.decrease_ttls(SimDuration::from_secs(5));
             }
             let resident = t.map.slots.iter().filter(|s| s.key != PeerId::EMPTY);
-            let true_min = resident.map(|s| s.expires).min();
+            let true_min = resident.map(RouteSlot::expires).min();
             assert!(t.min_expires <= true_min, "bound {:?} above {true_min:?}", t.min_expires);
             assert_eq!(t.min_expires.is_none(), t.map.len == 0);
             assert_eq!(t.len(), t.iter().count(), "O(1) len disagrees with the walk");
@@ -1254,11 +1502,12 @@ mod differential {
         /// Ops are decoded from plain tuples `(kind, a, b, ttl, hops)`:
         /// 0 update_direct, 1 touch_direct, 2 update_next_rvp,
         /// 3 install_from_shuffle (batch derived deterministically from
-        /// the tuple), 4 decrease_ttls, 5 remove.
+        /// the tuple), 4 decrease_ttls, 5 decrease_ttls by 10–49 days (so
+        /// expiries carry into the slot's high byte), 6 remove.
         #[test]
         fn prop_routemap_matches_reference(
             ops in proptest::collection::vec(
-                ((0u8..6, 0u32..24), (0u32..24, 0u64..200, 0u8..20)),
+                ((0u8..7, 0u32..24), (0u32..24, 0u64..200, 0u8..20)),
                 0..150,
             ),
         ) {
@@ -1305,9 +1554,10 @@ mod differential {
                         let y = old.install_from_shuffle(PeerId(a), batch);
                         prop_assert_eq!(x, y, "installed counts diverge");
                     }
-                    4 => {
-                        new_purged += new.decrease_ttls(SimDuration::from_secs(t % 60 + 1));
-                        old_purged += old.decrease_ttls(SimDuration::from_secs(t % 60 + 1));
+                    4 | 5 => {
+                        let secs = if kind == 4 { t % 60 + 1 } else { (t % 40 + 10) * 86_400 };
+                        new_purged += new.decrease_ttls(SimDuration::from_secs(secs));
+                        old_purged += old.decrease_ttls(SimDuration::from_secs(secs));
                     }
                     _ => {
                         prop_assert_eq!(new.remove(PeerId(a)), old.remove(PeerId(a)));
@@ -1326,6 +1576,101 @@ mod differential {
                     prop_assert_eq!(new.ttl_of(d), old.ttl_of(d));
                     prop_assert_eq!(new.is_direct(d), old.is_direct(d));
                 }
+            }
+        }
+    }
+}
+
+/// `RouteMap` alone against `std::collections::HashMap`, at forced small
+/// capacities that are not powers of two and with keys homed on the last
+/// and the first slot, so nearly every probe chain crosses the wrap.
+#[cfg(test)]
+mod storage {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    const CAPS: std::ops::RangeInclusive<usize> = 8..=44;
+
+    /// Five keys homed on slot `cap - 1` and three on slot 0.
+    fn seam_keys(cap: usize) -> Vec<PeerId> {
+        let homed =
+            |slot, n| (0..).map(PeerId).filter(move |k| RouteMap::home(*k, cap) == slot).take(n);
+        homed(cap - 1, 5).chain(homed(0, 3)).collect()
+    }
+
+    /// Every resident key is where a probe finds it, at its cyclic
+    /// distance from home with no vacancy on the way — what backward-shift
+    /// deletion and the fused sweep pass rely on — and nothing else is
+    /// resident.
+    fn check(map: &RouteMap, model: &HashMap<PeerId, SimDuration>) {
+        assert_eq!(map.len, model.len());
+        let resident = map.slots.iter().enumerate().filter(|(_, s)| s.key != PeerId::EMPTY);
+        assert_eq!(resident.clone().count(), model.len());
+        for (i, s) in resident {
+            assert_eq!(model.get(&s.key), Some(&s.expires()), "{:?} is not in the model", s.key);
+            assert_eq!(map.probe(s.key), Ok(i), "{:?} unreachable in {map:?}", s.key);
+            let home = RouteMap::home(s.key, map.slots.len());
+            let (mut j, mut steps) = (home, 0);
+            while j != i {
+                assert_ne!(map.slots[j].key, PeerId::EMPTY, "vacancy before {:?}", s.key);
+                (j, steps) = (map.next(j), steps + 1);
+            }
+            assert_eq!(steps, map.distance(home, i));
+        }
+    }
+
+    proptest! {
+        /// Ops `(kind, pick, ttl)`: 0–2 insert, 3 remove, 4 sweep, 5 grow
+        /// by a line, 6 shrink to the tightest whole line. Keys come from
+        /// the current capacity's seam keys or, for odd picks, any
+        /// capacity's.
+        #[test]
+        fn prop_storage_survives_the_seam(
+            start in 2usize..12,
+            ops in proptest::collection::vec((0u8..7, 0usize..64, 1u64..40), 0..200),
+        ) {
+            let pools: Vec<Vec<PeerId>> = CAPS.step_by(4).map(seam_keys).collect();
+            let all: Vec<PeerId> = pools.concat();
+            let (mut map, mut model, mut age) = (RouteMap::default(), HashMap::new(), 0u64);
+            map.rebuild(start * 4);
+            for &(kind, pick, ttl) in &ops {
+                let cap = map.slots.len();
+                let pool = if pick % 2 == 0 { &pools[(cap - 8) / 4] } else { &all };
+                let key = pool[pick / 2 % pool.len()];
+                match kind {
+                    0..=2 if map.has_room(1) => {
+                        let expires = SimDuration::from_millis(age + ttl);
+                        let slot = RouteSlot::chain(key, expires, PeerId(0), 2);
+                        match map.probe(key) {
+                            Ok(i) => map.slots[i] = slot,
+                            Err(i) => map.commit(i, slot),
+                        }
+                        model.insert(key, expires);
+                    }
+                    3 => {
+                        let at = map.probe(key);
+                        prop_assert_eq!(at.is_ok(), model.remove(&key).is_some());
+                        if let Ok(i) = at {
+                            map.remove_at(i);
+                        }
+                    }
+                    4 => {
+                        age += ttl;
+                        let lapsed = model.len();
+                        model.retain(|_, e| e.as_millis() > age);
+                        let lapsed = (lapsed - model.len()) as u64;
+                        let swept = map.sweep_expired(SimDuration::from_millis(age));
+                        prop_assert_eq!(swept, (lapsed, model.values().min().copied()));
+                    }
+                    5 if cap < *CAPS.end() => map.rebuild(cap + 4),
+                    6 => {
+                        let tight = (map.len * 4).div_ceil(3).next_multiple_of(4);
+                        map.rebuild(tight.max(*CAPS.start()));
+                    }
+                    _ => {}
+                }
+                check(&map, &model);
             }
         }
     }

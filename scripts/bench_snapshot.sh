@@ -8,8 +8,8 @@
 #
 # OUT defaults to BENCH_snapshot.json in the repo root. --quick runs
 # nine samples per bench instead of fifteen (the CI smoke mode). --diff
-# gates the fresh snapshot against a committed baseline (BENCH_pr13.json
-# is the current one, BENCH_pr9.json the previous): medians are
+# gates the fresh snapshot against a committed baseline (BENCH_pr18.json
+# is the current one, BENCH_pr13.json the previous): medians are
 # normalized by the frozen-source reference-heap sentinel so runner
 # speed cancels, then the run fails on a > 25 % regression of any
 # median_ns (50 % for the long-lived-engine benches; the S=4 sharded
