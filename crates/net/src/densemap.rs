@@ -294,11 +294,6 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// Iterates values mutably in unspecified (slot) order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.iter_mut().map(|(_, v)| v)
-    }
-
     /// Ensures capacity for `additional` more entries with at most one
     /// growth (the per-batch occupancy check for bulk installs).
     pub fn reserve(&mut self, additional: usize) {

@@ -3,7 +3,7 @@
 //!
 //! Every shuffle used to allocate a handful of fresh `Vec`s — the wire
 //! view, the shipped-id list, the response view, merge scratch — and drop
-//! them one protocol step later, so the 200-peer round bench spent a
+//! them one protocol step later, so a 200-peer round spent a
 //! measurable slice of its time in the allocator. A [`BufferPool`]
 //! recycles those buffers instead: `acquire` hands out an empty vector
 //! (reusing a previously released allocation when one is available),
@@ -13,8 +13,8 @@
 //! with whoever creates and consumes the buffers — each engine embeds the
 //! pools for its own wire-entry and peer-id vectors. In steady state every
 //! acquire is a recycle and the per-round allocation count drops to the
-//! slow-path residue (hash-map growth, rare oversized views), which the
-//! `bench-alloc` counting allocator measures.
+//! slow-path residue (hash-map growth, rare oversized views), which
+//! `tests/alloc_gate.rs` counts.
 //!
 //! Recycling never changes observable behaviour: a recycled vector is
 //! empty, only its capacity survives, and no RNG draw or event ordering

@@ -4,9 +4,9 @@
 //! and log-bucketed [`Histogram`]s — plus a process-global JSONL stats
 //! sink ([`install`] / [`merge_report`] / [`final_snapshot`]). Everything
 //! hot-path is gated on the `enabled` cargo feature: with the feature off
-//! the primitives are zero-sized types whose methods are empty `#[inline]`
-//! stubs, so instrumented crates pay nothing — the bench drift gate builds
-//! that configuration and holds it to the PR-5/7 baseline.
+//! the primitives are zero-sized types (const-asserted in `metrics.rs`)
+//! whose methods are empty `#[inline]` stubs, so instrumented crates pay
+//! nothing.
 //!
 //! Two contracts the rest of the workspace leans on:
 //!
@@ -25,6 +25,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod buckets;
+pub mod json;
 mod metrics;
 pub mod process;
 mod report;

@@ -3,10 +3,10 @@
 //! Two compilations of the same API. With the `enabled` feature the types
 //! hold real state (`Cell<u64>` for single-threaded sim code, `AtomicU64`
 //! for the live UDP threads, a fixed inline bucket array for histograms —
-//! nothing here ever allocates, so the exact-allocation bench gate is
-//! unaffected even with stats on). Without the feature every type is a
-//! zero-sized struct and every method an empty `#[inline]` stub, so
-//! instrumented call sites compile to nothing.
+//! nothing here ever allocates, so `tests/alloc_gate.rs` reads the same
+//! counts with stats on). Without the feature every type is a zero-sized
+//! struct (asserted at compile time below) and every method an empty
+//! `#[inline]` stub, so instrumented call sites compile to nothing.
 
 #[cfg(feature = "enabled")]
 use std::cell::Cell;
@@ -310,3 +310,13 @@ impl Histogram {
         HistSnapshot::default()
     }
 }
+
+/// The zero-overhead claim as a compile-time fact: a struct that embeds
+/// any number of these grows by nothing when the feature is off.
+#[cfg(not(feature = "enabled"))]
+const _: () = {
+    assert!(std::mem::size_of::<Counter>() == 0);
+    assert!(std::mem::size_of::<Gauge>() == 0);
+    assert!(std::mem::size_of::<AtomicCounter>() == 0);
+    assert!(std::mem::size_of::<Histogram>() == 0);
+};

@@ -11,13 +11,10 @@
 //!   "exec":{"cells_completed":{"type":"counter","value":3}, ...}, ...}}
 //! ```
 //!
-//! Hand-rolled serialization: the vendored `serde` is a no-op derive
-//! stand-in (see `vendor/README.md`). With the `enabled` feature off the
-//! whole module is a stub — [`install`] reports `Unsupported` and
-//! [`is_active`] is a constant `false`.
+//! Lines are written through [`crate::json::Writer`]. With the `enabled`
+//! feature off the whole module is a stub — [`install`] reports
+//! `Unsupported` and [`is_active`] is a constant `false`.
 
-#[cfg(feature = "enabled")]
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 #[cfg(feature = "enabled")]
@@ -27,6 +24,8 @@ use std::sync::{Mutex, OnceLock};
 #[cfg(feature = "enabled")]
 use std::time::Instant;
 
+#[cfg(feature = "enabled")]
+use crate::json::Writer;
 #[cfg(feature = "enabled")]
 use crate::report::MetricValue;
 use crate::report::Report;
@@ -109,33 +108,26 @@ fn write_snapshot(s: &Sink, kind: &str, t_ms: u64) {
     if let Some(rss) = crate::process::peak_rss_bytes() {
         report.gauge("process", "peak_rss_bytes", rss);
     }
-    let mut line = String::with_capacity(256);
-    write!(
-        line,
-        "{{\"schema\":\"{}\",\"kind\":\"{kind}\",\"t_ms\":{t_ms},\"layers\":{{",
-        crate::SCHEMA
-    )
-    .expect("writing to String cannot fail");
+    let mut w = Writer::default();
+    w.open('{').key("schema").string(crate::SCHEMA).key("kind").string(kind);
+    w.key("t_ms").number(t_ms).key("layers").open('{');
     let mut current_layer: Option<&str> = None;
     for (layer, metric, value) in report.iter() {
-        match current_layer {
-            Some(l) if l == layer => line.push(','),
-            Some(_) => {
-                line.push_str("},");
-                open_layer(&mut line, layer);
-                current_layer = Some(layer);
+        if current_layer != Some(layer) {
+            if current_layer.is_some() {
+                w.close('}');
             }
-            None => {
-                open_layer(&mut line, layer);
-                current_layer = Some(layer);
-            }
+            w.key(layer).open('{');
+            current_layer = Some(layer);
         }
-        write_metric(&mut line, metric, value);
+        write_metric(w.key(metric), value);
     }
     if current_layer.is_some() {
-        line.push('}');
+        w.close('}');
     }
-    line.push_str("}}\n");
+    w.close('}').close('}');
+    let mut line = w.finish();
+    line.push('\n');
     let mut file = s.file.lock().expect("stats writer poisoned");
     use io::Write as _;
     // Stats are best-effort: a full disk must not abort the run.
@@ -144,59 +136,25 @@ fn write_snapshot(s: &Sink, kind: &str, t_ms: u64) {
 }
 
 #[cfg(feature = "enabled")]
-fn open_layer(line: &mut String, layer: &str) {
-    write!(line, "\"{}\":{{", escape(layer)).expect("writing to String cannot fail");
-}
-
-#[cfg(feature = "enabled")]
-fn write_metric(line: &mut String, metric: &str, value: &MetricValue) {
-    write!(line, "\"{}\":", escape(metric)).expect("writing to String cannot fail");
+fn write_metric(w: &mut Writer, value: &MetricValue) {
+    w.open('{').key("type");
     match value {
-        MetricValue::Counter(v) => {
-            write!(line, "{{\"type\":\"counter\",\"value\":{v}}}")
-        }
-        MetricValue::Gauge(v) => {
-            write!(line, "{{\"type\":\"gauge\",\"value\":{v}}}")
-        }
+        MetricValue::Counter(v) => w.string("counter").key("value").number(v),
+        MetricValue::Gauge(v) => w.string("gauge").key("value").number(v),
         MetricValue::Histogram(h) => {
-            write!(
-                line,
-                "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            )
-            .expect("writing to String cannot fail");
-            for (i, (idx, c)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                write!(line, "[{idx},{c}]").expect("writing to String cannot fail");
+            w.string("histogram").key("count").number(h.count).key("sum").number(h.sum);
+            w.key("min").number(h.min).key("max").number(h.max);
+            for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+                w.key(name).number(h.quantile(q));
             }
-            line.push_str("]}");
-            Ok(())
+            w.key("buckets").open('[');
+            for (idx, c) in &h.buckets {
+                w.open('[').number(idx).number(c).close(']');
+            }
+            w.close(']')
         }
-    }
-    .expect("writing to String cannot fail");
-}
-
-/// Escapes a metric/layer name for embedding in a JSON string. Names are
-/// code-controlled identifiers, so only the structural characters need
-/// care.
-#[cfg(feature = "enabled")]
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+    };
+    w.close('}');
 }
 
 // ---------------------------------------------------------------------------
@@ -231,6 +189,33 @@ pub fn periodic_snapshot() {}
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
 pub fn final_snapshot() {}
+
+#[cfg(all(test, not(feature = "enabled")))]
+mod disabled_tests {
+    use super::*;
+    use crate::{Counter, Histogram};
+
+    #[test]
+    fn sink_and_primitives_are_inert() {
+        let path = std::env::temp_dir().join(format!("nylon_obs_off_{}.jsonl", std::process::id()));
+        let err = install(&path).expect_err("a disabled build has no sink to install");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(!is_active());
+
+        let mut r = Report::new();
+        r.counter("kernel", "events_processed", 42);
+        merge_report(&r);
+        periodic_snapshot();
+        final_snapshot();
+        assert!(!path.exists(), "a disabled sink must not touch the file system");
+
+        let (c, mut h) = (Counter::new(), Histogram::new());
+        c.add(7);
+        h.record(7);
+        assert_eq!((c.get(), h.count()), (0, 0));
+        assert_eq!(h.snapshot(), crate::HistSnapshot::default());
+    }
+}
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {

@@ -42,12 +42,10 @@ mod rng;
 mod shard;
 mod sim;
 mod time;
-mod timer;
 
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use queue::{EventQueue, ReferenceQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use shard::{ShardAssign, ShardPlan, ShardWorker, ShardedSim};
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};
-pub use timer::PeriodicTimer;

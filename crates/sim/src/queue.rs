@@ -1,21 +1,18 @@
 //! A deterministic priority queue of timestamped events.
 //!
-//! Two implementations live here:
+//! [`EventQueue`] is a hierarchical bucketed timer wheel with a
+//! calendar-queue overflow level. Push and pop are O(1) amortized (no heap
+//! sift-up/down churn), buckets recycle their capacity, and pop order is
+//! *identical* to a binary heap ordered by `(time, sequence number)`.
 //!
-//! * [`EventQueue`] — the production queue: a hierarchical bucketed timer
-//!   wheel with a calendar-queue overflow level. Push and pop are O(1)
-//!   amortized (no heap sift-up/down churn), buckets recycle their
-//!   capacity, and pop order is *identical* to a binary heap ordered by
-//!   `(time, sequence number)`.
-//! * [`ReferenceQueue`] — the original `BinaryHeap` implementation, kept
-//!   as the executable specification: a property test schedules random
-//!   workloads (same-instant bursts, far-future overflow times,
-//!   interleaved pops) into both queues and demands bit-identical pop
-//!   sequences. Event ordering is the simulator's determinism contract,
-//!   so the wheel is proven against the heap rather than trusted.
+//! That heap — the original implementation — lives on in this file's
+//! tests as the executable specification: a property test schedules
+//! random workloads (same-instant bursts, far-future overflow times,
+//! interleaved pops) into both queues and demands bit-identical pop
+//! sequences. Event ordering is the simulator's determinism contract, so
+//! the wheel is proven against the heap rather than trusted.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
 
@@ -377,91 +374,36 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed event queue, kept as the executable
-/// specification for [`EventQueue`].
-///
-/// Pop order is `(time, sequence number)` — exactly what the timer wheel
-/// must reproduce. Used by the differential property tests and available
-/// to benches for A/B comparison; simulations should use [`EventQueue`].
-#[derive(Debug)]
-pub struct ReferenceQueue<E> {
-    heap: BinaryHeap<RefEntry<E>>,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-struct RefEntry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Manual ordering: min-heap on (at, seq). `BinaryHeap` is a max-heap, so
-// the comparisons are reversed here rather than wrapping in `Reverse`.
-impl<E> Ord for RefEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl<E> PartialOrd for RefEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for RefEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for RefEntry<E> {}
-
-impl<E> ReferenceQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        ReferenceQueue { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `event` to fire at instant `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(RefEntry { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// The firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for ReferenceQueue<E> {
-    fn default() -> Self {
-        ReferenceQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use proptest::prelude::*;
+
+    /// The original `BinaryHeap` event queue: pops in `(time, sequence
+    /// number)` order, exactly what the timer wheel must reproduce.
+    #[derive(Default)]
+    struct ReferenceQueue {
+        heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        next_seq: u64,
+    }
+
+    impl ReferenceQueue {
+        fn schedule(&mut self, at: SimTime, event: usize) {
+            self.heap.push(Reverse((at, self.next_seq, event)));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -612,7 +554,7 @@ mod tests {
     /// kept at or above the pop floor, matching the queue's contract.
     fn oracle(ops: &[(u64, u16, u8)]) {
         let mut wheel: EventQueue<usize> = EventQueue::new();
-        let mut heap: ReferenceQueue<usize> = ReferenceQueue::new();
+        let mut heap = ReferenceQueue::default();
         let mut floor = 0u64;
         let mut id = 0usize;
         for &(delta, burst, pops) in ops {
@@ -624,7 +566,7 @@ mod tests {
                 id += 1;
             }
             assert_eq!(wheel.peek_time(), heap.peek_time());
-            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.len(), heap.heap.len());
             for _ in 0..pops {
                 let (a, b) = (wheel.pop(), heap.pop());
                 assert_eq!(a, b, "wheel diverged from reference heap");

@@ -66,11 +66,6 @@ impl SimRng {
         self.inner.gen_range(range)
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// A uniform `u64`.
     pub fn gen_u64(&mut self) -> u64 {
         self.inner.gen::<u64>()

@@ -125,20 +125,6 @@ impl<P: WireMessage + Send + 'static> UdpTransport<P> {
         })
     }
 
-    /// The real loopback addresses of the node sockets, in peer-id order
-    /// (what the NAT emulator needs as its forwarding table).
-    pub fn local_addrs(&self) -> Vec<SocketAddr> {
-        self.sockets
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.local_addr().unwrap_or_else(|e| {
-                    panic!("UdpTransport: no local address for {}: {e}", PeerId(i as u32))
-                })
-            })
-            .collect()
-    }
-
     /// Datagrams discarded because their frame failed to decode.
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors.load(Ordering::Relaxed)

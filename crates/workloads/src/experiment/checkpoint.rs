@@ -1,8 +1,7 @@
 //! JSON-lines checkpoint codec for the experiment executor.
 //!
-//! Hand-rolled: the vendored `serde` is a no-op derive stand-in (see
-//! `vendor/README.md`), so this module implements the tiny subset of JSON
-//! the checkpoint needs. One line per completed cell:
+//! Written and read through [`nylon_obs::json`]. One line per completed
+//! cell:
 //!
 //! ```text
 //! {"nylon_checkpoint":1,"fingerprint":"peers=400 seeds=3 ..."}
@@ -20,8 +19,9 @@
 //! `--resume` recovers everything up to the cut.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::Path;
+
+use nylon_obs::json::{self, Value, Writer};
 
 use super::CellId;
 
@@ -47,28 +47,22 @@ pub(crate) enum LoadOutcome {
 
 /// The header line identifying a checkpoint and the run it belongs to.
 pub(crate) fn header_line(fingerprint: &str) -> String {
-    format!("{{\"nylon_checkpoint\":{VERSION},\"fingerprint\":\"{}\"}}", escape(fingerprint))
+    let mut w = Writer::default();
+    w.open('{').key("nylon_checkpoint").number(VERSION);
+    w.key("fingerprint").string(fingerprint).close('}');
+    w.finish()
 }
 
 /// One completed cell as a JSON line (without trailing newline).
 pub(crate) fn cell_line(id: &CellId, values: &[f64]) -> String {
-    let mut out = String::new();
-    write!(
-        out,
-        "{{\"sweep\":\"{}\",\"point\":\"{}\",\"seed\":{},\"values\":[",
-        escape(&id.sweep),
-        escape(&id.point),
-        id.seed
-    )
-    .expect("writing to String cannot fail");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{v:?}").expect("writing to String cannot fail");
+    let mut w = Writer::default();
+    w.open('{').key("sweep").string(&id.sweep).key("point").string(&id.point);
+    w.key("seed").number(id.seed).key("values").open('[');
+    for v in values {
+        w.number(format_args!("{v:?}"));
     }
-    out.push_str("]}");
-    out
+    w.close(']').close('}');
+    w.finish()
 }
 
 /// Loads a checkpoint file, returning its cells keyed for resume lookup.
@@ -94,191 +88,21 @@ pub(crate) fn load(path: &Path, fingerprint: &str) -> LoadOutcome {
     LoadOutcome::Loaded(cells)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to String cannot fail");
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses the header line, returning its format version and fingerprint.
 fn parse_header(line: &str) -> Option<(u64, String)> {
-    let mut c = Cursor::new(line);
-    c.expect('{')?;
-    let mut version = None;
-    let mut fingerprint = None;
-    loop {
-        let key = c.parse_string()?;
-        c.expect(':')?;
-        match key.as_str() {
-            "nylon_checkpoint" => version = Some(c.parse_number_token()?.parse::<u64>().ok()?),
-            "fingerprint" => fingerprint = Some(c.parse_string()?),
-            _ => c.skip_value()?,
-        }
-        match c.next_char()? {
-            ',' => continue,
-            '}' => break,
-            _ => return None,
-        }
-    }
-    Some((version?, fingerprint?))
+    let v = json::parse(line).ok()?;
+    Some((v.get("nylon_checkpoint")?.as_num()?, v.get("fingerprint")?.as_str()?.to_string()))
 }
 
 /// Parses one cell line; `None` for anything malformed (including the
 /// truncated tail of a killed run).
 pub(crate) fn parse_cell_line(line: &str) -> Option<(CellId, Vec<f64>)> {
-    let mut c = Cursor::new(line);
-    c.expect('{')?;
-    let mut sweep = None;
-    let mut point = None;
-    let mut seed = None;
-    let mut values = None;
-    loop {
-        let key = c.parse_string()?;
-        c.expect(':')?;
-        match key.as_str() {
-            "sweep" => sweep = Some(c.parse_string()?),
-            "point" => point = Some(c.parse_string()?),
-            "seed" => seed = Some(c.parse_number_token()?.parse::<u64>().ok()?),
-            "values" => values = Some(c.parse_float_array()?),
-            _ => c.skip_value()?,
-        }
-        match c.next_char()? {
-            ',' => continue,
-            '}' => break,
-            _ => return None,
-        }
-    }
-    Some((CellId { sweep: sweep?, point: point?, seed: seed? }, values?))
-}
-
-/// A minimal single-line JSON cursor over the subset this format uses.
-struct Cursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(line: &'a str) -> Self {
-        Cursor { rest: line }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn next_char(&mut self) -> Option<char> {
-        self.skip_ws();
-        let c = self.rest.chars().next()?;
-        self.rest = &self.rest[c.len_utf8()..];
-        Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest.chars().next()
-    }
-
-    fn expect(&mut self, want: char) -> Option<()> {
-        (self.next_char()? == want).then_some(())
-    }
-
-    /// Parses a `"..."` string with the escapes [`escape`] produces.
-    fn parse_string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        // Legal JSON that escape() never emits, but
-                        // external tools round-tripping the file may.
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// Reads a bare number token (also accepts `NaN` / `inf` / `-inf`).
-    fn parse_number_token(&mut self) -> Option<String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| matches!(c, ',' | '}' | ']') || c.is_whitespace())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let (tok, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Some(tok.to_string())
-    }
-
-    fn parse_float_array(&mut self) -> Option<Vec<f64>> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if self.peek()? == ']' {
-            self.next_char();
-            return Some(out);
-        }
-        loop {
-            out.push(self.parse_number_token()?.parse::<f64>().ok()?);
-            match self.next_char()? {
-                ',' => continue,
-                ']' => return Some(out),
-                _ => return None,
-            }
-        }
-    }
-
-    /// Skips one value of any supported shape (forward compatibility).
-    fn skip_value(&mut self) -> Option<()> {
-        match self.peek()? {
-            '"' => {
-                self.parse_string()?;
-            }
-            '[' => {
-                self.parse_float_array()?;
-            }
-            _ => {
-                self.parse_number_token()?;
-            }
-        }
-        Some(())
-    }
+    let v = json::parse(line).ok()?;
+    let text = |key: &str| Some(v.get(key)?.as_str()?.to_string());
+    let id =
+        CellId { sweep: text("sweep")?, point: text("point")?, seed: v.get("seed")?.as_num()? };
+    let Value::Arr(values) = v.get("values")? else { return None };
+    Some((id, values.iter().map(Value::as_num).collect::<Option<_>>()?))
 }
 
 #[cfg(test)]
@@ -351,7 +175,7 @@ mod tests {
 
     #[test]
     fn solidus_escape_is_accepted() {
-        // escape() never writes \/, but it is legal JSON an external tool
+        // The writer never emits \/, but it is legal JSON an external tool
         // may produce when round-tripping the file.
         let line = "{\"sweep\":\"s\",\"point\":\"a\\/b\",\"seed\":1,\"values\":[1.0]}";
         let (id, _) = parse_cell_line(line).expect("solidus escape is legal");

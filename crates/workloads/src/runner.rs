@@ -208,7 +208,7 @@ pub fn biggest_cluster_pct<S: PeerSampler>(eng: &S) -> f64 {
 }
 
 /// [`biggest_cluster_pct`] over caller-provided scratch — the per-round
-/// snapshot path of the experiment executor and the snapshot bench.
+/// snapshot path of the experiment executor and the ledger (`benchmark/`).
 pub fn biggest_cluster_pct_with<S: PeerSampler>(eng: &S, scratch: &mut SnapshotScratch) -> f64 {
     overlay_graph_into(eng, scratch);
     100.0 * scratch.graph.biggest_wcc_fraction_with(&scratch.alive, &mut scratch.wcc)
@@ -259,43 +259,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` once per seed, in parallel over OS threads, returning results
-/// in seed order.
-///
-/// # Panics
-///
-/// Propagates a worker panic, naming the seed that died.
-pub fn run_seeds<T, F>(seed_list: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<(u64, _)> = seed_list
-            .iter()
-            .map(|s| {
-                let f = &f;
-                let s = *s;
-                (s, scope.spawn(move || f(s)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(s, h)| {
-                h.join().unwrap_or_else(|e| {
-                    panic!("seed worker for seed {s} panicked: {}", panic_message(&*e))
-                })
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nylon::{NylonConfig, NylonEngine};
     use nylon_gossip::{BaselineEngine, GossipConfig};
-    use nylon_metrics::Summary;
 
     fn scn(peers: usize, nat_pct: f64, seed: u64) -> Scenario {
         Scenario::new(peers, nat_pct, seed)
@@ -363,42 +331,5 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), 10);
         assert_eq!(seeds(10, 42), s, "seed derivation must be deterministic");
-    }
-
-    #[test]
-    fn run_seeds_parallel_results_in_order() {
-        let s = [1u64, 2, 3, 4];
-        let out = run_seeds(&s, |seed| seed * 10);
-        assert_eq!(out, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn run_seeds_panic_names_the_seed() {
-        let s = [7u64, 1234];
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_seeds(&s, |seed| {
-                if seed == 1234 {
-                    panic!("boom");
-                }
-                seed
-            })
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = panic_message(&*caught);
-        assert!(msg.contains("1234"), "panic message must name the seed: {msg}");
-        assert!(msg.contains("boom"), "panic message must keep the cause: {msg}");
-    }
-
-    #[test]
-    fn run_seeds_aggregates_into_summary() {
-        let s = seeds(3, 7);
-        let values = run_seeds(&s, |seed| {
-            let mut eng: BaselineEngine = build(&scn(40, 0.0, seed), GossipConfig::default());
-            eng.run_rounds(10);
-            biggest_cluster_pct(&eng)
-        });
-        let summary: Summary = values.into_iter().collect();
-        assert_eq!(summary.count(), 3);
-        assert!(summary.mean() > 90.0);
     }
 }

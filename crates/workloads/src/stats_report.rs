@@ -6,209 +6,14 @@
 //! only imply together: kernel events per wall second, allocations the
 //! buffer pools avoided, cell latency quantiles and per-shard imbalance.
 //!
-//! The parser is a deliberately small recursive-descent JSON reader — the
-//! vendored `serde` is a no-op stand-in (see `vendor/README.md`) and the
-//! input grammar is our own sink's output, so tolerance means skipping
-//! unparseable lines, not accepting arbitrary JSON extensions.
+//! Lines are read with [`nylon_obs::json`]; tolerance means skipping
+//! unparseable lines (a killed run can truncate its tail), not accepting
+//! JSON extensions.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value (numbers as `f64`; every number our sink writes is
-/// a non-negative integer well inside `f64`'s exact range for display
-/// purposes, and derived ratios are floating point anyway).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!("expected '{}' at byte {}, found {other:?}", b as char, self.pos)),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        // The sink never writes \b, \f or \uXXXX; keep the
-                        // raw escape character rather than failing.
-                        Some(c) => out.push(c as char),
-                        None => return Err("unterminated escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    // Multi-byte UTF-8 sequences pass through byte by byte;
-                    // metric names are ASCII so display stays faithful.
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-}
-
-fn parse_line(line: &str) -> Result<Json, String> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after value at {}", p.pos));
-    }
-    Ok(v)
-}
+use nylon_obs::json::{self, Value};
 
 /// One metric of the last snapshot, flattened for rendering.
 #[derive(Debug)]
@@ -234,13 +39,13 @@ struct Summary {
 /// that contain no snapshot at all.
 fn summarize(text: &str) -> Result<Summary, String> {
     let mut snapshots = 0usize;
-    let mut last: Option<Json> = None;
+    let mut last: Option<Value> = None;
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(v) = parse_line(line) else { continue };
-        match v.get("schema").and_then(Json::as_str) {
+        let Ok(v) = json::parse(line) else { continue };
+        match v.get("schema").and_then(Value::as_str) {
             Some(s) if s == nylon_obs::SCHEMA => {}
             Some(s) => {
                 return Err(format!("unsupported schema '{s}' (want {})", nylon_obs::SCHEMA))
@@ -251,26 +56,24 @@ fn summarize(text: &str) -> Result<Summary, String> {
         last = Some(v);
     }
     let last = last.ok_or_else(|| "no snapshot lines found".to_string())?;
-    let kind = last.get("kind").and_then(Json::as_str).unwrap_or("?").to_string();
-    let t_ms = last.get("t_ms").and_then(Json::as_u64).unwrap_or(0);
+    let uint = |v: &Value, key: &str| v.get(key).and_then(Value::as_num::<u64>).unwrap_or(0);
+    let kind = last.get("kind").and_then(Value::as_str).unwrap_or("?").to_string();
+    let t_ms = uint(&last, "t_ms");
 
     // Flatten layers -> metrics, keeping the sink's sorted order.
     let mut layers: BTreeMap<String, BTreeMap<String, Metric>> = BTreeMap::new();
-    if let Some(Json::Obj(layer_fields)) = last.get("layers") {
+    if let Some(Value::Obj(layer_fields)) = last.get("layers") {
         for (layer, metrics) in layer_fields {
-            let Json::Obj(metric_fields) = metrics else { continue };
+            let Value::Obj(metric_fields) = metrics else { continue };
             let entry = layers.entry(layer.clone()).or_default();
             for (name, m) in metric_fields {
-                let kind = m.get("type").and_then(Json::as_str).unwrap_or("?").to_string();
+                let kind = m.get("type").and_then(Value::as_str).unwrap_or("?").to_string();
                 let (value, hist) = if kind == "histogram" {
-                    let count = m.get("count").and_then(Json::as_u64).unwrap_or(0);
-                    let sum = m.get("sum").and_then(Json::as_u64).unwrap_or(0);
-                    let mean = sum.checked_div(count).unwrap_or(0);
-                    let p50 = m.get("p50").and_then(Json::as_u64).unwrap_or(0);
-                    let p99 = m.get("p99").and_then(Json::as_u64).unwrap_or(0);
-                    (count, Some((count, mean, p50, p99)))
+                    let count = uint(m, "count");
+                    let mean = uint(m, "sum").checked_div(count).unwrap_or(0);
+                    (count, Some((count, mean, uint(m, "p50"), uint(m, "p99"))))
                 } else {
-                    (m.get("value").and_then(Json::as_u64).unwrap_or(0), None)
+                    (uint(m, "value"), None)
                 };
                 entry.insert(name.clone(), Metric { kind, value, hist });
             }
@@ -524,15 +327,5 @@ mod tests {
         assert!(err.starts_with("before:"), "{err}");
         let err = render_diff(LINE, "not json\n").unwrap_err();
         assert!(err.starts_with("after:"), "{err}");
-    }
-
-    #[test]
-    fn parser_round_trips_structures() {
-        let v = parse_line("{\"a\":[1,2.5,true,null,\"x\\\"y\"],\"b\":{}}").expect("parses");
-        assert_eq!(v.get("b"), Some(&Json::Obj(Vec::new())));
-        let Some(Json::Arr(items)) = v.get("a") else { panic!("array expected") };
-        assert_eq!(items.len(), 5);
-        assert_eq!(items[0], Json::Num(1.0));
-        assert_eq!(items[4], Json::Str("x\"y".to_string()));
     }
 }

@@ -64,3 +64,11 @@ printf '%-12s %8d %8d\n' "crates/" "$total_code" "$total_test"
 mapfile -t outer < <(rs_files tests examples src)
 read -r a b <<<"$(count "${outer[@]}")"
 printf '%-12s %8s %8d\n' "tests+examples" "-" "$((a + b))"
+
+# Outside crates/: the vendored stand-ins and the performance ledger, same
+# split, so a deletion there shows up too.
+for dir in vendor benchmark; do
+  mapfile -t src < <(rs_files "$dir" | grep -v '/target/')
+  read -r code test <<<"$(count "${src[@]}")"
+  printf '%-12s %8d %8d\n' "$dir/" "$code" "$test"
+done

@@ -1,0 +1,200 @@
+//! Allocation counts of the hot paths, held to the numbers last recorded.
+//!
+//! Counts, unlike timings, are a function of the program alone: a fixed
+//! workload allocates the same number of blocks on every run and every
+//! host, so a ceiling on them cannot fail by noise. Each fixed workload
+//! below replays identically and is held to its recorded count. The three
+//! long-lived engines still grow maps now and then after warm-up, a
+//! residue that moves with any change to a growth policy, so their mean
+//! per round is held to twice the recorded one (a reintroduced
+//! per-message allocation shows up as hundreds).
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use std::hint::black_box;
+
+use counting_alloc::{counting, CountingAlloc};
+use nylon::routing::RoutingTable;
+use nylon::NylonConfig;
+use nylon_gossip::{
+    MergePolicy, NodeDescriptor, PartialView, PeerSampler, PeerSwapConfig, SamplerConfig,
+    ShardedConfig,
+};
+use nylon_net::natbox::NatBox;
+use nylon_net::{Endpoint, Ip, NatClass, NatType, PeerId, Port};
+use nylon_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use nylon_workloads::runner::build;
+use nylon_workloads::scenario::Scenario;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations of one call of `iter`, after one uncounted call has
+/// populated lazy state.
+fn allocations_of(mut iter: impl FnMut() -> u64) -> u64 {
+    black_box(iter());
+    counting(|| black_box(iter())).1
+}
+
+/// Schedules 10 000 events across 100 s of virtual time, then drains them.
+fn fill_and_drain(q: &mut EventQueue<u64>) -> u64 {
+    for i in 0..10_000u64 {
+        q.schedule(SimTime::from_millis((i * 7919) % 100_000), i);
+    }
+    let mut sum = 0u64;
+    while let Some((_, e)) = q.pop() {
+        sum = sum.wrapping_add(e);
+    }
+    sum
+}
+
+fn natbox_outbound_inbound_1k() -> u64 {
+    let private = Endpoint::new(Ip(Ip::PRIVATE_BASE + 1), Port(5000));
+    let mut nat =
+        NatBox::new(Ip(0x0100_0001), NatType::PortRestrictedCone, SimDuration::from_secs(90));
+    for i in 0..1_000u32 {
+        let remote = Endpoint::new(Ip(0x0200_0000 + i), Port(9000));
+        let pub_ep = nat.on_outbound(SimTime::from_millis(i as u64), private, remote);
+        let _ = black_box(nat.on_inbound(SimTime::from_millis(i as u64 + 1), pub_ep.port, remote));
+    }
+    nat.live_rule_count(SimTime::from_millis(1_500)) as u64
+}
+
+/// A long-lived full view refilled and healer-merged with a full
+/// 16-entry payload, 100 times.
+fn healer_merge_of_a_full_view() -> impl FnMut() -> u64 {
+    let mk = |id: u32, age: u16| {
+        let ep = Endpoint::new(Ip(0x0100_0000 + id), Port(9000));
+        let mut d = NodeDescriptor::new(PeerId(id), ep, NatClass::Public);
+        d.age = age;
+        d
+    };
+    let mut rng = SimRng::new(3);
+    let base: Vec<NodeDescriptor> = (1..16).map(|i| mk(i, i as u16)).collect();
+    let received: Vec<NodeDescriptor> = (20..36).map(|i| mk(i, (i % 7) as u16)).collect();
+    let sent: Vec<PeerId> = base.iter().map(|d| d.id).collect();
+    let mut v = PartialView::new(PeerId(0), 15);
+    move || {
+        for _ in 0..100 {
+            v.retain(|_| false);
+            for d in &base {
+                v.insert(*d);
+            }
+            v.merge_and_truncate(&received, &sent, MergePolicy::Healer, &mut rng);
+        }
+        v.len() as u64
+    }
+}
+
+/// A table holding `size` chain routes behind one direct partner; every
+/// `short_lived_every`-th route lapses after 20 s, the rest after 3 000 s.
+fn populated_table(size: u32, short_lived_every: u32) -> RoutingTable {
+    let mut rt = RoutingTable::new(PeerId(0));
+    rt.update_direct(PeerId(1), SimDuration::from_secs(3600));
+    rt.install_from_shuffle(
+        PeerId(1),
+        (2..2 + size).map(|i| {
+            let ttl = if i % short_lived_every == 0 { 20 } else { 3000 };
+            (PeerId(i), SimDuration::from_secs(ttl), 1u8)
+        }),
+    );
+    rt
+}
+
+fn routing_install_and_resolve_256() -> u64 {
+    let rt = populated_table(256, u32::MAX);
+    (2..258u32).filter(|&i| rt.resolve_first_hop(PeerId(i), 32).is_some()).count() as u64
+}
+
+/// 100 shuffle-sized batches refreshed into a table of `size` routes,
+/// rotating through the key space as real shuffles do.
+fn install_batches_of_16(size: u32) -> impl FnMut() -> u64 {
+    let mut rt = populated_table(size, u32::MAX);
+    let mut start = 0u32;
+    move || {
+        for _ in 0..100 {
+            start = (start + 17) % size;
+            rt.install_from_shuffle(
+                PeerId(1),
+                (start..start + 16)
+                    .map(|i| (PeerId(2 + i % size), SimDuration::from_secs(3000), 1u8)),
+            );
+        }
+        rt.len() as u64
+    }
+}
+
+fn entry_of_hit_and_miss_1k() -> impl FnMut() -> u64 {
+    let rt = populated_table(1024, u32::MAX);
+    move || {
+        let hits = (0..512u32).filter(|&i| rt.entry_of(PeerId(2 + i * 2)).is_some()).count();
+        let misses = (0..512u32).filter(|&i| rt.entry_of(PeerId(1_000_000 + i)).is_none()).count();
+        (hits + misses) as u64
+    }
+}
+
+fn sweep_1k_half_expired() -> impl FnMut() -> u64 {
+    let template = populated_table(1024, 2);
+    move || {
+        let mut rt = template.clone();
+        rt.decrease_ttls(SimDuration::from_secs(90)) + rt.len() as u64
+    }
+}
+
+/// Mean allocations per round of a 200-peer, 70 %-NAT overlay over 100
+/// rounds, after 30 rounds of warm-up.
+fn allocations_per_round<C: SamplerConfig>(cfg: C) -> f64 {
+    let mut eng = build(&Scenario::new(200, 70.0, 5), cfg);
+    eng.run_rounds(30);
+    let ((), allocations, _) = counting(|| {
+        for _ in 0..100 {
+            eng.run_rounds(1);
+        }
+    });
+    allocations as f64 / 100.0
+}
+
+/// One test, run case by case, so nothing else in this binary allocates
+/// while a case counts.
+#[test]
+fn hot_paths_allocate_no_more_than_recorded() {
+    let mut queue = EventQueue::with_capacity(10_000);
+    let fixed: [(&str, u64, u64); 10] = [
+        ("event queue, steady state at 10k pending", 0, {
+            allocations_of(|| {
+                queue.clear();
+                fill_and_drain(&mut queue)
+            })
+        }),
+        ("event queue, cold build to 10k pending", 304, {
+            allocations_of(|| fill_and_drain(&mut EventQueue::with_capacity(10_000)))
+        }),
+        ("NAT box, 1k outbound + inbound", 18, allocations_of(natbox_outbound_inbound_1k)),
+        ("healer merge of a full 16-view x100", 0, allocations_of(healer_merge_of_a_full_view())),
+        ("routing: install 256 + resolve", 2, allocations_of(routing_install_and_resolve_256)),
+        ("routing: batches of 16 into 64 routes", 0, allocations_of(install_batches_of_16(64))),
+        ("routing: batches of 16 into 1k routes", 0, allocations_of(install_batches_of_16(1024))),
+        ("routing: batches of 16 into 16k routes", 0, allocations_of(install_batches_of_16(16384))),
+        ("routing: entry_of hit + miss at 1k", 0, allocations_of(entry_of_hit_and_miss_1k())),
+        ("routing: sweep of 1k, half expired", 1, allocations_of(sweep_1k_half_expired())),
+    ];
+    for (case, recorded, measured) in fixed {
+        println!("{case}: {measured} allocations (recorded {recorded})");
+        assert!(measured <= recorded, "{case}: {measured} allocations, recorded {recorded}");
+    }
+
+    let nylon = NylonConfig::default;
+    let engines: [(&str, f64, f64); 3] = [
+        ("nylon round", 8.7, allocations_per_round(nylon())),
+        ("peerswap round", 8.4, allocations_per_round(PeerSwapConfig::default())),
+        ("nylon round, Sharded S=1", 109.7, allocations_per_round(ShardedConfig::new(nylon(), 1))),
+    ];
+    for (case, recorded, measured) in engines {
+        println!("{case}: {measured:.1} allocations per round (recorded {recorded})");
+        assert!(
+            measured <= 2.0 * recorded,
+            "{case}: {measured:.1} allocations per round, recorded {recorded} (limit 2x)"
+        );
+    }
+}

@@ -4,8 +4,11 @@
 //! protocol's node. Adding 10 000 such peers may therefore allocate only
 //! when one of the handful of population-wide vectors doubles.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{counting, CountingAlloc};
 use nylon::{NylonConfig, StaticRvpConfig};
-use nylon_bench::counting_alloc::{counting, CountingAlloc};
 use nylon_gossip::{Engine, GossipConfig, PeerSwapConfig, Protocol};
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_sim::{ShardAssign, ShardPlan};

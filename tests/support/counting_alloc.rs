@@ -1,12 +1,12 @@
 //! A counting global allocator, so "zero-alloc" claims are measured, not
 //! asserted.
 //!
-//! Targets opt in by registering [`CountingAlloc`] as their
-//! `#[global_allocator]`: the bench targets under the `bench-alloc`
-//! feature, allocation-count tests (`tests/idle_fabric.rs`) always. Counters
-//! are process-global relaxed atomics — precise enough for steady-state
-//! allocations-per-operation deltas, cheap enough (<1 ns per event) to not
-//! distort the timing medians taken in the same run.
+//! Not a test target of its own: the allocation-count tests
+//! (`tests/alloc_gate.rs`, `tests/idle_fabric.rs`) include this file with
+//! `#[path]` and register [`CountingAlloc`] as their `#[global_allocator]`.
+//! Counters are process-global relaxed atomics, exact as long as nothing
+//! else in the process allocates while a count is taken — which is why each
+//! of those binaries holds a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
