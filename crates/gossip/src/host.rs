@@ -22,17 +22,16 @@ use nylon_net::{
     Delivery, Endpoint, InFlight, NatClass, NetConfig, Network, Outbound, PeerId, Slab, SlabKey,
     TrafficStats,
 };
-use nylon_sim::{ShardPlan, ShardWorker, Sim, SimDuration, SimRng, SimTime};
+use nylon_sim::{run_lone, ShardPlan, ShardWorker, Sim, SimDuration, SimRng, SimTime};
 
 use crate::descriptor::NodeDescriptor;
 use crate::sampler::{PeerSampler, SamplerConfig};
-use crate::sharded::{ShardSampler, Sharded};
+use crate::sharded::{lockstep_tick, ShardSampler, Sharded};
 use crate::view::PartialView;
 
-/// Protocol counters that sum across shards: in a sharded run every
-/// protocol event is counted on exactly one shard (the one owning the
-/// acting node), so merging the per-shard counters reproduces the
-/// single-engine totals.
+/// Protocol counters that sum across shards: every protocol event is
+/// counted on exactly one shard (the one owning the acting node), so
+/// merging the per-shard counters reproduces the one-shard totals.
 pub trait ProtocolStats: Copy + Default + fmt::Debug {
     /// Adds another counter set into this one.
     fn merge(&mut self, other: &Self);
@@ -68,8 +67,8 @@ pub trait ProtocolStats: Copy + Default + fmt::Debug {
 /// # Randomness and scheduling
 ///
 /// A handler acting for peer `p` may draw from `p`'s own stream only
-/// (streams are pure in `(seed, id)`, which is what makes sharded runs
-/// replay), and only [`bootstrap`](Self::bootstrap),
+/// (streams are pure in `(seed, id)`, which is what makes a run replay at
+/// any shard count), and only [`bootstrap`](Self::bootstrap),
 /// [`join_contact`](Self::join_contact), [`on_start`](Self::on_start),
 /// [`on_round`](Self::on_round) and [`on_msg`](Self::on_msg) may draw at
 /// all. No handler schedules events: sending through
@@ -247,11 +246,12 @@ const _: () = assert!(std::mem::size_of::<Ev>() <= 32, "Ev must stay slim for th
 /// Interval between NAT garbage-collection sweeps.
 const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
 
-/// Shard-mode state of an engine acting as one worker of a sharded run.
+/// An engine's place in a run: every engine is one worker of a shard
+/// plan, a fresh one the only worker of a one-shard plan.
 ///
-/// In shard mode the engine still holds the *full* population (the address
-/// plan, liveness, and per-node RNG labels are pure functions of the add
-/// order, so replicating them costs no determinism), but only materializes
+/// The engine always holds the *full* population (the address plan,
+/// liveness, and per-node RNG labels are pure functions of the add order,
+/// so replicating them costs no determinism), but only materializes
 /// protocol state — view contents, timers, NAT sessions — for the nodes
 /// the plan assigns to `idx`; the others stay heap-free (see
 /// [`Protocol`]'s call order). Every datagram, including ones between two
@@ -264,8 +264,9 @@ struct ShardCtx<M> {
     plan: ShardPlan,
     /// This worker's shard index.
     idx: usize,
-    /// Outgoing flights staged per destination shard, drained by
-    /// [`ShardWorker::run_tick`] at the end of each tick.
+    /// Outgoing flights staged per destination shard: the worker's
+    /// [`ShardWorker::outbox`], emptied by its driver at every tick
+    /// boundary.
     staged: Vec<Vec<InFlight<M>>>,
 }
 
@@ -291,20 +292,13 @@ impl<M> ShardCtx<M> {
         };
         self.staged[dst].push(flight);
     }
-
-    /// Moves this tick's staged flights into the driver's outboxes.
-    fn drain_into(&mut self, out: &mut [Vec<InFlight<M>>]) {
-        for (dst, staged) in self.staged.iter_mut().enumerate() {
-            out[dst].append(staged);
-        }
-    }
 }
 
 /// Sorts a merged tick batch into the canonical delivery order: arrival
 /// instant, then sending node (per-sender order is positional — a sender's
 /// flights arrive already in its send order, and a stable sort keeps them
 /// there). The key is a pure function of the logical message stream, which
-/// is what makes sharded output independent of the shard count.
+/// is what makes output independent of the shard count.
 pub fn sort_tick_batch<M>(batch: &mut [InFlight<M>]) {
     batch.sort_by_key(|f| (f.arrive_at, f.sender.0));
 }
@@ -322,8 +316,11 @@ pub struct Host<M> {
     /// through the timer wheel (see [`Ev`]); slots recycle, so the slab's
     /// footprint is the high-water mark of concurrent flights.
     flights: Slab<InFlight<M>>,
-    /// `Some` when this engine is one worker of a sharded run.
-    shard: Option<ShardCtx<M>>,
+    /// Which worker of which plan this engine is, and its staged sends.
+    shard: ShardCtx<M>,
+    /// The lockstep tick: the fabric's minimum latency (see
+    /// [`lockstep_tick`]).
+    tick: SimDuration,
     /// `Some` in wire-tap mode: datagrams queue here for an external
     /// transport instead of entering the fabric.
     wire_tap: Option<Vec<Outbound<M>>>,
@@ -340,9 +337,9 @@ impl<M> Host<M> {
     }
 
     /// Whether this engine materializes protocol state for `peer` — always
-    /// true outside shard mode.
+    /// true for the lone worker of a one-shard run.
     pub fn owns(&self, peer: PeerId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(peer))
+        self.shard.owns(peer)
     }
 
     /// A peer's fresh (age-0) self-descriptor.
@@ -381,8 +378,8 @@ impl<M> Host<M> {
     }
 
     /// Sends `msg` from `from` to `to_ep`: through the fabric normally
-    /// (staged for the tick barrier in shard mode), or onto the wire-tap
-    /// queue when an external transport carries the datagrams.
+    /// (staged until the tick boundary), or onto the wire-tap queue when
+    /// an external transport carries the datagrams.
     pub fn send_msg<P: Protocol<Msg = M>>(
         &mut self,
         proto: &P,
@@ -398,11 +395,7 @@ impl<M> Host<M> {
         }
         let now = self.sim.now();
         if let Some(flight) = self.net.send(now, from, to_ep, msg, bytes) {
-            if let Some(ctx) = &mut self.shard {
-                ctx.stage(&self.net, flight);
-            } else {
-                self.schedule_delivery(flight);
-            }
+            self.shard.stage(&self.net, flight);
         }
     }
 
@@ -428,16 +421,21 @@ impl<P: Protocol> Engine<P> {
     /// Creates an engine with the given protocol and fabric configuration;
     /// `seed` drives every random choice in the run.
     ///
+    /// The engine is the only worker of a one-shard run until
+    /// [`set_shard`](Self::set_shard) says otherwise.
+    ///
     /// # Panics
     ///
-    /// Panics if `P` rejects the configuration (see [`Protocol::new`]).
+    /// Panics if `P` rejects the configuration (see [`Protocol::new`]) or
+    /// the fabric has no lookahead (see [`lockstep_tick`]).
     pub fn new(cfg: P::Config, net_cfg: NetConfig, seed: u64) -> Self {
         let proto = P::new(cfg, &net_cfg);
         let host = Host {
+            tick: lockstep_tick(&net_cfg),
             net: Network::new(net_cfg, seed ^ P::NET_SEED_SALT),
             sim: Sim::new(seed),
             flights: Slab::new(),
-            shard: None,
+            shard: ShardCtx::new(ShardPlan::round_robin(1), 0),
             wire_tap: None,
             sample_log: None,
             faults: None,
@@ -465,21 +463,20 @@ impl<P: Protocol> Engine<P> {
         assert!(host.faults.is_none(), "fault plan already installed");
         plan.apply_topology(&mut host.net);
         self.proto.on_fault_plan(&plan);
-        let count_global = host.shard.as_ref().is_none_or(|s| s.idx == 0);
-        let rt = FaultRuntime::new(plan, count_global);
+        let rt = FaultRuntime::new(plan, host.shard.idx == 0);
         if let Some(at) = rt.next_at() {
             host.sim.schedule_at(at, Ev::Fault);
         }
         host.faults = Some(rt);
     }
 
-    /// Counters of faults applied so far (ownership-filtered in shard
-    /// mode; see [`FaultStats`]).
+    /// Counters of faults applied so far (ownership-filtered; see
+    /// [`FaultStats`]).
     pub fn fault_stats(&self) -> FaultStats {
         self.host.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
     }
 
-    /// Turns this engine into worker `idx` of a sharded run (see
+    /// Turns this engine into worker `idx` of `plan` (see
     /// [`crate::sharded`]). Must be called on a fresh engine, before any
     /// peer is added: the shard plan gates which nodes get timers and
     /// protocol state from the very first add.
@@ -491,7 +488,7 @@ impl<P: Protocol> Engine<P> {
     pub fn set_shard(&mut self, plan: ShardPlan, idx: usize) {
         let host = &mut self.host;
         assert!(!host.started && host.net.peer_count() == 0, "set_shard requires a fresh engine");
-        host.shard = Some(ShardCtx::new(plan, idx));
+        host.shard = ShardCtx::new(plan, idx);
     }
 
     /// Total events processed by the local event loop.
@@ -621,8 +618,8 @@ impl<P: Protocol> Engine<P> {
     pub fn start(&mut self) {
         assert!(!self.host.started, "engine already started");
         self.host.started = true;
-        // In shard mode only owned nodes get timers; skipping the phase
-        // draw too is safe because each node draws from its own stream.
+        // Only owned nodes get timers; skipping the phase draw too is safe
+        // because each node draws from its own stream.
         let host = &self.host;
         let peers: Vec<PeerId> = host.net.alive_peers().filter(|p| host.owns(*p)).collect();
         self.arm(&peers);
@@ -640,10 +637,21 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Runs the simulation for `dur` of virtual time.
+    /// Runs the simulation for `dur` of virtual time, as the lone worker
+    /// of its run: in lockstep ticks, every send staged until the tick
+    /// boundary and merged there in canonical order — what
+    /// [`Sharded`] does with S workers, so the output is the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a worker of a multi-shard plan; its driver advances it.
     pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.host.now() + dur;
-        self.run_until(deadline);
+        assert!(self.host.shard.plan.shards() == 1, "a shard worker is advanced by its driver");
+        let from = self.host.now();
+        // The wire tap takes every send before it is staged, so there is
+        // nothing to merge: one tick spans the call.
+        let tick = if self.host.wire_tap.is_some() { dur } else { self.host.tick };
+        run_lone(self, from, from + dur, tick, |_| {});
     }
 
     fn run_until(&mut self, deadline: SimTime) {
@@ -735,8 +743,8 @@ impl<P: Protocol> Engine<P> {
         let host = &mut self.host;
         let now = host.sim.now();
         let Some(rt) = host.faults.as_mut() else { return };
-        let shard = host.shard.as_ref();
-        rt.apply_due(now, &mut host.net, |p| shard.is_none_or(|s| s.owns(p)), &mut Vec::new());
+        let shard = &host.shard;
+        rt.apply_due(now, &mut host.net, |p| shard.owns(p), &mut Vec::new());
         if let Some(at) = rt.next_at() {
             host.sim.schedule_at(at, Ev::Fault);
         }
@@ -852,10 +860,6 @@ impl<P: Protocol> ShardSampler for Engine<P> {
         Engine::set_shard(self, plan, idx);
     }
 
-    fn net_config(&self) -> &NetConfig {
-        self.host.net.config()
-    }
-
     fn edge_usable_sharded(
         holder_shard: &Self,
         target_shard: &Self,
@@ -869,14 +873,17 @@ impl<P: Protocol> ShardSampler for Engine<P> {
 impl<P: Protocol> ShardWorker for Engine<P> {
     type Envelope = InFlight<P::Msg>;
 
-    fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<InFlight<P::Msg>>]) {
+    fn run_tick(&mut self, boundary: SimTime) {
         self.run_until(boundary);
-        self.host.shard.as_mut().expect("run_tick requires shard mode").drain_into(out);
     }
 
-    fn absorb(&mut self, mut batch: Vec<InFlight<P::Msg>>) {
-        sort_tick_batch(&mut batch);
-        for f in batch {
+    fn outbox(&mut self) -> &mut [Vec<InFlight<P::Msg>>] {
+        &mut self.host.shard.staged
+    }
+
+    fn absorb(&mut self, batch: &mut Vec<InFlight<P::Msg>>) {
+        sort_tick_batch(batch);
+        for f in batch.drain(..) {
             self.host.schedule_delivery(f);
         }
     }
@@ -927,6 +934,13 @@ mod tests {
         let mut eng = engine_with(5, 0, 1);
         eng.start();
         eng.start();
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum network latency of at least 1 ms")]
+    fn zero_latency_fabric_is_rejected_at_construction() {
+        let net = NetConfig { latency: SimDuration::ZERO, ..NetConfig::default() };
+        let _ = BaselineEngine::new(GossipConfig::default(), net, 1);
     }
 
     #[test]

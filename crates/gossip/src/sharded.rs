@@ -14,12 +14,9 @@
 //! `Sharded<E>` implements [`PeerSampler`] itself, so the experiment
 //! harness and metric extractors drive it exactly like a single engine:
 //! `build(&scenario, ShardedConfig::new(cfg, 4))` is the sharded sibling
-//! of `build(&scenario, cfg)`.
-//!
-//! Note the single-threaded engine path is *not* the S=1 case of this
-//! driver: tie-breaks at shared instants differ (barrier-merged arrivals
-//! versus interleaved direct scheduling), so the direct path remains its
-//! own reference, while sharded runs agree with each other at any S.
+//! of `build(&scenario, cfg)` — and renders the same bytes, because an
+//! engine driven on its own *is* the S = 1 case: it advances through
+//! [`nylon_sim::run_lone`], the loop this driver runs for one worker.
 
 use nylon_net::{NatClass, NetConfig, PeerId, TrafficStats};
 use nylon_sim::{ShardAssign, ShardPlan, ShardWorker, ShardedSim, SimDuration, SimTime};
@@ -31,17 +28,13 @@ use crate::view::PartialView;
 
 /// An engine that can act as one worker of a sharded run.
 ///
-/// Implementors are complete [`PeerSampler`] engines plus the shard-mode
-/// hooks: joining a plan, exposing the network config (for the lockstep
-/// tick), and — when entry usability spans two shards' NAT state — a
-/// cross-shard variant of `edge_usable`.
+/// Implementors are complete [`PeerSampler`] engines plus the worker
+/// hooks: joining a plan and — when entry usability spans two shards' NAT
+/// state — a cross-shard variant of `edge_usable`.
 pub trait ShardSampler: PeerSampler + ShardWorker {
     /// Turns a fresh engine into worker `idx` of `plan`. Must be called
     /// before any peer is added.
     fn set_shard(&mut self, plan: ShardPlan, idx: usize);
-
-    /// The network fabric configuration (identical on every shard).
-    fn net_config(&self) -> &NetConfig;
 
     /// [`PeerSampler::edge_usable`] evaluated against the shards owning
     /// each side's authoritative NAT state. The default delegates to the
@@ -65,7 +58,9 @@ pub trait ShardSampler: PeerSampler + ShardWorker {
 /// # Panics
 ///
 /// Panics on a zero-minimum-latency config (the lookahead argument needs
-/// every send to take at least one virtual millisecond).
+/// every send to take at least one virtual millisecond). Every engine
+/// advances in these ticks, so [`crate::Engine::new`] is where such a
+/// config is turned away.
 pub fn lockstep_tick(cfg: &NetConfig) -> SimDuration {
     let base = cfg.latency.as_millis();
     let jitter = cfg.latency_jitter.as_millis();
@@ -152,6 +147,7 @@ impl<E: ShardSampler> PeerSampler for Sharded<E> {
 
     fn with_seed(cfg: Self::Config, net_cfg: NetConfig, seed: u64) -> Self {
         let plan = ShardPlan::new(cfg.shards, cfg.assign);
+        let tick = lockstep_tick(&net_cfg);
         let workers: Vec<E> = (0..plan.shards())
             .map(|idx| {
                 // Every worker gets the same seed: per-node streams are
@@ -163,7 +159,6 @@ impl<E: ShardSampler> PeerSampler for Sharded<E> {
                 e
             })
             .collect();
-        let tick = lockstep_tick(workers[0].net_config());
         Sharded { sim: ShardedSim::new(workers, tick), plan }
     }
 

@@ -21,7 +21,9 @@ use crate::natbox::{NatBox, NatReject};
 /// Fabric configuration, defaulting to the paper's experimental settings.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// One-way message latency (paper: 50 ms).
+    /// One-way message latency (paper: 50 ms). Engines advance in ticks of
+    /// the shortest latency a datagram can see and refuse a fabric where
+    /// that is under 1 ms; a bare [`Network`] takes any value.
     pub latency: SimDuration,
     /// Uniform latency jitter, applied as ± `jitter` around [`NetConfig::latency`].
     pub latency_jitter: SimDuration,

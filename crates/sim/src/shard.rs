@@ -103,22 +103,55 @@ pub trait ShardWorker: Send {
     type Envelope: Send;
 
     /// Process all local events up to and including `boundary`, staging
-    /// outgoing envelopes into `out[dst_shard]`, then advance the local
-    /// clock to `boundary`.
-    fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<Self::Envelope>]);
+    /// outgoing envelopes into `outbox()[dst_shard]`, then advance the
+    /// local clock to `boundary`.
+    fn run_tick(&mut self, boundary: SimTime);
+
+    /// The envelopes staged since the driver last emptied them: one vector
+    /// per shard of the run, or the driver panics. It drains or swaps the
+    /// vectors and never resizes the slice, so their capacity is reused
+    /// tick after tick.
+    fn outbox(&mut self) -> &mut [Vec<Self::Envelope>];
 
     /// Accept the merged batch of envelopes addressed to this shard for the
-    /// tick just finished. The implementation must order the batch by a key
-    /// that is a pure function of the logical message stream (e.g. arrival
-    /// time, then sending node — per-sender order is already positional)
-    /// before scheduling, so the result is independent of the shard count.
-    fn absorb(&mut self, batch: Vec<Self::Envelope>);
+    /// tick just finished, leaving `batch` empty. The implementation must
+    /// order the batch by a key that is a pure function of the logical
+    /// message stream (e.g. arrival time, then sending node — per-sender
+    /// order is already positional) before scheduling, so the result is
+    /// independent of the shard count.
+    fn absorb(&mut self, batch: &mut Vec<Self::Envelope>);
 
     /// Wire size attributed to one envelope in cross-shard traffic
     /// telemetry. Purely observational — the default of 0 simply leaves
     /// the byte counters empty for workers that don't carry a size.
     fn envelope_bytes(_envelope: &Self::Envelope) -> u64 {
         0
+    }
+}
+
+/// Advances a lone worker from `from` to `deadline` in lockstep ticks: the
+/// whole kernel at S = 1, whether the worker sits under a [`ShardedSim`]
+/// or is an engine driven directly. Same boundary sequence, same staging
+/// and same canonical merge as the threaded path, so a one-worker run
+/// replays any S-worker run. `staged` observes each tick's outbox before
+/// it is absorbed.
+pub fn run_lone<W: ShardWorker>(
+    worker: &mut W,
+    from: SimTime,
+    deadline: SimTime,
+    tick: SimDuration,
+    mut staged: impl FnMut(&[Vec<W::Envelope>]),
+) {
+    let mut now = from;
+    while now < deadline {
+        now = (now + tick).min(deadline);
+        worker.run_tick(now);
+        staged(worker.outbox());
+        // Lent out for the call and handed back: the one staging vector
+        // keeps its capacity, so a steady tick allocates nothing.
+        let mut batch = std::mem::take(&mut worker.outbox()[0]);
+        worker.absorb(&mut batch);
+        worker.outbox()[0] = batch;
     }
 }
 
@@ -220,27 +253,22 @@ impl<W: ShardWorker> ShardedSim<W> {
 
     /// Advances every shard to `deadline` in lockstep ticks.
     ///
-    /// With one shard the loop runs inline (no threads, no barriers); with
-    /// more, one thread per shard is spawned for the whole call and
-    /// synchronized twice per tick — after staging (so outboxes are
-    /// complete before anyone reads them) and after absorbing (so the next
-    /// tick's staging cannot race a slow reader).
+    /// With one shard the loop runs inline ([`run_lone`]: no threads, no
+    /// barriers); with more, one thread per shard is spawned for the whole
+    /// call and synchronized twice per tick — after staging (so outboxes
+    /// are complete before anyone reads them) and after absorbing (so the
+    /// next tick's staging cannot race a slow reader).
     pub fn run_until(&mut self, deadline: SimTime) {
         if self.now >= deadline {
             return;
         }
         let shards = self.workers.len();
         if shards == 1 {
-            let worker = &mut self.workers[0];
             let obs = &self.lane_obs[0];
-            let mut out = vec![Vec::new()];
-            while self.now < deadline {
-                let boundary = (self.now + self.tick).min(deadline);
-                worker.run_tick(boundary, &mut out);
-                obs.note_staged::<W>(&out);
-                worker.absorb(std::mem::take(&mut out[0]));
-                self.now = boundary;
-            }
+            run_lone(&mut self.workers[0], self.now, deadline, self.tick, |out| {
+                obs.note_staged::<W>(out)
+            });
+            self.now = deadline;
             return;
         }
 
@@ -249,7 +277,7 @@ impl<W: ShardWorker> ShardedSim<W> {
         // (publisher of tick k+1 vs. a slow reader of tick k), which the
         // second barrier prevents — so these locks never block in practice.
         let outboxes: Vec<Mutex<Vec<Vec<W::Envelope>>>> =
-            (0..shards).map(|_| Mutex::new(Vec::new())).collect();
+            (0..shards).map(|_| Mutex::new((0..shards).map(|_| Vec::new()).collect())).collect();
         let staged = Barrier::new(shards);
         let absorbed = Barrier::new(shards);
         let start = self.now;
@@ -263,17 +291,19 @@ impl<W: ShardWorker> ShardedSim<W> {
                 let staged = &staged;
                 let absorbed = &absorbed;
                 scope.spawn(move || {
-                    let mut local: Vec<Vec<W::Envelope>> =
-                        (0..shards).map(|_| Vec::new()).collect();
+                    let mut batch = Vec::new();
                     let mut now = start;
                     // Every thread walks the same boundary sequence — it is
                     // a pure function of (start, tick, deadline), so no
                     // coordination beyond the barriers is needed.
                     while now < deadline {
-                        let boundary = (now + tick).min(deadline);
-                        worker.run_tick(boundary, &mut local);
-                        obs.note_staged::<W>(&local);
-                        *outboxes[idx].lock().unwrap() = std::mem::take(&mut local);
+                        now = (now + tick).min(deadline);
+                        worker.run_tick(now);
+                        obs.note_staged::<W>(worker.outbox());
+                        // Publish by swapping with the vectors every reader
+                        // drained last tick: the capacity cycles between
+                        // the worker and the exchange.
+                        outboxes[idx].lock().unwrap().swap_with_slice(worker.outbox());
                         // Barrier stall is wall-clock-only telemetry: it
                         // never feeds back into the simulation, so timing
                         // jitter cannot perturb determinism.
@@ -282,28 +312,15 @@ impl<W: ShardWorker> ShardedSim<W> {
                         if let Some(t) = stall_from {
                             obs.stall_ns.add(t.elapsed().as_nanos() as u64);
                         }
-                        let mut batch = Vec::new();
                         for src in outboxes {
-                            let mut published = src.lock().unwrap();
-                            if published.is_empty() {
-                                continue; // an idle shard published nothing
-                            }
-                            batch.append(&mut published[idx]);
+                            batch.append(&mut src.lock().unwrap()[idx]);
                         }
-                        worker.absorb(batch);
+                        worker.absorb(&mut batch);
                         let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
                         absorbed.wait();
                         if let Some(t) = stall_from {
                             obs.stall_ns.add(t.elapsed().as_nanos() as u64);
                         }
-                        // All readers are past the barrier: reclaim the
-                        // (now drained) staging vectors to reuse their
-                        // capacity for the next tick.
-                        local = std::mem::take(&mut *outboxes[idx].lock().unwrap());
-                        if local.is_empty() {
-                            local = (0..shards).map(|_| Vec::new()).collect();
-                        }
-                        now = boundary;
                     }
                 });
             }
@@ -330,6 +347,7 @@ mod tests {
         counters: BTreeMap<u32, u64>,
         now: SimTime,
         seq: u64,
+        out: Vec<Vec<ToyMsg>>,
     }
 
     #[derive(Debug)]
@@ -347,14 +365,15 @@ mod tests {
                 .filter(|n| plan.shard_of(*n) == idx)
                 .map(|n| (n, splitmix64(0xC0_FFEE ^ u64::from(n))))
                 .collect();
-            ToyShard { plan, idx, nodes, counters, now: SimTime::ZERO, seq: 0 }
+            let out = (0..plan.shards()).map(|_| Vec::new()).collect();
+            ToyShard { plan, idx, nodes, counters, now: SimTime::ZERO, seq: 0, out }
         }
     }
 
     impl ShardWorker for ToyShard {
         type Envelope = ToyMsg;
 
-        fn run_tick(&mut self, boundary: SimTime, out: &mut [Vec<ToyMsg>]) {
+        fn run_tick(&mut self, boundary: SimTime) {
             // One send per owned node per tick, keyed purely on
             // (node, tick) so the traffic pattern is shard-independent.
             let tick_no = boundary.as_millis();
@@ -364,7 +383,7 @@ mod tests {
                 // Minimum latency of one tick: arrivals land in the next one.
                 let arrive_at = boundary + SimDuration::from_millis(1 + (value % 3));
                 self.seq += 1;
-                out[self.plan.shard_of(dst)].push(ToyMsg {
+                self.out[self.plan.shard_of(dst)].push(ToyMsg {
                     arrive_at,
                     sender: node,
                     seq: self.seq,
@@ -375,11 +394,15 @@ mod tests {
             self.now = boundary;
         }
 
-        fn absorb(&mut self, mut batch: Vec<ToyMsg>) {
+        fn outbox(&mut self) -> &mut [Vec<ToyMsg>] {
+            &mut self.out
+        }
+
+        fn absorb(&mut self, batch: &mut Vec<ToyMsg>) {
             // Canonical order: arrival instant, then sender, then
             // per-sender sequence — a pure function of the logical stream.
             batch.sort_by_key(|m| (m.arrive_at, m.sender, m.seq));
-            for m in batch {
+            for m in batch.drain(..) {
                 assert!(m.arrive_at > self.now, "lookahead violated: arrival in the past");
                 assert_eq!(self.plan.shard_of(m.dst), self.idx, "misrouted envelope");
                 let c = self.counters.get_mut(&m.dst).expect("dst owned by this shard");

@@ -37,11 +37,11 @@
 //!                  horizons (explicit flags win regardless of order)
 //! --jobs N         worker threads / max concurrently live simulations
 //!                  (default: available parallelism)
-//! --shards N       run each steady-state cell on the multi-core sharded
-//!                  driver with N lockstep shards; 0 auto-detects from
-//!                  available parallelism (clamped to 16). Omit the flag
-//!                  for the single-threaded reference kernel. Sharded
-//!                  output is identical for every N > 0.
+//! --shards N       spread each steady-state cell over N lockstep shards,
+//!                  one thread each; 0 auto-detects from available
+//!                  parallelism (clamped to 16). Like --jobs, a
+//!                  wall-clock knob: output is byte-identical for every
+//!                  N and without the flag (one shard, inline).
 //! --engine NAME    reroute the engine-generic steady-state cells (fig2,
 //!                  fig3/4, fig7/8) through one engine: baseline, nylon,
 //!                  static-rvp or peerswap. Engine-specific artifacts
@@ -247,7 +247,7 @@ fn main() -> ExitCode {
         scale.seeds,
         scale.rounds,
         if scale.full_churn_horizons { ", paper churn horizons" } else { "" },
-        if scale.shards > 0 {
+        if scale.shards > 1 {
             format!(", sharded driver ({} shards)", scale.shards)
         } else {
             String::new()

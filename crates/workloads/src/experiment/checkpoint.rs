@@ -31,8 +31,10 @@ pub(crate) const FILE_NAME: &str = "cells.jsonl";
 /// Format version written in (and required from) the header. Bump this
 /// whenever the *meaning* of stored cells changes — e.g. a sample
 /// function reorders or extends its metric columns — so stale checkpoints
-/// are rejected instead of rendering wrong tables.
-const VERSION: u64 = 1;
+/// are rejected instead of rendering wrong tables. Version 1 files may
+/// hold cells of the pre-lockstep direct engine, which ordered
+/// same-instant deliveries differently.
+const VERSION: u64 = 2;
 
 /// What [`load`] found on disk.
 pub(crate) enum LoadOutcome {
@@ -164,12 +166,17 @@ mod tests {
     fn other_header_versions_are_a_mismatch_not_missing() {
         // A version bump means the cell layout may have changed; the file
         // is still hours of computed cells, so resume must refuse to
-        // overwrite it (Mismatch), not treat it as absent (Missing).
+        // overwrite it (Mismatch), not treat it as absent (Missing). That
+        // holds for the past too: version 1 cells may come from the old
+        // direct engine and must not be spliced into today's tables.
         let dir = std::env::temp_dir().join(format!("nylon-ckpt-ver-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(FILE_NAME);
-        std::fs::write(&path, "{\"nylon_checkpoint\":2,\"fingerprint\":\"fp\"}\n").unwrap();
-        assert!(matches!(load(&path, "fp"), LoadOutcome::Mismatch));
+        for version in [1, VERSION + 1] {
+            let header = format!("{{\"nylon_checkpoint\":{version},\"fingerprint\":\"fp\"}}\n");
+            std::fs::write(&path, header).unwrap();
+            assert!(matches!(load(&path, "fp"), LoadOutcome::Mismatch), "version {version}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 //! the render step.
 
 use nylon::{NylonConfig, NylonEngine, NylonStats};
-use nylon_gossip::{GossipConfig, PeerSampler, Sharded, ShardedConfig};
+use nylon_gossip::{GossipConfig, PeerSampler, Sharded};
 use nylon_metrics::{BandwidthReport, Summary};
 use nylon_net::TrafficStats;
 
@@ -17,13 +17,15 @@ use crate::scenario::{NatMix, Scenario};
 
 use super::{EngineKind, FigureScale};
 
-/// Builds the engine selected by `$kind` from its default config — on the
-/// reference kernel when `$shards` is 0, on the sharded driver otherwise —
+/// The one place a cell picks its driver: builds `$cfg`'s engine — bare
+/// when `$shards` is 0 or 1 (inline, no threads), under
+/// [`nylon_gossip::Sharded`] with `$shards` lockstep workers otherwise —
 /// and passes it to the generic function `$measure` along with any
-/// trailing arguments.
+/// trailing arguments. Both forms render the same bytes; the choice only
+/// moves wall clock.
 ///
 /// `$build` turns the (possibly sharded) engine config into the built
-/// engine. It is pasted syntactically into every arm, so a closure literal
+/// engine. It is pasted syntactically into both arms, so a closure literal
 /// instantiates independently per engine type: `|cfg| build(&scn, cfg)`
 /// for an honest run, one wrapping the config in
 /// [`nylon_adversary::MaliciousConfig`] for an attacked one, one calling
@@ -32,37 +34,55 @@ use super::{EngineKind, FigureScale};
 /// override use the scenario's own [`crate::scenario::Scenario::faults`]
 /// field instead). `$measure` must be the path of a function generic over
 /// [`PeerSampler`] (a closure would pin one concrete engine type).
+macro_rules! on_shards {
+    ($shards:expr, $cfg:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {
+        match $shards {
+            0 | 1 => $measure(($build)($cfg) $(, $extra)*),
+            s => $measure(($build)(nylon_gossip::ShardedConfig::new($cfg, s)) $(, $extra)*),
+        }
+    };
+}
+pub(crate) use on_shards;
+
+/// [`on_shards`] over the default config of the engine selected by `$kind`.
 macro_rules! dispatch_engine {
     ($kind:expr, $shards:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {{
         use $crate::figures::EngineKind as __Kind;
-        use nylon_gossip::ShardedConfig as __Sharded;
-        match ($kind, $shards) {
-            (__Kind::Baseline, 0) => {
-                $measure(($build)(nylon_gossip::GossipConfig::default()) $(, $extra)*)
-            }
-            (__Kind::Baseline, s) => $measure(
-                ($build)(__Sharded::new(nylon_gossip::GossipConfig::default(), s)) $(, $extra)*
+        match $kind {
+            __Kind::Baseline => $crate::figures::common::on_shards!(
+                $shards, nylon_gossip::GossipConfig::default(), $build, $measure $(, $extra)*
             ),
-            (__Kind::Nylon, 0) => $measure(($build)(nylon::NylonConfig::default()) $(, $extra)*),
-            (__Kind::Nylon, s) => $measure(
-                ($build)(__Sharded::new(nylon::NylonConfig::default(), s)) $(, $extra)*
+            __Kind::Nylon => $crate::figures::common::on_shards!(
+                $shards, nylon::NylonConfig::default(), $build, $measure $(, $extra)*
             ),
-            (__Kind::StaticRvp, 0) => {
-                $measure(($build)(nylon::StaticRvpConfig::default()) $(, $extra)*)
-            }
-            (__Kind::StaticRvp, s) => $measure(
-                ($build)(__Sharded::new(nylon::StaticRvpConfig::default(), s)) $(, $extra)*
+            __Kind::StaticRvp => $crate::figures::common::on_shards!(
+                $shards, nylon::StaticRvpConfig::default(), $build, $measure $(, $extra)*
             ),
-            (__Kind::PeerSwap, 0) => {
-                $measure(($build)(nylon_gossip::PeerSwapConfig::default()) $(, $extra)*)
-            }
-            (__Kind::PeerSwap, s) => $measure(
-                ($build)(__Sharded::new(nylon_gossip::PeerSwapConfig::default(), s)) $(, $extra)*
+            __Kind::PeerSwap => $crate::figures::common::on_shards!(
+                $shards, nylon_gossip::PeerSwapConfig::default(), $build, $measure $(, $extra)*
             ),
         }
     }};
 }
 pub(crate) use dispatch_engine;
+
+/// Nylon's protocol counters off either form of the engine (`stats` is an
+/// inherent method on both), for the Nylon-only cells.
+pub(crate) trait NylonCounters: PeerSampler {
+    fn nylon_stats(&self) -> NylonStats;
+}
+
+impl NylonCounters for NylonEngine {
+    fn nylon_stats(&self) -> NylonStats {
+        self.stats()
+    }
+}
+
+impl NylonCounters for Sharded<NylonEngine> {
+    fn nylon_stats(&self) -> NylonStats {
+        self.stats()
+    }
+}
 
 /// Derives the seed list for a data point, mixing figure-specific salt so
 /// different figures do not share seeds.
@@ -90,10 +110,7 @@ pub fn baseline_cluster_sample(
         faults: scale.faults.filter(|s| !s.is_none()),
         ..Scenario::new(scale.peers, nat_pct, seed)
     };
-    match scale.shards {
-        0 => measure(build(&scn, cfg.clone()), scale.rounds),
-        s => measure(build(&scn, ShardedConfig::new(cfg.clone(), s)), scale.rounds),
-    }
+    on_shards!(scale.shards, cfg.clone(), |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Biggest-cluster percentage for an [`EngineKind`]-selected engine (its
@@ -202,10 +219,7 @@ pub fn reference_bandwidth_sample(scale: &FigureScale, seed: u64) -> Vec<f64> {
         vec![overall]
     }
     let scn = Scenario::new(scale.peers, 0.0, seed);
-    match scale.shards {
-        0 => measure(build(&scn, GossipConfig::default()), scale.rounds),
-        s => measure(build(&scn, ShardedConfig::new(GossipConfig::default(), s)), scale.rounds),
-    }
+    on_shards!(scale.shards, GossipConfig::default(), |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// Mean RVP chain length for Nylon at one NAT percentage over the
@@ -217,12 +231,12 @@ pub fn nylon_chain_sample(
     nat_pct: f64,
     seed: u64,
 ) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64, stats: fn(&S) -> NylonStats) -> Vec<f64> {
+    fn measure<S: NylonCounters>(mut eng: S, rounds: u64) -> Vec<f64> {
         let warmup = rounds / 3;
         eng.run_rounds(warmup);
-        let before = stats(&eng);
+        let before = eng.nylon_stats();
         eng.run_rounds(rounds - warmup);
-        let after = stats(&eng);
+        let after = eng.nylon_stats();
         let hops = after.chain_hops_sum - before.chain_hops_sum;
         let samples = after.chain_samples - before.chain_samples;
         obs_flush(&eng);
@@ -234,10 +248,7 @@ pub fn nylon_chain_sample(
         ..Scenario::new(scale.peers, nat_pct, seed)
     };
     let cfg = NylonConfig { view_size, ..NylonConfig::default() };
-    match scale.shards {
-        0 => measure(build(&scn, cfg), scale.rounds, NylonEngine::stats),
-        s => measure(build(&scn, ShardedConfig::new(cfg, s)), scale.rounds, Sharded::stats),
-    }
+    on_shards!(scale.shards, cfg, |cfg| build(&scn, cfg), measure, scale.rounds)
 }
 
 /// One metric column of the per-seed rows, as a [`Summary`] (keeps every

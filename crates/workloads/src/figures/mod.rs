@@ -88,16 +88,15 @@ pub struct FigureScale {
     pub full_churn_horizons: bool,
     /// Base seed from which per-point seeds are derived.
     pub base_seed: u64,
-    /// Shards for the multi-core sharded driver: `0` runs each cell on
-    /// the direct single-threaded reference kernel, `N > 0` on
-    /// [`nylon_gossip::Sharded`] with `N` lockstep shards. Sharded cells
-    /// are shard-count independent — every `N > 0` renders the same
-    /// bytes — but differ from the `0` reference path (the two kernels
-    /// order same-instant deliveries differently). The steady-state
-    /// artifacts (fig2, fig3/4, fig7/8, fig9) honor this knob; the
-    /// churn/lifecycle artifacts (fig10, correctness, ablation,
-    /// extensions, timeline) always use the reference kernel because
-    /// their mid-run kill/join scripting drives engine-specific APIs.
+    /// Worker threads per cell, a wall-clock knob: `0` and `1` run each
+    /// cell inline on its [`nylon_gossip::Engine`], `N > 1` on
+    /// [`nylon_gossip::Sharded`] with `N` lockstep shards. Every value
+    /// renders the same bytes — an engine on its own is the one-shard
+    /// case of the same tick loop. The steady-state and adversarial
+    /// artifacts spread over the shards; the churn/lifecycle artifacts
+    /// (fig10, correctness, ablation, extensions, timeline) build the
+    /// bare engine whatever the value, because their mid-run kill/join
+    /// scripting drives its inherent API.
     pub shards: usize,
     /// Engine override for the engine-generic steady-state artifacts:
     /// `None` measures each figure's own engine (fig2's six baseline
@@ -159,19 +158,17 @@ impl FigureScale {
     /// Identity of the runs this scale produces, for checkpoint matching:
     /// cells computed at a different scale answer different questions.
     ///
-    /// Sharded runs contribute only a ` sharded` marker, not the shard
-    /// count: sharded cells are shard-count independent, so a checkpoint
-    /// written under `--shards 2` is valid to resume under `--shards 4`
-    /// (but not under the `0` reference path, whose cells differ).
+    /// The shard count is not part of it: cells are shard-count
+    /// independent, so a checkpoint written under `--shards 2` is valid to
+    /// resume under `--shards 4` or without the flag.
     pub fn fingerprint(&self) -> String {
         format!(
-            "peers={} seeds={} rounds={} full_churn={} base_seed={}{}{}{}{}",
+            "peers={} seeds={} rounds={} full_churn={} base_seed={}{}{}{}",
             self.peers,
             self.seeds,
             self.rounds,
             self.full_churn_horizons,
             self.base_seed,
-            if self.shards > 0 { " sharded" } else { "" },
             self.engine.map(|k| format!(" engine={}", k.label())).unwrap_or_default(),
             self.attack.map(|k| format!(" attack={}", k.label())).unwrap_or_default(),
             self.faults
@@ -363,9 +360,9 @@ mod tests {
         let mut reseeded = FigureScale::default();
         reseeded.base_seed ^= 1;
         assert_ne!(FigureScale::default().fingerprint(), reseeded.fingerprint());
-        // Sharded and reference cells differ; N within sharded does not.
+        // The shard count moves wall clock, never cells.
         let sharded = |n| FigureScale { shards: n, ..FigureScale::default() };
-        assert_ne!(sharded(0).fingerprint(), sharded(2).fingerprint());
+        assert_eq!(sharded(0).fingerprint(), sharded(2).fingerprint());
         assert_eq!(sharded(2).fingerprint(), sharded(4).fingerprint());
     }
 

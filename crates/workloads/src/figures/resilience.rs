@@ -20,9 +20,9 @@
 //! Every cell is fault-deterministic: the same plan replays identically
 //! at any `--shards` count and across checkpoint/resume.
 
-use nylon::{NylonConfig, NylonEngine, NylonStats};
+use nylon::NylonConfig;
 use nylon_faults::FaultConfig;
-use nylon_gossip::{PeerSampler, Sharded, ShardedConfig};
+use nylon_gossip::PeerSampler;
 use nylon_sim::{SimDuration, SimTime};
 
 use crate::experiment::{Results, Sweep};
@@ -30,7 +30,7 @@ use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build_with_faults, obs_flush};
 use crate::scenario::Scenario;
 
-use super::common::{dispatch_engine, mean_finite, point_seeds};
+use super::common::{dispatch_engine, mean_finite, on_shards, point_seeds, NylonCounters};
 use super::{EngineKind, FigureScale, Plan};
 
 const SWEEP: &str = "resilience";
@@ -136,9 +136,9 @@ fn recovery_sample(
 /// One punch-retry cell (Nylon under the rebind profile):
 /// `[retries, retry wins, win rate %, stale re-punches, final %]`.
 fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64, stats: fn(&S) -> NylonStats) -> Vec<f64> {
+    fn measure<S: NylonCounters>(mut eng: S, rounds: u64) -> Vec<f64> {
         eng.run_rounds(rounds);
-        let s = stats(&eng);
+        let s = eng.nylon_stats();
         let rate = if s.punch_retries == 0 {
             f64::NAN
         } else {
@@ -162,18 +162,13 @@ fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64
         ..FaultConfig::default()
     };
     let scn = Scenario::new(scale.peers, NAT_PCT, seed);
-    match scale.shards {
-        0 => measure(
-            build_with_faults(&scn, NylonConfig::default(), &cfg),
-            scale.rounds,
-            NylonEngine::stats,
-        ),
-        s => measure(
-            build_with_faults(&scn, ShardedConfig::new(NylonConfig::default(), s), &cfg),
-            scale.rounds,
-            Sharded::stats,
-        ),
-    }
+    on_shards!(
+        scale.shards,
+        NylonConfig::default(),
+        |engine_cfg| build_with_faults(&scn, engine_cfg, &cfg),
+        measure,
+        scale.rounds
+    )
 }
 
 /// The resilience plan.

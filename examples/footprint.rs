@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<shards>`
-//! 0 is the direct kernel. The population is the ledger's (70 % NAT,
-//! seed 5); the baseline bootstraps sparsely, as its ledger workloads at
-//! this scale do — the exhaustive bootstrap is O(n²).
+//! 0 is the bare engine, N a `Sharded` run of N workers — the same
+//! simulation either way, a different footprint. The population is the
+//! ledger's (70 % NAT, seed 5); the baseline bootstraps sparsely, as its
+//! ledger workloads at this scale do — the exhaustive bootstrap is O(n²).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardedConfig};
@@ -43,8 +44,8 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize, bootstrap: impl FnOnce(&mut C::
     println!("biggest cluster {cluster:.2} %, stale references {stale:.2} %");
 }
 
-/// One protocol on the direct kernel (`shards` 0) or the sharded one.
-macro_rules! on_kernel {
+/// One protocol as a bare engine (`shards` 0) or under `Sharded`.
+macro_rules! on_shards {
     ($cfg:expr, $peers:expr, $shards:expr, $boot:expr) => {
         match $shards {
             0 => probe($cfg, $peers, $boot),
@@ -64,14 +65,14 @@ fn main() {
         std::process::exit(1);
     };
     match proto.as_str() {
-        "baseline" => on_kernel!(GossipConfig::default(), peers, shards, |e, n| e
+        "baseline" => on_shards!(GossipConfig::default(), peers, shards, |e, n| e
             .bootstrap_random_public_sparse(n)),
         "nylon" => {
-            on_kernel!(NylonConfig::default(), peers, shards, |e, n| e.bootstrap_random_public(n))
+            on_shards!(NylonConfig::default(), peers, shards, |e, n| e.bootstrap_random_public(n))
         }
-        "static-rvp" => on_kernel!(StaticRvpConfig::default(), peers, shards, |e, n| e
+        "static-rvp" => on_shards!(StaticRvpConfig::default(), peers, shards, |e, n| e
             .bootstrap_random_public(n)),
-        "peerswap" => on_kernel!(PeerSwapConfig::default(), peers, shards, |e, n| e
+        "peerswap" => on_shards!(PeerSwapConfig::default(), peers, shards, |e, n| e
             .bootstrap_random_public(n)),
         other => panic!("unknown protocol {other}"),
     }

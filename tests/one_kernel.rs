@@ -1,0 +1,178 @@
+//! One kernel, per protocol, below the figure layer: an `Engine<P>` driven
+//! on its own is the S = 1 case of the lockstep loop, so it must end in
+//! the same state as `Sharded<Engine<P>>` at any shard count and under any
+//! node→shard map — protocol counters, every view, every peer's traffic
+//! and the fault counters — whether the run is one `run_rounds(k)` or
+//! `k × run_rounds(1)`.
+
+use nylon::{NylonConfig, StaticRvpConfig};
+use nylon_faults::{FaultSpec, FaultStats};
+use nylon_gossip::{
+    Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig, Protocol, SamplerConfig,
+    ShardSampler, Sharded, ShardedConfig,
+};
+use nylon_net::{NetConfig, PeerId, TrafficStats};
+use nylon_sim::{ShardAssign, SimDuration};
+use nylon_workloads::runner::build_with_net;
+use nylon_workloads::scenario::Scenario;
+
+const PEERS: usize = 200;
+
+/// Protocol counters off either form of an engine (`stats` is inherent on
+/// both), as their `Debug` rendering.
+trait Counters: PeerSampler {
+    fn counters(&self) -> String;
+}
+
+impl<P: Protocol> Counters for Engine<P> {
+    fn counters(&self) -> String {
+        format!("{:?}", self.stats())
+    }
+}
+
+impl<P: Protocol> Counters for Sharded<Engine<P>> {
+    fn counters(&self) -> String {
+        format!("{:?}", self.stats())
+    }
+}
+
+/// Everything the contract compares, peers in id order.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    counters: String,
+    views: Vec<Vec<NodeDescriptor>>,
+    traffic: Vec<TrafficStats>,
+    faults: FaultStats,
+}
+
+/// One scenario of the contract: 200 peers at 70 % NAT (paper mix) over
+/// `net`, optionally under a fault plan and a 30 % kill wave.
+struct Case {
+    net: NetConfig,
+    faults: Option<&'static str>,
+    rounds: u64,
+    kill_at: Option<u64>,
+}
+
+fn run<C: SamplerConfig>(case: &Case, cfg: C, stepwise: bool) -> Outcome
+where
+    C::Sampler: Counters,
+{
+    let scn = Scenario {
+        faults: case.faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
+        ..Scenario::new(PEERS, 70.0, 5)
+    };
+    let mut eng = build_with_net(&scn, cfg, case.net.clone());
+    let drive = |eng: &mut C::Sampler, k: u64| {
+        if stepwise {
+            (0..k).for_each(|_| eng.run_rounds(1));
+        } else {
+            eng.run_rounds(k);
+        }
+    };
+    let first = case.kill_at.unwrap_or(case.rounds);
+    drive(&mut eng, first);
+    if case.kill_at.is_some() {
+        let victims: Vec<PeerId> = (0..PEERS as u32).filter(|i| i % 10 < 3).map(PeerId).collect();
+        eng.kill_peers(&victims);
+        drive(&mut eng, case.rounds - first);
+    }
+    let peers = || (0..PEERS as u32).map(PeerId);
+    Outcome {
+        counters: eng.counters(),
+        views: peers().map(|p| eng.view_of(p).iter().copied().collect()).collect(),
+        traffic: peers().map(|p| eng.traffic_of(p)).collect(),
+        faults: eng.fault_stats(),
+    }
+}
+
+/// Holds `cfg`'s engine to the contract over the three scenarios.
+/// `tiny_cfg` is the same protocol at a 200 ms period, for the network
+/// whose lockstep tick is 1 ms.
+fn engine_alone_equals_every_sharding<C: SamplerConfig>(cfg: C, tiny_cfg: C)
+where
+    C::Sampler: Counters + ShardSampler,
+    Sharded<C::Sampler>: Counters,
+{
+    let paper = NetConfig::default;
+    let cases = [
+        ("steady", Case { net: paper(), faults: None, rounds: 30, kill_at: None }, &cfg),
+        (
+            "faults + kill wave",
+            Case {
+                net: paper(),
+                faults: Some("rebind,flap,loss-burst,harden,cgn"),
+                rounds: 30,
+                kill_at: Some(15),
+            },
+            &cfg,
+        ),
+        (
+            // 2 ms ± 1 ms: thousands of 1 ms ticks, every flight landing a
+            // tick or two after its send, the jittered per-peer RNG live.
+            "tiny tick",
+            Case {
+                net: NetConfig {
+                    latency: SimDuration::from_millis(2),
+                    latency_jitter: SimDuration::from_millis(1),
+                    ..paper()
+                },
+                faults: None,
+                rounds: 25,
+                kill_at: None,
+            },
+            &tiny_cfg,
+        ),
+    ];
+    for (name, case, cfg) in &cases {
+        let alone = run(case, (*cfg).clone(), false);
+        assert!(alone.traffic.iter().any(|t| t.bytes_sent > 0), "{name}: nothing was sent");
+        assert_eq!(run(case, (*cfg).clone(), true), alone, "{name}: alone, round by round");
+        let sharded = |shards, assign| ShardedConfig { inner: (*cfg).clone(), shards, assign };
+        let layouts = [
+            (1, ShardAssign::RoundRobin),
+            (3, ShardAssign::RoundRobin),
+            (3, ShardAssign::AllOnOne),
+            (3, ShardAssign::Random(9)),
+        ];
+        for (shards, assign) in layouts {
+            for stepwise in [false, true] {
+                assert_eq!(
+                    run(case, sharded(shards, assign), stepwise),
+                    alone,
+                    "{name}: S = {shards} {assign:?}, stepwise {stepwise}"
+                );
+            }
+        }
+    }
+}
+
+const TINY_PERIOD: SimDuration = SimDuration::from_millis(200);
+
+#[test]
+fn baseline_alone_is_the_one_shard_case() {
+    let tiny = GossipConfig { shuffle_period: TINY_PERIOD, ..GossipConfig::default() };
+    engine_alone_equals_every_sharding(GossipConfig::default(), tiny);
+}
+
+#[test]
+fn nylon_alone_is_the_one_shard_case() {
+    let tiny = NylonConfig {
+        shuffle_period: TINY_PERIOD,
+        punch_timeout: SimDuration::from_millis(80),
+        ..NylonConfig::default()
+    };
+    engine_alone_equals_every_sharding(NylonConfig::default(), tiny);
+}
+
+#[test]
+fn static_rvp_alone_is_the_one_shard_case() {
+    let tiny = GossipConfig { shuffle_period: TINY_PERIOD, ..GossipConfig::default() };
+    engine_alone_equals_every_sharding(StaticRvpConfig::default(), StaticRvpConfig(tiny));
+}
+
+#[test]
+fn peerswap_alone_is_the_one_shard_case() {
+    let tiny = PeerSwapConfig { shuffle_period: TINY_PERIOD, ..PeerSwapConfig::default() };
+    engine_alone_equals_every_sharding(PeerSwapConfig::default(), tiny);
+}

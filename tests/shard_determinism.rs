@@ -1,14 +1,14 @@
 //! Differential determinism gate for the multi-core sharded driver.
 //!
-//! The contract under test: a sharded run's rendered artifacts are a pure
+//! The contract under test: a run's rendered artifacts are a pure
 //! function of the scale and base seed, *independent of the shard count* —
-//! `--shards 1`, `--shards 2` and `--shards 4` schedule work onto very
-//! different thread topologies (S=1 runs inline without threads at all)
-//! yet must produce byte-identical tables. This is the observable face of
-//! the tick-barrier design: cross-shard flights merge in canonical
-//! `(arrival, sender)` order, per-peer network RNG streams depend only on
-//! the peer's own send history, and non-owned bootstrap draws are
-//! reproduced from pure RNG forks.
+//! no flag, `--shards 1`, `--shards 2` and `--shards 4` schedule work onto
+//! very different thread topologies (up to one shard a cell is a bare
+//! engine running inline, without threads at all) yet must produce
+//! byte-identical tables. This is the observable face of the tick-barrier
+//! design: flights merge in canonical `(arrival, sender)` order, per-peer
+//! network RNG streams depend only on the peer's own send history, and
+//! non-owned bootstrap draws are reproduced from pure RNG forks.
 //!
 //! The executor's `--jobs` independence is orthogonal (cells are keyed,
 //! not ordered) — the combined sweep below varies both axes at once so a
@@ -38,9 +38,14 @@ fn render(name: &str, scale: &FigureScale) -> String {
         .join("\n---\n")
 }
 
-/// The stdout of `repro NAMES --peers 40 --seeds 1 --rounds 10`, on the
-/// direct kernel for `shards == 0` (the CLI's "no `--shards` flag") and
-/// with `--shards N` otherwise: the transcript the goldens were cut from.
+/// Every table of one artifact as CSV, one byte string.
+fn flat(tables: &[nylon_workloads::output::Table]) -> String {
+    tables.iter().map(|t| t.to_csv()).collect::<Vec<_>>().join("\n")
+}
+
+/// The stdout of `repro NAMES --peers 40 --seeds 1 --rounds 10`, without
+/// a `--shards` flag for `shards == 0` and with `--shards N` otherwise:
+/// the transcript the goldens were cut from.
 fn cli_transcript(names: &[&str], shards: usize) -> String {
     let scale = FigureScale { peers: 40, seeds: 1, rounds: 10, shards, ..FigureScale::default() };
     names
@@ -51,24 +56,20 @@ fn cli_transcript(names: &[&str], shards: usize) -> String {
 }
 
 #[test]
-fn committed_goldens_are_reproduced_on_both_kernels() {
-    // Two byte families (the direct kernel breaks same-instant ties
-    // differently from the barrier merge), each pinned by a transcript cut
-    // from the pre-`Engine<P>` binary. The all-engine pair runs every
-    // protocol under faults and an adversary; fig9/table1 is the older,
-    // sharded-only golden.
-    let all_engines = ["randomness", "resilience", "eclipse"];
-    assert_eq!(cli_transcript(&all_engines, 0), include_str!("golden/all_engines_direct.txt"));
-    for shards in [1, 2, 4] {
+fn committed_goldens_are_reproduced_at_every_shard_count() {
+    // One golden per artifact set, each a transcript cut from the
+    // pre-`Engine<P>` binary. The all-engine one runs every protocol under
+    // faults and an adversary; fig9/table1 is the older one.
+    for shards in [0, 1, 2, 4] {
         assert_eq!(
-            cli_transcript(&all_engines, shards),
-            include_str!("golden/all_engines_sharded.txt"),
-            "all-engine golden diverged at --shards {shards}"
+            cli_transcript(&["randomness", "resilience", "eclipse"], shards),
+            include_str!("golden/all_engines.txt"),
+            "all-engine golden diverged at shards {shards}"
         );
         assert_eq!(
             cli_transcript(&["fig9", "table1"], shards),
             include_str!("golden/fig9_table1.txt"),
-            "fig9/table1 golden diverged at --shards {shards}"
+            "fig9/table1 golden diverged at shards {shards}"
         );
     }
 }
@@ -103,9 +104,6 @@ fn kill_free_fig2_sweep_is_shard_and_thread_count_independent() {
             .expect("known figure name");
     let wide = generate_with("fig2", &tiny(2), &ExecOptions { jobs: 4, ..ExecOptions::default() })
         .expect("known figure name");
-    let flat = |tables: &[nylon_workloads::output::Table]| {
-        tables.iter().map(|t| t.to_csv()).collect::<Vec<_>>().join("\n")
-    };
     assert!(!flat(&serial).is_empty());
     assert_eq!(
         flat(&serial),
@@ -141,9 +139,6 @@ fn adversarial_figures_are_shard_and_thread_count_independent() {
         generate_with("eclipse", &tiny(2), &ExecOptions { jobs: 4, ..ExecOptions::default() })
             .expect("known figure name");
     let four = generate("eclipse", &tiny(4)).expect("known figure name");
-    let flat = |tables: &[nylon_workloads::output::Table]| {
-        tables.iter().map(|t| t.to_csv()).collect::<Vec<_>>().join("\n")
-    };
     assert!(!flat(&serial).is_empty());
     assert_eq!(flat(&serial), flat(&wide), "eclipse diverged between shards/jobs layouts");
     assert_eq!(flat(&serial), flat(&four), "eclipse diverged at --shards 4");
@@ -186,9 +181,35 @@ fn stats_sink_never_perturbs_figure_output() {
 
 #[test]
 fn sharded_fingerprint_allows_resume_at_any_shard_count() {
-    // The checkpoint fingerprint must treat all N > 0 as the same run
-    // identity (cells are shard-count independent) while separating the
-    // N = 0 reference kernel, whose cells differ.
+    // The checkpoint fingerprint must treat every shard count, the
+    // flag-less 0 included, as the same run identity: cells are
+    // shard-count independent.
     assert_eq!(tiny(2).fingerprint(), tiny(4).fingerprint());
-    assert_ne!(tiny(0).fingerprint(), tiny(1).fingerprint());
+    assert_eq!(tiny(0).fingerprint(), tiny(1).fingerprint());
+    assert_eq!(tiny(0).fingerprint(), tiny(2).fingerprint());
+}
+
+#[test]
+fn checkpoint_cut_under_shards_2_resumes_without_the_flag() {
+    // A run killed under `--shards 2` and resumed flag-less splices cells
+    // of both into one table set (a fingerprint mismatch would panic, not
+    // recompute), which must be the uninterrupted flag-less bytes.
+    let dir = std::env::temp_dir().join(format!("nylon_shard_det_resume_{}", std::process::id()));
+    let opts = |resume, scale: &FigureScale| ExecOptions {
+        jobs: 2,
+        checkpoint: Some(dir.clone()),
+        resume,
+        fingerprint: scale.fingerprint(),
+    };
+    let sharded = flat(&generate_with("fig9", &tiny(2), &opts(false, &tiny(2))).unwrap());
+
+    // The kill: truncate the checkpoint mid-file, as a SIGKILL would.
+    let path = dir.join("cells.jsonl");
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    std::fs::write(&path, &bytes[..bytes.len() * 3 / 5]).unwrap();
+
+    let resumed = flat(&generate_with("fig9", &tiny(0), &opts(true, &tiny(0))).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed, flat(&generate("fig9", &tiny(0)).unwrap()), "resume changed the tables");
+    assert_eq!(resumed, sharded);
 }
