@@ -550,32 +550,31 @@ impl Protocol for Nylon {
     /// [`nylon_net::Network::open_bootstrap_hole`]).
     fn bootstrap(&mut self, host: &mut NylonHost, per_view: usize) {
         let now = host.now();
-        let (pool, fallback) = host.bootstrap_pool();
+        let pool = host.bootstrap_pool();
         let all: Vec<PeerId> = host.net.alive_peers().collect();
         for p in all {
             let owned = host.owns(p);
-            if !owned && !fallback {
+            if !owned && !pool.fallback {
                 // Another shard fills this node's view from the same
                 // per-node stream; without hole-opening there is nothing
                 // global to replay here.
                 continue;
             }
-            let candidates: Vec<PeerId> = pool.iter().copied().filter(|q| *q != p).collect();
             let chosen = if owned {
-                self.nodes[p.index()].rng.sample_without_replacement(&candidates, per_view)
+                pool.contacts(p, &mut self.nodes[p.index()].rng, per_view)
             } else {
                 // Fallback bootstrap opens NAT holes, which mutate *both*
                 // endpoints' boxes — global state every shard replicates.
                 // Replay the non-owned node's choices from a fresh copy of
                 // its stream: pre-bootstrap the stored stream has had no
                 // draws, so the copy is draw-for-draw identical.
-                host.node_rng::<Self>(p).sample_without_replacement(&candidates, per_view)
+                pool.contacts(p, &mut host.node_rng::<Self>(p), per_view)
             };
             for q in chosen {
                 if owned {
                     self.nodes[p.index()].view.insert(host.descriptor_of(q));
                 }
-                if fallback {
+                if pool.fallback {
                     if let Some(ep) = host.net.open_bootstrap_hole(now, p, q) {
                         if owned {
                             let node = &mut self.nodes[p.index()];

@@ -342,9 +342,9 @@ impl Protocol for StaticRvp {
     ///
     /// Panics if the population has no public peer.
     fn bootstrap(&mut self, host: &mut RvpHost, per_view: usize) {
-        let has_public = !host.alive_publics().is_empty();
-        assert!(has_public, "the static-RVP scheme requires at least one public peer");
-        nylon_gossip::host::bootstrap_views(self, host, per_view);
+        let pool = host.bootstrap_pool();
+        assert!(!pool.fallback, "the static-RVP scheme requires at least one public peer");
+        nylon_gossip::host::bootstrap_views(self, host, &pool, per_view);
     }
 
     /// Binds every natted peer about to start to a uniformly random public

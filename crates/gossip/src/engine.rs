@@ -267,48 +267,11 @@ impl Protocol for Baseline {
 }
 
 impl Engine<Baseline> {
-    /// Scalable variant of
-    /// [`bootstrap_random_public`](Engine::bootstrap_random_public): each
-    /// peer draws its `per_view` public contacts by rejection sampling
-    /// against its view instead of materialising (and shuffling) a full
-    /// candidate list.
-    ///
-    /// The exhaustive variant is O(n) RNG work *per peer* — fine at paper
-    /// scale, prohibitive at the 100k-node measurement scale. This one is
-    /// O(per_view) expected per peer. Both fill views with uniformly chosen
-    /// public peers (arbitrary peers when no public peer exists), but their
-    /// RNG draw patterns differ, so the figure pipeline keeps the original
-    /// and replay output is untouched.
+    /// Forwards to [`bootstrap_random_public`](Engine::bootstrap_random_public),
+    /// which is O(per_view) per peer itself; kept for the ledger's callers.
+    #[doc(hidden)]
     pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
-        let (proto, host) = (&mut self.proto, &self.host);
-        let (pool, fallback) = host.bootstrap_pool();
-        let all: Vec<PeerId> = host.net.alive_peers().collect();
-        for p in all {
-            if !host.owns(p) {
-                continue; // the owner shard fills this node's view
-            }
-            // The pool minus self can be smaller than per_view. Membership
-            // of `p` follows from its class (or is certain in fallback
-            // mode) — a `pool.contains` scan here would reintroduce the
-            // O(n²) this function exists to avoid.
-            let in_pool = fallback || host.net.class_of(p).is_public();
-            let want = per_view.min(pool.len().saturating_sub(usize::from(in_pool)));
-            let mut picked = Vec::with_capacity(want);
-            let mut attempts = 0usize;
-            let budget = 20 * per_view + 64;
-            let node = &mut proto.nodes[p.index()];
-            while picked.len() < want && attempts < budget {
-                attempts += 1;
-                let q = *node.rng.pick(&pool).expect("bootstrap pool non-empty");
-                if q == p || picked.contains(&q) {
-                    continue;
-                }
-                picked.push(q);
-            }
-            for q in picked {
-                node.view.insert(host.descriptor_of(q));
-            }
-        }
+        self.bootstrap_random_public(per_view);
     }
 }
 
@@ -511,40 +474,6 @@ mod tests {
             fc_failures * 10 < prc_failures.max(1),
             "FC ({fc_failures}) must drop far less than PRC ({prc_failures})"
         );
-    }
-
-    #[test]
-    fn sparse_bootstrap_fills_views_with_publics() {
-        let mut eng = BaselineEngine::new(GossipConfig::default(), NetConfig::default(), 51);
-        for i in 0..60u32 {
-            let class = if i % 3 == 0 {
-                NatClass::Public
-            } else {
-                NatClass::Natted(NatType::PortRestrictedCone)
-            };
-            eng.add_peer(class);
-        }
-        eng.bootstrap_random_public_sparse(8);
-        for p in eng.alive_peers().collect::<Vec<_>>() {
-            let v = eng.view_of(p);
-            assert_eq!(v.len(), 8, "view of {p} not filled");
-            assert!(!v.contains(p), "self reference at {p}");
-            assert!(v.iter().all(|d| d.class.is_public()), "non-public bootstrap entry at {p}");
-        }
-        // Deterministic given the seed.
-        let mut eng2 = BaselineEngine::new(GossipConfig::default(), NetConfig::default(), 51);
-        for i in 0..60u32 {
-            let class = if i % 3 == 0 {
-                NatClass::Public
-            } else {
-                NatClass::Natted(NatType::PortRestrictedCone)
-            };
-            eng2.add_peer(class);
-        }
-        eng2.bootstrap_random_public_sparse(8);
-        for p in eng.alive_peers().collect::<Vec<_>>() {
-            assert_eq!(eng.view_of(p).ids(), eng2.view_of(p).ids());
-        }
     }
 
     #[test]

@@ -132,10 +132,15 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
         self.view_of_mut(p).insert(host.descriptor_of(contact));
     }
 
-    /// Fills every owned view with up to `per_view` uniformly chosen
-    /// public peers (the paper's bootstrap).
+    /// The paper's bootstrap: fills every owned view with up to `per_view`
+    /// distinct peers drawn by [`BootstrapPool::contacts`] — public ones,
+    /// uniformly, never the peer itself. An override must keep that
+    /// helper's contract: O(`per_view`) work per peer, each peer's contacts
+    /// drawn from its own stream only (a non-owned peer's, where global
+    /// state needs them, from [`Host::node_rng`]).
     fn bootstrap(&mut self, host: &mut Host<Self::Msg>, per_view: usize) {
-        bootstrap_views(self, host, per_view);
+        let pool = host.bootstrap_pool();
+        bootstrap_views(self, host, &pool, per_view);
     }
 
     /// Whether `holder` could communicate over view entry `d` right now
@@ -174,20 +179,53 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     fn on_fault_plan(&mut self, _plan: &FaultPlan) {}
 }
 
-/// The default [`Protocol::bootstrap`]: every owned alive peer draws
-/// `per_view` distinct contacts from the public peers (from everyone when
-/// there is no public peer) and learns each via
-/// [`Protocol::join_contact`]. Non-owned peers are skipped entirely —
-/// their owner shard draws the same contacts from the same stream.
-pub fn bootstrap_views<P: Protocol>(proto: &mut P, host: &mut Host<P::Msg>, per_view: usize) {
-    let (pool, _) = host.bootstrap_pool();
+/// The peers a bootstrap draws contacts from: the alive public peers, or
+/// every alive peer when there is no public one.
+#[derive(Debug)]
+pub struct BootstrapPool {
+    /// In id order.
+    peers: Vec<PeerId>,
+    /// Whether there was no public peer, so the pool is everyone.
+    pub fallback: bool,
+}
+
+impl BootstrapPool {
+    /// Up to `per_view` distinct contacts for `p`, uniform over the
+    /// `per_view`-subsets of the pool minus `p` itself (all of it when it
+    /// is shorter), in O(`per_view`) and `min(per_view, pool − p)` draws
+    /// from `rng` — `p`'s own stream, so the result is the same on
+    /// whichever shard asks.
+    pub fn contacts(&self, p: PeerId, rng: &mut SimRng, per_view: usize) -> Vec<PeerId> {
+        if self.peers.binary_search(&p).is_err() {
+            return rng.sample_without_replacement(&self.peers, per_view);
+        }
+        // Excluding `p` without copying the pool: draw from all but the
+        // last peer, and let the last one stand in wherever `p` came up.
+        let (last, rest) = self.peers.split_last().expect("p is in the pool");
+        let mut chosen = rng.sample_without_replacement(rest, per_view);
+        for q in chosen.iter_mut().filter(|q| **q == p) {
+            *q = *last;
+        }
+        chosen
+    }
+}
+
+/// The default [`Protocol::bootstrap`]: every owned alive peer learns its
+/// [`BootstrapPool::contacts`] via [`Protocol::join_contact`]. Non-owned
+/// peers are skipped entirely — their owner shard draws the same contacts
+/// from the same stream.
+pub fn bootstrap_views<P: Protocol>(
+    proto: &mut P,
+    host: &mut Host<P::Msg>,
+    pool: &BootstrapPool,
+    per_view: usize,
+) {
     let all: Vec<PeerId> = host.net.alive_peers().collect();
     for p in all {
         if !host.owns(p) {
             continue;
         }
-        let candidates: Vec<PeerId> = pool.iter().copied().filter(|q| *q != p).collect();
-        for q in proto.rng_of(p).sample_without_replacement(&candidates, per_view) {
+        for q in pool.contacts(p, proto.rng_of(p), per_view) {
             proto.join_contact(host, p, q);
         }
     }
@@ -352,14 +390,13 @@ impl<M> Host<M> {
         self.net.alive_peers().filter(|p| self.net.class_of(*p).is_public()).collect()
     }
 
-    /// The bootstrap contact pool: the alive public peers, or — flagged by
-    /// `true` — every alive peer when there is no public one.
-    pub fn bootstrap_pool(&self) -> (Vec<PeerId>, bool) {
+    /// The bootstrap contact pool as of now.
+    pub fn bootstrap_pool(&self) -> BootstrapPool {
         let publics = self.alive_publics();
         if publics.is_empty() {
-            (self.net.alive_peers().collect(), true)
+            BootstrapPool { peers: self.net.alive_peers().collect(), fallback: true }
         } else {
-            (publics, false)
+            BootstrapPool { peers: publics, fallback: false }
         }
     }
 
@@ -926,6 +963,59 @@ mod tests {
         }
         eng.bootstrap_random_public(8);
         eng
+    }
+
+    /// Every peer's contacts over a few streams: `want(p)` of them, never
+    /// `p`, never one twice.
+    fn assert_contacts(eng: &BaselineEngine, per_view: usize, want: impl Fn(PeerId) -> usize) {
+        let pool = eng.host.bootstrap_pool();
+        for p in eng.alive_peers() {
+            for seed in 0..20 {
+                let mut c = pool.contacts(p, &mut SimRng::new(seed), per_view);
+                assert_eq!(c.len(), want(p), "contacts of {p}");
+                assert!(!c.contains(&p), "{p} drew itself");
+                let publics = c.iter().filter(|q| eng.net().class_of(**q).is_public()).count();
+                assert_eq!(publics, if pool.fallback { 0 } else { c.len() }, "contacts of {p}");
+                c.sort_unstable();
+                c.dedup();
+                assert_eq!(c.len(), want(p), "{p} drew a contact twice");
+            }
+        }
+    }
+
+    #[test]
+    fn bootstrap_contacts_are_distinct_publics_and_never_self() {
+        assert_contacts(&engine_with(20, 40, 1), 8, |_| 8);
+        // A short pool gives what it has: the other two publics to a
+        // public peer, all three to a natted one.
+        assert_contacts(&engine_with(3, 5, 1), 8, |p| if p.0 < 3 { 2 } else { 3 });
+        assert_contacts(&engine_with(1, 2, 1), 8, |p| usize::from(p.0 != 0));
+        // No public peer: everyone else.
+        let all_natted = engine_with(0, 5, 1);
+        assert!(all_natted.host.bootstrap_pool().fallback);
+        assert_contacts(&all_natted, 3, |_| 3);
+        assert_contacts(&all_natted, 8, |_| 4);
+    }
+
+    #[test]
+    fn bootstrap_contacts_are_uniform_over_the_pool_minus_self() {
+        // The pool's last peer stands in for `p`'s own slot: it must come
+        // up as often as any other.
+        let pool = engine_with(10, 5, 1).host.bootstrap_pool();
+        for p in [PeerId(0), PeerId(3), PeerId(9), PeerId(12)] {
+            let mut hits = [0u32; 10];
+            for seed in 0..3_000 {
+                for q in pool.contacts(p, &mut SimRng::new(seed), 3) {
+                    hits[q.index()] += 1;
+                }
+            }
+            let others = 10 - usize::from(p.0 < 10);
+            let expected = 3_000.0 * 3.0 / others as f64;
+            for (q, n) in hits.iter().enumerate().filter(|(q, _)| *q != p.index()) {
+                let off = (f64::from(*n) - expected).abs() / expected;
+                assert!(off < 0.12, "{p}: contact {q} drawn {n} times, expected {expected:.0}");
+            }
+        }
     }
 
     #[test]

@@ -134,11 +134,11 @@ impl<E: ShardSampler> Sharded<E> {
 }
 
 impl Sharded<BaselineEngine> {
-    /// Sharded counterpart of
-    /// [`BaselineEngine::bootstrap_random_public_sparse`]: each worker
-    /// fills the views of its owned nodes in O(per_view) per node.
+    /// Forwards to [`PeerSampler::bootstrap_random_public`]; kept for the
+    /// ledger's callers.
+    #[doc(hidden)]
     pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
-        self.for_each_shard(|e| e.bootstrap_random_public_sparse(per_view));
+        self.bootstrap_random_public(per_view);
     }
 }
 

@@ -4,6 +4,8 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use crate::fxhash::FxHashMap;
+
 /// A deterministic random number generator for simulations.
 ///
 /// Wraps a fast non-cryptographic PRNG seeded from a `u64`. Two features
@@ -107,17 +109,51 @@ impl SimRng {
         items.shuffle(&mut self.inner);
     }
 
-    /// Chooses `n` distinct elements uniformly without replacement.
+    /// Chooses `n` distinct elements uniformly without replacement: a
+    /// partial Fisher–Yates shuffle, so every ordered `n`-subset of `items`
+    /// is equally likely.
     ///
-    /// Returns fewer than `n` elements if `items` is shorter than `n`. Order
-    /// of the returned sample is random.
+    /// Returns fewer than `n` elements if `items` is shorter than `n` (then
+    /// the sample is a permutation of `items`). Makes exactly
+    /// `k = min(n, items.len())` [`gen_range`](Self::gen_range) draws —
+    /// `gen_range(i..items.len())` for `i` in `0..k` — and does O(k) work
+    /// whatever the length of `items`: only the positions a draw displaced
+    /// are stored, in an index vector when the sample is a sizeable share
+    /// of `items` and in a hash map when it is not. Both store the same
+    /// permutation, so which one ran is not observable.
+    ///
+    /// The stream differs from ≤ PR 23, which shuffled all of `items`
+    /// (`items.len() - 1` draws) to keep `n`.
     pub fn sample_without_replacement<T: Clone>(&mut self, items: &[T], n: usize) -> Vec<T> {
-        let mut idx: Vec<usize> = (0..items.len()).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(n);
-        idx.into_iter().map(|i| items[i].clone()).collect()
+        let len = items.len();
+        let n = n.min(len);
+        let mut out = Vec::with_capacity(n);
+        if len <= DENSE_INDEX_MAX_RATIO * n {
+            let mut idx: Vec<usize> = (0..len).collect();
+            for i in 0..n {
+                idx.swap(i, self.inner.gen_range(i..len));
+                out.push(items[idx[i]].clone());
+            }
+        } else {
+            // Position → the index now standing there; an absent position
+            // still holds its own. Position `i` is never read again once
+            // drawn for, so only `j` is written back.
+            let mut moved = FxHashMap::with_capacity_and_hasher(n, Default::default());
+            for i in 0..n {
+                let j = self.inner.gen_range(i..len);
+                let at_i = moved.get(&i).copied().unwrap_or(i);
+                out.push(items[moved.insert(j, at_i).unwrap_or(j)].clone());
+            }
+        }
+        out
     }
 }
+
+/// [`SimRng::sample_without_replacement`] fills an index vector over all
+/// of `items` (a few bytes each, no hashing) while that is at most this
+/// many entries per element kept, and hashes the displaced positions
+/// beyond it; O(sample) work either way.
+const DENSE_INDEX_MAX_RATIO: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -203,6 +239,71 @@ mod tests {
         let mut r = SimRng::new(3);
         let sample = r.sample_without_replacement(&[1, 2, 3], 10);
         assert_eq!(sample.len(), 3);
+    }
+
+    #[test]
+    fn sample_longer_than_input_is_a_permutation() {
+        let mut r = SimRng::new(3);
+        let items: Vec<u32> = (0..50).collect();
+        let mut sample = r.sample_without_replacement(&items, 80);
+        sample.sort_unstable();
+        assert_eq!(sample, items);
+    }
+
+    /// The sampler's contract spelled out: a partial Fisher–Yates over a
+    /// full index vector.
+    fn reference_sample(r: &mut SimRng, len: usize, n: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..len).collect();
+        for i in 0..n.min(len) {
+            idx.swap(i, r.gen_range(i..len));
+        }
+        idx.truncate(n);
+        idx
+    }
+
+    #[test]
+    fn sample_matches_the_reference_and_makes_one_draw_per_element_kept() {
+        // Both sides of DENSE_INDEX_MAX_RATIO, n = 0, n = len, n > len.
+        for (len, n) in [(20, 5), (600, 15), (50, 50), (3, 10), (5_000, 8), (5_000, 1_000), (9, 0)]
+        {
+            let items: Vec<usize> = (0..len).collect();
+            for seed in 0..50 {
+                let mut r = SimRng::new(seed);
+                let mut reference = r.clone();
+                let sample = r.sample_without_replacement(&items, n);
+                assert_eq!(sample, reference_sample(&mut reference, len, n), "({len}, {n})");
+                assert_eq!(r.gen_u64(), reference.gen_u64(), "stream position after ({len}, {n})");
+            }
+        }
+    }
+
+    /// Pearson's χ² of `counts` against a flat expectation, asserted below
+    /// the mean of its distribution plus four standard deviations.
+    fn assert_flat(counts: &[u64], what: &str) {
+        let expected = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+        let chi2: f64 = counts.iter().map(|c| (*c as f64 - expected).powi(2) / expected).sum();
+        let df = (counts.len() - 1) as f64;
+        assert!(chi2 <= df + 4.0 * (2.0 * df).sqrt(), "{what}: chi2 = {chi2:.1} at {df} df");
+    }
+
+    #[test]
+    fn sample_is_uniform_in_inclusion_and_in_first_position() {
+        for (len, n) in [(20usize, 5usize), (600, 15), (50, 50)] {
+            let items: Vec<usize> = (0..len).collect();
+            let mut included = vec![0u64; len];
+            let mut first = vec![0u64; len];
+            for seed in 0..6_000 {
+                let sample = SimRng::new(seed).sample_without_replacement(&items, n);
+                first[sample[0]] += 1;
+                for i in sample {
+                    included[i] += 1;
+                }
+            }
+            // Inclusion counts of a fixed-size sample vary less than
+            // independent cells would, so the bound is conservative.
+            assert_flat(&included, &format!("inclusion ({len}, {n})"));
+            assert_flat(&first, &format!("first position ({len}, {n})"));
+        }
     }
 
     proptest! {

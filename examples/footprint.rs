@@ -10,8 +10,7 @@
 //! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<shards>`
 //! 0 is the bare engine, N a `Sharded` run of N workers — the same
 //! simulation either way, a different footprint. The population is the
-//! ledger's (70 % NAT, seed 5); the baseline bootstraps sparsely, as its
-//! ledger workloads at this scale do — the exhaustive bootstrap is O(n²).
+//! ledger's (70 % NAT, seed 5).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardedConfig};
@@ -23,7 +22,7 @@ fn stage(name: &str) {
     println!("{name:<14} {:>9.1} MiB", rss / (1024.0 * 1024.0));
 }
 
-fn probe<C: SamplerConfig>(cfg: C, peers: usize, bootstrap: impl FnOnce(&mut C::Sampler, usize)) {
+fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     stage("construct");
@@ -31,7 +30,7 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize, bootstrap: impl FnOnce(&mut C::
         eng.add_peer(class);
     }
     stage("add_peer");
-    bootstrap(&mut eng, scn.bootstrap_contacts);
+    eng.bootstrap_random_public(scn.bootstrap_contacts);
     stage("bootstrap");
     eng.start();
     stage("start");
@@ -46,10 +45,10 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize, bootstrap: impl FnOnce(&mut C::
 
 /// One protocol as a bare engine (`shards` 0) or under `Sharded`.
 macro_rules! on_shards {
-    ($cfg:expr, $peers:expr, $shards:expr, $boot:expr) => {
+    ($cfg:expr, $peers:expr, $shards:expr) => {
         match $shards {
-            0 => probe($cfg, $peers, $boot),
-            s => probe(ShardedConfig::new($cfg, s), $peers, $boot),
+            0 => probe($cfg, $peers),
+            s => probe(ShardedConfig::new($cfg, s), $peers),
         }
     };
 }
@@ -65,15 +64,10 @@ fn main() {
         std::process::exit(1);
     };
     match proto.as_str() {
-        "baseline" => on_shards!(GossipConfig::default(), peers, shards, |e, n| e
-            .bootstrap_random_public_sparse(n)),
-        "nylon" => {
-            on_shards!(NylonConfig::default(), peers, shards, |e, n| e.bootstrap_random_public(n))
-        }
-        "static-rvp" => on_shards!(StaticRvpConfig::default(), peers, shards, |e, n| e
-            .bootstrap_random_public(n)),
-        "peerswap" => on_shards!(PeerSwapConfig::default(), peers, shards, |e, n| e
-            .bootstrap_random_public(n)),
+        "baseline" => on_shards!(GossipConfig::default(), peers, shards),
+        "nylon" => on_shards!(NylonConfig::default(), peers, shards),
+        "static-rvp" => on_shards!(StaticRvpConfig::default(), peers, shards),
+        "peerswap" => on_shards!(PeerSwapConfig::default(), peers, shards),
         other => panic!("unknown protocol {other}"),
     }
 }

@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# The committed goldens and the two `repro` invocations they are cut from.
+#
+#   scripts/golden.sh --check    # byte-compare; CI and tests/shard_determinism.rs hold the same bytes
+#   scripts/golden.sh --write    # regenerate (a draw-order re-baseline: its own commit)
+#
+# Builds and runs the release CLI. --check renders each golden
+# without a --shards flag and at --shards 1, 2 and 4, telemetry off and on:
+# one byte family, so every one of the sixteen transcripts must equal the
+# committed file. --write cuts them from the flag-less, stats-off run.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+scale="--peers 40 --seeds 1 --rounds 10"
+goldens=(
+    "tests/golden/fig9_table1.txt|fig9 table1"
+    "tests/golden/all_engines.txt|randomness resilience eclipse"
+)
+
+bin=target/release/repro
+cargo build --release -q -p nylon-workloads --bin repro
+
+case "${1:-}" in
+--write)
+    for g in "${goldens[@]}"; do
+        "$bin" ${g#*|} $scale 2>/dev/null > "${g%%|*}"
+    done
+    ;;
+--check)
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+    for g in "${goldens[@]}"; do
+        for shards in "" "--shards 1" "--shards 2" "--shards 4"; do
+            "$bin" ${g#*|} $scale $shards 2>/dev/null > "$out/off.txt"
+            "$bin" ${g#*|} $scale $shards --stats "$out/stats.jsonl" 2>/dev/null > "$out/on.txt"
+            diff "${g%%|*}" "$out/off.txt"
+            diff "${g%%|*}" "$out/on.txt"
+        done
+    done
+    echo "goldens reproduced: no flag and --shards 1, 2, 4; --stats off and on"
+    ;;
+*)
+    echo "usage: scripts/golden.sh --check | --write" >&2
+    exit 1
+    ;;
+esac

@@ -16,13 +16,13 @@ use std::hint::black_box;
 
 use counting_alloc::{counting, CountingAlloc};
 use nylon::routing::RoutingTable;
-use nylon::NylonConfig;
+use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    MergePolicy, NodeDescriptor, PartialView, PeerSampler, PeerSwapConfig, SamplerConfig,
-    ShardedConfig,
+    GossipConfig, MergePolicy, NodeDescriptor, PartialView, PeerSampler, PeerSwapConfig,
+    SamplerConfig, ShardedConfig,
 };
 use nylon_net::natbox::NatBox;
-use nylon_net::{Endpoint, Ip, NatClass, NatType, PeerId, Port};
+use nylon_net::{Endpoint, Ip, NatClass, NatType, NetConfig, PeerId, Port};
 use nylon_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use nylon_workloads::runner::build;
 use nylon_workloads::scenario::Scenario;
@@ -155,6 +155,17 @@ fn allocations_per_round<C: SamplerConfig>(cfg: C) -> f64 {
     allocations as f64 / 100.0
 }
 
+/// Bytes the bootstrap of a 2 000-peer, 70 %-NAT population allocates,
+/// per peer.
+fn bootstrap_bytes_per_peer<C: SamplerConfig>(cfg: C) -> u64 {
+    let scn = Scenario::new(2_000, 70.0, 5);
+    let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
+    for class in scn.classes() {
+        eng.add_peer(class);
+    }
+    counting(|| eng.bootstrap_random_public(15)).2 / scn.peers as u64
+}
+
 /// One test, run case by case, so nothing else in this binary allocates
 /// while a case counts.
 #[test]
@@ -184,10 +195,25 @@ fn hot_paths_allocate_no_more_than_recorded() {
         assert!(measured <= recorded, "{case}: {measured} allocations, recorded {recorded}");
     }
 
+    let nylon = NylonConfig::default;
+    // Set-up scales with the view, not the pool: a peer's 15 contacts cost
+    // its view, one sample and the positions 15 draws displaced — not a
+    // copy and an index vector of the 600-peer pool (13 KB per peer up to
+    // PR 23, and growing with the population).
+    let bootstraps: [(&str, u64); 4] = [
+        ("baseline bootstrap", bootstrap_bytes_per_peer(GossipConfig::default())),
+        ("peerswap bootstrap", bootstrap_bytes_per_peer(PeerSwapConfig::default())),
+        ("static-RVP bootstrap", bootstrap_bytes_per_peer(StaticRvpConfig::default())),
+        ("nylon bootstrap", bootstrap_bytes_per_peer(nylon())),
+    ];
+    for (case, measured) in bootstraps {
+        println!("{case}: {measured} bytes per peer (limit 2048)");
+        assert!(measured <= 2048, "{case}: {measured} bytes per peer, limit 2048");
+    }
+
     // An engine on its own and `Sharded` at S = 1 run the same tick loop
     // (`nylon_sim::run_lone`) over the same staging vector, which is lent
     // to `absorb` and handed back: the wrapper must add no allocation.
-    let nylon = NylonConfig::default;
     let engines: [(&str, f64, f64); 3] = [
         ("nylon round", 8.7, allocations_per_round(nylon())),
         ("peerswap round", 8.6, allocations_per_round(PeerSwapConfig::default())),

@@ -13,7 +13,7 @@ use nylon_gossip::{
 };
 use nylon_net::{NetConfig, PeerId, TrafficStats};
 use nylon_sim::{ShardAssign, SimDuration};
-use nylon_workloads::runner::build_with_net;
+use nylon_workloads::runner::{build, build_with_net};
 use nylon_workloads::scenario::Scenario;
 
 const PEERS: usize = 200;
@@ -145,6 +145,38 @@ where
             }
         }
     }
+}
+
+/// Every view after bootstrap and `rounds` rounds, as ids in view order.
+fn views_after<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64) -> Vec<Vec<PeerId>> {
+    let mut eng = build(&Scenario::new(PEERS, nat_pct, 5), cfg);
+    eng.run_rounds(rounds);
+    (0..PEERS as u32).map(|p| eng.view_of(PeerId(p)).ids()).collect()
+}
+
+/// A peer's bootstrap contacts come from its own stream, whichever shard
+/// owns it — also where Nylon's all-natted fallback replays the draws of
+/// non-owned peers to open the same NAT holes on every replica (the
+/// rounds after it run through those holes).
+#[test]
+fn bootstrap_contacts_are_the_same_at_shards_1_2_4() {
+    fn check<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64)
+    where
+        C::Sampler: ShardSampler,
+    {
+        let alone = views_after(cfg.clone(), nat_pct, rounds);
+        assert!(alone.iter().all(|v| !v.is_empty()), "a view was left empty");
+        for shards in [1, 2, 4] {
+            let sharded = views_after(ShardedConfig::new(cfg.clone(), shards), nat_pct, rounds);
+            assert_eq!(sharded, alone, "S = {shards}, {nat_pct} % NAT, {rounds} rounds");
+        }
+    }
+    check(GossipConfig::default(), 70.0, 0);
+    check(PeerSwapConfig::default(), 70.0, 0);
+    check(StaticRvpConfig::default(), 70.0, 0);
+    check(NylonConfig::default(), 70.0, 0);
+    check(NylonConfig::default(), 100.0, 0);
+    check(NylonConfig::default(), 100.0, 5);
 }
 
 const TINY_PERIOD: SimDuration = SimDuration::from_millis(200);

@@ -2,7 +2,7 @@
 //!
 //! PR 4 gated a 10k-node population into `cargo test -q`; the PR-5
 //! compaction work (slab-indexed events so the wheel moves 4-byte
-//! handles, the sort-free healer merge, sparse bootstrap sampling)
+//! handles, the sort-free healer merge, an O(view) bootstrap)
 //! promotes it to 100 000 nodes for 20 rounds — two million shuffle
 //! initiations. Large enough that an accidental O(n) walk per event, a
 //! per-merge allocation or an O(n²) bootstrap shows up as a timeout;
@@ -33,9 +33,7 @@ fn hundred_thousand_nodes_twenty_rounds() {
         };
         eng.add_peer(class);
     }
-    // The exhaustive bootstrap is O(n²) — the sparse variant draws the
-    // same uniform public contacts in O(per_view) per peer.
-    eng.bootstrap_random_public_sparse(8);
+    eng.bootstrap_random_public(8);
     eng.start();
     eng.run_rounds(20);
 
@@ -170,6 +168,45 @@ fn exchange_state_is_bounded_at_five_thousand_peers() {
     assert_exchange_state_is_bounded(&scn, NylonConfig::default(), "engine.nylon", false);
 }
 
+/// Nylon in the shape of the ledger's `scale-baseline-200k-s2`: 200 000
+/// peers at 70 % NAT on two shards for ten rounds, held to the baseline
+/// smoke's liveness floors. Out of reach while the bootstrap shuffled the
+/// whole public pool for every peer (7 × 10⁹ swaps here); release-only:
+///
+/// ```text
+/// cargo test --release --test scale_smoke nylon_two_hundred -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "release-only heavy run"]
+fn nylon_two_hundred_thousand_sharded() {
+    const PEERS: usize = 200_000;
+    const ROUNDS: u64 = 10;
+
+    let built = std::time::Instant::now();
+    let scn = Scenario::new(PEERS, 70.0, 5);
+    let mut eng = build(&scn, ShardedConfig::new(NylonConfig::default(), 2));
+    println!("[200k] populated {PEERS} Nylon peers on 2 shards in {:.2?}", built.elapsed());
+    let run = std::time::Instant::now();
+    eng.run_rounds(ROUNDS);
+    let stats = eng.stats();
+    println!(
+        "[200k] {ROUNDS} rounds in {:.1?}: {} events, {} shuffles initiated, {} completed",
+        run.elapsed(),
+        eng.events_processed(),
+        stats.shuffles_initiated,
+        stats.requests_completed
+    );
+    if let Some(bytes) = nylon_obs::process::peak_rss_bytes() {
+        println!("[200k] peak RSS {:.2} GiB", bytes as f64 / (1u64 << 30) as f64);
+    }
+
+    let floor = PEERS as u64 * ROUNDS * 95 / 100;
+    assert!(stats.shuffles_initiated > floor, "too few shuffles: {}", stats.shuffles_initiated);
+    assert!(stats.requests_completed > 0, "no shuffle completed at scale");
+    let full = eng.alive_peers().iter().filter(|p| eng.view_of(**p).len() == scn.view_size).count();
+    assert!(full > PEERS * 85 / 100, "only {full} views filled at scale");
+}
+
 /// The PR-6 headline run: one million nodes for ten rounds on the
 /// four-shard driver. Ten million shuffle initiations — far too heavy for
 /// the tier-1 wall (hence `#[ignore]`), run in release via
@@ -205,7 +242,7 @@ fn million_nodes_ten_rounds_sharded() {
         };
         eng.add_peer(class);
     }
-    eng.bootstrap_random_public_sparse(8);
+    eng.bootstrap_random_public(8);
     eng.start();
     println!("[1M] populated {PEERS} peers across {SHARDS} shards in {:.1?}", built.elapsed());
 

@@ -45,7 +45,7 @@ fn flat(tables: &[nylon_workloads::output::Table]) -> String {
 
 /// The stdout of `repro NAMES --peers 40 --seeds 1 --rounds 10`, without
 /// a `--shards` flag for `shards == 0` and with `--shards N` otherwise:
-/// the transcript the goldens were cut from.
+/// what `scripts/golden.sh --write` cuts the goldens from.
 fn cli_transcript(names: &[&str], shards: usize) -> String {
     let scale = FigureScale { peers: 40, seeds: 1, rounds: 10, shards, ..FigureScale::default() };
     names
@@ -57,9 +57,9 @@ fn cli_transcript(names: &[&str], shards: usize) -> String {
 
 #[test]
 fn committed_goldens_are_reproduced_at_every_shard_count() {
-    // One golden per artifact set, each a transcript cut from the
-    // pre-`Engine<P>` binary. The all-engine one runs every protocol under
-    // faults and an adversary; fig9/table1 is the older one.
+    // One golden per artifact set, last regenerated by PR 24's draw-order
+    // re-baseline (`scripts/golden.sh`). The all-engine one runs every
+    // protocol under faults and an adversary; fig9/table1 is the older one.
     for shards in [0, 1, 2, 4] {
         assert_eq!(
             cli_transcript(&["randomness", "resilience", "eclipse"], shards),
