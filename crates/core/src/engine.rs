@@ -844,6 +844,14 @@ impl Protocol for Nylon {
         }
     }
 
+    /// The routing clock runs through an outage: the NAT holes behind a
+    /// down peer's routes close on schedule, so the routes must lapse on
+    /// schedule too. Purges on a dead peer's table are not protocol events
+    /// and stay out of the counters.
+    fn on_idle_round(&mut self, peer: PeerId) {
+        self.nodes[peer.index()].routing.decrease_ttls(self.cfg.shuffle_period);
+    }
+
     fn on_fault_plan(&mut self, plan: &FaultPlan) {
         self.harden = plan.harden;
     }
@@ -988,6 +996,29 @@ mod tests {
             (eng.stats(), eng.net().drop_counters(), views)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn revived_peer_resumes_with_its_routes_aged_by_the_outage() {
+        use nylon_faults::{FaultEvent, FaultKind};
+        // Everyone crashes after 20 rounds, so nothing refreshes anything;
+        // one natted peer comes back once every hole has timed out.
+        let cfg = NylonConfig::default();
+        let (victim, down) = (PeerId(20), SimTime::ZERO + cfg.shuffle_period * 20);
+        let up = down + cfg.hole_timeout + cfg.shuffle_period;
+        let mut events: Vec<FaultEvent> =
+            (0..50).map(|i| FaultEvent { at: down, kind: FaultKind::Crash(PeerId(i)) }).collect();
+        events.push(FaultEvent { at: up, kind: FaultKind::Revive(victim) });
+        let mut eng = mixed_population(10, 20, 15, 5, 7);
+        eng.install_fault_plan(FaultPlan { events, ..FaultPlan::default() });
+        eng.bootstrap_random_public(8);
+        eng.start();
+        eng.run_for(down - SimTime::ZERO);
+        assert!(eng.protocol().routing_of(victim).len() > 10, "no routes to lose");
+        eng.run_for(up - down + SimDuration::from_millis(1));
+        assert!(eng.net().is_alive(victim));
+        let live: Vec<PeerId> = eng.protocol().routing_of(victim).iter().map(|(d, _)| d).collect();
+        assert!(live.is_empty(), "routes outlived a {:?} outage: {live:?}", up - down);
     }
 
     #[test]

@@ -175,6 +175,12 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// `peer` was killed for good (no fault plan can revive it).
     fn on_kill(&mut self, _peer: PeerId) {}
 
+    /// The round timer of `peer` fired while it is down under a fault plan
+    /// that may revive it. Nothing is sent or drawn for a dead peer, but
+    /// state that ages by rounds must keep ageing here, or it reads on
+    /// revival as fresh as it was at the crash.
+    fn on_idle_round(&mut self, _peer: PeerId) {}
+
     /// A fault plan is being installed.
     fn on_fault_plan(&mut self, _plan: &FaultPlan) {}
 }
@@ -762,14 +768,17 @@ impl<P: Protocol> Engine<P> {
     /// Runs an alive peer's round and re-arms its timer.
     ///
     /// Dead peers stop gossiping; their timer chain normally ends here.
-    /// Under a fault plan the chain keeps ticking idle so a later Revive
-    /// fault resumes the peer at its original phase (no rescheduling,
-    /// hence no cross-shard tie hazards).
+    /// Under a fault plan the chain keeps ticking idle
+    /// ([`Protocol::on_idle_round`]) so a later Revive fault resumes the
+    /// peer at its original phase (no rescheduling, hence no cross-shard
+    /// tie hazards).
     fn on_timer(&mut self, p: PeerId) {
         if self.host.net.is_alive(p) {
             self.proto.on_round(&mut self.host, p);
         } else if self.host.faults.is_none() {
             return;
+        } else {
+            self.proto.on_idle_round(p);
         }
         self.host.sim.schedule_after(self.proto.shuffle_period(), Ev::Shuffle(p));
     }
