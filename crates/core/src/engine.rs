@@ -549,7 +549,6 @@ impl Protocol for Nylon {
     /// falls back to arbitrary peers with pre-opened holes (see
     /// [`nylon_net::Network::open_bootstrap_hole`]).
     fn bootstrap(&mut self, host: &mut NylonHost, per_view: usize) {
-        let now = host.now();
         let pool = host.bootstrap_pool();
         let all: Vec<PeerId> = host.net.alive_peers().collect();
         for p in all {
@@ -571,16 +570,12 @@ impl Protocol for Nylon {
                 pool.contacts(p, &mut host.node_rng::<Self>(p), per_view)
             };
             for q in chosen {
-                if owned {
+                if !owned {
+                    host.net.open_bootstrap_hole(host.now(), p, q);
+                } else if pool.fallback {
+                    self.join_contact(host, p, q);
+                } else {
                     self.nodes[p.index()].view.insert(host.descriptor_of(q));
-                }
-                if pool.fallback {
-                    if let Some(ep) = host.net.open_bootstrap_hole(now, p, q) {
-                        if owned {
-                            let node = &mut self.nodes[p.index()];
-                            node.routing.touch_direct(q, self.cfg.hole_timeout, ep);
-                        }
-                    }
                 }
             }
         }

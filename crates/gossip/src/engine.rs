@@ -266,15 +266,6 @@ impl Protocol for Baseline {
     }
 }
 
-impl Engine<Baseline> {
-    /// Forwards to [`bootstrap_random_public`](Engine::bootstrap_random_public),
-    /// which is O(per_view) per peer itself; kept for the ledger's callers.
-    #[doc(hidden)]
-    pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
-        self.bootstrap_random_public(per_view);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

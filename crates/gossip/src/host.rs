@@ -202,15 +202,13 @@ impl BootstrapPool {
     /// from `rng` — `p`'s own stream, so the result is the same on
     /// whichever shard asks.
     pub fn contacts(&self, p: PeerId, rng: &mut SimRng, per_view: usize) -> Vec<PeerId> {
-        if self.peers.binary_search(&p).is_err() {
-            return rng.sample_without_replacement(&self.peers, per_view);
-        }
         // Excluding `p` without copying the pool: draw from all but the
-        // last peer, and let the last one stand in wherever `p` came up.
-        let (last, rest) = self.peers.split_last().expect("p is in the pool");
+        // last peer, and let the last one stand in where `p` came up.
+        let in_pool = self.peers.binary_search(&p).is_ok();
+        let rest = &self.peers[..self.peers.len() - usize::from(in_pool)];
         let mut chosen = rng.sample_without_replacement(rest, per_view);
-        for q in chosen.iter_mut().filter(|q| **q == p) {
-            *q = *last;
+        if let Some(q) = chosen.iter_mut().find(|q| **q == p) {
+            *q = *self.peers.last().expect("p is in the pool");
         }
         chosen
     }
@@ -399,11 +397,9 @@ impl<M> Host<M> {
     /// The bootstrap contact pool as of now.
     pub fn bootstrap_pool(&self) -> BootstrapPool {
         let publics = self.alive_publics();
-        if publics.is_empty() {
-            BootstrapPool { peers: self.net.alive_peers().collect(), fallback: true }
-        } else {
-            BootstrapPool { peers: publics, fallback: false }
-        }
+        let fallback = publics.is_empty();
+        let peers = if fallback { self.net.alive_peers().collect() } else { publics };
+        BootstrapPool { peers, fallback }
     }
 
     /// A fresh copy of peer `id`'s RNG stream at its origin: the stream

@@ -85,6 +85,14 @@ pub trait PeerSampler: Sized {
     /// peers (the paper's bootstrap).
     fn bootstrap_random_public(&mut self, per_view: usize);
 
+    /// [`bootstrap_random_public`](Self::bootstrap_random_public) under the
+    /// name `benchmark/` still calls on the baseline: the O(`per_view`)
+    /// bootstrap is the only one since PR 24.
+    #[doc(hidden)]
+    fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
+        self.bootstrap_random_public(per_view);
+    }
+
     /// Schedules the first shuffle of every peer.
     fn start(&mut self);
 

@@ -22,7 +22,6 @@ use nylon_net::{NatClass, NetConfig, PeerId, TrafficStats};
 use nylon_sim::{ShardAssign, ShardPlan, ShardWorker, ShardedSim, SimDuration, SimTime};
 
 use crate::descriptor::NodeDescriptor;
-use crate::engine::BaselineEngine;
 use crate::sampler::{PeerSampler, SamplerConfig};
 use crate::view::PartialView;
 
@@ -130,15 +129,6 @@ impl<E: ShardSampler> Sharded<E> {
         for w in self.sim.workers_mut() {
             f(w);
         }
-    }
-}
-
-impl Sharded<BaselineEngine> {
-    /// Forwards to [`PeerSampler::bootstrap_random_public`]; kept for the
-    /// ledger's callers.
-    #[doc(hidden)]
-    pub fn bootstrap_random_public_sparse(&mut self, per_view: usize) {
-        self.bootstrap_random_public(per_view);
     }
 }
 
@@ -287,6 +277,7 @@ impl<E: ShardSampler> PeerSampler for Sharded<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BaselineEngine;
     use crate::policy::GossipConfig;
     use nylon_net::NatType;
 

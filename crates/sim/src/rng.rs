@@ -86,12 +86,7 @@ impl SimRng {
 
     /// A uniformly chosen element of `items`, or `None` if empty.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.inner.gen_range(0..items.len());
-            Some(&items[i])
-        }
+        self.pick_index(items.len()).map(|i| &items[i])
     }
 
     /// A uniformly chosen index into a collection of length `len`, or `None`
