@@ -171,7 +171,7 @@ fn exchange_state_is_bounded_at_five_thousand_peers() {
 /// Nylon in the shape of the ledger's `scale-baseline-200k-s2`: 200 000
 /// peers at 70 % NAT on two shards for ten rounds, held to the baseline
 /// smoke's liveness floors. Out of reach while the bootstrap shuffled the
-/// whole public pool for every peer (7 × 10⁹ swaps here); release-only:
+/// whole public pool for every peer (10¹⁰ swaps here); release-only:
 ///
 /// ```text
 /// cargo test --release --test scale_smoke nylon_two_hundred -- --ignored --nocapture
