@@ -13,9 +13,11 @@
 //!   hole can be punched (lines 5–7 and 20–22).
 
 use nylon_faults::FaultPlan;
-use nylon_gossip::{Engine, Host, NodeDescriptor, PartialView, Protocol, ProtocolStats};
+use nylon_gossip::{
+    Engine, Host, Intro, NodeDescriptor, NodeTable, PartialView, Protocol, ProtocolStats,
+};
 use nylon_net::{BufferPool, DenseMap, Endpoint, NatClass, NatType, NetConfig, PeerId};
-use nylon_sim::{SimDuration, SimRng, SimTime};
+use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
 use crate::config::NylonConfig;
 use crate::message::{NylonMsg, WireEntry};
@@ -161,7 +163,7 @@ type NylonHost = Host<NylonMsg>;
 #[derive(Debug)]
 pub struct Nylon {
     cfg: NylonConfig,
-    nodes: Vec<Node>,
+    nodes: NodeTable<Node>,
     stats: NylonStats,
     /// Recycled wire-entry buffers: every REQUEST/RESPONSE view travels in
     /// a pooled `Vec<WireEntry>` that returns here once the message is
@@ -205,7 +207,7 @@ pub type NylonEngine = Engine<Nylon>;
 impl Nylon {
     /// The routing table of a peer.
     pub fn routing_of(&self, peer: PeerId) -> &RoutingTable {
-        &self.nodes[peer.index()].routing
+        &self.nodes[peer].routing
     }
 
     /// The view as shipped on the wire towards `to`: fresh self-descriptor
@@ -219,7 +221,7 @@ impl Nylon {
     /// bounce between them instead of reaching the destination.
     fn wire_view(&mut self, host: &NylonHost, peer: PeerId, to: PeerId) -> Vec<WireEntry> {
         let mut out = self.entry_pool.acquire();
-        let node = &self.nodes[peer.index()];
+        let node = &self.nodes[peer];
         out.reserve(node.view.len() + 1);
         out.push(WireEntry::new(host.descriptor_of(peer), self.cfg.hole_timeout, 0));
         for d in node.view.iter() {
@@ -249,7 +251,7 @@ impl Nylon {
     /// left from an earlier, unanswered exchange with the same target.
     fn note_pending_sent(&mut self, now: SimTime, p: PeerId, target: PeerId, ids: Vec<PeerId>) {
         let sent = SentIds { expires: now + self.reply_horizon, ids };
-        if let Some(old) = self.nodes[p.index()].pending_sent.insert(target, sent) {
+        if let Some(old) = self.nodes[p].pending_sent.insert(target, sent) {
             self.id_pool.release(old.ids);
         }
     }
@@ -267,7 +269,7 @@ impl Nylon {
         if host.net.class_of(peer).is_public() {
             return Some(host.net.identity_endpoint(peer));
         }
-        self.nodes[me.index()].routing.contact_of(peer).or(fallback)
+        self.nodes[me].routing.contact_of(peer).or(fallback)
     }
 
     /// Sends a routed message towards `dest` via the first directly
@@ -281,7 +283,7 @@ impl Nylon {
         msg: NylonMsg,
     ) -> bool {
         let hop = {
-            let node = &self.nodes[from.index()];
+            let node = &self.nodes[from];
             node.routing.resolve_first_hop(dest, self.cfg.max_chain_depth)
         };
         let ep = hop.and_then(|hop| self.contact_ep(host, from, hop, None));
@@ -329,13 +331,13 @@ impl Nylon {
     /// of silently blackholing until TTL death.
     fn touch(&mut self, host: &mut NylonHost, me: PeerId, via: PeerId, observed: Endpoint) {
         if self.harden {
-            let prior = self.nodes[me.index()].routing.contact_of(via);
+            let prior = self.nodes[me].routing.contact_of(via);
             if prior.is_some_and(|c| c != observed) {
                 self.stats.stale_repunches += 1;
                 host.send_msg(self, me, observed, NylonMsg::Ping { from: me });
             }
         }
-        self.nodes[me.index()].routing.touch_direct(via, self.cfg.hole_timeout, observed);
+        self.nodes[me].routing.touch_direct(via, self.cfg.hole_timeout, observed);
     }
 
     /// Hardened punch-timeout handling: re-send the OPEN_HOLE + PING pair
@@ -359,13 +361,13 @@ impl Nylon {
         }
         let backoff = self.cfg.punch_timeout * (1u64 << punch.attempts.min(6));
         let jitter = {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             SimDuration::from_millis(
                 node.rng.gen_range(0..self.cfg.punch_timeout.as_millis().max(2)),
             )
         };
         punch.deadline = host.now() + backoff + jitter;
-        self.nodes[p.index()].pending_punch.insert(t, punch);
+        self.nodes[p].pending_punch.insert(t, punch);
     }
 
     /// A shuffle REQUEST from `p` towards `dest`, shipping `entries`.
@@ -378,7 +380,7 @@ impl Nylon {
     fn initiate(&mut self, host: &mut NylonHost, p: PeerId, target: NodeDescriptor) {
         let t = target.id;
         let self_class = host.net.class_of(p);
-        let direct = target.class.is_public() || self.nodes[p.index()].routing.is_direct(t);
+        let direct = target.class.is_public() || self.nodes[p].routing.is_direct(t);
         if direct {
             let entries = self.wire_view(host, p, t);
             let sent = Self::sent_ids(&mut self.id_pool, &entries);
@@ -411,7 +413,7 @@ impl Nylon {
             if self.route_and_send(host, p, t, msg) {
                 self.stats.hole_punches += 1;
                 let deadline = host.now() + self.cfg.punch_timeout;
-                self.nodes[p.index()]
+                self.nodes[p]
                     .pending_punch
                     .insert(t, Punch { deadline, attempts: 0, addr: target.addr });
                 if !self_class.is_public() {
@@ -431,14 +433,14 @@ impl Nylon {
     /// paper keeps views stale-free; Section 5 "no stale references").
     fn drop_unroutable(&mut self, p: PeerId, target: PeerId) {
         self.stats.routes_missing += 1;
-        self.nodes[p.index()].view.remove(target);
+        self.nodes[p].view.remove(target);
     }
 
     /// A relayed message from `origin` reached `me` over `hops` hops with
     /// `via` as last hop: learn the reverse chain towards `origin`, as
     /// long-lived as the observed path.
     fn learn_reverse_chain(&mut self, me: PeerId, origin: PeerId, via: PeerId, hops: u8) {
-        let routing = &mut self.nodes[me.index()].routing;
+        let routing = &mut self.nodes[me].routing;
         let via_ttl = routing.ttl_of(via).unwrap_or(SimDuration::ZERO);
         routing.update_next_rvp(origin, via, via_ttl, hops.saturating_add(1));
     }
@@ -458,7 +460,7 @@ impl Nylon {
         let mut descriptors = std::mem::take(&mut self.scratch_descs);
         descriptors.clear();
         descriptors.extend(entries.iter().map(|e| e.descriptor));
-        let node = &mut self.nodes[me.index()];
+        let node = &mut self.nodes[me];
         node.view.merge_and_truncate(&descriptors, sent, self.cfg.merge, &mut node.rng);
         self.stats.routes_installed += node.routing.install_from_shuffle(
             partner,
@@ -478,12 +480,13 @@ impl Protocol for Nylon {
 
     const NODE_RNG_LABEL: u64 = 0x4E79_6C6F_0000_0000;
     const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0002;
+    const JOIN_OPENS_HOLES: bool = true;
 
     /// # Panics
     ///
     /// Panics if the network's hole timeout differs from the protocol's
     /// `hole_timeout` (the TTL bookkeeping would be meaningless).
-    fn new(cfg: NylonConfig, net_cfg: &NetConfig) -> Self {
+    fn new(cfg: NylonConfig, net_cfg: &NetConfig, share: Share) -> Self {
         assert_eq!(
             cfg.hole_timeout, net_cfg.hole_timeout,
             "protocol HOLE_TIMEOUT must match the NAT boxes' rule lifetime"
@@ -492,7 +495,7 @@ impl Protocol for Nylon {
             * (2 * (u64::from(cfg.max_forward_hops) + 1));
         Nylon {
             cfg,
-            nodes: Vec::new(),
+            nodes: NodeTable::new(share),
             stats: NylonStats::default(),
             entry_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
@@ -500,10 +503,6 @@ impl Protocol for Nylon {
             reply_horizon,
             harden: false,
         }
-    }
-
-    fn config(&self) -> &NylonConfig {
-        &self.cfg
     }
 
     fn shuffle_period(&self) -> SimDuration {
@@ -515,69 +514,39 @@ impl Protocol for Nylon {
     }
 
     fn add_node(&mut self, id: PeerId, rng: SimRng) {
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.view_size),
-            routing: RoutingTable::new(id),
-            pending_punch: DenseMap::new(),
-            pending_sent: DenseMap::new(),
-            rng,
-        });
+        self.nodes.push(
+            id,
+            Node {
+                view: PartialView::new(id, self.cfg.view_size),
+                routing: RoutingTable::new(id),
+                pending_punch: DenseMap::new(),
+                pending_sent: DenseMap::new(),
+                rng,
+            },
+        );
     }
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
+        &self.nodes[peer].view
     }
 
     fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
+        &mut self.nodes[peer].view
     }
 
     fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
-        &mut self.nodes[peer.index()].rng
+        &mut self.nodes[peer].rng
     }
 
-    /// The join handshake: the contact enters the view with a pre-opened
-    /// hole and a direct route.
-    fn join_contact(&mut self, host: &mut NylonHost, p: PeerId, contact: PeerId) {
-        let Some(ep) = host.net.open_bootstrap_hole(host.now(), p, contact) else { return };
-        let node = &mut self.nodes[p.index()];
-        node.view.insert(host.descriptor_of(contact));
-        node.routing.touch_direct(contact, self.cfg.hole_timeout, ep);
-    }
-
-    /// The paper's bootstrap. With no public peers in the population,
-    /// falls back to arbitrary peers with pre-opened holes (see
-    /// [`nylon_net::Network::open_bootstrap_hole`]).
-    fn bootstrap(&mut self, host: &mut NylonHost, per_view: usize) {
-        let pool = host.bootstrap_pool();
-        let all: Vec<PeerId> = host.net.alive_peers().collect();
-        for p in all {
-            let owned = host.owns(p);
-            if !owned && !pool.fallback {
-                // Another shard fills this node's view from the same
-                // per-node stream; without hole-opening there is nothing
-                // global to replay here.
-                continue;
-            }
-            let chosen = if owned {
-                pool.contacts(p, &mut self.nodes[p.index()].rng, per_view)
-            } else {
-                // Fallback bootstrap opens NAT holes, which mutate *both*
-                // endpoints' boxes — global state every shard replicates.
-                // Replay the non-owned node's choices from a fresh copy of
-                // its stream: pre-bootstrap the stored stream has had no
-                // draws, so the copy is draw-for-draw identical.
-                pool.contacts(p, &mut host.node_rng::<Self>(p), per_view)
-            };
-            for q in chosen {
-                if !owned {
-                    host.net.open_bootstrap_hole(host.now(), p, q);
-                } else if pool.fallback {
-                    self.join_contact(host, p, q);
-                } else {
-                    self.nodes[p.index()].view.insert(host.descriptor_of(q));
-                }
-            }
+    /// The join handshake: the contact enters the view — with a direct
+    /// route through the hole pre-opened towards it, when the join opened
+    /// one (see [`nylon_net::Network::open_bootstrap_hole`]; a population
+    /// without public peers bootstraps this way).
+    fn join_contact(&mut self, _host: &mut NylonHost, p: PeerId, contact: &Intro) {
+        let node = &mut self.nodes[p];
+        node.view.insert(contact.descriptor);
+        if let Some(ep) = contact.hole {
+            node.routing.touch_direct(contact.descriptor.id, self.cfg.hole_timeout, ep);
         }
     }
 
@@ -586,7 +555,7 @@ impl Protocol for Nylon {
         let now = host.now();
         // Expire abandoned hole punches (skip the bucket walk when no
         // punch is outstanding — the common case for public peers).
-        let node = &mut self.nodes[p.index()];
+        let node = &mut self.nodes[p];
         if !node.pending_punch.is_empty() {
             if self.harden {
                 let mut expired: Vec<(PeerId, Punch)> = Vec::new();
@@ -608,7 +577,7 @@ impl Protocol for Nylon {
             }
         }
         // Forget shuffles whose RESPONSE can no longer arrive.
-        let node = &mut self.nodes[p.index()];
+        let node = &mut self.nodes[p];
         if !node.pending_sent.is_empty() {
             let id_pool = &mut self.id_pool;
             node.pending_sent.retain(|_, sent| {
@@ -620,18 +589,18 @@ impl Protocol for Nylon {
             });
         }
         let target = {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             node.view.select_target(self.cfg.selection, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(target) => {
-                host.log_sample(target.id);
+                host.log_sample(p, target.id);
                 self.stats.shuffles_initiated += 1;
                 self.initiate(host, p, target);
             }
         }
-        let node = &mut self.nodes[p.index()];
+        let node = &mut self.nodes[p];
         node.view.increase_age();
         self.stats.route_ttl_expiries += node.routing.decrease_ttls(self.cfg.shuffle_period);
     }
@@ -701,7 +670,7 @@ impl Protocol for Nylon {
                 if via != from {
                     self.learn_reverse_chain(to, from, via, hops);
                 }
-                let sent = self.nodes[to.index()].pending_sent.remove(&from).unwrap_or_default();
+                let sent = self.nodes[to].pending_sent.remove(&from).unwrap_or_default();
                 self.merge_shuffle(to, from, &entries, &sent.ids);
                 self.id_pool.release(sent.ids);
                 self.entry_pool.release(entries);
@@ -732,7 +701,7 @@ impl Protocol for Nylon {
                 // the unconditional REQUEST of the pseudocode would then
                 // shuffle twice in one round.
                 self.touch(host, to, from, from_ep);
-                if let Some(punch) = self.nodes[to.index()].pending_punch.remove(&from) {
+                if let Some(punch) = self.nodes[to].pending_punch.remove(&from) {
                     self.stats.punch_successes += 1;
                     if punch.attempts > 0 {
                         self.stats.punch_retry_wins += 1;
@@ -794,7 +763,7 @@ impl Protocol for Nylon {
         out.counter("engine.nylon", "punch_retry_wins", s.punch_retry_wins);
         out.counter("engine.nylon", "stale_repunches", s.stale_repunches);
         let pending: usize = self.nodes.iter().map(|n| n.pending_sent.len()).sum();
-        out.gauge("engine.nylon", "pending_exchanges", pending as u64);
+        out.gauge_sum("engine.nylon", "pending_exchanges", pending as u64);
         // RouteMap storage health: snapshot-time walk over every node's
         // table (read-only — the hot path carries no histogram state).
         let mut probe = nylon_obs::Histogram::new();
@@ -818,9 +787,9 @@ impl Protocol for Nylon {
         out.counter("routing", "sweep_slots", work.sweep_slots);
         out.counter("routing", "rebuilds", work.rebuilds);
         out.counter("routing", "rebuild_slots", work.rebuild_slots);
-        out.gauge("routing", "entries", entries);
-        out.gauge("routing", "slots", capacity);
-        out.gauge("routing", "slot_bytes", capacity * RoutingTable::SLOT_BYTES as u64);
+        out.gauge_sum("routing", "entries", entries);
+        out.gauge_sum("routing", "slots", capacity);
+        out.gauge_sum("routing", "slot_bytes", capacity * RoutingTable::SLOT_BYTES as u64);
         let snap = probe.snapshot();
         if snap.count > 0 {
             out.histogram("routing", "probe_len", snap);
@@ -831,7 +800,7 @@ impl Protocol for Nylon {
     /// maps again: free them on the spot instead of carrying them to the
     /// end of the run (the view stays: dead peers keep their last view).
     fn on_kill(&mut self, peer: PeerId) {
-        let node = &mut self.nodes[peer.index()];
+        let node = &mut self.nodes[peer];
         node.routing.release();
         node.pending_punch = DenseMap::new();
         for (_, sent) in std::mem::take(&mut node.pending_sent).iter_mut() {
@@ -844,7 +813,7 @@ impl Protocol for Nylon {
     /// schedule too. Purges on a dead peer's table are not protocol events
     /// and stay out of the counters.
     fn on_idle_round(&mut self, peer: PeerId) {
-        self.nodes[peer.index()].routing.decrease_ttls(self.cfg.shuffle_period);
+        self.nodes[peer].routing.decrease_ttls(self.cfg.shuffle_period);
     }
 
     fn on_fault_plan(&mut self, plan: &FaultPlan) {
@@ -981,7 +950,7 @@ mod tests {
             let victims: Vec<PeerId> = eng.alive_peers().take(25).collect();
             eng.kill_peers(&victims);
             for v in victims.iter().filter(|_| release) {
-                let node = &eng.protocol().nodes[v.index()];
+                let node = &eng.protocol().nodes[*v];
                 assert_eq!(node.routing.probe_stats(&mut nylon_obs::Histogram::new()), (0, 0));
                 assert_eq!(node.pending_punch.capacity() + node.pending_sent.capacity(), 0);
                 assert!(!node.view.is_empty(), "dead peers keep their last view");
@@ -1100,7 +1069,7 @@ mod tests {
         // No pending state leaks: punches either succeeded or timed out.
         for p in eng.alive_peers().collect::<Vec<_>>() {
             assert!(
-                eng.protocol().nodes[p.index()].pending_punch.len() <= 1,
+                eng.protocol().nodes[p].pending_punch.len() <= 1,
                 "pending punches not reclaimed at {p}"
             );
         }
@@ -1134,7 +1103,7 @@ mod tests {
         assert!(len > 0, "enabled log must record selections");
         // Logged ids are valid peers.
         for id in eng.sample_log().unwrap() {
-            assert!((*id as usize) < eng.net().peer_count());
+            assert!((id as usize) < eng.net().peer_count());
         }
     }
 

@@ -30,8 +30,9 @@ impl SamplerConfig for NylonConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::static_rvp::StaticRvpConfig;
-    use nylon_gossip::{PeerSampler, ShardSampler, Sharded, ShardedConfig};
+    use crate::engine::Nylon;
+    use crate::static_rvp::{StaticRvp, StaticRvpConfig};
+    use nylon_gossip::{Engine, PeerSampler, Protocol, Sharded, ShardedConfig};
     use nylon_net::{NatClass, NatType, PeerId};
     use nylon_sim::SimDuration;
 
@@ -99,8 +100,8 @@ mod tests {
 
     /// (merged-counter debug string, per-node sorted view ids) — a full
     /// fingerprint of the observable protocol state.
-    fn shard_fingerprint<E: ShardSampler>(
-        eng: &Sharded<E>,
+    fn shard_fingerprint<P: Protocol>(
+        eng: &Sharded<Engine<P>>,
         stats: String,
     ) -> (String, Vec<Vec<u32>>) {
         let views = (0..eng.peer_count() as u32)
@@ -113,17 +114,14 @@ mod tests {
         (stats, views)
     }
 
-    fn run_sharded<C: SamplerConfig>(
-        cfg: C,
+    fn run_sharded<P: Protocol>(
+        cfg: P::Config,
         shards: usize,
         publics: u32,
         natted: u32,
         seed: u64,
-    ) -> Sharded<C::Sampler>
-    where
-        C::Sampler: ShardSampler,
-    {
-        let mut eng = Sharded::<C::Sampler>::with_seed(
+    ) -> Sharded<Engine<P>> {
+        let mut eng = Sharded::<Engine<P>>::with_seed(
             ShardedConfig::new(cfg, shards),
             NetConfig::default(),
             seed,
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn sharded_nylon_is_shard_count_independent() {
         let fp = |shards| {
-            let eng = run_sharded(NylonConfig::default(), shards, 15, 25, 21);
+            let eng = run_sharded::<Nylon>(NylonConfig::default(), shards, 15, 25, 21);
             let stats = eng.stats();
             assert!(stats.punch_successes > 0, "holes must get punched");
             shard_fingerprint(&eng, format!("{stats:?}"))
@@ -156,11 +154,9 @@ mod tests {
     #[test]
     fn sharded_nylon_fallback_bootstrap_is_shard_count_independent() {
         // 100 % NAT population: bootstrap pre-opens holes, which mutate
-        // both endpoints' boxes — the one piece of global state every
-        // shard must replay identically (non-owned draws come from probe
-        // forks of the node streams).
+        // both endpoints' boxes — a join run on the two workers in turn.
         let fp = |shards| {
-            let eng = run_sharded(NylonConfig::default(), shards, 0, 30, 33);
+            let eng = run_sharded::<Nylon>(NylonConfig::default(), shards, 0, 30, 33);
             let stats = eng.stats();
             assert!(stats.shuffles_initiated > 0);
             shard_fingerprint(&eng, format!("{stats:?}"))
@@ -172,7 +168,7 @@ mod tests {
     #[test]
     fn sharded_static_rvp_is_shard_count_independent() {
         let fp = |shards| {
-            let eng = run_sharded(StaticRvpConfig::default(), shards, 10, 30, 5);
+            let eng = run_sharded::<StaticRvp>(StaticRvpConfig::default(), shards, 10, 30, 5);
             let stats = eng.stats();
             assert!(stats.relays > 0, "natted shuffles must be relayed");
             shard_fingerprint(&eng, format!("{stats:?}"))

@@ -18,10 +18,11 @@
 
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
-    Engine, GossipConfig, Host, NodeDescriptor, PartialView, Protocol, ProtocolStats, SamplerConfig,
+    Engine, GossipConfig, Host, Intro, NodeDescriptor, NodeTable, PartialView, Protocol,
+    ProtocolStats, SamplerConfig,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
-use nylon_sim::{FxHashSet, SimDuration, SimRng};
+use nylon_sim::{FxHashSet, Share, SimDuration, SimRng};
 
 /// A descriptor annotated with the peer's RVP binding (`None` for public
 /// peers).
@@ -145,7 +146,7 @@ type RvpHost = Host<StaticRvpMsg>;
 #[derive(Debug)]
 pub struct StaticRvp {
     cfg: StaticRvpConfig,
-    nodes: Vec<Node>,
+    nodes: NodeTable<Node>,
     stats: StaticRvpStats,
     /// Recycled wire-view buffers (see `nylon_net::pool`): steady-state
     /// shuffling allocates nothing.
@@ -167,12 +168,12 @@ pub type StaticRvpEngine = Engine<StaticRvp>;
 
 impl StaticRvp {
     fn self_descriptor(&self, host: &RvpHost, peer: PeerId) -> BoundDescriptor {
-        BoundDescriptor { descriptor: host.descriptor_of(peer), rvp: self.nodes[peer.index()].rvp }
+        BoundDescriptor { descriptor: host.descriptor_of(peer), rvp: self.nodes[peer].rvp }
     }
 
     fn wire_view(&mut self, host: &RvpHost, peer: PeerId) -> Vec<BoundDescriptor> {
         let mut out = self.entry_pool.acquire();
-        let node = &self.nodes[peer.index()];
+        let node = &self.nodes[peer];
         out.reserve(node.view.len() + 1);
         out.push(self.self_descriptor(host, peer));
         for d in node.view.iter() {
@@ -192,22 +193,22 @@ impl StaticRvp {
     /// Keep-alive / re-bind: a natted peer pings its RVP every period.
     /// Returns `false` when no RVP is available and the round is lost.
     fn keep_alive(&mut self, host: &mut RvpHost, p: PeerId) -> bool {
-        let rvp_dead = self.nodes[p.index()].rvp.is_none_or(|r| !host.net.is_alive(r));
+        let rvp_dead = self.nodes[p].rvp.is_none_or(|r| !host.net.is_alive(r));
         if rvp_dead {
             let publics = host.alive_publics();
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             let Some(rvp) = node.rng.pick(&publics) else { return false };
             node.rvp = Some(*rvp);
             node.silent_rounds = 0;
             self.stats.rebinds += 1;
-        } else if self.harden && self.nodes[p.index()].silent_rounds >= FAILOVER_SILENT_ROUNDS {
+        } else if self.harden && self.nodes[p].silent_rounds >= FAILOVER_SILENT_ROUNDS {
             // Silence-based failover: the RVP looks alive by TTL but no
             // RESPONSE has made it back for several rounds — its relay
             // state (our hole, its client table) may be stale. Re-register
             // with a different live RVP from the view rather than
             // blackholing until the TTL catches up.
-            let cur = self.nodes[p.index()].rvp;
-            let mut candidates: Vec<PeerId> = self.nodes[p.index()]
+            let cur = self.nodes[p].rvp;
+            let mut candidates: Vec<PeerId> = self.nodes[p]
                 .view
                 .iter()
                 .filter(|d| d.class.is_public())
@@ -218,14 +219,14 @@ impl StaticRvp {
                 candidates = host.alive_publics();
                 candidates.retain(|q| Some(*q) != cur);
             }
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             if let Some(rvp) = node.rng.pick(&candidates) {
                 node.rvp = Some(*rvp);
                 self.stats.failovers += 1;
             }
             node.silent_rounds = 0;
         }
-        let node = &mut self.nodes[p.index()];
+        let node = &mut self.nodes[p];
         if self.harden {
             node.silent_rounds = node.silent_rounds.saturating_add(1);
         }
@@ -237,7 +238,7 @@ impl StaticRvp {
 
     /// RVP duty: forward `msg` through the hole of client `dest`.
     fn relay(&mut self, host: &mut RvpHost, rvp: PeerId, dest: PeerId, msg: StaticRvpMsg) {
-        match self.nodes[rvp.index()].clients.get(&dest).copied() {
+        match self.nodes[rvp].clients.get(&dest).copied() {
             Some(client_ep) => {
                 self.stats.relays += 1;
                 host.send_msg(self, rvp, client_ep, msg);
@@ -254,7 +255,7 @@ impl StaticRvp {
         let mut keep = std::mem::take(&mut self.scratch_keep);
         descriptors.clear();
         descriptors.extend(entries.iter().map(|e| e.descriptor));
-        let node = &mut self.nodes[me.index()];
+        let node = &mut self.nodes[me];
         for e in entries {
             if e.descriptor.id != me {
                 node.bindings.insert(e.descriptor.id, e.rvp);
@@ -280,11 +281,13 @@ impl Protocol for StaticRvp {
 
     const NODE_RNG_LABEL: u64 = 0x5374_5276_0000_0000;
     const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0003;
+    /// The scheme binds natted peers to public RVPs, so it needs some.
+    const BOOTSTRAPS_WITHOUT_PUBLICS: bool = false;
 
-    fn new(cfg: StaticRvpConfig, _net_cfg: &NetConfig) -> Self {
+    fn new(cfg: StaticRvpConfig, _net_cfg: &NetConfig, share: Share) -> Self {
         StaticRvp {
             cfg,
-            nodes: Vec::new(),
+            nodes: NodeTable::new(share),
             stats: StaticRvpStats::default(),
             entry_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
@@ -292,10 +295,6 @@ impl Protocol for StaticRvp {
             scratch_keep: FxHashSet::default(),
             harden: false,
         }
-    }
-
-    fn config(&self) -> &StaticRvpConfig {
-        &self.cfg
     }
 
     fn shuffle_period(&self) -> SimDuration {
@@ -307,44 +306,41 @@ impl Protocol for StaticRvp {
     }
 
     fn add_node(&mut self, id: PeerId, rng: SimRng) {
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.0.view_size),
-            rvp: None,
-            clients: DenseMap::new(),
-            pending: None,
-            rng,
-            bindings: DenseMap::new(),
-            silent_rounds: 0,
-        });
+        self.nodes.push(
+            id,
+            Node {
+                view: PartialView::new(id, self.cfg.0.view_size),
+                rvp: None,
+                clients: DenseMap::new(),
+                pending: None,
+                rng,
+                bindings: DenseMap::new(),
+                silent_rounds: 0,
+            },
+        );
     }
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
+        &self.nodes[peer].view
     }
 
     fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
+        &mut self.nodes[peer].view
     }
 
     fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
-        &mut self.nodes[peer.index()].rng
+        &mut self.nodes[peer].rng
     }
 
     /// The contact enters the view along with its RVP binding.
-    fn join_contact(&mut self, host: &mut RvpHost, p: PeerId, contact: PeerId) {
-        let rvp = self.nodes[contact.index()].rvp;
-        let node = &mut self.nodes[p.index()];
-        node.view.insert(host.descriptor_of(contact));
-        node.bindings.insert(contact, rvp);
+    fn join_contact(&mut self, _host: &mut RvpHost, p: PeerId, contact: &Intro) {
+        let node = &mut self.nodes[p];
+        node.view.insert(contact.descriptor);
+        node.bindings.insert(contact.descriptor.id, contact.relay);
     }
 
-    /// # Panics
-    ///
-    /// Panics if the population has no public peer.
-    fn bootstrap(&mut self, host: &mut RvpHost, per_view: usize) {
-        let pool = host.bootstrap_pool();
-        assert!(!pool.fallback, "the static-RVP scheme requires at least one public peer");
-        nylon_gossip::host::bootstrap_views(self, host, &pool, per_view);
+    fn relay_of(&self, peer: PeerId) -> Option<PeerId> {
+        self.nodes[peer].rvp
     }
 
     /// Binds every natted peer about to start to a uniformly random public
@@ -356,30 +352,30 @@ impl Protocol for StaticRvp {
     fn on_start(&mut self, host: &RvpHost, peers: &[PeerId]) {
         let publics = host.alive_publics();
         for p in peers.iter().filter(|p| host.net.class_of(**p).is_natted()) {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[*p];
             node.rvp = Some(*node.rng.pick(&publics).expect("no public peers to act as RVPs"));
         }
     }
 
     fn on_round(&mut self, host: &mut RvpHost, p: PeerId) {
-        if let Some((_, unanswered)) = self.nodes[p.index()].pending.take() {
+        if let Some((_, unanswered)) = self.nodes[p].pending.take() {
             self.id_pool.release(unanswered);
         }
         if host.net.class_of(p).is_natted() && !self.keep_alive(host, p) {
             return;
         }
         let target = {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             node.view.select_target(self.cfg.0.selection, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(target) => {
-                host.log_sample(target.id);
+                host.log_sample(p, target.id);
                 self.stats.shuffles_initiated += 1;
                 let entries = self.wire_view(host, p);
                 let sent = self.sent_ids(&entries);
-                self.nodes[p.index()].pending = Some((target.id, sent));
+                self.nodes[p].pending = Some((target.id, sent));
                 let msg = StaticRvpMsg::Request {
                     src: self.self_descriptor(host, p),
                     dest: target.id,
@@ -389,7 +385,7 @@ impl Protocol for StaticRvp {
                 let hop = if target.class.is_public() {
                     Some(target.id)
                 } else {
-                    let rvp = self.nodes[p.index()].bindings.get(&target.id).copied().flatten();
+                    let rvp = self.nodes[p].bindings.get(&target.id).copied().flatten();
                     rvp.filter(|r| host.net.is_alive(*r))
                 };
                 match hop {
@@ -398,20 +394,20 @@ impl Protocol for StaticRvp {
                         // Binding unknown or RVP dead: the reference is
                         // unusable (the failure mode the paper points
                         // out). Drop it.
-                        self.nodes[p.index()].view.remove(target.id);
+                        self.nodes[p].view.remove(target.id);
                         self.recycle(msg);
                     }
                 }
             }
         }
-        self.nodes[p.index()].view.increase_age();
+        self.nodes[p].view.increase_age();
     }
 
     fn on_msg(&mut self, host: &mut RvpHost, to: PeerId, from_ep: Endpoint, msg: StaticRvpMsg) {
         match msg {
             StaticRvpMsg::Ping { from } => {
                 // RVP duty: remember the client's hole endpoint.
-                self.nodes[to.index()].clients.insert(from, from_ep);
+                self.nodes[to].clients.insert(from, from_ep);
             }
             // We are the addressee's RVP.
             StaticRvpMsg::Request { dest, .. } | StaticRvpMsg::Response { dest, .. }
@@ -445,8 +441,8 @@ impl Protocol for StaticRvp {
             }
             StaticRvpMsg::Response { from, entries, .. } => {
                 self.stats.responses_completed += 1;
-                self.nodes[to.index()].silent_rounds = 0;
-                let answered = self.nodes[to.index()].pending.take_if(|(t, _)| *t == from);
+                self.nodes[to].silent_rounds = 0;
+                let answered = self.nodes[to].pending.take_if(|(t, _)| *t == from);
                 let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
                 self.merge(to, &entries, &sent);
                 self.id_pool.release(sent);
@@ -485,7 +481,7 @@ impl Protocol for StaticRvp {
         if d.class.is_public() {
             return true;
         }
-        match self.nodes[holder.index()].bindings.get(&d.id) {
+        match self.nodes[holder].bindings.get(&d.id) {
             Some(Some(rvp)) => host.net.is_alive(*rvp),
             _ => false,
         }
@@ -505,7 +501,7 @@ impl Protocol for StaticRvp {
         out.counter("engine.static_rvp", "rebinds", s.rebinds);
         out.counter("engine.static_rvp", "rvp_failovers", s.failovers);
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
-        out.gauge("engine.static_rvp", "pending_exchanges", pending as u64);
+        out.gauge_sum("engine.static_rvp", "pending_exchanges", pending as u64);
     }
 
     fn on_fault_plan(&mut self, plan: &FaultPlan) {
@@ -591,7 +587,7 @@ mod tests {
         let contact = eng.alive_peers().next().unwrap();
         let newbie =
             eng.add_peer_with_bootstrap(NatClass::Natted(NatType::PortRestrictedCone), &[contact]);
-        let rvp = eng.protocol().nodes[newbie.index()].rvp.expect("a natted joiner binds an RVP");
+        let rvp = eng.protocol().nodes[newbie].rvp.expect("a natted joiner binds an RVP");
         assert!(eng.net().class_of(rvp).is_public());
         eng.run_rounds(30);
         assert!(!eng.view_of(newbie).is_empty());
@@ -636,7 +632,7 @@ mod tests {
         let mut eng = engine(10, 40, 9);
         eng.run_rounds(60);
         for p in eng.alive_peers().collect::<Vec<_>>() {
-            let n = eng.protocol().nodes[p.index()].bindings.len();
+            let n = eng.protocol().nodes[p].bindings.len();
             assert!(n <= 8 * 15 + 16, "bindings cache of {p} grew to {n}");
         }
     }

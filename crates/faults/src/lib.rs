@@ -3,15 +3,17 @@
 //! A [`FaultPlan`] is compiled once, before the engine starts, from a
 //! [`FaultConfig`] plus the population's NAT classes and a seed-forked RNG
 //! stream.  The plan is a plain sorted list of [`FaultEvent`]s, so it is
-//! trivially shard- and resume-deterministic: every shard replica compiles
-//! the identical plan from the identical seed and applies every event at the
-//! same virtual instant, mutating only its own replica of the [`Network`].
+//! trivially worker- and resume-deterministic: every worker of an engine
+//! applies every event at the same virtual instant to its own fabric, which
+//! holds the liveness of every peer and the NAT boxes of the peers it owns.
 //!
 //! Fault times sit at [`GRID_OFFSET`] past a multiple of the fault period.
 //! Protocol traffic (shuffles, deliveries, lockstep ticks) lives on the
 //! 50 ms latency grid, so the offset guarantees fault events never tie with
 //! protocol events — tie-breaking would otherwise depend on queue insertion
 //! order, which shard count could perturb.
+
+use std::sync::Arc;
 
 use nylon_net::{NatClass, NatType, Network, PeerId};
 use nylon_sim::{SimDuration, SimRng, SimTime};
@@ -271,8 +273,8 @@ impl FaultPlan {
     /// (`classes[i]` is the class of `PeerId(i as u32)`).
     ///
     /// Pure function of `(cfg, seed, classes)`: all randomness comes from a
-    /// fork of `seed` under [`FAULTS_RNG_LABEL`], so every shard replica
-    /// compiles the identical plan.
+    /// fork of `seed` under [`FAULTS_RNG_LABEL`], so a resumed run compiles
+    /// the identical plan.
     pub fn compile(cfg: &FaultConfig, seed: u64, classes: &[NatClass]) -> Self {
         let mut rng = SimRng::new(seed).fork(FAULTS_RNG_LABEL);
         let natted: Vec<PeerId> = classes
@@ -416,10 +418,9 @@ fn frac_count(len: usize, frac: f64) -> usize {
 
 /// Counters of faults actually applied.
 ///
-/// Under sharding every replica applies every event; to keep the absorbed
-/// (summed) totals equal to the single-engine totals, per-peer faults are
-/// counted only by the shard that owns the target and global windows only
-/// by shard 0.
+/// Every worker of an engine applies every event; to keep the summed
+/// totals equal to the one-worker totals, per-peer faults are counted only
+/// by the worker that owns the target and global windows only by worker 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// NAT mappings rebound.
@@ -447,31 +448,24 @@ impl FaultStats {
 
 /// Cursor over a [`FaultPlan`] that applies due events to a `Network`.
 ///
-/// One runtime lives inside each engine (each shard replica under
-/// sharding).  The engine schedules a timer for [`FaultRuntime::next_at`],
-/// calls [`FaultRuntime::apply_due`] when it fires, restarts the timers of
-/// any revived peers it owns, and re-arms for the next instant.
+/// One runtime lives inside each engine worker, all sharing the one plan.
+/// The worker schedules a timer for [`FaultRuntime::next_at`], calls
+/// [`FaultRuntime::apply_due`] when it fires, restarts the timers of any
+/// revived peers it owns, and re-arms for the next instant.
 #[derive(Debug, Clone)]
 pub struct FaultRuntime {
-    plan: FaultPlan,
+    plan: Arc<FaultPlan>,
     cursor: usize,
     count_global: bool,
     stats: FaultStats,
-    applied: Vec<FaultEvent>,
 }
 
 impl FaultRuntime {
     /// Wraps a compiled plan.  `count_global` must be `true` on exactly one
-    /// replica (the unsharded engine, or shard 0) so absorbed stats are not
-    /// multiplied by the shard count.
-    pub fn new(plan: FaultPlan, count_global: bool) -> Self {
-        FaultRuntime {
-            plan,
-            cursor: 0,
-            count_global,
-            stats: FaultStats::default(),
-            applied: Vec::new(),
-        }
+    /// worker (worker 0) so summed stats are not multiplied by the worker
+    /// count.
+    pub fn new(plan: Arc<FaultPlan>, count_global: bool) -> Self {
+        FaultRuntime { plan, cursor: 0, count_global, stats: FaultStats::default() }
     }
 
     /// The plan being replayed.
@@ -494,23 +488,11 @@ impl FaultRuntime {
         self.stats
     }
 
-    /// Every event applied so far, in order — identical on every shard
-    /// replica, which is what the determinism tests byte-compare.
-    pub fn applied_log(&self) -> &[FaultEvent] {
-        &self.applied
-    }
-
-    /// Applies every event due at or before `now`.  `owns` is the engine's
-    /// shard-ownership predicate (always-`true` when unsharded); revived
-    /// peers are appended to `revived` so the caller can restart their
-    /// protocol timers.
-    pub fn apply_due<P>(
-        &mut self,
-        now: SimTime,
-        net: &mut Network<P>,
-        owns: impl Fn(PeerId) -> bool,
-        revived: &mut Vec<PeerId>,
-    ) {
+    /// Applies every event due at or before `now` to `net`, one worker's
+    /// fabric (see [`Network::owns`] — every peer on an unsharded one);
+    /// revived peers are appended to `revived` so the caller can restart
+    /// their protocol timers.
+    pub fn apply_due<P>(&mut self, now: SimTime, net: &mut Network<P>, revived: &mut Vec<PeerId>) {
         while let Some(ev) = self.plan.events.get(self.cursor).copied() {
             if ev.at > now {
                 break;
@@ -518,21 +500,21 @@ impl FaultRuntime {
             self.cursor += 1;
             match ev.kind {
                 FaultKind::Rebind(p) => {
-                    if net.rebind_nat(p) && owns(p) {
+                    if net.rebind_nat(p) && net.owns(p) {
                         self.stats.rebinds += 1;
                     }
                 }
                 FaultKind::Crash(p) => {
                     let was_alive = net.is_alive(p);
                     net.kill_peer(p);
-                    if was_alive && owns(p) {
+                    if was_alive && net.owns(p) {
                         self.stats.crashes += 1;
                     }
                 }
                 FaultKind::Revive(p) => {
                     if net.revive_peer(p) {
                         revived.push(p);
-                        if owns(p) {
+                        if net.owns(p) {
                             self.stats.revives += 1;
                         }
                     }
@@ -550,7 +532,6 @@ impl FaultRuntime {
                     }
                 }
             }
-            self.applied.push(ev);
         }
     }
 
@@ -673,7 +654,9 @@ mod tests {
 
     #[test]
     fn runtime_applies_crash_and_revive_with_owned_stats() {
-        let mut net: Network<u8> = Network::new(NetConfig::default(), 99);
+        // Worker 0 of a two-worker round-robin plan owns the even peer ids.
+        let share = nylon_sim::Share::new(nylon_sim::ShardPlan::round_robin(2), 0);
+        let mut net: Network<u8> = Network::for_worker(NetConfig::default(), 99, share);
         for _ in 0..4 {
             net.add_peer(NatClass::Public);
         }
@@ -683,22 +666,20 @@ mod tests {
             FaultEvent { at: SimTime::from_millis(63), kind: FaultKind::Revive(PeerId(0)) },
         ];
         let plan = FaultPlan { events, ..FaultPlan::default() };
-        let mut rt = FaultRuntime::new(plan, true);
+        let mut rt = FaultRuntime::new(Arc::new(plan), true);
         let mut revived = Vec::new();
 
         assert_eq!(rt.next_at(), Some(SimTime::from_millis(13)));
-        // Ownership predicate: this "shard" only owns even peer ids.
-        rt.apply_due(SimTime::from_millis(13), &mut net, |p| p.0 % 2 == 0, &mut revived);
+        rt.apply_due(SimTime::from_millis(13), &mut net, &mut revived);
         assert!(!net.is_alive(PeerId(0)) && !net.is_alive(PeerId(1)));
         assert_eq!(rt.stats().crashes, 1, "only the owned crash is counted");
         assert_eq!(rt.next_at(), Some(SimTime::from_millis(63)));
 
-        rt.apply_due(SimTime::from_millis(63), &mut net, |p| p.0 % 2 == 0, &mut revived);
+        rt.apply_due(SimTime::from_millis(63), &mut net, &mut revived);
         assert!(net.is_alive(PeerId(0)));
         assert_eq!(revived, vec![PeerId(0)]);
         assert_eq!(rt.stats().revives, 1);
         assert_eq!(rt.next_at(), None);
-        assert_eq!(rt.applied_log().len(), 3);
     }
 
     #[test]
@@ -712,9 +693,9 @@ mod tests {
         };
         let mut net: Network<u8> = Network::new(NetConfig::default(), 1);
         net.add_peer(NatClass::Public);
-        let mut rt = FaultRuntime::new(plan, true);
+        let mut rt = FaultRuntime::new(Arc::new(plan), true);
         let mut revived = Vec::new();
-        rt.apply_due(SimTime::from_millis(13), &mut net, |_| true, &mut revived);
+        rt.apply_due(SimTime::from_millis(13), &mut net, &mut revived);
         let mut out = nylon_obs::Report::new();
         rt.obs_report(&mut out);
         assert!(matches!(out.get("faults", "crashes"), Some(nylon_obs::MetricValue::Counter(1))));

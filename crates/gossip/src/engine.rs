@@ -6,14 +6,15 @@
 //! Figures 2–4 quantify.
 
 use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
-use nylon_sim::{SimDuration, SimRng};
+use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::host::{
-    directly_reachable, directly_reachable_sharded, Engine, Host, Protocol, ProtocolStats,
+    directly_reachable, directly_reachable_sharded, Host, NodeTable, Protocol, ProtocolStats,
 };
 use crate::policy::{GossipConfig, PropagationPolicy};
 use crate::view::PartialView;
+use crate::Engine;
 
 /// Wire messages of the generic protocol (Figure 1 of the paper).
 #[derive(Debug, Clone)]
@@ -101,7 +102,7 @@ struct Node {
 #[derive(Debug)]
 pub struct Baseline {
     cfg: GossipConfig,
-    nodes: Vec<Node>,
+    nodes: NodeTable<Node>,
     stats: ShuffleStats,
     /// Recycled descriptor buffers for shuffle payloads: in steady state
     /// no exchange allocates (see `nylon_net::pool`).
@@ -121,18 +122,14 @@ impl Protocol for Baseline {
     const NODE_RNG_LABEL: u64 = 0x6E6F_6465_0000_0000;
     const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0001;
 
-    fn new(cfg: GossipConfig, _net_cfg: &NetConfig) -> Self {
+    fn new(cfg: GossipConfig, _net_cfg: &NetConfig, share: Share) -> Self {
         Baseline {
             cfg,
-            nodes: Vec::new(),
+            nodes: NodeTable::new(share),
             stats: ShuffleStats::default(),
             payload_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
         }
-    }
-
-    fn config(&self) -> &GossipConfig {
-        &self.cfg
     }
 
     fn shuffle_period(&self) -> SimDuration {
@@ -144,50 +141,47 @@ impl Protocol for Baseline {
     }
 
     fn add_node(&mut self, id: PeerId, rng: SimRng) {
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.view_size),
-            rng,
-            pending: None,
-        });
+        self.nodes
+            .push(id, Node { view: PartialView::new(id, self.cfg.view_size), rng, pending: None });
     }
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
+        &self.nodes[peer].view
     }
 
     fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
+        &mut self.nodes[peer].view
     }
 
     fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
-        &mut self.nodes[peer.index()].rng
+        &mut self.nodes[peer].rng
     }
 
     /// Figure 1, lines 1–7: select target, ship view, age entries.
     fn on_round(&mut self, host: &mut Host<BaselineMsg>, p: PeerId) {
         let self_d = host.descriptor_of(p);
-        if let Some((_, unanswered)) = self.nodes[p.index()].pending.take() {
+        if let Some((_, unanswered)) = self.nodes[p].pending.take() {
             self.id_pool.release(unanswered);
         }
         let target = {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             node.view.select_target(self.cfg.selection, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(target) => {
-                host.log_sample(target.id);
+                host.log_sample(p, target.id);
                 let mut payload = self.payload_pool.acquire();
-                self.nodes[p.index()].view.write_shuffle_payload(self_d, &mut payload);
+                self.nodes[p].view.write_shuffle_payload(self_d, &mut payload);
                 let mut sent_ids = self.id_pool.acquire();
                 sent_ids.extend(payload.iter().map(|d| d.id));
-                self.nodes[p.index()].pending = Some((target.id, sent_ids));
+                self.nodes[p].pending = Some((target.id, sent_ids));
                 let msg = BaselineMsg::Request { from: p, entries: payload };
                 host.send_msg(self, p, target.addr, msg);
                 self.stats.initiated += 1;
             }
         }
-        self.nodes[p.index()].view.increase_age();
+        self.nodes[p].view.increase_age();
     }
 
     fn on_msg(
@@ -205,14 +199,14 @@ impl Protocol for Baseline {
                 let mut sent_ids = self.id_pool.acquire();
                 if self.cfg.propagation == PropagationPolicy::PushPull {
                     let mut payload = self.payload_pool.acquire();
-                    self.nodes[to.index()].view.write_shuffle_payload(self_d, &mut payload);
+                    self.nodes[to].view.write_shuffle_payload(self_d, &mut payload);
                     sent_ids.extend(payload.iter().map(|d| d.id));
                     let msg = BaselineMsg::Response { from: to, entries: payload };
                     // Reply to the *observed* source endpoint: travels back
                     // through whatever hole the request opened.
                     host.send_msg(self, to, from_ep, msg);
                 }
-                let node = &mut self.nodes[to.index()];
+                let node = &mut self.nodes[to];
                 node.view.merge_and_truncate(&entries, &sent_ids, self.cfg.merge, &mut node.rng);
                 self.id_pool.release(sent_ids);
                 self.payload_pool.release(entries);
@@ -220,7 +214,7 @@ impl Protocol for Baseline {
             // Figure 1, lines 4–6: initiator merges the pulled view.
             BaselineMsg::Response { from, entries } => {
                 self.stats.responses_received += 1;
-                let node = &mut self.nodes[to.index()];
+                let node = &mut self.nodes[to];
                 let answered = node.pending.take_if(|(target, _)| *target == from);
                 let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
                 node.view.merge_and_truncate(&entries, &sent, self.cfg.merge, &mut node.rng);
@@ -262,7 +256,7 @@ impl Protocol for Baseline {
         out.counter("engine.baseline", "requests_received", self.stats.requests_received);
         out.counter("engine.baseline", "responses_received", self.stats.responses_received);
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
-        out.gauge("engine.baseline", "pending_exchanges", pending as u64);
+        out.gauge_sum("engine.baseline", "pending_exchanges", pending as u64);
     }
 }
 

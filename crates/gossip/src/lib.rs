@@ -19,7 +19,7 @@
 //! NAT damage studied in Figures 2–4 of the paper comes from: the baseline
 //! protocol addresses view entries directly and has no traversal machinery.
 //! Like every protocol of the workspace it is two handlers hosted by the
-//! one generic [`Engine`] of [`host`].
+//! one generic [`Engine`] of [`lockstep`], on the workers of [`host`].
 //!
 //! # Example
 //!
@@ -50,6 +50,7 @@
 pub mod descriptor;
 pub mod engine;
 pub mod host;
+pub mod lockstep;
 pub mod peerswap;
 pub mod policy;
 pub mod sampler;
@@ -58,9 +59,10 @@ pub mod view;
 
 pub use descriptor::NodeDescriptor;
 pub use engine::{Baseline, BaselineEngine, BaselineMsg, ShuffleStats};
-pub use host::{sort_tick_batch, Engine, Host, Protocol, ProtocolStats};
+pub use host::{sort_tick_batch, Host, Intro, NodeTable, Protocol, ProtocolStats};
+pub use lockstep::{as_one_of, auto_workers, Engine};
 pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
 pub use sampler::{PeerSampler, SamplerConfig};
-pub use sharded::{lockstep_tick, ShardSampler, Sharded, ShardedConfig};
+pub use sharded::{lockstep_tick, Sharded, ShardedConfig};
 pub use view::PartialView;

@@ -25,15 +25,16 @@
 //! versioned codec carries PeerSwap traffic unmodified.
 
 use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
-use nylon_sim::{SimDuration, SimRng};
+use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::engine::BaselineMsg;
 use crate::host::{
-    directly_reachable, directly_reachable_sharded, Engine, Host, Protocol, ProtocolStats,
+    directly_reachable, directly_reachable_sharded, Host, NodeTable, Protocol, ProtocolStats,
 };
 use crate::policy::SelectionPolicy;
 use crate::view::PartialView;
+use crate::Engine;
 
 /// Configuration of the PeerSwap protocol.
 #[derive(Debug, Clone)]
@@ -120,7 +121,7 @@ struct Node {
 #[derive(Debug)]
 pub struct PeerSwap {
     cfg: PeerSwapConfig,
-    nodes: Vec<Node>,
+    nodes: NodeTable<Node>,
     stats: PeerSwapStats,
     payload_pool: BufferPool<NodeDescriptor>,
     id_pool: BufferPool<PeerId>,
@@ -162,7 +163,7 @@ impl PeerSwap {
     /// dropped — the view never grows past capacity and never evicts
     /// entries that were not part of the exchange.
     fn adopt(&mut self, peer: PeerId, received: &[NodeDescriptor], sent: &mut Vec<PeerId>) {
-        let node = &mut self.nodes[peer.index()];
+        let node = &mut self.nodes[peer];
         for d in received {
             if d.id == peer {
                 continue; // a peer never holds its own descriptor
@@ -194,19 +195,15 @@ impl Protocol for PeerSwap {
     /// Panics on a view size above 128 (the batch sampler tracks chosen
     /// slots in a 128-bit mask, like the healer merge's id-membership
     /// masks).
-    fn new(cfg: PeerSwapConfig, _net_cfg: &NetConfig) -> Self {
+    fn new(cfg: PeerSwapConfig, _net_cfg: &NetConfig, share: Share) -> Self {
         assert!(cfg.view_size <= 128, "PeerSwap supports view sizes up to 128");
         PeerSwap {
             cfg,
-            nodes: Vec::new(),
+            nodes: NodeTable::new(share),
             stats: PeerSwapStats::default(),
             payload_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
         }
-    }
-
-    fn config(&self) -> &PeerSwapConfig {
-        &self.cfg
     }
 
     fn shuffle_period(&self) -> SimDuration {
@@ -218,23 +215,20 @@ impl Protocol for PeerSwap {
     }
 
     fn add_node(&mut self, id: PeerId, rng: SimRng) {
-        self.nodes.push(Node {
-            view: PartialView::new(id, self.cfg.view_size),
-            rng,
-            pending: None,
-        });
+        self.nodes
+            .push(id, Node { view: PartialView::new(id, self.cfg.view_size), rng, pending: None });
     }
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
-        &self.nodes[peer.index()].view
+        &self.nodes[peer].view
     }
 
     fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        &mut self.nodes[peer.index()].view
+        &mut self.nodes[peer].view
     }
 
     fn rng_of(&mut self, peer: PeerId) -> &mut SimRng {
-        &mut self.nodes[peer.index()].rng
+        &mut self.nodes[peer].rng
     }
 
     /// One initiated swap: shed the partner's entry (it will be refilled by
@@ -244,25 +238,25 @@ impl Protocol for PeerSwap {
         let self_d = host.descriptor_of(p);
         // An unanswered previous swap is Cyclon-style failure detection:
         // the shed partner entry stays gone, nothing to roll back.
-        if let Some((_, sent)) = self.nodes[p.index()].pending.take() {
+        if let Some((_, sent)) = self.nodes[p].pending.take() {
             self.stats.swaps_unanswered += 1;
             self.id_pool.release(sent);
         }
         let target = {
-            let node = &mut self.nodes[p.index()];
+            let node = &mut self.nodes[p];
             node.view.select_target(SelectionPolicy::Rand, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
             Some(t) => {
-                host.log_sample(t.id);
+                host.log_sample(p, t.id);
                 let mut payload = self.payload_pool.acquire();
                 let mut sent = self.id_pool.acquire();
                 // The fresh self-descriptor fills the slot the partner's
                 // entry vacates on their side.
                 payload.push(self_d);
                 {
-                    let node = &mut self.nodes[p.index()];
+                    let node = &mut self.nodes[p];
                     node.view.remove(t.id).expect("selected partner is in the view");
                     let extra = self.cfg.swap_len.saturating_sub(1);
                     sample_copies(node, extra, &mut payload, &mut sent);
@@ -272,7 +266,7 @@ impl Protocol for PeerSwap {
                 self.stats.swaps_initiated += 1;
             }
         }
-        self.nodes[p.index()].view.increase_age();
+        self.nodes[p].view.increase_age();
     }
 
     fn on_msg(
@@ -290,7 +284,7 @@ impl Protocol for PeerSwap {
                 self.stats.requests_received += 1;
                 let mut reply = self.payload_pool.acquire();
                 let mut sent = self.id_pool.acquire();
-                sample_copies(&mut self.nodes[to.index()], entries.len(), &mut reply, &mut sent);
+                sample_copies(&mut self.nodes[to], entries.len(), &mut reply, &mut sent);
                 // Reply to the observed source endpoint: travels back
                 // through whatever hole the request opened.
                 host.send_msg(
@@ -308,7 +302,7 @@ impl Protocol for PeerSwap {
             BaselineMsg::Response { from, entries } => {
                 self.stats.responses_received += 1;
                 let pending = {
-                    let node = &mut self.nodes[to.index()];
+                    let node = &mut self.nodes[to];
                     match node.pending.take() {
                         Some((partner, sent)) if partner == from => Some(sent),
                         other => {
@@ -361,7 +355,7 @@ impl Protocol for PeerSwap {
         out.counter("engine.peerswap", "responses_received", self.stats.responses_received);
         out.counter("engine.peerswap", "swaps_unanswered", self.stats.swaps_unanswered);
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
-        out.gauge("engine.peerswap", "pending_exchanges", pending as u64);
+        out.gauge_sum("engine.peerswap", "pending_exchanges", pending as u64);
     }
 }
 

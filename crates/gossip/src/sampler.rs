@@ -74,8 +74,8 @@ pub trait PeerSampler: Sized {
     /// engines without fault support ignore the plan.
     fn install_fault_plan(&mut self, _plan: nylon_faults::FaultPlan) {}
 
-    /// Counters of faults applied so far (ownership-filtered under
-    /// sharding, so sums across workers equal single-engine totals).
+    /// Counters of faults applied so far (each counted by one worker, so
+    /// the sum over workers is the one-worker total).
     /// Default: no faults ever.
     fn fault_stats(&self) -> nylon_faults::FaultStats {
         nylon_faults::FaultStats::default()

@@ -1,12 +1,10 @@
 //! The NAT device state machine: mappings, filtering rules, hole expiry.
 //!
-//! A box costs nothing until it carries traffic. A sharded run replicates
-//! every box on every shard, but only the shard owning the peer behind a
-//! box ever sends through it; everywhere else the box is its address and
-//! its port reservations. So the one cone mapping a subscriber box ever
-//! holds lives inline (`ConeTable`), the tables only some boxes need —
-//! symmetric mappings, UPnP forwardings — are allocated on first use, and
-//! [`NatBox::new`] plus [`NatBox::stable_public_endpoint`] touch no heap.
+//! A box costs nothing until it carries traffic: the one cone mapping a
+//! subscriber box ever holds lives inline (`ConeTable`), the tables only
+//! some boxes need — symmetric mappings, UPnP forwardings — are allocated
+//! on first use, and [`NatBox::new`] plus [`NatBox::stable_public_endpoint`]
+//! touch no heap. A box lives only on the worker owning the peer behind it.
 
 use nylon_sim::{SimDuration, SimTime};
 
@@ -277,7 +275,7 @@ pub struct NatBox {
 /// First port handed out by the allocator (below are considered reserved).
 const FIRST_DYNAMIC_PORT: u16 = 1024;
 
-// The idle-fabric contract: every shard of a sharded run holds every box.
+// Every natted peer holds one, most of them idle: keep it small.
 const _: () = assert!(std::mem::size_of::<NatBox>() <= 160, "NatBox must stay small while idle");
 
 impl NatBox {

@@ -7,15 +7,15 @@
 //! owns `NAT_IP_BASE + b`, and peer `i` binds the private endpoint
 //! `Ip::PRIVATE_BASE + i` ([`private_endpoint`]). Subtracting the base and
 //! checking the index against what exists answers "who owns this IP" for
-//! delivery, shard routing ([`Network::addressee_of`]) and the
+//! delivery, routing to a worker ([`Network::addressee_of`]) and the
 //! carrier-grade chain walk alike.
 
 use std::fmt;
 
-use nylon_sim::{SimDuration, SimRng, SimTime};
+use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
 use crate::addr::{Endpoint, Ip, PeerId, Port};
-use crate::nat::NatClass;
+use crate::nat::{NatClass, NatType};
 use crate::natbox::{NatBox, NatReject};
 
 /// Fabric configuration, defaulting to the paper's experimental settings.
@@ -214,18 +214,45 @@ pub enum Delivery<P> {
     },
 }
 
-#[derive(Debug)]
+/// A peer as every worker sees it: the replicated part of the address plan.
+#[derive(Debug, Clone, Copy)]
 struct PeerSlot {
     class: NatClass,
-    private_ep: Endpoint,
-    identity_ep: Endpoint,
-    nat_box: Option<usize>,
-    /// Carrier-grade (outer) NAT box in front of `nat_box`, if the fault
-    /// plane stacked one. Egress is rewritten at both levels; ingress
-    /// unwinds the chain.
-    outer_box: Option<usize>,
     alive: bool,
+    /// A UPnP forwarding pins the peer's identity: no carrier box may be
+    /// stacked in front of it.
+    forwarded: bool,
+    /// The fault plane stacked a carrier-grade box in front of the peer's
+    /// own.
+    carrier: bool,
 }
+
+/// What only the worker owning a peer holds about it.
+#[derive(Debug, Clone, Copy)]
+struct LocalPeer {
+    /// The endpoint the peer advertises (see [`Network::identity_endpoint`]).
+    identity: Endpoint,
+    /// The peer's NAT box in [`Network::boxes`]; [`NO_BOX`] for a public
+    /// peer.
+    inner: u32,
+    /// The carrier-grade (outer) box in front of `inner`, if the fault plane
+    /// stacked one: egress is rewritten at both levels, ingress unwinds the
+    /// chain.
+    outer: u32,
+    stats: TrafficStats,
+}
+
+/// A NAT box of the address plan: the peer behind it and, on that peer's
+/// worker, where the box is stored.
+#[derive(Debug, Clone, Copy)]
+struct BoxSlot {
+    owner: PeerId,
+    /// Index into [`Network::boxes`]; [`NO_BOX`] on every other worker.
+    local: u32,
+}
+
+/// "No box here": a public peer's, or one stored on another worker.
+const NO_BOX: u32 = u32::MAX;
 
 /// Active fault-plane windows (loss bursts, partitions). Allocated only
 /// when a fault is injected, so the clean path pays one `Option` check.
@@ -308,21 +335,33 @@ pub struct Outbound<P> {
 ///
 /// Payload-generic: `P` is the protocol message type. See the crate-level
 /// example for basic usage.
+///
+/// One network is one worker's fabric ([`Network::for_worker`]). Every
+/// worker holds the address plan of the whole population — each peer's
+/// class and liveness, whether it forwards a port or sits behind a carrier
+/// box, and the peer behind each box — which is what routing a datagram
+/// to its addressee's worker and applying a fault to anyone need. NAT
+/// boxes, identity endpoints, traffic counters and loss/jitter streams
+/// exist only on the worker owning the peer: every operation touching
+/// them runs there. [`Network::new`] owns everyone.
 #[derive(Debug)]
 pub struct Network<P> {
     cfg: NetConfig,
+    share: Share,
     peers: Vec<PeerSlot>,
+    box_plan: Vec<BoxSlot>,
+    /// The boxes of owned peers, in creation order.
     boxes: Vec<NatBox>,
-    /// The peer behind each box, parallel to `boxes`.
-    box_owner: Vec<PeerId>,
-    stats: Vec<TrafficStats>,
+    /// Owned peers, by slot.
+    local: Vec<LocalPeer>,
     drops: DropCounters,
     rng: SimRng,
-    /// Per-peer loss/jitter streams, allocated only when the config calls
-    /// for them. Per-peer (rather than one shared network stream) so a
-    /// peer's draws depend only on its own send history — the property
-    /// that lets a sharded run sample loss and jitter on the sender's
-    /// shard without caring how sends from *different* peers interleave.
+    /// Per-peer loss/jitter streams of owned peers, by slot, allocated only
+    /// when the config calls for them. Per-peer (rather than one shared
+    /// network stream) so a peer's draws depend only on its own send
+    /// history — the property that lets a sharded run sample loss and
+    /// jitter on the sender's worker without caring how sends from
+    /// *different* peers interleave.
     peer_rng: Vec<SimRng>,
     alive_count: usize,
     /// Active fault windows; `None` on the clean path.
@@ -334,19 +373,27 @@ pub struct Network<P> {
 }
 
 impl<P> Network<P> {
-    /// Creates an empty network with the given configuration and RNG seed
-    /// (used for latency jitter and loss sampling).
+    /// Creates an empty network owning every peer, with the given
+    /// configuration and RNG seed (used for latency jitter and loss
+    /// sampling).
     pub fn new(cfg: NetConfig, seed: u64) -> Self {
+        Network::for_worker(cfg, seed, Share::whole())
+    }
+
+    /// Creates one worker's empty fabric: the address plan of every peer
+    /// added from now on, the rest only for the peers `share` owns.
+    pub fn for_worker(cfg: NetConfig, seed: u64, share: Share) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.loss_probability),
             "loss probability must be within [0, 1]"
         );
         Network {
             cfg,
+            share,
             peers: Vec::new(),
+            box_plan: Vec::new(),
             boxes: Vec::new(),
-            box_owner: Vec::new(),
-            stats: Vec::new(),
+            local: Vec::new(),
             drops: DropCounters::default(),
             rng: SimRng::new(seed).fork(0x6E65_7477), // "netw"
             peer_rng: Vec::new(),
@@ -357,20 +404,19 @@ impl<P> Network<P> {
         }
     }
 
-    /// Reports net-layer telemetry into `out`: traffic totals across all
-    /// peers, the wire-size distribution, every drop counter, and the NAT
-    /// session footprint. Read-only over existing state — stats on/off
-    /// cannot change a run.
+    /// Reports net-layer telemetry into `out`: traffic totals across the
+    /// owned peers, the wire-size distribution, every drop counter, and
+    /// the NAT session footprint. Read-only over existing state — stats
+    /// on/off cannot change a run.
     ///
     /// `net/nat_sessions` is the number of sessions the boxes hold and
     /// `net/nat_session_slots` the map slots allocated for them (see
     /// [`NatBox::session_footprint`]) — the `routing/entries` versus
-    /// `routing/slots` pair, for the fabric. Like those they are gauges,
-    /// which reports merge by maximum: under `--shards N` they read as the
-    /// fullest shard's count, not the run's total.
+    /// `routing/slots` pair, for the fabric. Like those they are
+    /// sum-merged gauges: a multi-worker run reports its total.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         let mut totals = TrafficStats::default();
-        for st in &self.stats {
+        for st in self.local.iter().map(|l| &l.stats) {
             totals.bytes_sent += st.bytes_sent;
             totals.bytes_received += st.bytes_received;
             totals.msgs_sent += st.msgs_sent;
@@ -387,8 +433,8 @@ impl<P> Network<P> {
             sessions += held as u64;
             slots += allocated as u64;
         }
-        out.gauge("net", "nat_sessions", sessions);
-        out.gauge("net", "nat_session_slots", slots);
+        out.gauge_sum("net", "nat_sessions", sessions);
+        out.gauge_sum("net", "nat_session_slots", slots);
         let snap = self.wire_hist.snapshot();
         if snap.count > 0 {
             out.histogram("net", "wire_bytes", snap);
@@ -410,44 +456,77 @@ impl<P> Network<P> {
         &self.cfg
     }
 
+    /// The peers this fabric stores state for.
+    pub fn share(&self) -> &Share {
+        &self.share
+    }
+
+    /// Whether this fabric holds `peer`'s NAT boxes, identity and traffic.
+    pub fn owns(&self, peer: PeerId) -> bool {
+        self.share.owns(peer.0)
+    }
+
     /// Adds a peer of the given class and returns its id. Natted peers get
     /// a dedicated NAT box; cone peers get their stable public endpoint
     /// reserved immediately.
     pub fn add_peer(&mut self, class: NatClass) -> PeerId {
         let id = PeerId(self.peers.len() as u32);
-        let private_ep = private_endpoint(id);
-        let (identity_ep, nat_box) = match class {
-            NatClass::Public => {
-                let ip = Ip(PUBLIC_PEER_IP_BASE + id.0);
-                (Endpoint::new(ip, Port(PUBLIC_PEER_PORT)), None)
-            }
-            NatClass::Natted(t) => {
-                let box_idx = self.boxes.len();
-                let ip = Ip(NAT_IP_BASE + box_idx as u32);
-                let mut nat = NatBox::new(ip, t, self.cfg.hole_timeout);
-                let identity = nat
-                    .stable_public_endpoint(private_ep)
-                    .unwrap_or(Endpoint::new(ip, Port::UNKNOWN));
-                self.boxes.push(nat);
-                self.box_owner.push(id);
-                (identity, Some(box_idx))
-            }
+        let slot = self.share.admit(id.0);
+        let inner = match class {
+            NatClass::Public => NO_BOX,
+            NatClass::Natted(t) => self.push_box(id, t, slot.is_some()),
         };
-        if self.cfg.loss_probability > 0.0 || self.cfg.latency_jitter > SimDuration::ZERO {
-            self.peer_rng.push(self.rng.fork(0x7065_6572_0000_0000 | u64::from(id.0)));
-            // "peer"
+        if let Some(slot) = slot {
+            debug_assert_eq!(slot, self.local.len(), "owned peers arrive in id order");
+            let identity = match class {
+                NatClass::Public => public_identity(id),
+                NatClass::Natted(_) => {
+                    let nat = &mut self.boxes[inner as usize];
+                    let ip = nat.public_ip();
+                    nat.stable_public_endpoint(private_endpoint(id))
+                        .unwrap_or(Endpoint::new(ip, Port::UNKNOWN))
+                }
+            };
+            self.local.push(LocalPeer {
+                identity,
+                inner,
+                outer: NO_BOX,
+                stats: TrafficStats::default(),
+            });
+            if self.cfg.loss_probability > 0.0 || self.cfg.latency_jitter > SimDuration::ZERO {
+                self.peer_rng.push(self.rng.fork(0x7065_6572_0000_0000 | u64::from(id.0)));
+                // "peer"
+            }
         }
-        self.peers.push(PeerSlot {
-            class,
-            private_ep,
-            identity_ep,
-            nat_box,
-            outer_box: None,
-            alive: true,
-        });
-        self.stats.push(TrafficStats::default());
+        self.peers.push(PeerSlot { class, alive: true, forwarded: false, carrier: false });
         self.alive_count += 1;
         id
+    }
+
+    /// Appends a box with `owner` behind it to the address plan — stored
+    /// here when `owned` — and returns where it is stored.
+    fn push_box(&mut self, owner: PeerId, nat_type: NatType, owned: bool) -> u32 {
+        let ip = Ip(NAT_IP_BASE + self.box_plan.len() as u32);
+        let local = if owned {
+            self.boxes.push(NatBox::new(ip, nat_type, self.cfg.hole_timeout));
+            (self.boxes.len() - 1) as u32
+        } else {
+            NO_BOX
+        };
+        self.box_plan.push(BoxSlot { owner, local });
+        local
+    }
+
+    /// The owned-peer state of `peer`.
+    fn local_of(&self, peer: PeerId) -> &LocalPeer {
+        &self.local[self.share.slot(peer.0)]
+    }
+
+    /// Where box `global` of the address plan is stored on this worker.
+    fn box_at(&self, global: usize) -> usize {
+        let local = self.box_plan[global].local;
+        debug_assert!(local != NO_BOX, "box {global} belongs to another worker");
+        local as usize
     }
 
     /// The owner of a public IP under the address plan: a public peer or
@@ -455,11 +534,11 @@ impl<P> Network<P> {
     /// including the would-be public address of a natted peer.
     fn owner_of_ip(&self, ip: Ip) -> Option<IpOwner> {
         if let Some(b) = ip.0.checked_sub(NAT_IP_BASE) {
-            return ((b as usize) < self.boxes.len()).then_some(IpOwner::Nat(b as usize));
+            return ((b as usize) < self.box_plan.len()).then_some(IpOwner::Nat(b as usize));
         }
         let id = ip.0.checked_sub(PUBLIC_PEER_IP_BASE)?;
         let slot = self.peers.get(id as usize)?;
-        slot.nat_box.is_none().then_some(IpOwner::PublicPeer(PeerId(id)))
+        slot.class.is_public().then_some(IpOwner::PublicPeer(PeerId(id)))
     }
 
     /// The peer bound to `private`, if it is a peer's private endpoint
@@ -494,9 +573,13 @@ impl<P> Network<P> {
     /// The endpoint a peer advertises: its public address for public peers,
     /// the stable NAT mapping for cone-natted peers, and an
     /// unknown-port sentinel for symmetric-natted peers (whose public port
-    /// is destination-dependent).
+    /// is destination-dependent). A natted peer's is known on its own
+    /// worker only: rebinds and carrier boxes move it.
     pub fn identity_endpoint(&self, peer: PeerId) -> Endpoint {
-        self.peers[peer.index()].identity_ep
+        match self.class_of(peer) {
+            NatClass::Public => public_identity(peer),
+            NatClass::Natted(_) => self.local_of(peer).identity,
+        }
     }
 
     /// Iterator over all currently alive peers.
@@ -527,7 +610,7 @@ impl<P> Network<P> {
         true
     }
 
-    /// Sends `payload` from `peer` to `dst_ep`, performing egress NAT
+    /// Sends `payload` from owned `peer` to `dst_ep`, performing egress NAT
     /// processing and sampling latency/loss.
     ///
     /// Returns the in-flight datagram to schedule, or `None` if the
@@ -547,8 +630,9 @@ impl<P> Network<P> {
             return None;
         }
         let wire_bytes = payload_bytes + self.cfg.header_bytes;
-        let src_ep = self.egress_chain(now, peer, dst_ep);
-        let st = &mut self.stats[peer.index()];
+        let src_ep = self.open_toward(now, peer, dst_ep);
+        let slot = self.share.slot(peer.0);
+        let st = &mut self.local[slot].stats;
         st.bytes_sent += wire_bytes as u64;
         st.msgs_sent += 1;
         self.wire_hist.record(wire_bytes as u64);
@@ -573,8 +657,7 @@ impl<P> Network<P> {
                 return None;
             }
         }
-        if self.cfg.loss_probability > 0.0
-            && self.peer_rng[peer.index()].chance(self.cfg.loss_probability)
+        if self.cfg.loss_probability > 0.0 && self.peer_rng[slot].chance(self.cfg.loss_probability)
         {
             self.drops.bump(DropReason::Loss);
             return None;
@@ -584,7 +667,7 @@ impl<P> Network<P> {
             self.cfg.latency.as_millis()
         } else {
             let base = self.cfg.latency.as_millis();
-            let sampled = self.peer_rng[peer.index()].gen_range(0..=2 * jitter);
+            let sampled = self.peer_rng[slot].gen_range(0..=2 * jitter);
             (base + sampled).saturating_sub(jitter).max(1)
         };
         Some(InFlight {
@@ -598,7 +681,8 @@ impl<P> Network<P> {
     }
 
     /// Delivers an in-flight datagram: ingress NAT filtering runs *now*,
-    /// against the NAT state at arrival time.
+    /// against the NAT state at arrival time. Called on the worker owning
+    /// the addressee (see [`addressee_of`](Self::addressee_of)).
     pub fn deliver(&mut self, now: SimTime, flight: InFlight<P>) -> Delivery<P> {
         let InFlight { dst_ep, src_ep, wire_bytes, payload, .. } = flight;
         let owner = match self.owner_of_ip(dst_ep.ip) {
@@ -617,13 +701,14 @@ impl<P> Network<P> {
                 pid
             }
             IpOwner::Nat(first) => {
+                let mut b = self.box_at(first);
                 // The sender sits behind the very box it is addressing:
                 // hairpin (NAT loopback), which most boxes drop outright.
-                if src_ep.ip == dst_ep.ip && !self.boxes[first].hairpin_enabled() {
+                if src_ep.ip == dst_ep.ip && !self.boxes[b].hairpin_enabled() {
                     self.drops.bump(DropReason::HairpinBlocked);
                     return Delivery::Dropped { reason: DropReason::HairpinBlocked, payload };
                 }
-                let (mut b, mut port) = (first, dst_ep.port);
+                let mut port = dst_ep.port;
                 loop {
                     let reason = match self.boxes[b].on_inbound(now, port, src_ep) {
                         Ok(private) => match self.peer_at_private(private) {
@@ -631,8 +716,8 @@ impl<P> Network<P> {
                             // Not a peer: the next hop of a carrier-grade
                             // chain (the subscriber box behind this one).
                             None => match self.owner_of_ip(private.ip) {
-                                Some(IpOwner::Nat(nb)) if nb != b => {
-                                    b = nb;
+                                Some(IpOwner::Nat(next)) if self.box_at(next) != b => {
+                                    b = self.box_at(next);
                                     port = private.port;
                                     continue;
                                 }
@@ -652,7 +737,8 @@ impl<P> Network<P> {
             self.drops.bump(DropReason::TargetDead);
             return Delivery::Dropped { reason: DropReason::TargetDead, payload };
         }
-        let st = &mut self.stats[to.index()];
+        let slot = self.share.slot(to.0);
+        let st = &mut self.local[slot].stats;
         st.bytes_received += wire_bytes as u64;
         st.msgs_received += 1;
         Delivery::ToPeer { to, from_ep: src_ep, payload }
@@ -682,51 +768,51 @@ impl<P> Network<P> {
     /// translation, or `None` if `holder` is dead. Read-only.
     ///
     /// Split out (with [`ingress_would_admit`](Self::ingress_would_admit))
-    /// so a sharded run can evaluate each half against the shard that owns
-    /// the authoritative NAT state for that side.
+    /// so a sharded run can evaluate each half on the worker that owns the
+    /// NAT state for that side.
     pub fn egress_src_preview(
         &self,
         now: SimTime,
         holder: PeerId,
         target_ep: Endpoint,
     ) -> Option<Endpoint> {
-        let hslot = &self.peers[holder.index()];
-        if !hslot.alive {
-            return None;
-        }
-        Some(match hslot.nat_box {
-            None => hslot.identity_ep,
-            Some(b) => {
-                let mid = self.boxes[b].egress_preview(now, hslot.private_ep, target_ep).0;
-                match hslot.outer_box {
-                    Some(ob) => self.boxes[ob].egress_preview(now, mid, target_ep).0,
-                    None => mid,
-                }
-            }
-        })
+        self.is_alive(holder).then(|| self.source_toward(now, holder, target_ep))
     }
 
-    /// Runs full egress translation for `peer` towards `dst_ep` — the
+    /// The source endpoint a datagram from owned `peer` to `dst_ep` would
+    /// leave with right now, through both NAT levels — whether or not the
+    /// peer is alive. Creates and refreshes nothing.
+    pub fn source_toward(&self, now: SimTime, peer: PeerId, dst_ep: Endpoint) -> Endpoint {
+        let l = self.local_of(peer);
+        if l.inner == NO_BOX {
+            return l.identity;
+        }
+        let nat = &self.boxes[l.inner as usize];
+        let mid = nat.egress_preview(now, private_endpoint(peer), dst_ep).0;
+        match l.outer {
+            NO_BOX => mid,
+            outer => self.boxes[outer as usize].egress_preview(now, mid, dst_ep).0,
+        }
+    }
+
+    /// Runs full egress translation for owned `peer` towards `dst_ep` — the
     /// subscriber box, then the carrier box if one is stacked — creating or
-    /// refreshing mappings, and returns the wire source endpoint.
-    fn egress_chain(&mut self, now: SimTime, peer: PeerId, dst_ep: Endpoint) -> Endpoint {
-        let slot = &self.peers[peer.index()];
-        let (private_ep, identity_ep, nat_box, outer_box) =
-            (slot.private_ep, slot.identity_ep, slot.nat_box, slot.outer_box);
-        match nat_box {
-            None => identity_ep,
-            Some(b) => {
-                let mid = self.boxes[b].on_outbound(now, private_ep, dst_ep);
-                match outer_box {
-                    Some(ob) => self.boxes[ob].on_outbound(now, mid, dst_ep),
-                    None => mid,
-                }
-            }
+    /// refreshing mappings as an outbound datagram does, and returns the
+    /// wire source endpoint.
+    pub fn open_toward(&mut self, now: SimTime, peer: PeerId, dst_ep: Endpoint) -> Endpoint {
+        let l = *self.local_of(peer);
+        if l.inner == NO_BOX {
+            return l.identity;
+        }
+        let mid = self.boxes[l.inner as usize].on_outbound(now, private_endpoint(peer), dst_ep);
+        match l.outer {
+            NO_BOX => mid,
+            outer => self.boxes[outer as usize].on_outbound(now, mid, dst_ep),
         }
     }
 
     /// Ingress half of [`reachable`](Self::reachable): would a datagram
-    /// from `src_ep` addressed to `target_ep` be forwarded to a live
+    /// from `src_ep` addressed to `target_ep` be forwarded to a live, owned
     /// `target`? Read-only.
     pub fn ingress_would_admit(
         &self,
@@ -735,31 +821,29 @@ impl<P> Network<P> {
         target_ep: Endpoint,
         src_ep: Endpoint,
     ) -> bool {
-        let tslot = &self.peers[target.index()];
-        if !tslot.alive {
+        if !self.is_alive(target) {
             return false;
         }
-        match tslot.nat_box {
-            None => target_ep == tslot.identity_ep,
-            Some(inner) => {
-                let first = tslot.outer_box.unwrap_or(inner);
-                if target_ep.ip != self.boxes[first].public_ip() {
-                    return false;
-                }
-                let (mut b, mut port) = (first, target_ep.port);
-                loop {
-                    match self.boxes[b].peek_inbound(now, port, src_ep) {
-                        None => return false,
-                        Some(ep) if ep == tslot.private_ep => return true,
-                        Some(ep) => match self.owner_of_ip(ep.ip) {
-                            Some(IpOwner::Nat(nb)) if nb != b => {
-                                b = nb;
-                                port = ep.port;
-                            }
-                            _ => return false,
-                        },
+        let l = self.local_of(target);
+        if l.inner == NO_BOX {
+            return target_ep == l.identity;
+        }
+        let mut b = if l.outer == NO_BOX { l.inner } else { l.outer } as usize;
+        if target_ep.ip != self.boxes[b].public_ip() {
+            return false;
+        }
+        let mut port = target_ep.port;
+        loop {
+            match self.boxes[b].peek_inbound(now, port, src_ep) {
+                None => return false,
+                Some(ep) if ep == private_endpoint(target) => return true,
+                Some(ep) => match self.owner_of_ip(ep.ip) {
+                    Some(IpOwner::Nat(next)) if self.box_at(next) != b => {
+                        b = self.box_at(next);
+                        port = ep.port;
                     }
-                }
+                    _ => return false,
+                },
             }
         }
     }
@@ -770,31 +854,41 @@ impl<P> Network<P> {
     /// owns the address.
     ///
     /// This is a pure function of the address plan (which grows
-    /// append-only with `add_peer`), so every shard of a sharded run
-    /// resolves the same destination — it is how cross-shard datagrams are
-    /// routed to the shard holding the authoritative ingress NAT state.
+    /// append-only with `add_peer`), so every worker of a sharded run
+    /// resolves the same destination — it is how cross-worker datagrams
+    /// are routed to the worker holding the ingress NAT state.
     pub fn addressee_of(&self, dst_ep: Endpoint) -> Option<PeerId> {
         match self.owner_of_ip(dst_ep.ip)? {
             IpOwner::PublicPeer(pid) => Some(pid),
-            IpOwner::Nat(b) => Some(self.box_owner[b]),
+            IpOwner::Nat(b) => Some(self.box_plan[b].owner),
         }
     }
 
     /// Enables a permanent UPnP/NAT-PMP port forwarding for a natted peer
     /// and updates its identity endpoint to the forwarded one. The peer
     /// then behaves like a public peer for inbound traffic. No-op (and
-    /// `None`) for public peers.
+    /// `None`) for public peers; `None` too on a worker not owning the
+    /// peer, which only notes the forwarding in its address plan.
     pub fn enable_port_forwarding(&mut self, peer: PeerId) -> Option<Endpoint> {
-        let slot = &self.peers[peer.index()];
-        let b = slot.nat_box?;
-        let private = slot.private_ep;
-        let ep = self.boxes[b].enable_port_forwarding(private);
-        self.peers[peer.index()].identity_ep = ep;
+        let slot = &mut self.peers[peer.index()];
+        if slot.class.is_public() {
+            return None;
+        }
+        slot.forwarded = true;
+        if !self.owns(peer) {
+            return None;
+        }
+        let s = self.share.slot(peer.0);
+        let ep =
+            self.boxes[self.local[s].inner as usize].enable_port_forwarding(private_endpoint(peer));
+        self.local[s].identity = ep;
         Some(ep)
     }
 
     /// Pre-opens a NAT hole so that `holder` can contact `target` without
-    /// traversal, returning the endpoint `holder` should use.
+    /// traversal, returning the endpoint `holder` should use; both peers
+    /// must be owned (a multi-worker engine runs the three steps below on
+    /// the two workers instead).
     ///
     /// This models an out-of-band join handshake (the paper bootstraps
     /// views with *public* peers; this helper exists for the degenerate
@@ -812,50 +906,47 @@ impl<P> Network<P> {
         target: PeerId,
     ) -> Option<Endpoint> {
         let target_identity = self.identity_endpoint(target);
-        if self.peers[target.index()].nat_box.is_none() {
+        if self.class_of(target).is_public() {
             return Some(target_identity);
         }
-        // Predicted source endpoint of the holder as seen by the target.
-        let hslot = &self.peers[holder.index()];
-        let holder_src = match hslot.nat_box {
-            None => hslot.identity_ep,
-            Some(hb) => {
-                let mid = self.boxes[hb].egress_preview(now, hslot.private_ep, target_identity).0;
-                match hslot.outer_box {
-                    Some(ob) => self.boxes[ob].egress_preview(now, mid, target_identity).0,
-                    None => mid,
-                }
-            }
-        };
-        let target_ep = self.egress_chain(now, target, holder_src);
-        // Also open the holder's own outbound session so replies pass its
-        // filter (no-op for public holders).
-        self.egress_chain(now, holder, target_ep);
+        // The holder's predicted source as the target sees it, the
+        // target's session towards it, then the holder's own session
+        // towards the target so replies pass its filter.
+        let holder_src = self.source_toward(now, holder, target_identity);
+        let target_ep = self.open_toward(now, target, holder_src);
+        self.open_toward(now, holder, target_ep);
         Some(target_ep)
     }
 
-    /// Traffic counters for one peer.
+    /// Traffic counters for one owned peer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this worker does not own `peer`.
     pub fn stats_of(&self, peer: PeerId) -> TrafficStats {
-        self.stats[peer.index()]
+        assert!(self.owns(peer), "{peer}'s traffic is counted on its own worker");
+        self.local_of(peer).stats
     }
 
-    /// Accounts one sent datagram of `payload_bytes` for `peer` without
-    /// routing it through the fabric. Used by the engines' wire-tap mode,
-    /// where a live transport carries the datagram but this registry still
-    /// owns the per-peer traffic counters.
+    /// Accounts one sent datagram of `payload_bytes` for owned `peer`
+    /// without routing it through the fabric. Used by the engines'
+    /// wire-tap mode, where a live transport carries the datagram but this
+    /// registry still owns the per-peer traffic counters.
     pub fn note_sent(&mut self, peer: PeerId, payload_bytes: u32) {
         let wire = (payload_bytes + self.cfg.header_bytes) as u64;
-        let st = &mut self.stats[peer.index()];
+        let slot = self.share.slot(peer.0);
+        let st = &mut self.local[slot].stats;
         st.bytes_sent += wire;
         st.msgs_sent += 1;
     }
 
-    /// Accounts one received datagram of `payload_bytes` for `peer` without
-    /// routing it through the fabric (wire-tap mode counterpart of
+    /// Accounts one received datagram of `payload_bytes` for owned `peer`
+    /// without routing it through the fabric (wire-tap mode counterpart of
     /// [`Network::note_sent`]).
     pub fn note_received(&mut self, peer: PeerId, payload_bytes: u32) {
         let wire = (payload_bytes + self.cfg.header_bytes) as u64;
-        let st = &mut self.stats[peer.index()];
+        let slot = self.share.slot(peer.0);
+        let st = &mut self.local[slot].stats;
         st.bytes_received += wire;
         st.msgs_received += 1;
     }
@@ -872,54 +963,65 @@ impl<P> Network<P> {
         }
     }
 
-    /// Direct access to a peer's NAT box, if natted (for tests and probes).
+    /// Direct access to a peer's NAT box, if natted and owned here (for
+    /// tests and probes).
     pub fn nat_box_of(&self, peer: PeerId) -> Option<&NatBox> {
-        self.peers[peer.index()].nat_box.map(|b| &self.boxes[b])
+        let l = self.owns(peer).then(|| self.local_of(peer))?;
+        (l.inner != NO_BOX).then(|| &self.boxes[l.inner as usize])
     }
 
     /// Direct access to a peer's carrier-grade (outer) NAT box, if the
-    /// fault plane stacked one (for tests and probes).
+    /// fault plane stacked one and the peer is owned here (for tests and
+    /// probes).
     pub fn outer_box_of(&self, peer: PeerId) -> Option<&NatBox> {
-        self.peers[peer.index()].outer_box.map(|b| &self.boxes[b])
+        let l = self.owns(peer).then(|| self.local_of(peer))?;
+        (l.outer != NO_BOX).then(|| &self.boxes[l.outer as usize])
     }
 
-    /// Re-resolves a natted peer's advertised identity endpoint from the
-    /// current state of its NAT chain (after a rebind or a newly stacked
-    /// carrier box).
+    /// Re-resolves an owned natted peer's advertised identity endpoint from
+    /// the current state of its NAT chain (after a rebind or a newly
+    /// stacked carrier box).
     fn refresh_identity(&mut self, peer: PeerId) {
-        let slot = &self.peers[peer.index()];
-        let Some(inner) = slot.nat_box else { return };
-        let private = slot.private_ep;
-        let outer = slot.outer_box;
-        let inner_stable = self.boxes[inner].stable_public_endpoint(private);
-        let identity = match (inner_stable, outer) {
-            (Some(ep), None) => ep,
-            (None, None) => Endpoint::new(self.boxes[inner].public_ip(), Port::UNKNOWN),
-            (Some(mid), Some(ob)) => self.boxes[ob]
-                .stable_public_endpoint(mid)
-                .unwrap_or(Endpoint::new(self.boxes[ob].public_ip(), Port::UNKNOWN)),
-            (None, Some(ob)) => Endpoint::new(self.boxes[ob].public_ip(), Port::UNKNOWN),
+        let slot = self.share.slot(peer.0);
+        let l = self.local[slot];
+        if l.inner == NO_BOX {
+            return;
+        }
+        let inner_stable =
+            self.boxes[l.inner as usize].stable_public_endpoint(private_endpoint(peer));
+        let inner_ip = self.boxes[l.inner as usize].public_ip();
+        let identity = match (inner_stable, l.outer) {
+            (Some(ep), NO_BOX) => ep,
+            (None, NO_BOX) => Endpoint::new(inner_ip, Port::UNKNOWN),
+            (inner, outer) => {
+                let carrier = &mut self.boxes[outer as usize];
+                let unknown = Endpoint::new(carrier.public_ip(), Port::UNKNOWN);
+                inner.and_then(|mid| carrier.stable_public_endpoint(mid)).unwrap_or(unknown)
+            }
         };
-        self.peers[peer.index()].identity_ep = identity;
+        self.local[slot].identity = identity;
     }
 
     /// Mobile-style mid-session rebinding of a peer's whole NAT chain: every
     /// box between the peer and the internet loses its dynamic state (see
     /// [`NatBox::rebind`]) and the advertised identity endpoint is
     /// re-resolved — except UPnP-forwarded identities, which the forwarding
-    /// protocol pins across the rebind. Returns `false` for public peers.
+    /// protocol pins across the rebind. Returns `false` for public peers;
+    /// a worker not owning the peer has nothing to rebind.
     pub fn rebind_nat(&mut self, peer: PeerId) -> bool {
-        let slot = &self.peers[peer.index()];
-        let Some(inner) = slot.nat_box else {
+        if self.class_of(peer).is_public() {
             return false;
-        };
-        let outer = slot.outer_box;
-        let old_identity = slot.identity_ep;
-        self.boxes[inner].rebind();
-        if let Some(ob) = outer {
-            self.boxes[ob].rebind();
         }
-        let pinned = outer.is_none() && self.boxes[inner].is_forwarded(old_identity.port);
+        if !self.owns(peer) {
+            return true;
+        }
+        let l = *self.local_of(peer);
+        self.boxes[l.inner as usize].rebind();
+        if l.outer != NO_BOX {
+            self.boxes[l.outer as usize].rebind();
+        }
+        let pinned =
+            l.outer == NO_BOX && self.boxes[l.inner as usize].is_forwarded(l.identity.port);
         if !pinned {
             self.refresh_identity(peer);
         }
@@ -929,14 +1031,14 @@ impl<P> Network<P> {
     /// Enables or disables hairpinning on every box of a natted peer's
     /// chain. Returns `false` for public peers.
     pub fn set_hairpin(&mut self, peer: PeerId, enabled: bool) -> bool {
-        let slot = &self.peers[peer.index()];
-        let Some(inner) = slot.nat_box else {
+        if self.class_of(peer).is_public() {
             return false;
-        };
-        let outer = slot.outer_box;
-        self.boxes[inner].set_hairpin(enabled);
-        if let Some(ob) = outer {
-            self.boxes[ob].set_hairpin(enabled);
+        }
+        if self.owns(peer) {
+            let l = *self.local_of(peer);
+            for b in [l.inner, l.outer].into_iter().filter(|b| *b != NO_BOX) {
+                self.boxes[b as usize].set_hairpin(enabled);
+            }
         }
         true
     }
@@ -949,19 +1051,18 @@ impl<P> Network<P> {
     /// behind a carrier, and peers whose identity is UPnP-forwarded (a
     /// carrier in front would silently break the forwarding).
     pub fn stack_cgn(&mut self, peer: PeerId, nat_type: crate::nat::NatType) -> bool {
-        let slot = &self.peers[peer.index()];
-        let Some(inner) = slot.nat_box else {
-            return false;
-        };
-        if slot.outer_box.is_some() || self.boxes[inner].is_forwarded(slot.identity_ep.port) {
+        let slot = self.peers[peer.index()];
+        if slot.class.is_public() || slot.carrier || slot.forwarded {
             return false;
         }
-        let box_idx = self.boxes.len();
-        let ip = Ip(NAT_IP_BASE + box_idx as u32);
-        self.boxes.push(NatBox::new(ip, nat_type, self.cfg.hole_timeout));
-        self.box_owner.push(peer);
-        self.peers[peer.index()].outer_box = Some(box_idx);
-        self.refresh_identity(peer);
+        let owned = self.owns(peer);
+        let outer = self.push_box(peer, nat_type, owned);
+        self.peers[peer.index()].carrier = true;
+        if owned {
+            let s = self.share.slot(peer.0);
+            self.local[s].outer = outer;
+            self.refresh_identity(peer);
+        }
         true
     }
 
@@ -983,6 +1084,11 @@ impl<P> Network<P> {
         ov.part_until = until;
         ov.part_cut = cut;
     }
+}
+
+/// The endpoint public peer `peer` listens on, by the address plan.
+fn public_identity(peer: PeerId) -> Endpoint {
+    Endpoint::new(Ip(PUBLIC_PEER_IP_BASE + peer.0), Port(PUBLIC_PEER_PORT))
 }
 
 #[cfg(test)]
@@ -1396,7 +1502,7 @@ mod tests {
             let class =
                 if i % 2 == 0 { NatClass::Public } else { NatClass::Natted(NatType::Symmetric) };
             let p = net.add_peer(class);
-            assert_eq!(private_endpoint(p), net.peers[p.index()].private_ep);
+            assert_eq!(net.peer_at_private(private_endpoint(p)), Some(p));
         }
     }
 

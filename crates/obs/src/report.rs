@@ -1,7 +1,7 @@
 //! Cold-path aggregation: a [`Report`] maps `(layer, metric)` to a value
-//! and merges commutatively, so per-cell / per-shard reports combine into
-//! the same totals no matter the completion order (`--jobs` and `--shards`
-//! never change stats semantics).
+//! and merges commutatively, so per-cell / per-worker reports combine into
+//! the same totals no matter the completion order (`--jobs` and the worker
+//! count never change stats semantics).
 //!
 //! Always compiled — reports are only built at cell boundaries and
 //! snapshot time, never on a hot path — but with the `enabled` feature off
@@ -111,24 +111,35 @@ impl HistSnapshot {
 pub enum MetricValue {
     /// Monotonic count; merges by addition.
     Counter(u64),
-    /// Level / high-water value; merges by maximum.
+    /// Level or high-water value; merges by maximum — or by sum when
+    /// reported through [`Report::gauge_sum`] and folded in as another
+    /// part of the same run ([`Report::absorb_part`]).
     Gauge(u64),
     /// Distribution; merges by exact bucket addition.
     Histogram(HistSnapshot),
 }
 
 impl MetricValue {
-    /// Folds `other` into `self` under each kind's merge rule. A kind
-    /// mismatch (same metric name reported as different kinds — a caller
-    /// bug) resolves by keeping `other`.
-    fn absorb(&mut self, other: &MetricValue) {
+    /// Folds `other` into `self` under each kind's merge rule, gauges by
+    /// sum when `sum` says so. A kind mismatch (same metric name reported
+    /// as different kinds — a caller bug) resolves by keeping `other`.
+    fn absorb(&mut self, other: &MetricValue, sum: bool) {
         match (self, other) {
             (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+            (MetricValue::Gauge(a), MetricValue::Gauge(b)) if sum => *a += b,
             (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(*b),
             (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
             (slot, other) => *slot = other.clone(),
         }
     }
+}
+
+/// A value plus its merge rule.
+#[derive(Debug, Clone)]
+struct Entry {
+    value: MetricValue,
+    /// A gauge of additive state: parts of one run merge by sum.
+    sum: bool,
 }
 
 /// A set of metrics keyed by `(layer, metric)`, e.g.
@@ -137,7 +148,7 @@ impl MetricValue {
 /// ordered.
 #[derive(Debug, Default, Clone)]
 pub struct Report {
-    entries: BTreeMap<(String, String), MetricValue>,
+    entries: BTreeMap<(String, String), Entry>,
 }
 
 impl Report {
@@ -148,17 +159,27 @@ impl Report {
 
     /// Adds `v` to the counter `layer/metric` (creating it at 0).
     pub fn counter(&mut self, layer: &str, metric: &str, v: u64) {
-        self.put(layer, metric, MetricValue::Counter(v));
+        self.put(layer, metric, MetricValue::Counter(v), false, false);
     }
 
-    /// Raises the gauge `layer/metric` to `v` if larger.
+    /// Raises the gauge `layer/metric` to `v` if larger: for facts every
+    /// worker replicates (alive peers, lanes) and high-water marks.
     pub fn gauge(&mut self, layer: &str, metric: &str, v: u64) {
-        self.put(layer, metric, MetricValue::Gauge(v));
+        self.put(layer, metric, MetricValue::Gauge(v), false, false);
+    }
+
+    /// Adds `v` to the gauge `layer/metric`: for levels of additive state
+    /// (sessions held, routes, pending exchanges), which a run split over
+    /// workers holds in parts. It reads as a [`MetricValue::Gauge`]; the
+    /// parts of one run add up under [`absorb_part`](Self::absorb_part),
+    /// and whole runs merge by maximum like any gauge.
+    pub fn gauge_sum(&mut self, layer: &str, metric: &str, v: u64) {
+        self.put(layer, metric, MetricValue::Gauge(v), true, true);
     }
 
     /// Merges a histogram snapshot into `layer/metric`.
     pub fn histogram(&mut self, layer: &str, metric: &str, snap: HistSnapshot) {
-        self.put(layer, metric, MetricValue::Histogram(snap));
+        self.put(layer, metric, MetricValue::Histogram(snap), false, false);
     }
 
     /// Records a single observation into the histogram `layer/metric`.
@@ -166,21 +187,35 @@ impl Report {
         self.histogram(layer, metric, HistSnapshot::single(v));
     }
 
-    /// Merges one value under its kind's rule.
-    fn put(&mut self, layer: &str, metric: &str, v: MetricValue) {
+    /// Merges one value under its kind's rule; a gauge of additive state
+    /// (`sum`) adds when the value is another `part` of the same run.
+    fn put(&mut self, layer: &str, metric: &str, value: MetricValue, sum: bool, part: bool) {
         match self.entries.get_mut(&(layer.to_string(), metric.to_string())) {
-            Some(slot) => slot.absorb(&v),
+            Some(slot) => {
+                slot.sum |= sum;
+                slot.value.absorb(&value, part && slot.sum);
+            }
             None => {
-                self.entries.insert((layer.to_string(), metric.to_string()), v);
+                self.entries.insert((layer.to_string(), metric.to_string()), Entry { value, sum });
             }
         }
     }
 
-    /// Folds every entry of `other` into `self`. Commutative up to the
+    /// Folds every entry of `other` into `self`, gauges by maximum: the
+    /// merge of whole runs (cells, jobs). Commutative up to the
     /// kind-specific merge rules, so absorb order never changes totals.
     pub fn absorb(&mut self, other: &Report) {
-        for ((layer, metric), v) in &other.entries {
-            self.put(layer, metric, v.clone());
+        for ((layer, metric), e) in &other.entries {
+            self.put(layer, metric, e.value.clone(), e.sum, false);
+        }
+    }
+
+    /// Folds in `other` as another part of the same run (one worker's
+    /// share of an engine): as [`absorb`](Self::absorb), except that
+    /// gauges of additive state ([`gauge_sum`](Self::gauge_sum)) add.
+    pub fn absorb_part(&mut self, other: &Report) {
+        for ((layer, metric), e) in &other.entries {
+            self.put(layer, metric, e.value.clone(), e.sum, true);
         }
     }
 
@@ -191,12 +226,12 @@ impl Report {
 
     /// Looks up one metric.
     pub fn get(&self, layer: &str, metric: &str) -> Option<&MetricValue> {
-        self.entries.get(&(layer.to_string(), metric.to_string()))
+        self.entries.get(&(layer.to_string(), metric.to_string())).map(|e| &e.value)
     }
 
     /// Iterates `(layer, metric, value)` in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &MetricValue)> {
-        self.entries.iter().map(|((l, m), v)| (l.as_str(), m.as_str(), v))
+        self.entries.iter().map(|((l, m), e)| (l.as_str(), m.as_str(), &e.value))
     }
 }
 
@@ -213,6 +248,39 @@ mod tests {
         r.gauge("a", "g", 4);
         assert_eq!(r.get("a", "c"), Some(&MetricValue::Counter(5)));
         assert_eq!(r.get("a", "g"), Some(&MetricValue::Gauge(7)));
+    }
+
+    #[test]
+    fn summed_gauges_add_across_parts_and_max_across_runs() {
+        let part = |sessions, alive| {
+            let mut r = Report::new();
+            r.gauge_sum("net", "nat_sessions", sessions);
+            r.gauge("net", "alive_peers", alive);
+            r
+        };
+        // One run on two workers: its sessions add up, replicated facts
+        // do not.
+        let mut run = Report::new();
+        for r in [part(30, 100), part(12, 100)] {
+            run.absorb_part(&r);
+        }
+        assert_eq!(run.get("net", "nat_sessions"), Some(&MetricValue::Gauge(42)));
+        assert_eq!(run.get("net", "alive_peers"), Some(&MetricValue::Gauge(100)));
+        // Two one-worker cells into one sink: the largest, as any gauge,
+        // whichever order they land in.
+        let (a, b) = (part(30, 100), part(12, 80));
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let mut sink = Report::new();
+            sink.absorb(first);
+            sink.absorb(second);
+            assert_eq!(sink.get("net", "nat_sessions"), Some(&MetricValue::Gauge(30)));
+            assert_eq!(sink.get("net", "alive_peers"), Some(&MetricValue::Gauge(100)));
+        }
+        // A whole run's total enters a sink as an ordinary gauge.
+        let mut sink = Report::new();
+        sink.absorb(&run);
+        sink.absorb(&a);
+        assert_eq!(sink.get("net", "nat_sessions"), Some(&MetricValue::Gauge(42)));
     }
 
     #[test]

@@ -84,6 +84,101 @@ impl ShardPlan {
     }
 }
 
+/// One worker's share of a [`ShardPlan`]: which nodes it owns, and where
+/// each owned node sits in the worker's dense per-node tables.
+///
+/// A worker stores state only for the nodes it owns, in id order, so an
+/// owned node's slot is its rank among them. Under round-robin that rank
+/// is arithmetic — `node / S`, which makes the one-worker case `node`
+/// itself; the test-only maps list their owned nodes and search that
+/// list.
+#[derive(Debug, Clone)]
+pub struct Share {
+    plan: ShardPlan,
+    idx: usize,
+    slots: Slots,
+}
+
+#[derive(Debug, Clone)]
+enum Slots {
+    /// Owner `node % d`, slot `node / d`: round-robin over `d` workers —
+    /// and all-on-one, whose `d` of 1 puts every node on worker 0 at its
+    /// own id.
+    Div { d: u32 },
+    /// The owned nodes in id order (owner from the plan, slot by search).
+    Listed(Vec<u32>),
+}
+
+impl Share {
+    /// Worker `idx`'s share of `plan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a shard of `plan`.
+    pub fn new(plan: ShardPlan, idx: usize) -> Self {
+        assert!(idx < plan.shards(), "shard index out of range");
+        let slots = match plan.assign {
+            ShardAssign::RoundRobin => Slots::Div { d: plan.shards as u32 },
+            ShardAssign::AllOnOne => Slots::Div { d: 1 },
+            ShardAssign::Random(_) => Slots::Listed(Vec::new()),
+        };
+        Share { plan, idx, slots }
+    }
+
+    /// The only worker of a one-worker plan: it owns every node.
+    pub fn whole() -> Self {
+        Share::new(ShardPlan::round_robin(1), 0)
+    }
+
+    /// The plan this share belongs to.
+    pub fn plan(&self) -> ShardPlan {
+        self.plan
+    }
+
+    /// This worker's index in the plan.
+    pub fn index(&self) -> usize {
+        self.idx
+    }
+
+    /// The worker owning `node`.
+    #[inline]
+    pub fn owner_of(&self, node: u32) -> usize {
+        match self.slots {
+            Slots::Div { d } => (node % d) as usize,
+            Slots::Listed(_) => self.plan.shard_of(node),
+        }
+    }
+
+    /// Whether this worker owns `node`.
+    #[inline]
+    pub fn owns(&self, node: u32) -> bool {
+        self.owner_of(node) == self.idx
+    }
+
+    /// The slot of owned `node` in this worker's per-node tables.
+    #[inline]
+    pub fn slot(&self, node: u32) -> usize {
+        debug_assert!(self.owns(node), "node {node} is not owned by worker {}", self.idx);
+        match &self.slots {
+            Slots::Div { d } => (node / d) as usize,
+            Slots::Listed(owned) => owned.binary_search(&node).expect("owned node was admitted"),
+        }
+    }
+
+    /// Registers `node`, the next id of the population, and returns its
+    /// slot when this worker owns it.
+    pub fn admit(&mut self, node: u32) -> Option<usize> {
+        if !self.owns(node) {
+            return None;
+        }
+        if let Slots::Listed(owned) = &mut self.slots {
+            debug_assert!(owned.last().is_none_or(|last| *last < node), "nodes admitted in order");
+            owned.push(node);
+        }
+        Some(self.slot(node))
+    }
+}
+
 /// The one-round mixer behind `SimRng::fork`, reused for the `Random`
 /// assignment so shard maps are pure in `(salt, node)`.
 fn splitmix64(mut x: u64) -> u64 {
@@ -190,29 +285,25 @@ impl LaneObs {
 /// at every tick barrier.
 ///
 /// The tick length must not exceed the minimum message latency (the
-/// lookahead); [`ShardedSim::new`] asserts it is non-zero and callers are
-/// expected to derive it from the network configuration.
+/// lookahead); callers derive it from the network configuration and hand
+/// it to every [`run_until`](Self::run_until).
 #[derive(Debug)]
 pub struct ShardedSim<W: ShardWorker> {
     workers: Vec<W>,
     lane_obs: Vec<LaneObs>,
-    tick: SimDuration,
     now: SimTime,
 }
 
 impl<W: ShardWorker> ShardedSim<W> {
-    /// Drives `workers` (one per shard) with the given lockstep tick.
+    /// Drives `workers`, one per shard, from time zero.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is empty or `tick` is zero (a zero tick means
-    /// the network has zero minimum latency, which breaks the lookahead
-    /// argument — senders could reach the same instant they send in).
-    pub fn new(workers: Vec<W>, tick: SimDuration) -> Self {
+    /// Panics if `workers` is empty.
+    pub fn new(workers: Vec<W>) -> Self {
         assert!(!workers.is_empty(), "a sharded sim needs at least one worker");
-        assert!(tick > SimDuration::ZERO, "lockstep tick must be positive (zero-latency network?)");
         let lane_obs = workers.iter().map(|_| LaneObs::default()).collect();
-        ShardedSim { workers, lane_obs, tick, now: SimTime::ZERO }
+        ShardedSim { workers, lane_obs, now: SimTime::ZERO }
     }
 
     /// Reports shard-layer telemetry into `out`: per-lane and total
@@ -251,21 +342,29 @@ impl<W: ShardWorker> ShardedSim<W> {
         &mut self.workers
     }
 
-    /// Advances every shard to `deadline` in lockstep ticks.
+    /// Advances every shard to `deadline` in lockstep ticks of `tick`.
     ///
     /// With one shard the loop runs inline ([`run_lone`]: no threads, no
-    /// barriers); with more, one thread per shard is spawned for the whole
-    /// call and synchronized twice per tick — after staging (so outboxes
-    /// are complete before anyone reads them) and after absorbing (so the
-    /// next tick's staging cannot race a slow reader).
-    pub fn run_until(&mut self, deadline: SimTime) {
+    /// barriers); with more, shard 0 runs on the calling thread and one
+    /// thread per other shard is spawned for the whole call, synchronized
+    /// twice per tick — after staging (so outboxes are complete before
+    /// anyone reads them) and after absorbing (so the next tick's staging
+    /// cannot race a slow reader).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is zero (a zero tick means the network has zero
+    /// minimum latency, which breaks the lookahead argument — senders
+    /// could reach the same instant they send in).
+    pub fn run_until(&mut self, deadline: SimTime, tick: SimDuration) {
         if self.now >= deadline {
             return;
         }
+        assert!(tick > SimDuration::ZERO, "lockstep tick must be positive (zero-latency network?)");
         let shards = self.workers.len();
         if shards == 1 {
             let obs = &self.lane_obs[0];
-            run_lone(&mut self.workers[0], self.now, deadline, self.tick, |out| {
+            run_lone(&mut self.workers[0], self.now, deadline, tick, |out| {
                 obs.note_staged::<W>(out)
             });
             self.now = deadline;
@@ -281,49 +380,53 @@ impl<W: ShardWorker> ShardedSim<W> {
         let staged = Barrier::new(shards);
         let absorbed = Barrier::new(shards);
         let start = self.now;
-        let tick = self.tick;
 
-        std::thread::scope(|scope| {
-            for ((idx, worker), obs) in
-                self.workers.iter_mut().enumerate().zip(self.lane_obs.iter_mut())
-            {
-                let outboxes = &outboxes;
-                let staged = &staged;
-                let absorbed = &absorbed;
-                scope.spawn(move || {
-                    let mut batch = Vec::new();
-                    let mut now = start;
-                    // Every thread walks the same boundary sequence — it is
-                    // a pure function of (start, tick, deadline), so no
-                    // coordination beyond the barriers is needed.
-                    while now < deadline {
-                        now = (now + tick).min(deadline);
-                        worker.run_tick(now);
-                        obs.note_staged::<W>(worker.outbox());
-                        // Publish by swapping with the vectors every reader
-                        // drained last tick: the capacity cycles between
-                        // the worker and the exchange.
-                        outboxes[idx].lock().unwrap().swap_with_slice(worker.outbox());
-                        // Barrier stall is wall-clock-only telemetry: it
-                        // never feeds back into the simulation, so timing
-                        // jitter cannot perturb determinism.
-                        let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
-                        staged.wait();
-                        if let Some(t) = stall_from {
-                            obs.stall_ns.add(t.elapsed().as_nanos() as u64);
-                        }
-                        for src in outboxes {
-                            batch.append(&mut src.lock().unwrap()[idx]);
-                        }
-                        worker.absorb(&mut batch);
-                        let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
-                        absorbed.wait();
-                        if let Some(t) = stall_from {
-                            obs.stall_ns.add(t.elapsed().as_nanos() as u64);
-                        }
-                    }
-                });
+        const POISONED: &str = "an outbox lock is poisoned only by a worker that panicked";
+        // One lane per worker. Every lane walks the same boundary sequence —
+        // a pure function of (start, tick, deadline), so no coordination
+        // beyond the barriers is needed.
+        let lane = |idx: usize, worker: &mut W, obs: &mut LaneObs| {
+            let mut batch = Vec::new();
+            let mut now = start;
+            while now < deadline {
+                now = (now + tick).min(deadline);
+                worker.run_tick(now);
+                obs.note_staged::<W>(worker.outbox());
+                // Publish by swapping with the vectors every reader drained
+                // last tick: the capacity cycles between the worker and the
+                // exchange.
+                outboxes[idx].lock().expect(POISONED).swap_with_slice(worker.outbox());
+                // Barrier stall is wall-clock-only telemetry: it never feeds
+                // back into the simulation, so timing jitter cannot perturb
+                // determinism.
+                let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
+                staged.wait();
+                if let Some(t) = stall_from {
+                    obs.stall_ns.add(t.elapsed().as_nanos() as u64);
+                }
+                for src in &outboxes {
+                    batch.append(&mut src.lock().expect(POISONED)[idx]);
+                }
+                worker.absorb(&mut batch);
+                let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
+                absorbed.wait();
+                if let Some(t) = stall_from {
+                    obs.stall_ns.add(t.elapsed().as_nanos() as u64);
+                }
             }
+        };
+        std::thread::scope(|scope| {
+            let lane = &lane;
+            let mut lanes = self.workers.iter_mut().zip(self.lane_obs.iter_mut()).enumerate();
+            let (_, (first, first_obs)) = lanes.next().expect("two workers or more");
+            for (idx, (worker, obs)) in lanes {
+                scope.spawn(move || lane(idx, worker, obs));
+            }
+            // Worker 0 runs on the calling thread, so each worker keeps
+            // allocating from the same thread's heap arena call after call
+            // (one spawned thread reuses the arena the last one freed);
+            // memory that migrates between arenas fragments both.
+            lane(0, first, first_obs);
         });
         self.now = deadline;
     }
@@ -414,8 +517,8 @@ mod tests {
     fn run_toy(plan: ShardPlan, nodes: u32, ticks: u64) -> BTreeMap<u32, u64> {
         let workers: Vec<ToyShard> =
             (0..plan.shards()).map(|i| ToyShard::new(plan, i, nodes)).collect();
-        let mut sim = ShardedSim::new(workers, SimDuration::from_millis(1));
-        sim.run_until(SimTime::ZERO + SimDuration::from_millis(ticks));
+        let mut sim = ShardedSim::new(workers);
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(ticks), SimDuration::from_millis(1));
         let mut merged = BTreeMap::new();
         for w in sim.workers() {
             for (&n, &c) in &w.counters {
@@ -449,9 +552,9 @@ mod tests {
         // 7 ms of 2 ms ticks: the last tick is clipped to the deadline.
         let plan = ShardPlan::round_robin(3);
         let workers: Vec<ToyShard> = (0..3).map(|i| ToyShard::new(plan, i, 10)).collect();
-        let mut sim = ShardedSim::new(workers, SimDuration::from_millis(2));
+        let mut sim = ShardedSim::new(workers);
         let deadline = SimTime::ZERO + SimDuration::from_millis(7);
-        sim.run_until(deadline);
+        sim.run_until(deadline, SimDuration::from_millis(2));
         assert_eq!(sim.now(), deadline);
         for w in sim.workers() {
             assert_eq!(w.now, deadline, "shard clock out of lockstep");
@@ -465,6 +568,30 @@ mod tests {
                 let plan = ShardPlan::new(shards, assign);
                 for node in 0..1000 {
                     assert!(plan.shard_of(node) < shards);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shares_agree_with_the_plan_and_pack_owned_nodes() {
+        for shards in 1..6 {
+            for assign in [ShardAssign::RoundRobin, ShardAssign::AllOnOne, ShardAssign::Random(7)] {
+                let plan = ShardPlan::new(shards, assign);
+                let mut shares: Vec<Share> = (0..shards).map(|i| Share::new(plan, i)).collect();
+                let mut next = vec![0usize; shards];
+                for node in 0..500 {
+                    let owner = plan.shard_of(node);
+                    for (i, share) in shares.iter_mut().enumerate() {
+                        assert_eq!(share.owner_of(node), owner, "{plan:?} node {node}");
+                        let slot = share.admit(node);
+                        assert_eq!(slot.is_some(), i == owner);
+                        if let Some(slot) = slot {
+                            assert_eq!(slot, next[i], "{plan:?} node {node}: slots are ranks");
+                            assert_eq!(share.slot(node), slot);
+                            next[i] += 1;
+                        }
+                    }
                 }
             }
         }

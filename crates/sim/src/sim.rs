@@ -70,12 +70,12 @@ impl<E> Sim<E> {
     /// or the RNG, so a run with stats on replays byte-identically.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         out.counter("kernel", "events_processed", self.processed);
-        out.gauge("kernel", "pending_events", self.queue.len() as u64);
+        out.gauge_sum("kernel", "pending_events", self.queue.len() as u64);
         out.gauge("kernel", "queue_depth_hwm", self.queue.depth_hwm());
         for (level, n) in self.queue.level_sizes().into_iter().enumerate() {
-            out.gauge("kernel", &format!("wheel_l{level}_events"), n as u64);
+            out.gauge_sum("kernel", &format!("wheel_l{level}_events"), n as u64);
         }
-        out.gauge("kernel", "overflow_buckets", self.queue.overflow_len() as u64);
+        out.gauge_sum("kernel", "overflow_buckets", self.queue.overflow_len() as u64);
     }
 
     /// Schedules `event` at the absolute instant `at`.

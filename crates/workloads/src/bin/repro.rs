@@ -37,11 +37,12 @@
 //!                  horizons (explicit flags win regardless of order)
 //! --jobs N         worker threads / max concurrently live simulations
 //!                  (default: available parallelism)
-//! --shards N       spread each steady-state cell over N lockstep shards,
-//!                  one thread each; 0 auto-detects from available
-//!                  parallelism (clamped to 16). Like --jobs, a
-//!                  wall-clock knob: output is byte-identical for every
-//!                  N and without the flag (one shard, inline).
+//! --shards N       run each steady-state cell on N lockstep workers, one
+//!                  thread each, instead of letting the engine size
+//!                  itself (one worker per 5 000 peers, at most the cores
+//!                  left per concurrent job); 0 is the same as no flag.
+//!                  Like --jobs, a wall-clock knob: output is
+//!                  byte-identical for every N and without the flag.
 //! --engine NAME    reroute the engine-generic steady-state cells (fig2,
 //!                  fig3/4, fig7/8) through one engine: baseline, nylon,
 //!                  static-rvp or peerswap. Engine-specific artifacts
@@ -224,17 +225,7 @@ fn main() -> ExitCode {
         scale.base_seed = v;
     }
     if let Some(v) = shards {
-        // `--shards 0` asks for auto-detection: one shard per available
-        // core, clamped — past ~16 shards barrier overhead outweighs the
-        // extra lanes at any scale this CLI runs.
-        scale.shards = if v == 0 {
-            let auto =
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 16);
-            eprintln!("[repro] --shards 0: auto-detected {auto} shard(s)");
-            auto
-        } else {
-            v
-        };
+        scale.shards = v;
     }
     scale.engine = engine;
     scale.attack = attack;
@@ -247,8 +238,8 @@ fn main() -> ExitCode {
         scale.seeds,
         scale.rounds,
         if scale.full_churn_horizons { ", paper churn horizons" } else { "" },
-        if scale.shards > 1 {
-            format!(", sharded driver ({} shards)", scale.shards)
+        if scale.shards > 0 {
+            format!(", {} worker(s) per steady-state cell", scale.shards)
         } else {
             String::new()
         },

@@ -334,60 +334,66 @@ impl Experiment {
         let rate_limiter = ProgressRateLimiter::new();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= pending.len() {
-                        break;
-                    }
-                    let cell = &cells[pending[k]];
-                    let cell_mark = timer.mark();
-                    match catch_unwind(AssertUnwindSafe(|| (cell.point.run)(cell.seed))) {
-                        Ok(values) => {
-                            let elapsed = cell_mark.elapsed(&timer);
-                            if nylon_obs::is_active() {
-                                let mut r = nylon_obs::Report::new();
-                                r.counter("exec", "cells_completed", 1);
-                                r.observe("exec", "cell_wall_ms", elapsed.as_millis() as u64);
-                                nylon_obs::merge_report(&r);
-                                nylon_obs::periodic_snapshot();
-                            }
-                            if let Some(w) = &writer {
-                                let line = checkpoint::cell_line(&cell.id(), &values);
-                                let mut file = w.lock().expect("checkpoint lock poisoned");
-                                writeln!(file, "{line}")
-                                    .and_then(|()| file.flush())
-                                    .unwrap_or_else(|e| panic!("cannot append checkpoint: {e}"));
-                            }
-                            let _ = slots[pending[k]].set(values);
-                            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            let point_done = point_remaining[cell.point_idx]
-                                .fetch_sub(1, Ordering::Relaxed)
-                                == 1;
-                            // Per-cell completion (seed + elapsed), rate
-                            // limited so `--full` runs (thousands of cells)
-                            // keep readable logs; the per-point summary
-                            // below always prints.
-                            if !point_done && rate_limiter.allow() {
-                                progress(&format!(
-                                    "cell {}::{} seed={} done in {:.1?} ({d}/{total})",
-                                    cell.sweep, cell.point.key, cell.seed, elapsed
-                                ));
-                            }
-                            if point_done {
-                                progress(&format!(
-                                    "{}::{} done ({d}/{total} cells, last seed {} took {:.1?})",
-                                    cell.sweep, cell.point.key, cell.seed, elapsed
-                                ));
-                            }
-                        }
-                        Err(payload) => {
-                            let mut slot = failure.lock().expect("failure lock poisoned");
-                            slot.get_or_insert((cell.id(), panic_message(&*payload)));
-                            // Drain the queue so other workers stop early.
-                            cursor.store(usize::MAX / 2, Ordering::Relaxed);
+                // The cells running side by side share the cores: each
+                // engine sizes itself as one of `workers` jobs.
+                scope.spawn(|| {
+                    nylon_gossip::as_one_of(workers, || loop {
+                        let k = cursor.fetch_add(1, Ordering::Relaxed);
+                        if k >= pending.len() {
                             break;
                         }
-                    }
+                        let cell = &cells[pending[k]];
+                        let cell_mark = timer.mark();
+                        match catch_unwind(AssertUnwindSafe(|| (cell.point.run)(cell.seed))) {
+                            Ok(values) => {
+                                let elapsed = cell_mark.elapsed(&timer);
+                                if nylon_obs::is_active() {
+                                    let mut r = nylon_obs::Report::new();
+                                    r.counter("exec", "cells_completed", 1);
+                                    r.observe("exec", "cell_wall_ms", elapsed.as_millis() as u64);
+                                    nylon_obs::merge_report(&r);
+                                    nylon_obs::periodic_snapshot();
+                                }
+                                if let Some(w) = &writer {
+                                    let line = checkpoint::cell_line(&cell.id(), &values);
+                                    let mut file = w.lock().expect("checkpoint lock poisoned");
+                                    writeln!(file, "{line}")
+                                        .and_then(|()| file.flush())
+                                        .unwrap_or_else(|e| {
+                                            panic!("cannot append checkpoint: {e}")
+                                        });
+                                }
+                                let _ = slots[pending[k]].set(values);
+                                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                                let point_done = point_remaining[cell.point_idx]
+                                    .fetch_sub(1, Ordering::Relaxed)
+                                    == 1;
+                                // Per-cell completion (seed + elapsed), rate
+                                // limited so `--full` runs (thousands of cells)
+                                // keep readable logs; the per-point summary
+                                // below always prints.
+                                if !point_done && rate_limiter.allow() {
+                                    progress(&format!(
+                                        "cell {}::{} seed={} done in {:.1?} ({d}/{total})",
+                                        cell.sweep, cell.point.key, cell.seed, elapsed
+                                    ));
+                                }
+                                if point_done {
+                                    progress(&format!(
+                                        "{}::{} done ({d}/{total} cells, last seed {} took {:.1?})",
+                                        cell.sweep, cell.point.key, cell.seed, elapsed
+                                    ));
+                                }
+                            }
+                            Err(payload) => {
+                                let mut slot = failure.lock().expect("failure lock poisoned");
+                                slot.get_or_insert((cell.id(), panic_message(&*payload)));
+                                // Drain the queue so other workers stop early.
+                                cursor.store(usize::MAX / 2, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    })
                 });
             }
         });

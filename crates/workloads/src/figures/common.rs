@@ -17,12 +17,11 @@ use crate::scenario::{NatMix, Scenario};
 
 use super::{EngineKind, FigureScale};
 
-/// The one place a cell picks its driver: builds `$cfg`'s engine — bare
-/// when `$shards` is 0 or 1 (inline, no threads), under
-/// [`nylon_gossip::Sharded`] with `$shards` lockstep workers otherwise —
-/// and passes it to the generic function `$measure` along with any
-/// trailing arguments. Both forms render the same bytes; the choice only
-/// moves wall clock.
+/// The one place a cell picks its workers: builds `$cfg`'s engine — sized
+/// by itself when `$shards` is 0, under [`nylon_gossip::Sharded`] with
+/// `$shards` lockstep workers otherwise — and passes it to the generic
+/// function `$measure` along with any trailing arguments. Both forms
+/// render the same bytes; the choice only moves wall clock.
 ///
 /// `$build` turns the (possibly sharded) engine config into the built
 /// engine. It is pasted syntactically into both arms, so a closure literal
@@ -37,7 +36,7 @@ use super::{EngineKind, FigureScale};
 macro_rules! on_shards {
     ($shards:expr, $cfg:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {
         match $shards {
-            0 | 1 => $measure(($build)($cfg) $(, $extra)*),
+            0 => $measure(($build)($cfg) $(, $extra)*),
             s => $measure(($build)(nylon_gossip::ShardedConfig::new($cfg, s)) $(, $extra)*),
         }
     };
@@ -67,7 +66,8 @@ macro_rules! dispatch_engine {
 pub(crate) use dispatch_engine;
 
 /// Nylon's protocol counters off either form of the engine (`stats` is an
-/// inherent method on both), for the Nylon-only cells.
+/// inherent method of the engine `Sharded` derefs to), for the Nylon-only
+/// cells.
 pub(crate) trait NylonCounters: PeerSampler {
     fn nylon_stats(&self) -> NylonStats;
 }

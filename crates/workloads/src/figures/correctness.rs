@@ -63,13 +63,13 @@ fn sample(scale: &FigureScale, pct: f64, seed: u64) -> Vec<f64> {
     eng.run_rounds(scale.rounds - warmup);
     let cluster = biggest_cluster_pct(&eng);
     let stale = staleness(&eng).stale_pct;
-    let n = eng.net().peer_count();
+    let n = eng.peer_count();
     let log = eng.sample_log().expect("logging enabled above");
     let mut counts = vec![0u64; n];
     let mut natted_hits = 0u64;
-    for s in log {
+    for s in &log {
         counts[*s as usize] += 1;
-        if eng.net().class_of(nylon_net::PeerId(*s)).is_natted() {
+        if eng.class_of(nylon_net::PeerId(*s)).is_natted() {
             natted_hits += 1;
         }
     }

@@ -175,7 +175,7 @@ fn view_sweep(scale: &FigureScale) -> Sweep {
                 .alive_peers()
                 .collect::<Vec<_>>()
                 .iter()
-                .map(|p| eng.net().stats_of(*p).bytes_total())
+                .map(|p| eng.traffic_of(*p).bytes_total())
                 .sum();
             let bps = bytes as f64 / eng.alive_peers().count() as f64 / eng.now().as_secs_f64();
             vec![biggest_cluster_pct(&eng), eng.stats().mean_chain_len().unwrap_or(f64::NAN), bps]

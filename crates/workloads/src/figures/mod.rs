@@ -88,15 +88,14 @@ pub struct FigureScale {
     pub full_churn_horizons: bool,
     /// Base seed from which per-point seeds are derived.
     pub base_seed: u64,
-    /// Worker threads per cell, a wall-clock knob: `0` and `1` run each
-    /// cell inline on its [`nylon_gossip::Engine`], `N > 1` on
-    /// [`nylon_gossip::Sharded`] with `N` lockstep shards. Every value
-    /// renders the same bytes — an engine on its own is the one-shard
-    /// case of the same tick loop. The steady-state and adversarial
-    /// artifacts spread over the shards; the churn/lifecycle artifacts
-    /// (fig10, correctness, ablation, extensions, timeline) build the
-    /// bare engine whatever the value, because their mid-run kill/join
-    /// scripting drives its inherent API.
+    /// Lockstep workers per cell, a wall-clock knob: `0` lets each
+    /// [`nylon_gossip::Engine`] size itself (see
+    /// [`nylon_gossip::auto_workers`]), `N` runs the steady-state and
+    /// adversarial cells on [`nylon_gossip::Sharded`] with `N` workers.
+    /// Every value renders the same bytes. The churn/lifecycle artifacts
+    /// (fig10, correctness, ablation, extensions, timeline) size
+    /// themselves whatever the value, because their mid-run kill/join
+    /// scripting drives the engine's inherent API.
     pub shards: usize,
     /// Engine override for the engine-generic steady-state artifacts:
     /// `None` measures each figure's own engine (fig2's six baseline

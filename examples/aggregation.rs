@@ -48,7 +48,7 @@ fn main() {
     let mut base_vals: Vec<f64> = (0..PEERS)
         .map(|i| {
             let p = PeerId(i as u32);
-            initial(p, base.net().class_of(p).is_natted())
+            initial(p, base.class_of(p).is_natted())
         })
         .collect();
     let mut nyl_vals = base_vals.clone();

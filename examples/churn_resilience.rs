@@ -20,7 +20,7 @@ fn main() {
     let mut publics: Vec<PeerId> = Vec::new();
     let mut natted: Vec<PeerId> = Vec::new();
     for p in eng.alive_peers() {
-        if eng.net().class_of(p).is_public() {
+        if eng.class_of(p).is_public() {
             publics.push(p);
         } else {
             natted.push(p);

@@ -7,10 +7,13 @@
 //! cargo run --release --example footprint -- baseline 200000 2
 //! ```
 //!
-//! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<shards>`
-//! 0 is the bare engine, N a `Sharded` run of N workers — the same
-//! simulation either way, a different footprint. The population is the
-//! ledger's (70 % NAT, seed 5).
+//! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<workers>`
+//! 0 lets the engine size itself, N runs it on N workers (`Sharded`) —
+//! the same simulation either way, a different footprint. The engine
+//! records its set-up until `start`, so the population is built — on
+//! every worker at once, each holding the peers it owns plus a ≈ 12-byte
+//! address-plan entry for each of the others — in the start stage. The
+//! population is the ledger's (70 % NAT, seed 5).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardedConfig};
@@ -43,10 +46,10 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     println!("biggest cluster {cluster:.2} %, stale references {stale:.2} %");
 }
 
-/// One protocol as a bare engine (`shards` 0) or under `Sharded`.
-macro_rules! on_shards {
-    ($cfg:expr, $peers:expr, $shards:expr) => {
-        match $shards {
+/// One protocol on a self-sized engine (`workers` 0) or under `Sharded`.
+macro_rules! on_workers {
+    ($cfg:expr, $peers:expr, $workers:expr) => {
+        match $workers {
             0 => probe($cfg, $peers),
             s => probe(ShardedConfig::new($cfg, s), $peers),
         }
@@ -56,18 +59,18 @@ macro_rules! on_shards {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed: Option<(&String, (usize, usize))> = match args.as_slice() {
-        [proto, peers, shards] => peers.parse().ok().zip(shards.parse().ok()).map(|n| (proto, n)),
+        [proto, peers, workers] => peers.parse().ok().zip(workers.parse().ok()).map(|n| (proto, n)),
         _ => None,
     };
-    let Some((proto, (peers, shards))) = parsed else {
-        eprintln!("usage: footprint <baseline|nylon|static-rvp|peerswap> <peers> <shards>");
+    let Some((proto, (peers, workers))) = parsed else {
+        eprintln!("usage: footprint <baseline|nylon|static-rvp|peerswap> <peers> <workers>");
         std::process::exit(1);
     };
     match proto.as_str() {
-        "baseline" => on_shards!(GossipConfig::default(), peers, shards),
-        "nylon" => on_shards!(NylonConfig::default(), peers, shards),
-        "static-rvp" => on_shards!(StaticRvpConfig::default(), peers, shards),
-        "peerswap" => on_shards!(PeerSwapConfig::default(), peers, shards),
+        "baseline" => on_workers!(GossipConfig::default(), peers, workers),
+        "nylon" => on_workers!(NylonConfig::default(), peers, workers),
+        "static-rvp" => on_workers!(StaticRvpConfig::default(), peers, workers),
+        "peerswap" => on_workers!(PeerSwapConfig::default(), peers, workers),
         other => panic!("unknown protocol {other}"),
     }
 }

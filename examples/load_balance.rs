@@ -22,7 +22,7 @@ fn main() {
     let window = SimDuration::from_secs(5) * ROUNDS;
     let nylon_stats: Vec<(bool, TrafficStats, u32)> = nylon
         .alive_peers()
-        .map(|p| (nylon.net().class_of(p).is_public(), nylon.net().stats_of(p), p.0))
+        .map(|p| (nylon.class_of(p).is_public(), nylon.traffic_of(p), p.0))
         .collect();
     summarize("Nylon (reactive RVP chains)", &nylon_stats, window);
 
@@ -32,7 +32,7 @@ fn main() {
     strawman.run_rounds(ROUNDS);
     let straw_stats: Vec<(bool, TrafficStats, u32)> = strawman
         .alive_peers()
-        .map(|p| (strawman.net().class_of(p).is_public(), strawman.net().stats_of(p), p.0))
+        .map(|p| (strawman.class_of(p).is_public(), strawman.traffic_of(p), p.0))
         .collect();
     summarize("Static public RVPs (strawman)", &straw_stats, window);
 

@@ -25,7 +25,7 @@ fn main() {
 
     // Watch one peer's sample evolve.
     let observer = eng.alive_peers().next().expect("peers were added");
-    println!("observing {observer} ({})\n", eng.net().class_of(observer));
+    println!("observing {observer} ({})\n", eng.class_of(observer));
     for checkpoint in [1u64, 5, 20, 60] {
         let rounds_elapsed = eng.now().as_millis() / 5_000;
         eng.run_rounds(checkpoint - rounds_elapsed);
@@ -59,7 +59,7 @@ fn main() {
         .alive_peers()
         .collect::<Vec<_>>()
         .iter()
-        .map(|p| eng.net().stats_of(*p).bytes_total())
+        .map(|p| eng.traffic_of(*p).bytes_total())
         .sum();
     let bps = bytes as f64 / eng.alive_peers().count() as f64 / eng.now().as_secs_f64();
     println!("  mean bandwidth          {bps:.0} B/s per peer");

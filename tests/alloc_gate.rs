@@ -163,7 +163,22 @@ fn bootstrap_bytes_per_peer<C: SamplerConfig>(cfg: C) -> u64 {
     for class in scn.classes() {
         eng.add_peer(class);
     }
+    // A query settles the engine on one worker, so the bootstrap runs at
+    // once instead of being recorded for `start`.
+    black_box(eng.traffic_of(PeerId(0)));
     counting(|| eng.bootstrap_random_public(15)).2 / scn.peers as u64
+}
+
+/// Bytes a whole set-up — population, bootstrap, start — allocates per
+/// peer of a 10 000-peer, 70 %-NAT population on `workers` workers.
+fn setup_bytes_per_peer<C: SamplerConfig>(cfg: C, workers: usize) -> u64
+where
+    ShardedConfig<C>: SamplerConfig,
+{
+    let scn = Scenario::new(10_000, 70.0, 5);
+    let (eng, _, bytes) = counting(|| build(&scn, ShardedConfig::new(cfg, workers)));
+    drop(eng);
+    bytes / scn.peers as u64
 }
 
 /// One test, run case by case, so nothing else in this binary allocates
@@ -209,6 +224,35 @@ fn hot_paths_allocate_no_more_than_recorded() {
     for (case, measured) in bootstraps {
         println!("{case}: {measured} bytes per peer (limit 2048)");
         assert!(measured <= 2048, "{case}: {measured} bytes per peer, limit 2048");
+    }
+
+    // A worker stores only the peers it owns plus the address plan of the
+    // rest (≈ 12 B a peer), so splitting a population over two workers
+    // adds next to nothing to what setting it up allocates.
+    let setups: [(&str, u64, u64); 4] = [
+        (
+            "baseline",
+            setup_bytes_per_peer(GossipConfig::default(), 1),
+            setup_bytes_per_peer(GossipConfig::default(), 2),
+        ),
+        (
+            "peerswap",
+            setup_bytes_per_peer(PeerSwapConfig::default(), 1),
+            setup_bytes_per_peer(PeerSwapConfig::default(), 2),
+        ),
+        (
+            "static-RVP",
+            setup_bytes_per_peer(StaticRvpConfig::default(), 1),
+            setup_bytes_per_peer(StaticRvpConfig::default(), 2),
+        ),
+        ("nylon", setup_bytes_per_peer(nylon(), 1), setup_bytes_per_peer(nylon(), 2)),
+    ];
+    for (case, one, two) in setups {
+        println!("{case} set-up: {one} bytes per peer on one worker, {two} on two");
+        assert!(
+            two * 100 <= one * 115,
+            "{case} set-up: {two} bytes per peer on two workers, {one} on one (limit 1.15x)"
+        );
     }
 
     // An engine on its own and `Sharded` at S = 1 run the same tick loop

@@ -116,7 +116,7 @@ fn bandwidth_is_modest() {
         .alive_peers()
         .collect::<Vec<_>>()
         .iter()
-        .map(|p| eng.net().stats_of(*p).bytes_total())
+        .map(|p| eng.traffic_of(*p).bytes_total())
         .sum();
     let per_peer_bps = total as f64 / eng.alive_peers().count() as f64 / eng.now().as_secs_f64();
     assert!(
@@ -145,8 +145,8 @@ fn load_is_balanced() {
     eng.run_rounds(80);
     let (mut pub_sum, mut pub_n, mut nat_sum, mut nat_n) = (0u64, 0u64, 0u64, 0u64);
     for p in eng.alive_peers().collect::<Vec<_>>() {
-        let b = eng.net().stats_of(p).bytes_total();
-        if eng.net().class_of(p).is_public() {
+        let b = eng.traffic_of(p).bytes_total();
+        if eng.class_of(p).is_public() {
             pub_sum += b;
             pub_n += 1;
         } else {

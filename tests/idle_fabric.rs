@@ -1,29 +1,28 @@
-//! The idle-fabric contract, measured: a shard worker holds every peer of
-//! the run, but a peer it does not own must cost it no heap block — not
-//! in the fabric (peer slot, NAT box, traffic counters) and not in the
-//! protocol's node. Adding 10 000 such peers may therefore allocate only
-//! when one of the handful of population-wide vectors doubles.
+//! The idle-fabric contract, measured: every worker of a run holds the
+//! address plan of the whole population, but a peer it does not own must
+//! cost it no heap block beyond that plan — no NAT box, no identity, no
+//! traffic counters (and no protocol node: the host adds one only for an
+//! owned peer). Adding 10 000 such peers may therefore allocate only when
+//! one of the two population-wide vectors doubles.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{counting, CountingAlloc};
-use nylon::{NylonConfig, StaticRvpConfig};
-use nylon_gossip::{Engine, GossipConfig, PeerSwapConfig, Protocol};
-use nylon_net::{NatClass, NatType, NetConfig};
-use nylon_sim::{ShardAssign, ShardPlan};
+use nylon_net::{NatClass, NatType, NetConfig, Network};
+use nylon_sim::{ShardAssign, ShardPlan, Share};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const PEERS: u32 = 10_000;
 
-/// Allocations made by adding [`PEERS`] peers — public, every cone type
-/// and symmetric, in turn — to worker 1 of a plan that puts every node on
-/// worker 0.
-fn allocations_while_populating<P: Protocol>(cfg: P::Config) -> u64 {
-    let mut eng: Engine<P> = Engine::new(cfg, NetConfig::default(), 5);
-    eng.set_shard(ShardPlan::new(2, ShardAssign::AllOnOne), 1);
+/// One test, so nothing else in this binary allocates while it counts.
+#[test]
+fn non_owned_peers_allocate_only_vector_growth() {
+    // Worker 1 of a plan that puts every peer on worker 0 owns none.
+    let share = Share::new(ShardPlan::new(2, ShardAssign::AllOnOne), 1);
+    let mut net: Network<()> = Network::for_worker(NetConfig::default(), 5, share);
     let classes = [
         NatClass::Public,
         NatClass::Natted(NatType::FullCone),
@@ -33,38 +32,15 @@ fn allocations_while_populating<P: Protocol>(cfg: P::Config) -> u64 {
     ];
     let ((), allocations, _) = counting(|| {
         for i in 0..PEERS {
-            eng.add_peer(classes[i as usize % classes.len()]);
+            net.add_peer(classes[i as usize % classes.len()]);
         }
     });
-    allocations
-}
-
-/// One test, so nothing else in this binary allocates while it counts.
-#[test]
-fn non_owned_peers_allocate_only_vector_growth() {
-    // Six vectors grow with the population (peer slots, boxes, box
-    // owners, traffic counters, protocol nodes, and slack for one more);
-    // each doubles at most log2(PEERS) + 1 times.
-    let budget = 6 * (u64::from(PEERS.ilog2()) + 1);
-    let runs = [
-        (
-            "baseline",
-            allocations_while_populating::<nylon_gossip::Baseline>(GossipConfig::default()),
-        ),
-        (
-            "peerswap",
-            allocations_while_populating::<nylon_gossip::PeerSwap>(PeerSwapConfig::default()),
-        ),
-        ("nylon", allocations_while_populating::<nylon::Nylon>(NylonConfig::default())),
-        (
-            "static-rvp",
-            allocations_while_populating::<nylon::StaticRvp>(StaticRvpConfig::default()),
-        ),
-    ];
-    for (protocol, allocations) in runs {
-        assert!(
-            allocations <= budget,
-            "{protocol}: {allocations} allocations for {PEERS} non-owned peers (budget {budget})"
-        );
-    }
+    // Peer slots and box slots; each doubles at most log2(PEERS) + 1 times.
+    let budget = 2 * (u64::from(PEERS.ilog2()) + 1);
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {PEERS} non-owned peers (budget {budget})"
+    );
+    assert_eq!(net.peer_count(), PEERS as usize);
+    assert!(net.nat_box_of(nylon_net::PeerId(1)).is_none(), "a non-owned peer has no box here");
 }

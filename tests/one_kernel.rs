@@ -1,15 +1,15 @@
-//! One kernel, per protocol, below the figure layer: an `Engine<P>` driven
-//! on its own is the S = 1 case of the lockstep loop, so it must end in
-//! the same state as `Sharded<Engine<P>>` at any shard count and under any
-//! node→shard map — protocol counters, every view, every peer's traffic
-//! and the fault counters — whether the run is one `run_rounds(k)` or
-//! `k × run_rounds(1)`.
+//! One kernel, per protocol, below the figure layer: an `Engine<P>` on any
+//! number of lockstep workers, under any node→worker map, must end in the
+//! same state as on one — protocol counters, every view, every peer's
+//! traffic and the fault counters — whether the run is one
+//! `run_rounds(k)` or `k × run_rounds(1)`, and whether the engine sized
+//! itself or was handed a plan (`Sharded<Engine<P>>`).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_faults::{FaultSpec, FaultStats};
 use nylon_gossip::{
-    Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig, Protocol, SamplerConfig,
-    ShardSampler, Sharded, ShardedConfig,
+    auto_workers, Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig, Protocol,
+    SamplerConfig, Sharded, ShardedConfig,
 };
 use nylon_net::{NetConfig, PeerId, TrafficStats};
 use nylon_sim::{ShardAssign, SimDuration};
@@ -19,20 +19,30 @@ use nylon_workloads::scenario::Scenario;
 const PEERS: usize = 200;
 
 /// Protocol counters off either form of an engine (`stats` is inherent on
-/// both), as their `Debug` rendering.
+/// the engine `Sharded` derefs to), as their `Debug` rendering, and its
+/// worker count.
 trait Counters: PeerSampler {
     fn counters(&self) -> String;
+    fn workers(&self) -> usize;
 }
 
 impl<P: Protocol> Counters for Engine<P> {
     fn counters(&self) -> String {
         format!("{:?}", self.stats())
     }
+
+    fn workers(&self) -> usize {
+        self.worker_count()
+    }
 }
 
 impl<P: Protocol> Counters for Sharded<Engine<P>> {
     fn counters(&self) -> String {
         format!("{:?}", self.stats())
+    }
+
+    fn workers(&self) -> usize {
+        self.worker_count()
     }
 }
 
@@ -45,9 +55,10 @@ struct Outcome {
     faults: FaultStats,
 }
 
-/// One scenario of the contract: 200 peers at 70 % NAT (paper mix) over
+/// One scenario of the contract: `peers` at 70 % NAT (paper mix) over
 /// `net`, optionally under a fault plan and a 30 % kill wave.
 struct Case {
+    peers: usize,
     net: NetConfig,
     faults: Option<&'static str>,
     rounds: u64,
@@ -58,9 +69,10 @@ fn run<C: SamplerConfig>(case: &Case, cfg: C, stepwise: bool) -> Outcome
 where
     C::Sampler: Counters,
 {
+    let peers = case.peers;
     let scn = Scenario {
         faults: case.faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
-        ..Scenario::new(PEERS, 70.0, 5)
+        ..Scenario::new(peers, 70.0, 5)
     };
     let mut eng = build_with_net(&scn, cfg, case.net.clone());
     let drive = |eng: &mut C::Sampler, k: u64| {
@@ -73,11 +85,11 @@ where
     let first = case.kill_at.unwrap_or(case.rounds);
     drive(&mut eng, first);
     if case.kill_at.is_some() {
-        let victims: Vec<PeerId> = (0..PEERS as u32).filter(|i| i % 10 < 3).map(PeerId).collect();
+        let victims: Vec<PeerId> = (0..peers as u32).filter(|i| i % 10 < 3).map(PeerId).collect();
         eng.kill_peers(&victims);
         drive(&mut eng, case.rounds - first);
     }
-    let peers = || (0..PEERS as u32).map(PeerId);
+    let peers = || (0..peers as u32).map(PeerId);
     Outcome {
         counters: eng.counters(),
         views: peers().map(|p| eng.view_of(p).iter().copied().collect()).collect(),
@@ -91,15 +103,21 @@ where
 /// whose lockstep tick is 1 ms.
 fn engine_alone_equals_every_sharding<C: SamplerConfig>(cfg: C, tiny_cfg: C)
 where
-    C::Sampler: Counters + ShardSampler,
+    C::Sampler: Counters,
+    ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
     Sharded<C::Sampler>: Counters,
 {
     let paper = NetConfig::default;
     let cases = [
-        ("steady", Case { net: paper(), faults: None, rounds: 30, kill_at: None }, &cfg),
+        (
+            "steady",
+            Case { peers: PEERS, net: paper(), faults: None, rounds: 30, kill_at: None },
+            &cfg,
+        ),
         (
             "faults + kill wave",
             Case {
+                peers: PEERS,
                 net: paper(),
                 faults: Some("rebind,flap,loss-burst,harden,cgn"),
                 rounds: 30,
@@ -112,6 +130,7 @@ where
             // tick or two after its send, the jittered per-peer RNG live.
             "tiny tick",
             Case {
+                peers: PEERS,
                 net: NetConfig {
                     latency: SimDuration::from_millis(2),
                     latency_jitter: SimDuration::from_millis(1),
@@ -154,15 +173,15 @@ fn views_after<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64) -> Vec<Vec<P
     (0..PEERS as u32).map(|p| eng.view_of(PeerId(p)).ids()).collect()
 }
 
-/// A peer's bootstrap contacts come from its own stream, whichever shard
-/// owns it — also where Nylon's all-natted fallback replays the draws of
-/// non-owned peers to open the same NAT holes on every replica (the
-/// rounds after it run through those holes).
+/// A peer's bootstrap contacts come from its own stream, whichever worker
+/// owns it — also in Nylon's all-natted fallback, where each join opens
+/// NAT holes on the joiner's worker and the contact's in turn (the rounds
+/// after it run through those holes).
 #[test]
 fn bootstrap_contacts_are_the_same_at_shards_1_2_4() {
     fn check<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64)
     where
-        C::Sampler: ShardSampler,
+        ShardedConfig<C>: SamplerConfig,
     {
         let alone = views_after(cfg.clone(), nat_pct, rounds);
         assert!(alone.iter().all(|v| !v.is_empty()), "a view was left empty");
@@ -177,6 +196,53 @@ fn bootstrap_contacts_are_the_same_at_shards_1_2_4() {
     check(NylonConfig::default(), 70.0, 0);
     check(NylonConfig::default(), 100.0, 0);
     check(NylonConfig::default(), 100.0, 5);
+}
+
+/// At 10 000 peers an engine sizes itself to two workers on a two-core
+/// host: for every protocol, in a clean run and under faults plus a kill
+/// wave, that build ends three rounds in the state a one-worker build
+/// does.
+#[test]
+fn auto_sized_build_is_the_one_worker_run_at_ten_thousand_peers() {
+    fn check<C: SamplerConfig>(cfg: C)
+    where
+        C::Sampler: Counters,
+        ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
+        Sharded<C::Sampler>: Counters,
+    {
+        let cases = [
+            Case {
+                peers: 10_000,
+                net: NetConfig::default(),
+                faults: None,
+                rounds: 3,
+                kill_at: None,
+            },
+            Case {
+                peers: 10_000,
+                net: NetConfig::default(),
+                faults: Some("rebind,flap,loss-burst,harden,cgn"),
+                rounds: 3,
+                kill_at: Some(2),
+            },
+        ];
+        for case in &cases {
+            let auto = run(case, cfg.clone(), false);
+            assert_eq!(
+                auto,
+                run(case, ShardedConfig::new(cfg.clone(), 1), false),
+                "{:?}",
+                case.faults
+            );
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let eng = build(&Scenario::new(10_000, 70.0, 5), cfg);
+        assert_eq!(eng.workers(), auto_workers(10_000, cores, 1));
+    }
+    check(GossipConfig::default());
+    check(PeerSwapConfig::default());
+    check(StaticRvpConfig::default());
+    check(NylonConfig::default());
 }
 
 const TINY_PERIOD: SimDuration = SimDuration::from_millis(200);

@@ -12,8 +12,8 @@
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardSampler,
-    Sharded, ShardedConfig,
+    BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Sharded,
+    ShardedConfig,
 };
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_obs::MetricValue;
@@ -101,26 +101,25 @@ fn metric<S: PeerSampler>(eng: &S, layer: &str, name: &str) -> u64 {
 /// outstanding and exchanges pending are the same at round 200 as at
 /// round 40, up to what is in flight at the instant of the snapshot (a
 /// tenth of the population is generous: a round trip is 100 ms of a 5 s
-/// period). Runs on two shards. A buffer acquired on one shard may be
+/// period). Runs on two workers. A buffer acquired on one worker may be
 /// released on another, so buffers are counted run-wide (counters merge
-/// by sum); gauges merge by maximum, so exchanges pending are read
-/// worker by worker and added up. `one_slot` protocols additionally hold
-/// at most one exchange per peer.
+/// by sum), and so are exchanges pending (a sum-merged gauge).
+/// `one_slot` protocols additionally hold at most one exchange per peer.
 fn assert_exchange_state_is_bounded<C: SamplerConfig>(
     scn: &Scenario,
     cfg: C,
     layer: &str,
     one_slot: bool,
 ) where
-    C::Sampler: ShardSampler,
+    ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
+    Sharded<C::Sampler>: PeerSampler,
 {
     // (pooled buffers handed out and not yet returned, exchanges the
     // protocol says it still waits on)
     let state = |eng: &Sharded<C::Sampler>| {
         let buffers =
             metric(eng, "kernel", "pool_acquired") - metric(eng, "kernel", "pool_released");
-        let pending = eng.shards().iter().map(|w| metric(w, layer, "pending_exchanges")).sum();
-        (buffers, pending)
+        (buffers, metric(eng, layer, "pending_exchanges"))
     };
     let slack = scn.peers as u64 / 10;
     let mut eng = build(scn, ShardedConfig::new(cfg, 2));
