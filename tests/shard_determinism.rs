@@ -46,10 +46,10 @@ fn flat(tables: &[nylon_workloads::output::Table]) -> String {
 /// The stdout of `repro NAMES --peers 40 --seeds 1 --rounds 10`, without
 /// a `--shards` flag for `shards == 0` and with `--shards N` otherwise:
 /// what `scripts/golden.sh --write` cuts the goldens from.
-fn cli_transcript(names: &[&str], shards: usize) -> String {
+fn cli_transcript(names: &str, shards: usize) -> String {
     let scale = FigureScale { peers: 40, seeds: 1, rounds: 10, shards, ..FigureScale::default() };
     names
-        .iter()
+        .split(' ')
         .flat_map(|name| generate(name, &scale).expect("known figure name"))
         .map(|t| format!("## {}\n\n{}\n", t.title, t.to_markdown()))
         .collect()
@@ -57,17 +57,26 @@ fn cli_transcript(names: &[&str], shards: usize) -> String {
 
 #[test]
 fn committed_goldens_are_reproduced_at_every_shard_count() {
-    // One golden per artifact set, last regenerated by PR 24's draw-order
-    // re-baseline (`scripts/golden.sh`). The all-engine one runs every
-    // protocol under faults and an adversary; fig9/table1 is the older one.
+    // One golden per artifact set (`scripts/golden.sh`); together they
+    // cover every artifact. The all-engine one runs every protocol under
+    // faults and an adversary; fig9/table1 is the oldest; the third holds
+    // the steady-state, churn and capture artifacts.
     for shards in [0, 1, 2, 4] {
         assert_eq!(
-            cli_transcript(&["randomness", "resilience", "eclipse"], shards),
+            cli_transcript(
+                "fig2 fig3 fig4 fig7 fig8 fig10 correctness ablation extensions timeline capture",
+                shards
+            ),
+            include_str!("golden/steady_churn_capture.txt"),
+            "steady/churn/capture golden diverged at shards {shards}"
+        );
+        assert_eq!(
+            cli_transcript("randomness resilience eclipse", shards),
             include_str!("golden/all_engines.txt"),
             "all-engine golden diverged at shards {shards}"
         );
         assert_eq!(
-            cli_transcript(&["fig9", "table1"], shards),
+            cli_transcript("fig9 table1", shards),
             include_str!("golden/fig9_table1.txt"),
             "fig9/table1 golden diverged at shards {shards}"
         );
