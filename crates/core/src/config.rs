@@ -1,6 +1,6 @@
 //! Nylon protocol configuration.
 
-use nylon_gossip::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
+use nylon_gossip::{MergePolicy, SelectionPolicy};
 use nylon_sim::SimDuration;
 
 use crate::message::WireSizeModel;
@@ -51,22 +51,6 @@ impl Default for NylonConfig {
     }
 }
 
-impl NylonConfig {
-    /// The equivalent generic-protocol configuration (used for the
-    /// reference baseline in Figure 7 and for shared view plumbing).
-    pub fn gossip_config(&self) -> GossipConfig {
-        GossipConfig {
-            view_size: self.view_size,
-            shuffle_period: self.shuffle_period,
-            selection: self.selection,
-            propagation: PropagationPolicy::PushPull,
-            merge: self.merge,
-            entry_bytes: self.wire.entry_bytes,
-            msg_header_bytes: self.wire.header_bytes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +63,5 @@ mod tests {
         assert_eq!(c.hole_timeout, SimDuration::from_secs(90));
         assert_eq!(c.merge, MergePolicy::Healer);
         assert_eq!(c.selection, SelectionPolicy::Rand);
-    }
-
-    #[test]
-    fn gossip_config_mirrors_settings() {
-        let c = NylonConfig { view_size: 27, ..NylonConfig::default() };
-        let g = c.gossip_config();
-        assert_eq!(g.view_size, 27);
-        assert_eq!(g.label(), "push/pull,rand,healer");
     }
 }

@@ -732,7 +732,13 @@ impl Protocol for Nylon {
     /// reachable through a live *route* (direct hole or RVP chain):
     /// reachability through relays is the protocol's whole point, so the
     /// oracle asks the routing table, not the raw NAT state.
-    fn edge_usable(&self, host: &NylonHost, holder: PeerId, d: &NodeDescriptor) -> bool {
+    fn edge_usable(
+        &self,
+        host: &NylonHost,
+        _target_host: &NylonHost,
+        holder: PeerId,
+        d: &NodeDescriptor,
+    ) -> bool {
         d.id.index() < host.net.peer_count()
             && host.net.is_alive(d.id)
             && (d.class.is_public() || self.routing_of(holder).next_rvp(d.id).is_some())

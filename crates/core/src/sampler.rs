@@ -32,9 +32,9 @@ mod tests {
     use super::*;
     use crate::engine::Nylon;
     use crate::static_rvp::{StaticRvp, StaticRvpConfig};
-    use nylon_gossip::{Engine, PeerSampler, Protocol, Sharded, ShardedConfig};
+    use nylon_gossip::{with_workers, Engine, PeerSampler, Protocol, Workers};
     use nylon_net::{NatClass, NatType, PeerId};
-    use nylon_sim::SimDuration;
+    use nylon_sim::{ShardPlan, SimDuration};
 
     fn drive<C: SamplerConfig>(cfg: C, seed: u64) -> C::Sampler {
         let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), seed);
@@ -100,10 +100,7 @@ mod tests {
 
     /// (merged-counter debug string, per-node sorted view ids) — a full
     /// fingerprint of the observable protocol state.
-    fn shard_fingerprint<P: Protocol>(
-        eng: &Sharded<Engine<P>>,
-        stats: String,
-    ) -> (String, Vec<Vec<u32>>) {
+    fn shard_fingerprint<P: Protocol>(eng: &Engine<P>) -> (String, Vec<Vec<u32>>) {
         let views = (0..eng.peer_count() as u32)
             .map(|i| {
                 let mut ids: Vec<u32> = eng.view_of(PeerId(i)).iter().map(|d| d.id.0).collect();
@@ -111,7 +108,7 @@ mod tests {
                 ids
             })
             .collect();
-        (stats, views)
+        (format!("{:?}", eng.stats()), views)
     }
 
     fn run_sharded<P: Protocol>(
@@ -120,12 +117,9 @@ mod tests {
         publics: u32,
         natted: u32,
         seed: u64,
-    ) -> Sharded<Engine<P>> {
-        let mut eng = Sharded::<Engine<P>>::with_seed(
-            ShardedConfig::new(cfg, shards),
-            NetConfig::default(),
-            seed,
-        );
+    ) -> Engine<P> {
+        let plan = Workers::Plan(ShardPlan::round_robin(shards));
+        let mut eng = with_workers(plan, || Engine::<P>::new(cfg, NetConfig::default(), seed));
         for _ in 0..publics {
             eng.add_peer(NatClass::Public);
         }
@@ -142,9 +136,8 @@ mod tests {
     fn sharded_nylon_is_shard_count_independent() {
         let fp = |shards| {
             let eng = run_sharded::<Nylon>(NylonConfig::default(), shards, 15, 25, 21);
-            let stats = eng.stats();
-            assert!(stats.punch_successes > 0, "holes must get punched");
-            shard_fingerprint(&eng, format!("{stats:?}"))
+            assert!(eng.stats().punch_successes > 0, "holes must get punched");
+            shard_fingerprint(&eng)
         };
         let reference = fp(1);
         assert_eq!(fp(2), reference, "Nylon diverged at 2 shards");
@@ -157,9 +150,8 @@ mod tests {
         // both endpoints' boxes — a join run on the two workers in turn.
         let fp = |shards| {
             let eng = run_sharded::<Nylon>(NylonConfig::default(), shards, 0, 30, 33);
-            let stats = eng.stats();
-            assert!(stats.shuffles_initiated > 0);
-            shard_fingerprint(&eng, format!("{stats:?}"))
+            assert!(eng.stats().shuffles_initiated > 0);
+            shard_fingerprint(&eng)
         };
         let reference = fp(1);
         assert_eq!(fp(3), reference, "fallback bootstrap diverged at 3 shards");
@@ -169,9 +161,8 @@ mod tests {
     fn sharded_static_rvp_is_shard_count_independent() {
         let fp = |shards| {
             let eng = run_sharded::<StaticRvp>(StaticRvpConfig::default(), shards, 10, 30, 5);
-            let stats = eng.stats();
-            assert!(stats.relays > 0, "natted shuffles must be relayed");
-            shard_fingerprint(&eng, format!("{stats:?}"))
+            assert!(eng.stats().relays > 0, "natted shuffles must be relayed");
+            shard_fingerprint(&eng)
         };
         let reference = fp(1);
         assert_eq!(fp(2), reference, "static-RVP diverged at 2 shards");

@@ -474,7 +474,13 @@ impl Protocol for StaticRvp {
     /// Whether `holder` could shuffle over this view entry right now: the
     /// target is alive and either public or relayable through an RVP the
     /// holder knows about (and which is itself still alive).
-    fn edge_usable(&self, host: &RvpHost, holder: PeerId, d: &NodeDescriptor) -> bool {
+    fn edge_usable(
+        &self,
+        host: &RvpHost,
+        _target_host: &RvpHost,
+        holder: PeerId,
+        d: &NodeDescriptor,
+    ) -> bool {
         if d.id.index() >= host.net.peer_count() || !host.net.is_alive(d.id) {
             return false;
         }

@@ -9,9 +9,7 @@ use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
 use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
-use crate::host::{
-    directly_reachable, directly_reachable_sharded, Host, NodeTable, Protocol, ProtocolStats,
-};
+use crate::host::{directly_reachable, Host, NodeTable, Protocol, ProtocolStats};
 use crate::policy::{GossipConfig, PropagationPolicy};
 use crate::view::PartialView;
 use crate::Engine;
@@ -234,18 +232,14 @@ impl Protocol for Baseline {
 
     /// The baseline has no traversal machinery: an entry is usable only if
     /// the raw NAT state admits a packet from the holder right now.
-    fn edge_usable(&self, host: &Host<BaselineMsg>, holder: PeerId, d: &NodeDescriptor) -> bool {
-        directly_reachable(host, holder, d)
-    }
-
-    fn edge_usable_sharded(
+    fn edge_usable(
         &self,
         holder_host: &Host<BaselineMsg>,
         target_host: &Host<BaselineMsg>,
         holder: PeerId,
         d: &NodeDescriptor,
     ) -> bool {
-        directly_reachable_sharded(holder_host, target_host, holder, d)
+        directly_reachable(holder_host, target_host, holder, d)
     }
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {

@@ -145,23 +145,16 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     }
 
     /// Whether `holder` could communicate over view entry `d` right now
-    /// (see [`crate::PeerSampler::edge_usable`]).
-    fn edge_usable(&self, host: &Host<Self::Msg>, holder: PeerId, d: &NodeDescriptor) -> bool;
-
-    /// [`edge_usable`](Self::edge_usable) in a multi-worker run, against
-    /// the hosts owning each side's NAT state. The default asks the
-    /// holder's worker, which is exact for oracles that read only
-    /// holder-local protocol state plus replicated facts (liveness,
-    /// classes).
-    fn edge_usable_sharded(
+    /// (see [`crate::PeerSampler::edge_usable`]), asked of the holder's
+    /// worker with the hosts owning each side's NAT state — the same host
+    /// twice on one worker.
+    fn edge_usable(
         &self,
         holder_host: &Host<Self::Msg>,
-        _target_host: &Host<Self::Msg>,
+        target_host: &Host<Self::Msg>,
         holder: PeerId,
         d: &NodeDescriptor,
-    ) -> bool {
-        self.edge_usable(holder_host, holder, d)
-    }
+    ) -> bool;
 
     /// Reports protocol-layer telemetry (counters, pools) into `out`,
     /// including the gauge `engine.<protocol>/pending_exchanges`: the
@@ -284,17 +277,10 @@ impl BootstrapPool {
 }
 
 /// Raw packet-level reachability, the usability oracle of protocols that
-/// address view entries directly (baseline, PeerSwap).
-pub fn directly_reachable<M>(host: &Host<M>, holder: PeerId, d: &NodeDescriptor) -> bool {
-    d.id.index() < host.net.peer_count()
-        && host.net.is_alive(d.id)
-        && host.net.reachable(host.now(), holder, d.id, d.addr)
-}
-
-/// [`directly_reachable`] across workers: reachability spans both ends'
-/// NAT state, so egress translation is previewed on the holder's worker
-/// and ingress filtering tested on the target's.
-pub fn directly_reachable_sharded<M>(
+/// address view entries directly (baseline, PeerSwap):
+/// [`Network::reachable`] with egress translation previewed on the
+/// holder's host and ingress filtering tested on the target's.
+pub fn directly_reachable<M>(
     holder_host: &Host<M>,
     target_host: &Host<M>,
     holder: PeerId,

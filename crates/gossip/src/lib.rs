@@ -60,9 +60,9 @@ pub mod view;
 pub use descriptor::NodeDescriptor;
 pub use engine::{Baseline, BaselineEngine, BaselineMsg, ShuffleStats};
 pub use host::{sort_tick_batch, Host, Intro, NodeTable, Protocol, ProtocolStats};
-pub use lockstep::{as_one_of, auto_workers, Engine};
+pub use lockstep::{auto_workers, with_workers, Engine, Workers};
 pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
 pub use sampler::{PeerSampler, SamplerConfig};
-pub use sharded::{lockstep_tick, Sharded, ShardedConfig};
+pub use sharded::{Sharded, ShardedConfig};
 pub use view::PartialView;

@@ -3,22 +3,24 @@
 //! [`Engine<P>`] runs every simulation. It records the set-up —
 //! the population, port forwarding, the fault plan, the bootstrap — until
 //! [`start`](Engine::start), when the population is complete and it knows
-//! how many workers to use: one per 5 000 peers, at least one, at most
-//! the cores this thread may use ([`auto_workers`]). Each
+//! how many workers to use. That comes from the [`Workers`] scope the
+//! engine was built in ([`with_workers`]): by default one worker per
+//! 5 000 peers, at least one, at most the cores this thread may use
+//! ([`auto_workers`]); under a fixed [`ShardPlan`], that plan. Each
 //! worker then replays the record on its own thread, keeping state only
-//! for the peers it owns (round-robin by id) plus the address plan of the
-//! rest; a join, which needs the contact's worker and the joiner's in
-//! turn, is the one set-up step replayed here in order.
+//! for the peers it owns plus the address plan of the rest; a join, which
+//! needs the contact's worker and the joiner's in turn, is the one set-up
+//! step replayed here in order.
 //!
-//! The workers advance in lockstep ticks of the fabric's minimum latency
-//! ([`lockstep_tick`]): every send is staged until the tick boundary and
-//! merged there in canonical order ([`crate::host::sort_tick_batch`]), so
-//! a run is byte-identical at every worker count and node→worker map. One
-//! worker is that loop run inline ([`nylon_sim::run_lone`]), without
-//! threads; queries go to the worker owning the peer they ask about.
+//! The workers advance in lockstep ticks of the fabric's minimum latency:
+//! every send is staged until the tick boundary and merged there in
+//! canonical order ([`crate::host::sort_tick_batch`]), so a run is
+//! byte-identical at every worker count and node→worker map. One worker
+//! is that loop run inline ([`nylon_sim::run_lone`]), without threads;
+//! queries go to the worker owning the peer they ask about.
 //!
-//! A state query made before `start` settles the engine on one worker —
-//! or on the plan it was built with ([`crate::Sharded`]).
+//! A state query made before `start` settles a self-sizing engine on one
+//! worker.
 
 use std::cell::{Cell, OnceCell};
 use std::sync::{Arc, OnceLock};
@@ -30,7 +32,6 @@ use nylon_sim::{ShardPlan, ShardedSim, Share, SimDuration, SimTime};
 use crate::descriptor::NodeDescriptor;
 use crate::host::{Intro, Protocol, ProtocolStats, Worker};
 use crate::sampler::PeerSampler;
-use crate::sharded::lockstep_tick;
 use crate::view::PartialView;
 
 /// Peers per worker the automatic sizing aims at: below it, the tick
@@ -45,20 +46,46 @@ pub fn auto_workers(peers: usize, cores: usize, jobs: usize) -> usize {
     (peers / PEERS_PER_WORKER).clamp(1, (cores / jobs.max(1)).max(1))
 }
 
-thread_local! {
-    /// How many jobs share the cores with the engines started on this
-    /// thread.
-    static JOBS: Cell<usize> = const { Cell::new(1) };
+/// Where the engines built on a thread take their workers from.
+#[derive(Debug, Clone, Copy)]
+pub enum Workers {
+    /// Sized at start as one of this many concurrent jobs: at most
+    /// ⌊cores / jobs⌋ workers (see [`auto_workers`]).
+    OneOf(usize),
+    /// This plan, whatever the population.
+    Plan(ShardPlan),
 }
 
-/// Runs `f` as one of `jobs` concurrent jobs: engines started inside it
-/// use at most ⌊cores / `jobs`⌋ workers (see [`auto_workers`]). The
-/// experiment executor runs each of its threads under this.
-pub fn as_one_of<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
-    let outer = JOBS.replace(jobs);
+thread_local! {
+    static WORKERS: Cell<Workers> = const { Cell::new(Workers::OneOf(1)) };
+}
+
+/// Runs `f` with the engines built inside it taking their workers from
+/// `workers`. The experiment executor runs each of its threads under
+/// this; every choice renders the same bytes.
+pub fn with_workers<R>(workers: Workers, f: impl FnOnce() -> R) -> R {
+    let outer = WORKERS.replace(workers);
     let out = f();
-    JOBS.set(outer);
+    WORKERS.set(outer);
     out
+}
+
+/// The lockstep tick: the minimum latency any datagram can experience
+/// under `cfg`, which is the conservative lookahead — a message sent
+/// inside a tick always arrives after the tick's barrier.
+///
+/// # Panics
+///
+/// Panics on a zero-minimum-latency config (the lookahead argument needs
+/// every send to take at least one virtual millisecond).
+fn lockstep_tick(cfg: &NetConfig) -> SimDuration {
+    let base = cfg.latency.as_millis();
+    let jitter = cfg.latency_jitter.as_millis();
+    // Mirrors Network::send: jitter-free sends take exactly `base`;
+    // jittered ones are clamped below at 1 ms.
+    let min = if jitter == 0 { base } else { base.saturating_sub(jitter).max(1) };
+    assert!(min >= 1, "sharded runs need a minimum network latency of at least 1 ms");
+    SimDuration::from_millis(min)
 }
 
 /// The cores this process may use.
@@ -253,21 +280,23 @@ pub struct Engine<P: Protocol> {
     period: SimDuration,
     /// The lockstep tick: the fabric's minimum latency.
     tick: SimDuration,
-    /// The worker plan, when fixed at construction.
-    plan: Option<ShardPlan>,
+    /// The scope the engine was built in.
+    workers: Workers,
     setup: Setup,
     run: OnceCell<Run<P>>,
 }
 
 impl<P: Protocol> Engine<P> {
     /// Creates an engine with the given protocol and fabric configuration;
-    /// `seed` drives every random choice in the run. The engine sizes its
-    /// workers at [`start`](Self::start).
+    /// `seed` drives every random choice in the run. The engine builds its
+    /// workers at [`start`](Self::start), as the [`Workers`] scope it is
+    /// created in says.
     ///
     /// # Panics
     ///
     /// Panics if `P` rejects the configuration (see [`Protocol::new`]) or
-    /// the fabric has no lookahead (see [`lockstep_tick`]).
+    /// the fabric has a zero minimum latency, which leaves the lockstep
+    /// ticks no lookahead.
     pub fn new(cfg: P::Config, net_cfg: NetConfig, seed: u64) -> Self {
         let tick = lockstep_tick(&net_cfg);
         // `Protocol::new` is where a protocol turns a configuration away.
@@ -278,20 +307,22 @@ impl<P: Protocol> Engine<P> {
             seed,
             period,
             tick,
-            plan: None,
+            workers: WORKERS.get(),
             setup: Setup::default(),
             run: OnceCell::new(),
         }
     }
 
-    /// An engine on the workers of `plan`, whatever its population.
-    pub(crate) fn with_plan(
-        cfg: P::Config,
-        net_cfg: NetConfig,
-        seed: u64,
-        plan: ShardPlan,
-    ) -> Self {
-        Engine { plan: Some(plan), ..Engine::new(cfg, net_cfg, seed) }
+    /// The plan the workers are built on: the scope's fixed one, else
+    /// [`auto_workers`] at start and one worker for a query before it.
+    fn plan(&self, starting: bool) -> ShardPlan {
+        match self.workers {
+            Workers::Plan(plan) => plan,
+            Workers::OneOf(jobs) if starting => {
+                ShardPlan::round_robin(auto_workers(self.peer_count(), cores(), jobs))
+            }
+            Workers::OneOf(_) => ShardPlan::round_robin(1),
+        }
     }
 
     /// Builds the workers of `plan` and replays the set-up on them.
@@ -317,7 +348,7 @@ impl<P: Protocol> Engine<P> {
     /// The workers, settled on the fixed plan or one worker if the engine
     /// has not started.
     fn run(&self) -> &Run<P> {
-        self.run.get_or_init(|| self.build(self.plan.unwrap_or(ShardPlan::round_robin(1))))
+        self.run.get_or_init(|| self.build(self.plan(false)))
     }
 
     fn run_mut(&mut self) -> &mut Run<P> {
@@ -346,9 +377,9 @@ impl<P: Protocol> Engine<P> {
     ///
     /// An engine of 10 000 peers or more starts on several workers when
     /// the machine has the cores (see [`auto_workers`]); a caller that
-    /// needs this at that scale pins one worker by building on
-    /// `ShardedConfig::new(cfg, 1)`. Counters summed over the workers
-    /// are [`stats`](Self::stats).
+    /// needs this at that scale pins one worker by building the engine
+    /// under [`with_workers`]`(Workers::Plan(ShardPlan::round_robin(1)), ..)`.
+    /// Counters summed over the workers are [`stats`](Self::stats).
     ///
     /// # Panics
     ///
@@ -361,11 +392,10 @@ impl<P: Protocol> Engine<P> {
     /// stats).
     ///
     /// As with [`protocol`](Self::protocol), a caller that needs this at
-    /// 10 000 peers or more pins one worker (`ShardedConfig::new(cfg,
-    /// 1)`). At any worker count, [`traffic_of`](Self::traffic_of)
-    /// answers `net().stats_of`, and [`class_of`](Self::class_of),
-    /// [`is_alive`](Self::is_alive) and [`peer_count`](Self::peer_count)
-    /// their namesakes.
+    /// 10 000 peers or more pins one worker. At any worker count,
+    /// [`traffic_of`](Self::traffic_of) answers `net().stats_of`, and
+    /// [`class_of`](Self::class_of), [`is_alive`](Self::is_alive) and
+    /// [`peer_count`](Self::peer_count) their namesakes.
     ///
     /// # Panics
     ///
@@ -579,9 +609,9 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Schedules the first round of every peer (random phase within one
-    /// period) and the periodic NAT garbage collection — on
-    /// [`auto_workers`] workers, built and set up in parallel, unless a
-    /// query settled the engine earlier or it was built on a fixed plan.
+    /// period) and the periodic NAT garbage collection — on the workers
+    /// of the [`Workers`] scope the engine was built in, built and set up
+    /// in parallel, unless a query settled the engine earlier.
     ///
     /// # Panics
     ///
@@ -594,8 +624,7 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         self.setup.ops.push(SetupOp::Start);
-        let workers = auto_workers(self.peer_count(), cores(), JOBS.get());
-        let run = self.build(self.plan.unwrap_or(ShardPlan::round_robin(workers)));
+        let run = self.build(self.plan(true));
         let _ = self.run.set(run);
         self.setup = Setup::default();
     }
@@ -684,13 +713,13 @@ impl<P: Protocol> Engine<P> {
     pub fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
         let run = self.run();
         if let [only] = run.workers() {
-            return only.proto.edge_usable(&only.host, holder, d);
+            return only.proto.edge_usable(&only.host, &only.host, holder, d);
         }
         if d.id.index() >= self.peer_count() {
             return false;
         }
         let h = run.owner(holder);
-        h.proto.edge_usable_sharded(&h.host, &run.owner(d.id).host, holder, d)
+        h.proto.edge_usable(&h.host, &run.owner(d.id).host, holder, d)
     }
 }
 
@@ -791,7 +820,6 @@ mod tests {
     use super::*;
     use crate::engine::{BaselineEngine, ShuffleStats};
     use crate::policy::GossipConfig;
-    use crate::{Sharded, ShardedConfig};
     use nylon_net::NatType;
     use nylon_sim::{ShardAssign, SimRng};
 
@@ -819,15 +847,15 @@ mod tests {
         eng
     }
 
-    type Baselines = Sharded<BaselineEngine>;
-
     fn on_workers(
         workers: usize,
         assign: ShardAssign,
         cfg: GossipConfig,
         net: NetConfig,
-    ) -> Baselines {
-        Baselines::with_seed(ShardedConfig { inner: cfg, shards: workers, assign }, net, 7)
+        seed: u64,
+    ) -> BaselineEngine {
+        let plan = Workers::Plan(ShardPlan::new(workers, assign));
+        with_workers(plan, || BaselineEngine::new(cfg, net, seed))
     }
 
     /// Protocol counters plus every view, as sorted ids.
@@ -842,9 +870,9 @@ mod tests {
         (eng.stats(), views)
     }
 
-    fn run_on(workers: usize, assign: ShardAssign, seed: u64) -> Baselines {
-        let cfg = ShardedConfig { inner: GossipConfig::default(), shards: workers, assign };
-        let mut eng = Baselines::with_seed(cfg, NetConfig::default(), seed);
+    fn run_on(workers: usize, assign: ShardAssign, seed: u64) -> BaselineEngine {
+        let (cfg, net) = (GossipConfig::default(), NetConfig::default());
+        let mut eng = on_workers(workers, assign, cfg, net, seed);
         populate(&mut eng, 60);
         eng.bootstrap_random_public(8);
         eng.start();
@@ -877,7 +905,7 @@ mod tests {
             eng
         };
         assert_eq!(start().worker_count(), auto_workers(10_000, cores(), 1));
-        assert_eq!(as_one_of(cores(), start).worker_count(), 1);
+        assert_eq!(with_workers(Workers::OneOf(cores()), start).worker_count(), 1);
         // Reading the address plan leaves the choice to `start`; a state
         // query settles the engine on one worker.
         let mut eng = BaselineEngine::new(GossipConfig::default(), NetConfig::default(), 1);
@@ -927,7 +955,7 @@ mod tests {
             ..GossipConfig::default()
         };
         let run = |workers, assign| {
-            let mut eng = on_workers(workers, assign, cfg.clone(), net.clone());
+            let mut eng = on_workers(workers, assign, cfg.clone(), net.clone(), 7);
             populate(&mut eng, 40);
             eng.bootstrap_random_public(8);
             eng.start();
@@ -969,9 +997,9 @@ mod tests {
             eng
         };
         let (one, three) = (run(1), run(3));
-        assert_eq!(three.alive_peers().len(), 50);
+        assert_eq!(three.alive_peers().count(), 50);
         for holder in one.alive_peers() {
-            let usable = |eng: &Baselines| -> Vec<bool> {
+            let usable = |eng: &BaselineEngine| -> Vec<bool> {
                 eng.view_of(holder).iter().map(|d| eng.edge_usable(holder, d)).collect()
             };
             // Edges toward dead peers are unusable wherever the ends live,
@@ -986,12 +1014,8 @@ mod tests {
     #[test]
     fn sample_log_and_wire_tap_read_the_same_at_any_worker_count() {
         let run = |workers| {
-            let mut eng = on_workers(
-                workers,
-                ShardAssign::RoundRobin,
-                GossipConfig::default(),
-                NetConfig::default(),
-            );
+            let (cfg, net) = (GossipConfig::default(), NetConfig::default());
+            let mut eng = on_workers(workers, ShardAssign::RoundRobin, cfg, net, 7);
             populate(&mut eng, 60);
             eng.bootstrap_random_public(8);
             eng.enable_sample_log();

@@ -29,9 +29,7 @@ use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::engine::BaselineMsg;
-use crate::host::{
-    directly_reachable, directly_reachable_sharded, Host, NodeTable, Protocol, ProtocolStats,
-};
+use crate::host::{directly_reachable, Host, NodeTable, Protocol, ProtocolStats};
 use crate::policy::SelectionPolicy;
 use crate::view::PartialView;
 use crate::Engine;
@@ -332,18 +330,14 @@ impl Protocol for PeerSwap {
 
     /// PeerSwap, like the baseline, addresses entries directly and has no
     /// traversal machinery, so usability is raw NAT reachability.
-    fn edge_usable(&self, host: &Host<BaselineMsg>, holder: PeerId, d: &NodeDescriptor) -> bool {
-        directly_reachable(host, holder, d)
-    }
-
-    fn edge_usable_sharded(
+    fn edge_usable(
         &self,
         holder_host: &Host<BaselineMsg>,
         target_host: &Host<BaselineMsg>,
         holder: PeerId,
         d: &NodeDescriptor,
     ) -> bool {
-        directly_reachable_sharded(holder_host, target_host, holder, d)
+        directly_reachable(holder_host, target_host, holder, d)
     }
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
@@ -496,13 +490,13 @@ mod tests {
 
     #[test]
     fn shard_count_and_map_do_not_change_the_run() {
-        use crate::sampler::PeerSampler;
-        use crate::sharded::{Sharded, ShardedConfig};
-        use nylon_sim::ShardAssign;
+        use crate::lockstep::{with_workers, Workers};
+        use nylon_sim::{ShardAssign, ShardPlan};
 
         let run = |shards: usize, assign| {
-            let cfg = ShardedConfig { inner: PeerSwapConfig::default(), shards, assign };
-            let mut eng = Sharded::<PeerSwapEngine>::with_seed(cfg, NetConfig::default(), 7);
+            let mut eng = with_workers(Workers::Plan(ShardPlan::new(shards, assign)), || {
+                PeerSwapEngine::new(PeerSwapConfig::default(), NetConfig::default(), 7)
+            });
             for i in 0..60u32 {
                 let class = if i % 10 < 3 {
                     NatClass::Public

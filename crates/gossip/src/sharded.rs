@@ -1,10 +1,10 @@
-//! An engine on a worker plan fixed up front.
+//! A forwarding shim over the [`Workers`] scope, kept for the performance
+//! ledger's workloads, which name these types.
 //!
-//! [`Engine`] sizes its own workers at start; [`ShardedConfig`] overrides
-//! that with an explicit count and node→worker map — `--shards N`, and
-//! the tests that hold every layout to the same bytes. Building with it
-//! yields [`Sharded<E>`], the same engine behind a newtype, from the same
-//! generic `build` path that yields `E` for the inner config.
+//! [`ShardedConfig`] builds the same [`Engine`] under
+//! [`with_workers`]`(Workers::Plan(..), ..)` and wraps it in
+//! [`Sharded<E>`], which derefs to it. Everything else builds the engine
+//! directly inside the scope.
 
 use std::ops::{Deref, DerefMut};
 
@@ -14,29 +14,10 @@ use nylon_sim::{ShardAssign, ShardPlan, SimDuration, SimTime};
 
 use crate::descriptor::NodeDescriptor;
 use crate::host::Protocol;
+use crate::lockstep::{with_workers, Workers};
 use crate::sampler::{PeerSampler, SamplerConfig};
 use crate::view::PartialView;
 use crate::Engine;
-
-/// The lockstep tick: the minimum latency any datagram can experience
-/// under `cfg`, which is the conservative lookahead — a message sent
-/// inside a tick always arrives after the tick's barrier.
-///
-/// # Panics
-///
-/// Panics on a zero-minimum-latency config (the lookahead argument needs
-/// every send to take at least one virtual millisecond). Every engine
-/// advances in these ticks, so [`crate::Engine::new`] is where such a
-/// config is turned away.
-pub fn lockstep_tick(cfg: &NetConfig) -> SimDuration {
-    let base = cfg.latency.as_millis();
-    let jitter = cfg.latency_jitter.as_millis();
-    // Mirrors Network::send: jitter-free sends take exactly `base`;
-    // jittered ones are clamped below at 1 ms.
-    let min = if jitter == 0 { base } else { base.saturating_sub(jitter).max(1) };
-    assert!(min >= 1, "sharded runs need a minimum network latency of at least 1 ms");
-    SimDuration::from_millis(min)
-}
 
 /// Configuration for a run on a fixed worker plan: the engine's config
 /// plus the plan.
@@ -95,8 +76,8 @@ impl<P: Protocol> PeerSampler for Sharded<Engine<P>> {
     type Config = ShardedConfig<P::Config>;
 
     fn with_seed(cfg: Self::Config, net_cfg: NetConfig, seed: u64) -> Self {
-        let plan = ShardPlan::new(cfg.shards, cfg.assign);
-        Sharded(Engine::with_plan(cfg.inner, net_cfg, seed, plan))
+        let plan = Workers::Plan(ShardPlan::new(cfg.shards, cfg.assign));
+        Sharded(with_workers(plan, || Engine::new(cfg.inner, net_cfg, seed)))
     }
 
     fn add_peer(&mut self, class: NatClass) -> PeerId {

@@ -322,19 +322,11 @@ impl PartialView {
         self.entries.truncate(cap);
     }
 
-    /// The descriptors to ship in a shuffle: the whole view plus a fresh
-    /// self-descriptor, as in Figure 1 of the paper (views are exchanged in
-    /// full; the self-descriptor is what injects new peers into the
-    /// overlay).
-    pub fn shuffle_payload(&self, self_descriptor: NodeDescriptor) -> Vec<NodeDescriptor> {
-        let mut out = Vec::with_capacity(self.entries.len() + 1);
-        self.write_shuffle_payload(self_descriptor, &mut out);
-        out
-    }
-
-    /// [`PartialView::shuffle_payload`] into a caller-provided buffer
-    /// (cleared first), so engines can recycle a pooled allocation instead
-    /// of building a fresh `Vec` every exchange.
+    /// Writes the descriptors to ship in a shuffle into `out` (cleared
+    /// first): a fresh self-descriptor, then the whole view, as in Figure 1
+    /// of the paper (views are exchanged in full; the self-descriptor is
+    /// what injects new peers into the overlay). Engines pass a pooled
+    /// buffer, so an exchange allocates nothing.
     pub fn write_shuffle_payload(
         &self,
         self_descriptor: NodeDescriptor,
@@ -579,7 +571,8 @@ mod tests {
         let v = filled(7, 3, &[(1, 4), (2, 2)]);
         let mut self_d = d(7, 9);
         self_d.age = 9;
-        let payload = v.shuffle_payload(self_d);
+        let mut payload = Vec::new();
+        v.write_shuffle_payload(self_d, &mut payload);
         assert_eq!(payload.len(), 3);
         assert_eq!(payload[0].id, PeerId(7));
         assert_eq!(payload[0].age, 0, "self descriptor must be refreshed");

@@ -176,11 +176,6 @@ impl DiGraph {
         }
     }
 
-    /// Out-degree of every node.
-    pub fn out_degrees(&self) -> Vec<u32> {
-        (0..self.n).map(|i| self.offsets[i + 1] - self.offsets[i]).collect()
-    }
-
     /// Builds the undirected adjacency (direction dropped, self-loops and
     /// duplicate edges removed) into reusable CSR scratch: rows come out
     /// sorted, ready for binary search.
@@ -434,7 +429,6 @@ mod tests {
     fn degrees() {
         let g = DiGraph::from_edges(3, [(0, 1), (2, 1), (1, 0)]);
         assert_eq!(g.in_degrees(), vec![1, 2, 0]);
-        assert_eq!(g.out_degrees(), vec![1, 1, 1]);
     }
 
     #[test]

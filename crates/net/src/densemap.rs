@@ -327,19 +327,6 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
             self.vals[i] = std::mem::take(&mut old_vals[pos]);
         }
     }
-
-    /// Records the probe distance of every resident key into `hist` —
-    /// a read-only walk for snapshot-time instrumentation, so the hot
-    /// path carries no histogram state.
-    pub fn probe_lengths(&self, hist: &mut nylon_obs::Histogram) {
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k == K::EMPTY {
-                continue;
-            }
-            let home = slot_of(k.hash_u64(), self.mask);
-            hist.record((i.wrapping_sub(home) & self.mask) as u64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -476,19 +463,6 @@ mod tests {
         }
         for i in 0..32 {
             assert_eq!(m.get(&PeerId(i)).copied(), (i % 2 == 1).then_some(i));
-        }
-    }
-
-    #[test]
-    fn probe_lengths_walk_is_consistent() {
-        let mut m: DenseMap<PeerId, u32> = DenseMap::new();
-        for i in 0..500 {
-            m.insert(PeerId(i), i);
-        }
-        let mut h = nylon_obs::Histogram::new();
-        m.probe_lengths(&mut h);
-        if nylon_obs::ENABLED {
-            assert_eq!(h.count(), 500);
         }
     }
 }

@@ -108,26 +108,6 @@ pub fn contact_method(src: NatClass, dst: NatClass) -> ContactMethod {
     }
 }
 
-/// Renders the decision table in the paper's layout (rows = source,
-/// columns = target), for the `repro table1` command and for eyeballing.
-pub fn render_table() -> String {
-    let classes = [
-        NatClass::Public,
-        NatClass::Natted(NatType::RestrictedCone),
-        NatClass::Natted(NatType::PortRestrictedCone),
-        NatClass::Natted(NatType::Symmetric),
-    ];
-    let mut out = String::from("| src \\ dst | public | RC | PRC | SYM |\n|---|---|---|---|---|\n");
-    for src in classes {
-        out.push_str(&format!("| {} |", src.label()));
-        for dst in classes {
-            out.push_str(&format!(" {} |", contact_method(src, dst)));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,14 +163,5 @@ mod tests {
     fn display_labels() {
         assert_eq!(ContactMethod::Direct.to_string(), "direct");
         assert_eq!(ContactMethod::ModifiedHolePunching.to_string(), "mod. hole punching");
-    }
-
-    #[test]
-    fn rendered_table_contains_all_rows() {
-        let t = render_table();
-        for label in ["public", "RC", "PRC", "SYM"] {
-            assert!(t.contains(&format!("| {label} |")), "missing row {label}:\n{t}");
-        }
-        assert!(t.contains("mod. hole punching"));
     }
 }

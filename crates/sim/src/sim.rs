@@ -160,25 +160,6 @@ impl<E> Sim<E> {
         }
         self.processed - start
     }
-
-    /// Runs until the queue drains or `max_events` have been processed.
-    ///
-    /// Returns the number of events processed by this call. Useful for
-    /// simulations that quiesce on their own, with `max_events` as a
-    /// runaway-loop backstop.
-    pub fn run_to_quiescence<F>(&mut self, max_events: u64, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Sim<E>, E),
-    {
-        let start = self.processed;
-        while self.processed - start < max_events {
-            match self.step() {
-                Some((_, ev)) => handler(self, ev),
-                None => break,
-            }
-        }
-        self.processed - start
-    }
 }
 
 #[cfg(test)]
@@ -242,28 +223,6 @@ mod tests {
         });
         assert_eq!(count, 5);
         assert_eq!(sim.events_processed(), 5);
-    }
-
-    #[test]
-    fn run_to_quiescence_drains() {
-        let mut sim: Sim<u32> = Sim::new(0);
-        for i in 0..7 {
-            sim.schedule_after(SimDuration::from_millis(i), i as u32);
-        }
-        let n = sim.run_to_quiescence(1_000, |_, _| {});
-        assert_eq!(n, 7);
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn run_to_quiescence_respects_backstop() {
-        let mut sim: Sim<()> = Sim::new(0);
-        sim.schedule_after(SimDuration::from_millis(1), ());
-        // Immortal self-rescheduling event.
-        let n = sim.run_to_quiescence(50, |sim, ()| {
-            sim.schedule_after(SimDuration::from_millis(1), ());
-        });
-        assert_eq!(n, 50);
     }
 
     #[test]

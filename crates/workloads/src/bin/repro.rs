@@ -37,11 +37,11 @@
 //!                  horizons (explicit flags win regardless of order)
 //! --jobs N         worker threads / max concurrently live simulations
 //!                  (default: available parallelism)
-//! --shards N       run each steady-state cell on N lockstep workers, one
-//!                  thread each, instead of letting the engine size
-//!                  itself (one worker per 5 000 peers, at most the cores
-//!                  left per concurrent job); 0 is the same as no flag.
-//!                  Like --jobs, a wall-clock knob: output is
+//! --shards N       run every engine of every artifact's cells on N
+//!                  lockstep workers, one thread each, instead of letting
+//!                  it size itself (one worker per 5 000 peers, at most
+//!                  the cores left per concurrent job); 0 is the same as
+//!                  no flag. Like --jobs, a wall-clock knob: output is
 //!                  byte-identical for every N and without the flag.
 //! --engine NAME    reroute the engine-generic steady-state cells (fig2,
 //!                  fig3/4, fig7/8) through one engine: baseline, nylon,
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
     let mut csv = false;
     let mut out_dir: Option<String> = None;
     let mut jobs = 0usize;
-    let mut shards: Option<usize> = None;
+    let mut shards = 0usize;
     let mut engine: Option<EngineKind> = None;
     let mut attack: Option<AttackKind> = None;
     let mut faults: Option<FaultSpec> = None;
@@ -137,7 +137,7 @@ fn main() -> ExitCode {
                 _ => return usage("--jobs needs a positive integer"),
             },
             "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => shards = Some(v),
+                Some(v) => shards = v,
                 None => return usage("--shards needs a non-negative integer"),
             },
             "--engine" => match it.next() {
@@ -224,9 +224,6 @@ fn main() -> ExitCode {
     if let Some(v) = overrides.base_seed {
         scale.base_seed = v;
     }
-    if let Some(v) = shards {
-        scale.shards = v;
-    }
     scale.engine = engine;
     scale.attack = attack;
     // `--faults none` is the clean run — identical bytes to no flag at all.
@@ -238,11 +235,7 @@ fn main() -> ExitCode {
         scale.seeds,
         scale.rounds,
         if scale.full_churn_horizons { ", paper churn horizons" } else { "" },
-        if scale.shards > 0 {
-            format!(", {} worker(s) per steady-state cell", scale.shards)
-        } else {
-            String::new()
-        },
+        if shards > 0 { format!(", {shards} worker(s) per engine") } else { String::new() },
         scale.engine.map(|k| format!(", engine {}", k.label())).unwrap_or_default(),
         scale.attack.map(|k| format!(", attack {}", k.label())).unwrap_or_default(),
         scale.faults.map(|s| format!(", faults {}", s.label())).unwrap_or_default(),
@@ -263,6 +256,7 @@ fn main() -> ExitCode {
     }
     let opts = ExecOptions {
         jobs,
+        shards,
         checkpoint: checkpoint.map(Into::into),
         resume,
         fingerprint: scale.fingerprint(),
@@ -276,12 +270,7 @@ fn main() -> ExitCode {
     for (name, render) in renders {
         let tables = render(&results);
         for (i, table) in tables.iter().enumerate() {
-            println!("## {}\n", table.title);
-            if csv {
-                println!("{}", table.to_csv());
-            } else {
-                println!("{}", table.to_markdown());
-            }
+            print!("{}", table.transcript(csv));
             if let Some(dir) = &out_dir {
                 let suffix = if tables.len() > 1 { format!("_{}", i + 1) } else { String::new() };
                 let path = format!("{dir}/{name}{suffix}.csv");

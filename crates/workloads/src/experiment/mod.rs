@@ -37,6 +37,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use nylon_gossip::Workers;
+use nylon_sim::ShardPlan;
+
 use crate::runner::panic_message;
 
 /// The globally unique identity of one simulation cell.
@@ -110,12 +113,18 @@ impl Sweep {
     }
 }
 
-/// Execution knobs for [`Experiment::run`].
+/// Execution knobs for [`Experiment::run`]. Neither thread count moves a
+/// byte of the results.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Worker threads, i.e. the maximum number of concurrently live
     /// simulations. `0` means [`std::thread::available_parallelism`].
     pub jobs: usize,
+    /// Lockstep workers per cell (`--shards`): `0` lets each engine size
+    /// itself as one of `jobs` concurrent cells
+    /// ([`nylon_gossip::auto_workers`]); `N` builds every engine of every
+    /// cell on `N` round-robin workers.
+    pub shards: usize,
     /// Directory receiving the JSONL checkpoint; `None` disables
     /// checkpointing.
     pub checkpoint: Option<PathBuf>,
@@ -332,12 +341,16 @@ impl Experiment {
             ));
         }
         let rate_limiter = ProgressRateLimiter::new();
+        // The cells running side by side share the cores: each engine
+        // sizes itself as one of `workers` jobs, unless `--shards` pins it.
+        let cell_workers = match opts.shards {
+            0 => Workers::OneOf(workers),
+            n => Workers::Plan(ShardPlan::round_robin(n)),
+        };
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                // The cells running side by side share the cores: each
-                // engine sizes itself as one of `workers` jobs.
                 scope.spawn(|| {
-                    nylon_gossip::as_one_of(workers, || loop {
+                    nylon_gossip::with_workers(cell_workers, || loop {
                         let k = cursor.fetch_add(1, Ordering::Relaxed);
                         if k >= pending.len() {
                             break;
@@ -571,6 +584,7 @@ mod tests {
             checkpoint: Some(dir.clone()),
             resume: false,
             fingerprint: fingerprint.clone(),
+            ..ExecOptions::default()
         });
         let ran_first = counter.swap(0, Ordering::Relaxed);
         assert_eq!(ran_first, 9, "3 points x 3 seeds in sweep 'a'");
@@ -579,6 +593,7 @@ mod tests {
             checkpoint: Some(dir.clone()),
             resume: true,
             fingerprint: fingerprint.clone(),
+            ..ExecOptions::default()
         });
         assert_eq!(counter.load(Ordering::Relaxed), 0, "resume must not recompute cells");
         assert_eq!(first.point("a", "p1"), second.point("a", "p1"));
@@ -594,6 +609,7 @@ mod tests {
             checkpoint: Some(dir.clone()),
             resume: true,
             fingerprint: fingerprint.clone(),
+            ..ExecOptions::default()
         });
         let reran = counter.load(Ordering::Relaxed);
         assert!(reran > 0, "truncated cells must be recomputed");
@@ -609,6 +625,7 @@ mod tests {
                 checkpoint: Some(dir.clone()),
                 resume: true,
                 fingerprint: "other-scale".to_string(),
+                ..ExecOptions::default()
             })
         }))
         .expect_err("mismatched resume must refuse");
@@ -637,6 +654,7 @@ mod tests {
             checkpoint: Some(dir.clone()),
             resume,
             fingerprint: "fp".to_string(),
+            ..ExecOptions::default()
         };
         let counter = Arc::new(AtomicU64::new(0));
         two_sweep_experiment(Arc::clone(&counter)).run(&opts(false));

@@ -77,7 +77,7 @@ fn randomness_sample(scale: &FigureScale, kind: EngineKind, nat_pct: f64, seed: 
         ]
     }
     let scn = Scenario::new(scale.peers, nat_pct, seed);
-    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
+    dispatch_engine!(kind, |cfg| measure(build(&scn, cfg), scale.rounds))
 }
 
 /// Attacked-run metrics shared by the capture and eclipse cells:
@@ -136,13 +136,9 @@ fn attacked_sample(
         ..Scenario::new(scale.peers, nat_pct, seed)
     };
     let strategy = attack.strategy();
-    dispatch_engine!(
-        kind,
-        scale.shards,
-        |cfg| build(&scn, adversarial_cfg(&scn, cfg, strategy.clone())),
-        measure,
-        scale.rounds,
-    )
+    dispatch_engine!(kind, |cfg| {
+        measure(build(&scn, adversarial_cfg(&scn, cfg, strategy.clone())), scale.rounds)
+    })
 }
 
 /// The `randomness` plan: every engine at each NAT percentage.

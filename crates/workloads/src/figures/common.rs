@@ -1,14 +1,14 @@
 //! Shared per-seed cell computations and aggregation helpers for the
 //! figure plans.
 //!
-//! Each `*_sample` function computes one experiment cell — a pure function
-//! of `(scale, parameters, seed)` returning a small metric vector — which
-//! the figure plans register as sweep points with the executor. The
-//! aggregation helpers reduce the per-seed rows the executor hands back to
-//! the render step.
+//! A steady-state cell is one engine built for a scenario, run, and read
+//! by a [`Metric`] — a pure function of `(scale, parameters, seed)`
+//! returning a small metric vector, which the figure plans register as
+//! sweep points with the executor. The aggregation helpers reduce the
+//! per-seed rows the executor hands back to the render step.
 
-use nylon::{NylonConfig, NylonEngine, NylonStats};
-use nylon_gossip::{GossipConfig, PeerSampler, Sharded};
+use nylon::{NylonConfig, NylonEngine};
+use nylon_gossip::{PeerSampler, SamplerConfig};
 use nylon_metrics::{BandwidthReport, Summary};
 use nylon_net::TrafficStats;
 
@@ -17,72 +17,26 @@ use crate::scenario::{NatMix, Scenario};
 
 use super::{EngineKind, FigureScale};
 
-/// The one place a cell picks its workers: builds `$cfg`'s engine — sized
-/// by itself when `$shards` is 0, under [`nylon_gossip::Sharded`] with
-/// `$shards` lockstep workers otherwise — and passes it to the generic
-/// function `$measure` along with any trailing arguments. Both forms
-/// render the same bytes; the choice only moves wall clock.
-///
-/// `$build` turns the (possibly sharded) engine config into the built
-/// engine. It is pasted syntactically into both arms, so a closure literal
-/// instantiates independently per engine type: `|cfg| build(&scn, cfg)`
-/// for an honest run, one wrapping the config in
-/// [`nylon_adversary::MaliciousConfig`] for an attacked one, one calling
-/// [`crate::runner::build_with_faults`] for the `resilience` sweeps, which
-/// vary fault intensity per point (cells honoring the `--faults` spec
-/// override use the scenario's own [`crate::scenario::Scenario::faults`]
-/// field instead). `$measure` must be the path of a function generic over
-/// [`PeerSampler`] (a closure would pin one concrete engine type).
-macro_rules! on_shards {
-    ($shards:expr, $cfg:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {
-        match $shards {
-            0 => $measure(($build)($cfg) $(, $extra)*),
-            s => $measure(($build)(nylon_gossip::ShardedConfig::new($cfg, s)) $(, $extra)*),
+/// Calls `$cell`, a closure literal over an engine config, with the
+/// default config of the engine `$kind` selects. The literal is pasted
+/// into every arm, so it instantiates once per engine type (a closure
+/// value would pin one): `|cfg| build(&scn, cfg)` for an honest run, one
+/// wrapping the config in [`nylon_adversary::MaliciousConfig`] for an
+/// attacked one, one calling [`crate::runner::build_with_faults`] for the
+/// `resilience` sweeps.
+macro_rules! dispatch_engine {
+    ($kind:expr, $cell:expr) => {
+        match $kind {
+            $crate::figures::EngineKind::Baseline => ($cell)(nylon_gossip::GossipConfig::default()),
+            $crate::figures::EngineKind::Nylon => ($cell)(nylon::NylonConfig::default()),
+            $crate::figures::EngineKind::StaticRvp => ($cell)(nylon::StaticRvpConfig::default()),
+            $crate::figures::EngineKind::PeerSwap => {
+                ($cell)(nylon_gossip::PeerSwapConfig::default())
+            }
         }
     };
 }
-pub(crate) use on_shards;
-
-/// [`on_shards`] over the default config of the engine selected by `$kind`.
-macro_rules! dispatch_engine {
-    ($kind:expr, $shards:expr, $build:expr, $measure:path $(, $extra:expr)* $(,)?) => {{
-        use $crate::figures::EngineKind as __Kind;
-        match $kind {
-            __Kind::Baseline => $crate::figures::common::on_shards!(
-                $shards, nylon_gossip::GossipConfig::default(), $build, $measure $(, $extra)*
-            ),
-            __Kind::Nylon => $crate::figures::common::on_shards!(
-                $shards, nylon::NylonConfig::default(), $build, $measure $(, $extra)*
-            ),
-            __Kind::StaticRvp => $crate::figures::common::on_shards!(
-                $shards, nylon::StaticRvpConfig::default(), $build, $measure $(, $extra)*
-            ),
-            __Kind::PeerSwap => $crate::figures::common::on_shards!(
-                $shards, nylon_gossip::PeerSwapConfig::default(), $build, $measure $(, $extra)*
-            ),
-        }
-    }};
-}
 pub(crate) use dispatch_engine;
-
-/// Nylon's protocol counters off either form of the engine (`stats` is an
-/// inherent method of the engine `Sharded` derefs to), for the Nylon-only
-/// cells.
-pub(crate) trait NylonCounters: PeerSampler {
-    fn nylon_stats(&self) -> NylonStats;
-}
-
-impl NylonCounters for NylonEngine {
-    fn nylon_stats(&self) -> NylonStats {
-        self.stats()
-    }
-}
-
-impl NylonCounters for Sharded<NylonEngine> {
-    fn nylon_stats(&self) -> NylonStats {
-        self.stats()
-    }
-}
 
 /// Derives the seed list for a data point, mixing figure-specific salt so
 /// different figures do not share seeds.
@@ -90,86 +44,72 @@ pub fn point_seeds(scale: &FigureScale, salt: u64) -> Vec<u64> {
     seeds(scale.seeds, scale.base_seed ^ salt)
 }
 
-/// Biggest-cluster percentage for a baseline configuration at one NAT
-/// percentage (a Figure 2 cell): `[cluster_pct]`.
-pub fn baseline_cluster_sample(
-    scale: &FigureScale,
-    cfg: &GossipConfig,
-    nat_pct: f64,
-    seed: u64,
-) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
-        eng.run_rounds(rounds);
-        let pct = biggest_cluster_pct(&eng);
-        obs_flush(&eng);
-        vec![pct]
-    }
-    let scn = Scenario {
-        mix: NatMix::prc_only(),
-        view_size: cfg.view_size,
+/// The scenario of a steady-state cell at one NAT percentage, under the
+/// [`FigureScale::faults`] override.
+pub fn steady_scenario(scale: &FigureScale, nat_pct: f64, seed: u64) -> Scenario {
+    Scenario {
         faults: scale.faults.filter(|s| !s.is_none()),
         ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    on_shards!(scale.shards, cfg.clone(), |cfg| build(&scn, cfg), measure, scale.rounds)
+    }
 }
 
-/// Biggest-cluster percentage for an [`EngineKind`]-selected engine (its
-/// default configuration at the scenario's view size) at one NAT
-/// percentage: `[cluster_pct]`. The `--engine` twin of
-/// [`baseline_cluster_sample`], over the same PRC-only population.
-pub fn engine_cluster_sample(
-    scale: &FigureScale,
-    kind: EngineKind,
-    view_size: usize,
-    nat_pct: f64,
-    seed: u64,
-) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
-        eng.run_rounds(rounds);
-        let pct = biggest_cluster_pct(&eng);
-        obs_flush(&eng);
-        vec![pct]
-    }
-    let scn = Scenario {
-        mix: NatMix::prc_only(),
-        view_size,
-        faults: scale.faults.filter(|s| !s.is_none()),
-        ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
+/// [`steady_scenario`] with PRC NATs only and views of `view_size`.
+pub fn prc_scenario(scale: &FigureScale, view_size: usize, nat_pct: f64, seed: u64) -> Scenario {
+    Scenario { mix: NatMix::prc_only(), view_size, ..steady_scenario(scale, nat_pct, seed) }
 }
 
-/// Staleness metrics at one NAT percentage (a Figures 3/4 cell):
-/// `[stale %, natted non-stale %]`, each averaged over three end-of-run
-/// snapshots. Measures the (push/pull, rand, healer) baseline unless
-/// [`FigureScale::engine`] reroutes the cell to another engine.
-pub fn baseline_staleness_sample(
-    scale: &FigureScale,
-    view_size: usize,
-    nat_pct: f64,
-    seed: u64,
-) -> Vec<f64> {
-    let scn = Scenario {
-        mix: NatMix::prc_only(),
-        view_size,
-        faults: scale.faults.filter(|s| !s.is_none()),
-        ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
-        eng.run_rounds(rounds.saturating_sub(10));
-        let mut stale = 0.0;
-        let mut natted = 0.0;
-        for _ in 0..3 {
-            eng.run_rounds(5);
-            let rep = staleness(&eng);
-            stale += rep.stale_pct / 3.0;
-            natted += rep.natted_nonstale_pct / 3.0;
-        }
+/// What a steady-state cell reads off its engine.
+#[derive(Debug, Clone, Copy)]
+pub enum Metric {
+    /// `[cluster %]` at the end of the run (a Figure 2 cell).
+    Cluster,
+    /// `[stale %, natted non-stale %]`, each averaged over three
+    /// end-of-run snapshots (a Figures 3/4 cell).
+    Staleness,
+    /// `[overall, public, natted]` B/s per peer over the run's last two
+    /// thirds, NaN for empty classes (a Figures 7/8 cell).
+    Bandwidth,
+}
+
+impl Metric {
+    /// Runs `eng` for `rounds`, reads the metric and flushes the engine's
+    /// telemetry.
+    fn measure<S: PeerSampler>(self, mut eng: S, rounds: u64) -> Vec<f64> {
+        let values = match self {
+            Metric::Cluster => {
+                eng.run_rounds(rounds);
+                vec![biggest_cluster_pct(&eng)]
+            }
+            Metric::Staleness => {
+                eng.run_rounds(rounds.saturating_sub(10));
+                let (mut stale, mut natted) = (0.0, 0.0);
+                for _ in 0..3 {
+                    eng.run_rounds(5);
+                    let rep = staleness(&eng);
+                    stale += rep.stale_pct / 3.0;
+                    natted += rep.natted_nonstale_pct / 3.0;
+                }
+                vec![stale, natted]
+            }
+            Metric::Bandwidth => {
+                let (overall, public, natted) = bandwidth_by_class(&mut eng, rounds);
+                vec![overall, public, natted]
+            }
+        };
         obs_flush(&eng);
-        vec![stale, natted]
+        values
     }
-    let kind = scale.engine.unwrap_or(EngineKind::Baseline);
-    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
+}
+
+/// One steady-state cell: `cfg`'s engine built for `scn`, run for
+/// `rounds` and read by `metric`.
+pub fn sample<C: SamplerConfig>(scn: &Scenario, cfg: C, rounds: u64, metric: Metric) -> Vec<f64> {
+    metric.measure(build(scn, cfg), rounds)
+}
+
+/// [`sample`] on the default configuration of the engine `kind` selects.
+pub fn engine_sample(kind: EngineKind, scn: &Scenario, rounds: u64, metric: Metric) -> Vec<f64> {
+    dispatch_engine!(kind, |cfg| sample(scn, cfg, rounds, metric))
 }
 
 /// Runs an engine through a warmup third of `rounds` and measures per-class
@@ -193,35 +133,6 @@ pub fn bandwidth_by_class<S: PeerSampler>(eng: &mut S, rounds: u64) -> (f64, f64
     (report.overall.mean(), report.public.mean(), report.natted.mean())
 }
 
-/// Per-class bandwidth at one NAT percentage (a Figures 7/8 cell):
-/// `[overall, public, natted]` B/s per peer, NaN for empty classes.
-/// Measures Nylon unless [`FigureScale::engine`] reroutes the cell.
-pub fn nylon_bandwidth_sample(scale: &FigureScale, nat_pct: f64, seed: u64) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
-        let (overall, public, natted) = bandwidth_by_class(&mut eng, rounds);
-        obs_flush(&eng);
-        vec![overall, public, natted]
-    }
-    let scn = Scenario {
-        faults: scale.faults.filter(|s| !s.is_none()),
-        ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    let kind = scale.engine.unwrap_or(EngineKind::Nylon);
-    dispatch_engine!(kind, scale.shards, |cfg| build(&scn, cfg), measure, scale.rounds)
-}
-
-/// Bandwidth of the NAT-oblivious reference, (push/pull, rand, healer), in
-/// a NAT-free population (Figure 7's flat "Reference" line): `[overall]`.
-pub fn reference_bandwidth_sample(scale: &FigureScale, seed: u64) -> Vec<f64> {
-    fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
-        let (overall, _, _) = bandwidth_by_class(&mut eng, rounds);
-        obs_flush(&eng);
-        vec![overall]
-    }
-    let scn = Scenario::new(scale.peers, 0.0, seed);
-    on_shards!(scale.shards, GossipConfig::default(), |cfg| build(&scn, cfg), measure, scale.rounds)
-}
-
 /// Mean RVP chain length for Nylon at one NAT percentage over the
 /// measurement window (a Figure 9 cell): `[chain_len]`, NaN when no chain
 /// was observed.
@@ -231,24 +142,17 @@ pub fn nylon_chain_sample(
     nat_pct: f64,
     seed: u64,
 ) -> Vec<f64> {
-    fn measure<S: NylonCounters>(mut eng: S, rounds: u64) -> Vec<f64> {
-        let warmup = rounds / 3;
-        eng.run_rounds(warmup);
-        let before = eng.nylon_stats();
-        eng.run_rounds(rounds - warmup);
-        let after = eng.nylon_stats();
-        let hops = after.chain_hops_sum - before.chain_hops_sum;
-        let samples = after.chain_samples - before.chain_samples;
-        obs_flush(&eng);
-        vec![if samples == 0 { f64::NAN } else { hops as f64 / samples as f64 }]
-    }
-    let scn = Scenario {
-        view_size,
-        faults: scale.faults.filter(|s| !s.is_none()),
-        ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    let cfg = NylonConfig { view_size, ..NylonConfig::default() };
-    on_shards!(scale.shards, cfg, |cfg| build(&scn, cfg), measure, scale.rounds)
+    let scn = Scenario { view_size, ..steady_scenario(scale, nat_pct, seed) };
+    let mut eng: NylonEngine = build(&scn, NylonConfig::default());
+    let warmup = scale.rounds / 3;
+    eng.run_rounds(warmup);
+    let before = eng.stats();
+    eng.run_rounds(scale.rounds - warmup);
+    let after = eng.stats();
+    let hops = after.chain_hops_sum - before.chain_hops_sum;
+    let samples = after.chain_samples - before.chain_samples;
+    obs_flush(&eng);
+    vec![if samples == 0 { f64::NAN } else { hops as f64 / samples as f64 }]
 }
 
 /// One metric column of the per-seed rows, as a [`Summary`] (keeps every

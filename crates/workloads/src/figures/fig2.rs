@@ -7,11 +7,10 @@
 
 use nylon_gossip::GossipConfig;
 
+use super::common::{engine_sample, point_seeds, prc_scenario, sample, summary_col, Metric};
+use super::{FigureScale, Plan};
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-
-use super::common::{baseline_cluster_sample, engine_cluster_sample, point_seeds, summary_col};
-use super::{FigureScale, Plan};
 
 const SWEEP: &str = "fig2";
 
@@ -42,7 +41,10 @@ pub fn plan(scale: &FigureScale) -> Plan {
                         sweep.point(
                             point_key(view_size, &cfg.label(), pct),
                             point_seeds(&scale, salt),
-                            move |seed| baseline_cluster_sample(&scale, &cfg, pct, seed),
+                            move |seed| {
+                                let scn = prc_scenario(&scale, view_size, pct, seed);
+                                sample(&scn, cfg.clone(), scale.rounds, Metric::Cluster)
+                            },
                         );
                     }
                 }
@@ -58,7 +60,10 @@ pub fn plan(scale: &FigureScale) -> Plan {
                     sweep.point(
                         point_key(view_size, kind.label(), pct),
                         point_seeds(&scale, salt),
-                        move |seed| engine_cluster_sample(&scale, kind, view_size, pct, seed),
+                        move |seed| {
+                            let scn = prc_scenario(&scale, view_size, pct, seed);
+                            engine_sample(kind, &scn, scale.rounds, Metric::Cluster)
+                        },
                     );
                 }
             }

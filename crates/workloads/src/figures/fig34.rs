@@ -11,19 +11,20 @@
 //! register one shared sweep: requesting both (as `repro all` does)
 //! executes every cell once.
 
+use super::common::{engine_sample, mean_finite, point_seeds, prc_scenario, Metric};
+use super::{EngineKind, FigureScale, Plan};
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-
-use super::common::{baseline_staleness_sample, mean_finite, point_seeds};
-use super::{FigureScale, Plan};
 
 const SWEEP: &str = "fig34";
 
 const NAT_PCTS: [f64; 11] = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
 
 /// The sweep both figures share: cells are `[stale %, natted non-stale %]`
-/// per (view, NAT %, seed).
+/// per (view, NAT %, seed), PRC NATs only. Measures the (push/pull, rand,
+/// healer) baseline unless [`FigureScale::engine`] reroutes the cells.
 fn sweep(scale: &FigureScale) -> Sweep {
+    let kind = scale.engine.unwrap_or(EngineKind::Baseline);
     let mut sweep = Sweep::new(SWEEP);
     for view_size in [15usize, 27] {
         for (i, pct) in NAT_PCTS.iter().enumerate() {
@@ -31,7 +32,8 @@ fn sweep(scale: &FigureScale) -> Sweep {
             let scale = scale.clone();
             let pct = *pct;
             sweep.point(point_key(view_size, pct), point_seeds(&scale, salt), move |seed| {
-                baseline_staleness_sample(&scale, view_size, pct, seed)
+                let scn = prc_scenario(&scale, view_size, pct, seed);
+                engine_sample(kind, &scn, scale.rounds, Metric::Staleness)
             });
         }
     }

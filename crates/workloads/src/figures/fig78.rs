@@ -10,34 +10,46 @@
 //! simulations, so they register one shared sweep (the reference baseline
 //! cell is only rendered by Figure 7).
 
+use nylon_gossip::GossipConfig;
+
 use crate::experiment::Sweep;
 use crate::output::{fmt_f, Table};
+use crate::scenario::Scenario;
 
-use super::common::{nylon_bandwidth_sample, point_seeds, reference_bandwidth_sample, summary_col};
-use super::{FigureScale, Plan};
+use super::common::{engine_sample, point_seeds, sample, steady_scenario, summary_col, Metric};
+use super::{EngineKind, FigureScale, Plan};
 
 const SWEEP: &str = "fig78";
 
 const NAT_PCTS: [f64; 11] = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
 
 /// The sweep both figures share: per NAT percentage, cells are
-/// `[overall, public, natted]` B/s per peer (NaN for empty classes). The
-/// NAT-free reference point is registered only when requested — Figure 8
-/// never renders it, so a `fig8`-only run must not pay for it (the
-/// Experiment merge dedups the shared points when both figures run).
+/// `[overall, public, natted]` B/s per peer (NaN for empty classes), of
+/// Nylon unless [`FigureScale::engine`] reroutes them. The reference
+/// point — the (push/pull, rand, healer) baseline in a NAT-free, fault-free
+/// population — is registered only when requested: Figure 8 never renders
+/// it, so a `fig8`-only run must not pay for it (the Experiment merge
+/// dedups the shared points when both figures run).
 fn sweep(scale: &FigureScale, with_reference: bool) -> Sweep {
     let mut sweep = Sweep::new(SWEEP);
     if with_reference {
         let scale = scale.clone();
         sweep.point("reference", point_seeds(&scale, 0x0007_0F00), move |seed| {
-            reference_bandwidth_sample(&scale, seed)
+            let scn = Scenario::new(scale.peers, 0.0, seed);
+            sample(&scn, GossipConfig::default(), scale.rounds, Metric::Bandwidth)
         });
     }
+    let kind = scale.engine.unwrap_or(EngineKind::Nylon);
     for (i, pct) in NAT_PCTS.iter().enumerate() {
         let scale = scale.clone();
         let pct = *pct;
         sweep.point(nylon_key(pct), point_seeds(&scale, 0x0007_0000 ^ (i as u64)), move |seed| {
-            nylon_bandwidth_sample(&scale, pct, seed)
+            engine_sample(
+                kind,
+                &steady_scenario(&scale, pct, seed),
+                scale.rounds,
+                Metric::Bandwidth,
+            )
         });
     }
     sweep

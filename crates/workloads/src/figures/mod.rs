@@ -88,15 +88,6 @@ pub struct FigureScale {
     pub full_churn_horizons: bool,
     /// Base seed from which per-point seeds are derived.
     pub base_seed: u64,
-    /// Lockstep workers per cell, a wall-clock knob: `0` lets each
-    /// [`nylon_gossip::Engine`] size itself (see
-    /// [`nylon_gossip::auto_workers`]), `N` runs the steady-state and
-    /// adversarial cells on [`nylon_gossip::Sharded`] with `N` workers.
-    /// Every value renders the same bytes. The churn/lifecycle artifacts
-    /// (fig10, correctness, ablation, extensions, timeline) size
-    /// themselves whatever the value, because their mid-run kill/join
-    /// scripting drives the engine's inherent API.
-    pub shards: usize,
     /// Engine override for the engine-generic steady-state artifacts:
     /// `None` measures each figure's own engine (fig2's six baseline
     /// configurations, fig3/4's baseline, fig7/8's Nylon); `Some(kind)`
@@ -130,7 +121,6 @@ impl Default for FigureScale {
             rounds: 120,
             full_churn_horizons: false,
             base_seed: 0xA11CE,
-            shards: 0,
             engine: None,
             attack: None,
             faults: None,
@@ -147,7 +137,6 @@ impl FigureScale {
             rounds: 400,
             full_churn_horizons: true,
             base_seed: 0xA11CE,
-            shards: 0,
             engine: None,
             attack: None,
             faults: None,
@@ -157,9 +146,10 @@ impl FigureScale {
     /// Identity of the runs this scale produces, for checkpoint matching:
     /// cells computed at a different scale answer different questions.
     ///
-    /// The shard count is not part of it: cells are shard-count
-    /// independent, so a checkpoint written under `--shards 2` is valid to
-    /// resume under `--shards 4` or without the flag.
+    /// The worker count is not part of the scale but of
+    /// [`ExecOptions::shards`], because cells do not depend on it: a
+    /// checkpoint written under `--shards 2` resumes under `--shards 4` or
+    /// without the flag.
     pub fn fingerprint(&self) -> String {
         format!(
             "peers={} seeds={} rounds={} full_churn={} base_seed={}{}{}{}",
@@ -359,10 +349,6 @@ mod tests {
         let mut reseeded = FigureScale::default();
         reseeded.base_seed ^= 1;
         assert_ne!(FigureScale::default().fingerprint(), reseeded.fingerprint());
-        // The shard count moves wall clock, never cells.
-        let sharded = |n| FigureScale { shards: n, ..FigureScale::default() };
-        assert_eq!(sharded(0).fingerprint(), sharded(2).fingerprint());
-        assert_eq!(sharded(2).fingerprint(), sharded(4).fingerprint());
     }
 
     #[test]

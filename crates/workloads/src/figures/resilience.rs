@@ -20,7 +20,7 @@
 //! Every cell is fault-deterministic: the same plan replays identically
 //! at any `--shards` count and across checkpoint/resume.
 
-use nylon::NylonConfig;
+use nylon::{NylonConfig, NylonEngine};
 use nylon_faults::FaultConfig;
 use nylon_gossip::PeerSampler;
 use nylon_sim::{SimDuration, SimTime};
@@ -30,7 +30,7 @@ use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build_with_faults, obs_flush};
 use crate::scenario::Scenario;
 
-use super::common::{dispatch_engine, mean_finite, on_shards, point_seeds, NylonCounters};
+use super::common::{dispatch_engine, mean_finite, point_seeds};
 use super::{EngineKind, FigureScale, Plan};
 
 const SWEEP: &str = "resilience";
@@ -123,37 +123,14 @@ fn recovery_sample(
     let cfg = profile_cfg(profile, scale.rounds, harden);
     let scn = Scenario::new(scale.peers, NAT_PCT, seed);
     let onset = fault_round(scale.rounds);
-    dispatch_engine!(
-        kind,
-        scale.shards,
-        |engine_cfg| build_with_faults(&scn, engine_cfg, &cfg),
-        measure,
-        scale.rounds,
-        onset
-    )
+    dispatch_engine!(kind, |engine_cfg| {
+        measure(build_with_faults(&scn, engine_cfg, &cfg), scale.rounds, onset)
+    })
 }
 
 /// One punch-retry cell (Nylon under the rebind profile):
 /// `[retries, retry wins, win rate %, stale re-punches, final %]`.
 fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64) -> Vec<f64> {
-    fn measure<S: NylonCounters>(mut eng: S, rounds: u64) -> Vec<f64> {
-        eng.run_rounds(rounds);
-        let s = eng.nylon_stats();
-        let rate = if s.punch_retries == 0 {
-            f64::NAN
-        } else {
-            100.0 * s.punch_retry_wins as f64 / s.punch_retries as f64
-        };
-        let last = biggest_cluster_pct(&eng);
-        obs_flush(&eng);
-        vec![
-            s.punch_retries as f64,
-            s.punch_retry_wins as f64,
-            rate,
-            s.stale_repunches as f64,
-            last,
-        ]
-    }
     let cfg = FaultConfig {
         horizon: PERIOD * scale.rounds,
         rebind_period: PERIOD * rebind_rounds,
@@ -162,13 +139,17 @@ fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64
         ..FaultConfig::default()
     };
     let scn = Scenario::new(scale.peers, NAT_PCT, seed);
-    on_shards!(
-        scale.shards,
-        NylonConfig::default(),
-        |engine_cfg| build_with_faults(&scn, engine_cfg, &cfg),
-        measure,
-        scale.rounds
-    )
+    let mut eng: NylonEngine = build_with_faults(&scn, NylonConfig::default(), &cfg);
+    eng.run_rounds(scale.rounds);
+    let s = eng.stats();
+    let rate = if s.punch_retries == 0 {
+        f64::NAN
+    } else {
+        100.0 * s.punch_retry_wins as f64 / s.punch_retries as f64
+    };
+    let last = biggest_cluster_pct(&eng);
+    obs_flush(&eng);
+    vec![s.punch_retries as f64, s.punch_retry_wins as f64, rate, s.stale_repunches as f64, last]
 }
 
 /// The resilience plan.

@@ -62,6 +62,13 @@ impl Table {
         out
     }
 
+    /// The table as `repro` prints it: a `## title` heading, a blank line,
+    /// the markdown (or CSV) rendering and a blank line.
+    pub fn transcript(&self, csv: bool) -> String {
+        let body = if csv { self.to_csv() } else { self.to_markdown() };
+        format!("## {}\n\n{body}\n", self.title)
+    }
+
     /// Renders as CSV (header + rows). Cells containing commas or quotes
     /// are quoted.
     pub fn to_csv(&self) -> String {

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `<protocol>` is `baseline | nylon | static-rvp | peerswap`; `<workers>`
-//! 0 lets the engine size itself, N runs it on N workers (`Sharded`) —
+//! 0 lets the engine size itself, N builds it on N workers —
 //! the same simulation either way, a different footprint. The engine
 //! records its set-up until `start`, so the population is built — on
 //! every worker at once, each holding the peers it owns plus a ≈ 12-byte
@@ -16,8 +16,11 @@
 //! population is the ledger's (70 % NAT, seed 5).
 
 use nylon::{NylonConfig, StaticRvpConfig};
-use nylon_gossip::{GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, ShardedConfig};
+use nylon_gossip::{
+    with_workers, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Workers,
+};
 use nylon_net::NetConfig;
+use nylon_sim::ShardPlan;
 use nylon_workloads::{runner, Scenario};
 
 fn stage(name: &str) {
@@ -46,16 +49,6 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     println!("biggest cluster {cluster:.2} %, stale references {stale:.2} %");
 }
 
-/// One protocol on a self-sized engine (`workers` 0) or under `Sharded`.
-macro_rules! on_workers {
-    ($cfg:expr, $peers:expr, $workers:expr) => {
-        match $workers {
-            0 => probe($cfg, $peers),
-            s => probe(ShardedConfig::new($cfg, s), $peers),
-        }
-    };
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed: Option<(&String, (usize, usize))> = match args.as_slice() {
@@ -66,11 +59,15 @@ fn main() {
         eprintln!("usage: footprint <baseline|nylon|static-rvp|peerswap> <peers> <workers>");
         std::process::exit(1);
     };
-    match proto.as_str() {
-        "baseline" => on_workers!(GossipConfig::default(), peers, workers),
-        "nylon" => on_workers!(NylonConfig::default(), peers, workers),
-        "static-rvp" => on_workers!(StaticRvpConfig::default(), peers, workers),
-        "peerswap" => on_workers!(PeerSwapConfig::default(), peers, workers),
+    let scope = match workers {
+        0 => Workers::OneOf(1),
+        n => Workers::Plan(ShardPlan::round_robin(n)),
+    };
+    with_workers(scope, || match proto.as_str() {
+        "baseline" => probe(GossipConfig::default(), peers),
+        "nylon" => probe(NylonConfig::default(), peers),
+        "static-rvp" => probe(StaticRvpConfig::default(), peers),
+        "peerswap" => probe(PeerSwapConfig::default(), peers),
         other => panic!("unknown protocol {other}"),
-    }
+    });
 }

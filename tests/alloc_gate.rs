@@ -18,12 +18,12 @@ use counting_alloc::{counting, CountingAlloc};
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    GossipConfig, MergePolicy, NodeDescriptor, PartialView, PeerSampler, PeerSwapConfig,
-    SamplerConfig, ShardedConfig,
+    with_workers, GossipConfig, MergePolicy, NodeDescriptor, PartialView, PeerSampler,
+    PeerSwapConfig, SamplerConfig, Workers,
 };
 use nylon_net::natbox::NatBox;
 use nylon_net::{Endpoint, Ip, NatClass, NatType, NetConfig, PeerId, Port};
-use nylon_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use nylon_sim::{EventQueue, ShardPlan, SimDuration, SimRng, SimTime};
 use nylon_workloads::runner::build;
 use nylon_workloads::scenario::Scenario;
 
@@ -143,9 +143,9 @@ fn sweep_1k_half_expired() -> impl FnMut() -> u64 {
 }
 
 /// Mean allocations per round of a 200-peer, 70 %-NAT overlay over 100
-/// rounds, after 30 rounds of warm-up.
-fn allocations_per_round<C: SamplerConfig>(cfg: C) -> f64 {
-    let mut eng = build(&Scenario::new(200, 70.0, 5), cfg);
+/// rounds, after 30 rounds of warm-up, on an engine built in `workers`.
+fn allocations_per_round<C: SamplerConfig>(cfg: C, workers: Workers) -> f64 {
+    let mut eng = with_workers(workers, || build(&Scenario::new(200, 70.0, 5), cfg));
     eng.run_rounds(30);
     let ((), allocations, _) = counting(|| {
         for _ in 0..100 {
@@ -171,12 +171,10 @@ fn bootstrap_bytes_per_peer<C: SamplerConfig>(cfg: C) -> u64 {
 
 /// Bytes a whole set-up — population, bootstrap, start — allocates per
 /// peer of a 10 000-peer, 70 %-NAT population on `workers` workers.
-fn setup_bytes_per_peer<C: SamplerConfig>(cfg: C, workers: usize) -> u64
-where
-    ShardedConfig<C>: SamplerConfig,
-{
+fn setup_bytes_per_peer<C: SamplerConfig>(cfg: C, workers: usize) -> u64 {
     let scn = Scenario::new(10_000, 70.0, 5);
-    let (eng, _, bytes) = counting(|| build(&scn, ShardedConfig::new(cfg, workers)));
+    let plan = Workers::Plan(ShardPlan::round_robin(workers));
+    let (eng, _, bytes) = counting(|| with_workers(plan, || build(&scn, cfg)));
     drop(eng);
     bytes / scn.peers as u64
 }
@@ -255,18 +253,16 @@ fn hot_paths_allocate_no_more_than_recorded() {
         );
     }
 
-    // An engine on its own and `Sharded` at S = 1 run the same tick loop
-    // (`nylon_sim::run_lone`) over the same staging vector, which is lent
-    // to `absorb` and handed back: the wrapper must add no allocation.
+    // A self-sized engine and one pinned to a one-worker plan run the same
+    // tick loop (`nylon_sim::run_lone`) over the same staging vector, which
+    // is lent to `absorb` and handed back: pinning must add no allocation.
+    let (auto, pinned) = (Workers::OneOf(1), Workers::Plan(ShardPlan::round_robin(1)));
     let engines: [(&str, f64, f64); 3] = [
-        ("nylon round", 8.7, allocations_per_round(nylon())),
-        ("peerswap round", 8.6, allocations_per_round(PeerSwapConfig::default())),
-        ("nylon round, Sharded S=1", 8.7, allocations_per_round(ShardedConfig::new(nylon(), 1))),
+        ("nylon round", 8.7, allocations_per_round(nylon(), auto)),
+        ("peerswap round", 8.6, allocations_per_round(PeerSwapConfig::default(), auto)),
+        ("nylon round, pinned S=1", 8.7, allocations_per_round(nylon(), pinned)),
     ];
-    assert_eq!(
-        engines[0].2, engines[2].2,
-        "Sharded S=1 allocates differently from the engine alone"
-    );
+    assert_eq!(engines[0].2, engines[2].2, "pinned S=1 allocates differently from self-sized");
     for (case, recorded, measured) in engines {
         println!("{case}: {measured:.1} allocations per round (recorded {recorded})");
         assert!(

@@ -16,35 +16,24 @@ use std::path::PathBuf;
 
 use nylon_faults::FaultSpec;
 use nylon_workloads::experiment::ExecOptions;
-use nylon_workloads::figures::{generate, generate_with, FigureScale};
+use nylon_workloads::figures::{generate_with, FigureScale};
 
-fn tiny(shards: usize) -> FigureScale {
-    FigureScale {
-        peers: 40,
-        seeds: 1,
-        rounds: 12,
-        base_seed: 0xFA17,
-        shards,
-        ..FigureScale::default()
-    }
+fn tiny() -> FigureScale {
+    FigureScale { peers: 40, seeds: 1, rounds: 12, base_seed: 0xFA17, ..FigureScale::default() }
 }
 
-fn faulted(shards: usize) -> FigureScale {
+fn faulted() -> FigureScale {
     let spec = FaultSpec::parse("rebind,rvp-crash,flap,loss-burst,harden").expect("valid spec");
-    FigureScale { faults: Some(spec), ..tiny(shards) }
+    FigureScale { faults: Some(spec), ..tiny() }
+}
+
+/// `--shards N`: every engine on `shards` workers.
+fn at(shards: usize) -> ExecOptions {
+    ExecOptions { shards, ..ExecOptions::default() }
 }
 
 /// Renders every table of one artifact to a single byte string.
-fn render(name: &str, scale: &FigureScale) -> String {
-    generate(name, scale)
-        .expect("known figure name")
-        .iter()
-        .map(|t| format!("{}\n{}", t.to_markdown(), t.to_csv()))
-        .collect::<Vec<_>>()
-        .join("\n---\n")
-}
-
-fn render_with(name: &str, scale: &FigureScale, opts: &ExecOptions) -> String {
+fn render(name: &str, scale: &FigureScale, opts: &ExecOptions) -> String {
     generate_with(name, scale, opts)
         .expect("known figure name")
         .iter()
@@ -64,9 +53,9 @@ fn resilience_artifact_is_byte_identical_at_shards_1_2_4() {
     // The resilience artifact runs every engine under nonzero fault plans
     // (rebind waves, a correlated RVP crash, flapping) with hardening on
     // and off — the deepest fault-plane path there is.
-    let one = render("resilience", &tiny(1));
-    let two = render("resilience", &tiny(2));
-    let four = render("resilience", &tiny(4));
+    let one = render("resilience", &tiny(), &at(1));
+    let two = render("resilience", &tiny(), &at(2));
+    let four = render("resilience", &tiny(), &at(4));
     assert!(!one.is_empty());
     assert_eq!(one, two, "resilience diverged between --shards 1 and --shards 2");
     assert_eq!(one, four, "resilience diverged between --shards 1 and --shards 4");
@@ -77,43 +66,44 @@ fn faulted_fig9_is_byte_identical_at_shards_1_2_4() {
     // `repro fig9 --faults rebind,rvp-crash,flap,loss-burst,harden`: the
     // fault override reroutes the engine-generic cells through a faulted
     // fabric; the plan must replay identically on every shard topology.
-    let one = render("fig9", &faulted(1));
+    let one = render("fig9", &faulted(), &at(1));
     assert!(!one.is_empty());
-    assert_ne!(one, render("fig9", &tiny(1)), "the fault plan had no observable effect");
-    assert_eq!(one, render("fig9", &faulted(2)), "faulted fig9 diverged at --shards 2");
-    assert_eq!(one, render("fig9", &faulted(4)), "faulted fig9 diverged at --shards 4");
+    assert_ne!(one, render("fig9", &tiny(), &at(1)), "the fault plan had no observable effect");
+    assert_eq!(one, render("fig9", &faulted(), &at(2)), "faulted fig9 diverged at --shards 2");
+    assert_eq!(one, render("fig9", &faulted(), &at(4)), "faulted fig9 diverged at --shards 4");
 }
 
 #[test]
 fn faults_none_is_byte_identical_to_no_flag() {
     // `--faults none` must be the clean run — same bytes as no flag at
     // all, at the fingerprint level too (so checkpoints interchange).
-    let clean = tiny(1);
-    let none = FigureScale { faults: Some(FaultSpec::default()), ..tiny(1) };
+    let clean = tiny();
+    let none = FigureScale { faults: Some(FaultSpec::default()), ..tiny() };
     assert_eq!(clean.fingerprint(), none.fingerprint());
-    assert_eq!(render("fig9", &clean), render("fig9", &none));
+    assert_eq!(render("fig9", &clean, &at(1)), render("fig9", &none, &at(1)));
 }
 
 #[test]
 fn killed_then_resumed_faulted_run_matches_an_uninterrupted_one() {
     // Fault plans are compiled per cell from (config, seed, classes); a
     // truncated checkpoint replays the missing cells bit-for-bit.
-    let scale = faulted(2);
+    let scale = faulted();
     let dir = temp_dir("resume");
     let opts = |resume| ExecOptions {
         jobs: 4,
+        shards: 2,
         checkpoint: Some(dir.clone()),
         resume,
         fingerprint: scale.fingerprint(),
     };
-    let clean = render_with("resilience", &scale, &opts(false));
+    let clean = render("resilience", &scale, &opts(false));
 
     let path = dir.join("cells.jsonl");
     let bytes = std::fs::read(&path).expect("checkpoint written");
     assert!(bytes.len() > 100, "checkpoint suspiciously small: {} bytes", bytes.len());
     std::fs::write(&path, &bytes[..bytes.len() * 3 / 5]).unwrap();
 
-    let resumed = render_with("resilience", &scale, &opts(true));
+    let resumed = render("resilience", &scale, &opts(true));
     assert_eq!(clean, resumed, "resumed faulted run rendered different tables");
     let _ = std::fs::remove_dir_all(&dir);
 }

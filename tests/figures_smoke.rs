@@ -9,7 +9,6 @@ fn tiny() -> FigureScale {
         rounds: 15,
         full_churn_horizons: false,
         base_seed: 1,
-        shards: 0,
         ..FigureScale::default()
     }
 }

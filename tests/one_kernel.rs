@@ -3,47 +3,24 @@
 //! same state as on one — protocol counters, every view, every peer's
 //! traffic and the fault counters — whether the run is one
 //! `run_rounds(k)` or `k × run_rounds(1)`, and whether the engine sized
-//! itself or was handed a plan (`Sharded<Engine<P>>`).
+//! itself or was built under a fixed plan ([`Workers::Plan`]).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_faults::{FaultSpec, FaultStats};
 use nylon_gossip::{
-    auto_workers, Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig, Protocol,
-    SamplerConfig, Sharded, ShardedConfig,
+    auto_workers, with_workers, Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig,
+    Protocol, SamplerConfig, Workers,
 };
 use nylon_net::{NetConfig, PeerId, TrafficStats};
-use nylon_sim::{ShardAssign, SimDuration};
+use nylon_sim::{ShardAssign, ShardPlan, SimDuration};
 use nylon_workloads::runner::{build, build_with_net};
 use nylon_workloads::scenario::Scenario;
 
 const PEERS: usize = 200;
 
-/// Protocol counters off either form of an engine (`stats` is inherent on
-/// the engine `Sharded` derefs to), as their `Debug` rendering, and its
-/// worker count.
-trait Counters: PeerSampler {
-    fn counters(&self) -> String;
-    fn workers(&self) -> usize;
-}
-
-impl<P: Protocol> Counters for Engine<P> {
-    fn counters(&self) -> String {
-        format!("{:?}", self.stats())
-    }
-
-    fn workers(&self) -> usize {
-        self.worker_count()
-    }
-}
-
-impl<P: Protocol> Counters for Sharded<Engine<P>> {
-    fn counters(&self) -> String {
-        format!("{:?}", self.stats())
-    }
-
-    fn workers(&self) -> usize {
-        self.worker_count()
-    }
+/// `f` with its engines on `shards` workers under `assign`.
+fn on<R>(shards: usize, assign: ShardAssign, f: impl FnOnce() -> R) -> R {
+    with_workers(Workers::Plan(ShardPlan::new(shards, assign)), f)
 }
 
 /// Everything the contract compares, peers in id order.
@@ -65,9 +42,10 @@ struct Case {
     kill_at: Option<u64>,
 }
 
-fn run<C: SamplerConfig>(case: &Case, cfg: C, stepwise: bool) -> Outcome
+fn run<C, P>(case: &Case, cfg: C, stepwise: bool) -> Outcome
 where
-    C::Sampler: Counters,
+    C: SamplerConfig<Sampler = Engine<P>>,
+    P: Protocol,
 {
     let peers = case.peers;
     let scn = Scenario {
@@ -75,7 +53,7 @@ where
         ..Scenario::new(peers, 70.0, 5)
     };
     let mut eng = build_with_net(&scn, cfg, case.net.clone());
-    let drive = |eng: &mut C::Sampler, k: u64| {
+    let drive = |eng: &mut Engine<P>, k: u64| {
         if stepwise {
             (0..k).for_each(|_| eng.run_rounds(1));
         } else {
@@ -91,7 +69,7 @@ where
     }
     let peers = || (0..peers as u32).map(PeerId);
     Outcome {
-        counters: eng.counters(),
+        counters: format!("{:?}", eng.stats()),
         views: peers().map(|p| eng.view_of(p).iter().copied().collect()).collect(),
         traffic: peers().map(|p| eng.traffic_of(p)).collect(),
         faults: eng.fault_stats(),
@@ -101,11 +79,10 @@ where
 /// Holds `cfg`'s engine to the contract over the three scenarios.
 /// `tiny_cfg` is the same protocol at a 200 ms period, for the network
 /// whose lockstep tick is 1 ms.
-fn engine_alone_equals_every_sharding<C: SamplerConfig>(cfg: C, tiny_cfg: C)
+fn engine_alone_equals_every_sharding<C, P>(cfg: C, tiny_cfg: C)
 where
-    C::Sampler: Counters,
-    ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
-    Sharded<C::Sampler>: Counters,
+    C: SamplerConfig<Sampler = Engine<P>>,
+    P: Protocol,
 {
     let paper = NetConfig::default;
     let cases = [
@@ -147,7 +124,6 @@ where
         let alone = run(case, (*cfg).clone(), false);
         assert!(alone.traffic.iter().any(|t| t.bytes_sent > 0), "{name}: nothing was sent");
         assert_eq!(run(case, (*cfg).clone(), true), alone, "{name}: alone, round by round");
-        let sharded = |shards, assign| ShardedConfig { inner: (*cfg).clone(), shards, assign };
         let layouts = [
             (1, ShardAssign::RoundRobin),
             (3, ShardAssign::RoundRobin),
@@ -157,7 +133,7 @@ where
         for (shards, assign) in layouts {
             for stepwise in [false, true] {
                 assert_eq!(
-                    run(case, sharded(shards, assign), stepwise),
+                    on(shards, assign, || run(case, (*cfg).clone(), stepwise)),
                     alone,
                     "{name}: S = {shards} {assign:?}, stepwise {stepwise}"
                 );
@@ -179,14 +155,12 @@ fn views_after<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64) -> Vec<Vec<P
 /// after it run through those holes).
 #[test]
 fn bootstrap_contacts_are_the_same_at_shards_1_2_4() {
-    fn check<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64)
-    where
-        ShardedConfig<C>: SamplerConfig,
-    {
+    fn check<C: SamplerConfig>(cfg: C, nat_pct: f64, rounds: u64) {
         let alone = views_after(cfg.clone(), nat_pct, rounds);
         assert!(alone.iter().all(|v| !v.is_empty()), "a view was left empty");
         for shards in [1, 2, 4] {
-            let sharded = views_after(ShardedConfig::new(cfg.clone(), shards), nat_pct, rounds);
+            let sharded =
+                on(shards, ShardAssign::RoundRobin, || views_after(cfg.clone(), nat_pct, rounds));
             assert_eq!(sharded, alone, "S = {shards}, {nat_pct} % NAT, {rounds} rounds");
         }
     }
@@ -204,11 +178,10 @@ fn bootstrap_contacts_are_the_same_at_shards_1_2_4() {
 /// does.
 #[test]
 fn auto_sized_build_is_the_one_worker_run_at_ten_thousand_peers() {
-    fn check<C: SamplerConfig>(cfg: C)
+    fn check<C, P>(cfg: C)
     where
-        C::Sampler: Counters,
-        ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
-        Sharded<C::Sampler>: Counters,
+        C: SamplerConfig<Sampler = Engine<P>>,
+        P: Protocol,
     {
         let cases = [
             Case {
@@ -228,16 +201,12 @@ fn auto_sized_build_is_the_one_worker_run_at_ten_thousand_peers() {
         ];
         for case in &cases {
             let auto = run(case, cfg.clone(), false);
-            assert_eq!(
-                auto,
-                run(case, ShardedConfig::new(cfg.clone(), 1), false),
-                "{:?}",
-                case.faults
-            );
+            let one = on(1, ShardAssign::RoundRobin, || run(case, cfg.clone(), false));
+            assert_eq!(auto, one, "{:?}", case.faults);
         }
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let eng = build(&Scenario::new(10_000, 70.0, 5), cfg);
-        assert_eq!(eng.workers(), auto_workers(10_000, cores, 1));
+        assert_eq!(eng.worker_count(), auto_workers(10_000, cores, 1));
     }
     check(GossipConfig::default());
     check(PeerSwapConfig::default());

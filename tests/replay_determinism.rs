@@ -19,7 +19,6 @@ fn tiny(base_seed: u64) -> FigureScale {
         rounds: 12,
         full_churn_horizons: false,
         base_seed,
-        shards: 0,
         ..FigureScale::default()
     }
 }
@@ -98,6 +97,7 @@ fn killed_then_resumed_run_matches_an_uninterrupted_one() {
         checkpoint: Some(dir.clone()),
         resume,
         fingerprint: scale.fingerprint(),
+        ..ExecOptions::default()
     };
     // Uninterrupted run, leaving a complete checkpoint behind.
     let clean = render_with("fig2", &scale, &opts(false));

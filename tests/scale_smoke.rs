@@ -12,11 +12,11 @@
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Sharded,
-    ShardedConfig,
+    with_workers, BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Workers,
 };
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_obs::MetricValue;
+use nylon_sim::ShardPlan;
 use nylon_workloads::runner::build;
 use nylon_workloads::scenario::{NatMix, Scenario};
 
@@ -110,19 +110,16 @@ fn assert_exchange_state_is_bounded<C: SamplerConfig>(
     cfg: C,
     layer: &str,
     one_slot: bool,
-) where
-    ShardedConfig<C>: SamplerConfig<Sampler = Sharded<C::Sampler>>,
-    Sharded<C::Sampler>: PeerSampler,
-{
+) {
     // (pooled buffers handed out and not yet returned, exchanges the
     // protocol says it still waits on)
-    let state = |eng: &Sharded<C::Sampler>| {
+    let state = |eng: &C::Sampler| {
         let buffers =
             metric(eng, "kernel", "pool_acquired") - metric(eng, "kernel", "pool_released");
         (buffers, metric(eng, layer, "pending_exchanges"))
     };
     let slack = scn.peers as u64 / 10;
-    let mut eng = build(scn, ShardedConfig::new(cfg, 2));
+    let mut eng = with_workers(Workers::Plan(ShardPlan::round_robin(2)), || build(scn, cfg));
     eng.run_rounds(40);
     let (buffers40, pending40) = state(&eng);
     eng.run_rounds(160);
@@ -183,7 +180,8 @@ fn nylon_two_hundred_thousand_sharded() {
 
     let built = std::time::Instant::now();
     let scn = Scenario::new(PEERS, 70.0, 5);
-    let mut eng = build(&scn, ShardedConfig::new(NylonConfig::default(), 2));
+    let two = Workers::Plan(ShardPlan::round_robin(2));
+    let mut eng = with_workers(two, || build(&scn, NylonConfig::default()));
     println!("[200k] populated {PEERS} Nylon peers on 2 shards in {:.2?}", built.elapsed());
     let run = std::time::Instant::now();
     eng.run_rounds(ROUNDS);
@@ -202,7 +200,7 @@ fn nylon_two_hundred_thousand_sharded() {
     let floor = PEERS as u64 * ROUNDS * 95 / 100;
     assert!(stats.shuffles_initiated > floor, "too few shuffles: {}", stats.shuffles_initiated);
     assert!(stats.requests_completed > 0, "no shuffle completed at scale");
-    let full = eng.alive_peers().iter().filter(|p| eng.view_of(**p).len() == scn.view_size).count();
+    let full = eng.alive_peers().filter(|p| eng.view_of(*p).len() == scn.view_size).count();
     assert!(full > PEERS * 85 / 100, "only {full} views filled at scale");
 }
 
@@ -228,11 +226,9 @@ fn million_nodes_ten_rounds_sharded() {
     }
 
     let built = std::time::Instant::now();
-    let mut eng = Sharded::<BaselineEngine>::with_seed(
-        ShardedConfig::new(GossipConfig::default(), SHARDS),
-        NetConfig::default(),
-        0xC0FFEE,
-    );
+    let mut eng = with_workers(Workers::Plan(ShardPlan::round_robin(SHARDS)), || {
+        BaselineEngine::new(GossipConfig::default(), NetConfig::default(), 0xC0FFEE)
+    });
     for i in 0..PEERS {
         let class = if i % 10 < 3 {
             NatClass::Public
