@@ -14,7 +14,8 @@
 
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
-    Engine, Host, Intro, NodeDescriptor, NodeTable, PartialView, Protocol, ProtocolStats,
+    Engine, Host, Intro, MergeScratch, NodeDescriptor, NodeTable, PartialView, Protocol,
+    ProtocolStats,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NatClass, NatType, NetConfig, PeerId};
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
@@ -174,6 +175,8 @@ pub struct Nylon {
     id_pool: BufferPool<PeerId>,
     /// Reused scratch for the descriptor projection of a merge.
     scratch_descs: Vec<NodeDescriptor>,
+    /// The workspace every merge of this worker runs in.
+    merge_scratch: MergeScratch,
     /// Longest a RESPONSE can trail its REQUEST: both may be relayed
     /// `max_forward_hops` times, and every transmission takes at most the
     /// fabric's latency plus jitter.
@@ -461,7 +464,13 @@ impl Nylon {
         descriptors.clear();
         descriptors.extend(entries.iter().map(|e| e.descriptor));
         let node = &mut self.nodes[me];
-        node.view.merge_and_truncate(&descriptors, sent, self.cfg.merge, &mut node.rng);
+        node.view.merge_and_truncate_with(
+            &descriptors,
+            sent,
+            self.cfg.merge,
+            &mut node.rng,
+            &mut self.merge_scratch,
+        );
         self.stats.routes_installed += node.routing.install_from_shuffle(
             partner,
             entries
@@ -500,6 +509,7 @@ impl Protocol for Nylon {
             entry_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
             scratch_descs: Vec::new(),
+            merge_scratch: MergeScratch::default(),
             reply_horizon,
             harden: false,
         }

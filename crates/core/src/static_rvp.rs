@@ -18,8 +18,8 @@
 
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
-    Engine, GossipConfig, Host, Intro, NodeDescriptor, NodeTable, PartialView, Protocol,
-    ProtocolStats, SamplerConfig,
+    Engine, GossipConfig, Host, Intro, MergeScratch, NodeDescriptor, NodeTable, PartialView,
+    Protocol, ProtocolStats, SamplerConfig,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
 use nylon_sim::{FxHashSet, Share, SimDuration, SimRng};
@@ -155,6 +155,8 @@ pub struct StaticRvp {
     id_pool: BufferPool<PeerId>,
     /// Reused scratch for the descriptor projection of a merge.
     scratch_descs: Vec<NodeDescriptor>,
+    /// The workspace every merge of this worker runs in.
+    merge_scratch: MergeScratch,
     /// Reused scratch for the binding-cache keep set (merge truncation).
     scratch_keep: FxHashSet<PeerId>,
     /// Graceful-degradation mode from the fault plan: silence-based RVP
@@ -261,7 +263,13 @@ impl StaticRvp {
                 node.bindings.insert(e.descriptor.id, e.rvp);
             }
         }
-        node.view.merge_and_truncate(&descriptors, sent, self.cfg.0.merge, &mut node.rng);
+        node.view.merge_and_truncate_with(
+            &descriptors,
+            sent,
+            self.cfg.0.merge,
+            &mut node.rng,
+            &mut self.merge_scratch,
+        );
         // Bound the binding cache: keep only bindings for current view
         // entries plus a small slack of recently seen peers.
         if node.bindings.len() > 8 * node.view.capacity() {
@@ -292,6 +300,7 @@ impl Protocol for StaticRvp {
             entry_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
             scratch_descs: Vec::new(),
+            merge_scratch: MergeScratch::default(),
             scratch_keep: FxHashSet::default(),
             harden: false,
         }

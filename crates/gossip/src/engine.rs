@@ -11,7 +11,7 @@ use nylon_sim::{Share, SimDuration, SimRng};
 use crate::descriptor::NodeDescriptor;
 use crate::host::{directly_reachable, Host, NodeTable, Protocol, ProtocolStats};
 use crate::policy::{GossipConfig, PropagationPolicy};
-use crate::view::PartialView;
+use crate::view::{MergeScratch, PartialView};
 use crate::Engine;
 
 /// Wire messages of the generic protocol (Figure 1 of the paper).
@@ -107,6 +107,8 @@ pub struct Baseline {
     payload_pool: BufferPool<NodeDescriptor>,
     /// Recycled id buffers for the shipped-id lists of the swapper merge.
     id_pool: BufferPool<PeerId>,
+    /// The workspace every merge of this worker runs in.
+    merge_scratch: MergeScratch,
 }
 
 /// The baseline peer-sampling engine; see [`Engine`] for the lifecycle.
@@ -127,6 +129,7 @@ impl Protocol for Baseline {
             stats: ShuffleStats::default(),
             payload_pool: BufferPool::new(),
             id_pool: BufferPool::new(),
+            merge_scratch: MergeScratch::default(),
         }
     }
 
@@ -205,7 +208,13 @@ impl Protocol for Baseline {
                     host.send_msg(self, to, from_ep, msg);
                 }
                 let node = &mut self.nodes[to];
-                node.view.merge_and_truncate(&entries, &sent_ids, self.cfg.merge, &mut node.rng);
+                node.view.merge_and_truncate_with(
+                    &entries,
+                    &sent_ids,
+                    self.cfg.merge,
+                    &mut node.rng,
+                    &mut self.merge_scratch,
+                );
                 self.id_pool.release(sent_ids);
                 self.payload_pool.release(entries);
             }
@@ -215,7 +224,13 @@ impl Protocol for Baseline {
                 let node = &mut self.nodes[to];
                 let answered = node.pending.take_if(|(target, _)| *target == from);
                 let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
-                node.view.merge_and_truncate(&entries, &sent, self.cfg.merge, &mut node.rng);
+                node.view.merge_and_truncate_with(
+                    &entries,
+                    &sent,
+                    self.cfg.merge,
+                    &mut node.rng,
+                    &mut self.merge_scratch,
+                );
                 self.id_pool.release(sent);
                 self.payload_pool.release(entries);
             }

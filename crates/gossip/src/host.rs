@@ -566,10 +566,19 @@ impl<P: Protocol> Worker<P> {
         self.proto.on_msg(&mut self.host, to, from_ep, msg);
     }
 
-    /// Reports kernel, net, engine-layer and fault telemetry into `out`.
+    /// Reports kernel, net, view, engine-layer and fault telemetry into
+    /// `out`. The view gauges total the buffers of every owned peer's
+    /// view, dead peers' included (they keep their last view).
     pub(crate) fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.host.sim.obs_report(out);
         self.host.net.obs_report(out);
+        let slots: usize = (0..self.host.net.peer_count() as u32)
+            .map(PeerId)
+            .filter(|p| self.host.owns(*p))
+            .map(|p| self.proto.view_of(p).slots())
+            .sum();
+        out.gauge_sum("view", "slots", slots as u64);
+        out.gauge_sum("view", "slot_bytes", (slots * size_of::<NodeDescriptor>()) as u64);
         self.proto.obs_report(out);
         if let Some(f) = &self.host.faults {
             f.obs_report(out);

@@ -65,4 +65,4 @@ pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
 pub use sampler::{PeerSampler, SamplerConfig};
 pub use sharded::{Sharded, ShardedConfig};
-pub use view::PartialView;
+pub use view::{MergeScratch, PartialView};

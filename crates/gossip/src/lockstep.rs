@@ -974,12 +974,16 @@ mod tests {
         let gauges = |workers| {
             let mut r = nylon_obs::Report::new();
             run_on(workers, ShardAssign::RoundRobin, 7).obs_report(&mut r);
-            [("net", "nat_sessions"), ("net", "nat_session_slots"), ("net", "alive_peers")].map(
-                |(layer, metric)| match r.get(layer, metric) {
-                    Some(nylon_obs::MetricValue::Gauge(v)) => *v,
-                    other => panic!("{layer}/{metric}: {other:?}"),
-                },
-            )
+            [
+                ("net", "nat_sessions"),
+                ("net", "nat_session_slots"),
+                ("net", "alive_peers"),
+                ("view", "slot_bytes"),
+            ]
+            .map(|(layer, metric)| match r.get(layer, metric) {
+                Some(nylon_obs::MetricValue::Gauge(v)) => *v,
+                other => panic!("{layer}/{metric}: {other:?}"),
+            })
         };
         let one = gauges(1);
         assert!(one[0] > 0, "no NAT session to count");

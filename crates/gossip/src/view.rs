@@ -10,7 +10,7 @@ use crate::policy::{MergePolicy, SelectionPolicy};
 ///
 /// Invariants maintained by every operation:
 ///
-/// * at most `capacity` entries;
+/// * at most `capacity` entries, in a buffer of at most `capacity` slots;
 /// * no duplicate peer ids (merging keeps the youngest copy);
 /// * never contains the owner itself.
 ///
@@ -36,11 +36,19 @@ pub struct PartialView {
     entries: Vec<NodeDescriptor>,
 }
 
+/// The workspace of [`PartialView::merge_and_truncate_with`]: a merge's
+/// candidates — the incumbents plus what was received — wait here while
+/// the merge policy selects, so no view's own buffer ever holds more than
+/// its capacity. A protocol keeps one per worker: it grows to the largest
+/// merge once, and then a merge allocates nothing.
+#[derive(Debug, Default)]
+pub struct MergeScratch(Vec<NodeDescriptor>);
+
 impl PartialView {
     /// An empty view owned by `owner` holding at most `capacity` entries.
-    /// The buffer is allocated when the first entry arrives: every shard
-    /// of a sharded run holds every node's view, but fills only the ones
-    /// it owns.
+    /// The buffer is allocated, at exactly `capacity` slots, when the
+    /// first entry arrives, so a view that never receives one — a peer
+    /// that was never bootstrapped — costs no heap at all.
     ///
     /// # Panics
     ///
@@ -50,12 +58,20 @@ impl PartialView {
         PartialView { owner, capacity, entries: Vec::new() }
     }
 
-    /// Sizes the still-unallocated buffer of a view about to receive its
-    /// first entry.
+    /// Sizes the buffer of a view about to receive an entry to exactly
+    /// `capacity` slots, if it is not already (a new view's is empty, a
+    /// clone's fits its entries).
     fn reserve_first(&mut self) {
-        if self.entries.capacity() == 0 {
-            self.entries.reserve_exact(self.capacity);
+        if self.entries.capacity() < self.capacity {
+            self.entries.reserve_exact(self.capacity - self.entries.len());
         }
+    }
+
+    /// Descriptor slots the view's buffer holds: never more than
+    /// `capacity`, and exactly `capacity` once an entry has been inserted
+    /// or merged into it.
+    pub(crate) fn slots(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// The peer owning this view.
@@ -164,14 +180,9 @@ impl PartialView {
         }
     }
 
-    /// Merges descriptors received in a shuffle and truncates back to
-    /// capacity per the merge policy (Figure 1 `merge_and_truncate`).
-    ///
-    /// * `received` — the descriptors shipped by the partner;
-    /// * `sent` — the ids this peer shipped in the same exchange (used by
-    ///   [`MergePolicy::Swapper`] to drop them first).
-    ///
-    /// Duplicates keep the youngest copy; self-references are dropped.
+    /// [`merge_and_truncate_with`](Self::merge_and_truncate_with) in a
+    /// workspace of its own, allocated for this one call — for one-off
+    /// merges; a protocol merging every round keeps a [`MergeScratch`].
     pub fn merge_and_truncate(
         &mut self,
         received: &[NodeDescriptor],
@@ -179,13 +190,46 @@ impl PartialView {
         policy: MergePolicy,
         rng: &mut SimRng,
     ) {
+        self.merge_and_truncate_with(received, sent, policy, rng, &mut MergeScratch::default());
+    }
+
+    /// Merges descriptors received in a shuffle and truncates back to
+    /// capacity per the merge policy (Figure 1 `merge_and_truncate`).
+    ///
+    /// * `received` — the descriptors shipped by the partner;
+    /// * `sent` — the ids this peer shipped in the same exchange (used by
+    ///   [`MergePolicy::Swapper`] to drop them first);
+    /// * `scratch` — where the candidates wait while the policy selects.
+    ///
+    /// Duplicates keep the youngest copy; self-references are dropped.
+    ///
+    /// Storage: the view's buffer is its capacity. It holds exactly
+    /// `capacity` slots from the view's first entry on and a merge never
+    /// grows it — the incumbents and the received descriptors meet in
+    /// `scratch`, and only the at most `capacity` survivors are copied
+    /// back.
+    pub fn merge_and_truncate_with(
+        &mut self,
+        received: &[NodeDescriptor],
+        sent: &[PeerId],
+        policy: MergePolicy,
+        rng: &mut SimRng,
+        scratch: &mut MergeScratch,
+    ) {
+        self.reserve_first();
+        let cap = self.capacity;
+        let entries = &mut scratch.0;
+        entries.clear();
+        // Room for every candidate plus the healer's gather: one
+        // allocation for a fresh scratch, none for a warm one.
+        entries.reserve(self.entries.len() + received.len() + cap);
+        entries.extend_from_slice(&self.entries);
         // Cheap membership filter for the dedup scan: one bit per id
         // (mod 64). A clear bit proves the id is absent, so the common
         // case — a received descriptor not in the view — pushes without
         // scanning; only possible collisions pay the exact linear check.
-        self.reserve_first();
         let mut mask = 0u64;
-        for e in &self.entries {
+        for e in entries.iter() {
             mask |= 1 << (e.id.0 & 63);
         }
         for d in received {
@@ -194,132 +238,70 @@ impl PartialView {
             }
             let bit = 1u64 << (d.id.0 & 63);
             if mask & bit == 0 {
-                self.entries.push(*d);
+                entries.push(*d);
                 mask |= bit;
                 continue;
             }
-            match self.entries.iter_mut().find(|e| e.id == d.id) {
+            match entries.iter_mut().find(|e| e.id == d.id) {
                 Some(existing) => {
                     if d.age < existing.age {
                         *existing = *d;
                     }
                 }
-                None => self.entries.push(*d),
+                None => entries.push(*d),
             }
         }
-        if self.entries.len() <= self.capacity {
-            return;
-        }
-        let excess = self.entries.len() - self.capacity;
-        match policy {
-            MergePolicy::Blind => {
-                for _ in 0..excess {
-                    let idx = rng
-                        .pick_index(self.entries.len())
-                        .expect("entries non-empty while over capacity");
-                    self.entries.swap_remove(idx);
-                }
-            }
-            MergePolicy::Healer => {
-                // Drop the `excess` oldest entries. Ties are broken at
-                // random: a stable sort would systematically favour
-                // incumbents over freshly appended descriptors of equal age,
-                // starving newly joined peers out of every view.
-                rng.shuffle(&mut self.entries);
-                self.select_youngest_stable();
-            }
-            MergePolicy::Swapper => {
-                let mut to_drop = excess;
-                // First drop what we shipped to the partner (but never an
-                // entry the partner just refreshed for us: those were
-                // deduplicated above and keep their younger age, which we
-                // detect by membership in `received` with a younger copy).
-                let mut idx = 0;
-                while to_drop > 0 && idx < self.entries.len() {
-                    let id = self.entries[idx].id;
-                    let was_sent = sent.contains(&id);
-                    let was_received = received.iter().any(|r| r.id == id);
-                    if was_sent && !was_received {
-                        self.entries.swap_remove(idx);
-                        to_drop -= 1;
-                    } else {
-                        idx += 1;
+        if entries.len() > cap {
+            let excess = entries.len() - cap;
+            match policy {
+                MergePolicy::Blind => {
+                    for _ in 0..excess {
+                        let idx = rng
+                            .pick_index(entries.len())
+                            .expect("entries non-empty while over capacity");
+                        entries.swap_remove(idx);
                     }
                 }
-                // Any remainder: drop random entries.
-                for _ in 0..to_drop {
-                    let idx = rng
-                        .pick_index(self.entries.len())
-                        .expect("entries non-empty while over capacity");
-                    self.entries.swap_remove(idx);
+                MergePolicy::Healer => {
+                    // Drop the `excess` oldest entries. Ties are broken at
+                    // random: a stable sort would systematically favour
+                    // incumbents over freshly appended descriptors of equal
+                    // age, starving newly joined peers out of every view.
+                    rng.shuffle(entries);
+                    select_youngest_stable(entries, cap);
+                }
+                MergePolicy::Swapper => {
+                    let mut to_drop = excess;
+                    // First drop what we shipped to the partner (but never
+                    // an entry the partner just refreshed for us: those
+                    // were deduplicated above and keep their younger age,
+                    // which we detect by membership in `received` with a
+                    // younger copy).
+                    let mut idx = 0;
+                    while to_drop > 0 && idx < entries.len() {
+                        let id = entries[idx].id;
+                        let was_sent = sent.contains(&id);
+                        let was_received = received.iter().any(|r| r.id == id);
+                        if was_sent && !was_received {
+                            entries.swap_remove(idx);
+                            to_drop -= 1;
+                        } else {
+                            idx += 1;
+                        }
+                    }
+                    // Any remainder: drop random entries.
+                    for _ in 0..to_drop {
+                        let idx = rng
+                            .pick_index(entries.len())
+                            .expect("entries non-empty while over capacity");
+                        entries.swap_remove(idx);
+                    }
                 }
             }
         }
-        debug_assert!(self.entries.len() <= self.capacity);
-    }
-
-    /// Keeps the `capacity` youngest entries, in age order with ties in
-    /// current array order — exactly the truncated result of a stable
-    /// `sort_by_key(age)`, without the sort (Rust's stable sort allocates a
-    /// merge buffer; this is in place and allocation-free).
-    ///
-    /// Bounded stable selection: `entries[0..k]` is maintained as the
-    /// sorted prefix of the youngest entries seen so far (`k <= capacity`).
-    /// Each element either inserts into the prefix at its stable position
-    /// (after every kept entry of age `<=` its own, displacing the current
-    /// last when the prefix is full) or is skipped because the stable sort
-    /// would have placed it past the capacity cut. O(n · capacity) worst
-    /// case over a few dozen 20-byte entries — cheaper than the sort's
-    /// allocation alone. Equivalence to the sort is proven by
-    /// `prop_merge_matches_reference` (packed-key path) and
-    /// `oversized_merge_matches_reference` (the n > 256 fallback).
-    fn select_youngest_stable(&mut self) {
-        let cap = self.capacity;
-        let n = self.entries.len();
-        debug_assert!(n > cap);
-        if n <= 256 {
-            // Pack (age, position) into one u32 key per entry: sorting the
-            // keys ascending *is* the stable sort by age (the position
-            // bits break ties in original order), and the 20-byte entries
-            // move exactly once, in the final gather — no merge-sort
-            // allocation, no descriptor shifting.
-            let mut keys = [0u32; 256];
-            for (i, e) in self.entries.iter().enumerate() {
-                keys[i] = ((e.age as u32) << 8) | i as u32;
-            }
-            keys[..n].sort_unstable();
-            // Gather the `cap` youngest into the vec's tail (spare
-            // capacity after the first merge), then slide them down.
-            for &key in &keys[..cap] {
-                let e = self.entries[(key & 0xFF) as usize];
-                self.entries.push(e);
-            }
-            self.entries.copy_within(n.., 0);
-            self.entries.truncate(cap);
-            return;
-        }
-        // Oversized views: bounded stable insertion selection, in place.
-        let mut k = 0usize;
-        for i in 0..n {
-            let d = self.entries[i];
-            if k == cap {
-                if self.entries[k - 1].age <= d.age {
-                    continue; // would sort at index >= cap: dropped
-                }
-                k -= 1; // d displaces the currently oldest kept entry
-            }
-            // Shift the strictly-older tail of the prefix right by one and
-            // drop `d` in front of it (stable: equal ages keep incumbents
-            // in front).
-            let mut j = k;
-            while j > 0 && self.entries[j - 1].age > d.age {
-                self.entries[j] = self.entries[j - 1];
-                j -= 1;
-            }
-            self.entries[j] = d;
-            k += 1;
-        }
-        self.entries.truncate(cap);
+        debug_assert!(entries.len() <= cap);
+        self.entries.clear();
+        self.entries.extend_from_slice(entries);
     }
 
     /// Writes the descriptors to ship in a shuffle into `out` (cleared
@@ -337,6 +319,67 @@ impl PartialView {
         out.push(self_descriptor.refreshed());
         out.extend(self.entries.iter().copied());
     }
+}
+
+/// Keeps the `cap` youngest of `entries`, in age order with ties in
+/// current array order — exactly the truncated result of a stable
+/// `sort_by_key(age)`, without the sort (Rust's stable sort allocates a
+/// merge buffer; this is in place and allocation-free).
+///
+/// Bounded stable selection: `entries[0..k]` is maintained as the sorted
+/// prefix of the youngest entries seen so far (`k <= cap`). Each element
+/// either inserts into the prefix at its stable position (after every kept
+/// entry of age `<=` its own, displacing the current last when the prefix
+/// is full) or is skipped because the stable sort would have placed it
+/// past the capacity cut. O(n · cap) worst case over a few dozen 20-byte
+/// entries — cheaper than the sort's allocation alone. Equivalence to the
+/// sort is proven by `prop_merge_matches_reference` (packed-key path) and
+/// `oversized_merge_matches_reference` (the n > 256 fallback).
+fn select_youngest_stable(entries: &mut Vec<NodeDescriptor>, cap: usize) {
+    let n = entries.len();
+    debug_assert!(n > cap);
+    if n <= 256 {
+        // Pack (age, position) into one u32 key per entry: sorting the
+        // keys ascending *is* the stable sort by age (the position bits
+        // break ties in original order), and the 20-byte entries move
+        // exactly once, in the final gather — no merge-sort allocation, no
+        // descriptor shifting.
+        let mut keys = [0u32; 256];
+        for (i, e) in entries.iter().enumerate() {
+            keys[i] = ((e.age as u32) << 8) | i as u32;
+        }
+        keys[..n].sort_unstable();
+        // Gather the `cap` youngest into the tail (spare capacity the
+        // merge reserved), then slide them down.
+        for &key in &keys[..cap] {
+            let e = entries[(key & 0xFF) as usize];
+            entries.push(e);
+        }
+        entries.copy_within(n.., 0);
+        entries.truncate(cap);
+        return;
+    }
+    // Oversized views: bounded stable insertion selection, in place.
+    let mut k = 0usize;
+    for i in 0..n {
+        let d = entries[i];
+        if k == cap {
+            if entries[k - 1].age <= d.age {
+                continue; // would sort at index >= cap: dropped
+            }
+            k -= 1; // d displaces the currently oldest kept entry
+        }
+        // Shift the strictly-older tail of the prefix right by one and drop
+        // `d` in front of it (stable: equal ages keep incumbents in front).
+        let mut j = k;
+        while j > 0 && entries[j - 1].age > d.age {
+            entries[j] = entries[j - 1];
+            j -= 1;
+        }
+        entries[j] = d;
+        k += 1;
+    }
+    entries.truncate(cap);
 }
 
 #[cfg(test)]
@@ -646,6 +689,7 @@ mod tests {
                 };
                 v.merge_and_truncate(&received, &sent, policy, &mut rng);
                 prop_assert!(v.len() <= cap, "over capacity");
+                prop_assert_eq!(v.slots(), cap, "buffer is not the capacity");
                 prop_assert!(!v.contains(PeerId(0)), "self reference");
                 let mut ids = v.ids();
                 ids.sort_by_key(|p| p.0);

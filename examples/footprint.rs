@@ -1,7 +1,11 @@
-//! Memory probe: prints the process' resident set (`VmRSS`, MiB) after
-//! every lifecycle stage of one population — construct, `add_peer`,
-//! bootstrap, start, every 12th of 144 rounds, and the cluster + staleness
-//! snapshot. The stage tables in README "Per-node footprint" come from it:
+//! Memory probe: prints the process' resident set (`VmRSS`) after every
+//! lifecycle stage of one population — construct, `add_peer`, bootstrap,
+//! start, every 12th of 144 rounds, and the cluster + staleness snapshot —
+//! beside the owners the engine's telemetry names: the bytes of view slots
+//! (`view/slot_bytes`) and of routing slots (`routing/slot_bytes`, Nylon
+//! only), and the number of NAT-session map slots
+//! (`net/nat_session_slots`, in thousands). The stage tables in README
+//! "Per-node footprint" come from it:
 //!
 //! ```text
 //! cargo run --release --example footprint -- baseline 200000 2
@@ -12,40 +16,61 @@
 //! the same simulation either way, a different footprint. The engine
 //! records its set-up until `start`, so the population is built — on
 //! every worker at once, each holding the peers it owns plus a ≈ 12-byte
-//! address-plan entry for each of the others — in the start stage. The
-//! population is the ledger's (70 % NAT, seed 5).
+//! address-plan entry for each of the others — in the start stage; the
+//! owner columns read `-` until then. The population is the ledger's
+//! (70 % NAT, seed 5).
 
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
     with_workers, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Workers,
 };
 use nylon_net::NetConfig;
+use nylon_obs::{MetricValue, Report};
 use nylon_sim::ShardPlan;
 use nylon_workloads::{runner, Scenario};
 
-fn stage(name: &str) {
-    let rss = nylon_obs::process::rss_bytes().map_or(f64::NAN, |b| b as f64);
-    println!("{name:<14} {:>9.1} MiB", rss / (1024.0 * 1024.0));
+/// Prints `VmRSS` and the owner gauges. `eng` is `None` while the engine
+/// only records its set-up: querying it would build it early.
+fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
+    let mib = |bytes: u64| format!("{:.1}", bytes as f64 / (1024.0 * 1024.0));
+    let rss = nylon_obs::process::rss_bytes().map_or("?".to_string(), mib);
+    let mut report = Report::new();
+    if let Some(eng) = eng {
+        eng.obs_report(&mut report);
+    }
+    let gauge = |layer, metric| match report.get(layer, metric) {
+        Some(MetricValue::Gauge(v)) => Some(*v),
+        _ => None,
+    };
+    let dash = || "-".to_string();
+    let view = gauge("view", "slot_bytes").map_or_else(dash, mib);
+    let routing = gauge("routing", "slot_bytes").map_or_else(dash, mib);
+    let nat =
+        gauge("net", "nat_session_slots").map_or_else(dash, |n| format!("{:.0}", n as f64 / 1e3));
+    println!("{name:<14} {rss:>9} {view:>9} {routing:>9} {nat:>9}");
 }
 
 fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
-    stage("construct");
+    let unbuilt: Option<&C::Sampler> = None;
+    println!("{:<14} {:>9} {:>9} {:>9} {:>9}", "stage", "VmRSS", "view", "routing", "NAT");
+    println!("{:<14} {:>9} {:>9} {:>9} {:>9}", "", "MiB", "MiB", "MiB", "k slots");
+    stage("construct", unbuilt);
     for class in scn.classes() {
         eng.add_peer(class);
     }
-    stage("add_peer");
+    stage("add_peer", unbuilt);
     eng.bootstrap_random_public(scn.bootstrap_contacts);
-    stage("bootstrap");
+    stage("bootstrap", unbuilt);
     eng.start();
-    stage("start");
+    stage("start", Some(&eng));
     for round in (12..=144).step_by(12) {
         eng.run_rounds(12);
-        stage(&format!("round {round}"));
+        stage(&format!("round {round}"), Some(&eng));
     }
     let (cluster, stale) = (runner::biggest_cluster_pct(&eng), runner::staleness(&eng).stale_pct);
-    stage("snapshot");
+    stage("snapshot", Some(&eng));
     println!("biggest cluster {cluster:.2} %, stale references {stale:.2} %");
 }
 

@@ -18,8 +18,8 @@ use counting_alloc::{counting, CountingAlloc};
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    with_workers, GossipConfig, MergePolicy, NodeDescriptor, PartialView, PeerSampler,
-    PeerSwapConfig, SamplerConfig, Workers,
+    with_workers, GossipConfig, MergePolicy, MergeScratch, NodeDescriptor, PartialView,
+    PeerSampler, PeerSwapConfig, SamplerConfig, Workers,
 };
 use nylon_net::natbox::NatBox;
 use nylon_net::{Endpoint, Ip, NatClass, NatType, NetConfig, PeerId, Port};
@@ -62,7 +62,7 @@ fn natbox_outbound_inbound_1k() -> u64 {
 }
 
 /// A long-lived full view refilled and healer-merged with a full
-/// 16-entry payload, 100 times.
+/// 16-entry payload, 100 times, in one long-lived workspace.
 fn healer_merge_of_a_full_view() -> impl FnMut() -> u64 {
     let mk = |id: u32, age: u16| {
         let ep = Endpoint::new(Ip(0x0100_0000 + id), Port(9000));
@@ -75,13 +75,20 @@ fn healer_merge_of_a_full_view() -> impl FnMut() -> u64 {
     let received: Vec<NodeDescriptor> = (20..36).map(|i| mk(i, (i % 7) as u16)).collect();
     let sent: Vec<PeerId> = base.iter().map(|d| d.id).collect();
     let mut v = PartialView::new(PeerId(0), 15);
+    let mut scratch = MergeScratch::default();
     move || {
         for _ in 0..100 {
             v.retain(|_| false);
             for d in &base {
                 v.insert(*d);
             }
-            v.merge_and_truncate(&received, &sent, MergePolicy::Healer, &mut rng);
+            v.merge_and_truncate_with(
+                &received,
+                &sent,
+                MergePolicy::Healer,
+                &mut rng,
+                &mut scratch,
+            );
         }
         v.len() as u64
     }

@@ -12,7 +12,8 @@
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    with_workers, BaselineEngine, GossipConfig, PeerSampler, PeerSwapConfig, SamplerConfig, Workers,
+    with_workers, BaselineEngine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig,
+    SamplerConfig, Workers,
 };
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_obs::MetricValue;
@@ -85,6 +86,29 @@ fn nylon_routing_footprint_tracks_live_routes() {
     let (sweeps, swept) = (count("sweeps"), count("sweep_slots"));
     assert!((PEERS..=40 * PEERS / 3).contains(&sweeps), "{sweeps} sweeps in 40 rounds");
     assert!(swept >= sweeps, "{sweeps} sweeps walked {swept} slots");
+}
+
+/// A view's buffer is its capacity, under every protocol: at the routing
+/// test's population, after 40 rounds of merges, the views hold exactly
+/// `view_size` descriptor slots per peer (a merge that grew the buffer it
+/// selected in read 60 slots for a 15-entry view).
+#[test]
+fn view_buffers_hold_exactly_their_capacity() {
+    fn slot_bytes<C: SamplerConfig>(scn: &Scenario, cfg: C) -> u64 {
+        let mut eng = build(scn, cfg);
+        eng.run_rounds(40);
+        metric(&eng, "view", "slot_bytes")
+    }
+    let scn = Scenario::new(5_000, 70.0, 5);
+    let full = (scn.peers * scn.view_size * size_of::<NodeDescriptor>()) as u64;
+    for (protocol, bytes) in [
+        ("baseline", slot_bytes(&scn, GossipConfig::default())),
+        ("nylon", slot_bytes(&scn, NylonConfig::default())),
+        ("static-RVP", slot_bytes(&scn, StaticRvpConfig::default())),
+        ("peerswap", slot_bytes(&scn, PeerSwapConfig::default())),
+    ] {
+        assert_eq!(bytes, full, "{protocol}: {bytes} B of view slots, capacity is {full} B");
+    }
 }
 
 /// One counter or gauge of `eng`'s telemetry.
