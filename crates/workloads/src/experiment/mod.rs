@@ -214,6 +214,20 @@ impl Experiment {
         self.sweeps.iter().map(Sweep::cell_count).sum()
     }
 
+    /// The identity of every cell after dedup, in registration order.
+    #[cfg(test)]
+    pub(crate) fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
+        self.sweeps.iter().flat_map(|sweep| {
+            sweep.points.iter().flat_map(move |point| {
+                point.seeds.iter().map(move |&seed| CellId {
+                    sweep: sweep.name.clone(),
+                    point: point.key.clone(),
+                    seed,
+                })
+            })
+        })
+    }
+
     /// Runs every cell on a bounded worker pool and returns the keyed
     /// results.
     ///

@@ -284,6 +284,8 @@ pub fn generate_with(name: &str, scale: &FigureScale, opts: &ExecOptions) -> Opt
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]
@@ -333,6 +335,35 @@ mod tests {
             pairs += 1;
         }
         assert_eq!(pairs, 2);
+    }
+
+    /// Every sweep draws its own populations: across the plans of all
+    /// artifacts no seed drives two sweeps (a sweep two figures share by
+    /// design is merged into one by the executor). Inside a sweep two
+    /// points draw either disjoint seeds or the same list — a paired
+    /// comparison on the same populations, like `abl-rvp`'s Nylon against
+    /// static RVPs.
+    #[test]
+    fn no_two_sweeps_share_a_seed() {
+        let scale = FigureScale::default();
+        let mut exp = Experiment::new();
+        for name in FIGURES {
+            for sweep in plan(name, &scale).unwrap().into_parts().0 {
+                exp.add_sweep(sweep);
+            }
+        }
+        let mut points: HashMap<(String, String), Vec<u64>> = HashMap::new();
+        for cell in exp.cell_ids() {
+            points.entry((cell.sweep, cell.point)).or_default().push(cell.seed);
+        }
+        let mut owners: HashMap<u64, &(String, String)> = HashMap::new();
+        for (key, seeds) in &points {
+            for seed in seeds {
+                let owner = *owners.entry(*seed).or_insert(key);
+                assert_eq!(owner.0, key.0, "seed {seed} drives {owner:?} and {key:?}");
+                assert_eq!(points[owner], *seeds, "{owner:?} and {key:?} share seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -170,7 +170,8 @@ pub fn plan(scale: &FigureScale) -> Plan {
     let mut retry = Sweep::new(RETRY_SWEEP);
     for (i, rebind_rounds) in REBIND_ROUNDS.into_iter().enumerate() {
         for harden in [false, true] {
-            let salt = 0x0FA1_0000 ^ ((i as u64) << 8) ^ u64::from(harden);
+            // Not 0x0FA1_0000: the recovery salts take 0x0FA0–0x0FA3.
+            let salt = 0x0FB0_0000 ^ ((i as u64) << 8) ^ u64::from(harden);
             let scale = scale.clone();
             let key = retry_key(rebind_rounds, harden);
             sweep_point_retry(&mut retry, key, &scale, salt, rebind_rounds, harden);
