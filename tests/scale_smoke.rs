@@ -90,8 +90,8 @@ fn nylon_routing_footprint_tracks_live_routes() {
 
 /// A view's buffer is its capacity, under every protocol: at the routing
 /// test's population, after 40 rounds of merges, the views hold exactly
-/// `view_size` descriptor slots per peer (a merge that grew the buffer it
-/// selected in read 60 slots for a 15-entry view).
+/// `view_size` descriptor slots per peer (a merge that selected inside
+/// the view's own buffer would leave 60 slots for a 15-entry view).
 #[test]
 fn view_buffers_hold_exactly_their_capacity() {
     fn slot_bytes<C: SamplerConfig>(scn: &Scenario, cfg: C) -> u64 {
@@ -239,13 +239,32 @@ fn nylon_two_hundred_thousand_sharded() {
 #[test]
 #[ignore = "release-only heavy run: scripts/million_node_smoke.sh"]
 fn million_nodes_ten_rounds_sharded() {
-    const PEERS: u32 = 1_000_000;
-    const ROUNDS: u64 = 10;
+    sharded_baseline_smoke("1M", 1_000_000, 10);
+}
+
+/// The ten-million-node stretch: the same population ten times over, for
+/// three rounds on four shards. One million peers peak at 0.73 GiB over
+/// three rounds, so expect ≈ 7.5 GiB; release-only:
+///
+/// ```text
+/// cargo test --release --test scale_smoke ten_million -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "release-only heavy run, ~7.5 GiB"]
+fn ten_million_nodes_three_rounds_sharded() {
+    sharded_baseline_smoke("10M", 10_000_000, 3);
+}
+
+/// Builds `peers` baseline nodes (30 % public, 70 % port-restricted cone)
+/// on four shards, runs `rounds` rounds, prints set-up time, throughput and
+/// peak RSS under `label`, and asserts that effectively every peer
+/// initiated every round.
+fn sharded_baseline_smoke(label: &str, peers: u32, rounds: u64) {
     const SHARDS: usize = 4;
 
     if let Ok(path) = std::env::var("NYLON_STATS") {
         if let Err(e) = nylon_obs::install(std::path::Path::new(&path)) {
-            println!("[1M] stats sink disabled: {e}");
+            println!("[{label}] stats sink disabled: {e}");
         }
     }
 
@@ -253,7 +272,7 @@ fn million_nodes_ten_rounds_sharded() {
     let mut eng = with_workers(Workers::Plan(ShardPlan::round_robin(SHARDS)), || {
         BaselineEngine::new(GossipConfig::default(), NetConfig::default(), 0xC0FFEE)
     });
-    for i in 0..PEERS {
+    for i in 0..peers {
         let class = if i % 10 < 3 {
             NatClass::Public
         } else {
@@ -263,23 +282,25 @@ fn million_nodes_ten_rounds_sharded() {
     }
     eng.bootstrap_random_public(8);
     eng.start();
-    println!("[1M] populated {PEERS} peers across {SHARDS} shards in {:.1?}", built.elapsed());
+    println!("[{label}] populated {peers} peers across {SHARDS} shards in {:.1?}", built.elapsed());
 
     let run = std::time::Instant::now();
-    eng.run_rounds(ROUNDS);
+    eng.run_rounds(rounds);
     let wall = run.elapsed();
 
     let stats = eng.stats();
     let events = eng.events_processed();
     let rate = events as f64 / wall.as_secs_f64();
     println!(
-        "[1M] {ROUNDS} rounds in {wall:.1?}: {events} events ({rate:.0} events/s), \
+        "[{label}] {rounds} rounds in {wall:.1?}: {events} events ({rate:.0} events/s), \
          {} shuffles initiated",
         stats.initiated
     );
     match nylon_obs::process::peak_rss_bytes() {
-        Some(bytes) => println!("[1M] peak RSS {:.2} GiB", bytes as f64 / (1u64 << 30) as f64),
-        None => println!("[1M] peak RSS unavailable (no /proc/self/status)"),
+        Some(bytes) => {
+            println!("[{label}] peak RSS {:.2} GiB", bytes as f64 / (1u64 << 30) as f64)
+        }
+        None => println!("[{label}] peak RSS unavailable (no /proc/self/status)"),
     }
     if nylon_obs::is_active() {
         let mut r = nylon_obs::Report::new();
@@ -288,7 +309,7 @@ fn million_nodes_ten_rounds_sharded() {
         nylon_obs::final_snapshot();
     }
 
-    // 1M peers x 10 rounds: effectively every round initiates.
-    assert!(stats.initiated > 9_500_000, "too few shuffles at scale: {}", stats.initiated);
+    let floor = u64::from(peers) * rounds * 95 / 100;
+    assert!(stats.initiated > floor, "too few shuffles at scale: {}", stats.initiated);
     assert!(stats.responses_received > 0, "push/pull must complete at scale");
 }
