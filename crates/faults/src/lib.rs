@@ -706,6 +706,41 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Arbitrary text never panics the parser: it is accepted exactly
+        /// when every comma-separated token names a fault (or `none`), and
+        /// what it accepts round-trips through its label. The text is drawn
+        /// from fault names, separators and arbitrary characters, so both
+        /// outcomes come up.
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            words in proptest::collection::vec(any::<u32>(), 0..24),
+        ) {
+            let text: String = words
+                .iter()
+                .map(|&w| match w % 16 {
+                    n @ 0..9 => FAULT_NAMES[n as usize].to_string(),
+                    9 | 10 => ",".to_string(),
+                    11 => " ".to_string(),
+                    12 => "+".to_string(),
+                    _ => char::from_u32(w >> 11).unwrap_or('\u{fffd}').to_string(),
+                })
+                .collect();
+            let known = text
+                .split(',')
+                .map(str::trim)
+                .all(|t| t.is_empty() || FAULT_NAMES.contains(&t));
+            match FaultSpec::parse(&text) {
+                Ok(spec) => {
+                    prop_assert!(known, "{text:?} parsed");
+                    let label = spec.label().replace('+', ",");
+                    prop_assert_eq!(FaultSpec::parse(&label), Ok(spec));
+                }
+                Err(_) => prop_assert!(!known, "{text:?} rejected"),
+            }
+        }
+
         /// Same (cfg, seed, classes) → byte-identical plan; the plan is a
         /// pure function, which is what makes it shard- and
         /// resume-deterministic.

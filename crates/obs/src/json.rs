@@ -314,6 +314,36 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Arbitrary text — structural characters, literals, escapes and
+        /// arbitrary characters, not only cuts of valid documents — never
+        /// panics the parser, and whatever it accepts writes back to a
+        /// document that parses to the same tree.
+        #[test]
+        fn arbitrary_text_never_panics(
+            words in proptest::collection::vec(any::<u32>(), 0..48),
+        ) {
+            const PIECES: [&str; 22] = [
+                "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "d8", "00", "\"k\"", "true",
+                "null", "NaN", "-inf", "0", "-1.5e+3", ".", "e", " ", "\n",
+            ];
+            let text: String = words
+                .iter()
+                .map(|&w| match PIECES.get(w as usize % 28) {
+                    Some(piece) => piece.to_string(),
+                    None => char::from_u32(w >> 11).unwrap_or('\u{fffd}').to_string(),
+                })
+                .collect();
+            if let Ok(v) = parse(&text) {
+                let mut w = Writer::default();
+                write(&mut w, &v);
+                prop_assert_eq!(parse(&w.finish()), Ok(v));
+            }
+        }
+    }
+
     #[test]
     fn parses_structures_and_exact_numbers() {
         let v = parse(" {\"a\": [1, 2.5, true, null, \"x\\\"y\\u00e9\\/\"], \"b\": {}} ").unwrap();

@@ -2,8 +2,9 @@
 //!
 //! [`EventQueue`] is a hierarchical bucketed timer wheel with a
 //! calendar-queue overflow level. Push and pop are O(1) amortized (no heap
-//! sift-up/down churn), buckets recycle their capacity, and pop order is
-//! *identical* to a binary heap ordered by `(time, sequence number)`.
+//! sift-up/down churn), its memory follows the events pending rather than
+//! the busiest bucket each slot ever held, and pop order is *identical* to
+//! a binary heap ordered by `(time, sequence number)`.
 //!
 //! That heap — the original implementation — lives on in this file's
 //! tests as the executable specification: a property test schedules
@@ -41,11 +42,32 @@ struct Level<E> {
     /// [`EventQueue::pop`]), so `trailing_zeros` finds the earliest.
     occupied: u64,
     slots: [Vec<Entry<E>>; SLOTS],
+    /// Buffers of the buckets a cascade emptied, waiting for the next
+    /// bucket that fills from nothing. A slot gives its buffer up when it
+    /// cascades and only allocates when this list is empty, so at most one
+    /// buffer per slot circulates and the list never exceeds `SLOTS`.
+    spare: Vec<Vec<Entry<E>>>,
 }
 
 impl<E> Level<E> {
     fn new() -> Self {
-        Level { occupied: 0, slots: std::array::from_fn(|_| Vec::new()) }
+        Level { occupied: 0, slots: std::array::from_fn(|_| Vec::new()), spare: Vec::new() }
+    }
+
+    /// Files `entry` at the back of bucket `slot`. A bucket without a
+    /// buffer takes the largest spare before it would allocate: the
+    /// busiest bucket's buffer passes to the next bucket to fill instead
+    /// of every slot keeping one sized for the busiest.
+    #[inline]
+    fn push(&mut self, slot: usize, entry: Entry<E>) {
+        let bucket = &mut self.slots[slot];
+        if bucket.capacity() == 0 {
+            if let Some(i) = (0..self.spare.len()).max_by_key(|&i| self.spare[i].capacity()) {
+                *bucket = self.spare.swap_remove(i);
+            }
+        }
+        bucket.push(entry);
+        self.occupied |= 1 << slot;
     }
 }
 
@@ -66,6 +88,17 @@ impl<E> Level<E> {
 /// clamps a violating event to the floor. [`EventQueue::clear`] resets the
 /// floor (and the sequence counter) to zero, so a reused queue behaves
 /// exactly like a freshly constructed one.
+///
+/// # Memory
+///
+/// The queue's buffers follow the events pending, not its history. A
+/// cascade hands the bucket it emptied to its level's spare list, and the
+/// next bucket to fill from nothing takes the largest spare, so a
+/// population of periodic timers keeps about as many large buffers as it
+/// has busy buckets at once — where each of a level's 64 slots used to keep
+/// one sized for the busiest load it had ever held. Only which allocation
+/// holds a bucket changes; its contents and their order do not.
+/// [`slot_bytes`](Self::slot_bytes) reports the total.
 ///
 /// ```
 /// use nylon_sim::{EventQueue, SimTime};
@@ -111,17 +144,19 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue sized for roughly `capacity` events.
     ///
-    /// Pre-sizes every wheel slot to the uniform-occupancy estimate
-    /// (`capacity / 64` entries) plus the drain buffer. A cold wheel's
-    /// build-up used to pay one first-touch growth chain per slot an
-    /// event ever visited (push or cascade) — ~380 allocations for a
-    /// 10k-event schedule, measured by `event_queue_push_pop_10k`; the
-    /// hint batches them into one reservation per slot at construction.
-    /// The reservation is a cold-start trade (memory for allocator trips)
-    /// that only `with_capacity` callers pay; a long-lived queue (the
-    /// steady state every simulation runs in, reported separately by
-    /// `event_queue_steady_state_10k`) allocates nothing either way,
-    /// since buckets recycle their capacity.
+    /// Pre-sizes each of the wheel's 256 slots (four levels of 64) to
+    /// `capacity / 64` entries, plus the drain buffer: about 4 ×
+    /// `capacity` entries in all, since a cold queue cannot know which
+    /// level its events will land on. A cold wheel's build-up used to pay
+    /// one first-touch growth chain per slot an event ever visited (push
+    /// or cascade) — ~380 allocations for a 10k-event schedule; the hint
+    /// batches them into one reservation per slot at construction. The
+    /// reservation is a cold-start trade (memory for allocator trips)
+    /// that only `with_capacity` callers pay, and a temporary one: the
+    /// first cascades hand the higher levels' buffers to their spare
+    /// lists like any others. A long-lived queue (the steady state every
+    /// simulation runs in) allocates nothing either way, since drained
+    /// buffers are reused.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = EventQueue::new();
         q.pending.reserve(capacity / SLOTS + 1);
@@ -165,6 +200,15 @@ impl<E> EventQueue<E> {
         std::array::from_fn(|l| self.levels[l].slots.iter().map(Vec::len).sum())
     }
 
+    /// Bytes of event storage the queue holds: capacity × entry size over
+    /// every bucket (calendar overflow included), every spare buffer and
+    /// the drain buffer (report-time telemetry; walks the buffers).
+    pub fn slot_bytes(&self) -> usize {
+        let wheel = self.levels.iter().flat_map(|lv| lv.slots.iter().chain(&lv.spare));
+        let buffers = wheel.chain(self.overflow.values()).chain([&self.pending]);
+        buffers.map(Vec::capacity).sum::<usize>() * size_of::<Entry<E>>()
+    }
+
     /// Number of occupied far-future calendar buckets.
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
@@ -187,8 +231,7 @@ impl<E> EventQueue<E> {
             ((u64::BITS - 1 - distance.leading_zeros()) / SLOT_BITS) as usize
         };
         let slot = ((at >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
-        self.levels[level].slots[slot].push(entry);
-        self.levels[level].occupied |= 1 << slot;
+        self.levels[level].push(slot, entry);
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
@@ -302,8 +345,12 @@ impl<E> EventQueue<E> {
             for e in bucket.drain(..) {
                 self.insert(e);
             }
-            // Hand the (empty) allocation back to the slot for reuse.
-            self.levels[level].slots[slot] = bucket;
+            // The emptied buffer goes to the level's spares, not back to
+            // its slot: the next bucket to fill takes it. The list is
+            // sized for its bound at once (one allocation per level).
+            let spare = &mut self.levels[level].spare;
+            spare.reserve_exact(SLOTS - spare.len());
+            spare.push(bucket);
         }
     }
 
@@ -351,7 +398,8 @@ impl<E> EventQueue<E> {
     /// freshly-constructed state: the time floor restarts at zero (and
     /// with it the structural FIFO positions), so a cleared queue
     /// schedules and pops exactly like a new one — including times below
-    /// the old floor. Bucket capacity is retained.
+    /// the old floor. Allocations are kept for reuse: each bucket keeps
+    /// its (emptied) buffer and each level its spare list.
     pub fn clear(&mut self) {
         for lv in &mut self.levels {
             if lv.occupied != 0 {
@@ -547,6 +595,40 @@ mod tests {
         q.schedule(t, "c");
         assert_eq!(q.pop(), Some((t, "b")));
         assert_eq!(q.pop(), Some((t, "c")));
+    }
+
+    /// The wheel's memory follows its pending events: 2 000 periodic 5 s
+    /// timers (the paper's shuffle period), each re-armed as it fires,
+    /// keep most of the population in one 4.096 s level-2 bucket at a
+    /// time. Once the level-2 ring has turned (262 s), a wheel whose slots
+    /// kept their buffers would hold one sized for that load in every one
+    /// of its 64 level-2 slots, ≈ 70 × what is pending; handing drained
+    /// buffers on keeps it under 8 × (5.3 measured: two or three level-2
+    /// buffers sized for a busy bucket, the level-1 ring the cascades
+    /// fill, level 0 and the drain buffer).
+    #[test]
+    fn memory_follows_pending_events() {
+        const TIMERS: u64 = 2_000;
+        const PERIOD: u64 = 5_000;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut rng = crate::SimRng::new(7);
+        for id in 0..TIMERS {
+            q.schedule(SimTime::from_millis(rng.gen_range(0..PERIOD)), id);
+        }
+        let rotation = 1u64 << (SLOT_BITS * 3);
+        let mut worst = 0.0f64;
+        while let Some((at, id)) = q.pop() {
+            let now = at.as_millis();
+            if now >= 3 * rotation {
+                break;
+            }
+            q.schedule(SimTime::from_millis(now + PERIOD), id);
+            if now >= rotation {
+                let pending = q.len() * size_of::<Entry<u64>>();
+                worst = worst.max(q.slot_bytes() as f64 / pending as f64);
+            }
+        }
+        assert!(worst <= 8.0, "wheel holds {worst:.1} x its pending events' bytes");
     }
 
     /// Differential oracle driver: replay `ops` into the wheel and the

@@ -64,13 +64,15 @@ impl<E> Sim<E> {
     }
 
     /// Reports kernel-layer telemetry (events popped, queue depth
-    /// high-water, per-level timer-wheel occupancy) into `out`.
+    /// high-water, the bytes of the queue's buffers, per-level timer-wheel
+    /// occupancy) into `out`.
     ///
     /// Report-time only: reads existing state, never perturbs the queue
     /// or the RNG, so a run with stats on replays byte-identically.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         out.counter("kernel", "events_processed", self.processed);
         out.gauge_sum("kernel", "pending_events", self.queue.len() as u64);
+        out.gauge_sum("kernel", "wheel_slot_bytes", self.queue.slot_bytes() as u64);
         out.gauge("kernel", "queue_depth_hwm", self.queue.depth_hwm());
         for (level, n) in self.queue.level_sizes().into_iter().enumerate() {
             out.gauge_sum("kernel", &format!("wheel_l{level}_events"), n as u64);

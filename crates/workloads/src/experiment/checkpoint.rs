@@ -110,6 +110,7 @@ pub(crate) fn parse_cell_line(line: &str) -> Option<(CellId, Vec<f64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn id(sweep: &str, point: &str, seed: u64) -> CellId {
         CellId { sweep: sweep.to_string(), point: point.to_string(), seed }
@@ -153,6 +154,39 @@ mod tests {
         }
         assert!(parse_cell_line("").is_none());
         assert!(parse_cell_line("not json at all").is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Arbitrary text — JSON fragments, the format's own keys and
+        /// arbitrary characters — never panics either parser, and a line
+        /// that does parse as a cell writes back to a line that parses to
+        /// the same cell, to the bit.
+        #[test]
+        fn parsers_never_panic_on_arbitrary_text(
+            words in proptest::collection::vec(any::<u32>(), 0..48),
+        ) {
+            const PIECES: [&str; 20] = [
+                "{", "}", "[", "]", ":", ",", "\"", "\\", "\"sweep\"", "\"point\"",
+                "\"seed\"", "\"values\"", "\"nylon_checkpoint\"", "\"fingerprint\"", "1",
+                "-2.5e3", "NaN", "inf", "\\u00", " ",
+            ];
+            let text: String = words
+                .iter()
+                .map(|&w| match PIECES.get(w as usize % 24) {
+                    Some(piece) => piece.to_string(),
+                    None => char::from_u32(w >> 11).unwrap_or('\u{fffd}').to_string(),
+                })
+                .collect();
+            let _ = parse_header(&text);
+            if let Some((id, values)) = parse_cell_line(&text) {
+                let (back_id, back) = parse_cell_line(&cell_line(&id, &values)).expect("rewritten");
+                prop_assert_eq!(back_id, id);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&back), bits(&values));
+            }
+        }
     }
 
     #[test]

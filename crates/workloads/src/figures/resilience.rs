@@ -27,7 +27,9 @@ use nylon_sim::{SimDuration, SimTime};
 
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-use crate::runner::{biggest_cluster_pct, build_with_faults, obs_flush};
+use crate::runner::{
+    biggest_cluster_pct, biggest_cluster_pct_with, build_with_faults, obs_flush, SnapshotScratch,
+};
 use crate::scenario::Scenario;
 
 use super::common::{dispatch_engine, mean_finite, point_seeds};
@@ -100,12 +102,16 @@ fn recovery_sample(
     seed: u64,
 ) -> Vec<f64> {
     fn measure<S: PeerSampler>(mut eng: S, rounds: u64, onset: u64) -> Vec<f64> {
+        // One snapshot per post-onset round: reuse the overlay scratch
+        // across all of them instead of rebuilding the graph buffers each
+        // time.
+        let mut scratch = SnapshotScratch::new();
         eng.run_rounds(onset);
-        let pre = biggest_cluster_pct(&eng);
+        let pre = biggest_cluster_pct_with(&eng, &mut scratch);
         let mut pcts = Vec::with_capacity((rounds - onset) as usize);
         for _ in onset..rounds {
             eng.run_rounds(1);
-            pcts.push(biggest_cluster_pct(&eng));
+            pcts.push(biggest_cluster_pct_with(&eng, &mut scratch));
         }
         obs_flush(&eng);
         let dip = pcts.iter().copied().fold(pre, f64::min);

@@ -1,7 +1,8 @@
 //! Memory probe: prints the process' resident set (`VmRSS`) after every
 //! lifecycle stage of one population — construct, `add_peer`, bootstrap,
 //! start, every 12th of 144 rounds, and the cluster + staleness snapshot —
-//! beside the owners the engine's telemetry names: the bytes of view slots
+//! beside the owners the engine's telemetry names: the bytes of the event
+//! queue's buffers (`kernel/wheel_slot_bytes`), of view slots
 //! (`view/slot_bytes`) and of routing slots (`routing/slot_bytes`, Nylon
 //! only), and the number of NAT-session map slots
 //! (`net/nat_session_slots`, in thousands). The stage tables in README
@@ -43,19 +44,23 @@ fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
         _ => None,
     };
     let dash = || "-".to_string();
+    let wheel = gauge("kernel", "wheel_slot_bytes").map_or_else(dash, mib);
     let view = gauge("view", "slot_bytes").map_or_else(dash, mib);
     let routing = gauge("routing", "slot_bytes").map_or_else(dash, mib);
     let nat =
         gauge("net", "nat_session_slots").map_or_else(dash, |n| format!("{:.0}", n as f64 / 1e3));
-    println!("{name:<14} {rss:>9} {view:>9} {routing:>9} {nat:>9}");
+    println!("{name:<14} {rss:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9}");
 }
 
 fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     let unbuilt: Option<&C::Sampler> = None;
-    println!("{:<14} {:>9} {:>9} {:>9} {:>9}", "stage", "VmRSS", "view", "routing", "NAT");
-    println!("{:<14} {:>9} {:>9} {:>9} {:>9}", "", "MiB", "MiB", "MiB", "k slots");
+    let columns = ["stage", "VmRSS", "wheel", "view", "routing", "NAT"];
+    let units = ["", "MiB", "MiB", "MiB", "MiB", "k slots"];
+    for [a, b, c, d, e, f] in [columns, units] {
+        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9}");
+    }
     stage("construct", unbuilt);
     for class in scn.classes() {
         eng.add_peer(class);
