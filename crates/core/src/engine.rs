@@ -156,6 +156,22 @@ struct Node {
 /// Hardened mode: total punch tries (initial + retries) before giving up.
 const PUNCH_MAX_ATTEMPTS: u32 = 3;
 
+/// Takes the punches whose deadline has passed out of `pending`, in target
+/// order: their retries draw jitter from the node's stream and send in
+/// this order, which must not depend on where the map keeps them.
+fn take_expired(pending: &mut DenseMap<PeerId, Punch>, now: SimTime) -> Vec<(PeerId, Punch)> {
+    let mut expired = Vec::new();
+    pending.retain(|t, punch| {
+        let live = punch.deadline > now;
+        if !live {
+            expired.push((*t, *punch));
+        }
+        live
+    });
+    expired.sort_unstable_by_key(|&(t, _)| t);
+    expired
+}
+
 /// The fabric as the Nylon handlers see it.
 type NylonHost = Host<NylonMsg>;
 
@@ -568,16 +584,7 @@ impl Protocol for Nylon {
         let node = &mut self.nodes[p];
         if !node.pending_punch.is_empty() {
             if self.harden {
-                let mut expired: Vec<(PeerId, Punch)> = Vec::new();
-                node.pending_punch.retain(|t, punch| {
-                    if punch.deadline > now {
-                        true
-                    } else {
-                        expired.push((*t, *punch));
-                        false
-                    }
-                });
-                for (t, punch) in expired {
+                for (t, punch) in take_expired(&mut node.pending_punch, now) {
                     self.retry_punch(host, p, t, punch);
                 }
             } else {
@@ -1089,6 +1096,33 @@ mod tests {
                 "pending punches not reclaimed at {p}"
             );
         }
+    }
+
+    #[test]
+    fn expired_punches_retry_in_target_order() {
+        // The same outstanding punches, filled in two orders, so colliding
+        // targets sit in different slots: the retries come out the same.
+        let punch = |i: u32| Punch {
+            deadline: SimTime::from_millis(if i % 3 == 0 { 9_000 } else { u64::from(i) }),
+            attempts: 0,
+            addr: Endpoint::default(),
+        };
+        let now = SimTime::from_millis(5_000);
+        let retried = |order: &mut dyn Iterator<Item = u32>| {
+            let mut pending = DenseMap::new();
+            for i in order {
+                pending.insert(PeerId(i), punch(i));
+            }
+            let expired = take_expired(&mut pending, now);
+            let kept: Vec<PeerId> =
+                (1..=48).map(PeerId).filter(|t| pending.contains_key(t)).collect();
+            (expired.iter().map(|&(t, p)| (t, p.deadline)).collect::<Vec<_>>(), kept)
+        };
+        let (forward, backward) = (retried(&mut (1..=48)), retried(&mut (1..=48).rev()));
+        assert_eq!(forward, backward);
+        let targets: Vec<PeerId> = forward.0.iter().map(|&(t, _)| t).collect();
+        assert_eq!(targets, (1..=48).filter(|i| i % 3 != 0).map(PeerId).collect::<Vec<_>>());
+        assert_eq!(forward.1, (1..=48).filter(|i| i % 3 == 0).map(PeerId).collect::<Vec<_>>());
     }
 
     #[test]

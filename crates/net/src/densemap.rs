@@ -21,9 +21,11 @@
 //! * **Backward-shift deletion** — no tombstones, so probe chains never
 //!   rot and load factor alone (≤ 3/4) bounds probe length.
 //! * **Deterministic layout.** Slot positions are a pure function of the
-//!   insertion history; combined with the workspace invariant that no
-//!   simulation output depends on map iteration order, replay stays
-//!   byte-identical.
+//!   insertion history, so replay stays byte-identical. Iteration follows
+//!   the slots, an order no output may depend on: the two callers whose
+//!   output follows the order they walk a map in — `NatBox::rebind`
+//!   handing out fresh ports, hardened Nylon retrying expired punches —
+//!   sort what they collect first.
 
 use std::hash::Hasher;
 

@@ -93,9 +93,7 @@ impl ConeMapping {
 /// mapping lives inline and resolving a private endpoint or a public port
 /// is one comparison. Only a carrier-grade box stacked over a *symmetric*
 /// subscriber box sees more — one per mapping of the inner box — and then
-/// everything moves into maps, inserted in arrival order so that their
-/// iteration order (which [`NatBox::rebind`] hands out fresh ports in) is
-/// the one a map holding every mapping from the start would have.
+/// everything moves into maps.
 #[derive(Debug, Clone, Default)]
 enum ConeTable {
     #[default]
@@ -344,7 +342,11 @@ impl NatBox {
     /// mappings were affected.
     pub fn rebind(&mut self) -> u64 {
         let mut moved = 0u64;
-        let mappings: Vec<(Endpoint, Port)> = self.cone.iter().map(|(p, m)| (p, m.port)).collect();
+        let mut mappings: Vec<(Endpoint, Port)> =
+            self.cone.iter().map(|(p, m)| (p, m.port)).collect();
+        // Fresh ports go out in private-endpoint order, whatever order the
+        // table keeps its mappings in.
+        mappings.sort_unstable();
         for (private, old_port) in mappings {
             if self.is_forwarded(old_port) {
                 continue; // UPnP-pinned: the reservation survives.
@@ -958,29 +960,31 @@ mod tests {
     }
 
     #[test]
-    fn spilled_cone_table_keeps_single_map_order() {
+    fn rebind_ports_do_not_depend_on_arrival_order() {
         // A carrier box over a symmetric subscriber sees many private
-        // endpoints. The table must iterate — and `rebind` therefore
-        // re-port — in the order of one map filled from the first mapping
-        // on, whatever it stored inline before spilling.
-        let mut nat = boxed(NatType::PortRestrictedCone);
-        let mut single_map: DenseMap<Endpoint, ()> = DenseMap::new();
-        for i in 0..40 {
-            let p = Endpoint::new(Ip(0x4000_0001), Port(2000 + i));
-            nat.on_outbound(SimTime::ZERO, p, remote(1));
-            single_map.insert(p, ());
-            let order: Vec<Endpoint> = nat.cone.iter().map(|(p, _)| p).collect();
-            assert_eq!(order, single_map.iter().map(|(p, _)| p).collect::<Vec<_>>());
-        }
-        assert!(matches!(nat.cone, ConeTable::Many(_)));
-        assert_eq!(nat.rebind(), 40);
-        let fresh: Vec<Port> = nat.cone.iter().map(|(_, m)| m.port).collect();
-        assert!(fresh.windows(2).all(|w| w[0].0 + 1 == w[1].0), "ports follow iteration order");
-        // The reverse index moved with the ports.
-        for (p, _) in single_map.iter() {
-            let public = nat.on_outbound(SimTime::from_secs(1), p, remote(2));
-            assert_eq!(nat.on_inbound(SimTime::from_secs(1), public.port, remote(2)), Ok(p));
-        }
+        // endpoints. Which fresh port each gets from `rebind` must not
+        // depend on the order they arrived in, and so on where the table
+        // keeps them: the ports go out in private-endpoint order.
+        let privates: Vec<Endpoint> =
+            (0..40).map(|i| Endpoint::new(Ip(0x4000_0001), Port(2000 + i))).collect();
+        let rebound = |arrivals: &mut dyn Iterator<Item = &Endpoint>| {
+            let mut nat = boxed(NatType::PortRestrictedCone);
+            for p in arrivals {
+                nat.on_outbound(SimTime::ZERO, *p, remote(1));
+            }
+            assert!(matches!(nat.cone, ConeTable::Many(_)));
+            assert_eq!(nat.rebind(), 40);
+            let fresh: Vec<Port> = privates.iter().map(|p| nat.cone.get(p).unwrap().port).collect();
+            // The reverse index moved with the ports.
+            for p in &privates {
+                let public = nat.on_outbound(SimTime::from_secs(1), *p, remote(2));
+                assert_eq!(nat.on_inbound(SimTime::from_secs(1), public.port, remote(2)), Ok(*p));
+            }
+            fresh
+        };
+        let forward = rebound(&mut privates.iter());
+        assert_eq!(forward, rebound(&mut privates.iter().rev()));
+        assert!(forward.windows(2).all(|w| w[0].0 + 1 == w[1].0), "ports follow endpoint order");
     }
 
     #[test]
