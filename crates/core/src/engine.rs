@@ -787,7 +787,7 @@ impl Protocol for Nylon {
         out.counter("engine.nylon", "stale_repunches", s.stale_repunches);
         let pending: usize = self.nodes.iter().map(|n| n.pending_sent.len()).sum();
         out.gauge_sum("engine.nylon", "pending_exchanges", pending as u64);
-        // RouteMap storage health: snapshot-time walk over every node's
+        // Routing storage health: snapshot-time walk over every node's
         // table (read-only — the hot path carries no histogram state).
         let mut probe = nylon_obs::Histogram::new();
         let (mut entries, mut capacity, mut reclaimed_early) = (0u64, 0u64, 0u64);

@@ -9,21 +9,20 @@
 //! period and entries are purged on expiry
 //! (`decrease_routing_table_ttls`, Figure 6 line 14).
 //!
-//! # Storage: `RouteMap`
+//! # Storage
 //!
 //! This is the protocol's hottest data structure *and* what a Nylon run's
 //! memory is made of — `install_from_shuffle` runs for every descriptor of
 //! every shuffle, `entry_of`/`touch_direct` on every receive, and every
-//! peer owns one table — so it is a purpose-built open-addressed table of
-//! packed slots rather than a generic hash map:
+//! peer owns one table. It sits on the workspace's one open-addressed map,
+//! a [`DenseMap`] from destination to a packed [`Route`]:
 //!
-//! * one lane of 16-byte [`RouteSlot`]s (const-asserted), four to a cache
-//!   line: key, expiry and payload side by side, so a probe hit, a commit
-//!   or a backward shift touches one line, probed linearly from an
-//!   fxhash-derived start;
-//! * *fitted* capacity — any multiple of four slots, not a power of two —
-//!   at ≤ 3/4 load, with backward-shift deletion (no tombstones, so chains
-//!   never rot and a sweep compacts in place without rehashing);
+//! * 16-byte slots (const-asserted), four to a cache line: key, expiry and
+//!   payload side by side, so a probe hit, a commit or a backward shift
+//!   touches one line; an update or an insert pays a single probe
+//!   ([`DenseMap::probe`] yields the hit or the vacancy);
+//! * fitted capacity at ≤ 3/4 load with backward-shift deletion (no
+//!   tombstones, so a sweep compacts in place without rehashing);
 //! * batch installs reserve once per shuffle, so a whole descriptor run
 //!   pays a single occupancy/growth check;
 //! * *reclaim before grow*: a reservation that would cross the load
@@ -35,7 +34,7 @@
 //!
 //! | field        | type  | holds                                             |
 //! |--------------|-------|---------------------------------------------------|
-//! | `key`        | `u32` | destination; [`DenseKey::EMPTY`] marks a vacancy  |
+//! | key          | `u32` | destination; `DenseKey::EMPTY` marks a vacancy    |
 //! | `via`        | `u32` | chain route: the RVP — direct route: contact IP   |
 //! | `expires_lo` | `u32` | absolute expiry in ms, bits 0‥32                  |
 //! | `port`       | `u16` | direct route: contact port                        |
@@ -44,15 +43,16 @@
 //!
 //! A direct route's RVP *is* its key and only direct routes carry a
 //! contact, so the two never need `via` at once. Forty bits of
-//! milliseconds are 34.8 years of virtual time (`RouteSlot::HORIZON`);
+//! milliseconds are 34.8 years of virtual time (`Route::HORIZON`);
 //! an expiry past it saturates, which can only lapse a route early.
 //!
 //! ## The fit rule
 //!
-//! Every rebuild allocates `RouteMap::fit(n)` slots for the `n` entries
+//! Every rebuild allocates [`DenseMap::fit`]`(n)` slots for the `n` entries
 //! it must hold: `n × 4/3` for the load factor times a fixed 5/4 of
-//! headroom, i.e. 5/3 slots per entry, rounded up to a whole cache line. A
-//! rebuild happens when a reservation still does not fit after the lapsed
+//! headroom, i.e. 5/3 slots per entry, rounded up to a whole cache line —
+//! the rule every `DenseMap` grows by. The table decides *when*: it
+//! rebuilds when a reservation still does not fit after the lapsed
 //! entries were reclaimed — the table was over 3/4 full of live routes, so
 //! the new capacity is at least 5/4 of the old, growth is geometric and
 //! installs stay amortised O(1) — or when a sweep, scheduled or early,
@@ -85,7 +85,7 @@
 //! proptest at the bottom of this file, which also checks that purges plus
 //! resident stale entries account for every lapsed route).
 
-use nylon_net::{DenseKey, Endpoint, Ip, PeerId, Port};
+use nylon_net::{DenseMap, Endpoint, Ip, PeerId, Port, Probe};
 use nylon_sim::SimDuration;
 
 /// One routing entry: the next RVP towards a destination, the remaining
@@ -112,12 +112,10 @@ pub const MAX_ROUTE_HOPS: u8 = 16;
 /// memory and can run rarely.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(90);
 
-/// One packed slot (layout table in the module docs); a `key` of
-/// [`DenseKey::EMPTY`] marks it vacant, and its other fields are then
-/// never read.
-#[derive(Debug, Clone, Copy)]
-struct RouteSlot {
-    key: PeerId,
+/// One stored route, the value of a 16-byte slot whose key is the
+/// destination (layout table in the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+struct Route {
     /// The RVP of a chain route; the IP of a direct route's contact.
     via: u32,
     expires_lo: u32,
@@ -132,10 +130,13 @@ struct RouteSlot {
     meta: u8,
 }
 
-const _: () = assert!(RoutingTable::SLOT_BYTES == 16 && std::mem::size_of::<RouteSlot>() == 16);
-const _: () = assert!(MAX_ROUTE_HOPS <= RouteSlot::HOPS_MASK);
+/// The table's storage: destination → route.
+type Routes = DenseMap<PeerId, Route>;
 
-impl RouteSlot {
+const _: () = assert!(RoutingTable::SLOT_BYTES == 16, "a route slot must stay 16 bytes");
+const _: () = assert!(MAX_ROUTE_HOPS <= Route::HOPS_MASK);
+
+impl Route {
     /// `meta`: the hop count's bits, and the two flags above them.
     const HOPS_MASK: u8 = 0x1f;
     const DIRECT: u8 = 0x20;
@@ -144,15 +145,6 @@ impl RouteSlot {
     /// The latest expiry a slot can hold: 2⁴⁰ − 1 ms, 34.8 years of
     /// virtual time.
     const HORIZON: SimDuration = SimDuration::from_millis((1 << 40) - 1);
-
-    const VACANT: RouteSlot = RouteSlot {
-        key: PeerId::EMPTY,
-        via: 0,
-        expires_lo: 0,
-        port: Port(0),
-        expires_hi: 0,
-        meta: 0,
-    };
 
     /// The 40 stored bits of `expires`, saturating at [`Self::HORIZON`]:
     /// a stored expiry never exceeds the one asked for, so no lapsed route
@@ -163,24 +155,23 @@ impl RouteSlot {
         (ms as u32, (ms >> 32) as u8)
     }
 
-    fn new(key: PeerId, expires: SimDuration, via: u32, port: Port, meta: u8) -> Self {
+    fn new(expires: SimDuration, via: u32, port: Port, meta: u8) -> Self {
         debug_assert!(expires <= Self::HORIZON, "route expiry {expires} past the slot's 40 bits");
         let (expires_lo, expires_hi) = Self::pack_expiry(expires);
-        RouteSlot { key, via, expires_lo, port, expires_hi, meta }
+        Route { via, expires_lo, port, expires_hi, meta }
     }
 
-    /// A chain route through `rvp` (never the key itself, never a contact).
-    fn chain(key: PeerId, expires: SimDuration, rvp: PeerId, hops: u8) -> Self {
-        Self::new(key, expires, rvp.0, Port(0), hops)
+    /// A chain route through `rvp` (never the destination itself, never a
+    /// contact).
+    fn chain(expires: SimDuration, rvp: PeerId, hops: u8) -> Self {
+        Self::new(expires, rvp.0, Port(0), hops)
     }
 
     /// A direct route, with the endpoint its last datagram came from.
-    fn direct(key: PeerId, expires: SimDuration, contact: Option<Endpoint>) -> Self {
+    fn direct(expires: SimDuration, contact: Option<Endpoint>) -> Self {
         match contact {
-            Some(ep) => {
-                Self::new(key, expires, ep.ip.0, ep.port, 1 | Self::DIRECT | Self::HAS_CONTACT)
-            }
-            None => Self::new(key, expires, 0, Port(0), 1 | Self::DIRECT),
+            Some(ep) => Self::new(expires, ep.ip.0, ep.port, 1 | Self::DIRECT | Self::HAS_CONTACT),
+            None => Self::new(expires, 0, Port(0), 1 | Self::DIRECT),
         }
     }
 
@@ -195,10 +186,11 @@ impl RouteSlot {
         self.meta & Self::DIRECT != 0
     }
 
+    /// The next hop towards `dest`, this route's destination.
     #[inline]
-    fn rvp(&self) -> PeerId {
+    fn rvp(&self, dest: PeerId) -> PeerId {
         if self.is_direct() {
-            self.key
+            dest
         } else {
             PeerId(self.via)
         }
@@ -213,149 +205,12 @@ impl RouteSlot {
         (self.meta & Self::HAS_CONTACT != 0).then_some(Endpoint::new(Ip(self.via), self.port))
     }
 
-    fn entry(&self, age: SimDuration) -> RouteEntry {
-        RouteEntry { rvp: self.rvp(), ttl: self.expires().saturating_sub(age), hops: self.hops() }
-    }
-}
-
-/// The open-addressed storage: one lane of packed [`RouteSlot`]s, any
-/// multiple of four long, so every index step wraps explicitly.
-#[derive(Debug, Clone, Default)]
-struct RouteMap {
-    slots: Vec<RouteSlot>,
-    len: usize,
-}
-
-impl RouteMap {
-    /// Slots a rebuild allocates to hold `entries`: 4/3 for the load
-    /// factor times 5/4 of headroom, in whole cache lines (module docs,
-    /// "The fit rule"). Nothing for no entries.
-    fn fit(entries: usize) -> usize {
-        (entries * 5).div_ceil(3).next_multiple_of(4)
-    }
-
-    /// The slot `key` hashes to in a table of `cap` slots: multiply-high
-    /// range reduction of the folded fx hash, uniform over any `cap`
-    /// without a division.
-    #[inline]
-    fn home(key: PeerId, cap: usize) -> usize {
-        let h = key.hash_u64();
-        ((u64::from((h ^ (h >> 32)) as u32) * cap as u64) >> 32) as usize
-    }
-
-    /// The slot after `i`, cyclically.
-    #[inline]
-    fn next(&self, i: usize) -> usize {
-        if i + 1 == self.slots.len() {
-            0
-        } else {
-            i + 1
+    fn entry(&self, dest: PeerId, age: SimDuration) -> RouteEntry {
+        RouteEntry {
+            rvp: self.rvp(dest),
+            ttl: self.expires().saturating_sub(age),
+            hops: self.hops(),
         }
-    }
-
-    /// Steps from slot `from` forward to slot `to`, cyclically.
-    #[inline]
-    fn distance(&self, from: usize, to: usize) -> usize {
-        if to >= from {
-            to - from
-        } else {
-            to + self.slots.len() - from
-        }
-    }
-
-    /// Probes for `key`: `Ok` is the slot holding it, `Err` the vacant slot
-    /// where it would be inserted. The load factor keeps the walk finite;
-    /// a table that never allocated answers `Err(0)`, a slot it does not
-    /// have — inserts reserve first, lookups only look at `Ok`.
-    #[inline]
-    fn probe(&self, key: PeerId) -> Result<usize, usize> {
-        let mut i = Self::home(key, self.slots.len());
-        loop {
-            let k = self.slots.get(i).map_or(PeerId::EMPTY, |s| s.key);
-            if k == key {
-                return Ok(i);
-            }
-            if k == PeerId::EMPTY {
-                return Err(i);
-            }
-            i = self.next(i);
-        }
-    }
-
-    /// Fills the vacant slot `i` (as returned by [`RouteMap::probe`]).
-    #[inline]
-    fn commit(&mut self, i: usize, slot: RouteSlot) {
-        debug_assert!(self.len < self.slots.len(), "RouteMap overfilled: reserve() not honored");
-        self.slots[i] = slot;
-        self.len += 1;
-    }
-
-    /// Whether `additional` more entries fit under the ≤ 3/4 load factor
-    /// that keeps linear-probe chains short.
-    #[inline]
-    fn has_room(&self, additional: usize) -> bool {
-        (self.len + additional) * 4 <= self.slots.len() * 3
-    }
-
-    /// Rehashes every entry into a fresh lane of `cap` slots.
-    fn rebuild(&mut self, cap: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![RouteSlot::VACANT; cap]);
-        for slot in old.into_iter().filter(|s| s.key != PeerId::EMPTY) {
-            let mut i = Self::home(slot.key, cap);
-            while self.slots[i].key != PeerId::EMPTY {
-                i = self.next(i);
-            }
-            self.slots[i] = slot;
-        }
-    }
-
-    /// Vacates slot `i`, backward-shifting the probe chain behind it so no
-    /// tombstone is left (the table compacts in place, never rehashes).
-    fn remove_at(&mut self, mut i: usize) {
-        self.slots[i].key = PeerId::EMPTY;
-        self.len -= 1;
-        let mut j = self.next(i);
-        while self.slots[j].key != PeerId::EMPTY {
-            let home = Self::home(self.slots[j].key, self.slots.len());
-            // slots[j] may move into the hole at i only if its home slot
-            // is not inside the cyclic interval (i, j].
-            if self.distance(home, j) >= self.distance(i, j) {
-                self.slots[i] = self.slots[j];
-                self.slots[j].key = PeerId::EMPTY;
-                i = j;
-            }
-            j = self.next(j);
-        }
-    }
-
-    /// Purges every entry with `expires <= age` in one walk of the slots.
-    /// Returns the purge count and the exact new minimum expiry among
-    /// survivors.
-    fn sweep_expired(&mut self, age: SimDuration) -> (u64, Option<SimDuration>) {
-        let cap = self.slots.len();
-        let mut purged = 0u64;
-        let mut min: Option<SimDuration> = None;
-        let mut i = 0;
-        // Single fused pass: purge and recompute the survivor minimum
-        // together. Backward-shift deletion only relocates not-yet-visited
-        // entries into `[i, cap)` (a hole wraps below `i` only once the
-        // probe walk itself has wrapped), so no entry escapes the scan;
-        // already-visited survivors that wrap forward are merely min'd
-        // twice, which is idempotent.
-        while i < cap {
-            if self.slots[i].key != PeerId::EMPTY {
-                let e = self.slots[i].expires();
-                if e <= age {
-                    self.remove_at(i);
-                    purged += 1;
-                    // The shift may have moved a later entry into slot i.
-                    continue;
-                }
-                min = Some(min.map_or(e, |m| m.min(e)));
-            }
-            i += 1;
-        }
-        (purged, min)
     }
 }
 
@@ -373,7 +228,7 @@ pub struct RouteWork {
     pub rebuild_slots: u64,
 }
 
-/// The routing table of one Nylon peer, backed by [`RouteMap`] (see the
+/// The routing table of one Nylon peer, backed by a [`DenseMap`] (see the
 /// module docs for the storage and expiry design).
 ///
 /// ```
@@ -392,7 +247,7 @@ pub struct RouteWork {
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     owner: PeerId,
-    map: RouteMap,
+    map: Routes,
     /// Accumulated virtual age (total of all `decrease_ttls` calls).
     age: SimDuration,
     /// Age at which the next amortized purge sweep runs.
@@ -413,13 +268,13 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Bytes of storage per slot (live, stale or vacant).
-    pub const SLOT_BYTES: usize = 16;
+    pub const SLOT_BYTES: usize = Routes::SLOT_BYTES;
 
     /// An empty table owned by `owner`.
     pub fn new(owner: PeerId) -> Self {
         RoutingTable {
             owner,
-            map: RouteMap::default(),
+            map: Routes::new(),
             age: SimDuration::ZERO,
             next_sweep: SWEEP_EVERY,
             min_expires: None,
@@ -451,17 +306,27 @@ impl RoutingTable {
     /// the exact survivor minimum. Returns the purge count.
     fn sweep(&mut self) -> u64 {
         self.work.sweeps += 1;
-        self.work.sweep_slots += self.map.slots.len() as u64;
-        let (purged, new_min) = self.map.sweep_expired(self.age);
-        self.min_expires = new_min;
-        purged
+        self.work.sweep_slots += self.map.capacity() as u64;
+        let (age, before, mut min) = (self.age, self.map.len(), None);
+        // One fused pass purges and takes the exact survivor minimum; a
+        // survivor the walk meets twice is min'd twice, which is idempotent.
+        self.map.retain(|_, r| {
+            let e = r.expires();
+            let live = e > age;
+            if live {
+                min = Some(min.map_or(e, |m: SimDuration| m.min(e)));
+            }
+            live
+        });
+        self.min_expires = min;
+        (before - self.map.len()) as u64
     }
 
-    /// Rebuilds the storage to [`RouteMap::fit`] `additional` more entries
+    /// Rebuilds the storage to [`DenseMap::fit`] `additional` more entries
     /// when they do not fit under the load factor, or when the table is
     /// over twice that fit.
     fn refit(&mut self, additional: usize) {
-        let (cap, fit) = (self.map.slots.len(), RouteMap::fit(self.map.len + additional));
+        let (cap, fit) = (self.map.capacity(), Routes::fit(self.map.len() + additional));
         if !self.map.has_room(additional) || cap > 2 * fit {
             self.work.rebuilds += 1;
             self.work.rebuild_slots += (cap + fit) as u64;
@@ -486,8 +351,8 @@ impl RoutingTable {
     /// The slot of `dest` if present *and live* — the filter every
     /// accessor shares.
     #[inline]
-    fn find_live(&self, dest: PeerId) -> Option<&RouteSlot> {
-        self.map.probe(dest).ok().map(|i| &self.map.slots[i]).filter(|s| s.expires() > self.age)
+    fn find_live(&self, dest: PeerId) -> Option<&Route> {
+        self.map.get(&dest).filter(|r| r.expires() > self.age)
     }
 
     /// Number of live routes. O(1) while the earliest-expiry bound proves
@@ -497,7 +362,7 @@ impl RoutingTable {
         if self.may_hold_stale() {
             self.iter().count()
         } else {
-            self.map.len
+            self.map.len()
         }
     }
 
@@ -509,12 +374,12 @@ impl RoutingTable {
     /// The next RVP towards `dest` (`Some(dest)` itself when direct), or
     /// `None` when no live route exists (Figure 6 `next_RVP()`).
     pub fn next_rvp(&self, dest: PeerId) -> Option<PeerId> {
-        self.find_live(dest).map(RouteSlot::rvp)
+        self.find_live(dest).map(|r| r.rvp(dest))
     }
 
     /// `true` if a live direct route (open NAT hole) to `dest` exists.
     pub fn is_direct(&self, dest: PeerId) -> bool {
-        self.find_live(dest).is_some_and(RouteSlot::is_direct)
+        self.find_live(dest).is_some_and(Route::is_direct)
     }
 
     /// Remaining TTL of the route towards `dest`.
@@ -524,7 +389,7 @@ impl RoutingTable {
 
     /// The full route entry towards `dest`.
     pub fn entry_of(&self, dest: PeerId) -> Option<RouteEntry> {
-        self.find_live(dest).map(|s| s.entry(self.age))
+        self.find_live(dest).map(|r| r.entry(dest, self.age))
     }
 
     /// Installs or refreshes the *direct* route for `dest` (Figure 6
@@ -546,10 +411,10 @@ impl RoutingTable {
         if dest == self.owner || ttl.is_zero() {
             return;
         }
-        let fresh = RouteSlot::direct(dest, self.age + ttl, observed);
+        let fresh = Route::direct(self.age + ttl, observed);
         self.reserve(1);
         match self.map.probe(dest) {
-            Ok(i) => {
+            Probe::Hit(s) => {
                 // A stale (expired, not yet swept) entry is absent for all
                 // observable purposes: overwrite it wholesale. A live one
                 // keeps the larger expiry and the freshest endpoint —
@@ -558,14 +423,13 @@ impl RoutingTable {
                 // trust in a hole that no longer exists and the entry is
                 // reset to the fresh observation (the silent-blackhole
                 // fix: never serve a dead contact on borrowed time).
-                let s = &mut self.map.slots[i];
                 let (stale, prior) = (s.expires() <= self.age, s.contact());
                 let remapped = !stale && matches!((observed, prior), (Some(o), Some(c)) if o != c);
                 *s = if stale || remapped {
                     fresh
                 } else {
                     let expires = s.expires().max(fresh.expires());
-                    RouteSlot::direct(dest, expires, observed.or(prior))
+                    Route::direct(expires, observed.or(prior))
                 };
                 if remapped {
                     // The reset may have *shortened* this entry's expiry
@@ -573,8 +437,8 @@ impl RoutingTable {
                     self.note_expiry(fresh.expires());
                 }
             }
-            Err(i) => {
-                self.map.commit(i, fresh);
+            Probe::Vacant(slot) => {
+                slot.insert(fresh);
                 self.note_expiry(fresh.expires());
             }
         }
@@ -583,7 +447,7 @@ impl RoutingTable {
     /// The last observed endpoint of `dest`, available exactly while a
     /// live *direct* route exists (replies through the hole it names).
     pub fn contact_of(&self, dest: PeerId) -> Option<Endpoint> {
-        self.find_live(dest).and_then(RouteSlot::contact)
+        self.find_live(dest).and_then(Route::contact)
     }
 
     /// Updates (or creates) the entry for `dest` (Figure 6
@@ -616,21 +480,20 @@ impl RoutingTable {
     #[inline]
     fn update_chain_prereserved(&mut self, dest: PeerId, rvp: PeerId, ttl: SimDuration, hops: u8) {
         let hops = hops.max(2);
-        let new = RouteSlot::chain(dest, self.age + ttl, rvp, hops);
+        let new = Route::chain(self.age + ttl, rvp, hops);
         let expires = new.expires();
         match self.map.probe(dest) {
-            Err(i) => {
-                self.map.commit(i, new);
+            Probe::Vacant(slot) => {
+                slot.insert(new);
                 self.note_expiry(expires);
             }
-            Ok(i) => {
-                let cur = &mut self.map.slots[i];
+            Probe::Hit(cur) => {
                 let stale = cur.expires() <= self.age;
                 if !stale && cur.is_direct() {
                     // Keep the direct route.
-                } else if !stale && cur.rvp() == rvp {
+                } else if !stale && cur.rvp(dest) == rvp {
                     // Same provider: take the fresher estimate.
-                    *cur = RouteSlot::chain(dest, cur.expires().max(expires), rvp, hops);
+                    *cur = Route::chain(cur.expires().max(expires), rvp, hops);
                 } else if stale
                     || hops < cur.hops()
                     || (hops == cur.hops() && expires > cur.expires())
@@ -736,18 +599,15 @@ impl RoutingTable {
     /// Drops every route and frees the slot storage — for a peer that will
     /// never use its table again. Age and telemetry counters survive.
     pub fn release(&mut self) {
-        self.map = RouteMap::default();
+        self.map = Routes::new();
         self.min_expires = None;
     }
 
     /// Removes the entry for `dest`, returning it if it was still live
     /// (a stale entry is dropped from storage but reported as absent).
     pub fn remove(&mut self, dest: PeerId) -> Option<RouteEntry> {
-        self.map.probe(dest).ok().and_then(|i| {
-            let s = self.map.slots[i];
-            self.map.remove_at(i);
-            (s.expires() > self.age).then(|| s.entry(self.age))
-        })
+        let r = self.map.remove(&dest)?;
+        (r.expires() > self.age).then(|| r.entry(dest, self.age))
     }
 
     /// Resolves the chain towards `dest` down to a *directly reachable*
@@ -771,11 +631,8 @@ impl RoutingTable {
 
     /// Iterates over live `(dest, entry)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, RouteEntry)> + '_ {
-        self.map
-            .slots
-            .iter()
-            .filter(|s| s.key != PeerId::EMPTY && s.expires() > self.age)
-            .map(|s| (s.key, s.entry(self.age)))
+        let live = self.map.iter().filter(|(_, r)| r.expires() > self.age);
+        live.map(|(dest, r)| (dest, r.entry(dest, self.age)))
     }
 
     /// Snapshot-time instrumentation: records the probe distance of every
@@ -785,12 +642,11 @@ impl RoutingTable {
     /// `(live entries, slot capacity)` for occupancy gauges.
     pub fn probe_stats(&self, hist: &mut nylon_obs::Histogram) -> (u64, u64) {
         let mut live = 0u64;
-        for (i, s) in self.map.slots.iter().enumerate().filter(|(_, s)| s.key != PeerId::EMPTY) {
-            live += u64::from(s.expires() > self.age);
-            let home = RouteMap::home(s.key, self.map.slots.len());
-            hist.record(self.map.distance(home, i) as u64);
+        for (r, probe_len) in self.map.probe_lens() {
+            live += u64::from(r.expires() > self.age);
+            hist.record(probe_len as u64);
         }
-        (live, self.map.slots.len() as u64)
+        (live, self.map.capacity() as u64)
     }
 }
 
@@ -1089,7 +945,7 @@ mod tests {
         t.update_next_rvp(k, PeerId(7), S90, 2);
         assert_eq!(t.entry_of(k), route(5, S60, 1), "a chain never downgrades a live hole");
         t.decrease_ttls(S60);
-        assert!(t.map.probe(k).is_ok(), "lapsed but still resident");
+        assert!(t.map.contains_key(&k), "lapsed but still resident");
         assert_eq!((t.entry_of(k), t.contact_of(k)), (None, None));
         t.update_next_rvp(k, PeerId(7), S30, 4);
         assert_eq!((t.entry_of(k), t.contact_of(k)), (route(7, S30, 4), None), "IP read as RVP");
@@ -1122,10 +978,10 @@ mod tests {
 
     #[test]
     fn expiry_clamp_never_revives_a_lapsed_route() {
-        let horizon = RouteSlot::HORIZON.as_millis();
+        let horizon = Route::HORIZON.as_millis();
         for asked in [horizon - 1, horizon, horizon + 1, 2 * horizon, u64::MAX] {
-            let (expires_lo, expires_hi) = RouteSlot::pack_expiry(SimDuration::from_millis(asked));
-            let stored = RouteSlot { expires_lo, expires_hi, ..RouteSlot::VACANT }.expires();
+            let (expires_lo, expires_hi) = Route::pack_expiry(SimDuration::from_millis(asked));
+            let stored = Route { expires_lo, expires_hi, ..Route::default() }.expires();
             assert_eq!(stored.as_millis(), asked.min(horizon));
             // Live is `expires > age`: a stored expiry at or below the one
             // asked for cannot pass where that one fails.
@@ -1152,17 +1008,17 @@ mod tests {
         assert!((200..=230).contains(&peak_live), "peak live {peak_live}");
         // The largest reservation ever made was for the live routes plus
         // one batch; lapsed-but-resident ones must not have added to it.
-        let bound = RouteMap::fit(peak_live + 16);
+        let bound = Routes::fit(peak_live + 16);
         assert!(
-            t.map.slots.len() <= bound,
+            t.map.capacity() <= bound,
             "{} slots for {peak_live} live routes: stale entries forced a growth",
-            t.map.slots.len()
+            t.map.capacity()
         );
         // Every physical purge is reported exactly once, early or not.
         assert!(t.reclaimed_early() > 0, "the reclaim path never ran");
         let unreported = t.reclaimed_early - t.reclaims_reported;
         let installed = u64::from(next_id - 2) + 1;
-        assert_eq!(purged + unreported + t.map.len as u64, installed);
+        assert_eq!(purged + unreported + t.map.len() as u64, installed);
     }
 
     #[test]
@@ -1172,7 +1028,7 @@ mod tests {
         t.update_direct(PeerId(1), S90);
         t.install_from_shuffle(PeerId(1), (2..601).map(|i| (PeerId(i), S90, 1)));
         assert_eq!(t.len(), 600);
-        assert!(t.map.slots.len() >= 800, "{} slots for 600 routes", t.map.slots.len());
+        assert!(t.map.capacity() >= 800, "{} slots for 600 routes", t.map.capacity());
         // Traffic drops to six fresh routes a round, ~100 live: one sweep
         // cadence later the warm-up capacity is gone.
         let mut next_id = 1_000;
@@ -1182,15 +1038,15 @@ mod tests {
             next_id += 6;
             t.decrease_ttls(round);
         }
-        let (live, slots) = (t.len(), t.map.slots.len());
+        let (live, slots) = (t.len(), t.map.capacity());
         assert!((90..=120).contains(&live), "{live} live routes");
-        assert!(slots <= 2 * RouteMap::fit(live), "{slots} slots for {live} live routes");
+        assert!(slots <= 2 * Routes::fit(live), "{slots} slots for {live} live routes");
         // Traffic stops: once the last route lapsed a sweep frees the lane.
         for _ in 0..2 * SWEEP_EVERY.as_millis() / round.as_millis() {
             t.decrease_ttls(round);
         }
         assert!(t.is_empty());
-        assert_eq!(t.map.slots.capacity(), 0, "an empty table still holds storage");
+        assert_eq!(t.map.capacity(), 0, "an empty table still holds storage");
         assert!(t.work().rebuilds >= 3, "grew, shrank and released: {:?}", t.work());
     }
 
@@ -1212,10 +1068,9 @@ mod tests {
             if round % 3 == 0 {
                 t.decrease_ttls(SimDuration::from_secs(5));
             }
-            let resident = t.map.slots.iter().filter(|s| s.key != PeerId::EMPTY);
-            let true_min = resident.map(RouteSlot::expires).min();
+            let true_min = t.map.values().map(Route::expires).min();
             assert!(t.min_expires <= true_min, "bound {:?} above {true_min:?}", t.min_expires);
-            assert_eq!(t.min_expires.is_none(), t.map.len == 0);
+            assert_eq!(t.min_expires.is_none(), t.map.is_empty());
             assert_eq!(t.len(), t.iter().count(), "O(1) len disagrees with the walk");
         }
         assert!(t.reclaimed_early() > 0, "the reclaim path never ran");
@@ -1270,9 +1125,9 @@ mod tests {
     }
 }
 
-/// The retained pre-RouteMap implementation (`FxHashMap` + lazy expiry +
-/// periodic sweep), kept verbatim as the reference model for the
-/// differential proptest below: `RouteMap`'s eager sweep must be
+/// The retained pre-open-addressing implementation (`FxHashMap` + lazy
+/// expiry + periodic sweep), kept verbatim as the reference model for the
+/// differential proptest below: the table's eager sweep must be
 /// observably identical to lazy expiry at every step.
 #[cfg(test)]
 mod reference {
@@ -1484,7 +1339,7 @@ mod differential {
     }
 
     proptest! {
-        /// `RouteMap` (open-addressed packed slots, passive expiry) and the
+        /// The table (open-addressed packed slots, passive expiry) and the
         /// retained `FxHashMap` reference must agree on every observable —
         /// `entry_of`, `next_rvp`, `contact_of`, `ttl_of`, `is_direct`,
         /// `len`, `remove`, install counts — after every step of a random
@@ -1565,7 +1420,7 @@ mod differential {
                 }
                 prop_assert_eq!(new.len(), old.len(), "len diverges");
                 let unreported = new.reclaimed_early - new.reclaims_reported;
-                let accounted = new_purged + unreported + (new.map.len - new.len()) as u64;
+                let accounted = new_purged + unreported + (new.map.len() - new.len()) as u64;
                 prop_assert!(accounted <= old.lapsed(), "purged a live route or counted twice");
                 prop_assert!(accounted >= old_purged + old.stale_resident(), "lost a purge");
                 for d in 0u32..24 {
@@ -1576,101 +1431,6 @@ mod differential {
                     prop_assert_eq!(new.ttl_of(d), old.ttl_of(d));
                     prop_assert_eq!(new.is_direct(d), old.is_direct(d));
                 }
-            }
-        }
-    }
-}
-
-/// `RouteMap` alone against `std::collections::HashMap`, at forced small
-/// capacities that are not powers of two and with keys homed on the last
-/// and the first slot, so nearly every probe chain crosses the wrap.
-#[cfg(test)]
-mod storage {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    const CAPS: std::ops::RangeInclusive<usize> = 8..=44;
-
-    /// Five keys homed on slot `cap - 1` and three on slot 0.
-    fn seam_keys(cap: usize) -> Vec<PeerId> {
-        let homed =
-            |slot, n| (0..).map(PeerId).filter(move |k| RouteMap::home(*k, cap) == slot).take(n);
-        homed(cap - 1, 5).chain(homed(0, 3)).collect()
-    }
-
-    /// Every resident key is where a probe finds it, at its cyclic
-    /// distance from home with no vacancy on the way — what backward-shift
-    /// deletion and the fused sweep pass rely on — and nothing else is
-    /// resident.
-    fn check(map: &RouteMap, model: &HashMap<PeerId, SimDuration>) {
-        assert_eq!(map.len, model.len());
-        let resident = map.slots.iter().enumerate().filter(|(_, s)| s.key != PeerId::EMPTY);
-        assert_eq!(resident.clone().count(), model.len());
-        for (i, s) in resident {
-            assert_eq!(model.get(&s.key), Some(&s.expires()), "{:?} is not in the model", s.key);
-            assert_eq!(map.probe(s.key), Ok(i), "{:?} unreachable in {map:?}", s.key);
-            let home = RouteMap::home(s.key, map.slots.len());
-            let (mut j, mut steps) = (home, 0);
-            while j != i {
-                assert_ne!(map.slots[j].key, PeerId::EMPTY, "vacancy before {:?}", s.key);
-                (j, steps) = (map.next(j), steps + 1);
-            }
-            assert_eq!(steps, map.distance(home, i));
-        }
-    }
-
-    proptest! {
-        /// Ops `(kind, pick, ttl)`: 0–2 insert, 3 remove, 4 sweep, 5 grow
-        /// by a line, 6 shrink to the tightest whole line. Keys come from
-        /// the current capacity's seam keys or, for odd picks, any
-        /// capacity's.
-        #[test]
-        fn prop_storage_survives_the_seam(
-            start in 2usize..12,
-            ops in proptest::collection::vec((0u8..7, 0usize..64, 1u64..40), 0..200),
-        ) {
-            let pools: Vec<Vec<PeerId>> = CAPS.step_by(4).map(seam_keys).collect();
-            let all: Vec<PeerId> = pools.concat();
-            let (mut map, mut model, mut age) = (RouteMap::default(), HashMap::new(), 0u64);
-            map.rebuild(start * 4);
-            for &(kind, pick, ttl) in &ops {
-                let cap = map.slots.len();
-                let pool = if pick % 2 == 0 { &pools[(cap - 8) / 4] } else { &all };
-                let key = pool[pick / 2 % pool.len()];
-                match kind {
-                    0..=2 if map.has_room(1) => {
-                        let expires = SimDuration::from_millis(age + ttl);
-                        let slot = RouteSlot::chain(key, expires, PeerId(0), 2);
-                        match map.probe(key) {
-                            Ok(i) => map.slots[i] = slot,
-                            Err(i) => map.commit(i, slot),
-                        }
-                        model.insert(key, expires);
-                    }
-                    3 => {
-                        let at = map.probe(key);
-                        prop_assert_eq!(at.is_ok(), model.remove(&key).is_some());
-                        if let Ok(i) = at {
-                            map.remove_at(i);
-                        }
-                    }
-                    4 => {
-                        age += ttl;
-                        let lapsed = model.len();
-                        model.retain(|_, e| e.as_millis() > age);
-                        let lapsed = (lapsed - model.len()) as u64;
-                        let swept = map.sweep_expired(SimDuration::from_millis(age));
-                        prop_assert_eq!(swept, (lapsed, model.values().min().copied()));
-                    }
-                    5 if cap < *CAPS.end() => map.rebuild(cap + 4),
-                    6 => {
-                        let tight = (map.len * 4).div_ceil(3).next_multiple_of(4);
-                        map.rebuild(tight.max(*CAPS.start()));
-                    }
-                    _ => {}
-                }
-                check(&map, &model);
             }
         }
     }

@@ -1,25 +1,37 @@
-//! An open-addressed, structure-of-arrays hash map for the simulator's
-//! small fixed-size keys.
+//! The workspace's one open-addressed hash map, for the simulator's small
+//! fixed-size keys.
 //!
-//! The PR-4 profiling pass moved every hot map to `FxHashMap`; this module
-//! is the next step for the hottest of them (NAT-box mapping tables,
-//! per-node contact/pending maps, and the routing table's `RouteMap`
-//! cousin in `nylon`): a [`DenseMap`] stores keys and values in two
-//! parallel lanes, so a probe touches only the dense key lane — for the
-//! `u32`-sized keys used here, eight keys per cache line — and the value
-//! lane is read exactly once, on a confirmed hit.
+//! The paper's two stateful tables live in it — the NAT boxes' sessions,
+//! mappings and filtering rules (Section 2.1) and, in `nylon`, the RVP
+//! routing table with its per-entry TTLs (Figures 5–6) — and so do the
+//! engines' per-node pending maps. Their access mix is runs of point
+//! lookups and short insert bursts over keys no attacker chooses, and a
+//! [`DenseMap`] is built for exactly that:
 //!
-//! Design points, all in service of the simulator's access mix (runs of
-//! point lookups and short insert bursts, never attacker-controlled keys):
-//!
-//! * **Sentinel-keyed slots.** Empty slots hold [`DenseKey::EMPTY`], a key
-//!   value the caller's key space provably never produces (asserted on
-//!   insert). No separate occupancy bitmap, no per-slot enum discriminant.
-//! * **Power-of-two capacity, linear probing** from an fxhash-derived
-//!   start ([`DenseKey::hash_u64`] reuses [`nylon_sim::fxhash::FxHasher`],
-//!   the workspace's one hashing scheme).
+//! * **Packed slots.** One array of `(key, value)` slots, so a probe hit,
+//!   an insert or a backward shift touches one slot. Empty slots hold
+//!   [`DenseKey::EMPTY`], a key value the caller's key space provably never
+//!   produces (asserted on insert): no occupancy bitmap, no per-slot enum
+//!   discriminant. A NAT session and a 12-byte route both make 16-byte
+//!   slots, four to a cache line.
+//! * **Fitted capacity.** Any multiple of four slots, not a power of two.
+//!   A key's home slot is the multiply-high range reduction of its folded
+//!   fx hash ([`DenseKey::hash_u64`] reuses
+//!   [`nylon_sim::fxhash::FxHasher`], the workspace's one hashing scheme),
+//!   uniform over any capacity without a division; probing is linear from
+//!   there and wraps explicitly. An insert that would take the load past
+//!   3/4 rebuilds to [`DenseMap::fit`] of the entries: 5/3 slots per entry
+//!   in whole cache lines, so growth is geometric (at least 5/4 a step),
+//!   inserts stay amortised O(1), and a map holds 4/3 to 5/3 slots per
+//!   entry at its largest.
 //! * **Backward-shift deletion** — no tombstones, so probe chains never
-//!   rot and load factor alone (≤ 3/4) bounds probe length.
+//!   rot, load factor alone (≤ 3/4) bounds probe length, and
+//!   [`DenseMap::retain`] compacts in place without rehashing.
+//! * **A surface for owners with their own capacity policy.** The routing
+//!   table reclaims lapsed routes before it grows and shrinks after a
+//!   sweep. It builds that on [`DenseMap::probe`] (one probe yields the hit
+//!   to update or the vacancy to fill), [`DenseMap::has_room`],
+//!   [`DenseMap::rebuild`] and [`DenseMap::retain`].
 //! * **Deterministic layout.** Slot positions are a pure function of the
 //!   insertion history, so replay stays byte-identical. Iteration follows
 //!   the slots, an order no output may depend on: the two callers whose
@@ -40,8 +52,8 @@ pub trait DenseKey: Copy + Eq + std::fmt::Debug {
     /// (asserted); looking it up simply misses.
     const EMPTY: Self;
 
-    /// 64-bit fx hash of the key; the probe sequence starts at
-    /// `fold(hash) & (capacity - 1)`.
+    /// 64-bit fx hash of the key; its folded low word, scaled to the
+    /// capacity, is the slot the probe sequence starts at.
     fn hash_u64(self) -> u64;
 }
 
@@ -100,28 +112,43 @@ impl DenseKey for (Endpoint, Endpoint) {
     }
 }
 
-/// Folds a 64-bit hash down to a slot index. Fx multiplies mix upward, so
-/// xor the high half back into the low bits before masking.
-#[inline]
-fn slot_of(hash: u64, mask: usize) -> usize {
-    (hash ^ (hash >> 32)) as usize & mask
-}
-
-/// Open-addressed SoA map. See the module docs for the design.
+/// Open-addressed map of packed slots. See the module docs for the design.
 ///
 /// The API mirrors the `HashMap` subset the simulator uses; values must be
-/// `Default` (vacant slots in the value lane hold `V::default()`, which
-/// also lets `remove` hand the value out without unsafe code).
+/// `Default` (vacant slots hold `V::default()`, which also lets `remove`
+/// hand the value out without unsafe code).
 #[derive(Debug, Clone)]
 pub struct DenseMap<K: DenseKey, V> {
-    /// Dense key lane, `capacity` long (0 until first insert); probed
-    /// linearly, `EMPTY` marks vacant slots.
-    keys: Vec<K>,
-    /// Value lane, parallel to `keys`; only touched on confirmed hits.
-    vals: Vec<V>,
+    /// `capacity` slots (0 until the first insert), probed linearly;
+    /// a key of `EMPTY` marks a vacancy.
+    slots: Vec<(K, V)>,
     len: usize,
-    /// `capacity - 1`; meaningless while `keys` is empty.
-    mask: usize,
+}
+
+/// What [`DenseMap::probe`] found.
+#[derive(Debug)]
+pub enum Probe<'a, K: DenseKey, V> {
+    /// The key is present: its value.
+    Hit(&'a mut V),
+    /// The key is absent: the slot it goes in.
+    Vacant(Vacancy<'a, K, V>),
+}
+
+/// The vacant slot a probe for an absent key stopped at.
+#[derive(Debug)]
+pub struct Vacancy<'a, K: DenseKey, V> {
+    map: &'a mut DenseMap<K, V>,
+    key: K,
+    slot: usize,
+}
+
+impl<K: DenseKey, V> Vacancy<'_, K, V> {
+    /// Stores the probed key with `val`.
+    #[inline]
+    pub fn insert(self, val: V) {
+        self.map.slots[self.slot] = (self.key, val);
+        self.map.len += 1;
+    }
 }
 
 impl<K: DenseKey, V: Default> Default for DenseMap<K, V> {
@@ -131,9 +158,12 @@ impl<K: DenseKey, V: Default> Default for DenseMap<K, V> {
 }
 
 impl<K: DenseKey, V: Default> DenseMap<K, V> {
+    /// Bytes of one slot, vacant or not.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<(K, V)>();
+
     /// An empty map; allocates nothing until the first insert.
     pub fn new() -> Self {
-        DenseMap { keys: Vec::new(), vals: Vec::new(), len: 0, mask: 0 }
+        DenseMap { slots: Vec::new(), len: 0 }
     }
 
     /// Number of entries.
@@ -152,91 +182,136 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
     /// occupancy gauges.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
-    /// Slot index of `key`, or `None`.
+    /// Slots a rebuild allocates to hold `entries`: 4/3 for the load
+    /// factor times 5/4 of headroom, i.e. 5/3 per entry, rounded up to a
+    /// whole cache line of four slots. Nothing for no entries.
+    pub fn fit(entries: usize) -> usize {
+        (entries * 5).div_ceil(3).next_multiple_of(4)
+    }
+
+    /// Whether `additional` more entries fit under the ≤ 3/4 load factor
+    /// that keeps linear-probe chains short.
     #[inline]
-    fn find(&self, key: K) -> Option<usize> {
-        if self.keys.is_empty() || key == K::EMPTY {
-            return None;
+    pub fn has_room(&self, additional: usize) -> bool {
+        (self.len + additional) * 4 <= self.slots.len() * 3
+    }
+
+    /// The slot `key` hashes to in a map of `cap` slots: multiply-high
+    /// range reduction of the folded fx hash.
+    #[inline]
+    fn home(key: K, cap: usize) -> usize {
+        let h = key.hash_u64();
+        ((u64::from((h ^ (h >> 32)) as u32) * cap as u64) >> 32) as usize
+    }
+
+    /// The slot after `i`, cyclically.
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
         }
-        let mut i = slot_of(key.hash_u64(), self.mask);
+    }
+
+    /// Steps from slot `from` forward to slot `to`, cyclically.
+    #[inline]
+    fn distance(&self, from: usize, to: usize) -> usize {
+        if to >= from {
+            to - from
+        } else {
+            to + self.slots.len() - from
+        }
+    }
+
+    /// Probes for `key`: `Ok` is the slot holding it, `Err` the vacant slot
+    /// where it would be inserted (the sentinel is never found). The load
+    /// factor keeps the walk finite; a map that never allocated answers
+    /// `Err(0)`, a slot it does not have — inserts reserve first.
+    #[inline]
+    fn find(&self, key: K) -> Result<usize, usize> {
+        let mut i = Self::home(key, self.slots.len());
         loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(i);
-            }
+            let k = self.slots.get(i).map_or(K::EMPTY, |s| s.0);
             if k == K::EMPTY {
-                return None;
+                return Err(i);
             }
-            i = (i + 1) & self.mask;
+            if k == key {
+                return Ok(i);
+            }
+            i = self.next(i);
         }
     }
 
     /// A reference to the value for `key`.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(*key).map(|i| &self.vals[i])
+        self.find(*key).ok().map(|i| &self.slots[i].1)
     }
 
     /// A mutable reference to the value for `key`.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.find(*key).map(|i| &mut self.vals[i])
+        self.find(*key).ok().map(|i| &mut self.slots[i].1)
     }
 
     /// `true` when `key` is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.find(*key).is_some()
+        self.find(*key).is_ok()
+    }
+
+    /// Probes for `key` with room for it reserved: one probe yields the
+    /// value to update or the vacancy to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is [`DenseKey::EMPTY`].
+    #[inline]
+    pub fn probe(&mut self, key: K) -> Probe<'_, K, V> {
+        assert!(key != K::EMPTY, "DenseMap: probing for the sentinel key");
+        self.reserve(1);
+        match self.find(key) {
+            Ok(i) => Probe::Hit(&mut self.slots[i].1),
+            Err(slot) => Probe::Vacant(Vacancy { map: self, key, slot }),
+        }
     }
 
     /// Inserts `key -> val`, returning the previous value if any.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
-        assert!(key != K::EMPTY, "DenseMap: inserting the sentinel key");
-        self.reserve(1);
-        let mut i = slot_of(key.hash_u64(), self.mask);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(std::mem::replace(&mut self.vals[i], val));
+        match self.probe(key) {
+            Probe::Hit(v) => Some(std::mem::replace(v, val)),
+            Probe::Vacant(slot) => {
+                slot.insert(val);
+                None
             }
-            if k == K::EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return None;
-            }
-            i = (i + 1) & self.mask;
         }
     }
 
     /// Removes `key`, returning its value. Backward-shifts the following
     /// probe chain so no tombstone is left behind.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.find(*key).map(|i| self.remove_at(i))
+        self.find(*key).ok().map(|i| self.remove_at(i))
     }
 
     /// Vacates slot `i` and compacts the probe chain behind it.
     fn remove_at(&mut self, mut i: usize) -> V {
-        let val = std::mem::take(&mut self.vals[i]);
-        self.keys[i] = K::EMPTY;
+        let val = std::mem::take(&mut self.slots[i].1);
+        self.slots[i].0 = K::EMPTY;
         self.len -= 1;
-        let mask = self.mask;
-        let mut j = (i + 1) & mask;
-        while self.keys[j] != K::EMPTY {
-            let home = slot_of(self.keys[j].hash_u64(), mask);
-            // keys[j] may move into the hole at i only if its home
-            // position is not inside the cyclic interval (i, j] — moving
-            // it otherwise would break its own probe chain.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.keys[i] = self.keys[j];
-                self.vals.swap(i, j);
-                self.keys[j] = K::EMPTY;
+        let mut j = self.next(i);
+        while self.slots[j].0 != K::EMPTY {
+            let home = Self::home(self.slots[j].0, self.slots.len());
+            // slots[j] may move into the hole at i only if its home slot
+            // is not inside the cyclic interval (i, j].
+            if self.distance(home, j) >= self.distance(i, j) {
+                self.slots.swap(i, j);
                 i = j;
             }
-            j = (j + 1) & mask;
+            j = self.next(j);
         }
         val
     }
@@ -246,25 +321,24 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         if self.len == 0 {
             return;
         }
-        for k in &mut self.keys {
-            *k = K::EMPTY;
-        }
-        for v in &mut self.vals {
-            *v = V::default();
-        }
+        self.slots.fill_with(|| (K::EMPTY, V::default()));
         self.len = 0;
     }
 
-    /// Keeps only entries for which `f` returns `true`.
+    /// Keeps only entries for which `f` returns `true`, in one walk of the
+    /// slots.
     ///
-    /// `f` must be a pure predicate over `(key, value)`: when a deletion's
-    /// backward shift wraps the table end, a surviving entry can be moved
-    /// into a not-yet-visited slot and be visited twice.
+    /// Every entry is visited, but a survivor can be visited twice: when a
+    /// deletion's backward shift wraps the end of the slots, it can move an
+    /// entry the walk has passed into a slot the walk has yet to reach. So
+    /// `f` must decide from `(key, value)` alone, and any side effect on a
+    /// survivor must not mind repeating (taking a minimum is fine).
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        let cap = self.keys.len();
+        let cap = self.slots.len();
         let mut i = 0;
         while i < cap {
-            if self.keys[i] != K::EMPTY && !f(&self.keys[i], &mut self.vals[i]) {
+            let (k, v) = &mut self.slots[i];
+            if *k != K::EMPTY && !f(k, v) {
                 self.remove_at(i);
                 // The shift may have moved a later entry into slot i.
                 continue;
@@ -275,20 +349,12 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
 
     /// Iterates `(key, &value)` in unspecified (slot) order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
-        self.keys
-            .iter()
-            .zip(self.vals.iter())
-            .filter(|(k, _)| **k != K::EMPTY)
-            .map(|(k, v)| (*k, v))
+        self.slots.iter().filter(|s| s.0 != K::EMPTY).map(|(k, v)| (*k, v))
     }
 
     /// Iterates `(key, &mut value)` in unspecified (slot) order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
-        self.keys
-            .iter()
-            .zip(self.vals.iter_mut())
-            .filter(|(k, _)| **k != K::EMPTY)
-            .map(|(k, v)| (*k, v))
+        self.slots.iter_mut().filter(|s| s.0 != K::EMPTY).map(|(k, v)| (*k, v))
     }
 
     /// Iterates values in unspecified (slot) order.
@@ -296,37 +362,45 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// Ensures capacity for `additional` more entries with at most one
-    /// growth (the per-batch occupancy check for bulk installs).
+    /// Every value with its probe length — how many slots past its home
+    /// slot the entry sits — in slot order, for occupancy telemetry.
+    pub fn probe_lens(&self) -> impl Iterator<Item = (&V, usize)> {
+        let cap = self.slots.len();
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.0 != K::EMPTY)
+            .map(move |(i, (k, v))| (v, self.distance(Self::home(*k, cap), i)))
+    }
+
+    /// Ensures room for `additional` more entries, rebuilding to their
+    /// [`DenseMap::fit`] when they would take the load past 3/4 — the one
+    /// occupancy check of a bulk insert.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        let needed = self.len + additional;
-        // Load factor ≤ 3/4 keeps linear-probe chains short.
-        if needed * 4 > self.keys.len() * 3 {
-            let mut cap = self.keys.len().max(8);
-            while needed * 4 > cap * 3 {
-                cap *= 2;
-            }
-            self.grow(cap);
+        if !self.has_room(additional) {
+            self.rebuild(Self::fit(self.len + additional));
         }
     }
 
-    fn grow(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two());
-        let old_keys = std::mem::replace(&mut self.keys, vec![K::EMPTY; cap]);
-        let mut old_vals = std::mem::take(&mut self.vals);
-        self.vals = Vec::new();
-        self.vals.resize_with(cap, V::default);
-        self.mask = cap - 1;
-        for (pos, key) in old_keys.into_iter().enumerate() {
-            if key == K::EMPTY {
+    /// Rehashes every entry into a fresh array of `cap` slots: growth, a
+    /// shrink, or — at 0, once the map is empty — freeing the storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cap` leaves a slot vacant (or is 0 for an empty map).
+    pub fn rebuild(&mut self, cap: usize) {
+        assert!(cap > self.len || cap == 0 && self.len == 0, "DenseMap: {cap} slots too few");
+        let vacant = (0..cap).map(|_| (K::EMPTY, V::default())).collect();
+        for slot in std::mem::replace(&mut self.slots, vacant) {
+            if slot.0 == K::EMPTY {
                 continue;
             }
-            let mut i = slot_of(key.hash_u64(), self.mask);
-            while self.keys[i] != K::EMPTY {
-                i = (i + 1) & self.mask;
+            let mut i = Self::home(slot.0, cap);
+            while self.slots[i].0 != K::EMPTY {
+                i = self.next(i);
             }
-            self.keys[i] = key;
-            self.vals[i] = std::mem::take(&mut old_vals[pos]);
+            self.slots[i] = slot;
         }
     }
 }
@@ -377,12 +451,18 @@ mod tests {
 
     #[test]
     fn growth_preserves_entries() {
-        let mut m: DenseMap<PeerId, u32> = DenseMap::new();
+        let (mut m, mut cap, mut growths) = (DenseMap::<PeerId, u32>::new(), 0, 0);
         for i in 0..1000 {
             m.insert(PeerId(i), i * 7);
+            if m.capacity() != cap {
+                // Only the insert that would pass 3/4 load grows the map,
+                // and it grows to that many entries' fit.
+                assert!(m.len() * 4 > cap * 3, "grew at {} entries in {cap} slots", m.len());
+                assert_eq!(m.capacity(), DenseMap::<PeerId, u32>::fit(m.len()));
+                (cap, growths) = (m.capacity(), growths + 1);
+            }
         }
-        assert_eq!(m.len(), 1000);
-        assert!(m.capacity().is_power_of_two());
+        assert_eq!((m.len(), m.capacity(), growths), (1000, 1444, 21));
         for i in 0..1000 {
             assert_eq!(m.get(&PeerId(i)), Some(&(i * 7)));
         }
@@ -465,6 +545,94 @@ mod tests {
         }
         for i in 0..32 {
             assert_eq!(m.get(&PeerId(i)).copied(), (i % 2 == 1).then_some(i));
+        }
+    }
+}
+
+/// `DenseMap` alone against `std::collections::HashMap`, at forced small
+/// capacities that are multiples of four but mostly not powers of two, and
+/// with keys homed on the last and the first slot, so nearly every probe
+/// chain crosses the wrap.
+#[cfg(test)]
+mod storage {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    type Map = DenseMap<PeerId, u64>;
+
+    const CAPS: std::ops::RangeInclusive<usize> = 8..=44;
+
+    /// Five keys homed on slot `cap - 1` and three on slot 0.
+    fn seam_keys(cap: usize) -> Vec<PeerId> {
+        let homed = |slot, n| (0..).map(PeerId).filter(move |k| Map::home(*k, cap) == slot).take(n);
+        homed(cap - 1, 5).chain(homed(0, 3)).collect()
+    }
+
+    /// Every resident key is where a probe finds it, at its cyclic
+    /// distance from home with no vacancy on the way — what backward-shift
+    /// deletion and the in-place `retain` rely on — and nothing else is
+    /// resident.
+    fn check(map: &Map, model: &HashMap<PeerId, u64>) {
+        assert_eq!(map.len, model.len());
+        let resident = map.slots.iter().enumerate().filter(|(_, s)| s.0 != PeerId::EMPTY);
+        assert_eq!(resident.clone().count(), model.len());
+        for (i, &(k, v)) in resident {
+            assert_eq!(model.get(&k), Some(&v), "{k:?} is not in the model");
+            assert_eq!(map.find(k), Ok(i), "{k:?} unreachable in {map:?}");
+            let home = Map::home(k, map.slots.len());
+            let (mut j, mut steps) = (home, 0);
+            while j != i {
+                assert_ne!(map.slots[j].0, PeerId::EMPTY, "vacancy before {k:?}");
+                (j, steps) = (map.next(j), steps + 1);
+            }
+            assert_eq!(steps, map.distance(home, i));
+        }
+    }
+
+    proptest! {
+        /// Ops `(kind, pick, ttl)`: 0–2 insert, 3 remove, 4 retain what
+        /// outlives an advancing age, 5 grow by a line, 6 shrink to the
+        /// tightest whole line. Keys come from the current capacity's seam
+        /// keys or, for odd picks, any capacity's.
+        #[test]
+        fn prop_storage_survives_the_seam(
+            start in 2usize..12,
+            ops in proptest::collection::vec((0u8..7, 0usize..64, 1u64..40), 0..200),
+        ) {
+            let pools: Vec<Vec<PeerId>> = CAPS.step_by(4).map(seam_keys).collect();
+            let all: Vec<PeerId> = pools.concat();
+            let (mut map, mut model, mut age) = (Map::new(), HashMap::new(), 0u64);
+            map.rebuild(start * 4);
+            for &(kind, pick, ttl) in &ops {
+                let cap = map.capacity();
+                let pool = if pick % 2 == 0 { &pools[(cap - 8) / 4] } else { &all };
+                let key = pool[pick / 2 % pool.len()];
+                match kind {
+                    0..=2 if map.has_room(1) => {
+                        let expires = age + ttl;
+                        match map.probe(key) {
+                            Probe::Hit(v) => *v = expires,
+                            Probe::Vacant(slot) => slot.insert(expires),
+                        }
+                        model.insert(key, expires);
+                        prop_assert_eq!(map.capacity(), cap, "an insert with room grew the map");
+                    }
+                    3 => prop_assert_eq!(map.remove(&key), model.remove(&key)),
+                    4 => {
+                        age += ttl;
+                        model.retain(|_, e| *e > age);
+                        map.retain(|_, e| *e > age);
+                    }
+                    5 if cap < *CAPS.end() => map.rebuild(cap + 4),
+                    6 => {
+                        let tight = (map.len * 4).div_ceil(3).next_multiple_of(4);
+                        map.rebuild(tight.max(*CAPS.start()));
+                    }
+                    _ => {}
+                }
+                check(&map, &model);
+            }
         }
     }
 }

@@ -5,8 +5,8 @@
 //! that models them. This crate is that substrate, in Rust:
 //!
 //! * [`addr`] — IPs, ports, endpoints, peer identifiers.
-//! * [`densemap`] — open-addressed structure-of-arrays maps backing the
-//!   hot mapping tables (NAT state, contact/pending maps, routing).
+//! * [`densemap`] — the one open-addressed map, packed and fitted, backing
+//!   the hot tables (NAT state, pending maps, Nylon's routing table).
 //! * [`nat`] — the four NAT types of Section 2 of the paper (Full Cone,
 //!   Restricted Cone, Port Restricted Cone, Symmetric) and the
 //!   public/natted peer classification.
@@ -61,7 +61,7 @@ pub mod slab;
 pub mod traversal;
 
 pub use addr::{Endpoint, Ip, PeerId, Port};
-pub use densemap::{DenseKey, DenseMap};
+pub use densemap::{DenseKey, DenseMap, Probe, Vacancy};
 pub use nat::{NatClass, NatType};
 pub use network::{
     private_endpoint, Delivery, DropCounters, DropReason, InFlight, NetConfig, Network, Outbound,

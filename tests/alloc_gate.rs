@@ -227,7 +227,9 @@ fn hot_paths_allocate_no_more_than_recorded() {
             0,
             allocations_of(periodic_timers_10k()),
         ),
-        ("NAT box, 1k outbound + inbound", 18, allocations_of(natbox_outbound_inbound_1k)),
+        // One slot array per growth: 21 fitted steps from 0 to 1 000
+        // sessions (two lanes each at 9 power-of-two steps cost 18).
+        ("NAT box, 1k outbound + inbound", 21, allocations_of(natbox_outbound_inbound_1k)),
         ("healer merge of a full 16-view x100", 0, allocations_of(healer_merge_of_a_full_view())),
         ("routing: install 256 + resolve", 2, allocations_of(routing_install_and_resolve_256)),
         ("routing: batches of 16 into 64 routes", 0, allocations_of(install_batches_of_16(64))),
@@ -290,10 +292,14 @@ fn hot_paths_allocate_no_more_than_recorded() {
     // tick loop (`nylon_sim::run_lone`) over the same staging vector, which
     // is lent to `absorb` and handed back: pinning must add no allocation.
     let (auto, pinned) = (Workers::OneOf(1), Workers::Plan(ShardPlan::round_robin(1)));
+    // Maps grow one slot array at a time by fitted steps of at least 5/4,
+    // where they used to double two lanes: fewer blocks where maps settle
+    // early (PeerSwap, 6.6 before), more where they still grow past
+    // warm-up (Nylon, 6.6 before).
     let engines: [(&str, f64, f64); 3] = [
-        ("nylon round", 6.6, allocations_per_round(nylon(), auto)),
-        ("peerswap round", 6.6, allocations_per_round(PeerSwapConfig::default(), auto)),
-        ("nylon round, pinned S=1", 6.6, allocations_per_round(nylon(), pinned)),
+        ("nylon round", 7.3, allocations_per_round(nylon(), auto)),
+        ("peerswap round", 4.8, allocations_per_round(PeerSwapConfig::default(), auto)),
+        ("nylon round, pinned S=1", 7.3, allocations_per_round(nylon(), pinned)),
     ];
     assert_eq!(engines[0].2, engines[2].2, "pinned S=1 allocates differently from self-sized");
     for (case, recorded, measured) in engines {
