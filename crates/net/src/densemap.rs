@@ -230,7 +230,8 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
     /// Probes for `key`: `Ok` is the slot holding it, `Err` the vacant slot
     /// where it would be inserted (the sentinel is never found). The load
     /// factor keeps the walk finite; a map that never allocated answers
-    /// `Err(0)`, a slot it does not have — inserts reserve first.
+    /// `Err(0)`, a slot it does not have — [`DenseMap::probe`] makes room
+    /// before it looks.
     #[inline]
     fn find(&self, key: K) -> Result<usize, usize> {
         let mut i = Self::home(key, self.slots.len());
@@ -264,8 +265,9 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         self.find(*key).is_ok()
     }
 
-    /// Probes for `key` with room for it reserved: one probe yields the
-    /// value to update or the vacancy to fill.
+    /// Probes for `key` with room for it reserved — growing to the
+    /// [`DenseMap::fit`] of one more entry if it would take the load past
+    /// 3/4 — so one probe yields the value to update or the vacancy to fill.
     ///
     /// # Panics
     ///
@@ -273,7 +275,9 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
     #[inline]
     pub fn probe(&mut self, key: K) -> Probe<'_, K, V> {
         assert!(key != K::EMPTY, "DenseMap: probing for the sentinel key");
-        self.reserve(1);
+        if !self.has_room(1) {
+            self.rebuild(Self::fit(self.len + 1));
+        }
         match self.find(key) {
             Ok(i) => Probe::Hit(&mut self.slots[i].1),
             Err(slot) => Probe::Vacant(Vacancy { map: self, key, slot }),
@@ -371,16 +375,6 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
             .enumerate()
             .filter(|(_, s)| s.0 != K::EMPTY)
             .map(move |(i, (k, v))| (v, self.distance(Self::home(*k, cap), i)))
-    }
-
-    /// Ensures room for `additional` more entries, rebuilding to their
-    /// [`DenseMap::fit`] when they would take the load past 3/4 — the one
-    /// occupancy check of a bulk insert.
-    #[inline]
-    pub fn reserve(&mut self, additional: usize) {
-        if !self.has_room(additional) {
-            self.rebuild(Self::fit(self.len + additional));
-        }
     }
 
     /// Rehashes every entry into a fresh array of `cap` slots: growth, a

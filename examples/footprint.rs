@@ -4,8 +4,9 @@
 //! beside the owners the engine's telemetry names: the bytes of the event
 //! queue's buffers (`kernel/wheel_slot_bytes`), of view slots
 //! (`view/slot_bytes`) and of routing slots (`routing/slot_bytes`, Nylon
-//! only), and the number of NAT-session map slots
-//! (`net/nat_session_slots`, in thousands). The stage tables in README
+//! only), and the NAT-session map slots beside the sessions they hold
+//! (`net/nat_session_slots` and `net/nat_sessions`, in thousands, so
+//! slots per session read off). The stage tables in README
 //! "Per-node footprint" come from it:
 //!
 //! ```text
@@ -47,19 +48,20 @@ fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
     let wheel = gauge("kernel", "wheel_slot_bytes").map_or_else(dash, mib);
     let view = gauge("view", "slot_bytes").map_or_else(dash, mib);
     let routing = gauge("routing", "slot_bytes").map_or_else(dash, mib);
-    let nat =
-        gauge("net", "nat_session_slots").map_or_else(dash, |n| format!("{:.0}", n as f64 / 1e3));
-    println!("{name:<14} {rss:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9}");
+    let thousands = |n: u64| format!("{:.0}", n as f64 / 1e3);
+    let nat = gauge("net", "nat_session_slots").map_or_else(dash, thousands);
+    let sessions = gauge("net", "nat_sessions").map_or_else(dash, thousands);
+    println!("{name:<14} {rss:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9}");
 }
 
 fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     let unbuilt: Option<&C::Sampler> = None;
-    let columns = ["stage", "VmRSS", "wheel", "view", "routing", "NAT"];
-    let units = ["", "MiB", "MiB", "MiB", "MiB", "k slots"];
-    for [a, b, c, d, e, f] in [columns, units] {
-        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9}");
+    let columns = ["stage", "VmRSS", "wheel", "view", "routing", "NAT", "sessions"];
+    let units = ["", "MiB", "MiB", "MiB", "MiB", "k slots", "k"];
+    for [a, b, c, d, e, f, g] in [columns, units] {
+        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9}");
     }
     stage("construct", unbuilt);
     for class in scn.classes() {

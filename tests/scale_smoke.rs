@@ -147,6 +147,21 @@ fn wheel_buffers_follow_pending_events() {
     }
 }
 
+/// NAT-session maps are sized to the sessions they hold: the baseline at
+/// the view test's population, after 40 rounds (200 s, so sessions have
+/// cycled through the 90 s hole timeout and the purge twice), holds at
+/// most 2.5 map slots per session. Fitted maps read 2.07 here; maps that
+/// doubled to powers of two read 3.17.
+#[test]
+fn nat_session_slots_track_sessions() {
+    let mut eng = build(&Scenario::new(5_000, 70.0, 5), GossipConfig::default());
+    eng.run_rounds(40);
+    let (sessions, slots) =
+        (metric(&eng, "net", "nat_sessions"), metric(&eng, "net", "nat_session_slots"));
+    assert!(sessions > 5 * 3_500, "{sessions} sessions in 3 500 NAT boxes");
+    assert!(2 * slots <= 5 * sessions, "{slots} NAT-session slots for {sessions} sessions");
+}
+
 /// One counter or gauge of `eng`'s telemetry.
 fn metric<S: PeerSampler>(eng: &S, layer: &str, name: &str) -> u64 {
     let mut report = nylon_obs::Report::new();
