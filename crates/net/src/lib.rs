@@ -61,7 +61,7 @@ pub mod slab;
 pub mod traversal;
 
 pub use addr::{Endpoint, Ip, PeerId, Port};
-pub use densemap::{DenseKey, DenseMap, Probe, Vacancy};
+pub use densemap::{DenseKey, DenseMap, Probe};
 pub use nat::{NatClass, NatType};
 pub use network::{
     private_endpoint, Delivery, DropCounters, DropReason, InFlight, NetConfig, Network, Outbound,

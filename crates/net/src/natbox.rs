@@ -273,8 +273,7 @@ pub struct NatBox {
 /// First port handed out by the allocator (below are considered reserved).
 const FIRST_DYNAMIC_PORT: u16 = 1024;
 
-// Every natted peer holds one, most of them idle: keep it small (88 B,
-// 120 B while a map header carried two lanes and a mask).
+// Every natted peer holds one, most of them idle: keep it small.
 const _: () = assert!(std::mem::size_of::<NatBox>() <= 88, "NatBox must stay small while idle");
 
 impl NatBox {
