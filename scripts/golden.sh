@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# The committed goldens and the three `repro` invocations they are cut from,
-# which between them cover every artifact.
+# The committed goldens and the four `repro` invocations they are cut from,
+# which between them cover every artifact and every attack.
 #
 #   scripts/golden.sh --check    # byte-compare; CI and tests/shard_determinism.rs hold the same bytes
 #   scripts/golden.sh --write    # regenerate (a draw-order re-baseline: its own commit)
 #
 # Builds and runs the release CLI. --check renders each golden
 # without a --shards flag and at --shards 1, 2 and 4, telemetry off and on:
-# one byte family, so every one of the twenty-four transcripts must equal the
+# one byte family, so every one of the thirty-two transcripts must equal the
 # committed file. --write cuts them from the flag-less, stats-off run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +17,7 @@ goldens=(
     "tests/golden/fig9_table1.txt|fig9 table1"
     "tests/golden/all_engines.txt|randomness resilience eclipse"
     "tests/golden/steady_churn_capture.txt|fig2 fig3 fig4 fig7 fig8 fig10 correctness ablation extensions timeline capture"
+    "tests/golden/capture_shuffle_lying.txt|capture --attack shuffle-lying"
 )
 
 bin=target/release/repro
