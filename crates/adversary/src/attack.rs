@@ -1,19 +1,15 @@
-//! Attack strategies: pluggable view-rewrite rules for Byzantine peers.
-
-use std::sync::Arc;
+//! The four attacks: view-rewrite rules for Byzantine peers.
 
 use nylon_gossip::{NodeDescriptor, PartialView};
 use nylon_net::{Endpoint, Ip, NatClass, NatType, PeerId, Port};
 use nylon_sim::SimRng;
 
-/// Everything a strategy may read or rewrite when it corrupts one
+/// Everything an attack may read or rewrite when it corrupts one
 /// attacker's view before a round.
 #[derive(Debug)]
 pub struct AttackCtx<'a> {
-    /// The attacker whose view is being rewritten.
-    pub attacker: PeerId,
     /// The attacker's view (rewriting it controls the next shuffle
-    /// payload; see [`nylon_gossip::PeerSampler::view_of_mut`]).
+    /// payload; see [`nylon_gossip::Engine::view_of_mut`]).
     pub view: &'a mut PartialView,
     /// Fresh self-descriptors of the whole colluding attacker set.
     pub attackers: &'a [NodeDescriptor],
@@ -21,21 +17,10 @@ pub struct AttackCtx<'a> {
     /// scenario designates victims).
     pub victims: &'a [NodeDescriptor],
     /// This attacker's persistent random stream (forked per attacker, so
-    /// strategies stay deterministic under any execution layout).
+    /// attacks stay deterministic under any execution layout).
     pub rng: &'a mut SimRng,
     /// Total population size (forged ids are drawn below this).
     pub n_peers: usize,
-}
-
-/// A view-rewrite rule applied to every attacker before every round.
-pub trait AttackStrategy: std::fmt::Debug + Send + Sync {
-    /// Stable human-readable name (used in figure labels).
-    fn name(&self) -> &'static str;
-
-    /// Rewrites one attacker's view. Returns how many attacker or forged
-    /// descriptors were injected (kept real entries don't count), so the
-    /// wrapper can account for attack volume in telemetry.
-    fn corrupt(&self, ctx: &mut AttackCtx<'_>) -> u32;
 }
 
 /// A plausible-looking but useless descriptor: a real peer id (so honest
@@ -54,127 +39,34 @@ pub fn forged_descriptor(rng: &mut SimRng, n_peers: usize) -> NodeDescriptor {
     NodeDescriptor::new(PeerId(id), addr, NatClass::Natted(NatType::Symmetric))
 }
 
-/// Shuffle lying: keep a sliver of real entries (so the attacker still
-/// initiates exchanges toward honest peers), fill the rest of the view
-/// with forged descriptors. The age-0 forgeries also displace the real
-/// copies in honest views through younger-wins dedup.
-#[derive(Debug, Clone, Copy)]
-pub struct ShuffleLying;
-
-impl AttackStrategy for ShuffleLying {
-    fn name(&self) -> &'static str {
-        "shuffle-lying"
-    }
-
-    fn corrupt(&self, ctx: &mut AttackCtx<'_>) -> u32 {
-        let keep = ctx.view.capacity() / 3;
-        while ctx.view.len() > keep {
-            let oldest = ctx.view.iter().max_by_key(|d| d.age).expect("non-empty").id;
-            ctx.view.remove(oldest);
-        }
-        // Forged ids collide (with the view and each other) and collisions
-        // dedup away, so fill under an attempt bound rather than a count.
-        let kept = ctx.view.len();
-        let mut tries = 4 * ctx.view.capacity();
-        while ctx.view.len() < ctx.view.capacity() && tries > 0 {
-            ctx.view.insert(forged_descriptor(ctx.rng, ctx.n_peers));
-            tries -= 1;
-        }
-        (ctx.view.len() - kept) as u32
-    }
-}
-
-/// Self promotion: advertise nothing but the colluding attacker set,
-/// capturing honest in-degree round over round as honest pulls adopt the
-/// advertised entries.
-#[derive(Debug, Clone, Copy)]
-pub struct SelfPromotion;
-
-impl AttackStrategy for SelfPromotion {
-    fn name(&self) -> &'static str {
-        "self-promotion"
-    }
-
-    fn corrupt(&self, ctx: &mut AttackCtx<'_>) -> u32 {
-        ctx.view.retain(|_| false);
-        for d in ctx.attackers {
-            ctx.view.insert(*d);
-        }
-        ctx.view.len() as u32
-    }
-}
-
-/// Targeted eclipse: attackers aim their exchanges at the victim set
-/// (half the view) while advertising only colluders (the other half), so
-/// victims' views fill with attackers and the honest overlay loses them.
-#[derive(Debug, Clone, Copy)]
-pub struct Eclipse;
-
-impl AttackStrategy for Eclipse {
-    fn name(&self) -> &'static str {
-        "eclipse"
-    }
-
-    fn corrupt(&self, ctx: &mut AttackCtx<'_>) -> u32 {
-        ctx.view.retain(|_| false);
-        let half = ctx.view.capacity() / 2;
-        for d in ctx.victims.iter().take(half) {
-            ctx.view.insert(*d);
-        }
-        let targets = ctx.view.len();
-        let mut i = 0;
-        while ctx.view.len() < ctx.view.capacity() && i < ctx.attackers.len() {
-            ctx.view.insert(ctx.attackers[i]);
-            i += 1;
-        }
-        (ctx.view.len() - targets) as u32
-    }
-}
-
-/// NAT-aware eclipse: like [`Eclipse`], but the payload half is forged
-/// *unreachable* entries rather than colluders. A NAT-oblivious protocol
-/// cannot tell these from live natted peers, so the victims' views silt
-/// up with dead weight even when the attacker set is small — the
-/// unreachable-entry pollution channel unique to NATted overlays.
-#[derive(Debug, Clone, Copy)]
-pub struct NatEclipse;
-
-impl AttackStrategy for NatEclipse {
-    fn name(&self) -> &'static str {
-        "nat-eclipse"
-    }
-
-    fn corrupt(&self, ctx: &mut AttackCtx<'_>) -> u32 {
-        ctx.view.retain(|_| false);
-        let half = ctx.view.capacity() / 2;
-        for d in ctx.victims.iter().take(half) {
-            ctx.view.insert(*d);
-        }
-        let targets = ctx.view.len();
-        let mut tries = 4 * ctx.view.capacity();
-        while ctx.view.len() < ctx.view.capacity() && tries > 0 {
-            ctx.view.insert(forged_descriptor(ctx.rng, ctx.n_peers));
-            tries -= 1;
-        }
-        (ctx.view.len() - targets) as u32
-    }
-}
-
-/// The built-in attack taxonomy, for CLI parsing and figure sweeps.
+/// The four attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackKind {
-    /// [`ShuffleLying`].
+    /// Shuffle lying: keep a sliver of real entries (so the attacker still
+    /// initiates exchanges toward honest peers), fill the rest of the view
+    /// with forged descriptors. The age-0 forgeries also displace the real
+    /// copies in honest views through younger-wins dedup.
     ShuffleLying,
-    /// [`SelfPromotion`].
+    /// Self promotion: advertise nothing but the colluding attacker set,
+    /// capturing honest in-degree round over round as honest pulls adopt
+    /// the advertised entries.
     SelfPromotion,
-    /// [`Eclipse`].
+    /// Targeted eclipse: attackers aim their exchanges at the victim set
+    /// (half the view) while advertising only colluders (the other half),
+    /// so victims' views fill with attackers and the honest overlay loses
+    /// them.
     Eclipse,
-    /// [`NatEclipse`].
+    /// NAT-aware eclipse: like [`Eclipse`](Self::Eclipse), but the payload
+    /// half is forged *unreachable* entries rather than colluders. A
+    /// NAT-oblivious protocol cannot tell these from live natted peers, so
+    /// the victims' views silt up with dead weight even when the attacker
+    /// set is small — the unreachable-entry pollution channel unique to
+    /// NATted overlays.
     NatEclipse,
 }
 
 impl AttackKind {
-    /// Every built-in attack.
+    /// Every attack.
     pub const ALL: [AttackKind; 4] = [
         AttackKind::ShuffleLying,
         AttackKind::SelfPromotion,
@@ -182,7 +74,7 @@ impl AttackKind {
         AttackKind::NatEclipse,
     ];
 
-    /// The stable name (matches the strategy's `name()` and the CLI).
+    /// The stable name (figure labels and the CLI).
     pub fn label(self) -> &'static str {
         match self {
             AttackKind::ShuffleLying => "shuffle-lying",
@@ -197,13 +89,63 @@ impl AttackKind {
         Self::ALL.into_iter().find(|k| k.label() == name)
     }
 
-    /// Instantiates the strategy.
-    pub fn strategy(self) -> Arc<dyn AttackStrategy> {
+    /// Rewrites one attacker's view. Returns how many attacker or forged
+    /// descriptors were injected (kept real entries don't count), so the
+    /// attack can account for its volume in telemetry.
+    pub fn corrupt(self, ctx: &mut AttackCtx<'_>) -> u32 {
         match self {
-            AttackKind::ShuffleLying => Arc::new(ShuffleLying),
-            AttackKind::SelfPromotion => Arc::new(SelfPromotion),
-            AttackKind::Eclipse => Arc::new(Eclipse),
-            AttackKind::NatEclipse => Arc::new(NatEclipse),
+            AttackKind::ShuffleLying => {
+                let keep = ctx.view.capacity() / 3;
+                while ctx.view.len() > keep {
+                    let oldest = ctx.view.iter().max_by_key(|d| d.age).expect("non-empty").id;
+                    ctx.view.remove(oldest);
+                }
+                // Forged ids collide (with the view and each other) and
+                // collisions dedup away, so fill under an attempt bound
+                // rather than a count.
+                let kept = ctx.view.len();
+                let mut tries = 4 * ctx.view.capacity();
+                while ctx.view.len() < ctx.view.capacity() && tries > 0 {
+                    ctx.view.insert(forged_descriptor(ctx.rng, ctx.n_peers));
+                    tries -= 1;
+                }
+                (ctx.view.len() - kept) as u32
+            }
+            AttackKind::SelfPromotion => {
+                ctx.view.retain(|_| false);
+                for d in ctx.attackers {
+                    ctx.view.insert(*d);
+                }
+                ctx.view.len() as u32
+            }
+            AttackKind::Eclipse => {
+                ctx.view.retain(|_| false);
+                let half = ctx.view.capacity() / 2;
+                for d in ctx.victims.iter().take(half) {
+                    ctx.view.insert(*d);
+                }
+                let targets = ctx.view.len();
+                let mut i = 0;
+                while ctx.view.len() < ctx.view.capacity() && i < ctx.attackers.len() {
+                    ctx.view.insert(ctx.attackers[i]);
+                    i += 1;
+                }
+                (ctx.view.len() - targets) as u32
+            }
+            AttackKind::NatEclipse => {
+                ctx.view.retain(|_| false);
+                let half = ctx.view.capacity() / 2;
+                for d in ctx.victims.iter().take(half) {
+                    ctx.view.insert(*d);
+                }
+                let targets = ctx.view.len();
+                let mut tries = 4 * ctx.view.capacity();
+                while ctx.view.len() < ctx.view.capacity() && tries > 0 {
+                    ctx.view.insert(forged_descriptor(ctx.rng, ctx.n_peers));
+                    tries -= 1;
+                }
+                (ctx.view.len() - targets) as u32
+            }
         }
     }
 }
@@ -236,17 +178,16 @@ mod tests {
         (view, attackers, victims, SimRng::new(7))
     }
 
-    fn corrupt(strategy: &dyn AttackStrategy) -> PartialView {
+    fn corrupt(kind: AttackKind) -> PartialView {
         let (mut view, attackers, victims, mut rng) = ctx_fixture();
         let mut ctx = AttackCtx {
-            attacker: PeerId(0),
             view: &mut view,
             attackers: &attackers,
             victims: &victims,
             rng: &mut rng,
             n_peers: 100,
         };
-        strategy.corrupt(&mut ctx);
+        kind.corrupt(&mut ctx);
         view
     }
 
@@ -263,7 +204,7 @@ mod tests {
 
     #[test]
     fn shuffle_lying_keeps_a_sliver_and_fills_with_forgeries() {
-        let view = corrupt(&ShuffleLying);
+        let view = corrupt(AttackKind::ShuffleLying);
         assert_eq!(view.len(), view.capacity());
         let forged =
             view.iter().filter(|d| d.class == NatClass::Natted(NatType::Symmetric)).count();
@@ -276,14 +217,14 @@ mod tests {
 
     #[test]
     fn self_promotion_advertises_only_colluders() {
-        let view = corrupt(&SelfPromotion);
+        let view = corrupt(AttackKind::SelfPromotion);
         assert_eq!(view.len(), 3);
         assert!(view.iter().all(|d| (90..93).contains(&d.id.0)));
     }
 
     #[test]
     fn eclipse_splits_view_between_victims_and_colluders() {
-        let view = corrupt(&Eclipse);
+        let view = corrupt(AttackKind::Eclipse);
         let victims = view.iter().filter(|d| (50..60).contains(&d.id.0)).count();
         let colluders = view.iter().filter(|d| (90..93).contains(&d.id.0)).count();
         assert_eq!(victims, 6, "half the capacity goes to victims");
@@ -292,7 +233,7 @@ mod tests {
 
     #[test]
     fn nat_eclipse_pads_with_unreachable_forgeries() {
-        let view = corrupt(&NatEclipse);
+        let view = corrupt(AttackKind::NatEclipse);
         assert_eq!(view.len(), view.capacity());
         let victims = view
             .iter()
@@ -308,7 +249,6 @@ mod tests {
     fn kind_roundtrips_through_labels() {
         for kind in AttackKind::ALL {
             assert_eq!(AttackKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.strategy().name(), kind.label());
         }
         assert_eq!(AttackKind::parse("nope"), None);
     }

@@ -113,7 +113,9 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// The view of an owned peer.
     fn view_of(&self, peer: PeerId) -> &PartialView;
 
-    /// Mutable view access (the adversary seam).
+    /// Mutable view access: joins insert through it, and
+    /// [`Engine::view_of_mut`](crate::Engine::view_of_mut) hands it to the
+    /// adversary's pass between rounds.
     fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView;
 
     /// An owned peer's RNG stream.

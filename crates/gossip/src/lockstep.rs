@@ -695,14 +695,18 @@ impl<P: Protocol> Engine<P> {
         self.run().owner(peer).proto.view_of(peer)
     }
 
-    /// Mutable view access (the adversary seam; see
-    /// [`PeerSampler::view_of_mut`]).
+    /// Mutable access to a peer's view. Every protocol draws its shuffle
+    /// payloads from the view, so rewriting a peer's view between rounds
+    /// controls exactly what it advertises next: the adversary's pass
+    /// (`nylon_adversary::Attack`) does that, and honest drivers never
+    /// call this.
     pub fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
         self.run_mut().owner_mut(peer).proto.view_of_mut(peer)
     }
 
     /// A peer's fresh (age-0) self-descriptor, as it would advertise
-    /// itself in a shuffle.
+    /// itself in a shuffle: asked of its own worker, the one that knows a
+    /// natted peer's current endpoint.
     pub fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
         self.run().owner(peer).host.descriptor_of(peer)
     }
@@ -720,6 +724,22 @@ impl<P: Protocol> Engine<P> {
         }
         let h = run.owner(holder);
         h.proto.edge_usable(&h.host, &run.owner(d.id).host, holder, d)
+    }
+}
+
+/// Merges the engine's telemetry ([`Engine::obs_report`]) into the stats
+/// sink when one is installed, so every run's counters reach `--stats`
+/// without its driver flushing them. An engine whose workers were never
+/// built has nothing to report, and one dropped while its thread panics
+/// reports nothing.
+impl<P: Protocol> Drop for Engine<P> {
+    fn drop(&mut self) {
+        if !nylon_obs::is_active() || self.run.get().is_none() || std::thread::panicking() {
+            return;
+        }
+        let mut report = nylon_obs::Report::new();
+        self.obs_report(&mut report);
+        nylon_obs::merge_report(&report);
     }
 }
 
@@ -796,14 +816,6 @@ impl<P: Protocol> PeerSampler for Engine<P> {
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
         Engine::view_of(self, peer)
-    }
-
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        Engine::view_of_mut(self, peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        Engine::descriptor_of(self, peer)
     }
 
     fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {

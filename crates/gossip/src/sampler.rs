@@ -129,20 +129,6 @@ pub trait PeerSampler: Sized {
     /// The view of a peer (dead peers keep their last view).
     fn view_of(&self, peer: PeerId) -> &PartialView;
 
-    /// Mutable access to a peer's view — the *adversary seam*.
-    ///
-    /// Every engine draws its shuffle payloads from the view, so a
-    /// Byzantine wrapper that rewrites a peer's view between rounds
-    /// controls exactly what that peer advertises next, without the engine
-    /// needing to know attacks exist. Honest drivers never call this.
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView;
-
-    /// A peer's fresh (age-0) self-descriptor, exactly as the engine would
-    /// advertise it in a shuffle. Lets generic code (attack strategies,
-    /// bootstrap helpers) forge or replay advertisements without knowing
-    /// the engine's address plan.
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor;
-
     /// Whether `holder` could communicate over this view entry *right
     /// now*: the target is alive and the protocol has a way to reach it.
     ///

@@ -148,14 +148,6 @@ impl<P: Protocol> PeerSampler for Sharded<Engine<P>> {
         self.0.view_of(peer)
     }
 
-    fn view_of_mut(&mut self, peer: PeerId) -> &mut PartialView {
-        self.0.view_of_mut(peer)
-    }
-
-    fn descriptor_of(&self, peer: PeerId) -> NodeDescriptor {
-        self.0.descriptor_of(peer)
-    }
-
     fn edge_usable(&self, holder: PeerId, d: &NodeDescriptor) -> bool {
         self.0.edge_usable(holder, d)
     }

@@ -4,7 +4,7 @@
 //! These go beyond the paper — its evaluation covers crashes and NATs
 //! only — and lean on [`nylon_adversary`]: a configurable fraction of the
 //! population turns Byzantine and rewrites its views between rounds, so
-//! every engine faces the same attacks through the same machinery.
+//! every engine faces the same attacks through the same pass.
 //!
 //! * `randomness` — an honest head-to-head of all four engines: how
 //!   uniform are the usable-overlay in-degrees, with and without NATs?
@@ -21,13 +21,13 @@
 //!   NAT-aware variant padding with forged unreachable entries at 60 %
 //!   NAT (pollution a NAT-oblivious protocol cannot detect).
 
-use nylon_adversary::{AttackKind, MaliciousSampler};
-use nylon_gossip::PeerSampler;
+use nylon_adversary::{Attack, AttackKind};
+use nylon_gossip::{Engine, PeerSampler, Protocol};
 use nylon_metrics::randomness::{chi_square_uniform, dispersion_index};
 
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-use crate::runner::{adversarial_cfg, biggest_cluster_pct, build};
+use crate::runner::{biggest_cluster_pct, build};
 use crate::scenario::Scenario;
 
 use super::common::{dispatch_engine, mean_finite, point_seeds};
@@ -92,18 +92,18 @@ fn attacked_sample(
     victims: usize,
     seed: u64,
 ) -> Vec<f64> {
-    fn measure<E: PeerSampler>(mut eng: MaliciousSampler<E>, rounds: u64) -> Vec<f64> {
-        eng.run_rounds(rounds);
+    fn measure<P: Protocol>(mut eng: Engine<P>, mut attack: Attack, rounds: u64) -> Vec<f64> {
+        attack.run_rounds(&mut eng, rounds);
         let cluster = biggest_cluster_pct(&eng);
         let mut entries = 0u64;
         let mut captured = 0u64;
         for p in eng.alive_peers() {
-            if eng.is_attacker(p) {
+            if attack.is_attacker(p) {
                 continue;
             }
             for d in eng.view_of(p).iter() {
                 entries += 1;
-                if eng.is_attacker(d.id) {
+                if attack.is_attacker(d.id) {
                     captured += 1;
                 }
             }
@@ -112,16 +112,15 @@ fn attacked_sample(
             if entries == 0 { f64::NAN } else { 100.0 * captured as f64 / entries as f64 };
         // Victim view pollution: the share of a victim's entries that are
         // attacker-held or unusable — the eclipse's grip on the victims.
-        let victims: Vec<_> = eng.victims().to_vec();
         let mut v_entries = 0u64;
         let mut v_polluted = 0u64;
-        for v in victims {
+        for &v in attack.victims() {
             if !eng.is_alive(v) {
                 continue;
             }
             for d in eng.view_of(v).iter() {
                 v_entries += 1;
-                if eng.is_attacker(d.id) || !eng.edge_usable(v, d) {
+                if attack.is_attacker(d.id) || !eng.edge_usable(v, d) {
                     v_polluted += 1;
                 }
             }
@@ -130,14 +129,11 @@ fn attacked_sample(
             if v_entries == 0 { f64::NAN } else { 100.0 * v_polluted as f64 / v_entries as f64 };
         vec![capture, cluster, pollution]
     }
-    let scn = Scenario {
-        attacker_fraction: fraction,
-        victims,
-        ..Scenario::new(scale.peers, nat_pct, seed)
-    };
-    let strategy = attack.strategy();
+    let scn = Scenario::new(scale.peers, nat_pct, seed);
     dispatch_engine!(kind, |cfg| {
-        measure(build(&scn, adversarial_cfg(&scn, cfg, strategy.clone())), scale.rounds)
+        let eng = build(&scn, cfg);
+        let adversary = Attack::recruit(&eng, seed, attack, fraction, victims);
+        measure(eng, adversary, scale.rounds)
     })
 }
 

@@ -12,7 +12,7 @@ use nylon_gossip::{PeerSampler, SamplerConfig};
 use nylon_metrics::{BandwidthReport, Summary};
 use nylon_net::TrafficStats;
 
-use crate::runner::{biggest_cluster_pct, build, obs_flush, seeds, staleness};
+use crate::runner::{biggest_cluster_pct, build, seeds, staleness};
 use crate::scenario::{NatMix, Scenario};
 
 use super::{EngineKind, FigureScale};
@@ -21,7 +21,7 @@ use super::{EngineKind, FigureScale};
 /// default config of the engine `$kind` selects. The literal is pasted
 /// into every arm, so it instantiates once per engine type (a closure
 /// value would pin one): `|cfg| build(&scn, cfg)` for an honest run, one
-/// wrapping the config in [`nylon_adversary::MaliciousConfig`] for an
+/// recruiting a [`nylon_adversary::Attack`] over the built engine for an
 /// attacked one, one calling [`crate::runner::build_with_faults`] for the
 /// `resilience` sweeps.
 macro_rules! dispatch_engine {
@@ -72,10 +72,9 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Runs `eng` for `rounds`, reads the metric and flushes the engine's
-    /// telemetry.
+    /// Runs `eng` for `rounds` and reads the metric.
     fn measure<S: PeerSampler>(self, mut eng: S, rounds: u64) -> Vec<f64> {
-        let values = match self {
+        match self {
             Metric::Cluster => {
                 eng.run_rounds(rounds);
                 vec![biggest_cluster_pct(&eng)]
@@ -95,9 +94,7 @@ impl Metric {
                 let (overall, public, natted) = bandwidth_by_class(&mut eng, rounds);
                 vec![overall, public, natted]
             }
-        };
-        obs_flush(&eng);
-        values
+        }
     }
 }
 
@@ -151,7 +148,6 @@ pub fn nylon_chain_sample(
     let after = eng.stats();
     let hops = after.chain_hops_sum - before.chain_hops_sum;
     let samples = after.chain_samples - before.chain_samples;
-    obs_flush(&eng);
     vec![if samples == 0 { f64::NAN } else { hops as f64 / samples as f64 }]
 }
 

@@ -28,7 +28,7 @@ use nylon_sim::{SimDuration, SimTime};
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
 use crate::runner::{
-    biggest_cluster_pct, biggest_cluster_pct_with, build_with_faults, obs_flush, SnapshotScratch,
+    biggest_cluster_pct, biggest_cluster_pct_with, build_with_faults, SnapshotScratch,
 };
 use crate::scenario::Scenario;
 
@@ -113,7 +113,6 @@ fn recovery_sample(
             eng.run_rounds(1);
             pcts.push(biggest_cluster_pct_with(&eng, &mut scratch));
         }
-        obs_flush(&eng);
         let dip = pcts.iter().copied().fold(pre, f64::min);
         let dip_at = pcts.iter().position(|p| *p <= dip).unwrap_or(0);
         let reconverge = pcts
@@ -154,7 +153,6 @@ fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64
         100.0 * s.punch_retry_wins as f64 / s.punch_retries as f64
     };
     let last = biggest_cluster_pct(&eng);
-    obs_flush(&eng);
     vec![s.punch_retries as f64, s.punch_retry_wins as f64, rate, s.stale_repunches as f64, last]
 }
 

@@ -237,7 +237,6 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
         nylon_obs::merge_report(&r);
     }
     let engine = runner.into_engine();
-    crate::runner::obs_flush(&engine);
     Ok(LiveOutcome {
         overlay: snapshot(&engine),
         emulator_forwarded: emulator.forwarded(),

@@ -8,9 +8,6 @@
 //! [`edge_usable`](PeerSampler::edge_usable) oracle, which is where the
 //! baseline-vs-Nylon reachability difference lives.
 
-use std::sync::Arc;
-
-use nylon_adversary::{AttackStrategy, MaliciousConfig};
 use nylon_faults::{FaultConfig, FaultPlan};
 use nylon_gossip::{PeerSampler, SamplerConfig};
 use nylon_metrics::graph::{DiGraph, WccScratch};
@@ -119,27 +116,6 @@ pub fn build_with_plan<C: SamplerConfig>(
     eng
 }
 
-/// Wraps an engine config in the Byzantine harness
-/// ([`nylon_adversary::MaliciousSampler`]), taking attacker placement —
-/// fraction, public-only recruitment, victim count — from the scenario,
-/// so simulated and (later) live adversarial runs share their configs.
-///
-/// `build(&scn, adversarial_cfg(&scn, cfg, strategy))` then drives the
-/// attacked engine through the same pipeline as every honest one.
-pub fn adversarial_cfg<C: SamplerConfig>(
-    scn: &Scenario,
-    cfg: C,
-    strategy: Arc<dyn AttackStrategy>,
-) -> MaliciousConfig<C> {
-    MaliciousConfig {
-        inner: cfg,
-        strategy,
-        attacker_fraction: scn.attacker_fraction,
-        attackers_public: scn.attackers_public,
-        victims: scn.victims,
-    }
-}
-
 /// The *usable* overlay graph of an engine: one edge per view entry over
 /// which the holder could communicate right now (per the engine's
 /// [`edge_usable`](PeerSampler::edge_usable) oracle), plus the alive mask.
@@ -224,20 +200,6 @@ pub fn staleness<S: PeerSampler>(eng: &S) -> StalenessReport {
     StalenessReport::compute(peers.iter().map(|p| (*p, eng.view_of(*p).as_slice())), |holder, d| {
         eng.edge_usable(holder, d)
     })
-}
-
-/// Flushes an engine's telemetry into the process-global stats sink, if
-/// one is installed. Call right before the engine is dropped — a cell's
-/// counters are lost with it otherwise. A no-op (one branch) when no sink
-/// is active or the `obs` feature is off, so measurement code can call it
-/// unconditionally.
-pub fn obs_flush<S: PeerSampler>(eng: &S) {
-    if !nylon_obs::is_active() {
-        return;
-    }
-    let mut report = nylon_obs::Report::new();
-    eng.obs_report(&mut report);
-    nylon_obs::merge_report(&report);
 }
 
 /// Derives `count` seeds from a base seed.

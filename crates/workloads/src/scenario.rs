@@ -108,18 +108,6 @@ pub struct Scenario {
     /// (paper: 0 — it discusses these protocols only as rejected related
     /// work).
     pub upnp_adoption: f64,
-    /// Fraction of the population recruited as Byzantine attackers, in
-    /// `[0, 1]` (0 = honest run). Which attack they mount is chosen by the
-    /// driver (figure plan or `--attack`), not the scenario: placement is
-    /// population shape, the strategy is workload. Primitive fields so
-    /// sim and (later) live runs share serialized configs.
-    pub attacker_fraction: f64,
-    /// Recruit attackers among public peers only (the strongest placement;
-    /// ignored when `attacker_fraction` is 0).
-    pub attackers_public: bool,
-    /// Number of honest peers designated as eclipse victims (0 for
-    /// attacks without a victim set).
-    pub victims: usize,
     /// Fault plan to compile and install (`None` for a clean run — the
     /// builder takes the exact pre-fault-plane code path). The spec's
     /// events are compiled against this scenario's classes and seed at
@@ -141,9 +129,6 @@ impl Scenario {
             view_size: 15,
             bootstrap_contacts: 8,
             upnp_adoption: 0.0,
-            attacker_fraction: 0.0,
-            attackers_public: true,
-            victims: 0,
             faults: None,
             seed,
         }
@@ -168,18 +153,6 @@ impl Scenario {
         }
         if self.bootstrap_contacts == 0 {
             return Err("bootstrap_contacts must be nonzero (views would start empty)".to_string());
-        }
-        if !self.attacker_fraction.is_finite() || !(0.0..=1.0).contains(&self.attacker_fraction) {
-            return Err(format!(
-                "attacker_fraction must be within [0, 1], got {}",
-                self.attacker_fraction
-            ));
-        }
-        if self.victims >= self.peers {
-            return Err(format!(
-                "victims must be fewer than peers, got {} of {}",
-                self.victims, self.peers
-            ));
         }
         Ok(())
     }
@@ -286,15 +259,12 @@ mod tests {
     #[test]
     fn validate_names_the_offending_field() {
         let base = Scenario::new(100, 70.0, 1);
-        let cases: [(Scenario, &str); 8] = [
+        let cases: [(Scenario, &str); 5] = [
             (Scenario { peers: 0, ..base.clone() }, "peers"),
             (Scenario { nat_pct: 120.0, ..base.clone() }, "nat_pct"),
             (Scenario { nat_pct: f64::NAN, ..base.clone() }, "nat_pct"),
             (Scenario { upnp_adoption: 1.5, ..base.clone() }, "upnp_adoption"),
             (Scenario { view_size: 0, ..base.clone() }, "view_size"),
-            (Scenario { attacker_fraction: 1.5, ..base.clone() }, "attacker_fraction"),
-            (Scenario { attacker_fraction: f64::NAN, ..base.clone() }, "attacker_fraction"),
-            (Scenario { victims: 100, ..base.clone() }, "victims"),
         ];
         for (scn, field) in cases {
             let err = scn.validate().expect_err("invalid scenario must be rejected");

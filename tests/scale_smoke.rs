@@ -353,12 +353,9 @@ fn sharded_baseline_smoke(label: &str, peers: u32, rounds: u64) {
         }
         None => println!("[{label}] peak RSS unavailable (no /proc/self/status)"),
     }
-    if nylon_obs::is_active() {
-        let mut r = nylon_obs::Report::new();
-        eng.obs_report(&mut r);
-        nylon_obs::merge_report(&r);
-        nylon_obs::final_snapshot();
-    }
+    // Dropping the engine merges its telemetry into the sink, if any.
+    drop(eng);
+    nylon_obs::final_snapshot();
 
     let floor = u64::from(peers) * rounds * 95 / 100;
     assert!(stats.initiated > floor, "too few shuffles at scale: {}", stats.initiated);

@@ -128,7 +128,7 @@ fn peerswap_figures_are_byte_identical_at_shards_1_2_4() {
 #[test]
 fn adversarial_figures_are_shard_and_thread_count_independent() {
     // The Byzantine harness rewrites attacker views between rounds from
-    // shard-independent RNG streams; eclipse cells (MaliciousSampler over
+    // shard-independent RNG streams; eclipse cells (an `Attack` pass over
     // a sharded engine, victims designated) must not observe the shard
     // count or the worker-pool width.
     let serial = generate_with("eclipse", &tiny(), &ExecOptions { jobs: 1, ..at(1) })
@@ -144,36 +144,41 @@ fn adversarial_figures_are_shard_and_thread_count_independent() {
 #[test]
 fn stats_sink_never_perturbs_figure_output() {
     // The nylon-obs contract: telemetry only observes. With the sink
-    // installed, every cell flushes its counters and the executor writes
-    // snapshot lines — none of which may touch RNG draws or event order,
-    // so fig9 and table1 must render byte-identically with stats on or
-    // off at every shard count. Stats-off renders run FIRST: the sink is
-    // a process-global OnceLock and cannot be uninstalled.
-    let off: Vec<String> = [1, 2, 4]
-        .iter()
-        .flat_map(|s| [render("fig9", &tiny(), &at(*s)), render("table1", &tiny(), &at(*s))])
-        .collect();
+    // installed, every engine and attack merges its counters as it drops
+    // and the executor writes snapshot lines — none of which may touch RNG
+    // draws or event order, so fig9, table1 and eclipse must render
+    // byte-identically with stats on or off at every shard count.
+    // Stats-off renders run FIRST: the sink is a process-global OnceLock
+    // and cannot be uninstalled.
+    let artifacts = ["fig9", "table1", "eclipse"];
+    let renders = || -> Vec<String> {
+        [1, 2, 4]
+            .iter()
+            .flat_map(|s| artifacts.map(|name| render(name, &tiny(), &at(*s))))
+            .collect()
+    };
+    let off = renders();
 
     let path =
         std::env::temp_dir().join(format!("nylon_shard_det_stats_{}.jsonl", std::process::id()));
     nylon_obs::install(&path).expect("first sink install in this process");
     assert!(nylon_obs::is_active(), "root tests must build with the obs feature on");
 
-    let on: Vec<String> = [1, 2, 4]
-        .iter()
-        .flat_map(|s| [render("fig9", &tiny(), &at(*s)), render("table1", &tiny(), &at(*s))])
-        .collect();
+    let on = renders();
     nylon_obs::final_snapshot();
 
     assert_eq!(off, on, "stats collection changed rendered figure bytes");
 
     // The sink really did record those runs — the snapshot file carries
-    // the schema marker and kernel counters from the flushed cells.
+    // the schema marker, kernel counters, the layer of an engine only the
+    // eclipse cells build, and the attacks' own counters.
     let text = std::fs::read_to_string(&path).expect("stats file written");
     let _ = std::fs::remove_file(&path);
     let last = text.lines().last().expect("at least the final snapshot");
     assert!(last.contains("\"schema\":\"nylon-obs/1\""), "schema marker missing: {last}");
     assert!(last.contains("\"events_processed\""), "kernel counters missing: {last}");
+    assert!(last.contains("\"engine.peerswap\""), "eclipse engine layer missing: {last}");
+    assert!(last.contains("\"adversary\""), "adversary layer missing: {last}");
 }
 
 #[test]
