@@ -75,20 +75,11 @@
 
 use std::process::ExitCode;
 
-use nylon_adversary::AttackKind;
-use nylon_faults::FaultSpec;
-use nylon_workloads::experiment::{ExecOptions, Experiment};
-use nylon_workloads::figures::{self, EngineKind, FigureScale, FIGURES};
-
-/// Scale flags recorded as explicitly set, so they win over `--full`
-/// regardless of the order they appear in.
-#[derive(Default)]
-struct ScaleOverrides {
-    peers: Option<usize>,
-    seeds: Option<u64>,
-    rounds: Option<u64>,
-    base_seed: Option<u64>,
-}
+use nylon_workloads::cli::{
+    attack_names, engine_names, fault_names, parse_artifact_args, ArtifactArgs,
+};
+use nylon_workloads::experiment::Experiment;
+use nylon_workloads::figures::{self, FIGURES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,107 +89,16 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("stats-report") {
         return stats_report_main(&args[1..]);
     }
-    let mut overrides = ScaleOverrides::default();
-    let mut full = false;
-    let mut names: Vec<String> = Vec::new();
-    let mut csv = false;
-    let mut out_dir: Option<String> = None;
-    let mut jobs = 0usize;
-    let mut shards = 0usize;
-    let mut engine: Option<EngineKind> = None;
-    let mut attack: Option<AttackKind> = None;
-    let mut faults: Option<FaultSpec> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut stats: Option<String> = None;
-
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--peers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => overrides.peers = Some(v),
-                None => return usage("--peers needs an integer"),
-            },
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => overrides.seeds = Some(v),
-                None => return usage("--seeds needs an integer"),
-            },
-            "--rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => overrides.rounds = Some(v),
-                None => return usage("--rounds needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => overrides.base_seed = Some(v),
-                None => return usage("--seed needs an integer"),
-            },
-            "--full" => full = true,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v > 0 => jobs = v,
-                _ => return usage("--jobs needs a positive integer"),
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => shards = v,
-                None => return usage("--shards needs a non-negative integer"),
-            },
-            "--engine" => match it.next() {
-                Some(v) => match EngineKind::parse(v) {
-                    Some(kind) => engine = Some(kind),
-                    None => {
-                        return usage(&format!("unknown engine '{v}' (valid: {})", engine_names()))
-                    }
-                },
-                None => return usage(&format!("--engine needs a name: {}", engine_names())),
-            },
-            "--attack" => match it.next() {
-                Some(v) => match AttackKind::parse(v) {
-                    Some(kind) => attack = Some(kind),
-                    None => {
-                        return usage(&format!("unknown attack '{v}' (valid: {})", attack_names()))
-                    }
-                },
-                None => return usage(&format!("--attack needs a name: {}", attack_names())),
-            },
-            "--faults" => match it.next() {
-                Some(v) => match FaultSpec::parse(v) {
-                    Ok(spec) => faults = Some(spec),
-                    Err(e) => return usage(&e),
-                },
-                None => return usage(&format!("--faults needs a spec: {}", fault_names())),
-            },
-            "--checkpoint" => match it.next() {
-                Some(v) => checkpoint = Some(v.clone()),
-                None => return usage("--checkpoint needs a directory"),
-            },
-            "--resume" => resume = true,
-            "--stats" => match it.next() {
-                Some(v) => stats = Some(v.clone()),
-                None => return usage("--stats needs a file path"),
-            },
-            "--csv" => csv = true,
-            "--out" => match it.next() {
-                Some(v) => out_dir = Some(v.clone()),
-                None => return usage("--out needs a directory"),
-            },
-            "--help" | "-h" => return usage(""),
-            name if !name.starts_with('-') => names.push(name.to_string()),
-            other => return usage(&format!("unknown flag {other}")),
-        }
-    }
-    if resume && checkpoint.is_none() {
-        return usage("--resume needs --checkpoint DIR");
-    }
+    let ArtifactArgs { names, scale, opts, csv, out_dir, stats } = match parse_artifact_args(&args)
+    {
+        Ok(Some(request)) => request,
+        Ok(None) => return usage(""),
+        Err(e) => return usage(&e),
+    };
     if let Some(path) = &stats {
         // Install before any cell runs so every merge lands in the sink.
         if let Err(e) = nylon_obs::install(std::path::Path::new(path)) {
             eprintln!("warning: --stats {path} disabled: {e}");
-        }
-    }
-    if names.is_empty() || names.iter().any(|n| n == "all") {
-        names = FIGURES.iter().map(|s| s.to_string()).collect();
-    }
-    for n in &names {
-        if !FIGURES.contains(&n.as_str()) {
-            return usage(&format!("unknown artifact '{n}'"));
         }
     }
     if let Some(dir) = &out_dir {
@@ -208,34 +108,17 @@ fn main() -> ExitCode {
         }
     }
 
-    // `--full` sets the base scale; explicitly-set flags always win, in
-    // any order ("repro --peers 100 --full" runs 100 peers at otherwise
-    // paper scale).
-    let mut scale = if full { FigureScale::paper() } else { FigureScale::default() };
-    if let Some(v) = overrides.peers {
-        scale.peers = v;
-    }
-    if let Some(v) = overrides.seeds {
-        scale.seeds = v;
-    }
-    if let Some(v) = overrides.rounds {
-        scale.rounds = v;
-    }
-    if let Some(v) = overrides.base_seed {
-        scale.base_seed = v;
-    }
-    scale.engine = engine;
-    scale.attack = attack;
-    // `--faults none` is the clean run — identical bytes to no flag at all.
-    scale.faults = faults.filter(|s| !s.is_none());
-
     eprintln!(
         "[repro] scale: {} peers, {} seeds, {} rounds{}{}{}{}{}",
         scale.peers,
         scale.seeds,
         scale.rounds,
         if scale.full_churn_horizons { ", paper churn horizons" } else { "" },
-        if shards > 0 { format!(", {shards} worker(s) per engine") } else { String::new() },
+        if opts.shards > 0 {
+            format!(", {} worker(s) per engine", opts.shards)
+        } else {
+            String::new()
+        },
         scale.engine.map(|k| format!(", engine {}", k.label())).unwrap_or_default(),
         scale.attack.map(|k| format!(", attack {}", k.label())).unwrap_or_default(),
         scale.faults.map(|s| format!(", faults {}", s.label())).unwrap_or_default(),
@@ -254,13 +137,6 @@ fn main() -> ExitCode {
         }
         renders.push((name.clone(), render));
     }
-    let opts = ExecOptions {
-        jobs,
-        shards,
-        checkpoint: checkpoint.map(Into::into),
-        resume,
-        fingerprint: scale.fingerprint(),
-    };
     eprintln!("[repro] {} cells across {} artifacts", experiment.cell_count(), renders.len());
     let results = experiment.run(&opts);
     if stats.is_some() {
@@ -465,18 +341,6 @@ fn live_usage(err: &str) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn engine_names() -> String {
-    EngineKind::ALL.map(EngineKind::label).join(" ")
-}
-
-fn fault_names() -> String {
-    nylon_faults::FAULT_NAMES.join(" ")
-}
-
-fn attack_names() -> String {
-    AttackKind::ALL.map(AttackKind::label).join(" ")
 }
 
 fn usage(err: &str) -> ExitCode {

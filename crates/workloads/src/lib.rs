@@ -20,6 +20,7 @@
 //!   twin.
 //! * [`stats_report`] — the `repro stats-report` summarizer over the
 //!   JSONL a `--stats` run wrote through the [`nylon_obs`] sink.
+//! * [`cli`] — the `repro` artifact command's flag parser.
 //!
 //! The `repro` binary exposes all of it:
 //!
@@ -33,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod experiment;
 pub mod figures;
 pub mod live;
