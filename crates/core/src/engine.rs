@@ -14,8 +14,8 @@
 
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
-    Engine, Host, Intro, MergeScratch, NodeDescriptor, NodeTable, PartialView, Protocol,
-    ProtocolStats,
+    Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
+    Protocol, ProtocolStats, SelectionPolicy,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NatClass, NatType, NetConfig, PeerId};
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
@@ -156,6 +156,14 @@ struct Node {
 /// Hardened mode: total punch tries (initial + retries) before giving up.
 const PUNCH_MAX_ATTEMPTS: u32 = 3;
 
+/// Maximum chain-resolution depth when looking up a directly reachable
+/// first hop (cycle guard; chains in the paper average < 4).
+const MAX_CHAIN_DEPTH: usize = 32;
+
+/// Messages that have been forwarded this many times are dropped
+/// (anti-loop backstop; honest chains are far shorter).
+const MAX_FORWARD_HOPS: u8 = 12;
+
 /// Takes the punches whose deadline has passed out of `pending`, in target
 /// order: their retries draw jitter from the node's stream and send in
 /// this order, which must not depend on where the map keeps them.
@@ -180,6 +188,9 @@ type NylonHost = Host<NylonMsg>;
 #[derive(Debug)]
 pub struct Nylon {
     cfg: NylonConfig,
+    /// `HOLE_TIMEOUT` of Figure 6: the fabric's NAT rule lifetime, the
+    /// TTL every direct route starts from.
+    hole_timeout: SimDuration,
     nodes: NodeTable<Node>,
     stats: NylonStats,
     /// Recycled wire-entry buffers: every REQUEST/RESPONSE view travels in
@@ -194,7 +205,7 @@ pub struct Nylon {
     /// The workspace every merge of this worker runs in.
     merge_scratch: MergeScratch,
     /// Longest a RESPONSE can trail its REQUEST: both may be relayed
-    /// `max_forward_hops` times, and every transmission takes at most the
+    /// [`MAX_FORWARD_HOPS`] times, and every transmission takes at most the
     /// fabric's latency plus jitter.
     reply_horizon: SimDuration,
     /// Graceful-degradation switch, cached off the installed fault plan:
@@ -242,7 +253,7 @@ impl Nylon {
         let mut out = self.entry_pool.acquire();
         let node = &self.nodes[peer];
         out.reserve(node.view.len() + 1);
-        out.push(WireEntry::new(host.descriptor_of(peer), self.cfg.hole_timeout, 0));
+        out.push(WireEntry::new(host.descriptor_of(peer), self.hole_timeout, 0));
         for d in node.view.iter() {
             let (ttl, hops) = if d.class.is_public() {
                 (SimDuration::ZERO, 0)
@@ -303,7 +314,7 @@ impl Nylon {
     ) -> bool {
         let hop = {
             let node = &self.nodes[from];
-            node.routing.resolve_first_hop(dest, self.cfg.max_chain_depth)
+            node.routing.resolve_first_hop(dest, MAX_CHAIN_DEPTH)
         };
         let ep = hop.and_then(|hop| self.contact_ep(host, from, hop, None));
         match ep {
@@ -329,7 +340,7 @@ impl Nylon {
         hops: u8,
         msg: NylonMsg,
     ) {
-        if hops >= self.cfg.max_forward_hops {
+        if hops >= MAX_FORWARD_HOPS {
             self.stats.forward_failures += 1;
             self.recycle(msg);
         } else if self.route_and_send(host, via, dest, msg) {
@@ -356,7 +367,7 @@ impl Nylon {
                 host.send_msg(self, me, observed, NylonMsg::Ping { from: me });
             }
         }
-        self.nodes[me].routing.touch_direct(via, self.cfg.hole_timeout, observed);
+        self.nodes[me].routing.touch_direct(via, self.hole_timeout, observed);
     }
 
     /// Hardened punch-timeout handling: re-send the OPEN_HOLE + PING pair
@@ -483,7 +494,7 @@ impl Nylon {
         node.view.merge_and_truncate_with(
             &descriptors,
             sent,
-            self.cfg.merge,
+            MergePolicy::Healer,
             &mut node.rng,
             &mut self.merge_scratch,
         );
@@ -507,19 +518,13 @@ impl Protocol for Nylon {
     const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0002;
     const JOIN_OPENS_HOLES: bool = true;
 
-    /// # Panics
-    ///
-    /// Panics if the network's hole timeout differs from the protocol's
-    /// `hole_timeout` (the TTL bookkeeping would be meaningless).
+    /// `HOLE_TIMEOUT` is the fabric's NAT rule lifetime.
     fn new(cfg: NylonConfig, net_cfg: &NetConfig, share: Share) -> Self {
-        assert_eq!(
-            cfg.hole_timeout, net_cfg.hole_timeout,
-            "protocol HOLE_TIMEOUT must match the NAT boxes' rule lifetime"
-        );
-        let reply_horizon = (net_cfg.latency + net_cfg.latency_jitter)
-            * (2 * (u64::from(cfg.max_forward_hops) + 1));
+        let reply_horizon =
+            (net_cfg.latency + net_cfg.latency_jitter) * (2 * (u64::from(MAX_FORWARD_HOPS) + 1));
         Nylon {
             cfg,
+            hole_timeout: net_cfg.hole_timeout,
             nodes: NodeTable::new(share),
             stats: NylonStats::default(),
             entry_pool: BufferPool::new(),
@@ -572,7 +577,7 @@ impl Protocol for Nylon {
         let node = &mut self.nodes[p];
         node.view.insert(contact.descriptor);
         if let Some(ep) = contact.hole {
-            node.routing.touch_direct(contact.descriptor.id, self.cfg.hole_timeout, ep);
+            node.routing.touch_direct(contact.descriptor.id, self.hole_timeout, ep);
         }
     }
 
@@ -607,7 +612,7 @@ impl Protocol for Nylon {
         }
         let target = {
             let node = &mut self.nodes[p];
-            node.view.select_target(self.cfg.selection, &mut node.rng)
+            node.view.select_target(SelectionPolicy::Rand, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
@@ -733,7 +738,7 @@ impl Protocol for Nylon {
     }
 
     fn payload_bytes(&self, msg: &NylonMsg) -> u32 {
-        self.cfg.wire.bytes_of(msg)
+        msg.payload_bytes()
     }
 
     fn recycle(&mut self, msg: NylonMsg) {
@@ -992,7 +997,7 @@ mod tests {
         // one natted peer comes back once every hole has timed out.
         let cfg = NylonConfig::default();
         let (victim, down) = (PeerId(20), SimTime::ZERO + cfg.shuffle_period * 20);
-        let up = down + cfg.hole_timeout + cfg.shuffle_period;
+        let up = down + NetConfig::default().hole_timeout + cfg.shuffle_period;
         let mut events: Vec<FaultEvent> =
             (0..50).map(|i| FaultEvent { at: down, kind: FaultKind::Crash(PeerId(i)) }).collect();
         events.push(FaultEvent { at: up, kind: FaultKind::Revive(victim) });
@@ -1070,11 +1075,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "HOLE_TIMEOUT")]
-    fn mismatched_hole_timeout_panics() {
-        let cfg =
-            NylonConfig { hole_timeout: SimDuration::from_secs(30), ..NylonConfig::default() };
-        let _ = NylonEngine::new(cfg, NetConfig::default(), 1);
+    fn direct_routes_live_as_long_as_the_fabric_holes() {
+        let hole = SimDuration::from_secs(30);
+        let net_cfg = NetConfig { hole_timeout: hole, ..NetConfig::default() };
+        let mut eng = NylonEngine::new(NylonConfig::default(), net_cfg, 1);
+        for _ in 0..10 {
+            eng.add_peer(NatClass::Public);
+        }
+        for _ in 0..30 {
+            eng.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
+        }
+        eng.bootstrap_random_public(8);
+        eng.start();
+        eng.run_rounds(20);
+        let mut direct = 0;
+        for p in eng.alive_peers().collect::<Vec<_>>() {
+            let routing = eng.protocol().routing_of(p);
+            for (dest, e) in routing.iter().filter(|(d, _)| routing.is_direct(*d)) {
+                assert!(e.ttl <= hole, "{p}'s direct route to {dest} lives {:?}", e.ttl);
+                direct += 1;
+            }
+        }
+        assert!(direct > 0, "no direct route to check");
     }
 
     #[test]

@@ -66,5 +66,5 @@ pub mod static_rvp;
 
 pub use config::NylonConfig;
 pub use engine::{Nylon, NylonEngine, NylonStats};
-pub use message::{NylonMsg, WireEntry, WireSizeModel};
+pub use message::{NylonMsg, WireEntry};
 pub use static_rvp::{StaticRvp, StaticRvpConfig, StaticRvpEngine, StaticRvpStats};

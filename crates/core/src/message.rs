@@ -86,43 +86,28 @@ pub enum NylonMsg {
     },
 }
 
-/// Wire-size model for Nylon messages.
-///
-/// Sizes mirror a compact binary encoding: per entry, 13 bytes of
-/// descriptor (id 4, endpoint 6, class 1, age 2) plus a 2-byte TTL and a
-/// 1-byte chain-length estimate; fixed header of 8 bytes plus addressing
-/// (src/dest/via/hops).
-#[derive(Debug, Clone, Copy)]
-pub struct WireSizeModel {
-    /// Bytes per shipped view entry (descriptor + TTL).
-    pub entry_bytes: u32,
-    /// Fixed protocol header per message.
-    pub header_bytes: u32,
-    /// Addressing overhead for routed messages (src descriptor, dest, via,
-    /// hops).
-    pub routing_bytes: u32,
-}
-
-impl Default for WireSizeModel {
-    fn default() -> Self {
-        WireSizeModel { entry_bytes: 16, header_bytes: 8, routing_bytes: 12 }
-    }
-}
-
-impl WireSizeModel {
-    /// Payload bytes of a message.
-    pub fn bytes_of(&self, msg: &NylonMsg) -> u32 {
-        match msg {
-            NylonMsg::Request { entries, .. } | NylonMsg::Response { entries, .. } => {
-                self.header_bytes + self.routing_bytes + self.entry_bytes * entries.len() as u32
-            }
-            NylonMsg::OpenHole { .. } => self.header_bytes + self.routing_bytes,
-            NylonMsg::Ping { .. } | NylonMsg::Pong { .. } => self.header_bytes,
-        }
-    }
-}
+/// Wire-size model, mirroring a compact binary encoding: bytes per shipped
+/// view entry, 13 bytes of descriptor (id 4, endpoint 6, class 1, age 2)
+/// plus a 2-byte TTL and a 1-byte chain-length estimate.
+pub const ENTRY_BYTES: u32 = 16;
+/// Fixed protocol header per message.
+pub const HEADER_BYTES: u32 = 8;
+/// Addressing overhead of a routed message (src descriptor, dest, via,
+/// hops).
+pub const ROUTING_BYTES: u32 = 12;
 
 impl NylonMsg {
+    /// Payload bytes of the message under the wire-size model above.
+    pub fn payload_bytes(&self) -> u32 {
+        match self {
+            NylonMsg::Request { entries, .. } | NylonMsg::Response { entries, .. } => {
+                HEADER_BYTES + ROUTING_BYTES + ENTRY_BYTES * entries.len() as u32
+            }
+            NylonMsg::OpenHole { .. } => HEADER_BYTES + ROUTING_BYTES,
+            NylonMsg::Ping { .. } | NylonMsg::Pong { .. } => HEADER_BYTES,
+        }
+    }
+
     /// The final destination this message must be routed to, when it is a
     /// routed message (relays forward these).
     pub fn routed_dest(&self) -> Option<PeerId> {
@@ -161,7 +146,6 @@ mod tests {
 
     #[test]
     fn request_size_scales_with_entries() {
-        let m = WireSizeModel::default();
         let mk = |n| NylonMsg::Request {
             src: desc(1),
             dest: PeerId(2),
@@ -169,19 +153,18 @@ mod tests {
             hops: 0,
             entries: entries(n),
         };
-        assert_eq!(m.bytes_of(&mk(0)), 20);
-        assert_eq!(m.bytes_of(&mk(16)), 20 + 16 * 16);
+        assert_eq!(mk(0).payload_bytes(), 20);
+        assert_eq!(mk(16).payload_bytes(), 20 + 16 * 16);
     }
 
     #[test]
     fn control_messages_are_small() {
-        let m = WireSizeModel::default();
         let oh = NylonMsg::OpenHole { src: desc(1), dest: PeerId(2), via: PeerId(1), hops: 0 };
         let ping = NylonMsg::Ping { from: PeerId(1) };
         let pong = NylonMsg::Pong { from: PeerId(1) };
-        assert_eq!(m.bytes_of(&oh), 20);
-        assert_eq!(m.bytes_of(&ping), 8);
-        assert_eq!(m.bytes_of(&pong), 8);
+        assert_eq!(oh.payload_bytes(), 20);
+        assert_eq!(ping.payload_bytes(), 8);
+        assert_eq!(pong.payload_bytes(), 8);
     }
 
     #[test]

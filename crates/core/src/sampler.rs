@@ -7,7 +7,6 @@
 //! [`nylon_gossip::sampler`] for the trait contract.
 
 use nylon_gossip::SamplerConfig;
-use nylon_net::NetConfig;
 
 use crate::config::NylonConfig;
 use crate::engine::NylonEngine;
@@ -18,13 +17,6 @@ impl SamplerConfig for NylonConfig {
     fn set_view_size(&mut self, view_size: usize) {
         self.view_size = view_size;
     }
-
-    /// Nylon's `HOLE_TIMEOUT` must match the NAT boxes' rule lifetime or
-    /// the TTL bookkeeping would be meaningless; building against a custom
-    /// fabric adopts its lifetime.
-    fn align_to_net(&mut self, net_cfg: &NetConfig) {
-        self.hole_timeout = net_cfg.hole_timeout;
-    }
 }
 
 #[cfg(test)]
@@ -33,8 +25,8 @@ mod tests {
     use crate::engine::Nylon;
     use crate::static_rvp::{StaticRvp, StaticRvpConfig};
     use nylon_gossip::{with_workers, Engine, PeerSampler, Protocol, Workers};
-    use nylon_net::{NatClass, NatType, PeerId};
-    use nylon_sim::{ShardPlan, SimDuration};
+    use nylon_net::{NatClass, NatType, NetConfig, PeerId};
+    use nylon_sim::ShardPlan;
 
     fn drive<C: SamplerConfig>(cfg: C, seed: u64) -> C::Sampler {
         let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), seed);
@@ -70,17 +62,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn align_to_net_adopts_hole_timeout() {
-        let net_cfg =
-            NetConfig { hole_timeout: SimDuration::from_secs(30), ..NetConfig::default() };
-        let mut cfg = NylonConfig::default();
-        cfg.align_to_net(&net_cfg);
-        assert_eq!(cfg.hole_timeout, SimDuration::from_secs(30));
-        // And the engine's construction-time invariant holds.
-        let _ = NylonEngine::with_seed(cfg, net_cfg, 1);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
-    Engine, GossipConfig, Host, Intro, MergeScratch, NodeDescriptor, NodeTable, PartialView,
-    Protocol, ProtocolStats, SamplerConfig,
+    Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
+    Protocol, ProtocolStats, SamplerConfig, SelectionPolicy,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
 use nylon_sim::{FxHashSet, Share, SimDuration, SimRng};
+
+use crate::message::{ENTRY_BYTES, HEADER_BYTES, ROUTING_BYTES};
 
 /// A descriptor annotated with the peer's RVP binding (`None` for public
 /// peers).
@@ -124,18 +126,28 @@ struct Node {
 /// hole, silently crashed RVP) and re-registers with a different RVP.
 const FAILOVER_SILENT_ROUNDS: u8 = 3;
 
-/// Configuration newtype binding [`GossipConfig`] parameters to the
-/// static-RVP scheme, which uses plain (push/pull, rand, healer) shuffles
-/// (the plain `GossipConfig` already builds the baseline, and a config
-/// type can build only one engine).
-#[derive(Debug, Clone, Default)]
-pub struct StaticRvpConfig(pub GossipConfig);
+/// Configuration of the static-RVP scheme. Its shuffles are always the
+/// paper's (push/pull, rand, healer), so only the view size and the period
+/// are settable.
+#[derive(Debug, Clone)]
+pub struct StaticRvpConfig {
+    /// Maximum number of view entries.
+    pub view_size: usize,
+    /// Interval between two shuffles initiated by a peer.
+    pub shuffle_period: SimDuration,
+}
+
+impl Default for StaticRvpConfig {
+    fn default() -> Self {
+        StaticRvpConfig { view_size: 15, shuffle_period: SimDuration::from_secs(5) }
+    }
+}
 
 impl SamplerConfig for StaticRvpConfig {
     type Sampler = StaticRvpEngine;
 
     fn set_view_size(&mut self, view_size: usize) {
-        self.0.view_size = view_size;
+        self.view_size = view_size;
     }
 }
 
@@ -266,7 +278,7 @@ impl StaticRvp {
         node.view.merge_and_truncate_with(
             &descriptors,
             sent,
-            self.cfg.0.merge,
+            MergePolicy::Healer,
             &mut node.rng,
             &mut self.merge_scratch,
         );
@@ -307,7 +319,7 @@ impl Protocol for StaticRvp {
     }
 
     fn shuffle_period(&self) -> SimDuration {
-        self.cfg.0.shuffle_period
+        self.cfg.shuffle_period
     }
 
     fn stats(&self) -> StaticRvpStats {
@@ -318,7 +330,7 @@ impl Protocol for StaticRvp {
         self.nodes.push(
             id,
             Node {
-                view: PartialView::new(id, self.cfg.0.view_size),
+                view: PartialView::new(id, self.cfg.view_size),
                 rvp: None,
                 clients: DenseMap::new(),
                 pending: None,
@@ -375,7 +387,7 @@ impl Protocol for StaticRvp {
         }
         let target = {
             let node = &mut self.nodes[p];
-            node.view.select_target(self.cfg.0.selection, &mut node.rng)
+            node.view.select_target(SelectionPolicy::Rand, &mut node.rng)
         };
         match target {
             None => self.stats.empty_view_rounds += 1,
@@ -461,13 +473,13 @@ impl Protocol for StaticRvp {
     }
 
     fn payload_bytes(&self, msg: &StaticRvpMsg) -> u32 {
-        // Same size model as Nylon: 16 B per annotated entry, 20 B of
-        // header + addressing; PING is header-only.
+        // Same size model as Nylon: an annotated entry costs a Nylon wire
+        // entry, a shuffle header plus addressing; PING is header-only.
         match msg {
             StaticRvpMsg::Request { entries, .. } | StaticRvpMsg::Response { entries, .. } => {
-                20 + 16 * entries.len() as u32
+                HEADER_BYTES + ROUTING_BYTES + ENTRY_BYTES * entries.len() as u32
             }
-            StaticRvpMsg::Ping { .. } => 8,
+            StaticRvpMsg::Ping { .. } => HEADER_BYTES,
         }
     }
 

@@ -148,8 +148,6 @@ pub struct FaultConfig {
     pub flap_fraction: f64,
     /// Fraction of natted peers put behind a second, carrier-grade box.
     pub cgn_fraction: f64,
-    /// NAT type of the stacked carrier-grade boxes.
-    pub cgn_type: NatType,
     /// Fraction of natted peers whose box gets hairpinning enabled.
     pub hairpin_fraction: f64,
     /// Period between loss-burst windows (`ZERO` disables).
@@ -179,7 +177,6 @@ impl Default for FaultConfig {
             flap_period: SimDuration::ZERO,
             flap_fraction: 0.0,
             cgn_fraction: 0.0,
-            cgn_type: NatType::PortRestrictedCone,
             hairpin_fraction: 0.0,
             burst_period: SimDuration::ZERO,
             burst_len: SimDuration::ZERO,
@@ -253,6 +250,9 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// NAT type of the stacked carrier-grade boxes.
+const CGN_TYPE: NatType = NatType::PortRestrictedCone;
+
 /// A compiled, sorted fault schedule plus start-of-run topology changes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -300,7 +300,7 @@ impl FaultPlan {
             plan.cgn = rng
                 .sample_without_replacement(&natted, n)
                 .into_iter()
-                .map(|p| (p, cfg.cgn_type))
+                .map(|p| (p, CGN_TYPE))
                 .collect();
         }
         if cfg.hairpin_fraction > 0.0 {

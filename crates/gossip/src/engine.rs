@@ -42,15 +42,22 @@ impl BaselineMsg {
         }
     }
 
-    /// Number of shipped descriptors.
-    pub(crate) fn entry_count(&self) -> usize {
+    /// Payload bytes on the wire: a fixed protocol header plus one
+    /// descriptor (id + endpoint + NAT class + age) per shipped entry. The
+    /// baseline and PeerSwap share this model.
+    pub fn payload_bytes(&self) -> u32 {
         match self {
             BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. } => {
-                entries.len()
+                HEADER_BYTES + ENTRY_BYTES * entries.len() as u32
             }
         }
     }
 }
+
+/// Wire-size model: bytes per shipped descriptor.
+const ENTRY_BYTES: u32 = 14;
+/// Wire-size model: fixed per-message protocol header bytes.
+const HEADER_BYTES: u32 = 8;
 
 /// Aggregate protocol counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -238,7 +245,7 @@ impl Protocol for Baseline {
     }
 
     fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
-        self.cfg.message_bytes(msg.entry_count())
+        msg.payload_bytes()
     }
 
     fn recycle(&mut self, msg: BaselineMsg) {
@@ -286,6 +293,19 @@ mod tests {
         eng.bootstrap_random_public(8);
         eng.start();
         eng
+    }
+
+    #[test]
+    fn message_bytes_model() {
+        let d = NodeDescriptor::new(
+            PeerId(1),
+            Endpoint::new(nylon_net::Ip(1), nylon_net::Port(9000)),
+            NatClass::Public,
+        );
+        let request = BaselineMsg::Request { from: PeerId(1), entries: Vec::new() };
+        assert_eq!(request.payload_bytes(), 8);
+        let response = BaselineMsg::Response { from: PeerId(1), entries: vec![d; 16] };
+        assert_eq!(response.payload_bytes(), 8 + 16 * 14);
     }
 
     #[test]

@@ -41,35 +41,18 @@ pub struct PeerSwapConfig {
     pub view_size: usize,
     /// Interval between two swaps initiated by a peer.
     pub shuffle_period: SimDuration,
-    /// Descriptors shipped per swap message (the initiator ships its fresh
-    /// self-descriptor plus copies of `swap_len - 1` random entries; the
-    /// partner answers with copies of up to `swap_len` of its own).
-    pub swap_len: usize,
-    /// Wire-size model: bytes per shipped descriptor.
-    pub entry_bytes: u32,
-    /// Wire-size model: fixed per-message protocol header bytes.
-    pub msg_header_bytes: u32,
 }
 
 impl Default for PeerSwapConfig {
     fn default() -> Self {
-        PeerSwapConfig {
-            view_size: 15,
-            shuffle_period: SimDuration::from_secs(5),
-            swap_len: 8,
-            entry_bytes: 14,
-            msg_header_bytes: 8,
-        }
+        PeerSwapConfig { view_size: 15, shuffle_period: SimDuration::from_secs(5) }
     }
 }
 
-impl PeerSwapConfig {
-    /// Bytes on the wire for a message shipping `entries` descriptors
-    /// (same model as [`crate::GossipConfig::message_bytes`]).
-    pub fn message_bytes(&self, entries: usize) -> u32 {
-        self.msg_header_bytes + self.entry_bytes * entries as u32
-    }
-}
+/// Descriptors shipped per swap message: the initiator ships its fresh
+/// self-descriptor plus copies of `SWAP_LEN - 1` random entries; the
+/// partner answers with copies of up to `SWAP_LEN` of its own.
+const SWAP_LEN: usize = 8;
 
 impl crate::sampler::SamplerConfig for PeerSwapConfig {
     type Sampler = PeerSwapEngine;
@@ -256,8 +239,7 @@ impl Protocol for PeerSwap {
                 {
                     let node = &mut self.nodes[p];
                     node.view.remove(t.id).expect("selected partner is in the view");
-                    let extra = self.cfg.swap_len.saturating_sub(1);
-                    sample_copies(node, extra, &mut payload, &mut sent);
+                    sample_copies(node, SWAP_LEN - 1, &mut payload, &mut sent);
                     node.pending = Some((t.id, sent));
                 }
                 host.send_msg(self, p, t.addr, BaselineMsg::Request { from: p, entries: payload });
@@ -321,7 +303,7 @@ impl Protocol for PeerSwap {
     }
 
     fn payload_bytes(&self, msg: &BaselineMsg) -> u32 {
-        self.cfg.message_bytes(msg.entry_count())
+        msg.payload_bytes()
     }
 
     fn recycle(&mut self, msg: BaselineMsg) {

@@ -86,11 +86,6 @@ pub struct GossipConfig {
     pub propagation: PropagationPolicy,
     /// View merging policy.
     pub merge: MergePolicy,
-    /// Wire-size model: bytes per view entry shipped (id + endpoint + NAT
-    /// class + age).
-    pub entry_bytes: u32,
-    /// Wire-size model: fixed per-message protocol header bytes.
-    pub msg_header_bytes: u32,
 }
 
 impl Default for GossipConfig {
@@ -101,8 +96,6 @@ impl Default for GossipConfig {
             selection: SelectionPolicy::Rand,
             propagation: PropagationPolicy::PushPull,
             merge: MergePolicy::Healer,
-            entry_bytes: 14,
-            msg_header_bytes: 8,
         }
     }
 }
@@ -124,11 +117,6 @@ impl GossipConfig {
             }
         }
         out
-    }
-
-    /// Bytes on the wire for a message shipping `entries` descriptors.
-    pub fn message_bytes(&self, entries: usize) -> u32 {
-        self.msg_header_bytes + self.entry_bytes * entries as u32
     }
 }
 
@@ -163,13 +151,6 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), 6);
-    }
-
-    #[test]
-    fn message_bytes_model() {
-        let c = GossipConfig::default();
-        assert_eq!(c.message_bytes(0), 8);
-        assert_eq!(c.message_bytes(16), 8 + 16 * 14);
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub trait SamplerConfig: Clone + Send + Sync + 'static {
     /// Overrides the partial-view capacity (every engine has one).
     fn set_view_size(&mut self, view_size: usize);
 
-    /// Reconciles protocol parameters with the network fabric's, for
-    /// engines whose invariants tie the two (Nylon's `HOLE_TIMEOUT` must
-    /// match the NAT boxes' rule lifetime). Default: nothing to align.
+    /// Does nothing, and no config overrides it: every engine reads what
+    /// it needs from the fabric's config when it is built. Kept for
+    /// callers outside this workspace.
+    #[doc(hidden)]
     fn align_to_net(&mut self, _net_cfg: &NetConfig) {}
 }
 

@@ -47,10 +47,6 @@ where
     fn set_view_size(&mut self, view_size: usize) {
         self.inner.set_view_size(view_size);
     }
-
-    fn align_to_net(&mut self, net_cfg: &NetConfig) {
-        self.inner.align_to_net(net_cfg);
-    }
 }
 
 /// An [`Engine`] built on a [`ShardedConfig`]'s plan; it derefs to the

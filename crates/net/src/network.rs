@@ -32,9 +32,10 @@ pub struct NetConfig {
     /// Lifetime of NAT mappings/filter rules after the last activity
     /// (paper: 90 s, "a typical vendor value").
     pub hole_timeout: SimDuration,
-    /// Per-datagram overhead added to every payload (IP + UDP headers).
-    pub header_bytes: u32,
 }
+
+/// Per-datagram overhead added to every payload (IP + UDP headers).
+const HEADER_BYTES: u32 = 28;
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -43,7 +44,6 @@ impl Default for NetConfig {
             latency_jitter: SimDuration::ZERO,
             loss_probability: 0.0,
             hole_timeout: SimDuration::from_secs(90),
-            header_bytes: 28,
         }
     }
 }
@@ -629,7 +629,7 @@ impl<P> Network<P> {
             self.drops.bump(DropReason::SourceDead);
             return None;
         }
-        let wire_bytes = payload_bytes + self.cfg.header_bytes;
+        let wire_bytes = payload_bytes + HEADER_BYTES;
         let src_ep = self.open_toward(now, peer, dst_ep);
         let slot = self.share.slot(peer.0);
         let st = &mut self.local[slot].stats;
@@ -933,7 +933,7 @@ impl<P> Network<P> {
     /// wire-tap mode, where a live transport carries the datagram but this
     /// registry still owns the per-peer traffic counters.
     pub fn note_sent(&mut self, peer: PeerId, payload_bytes: u32) {
-        let wire = (payload_bytes + self.cfg.header_bytes) as u64;
+        let wire = u64::from(payload_bytes + HEADER_BYTES);
         let slot = self.share.slot(peer.0);
         let st = &mut self.local[slot].stats;
         st.bytes_sent += wire;
@@ -944,7 +944,7 @@ impl<P> Network<P> {
     /// without routing it through the fabric (wire-tap mode counterpart of
     /// [`Network::note_sent`]).
     pub fn note_received(&mut self, peer: PeerId, payload_bytes: u32) {
-        let wire = (payload_bytes + self.cfg.header_bytes) as u64;
+        let wire = u64::from(payload_bytes + HEADER_BYTES);
         let slot = self.share.slot(peer.0);
         let st = &mut self.local[slot].stats;
         st.bytes_received += wire;

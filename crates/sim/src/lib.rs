@@ -28,7 +28,9 @@
 //! sim.schedule_after(SimDuration::from_millis(20), Ev::Ping(2));
 //!
 //! let mut order = Vec::new();
-//! sim.run_until(SimTime::from_secs(1), |_, ev| order.push(ev));
+//! while let Some((_, ev)) = sim.step_before(SimTime::from_secs(1)) {
+//!     order.push(ev);
+//! }
 //! assert_eq!(order, vec![Ev::Ping(2), Ev::Ping(1)]);
 //! ```
 

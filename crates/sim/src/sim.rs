@@ -7,8 +7,8 @@ use crate::time::{SimDuration, SimTime};
 /// A discrete-event simulation over events of type `E`.
 ///
 /// The driver owns the virtual clock, the event queue, and the root RNG.
-/// Event handlers receive `&mut Sim<E>` so they can schedule follow-up
-/// events, draw randomness, and read the clock.
+/// Its owner runs the loop: [`Sim::step_before`] pops each event due by a
+/// deadline, and [`Sim::advance_to`] then moves the clock to the deadline.
 ///
 /// # Example
 ///
@@ -18,13 +18,15 @@ use crate::time::{SimDuration, SimTime};
 /// // A self-rescheduling tick.
 /// let mut sim = Sim::new(1);
 /// sim.schedule_after(SimDuration::from_secs(1), ());
+/// let deadline = SimTime::from_secs(5);
 /// let mut ticks = 0;
-/// sim.run_until(SimTime::from_secs(5), |sim, ()| {
+/// while let Some((_, ())) = sim.step_before(deadline) {
 ///     ticks += 1;
 ///     sim.schedule_after(SimDuration::from_secs(1), ());
-/// });
+/// }
+/// sim.advance_to(deadline);
 /// assert_eq!(ticks, 5);
-/// assert_eq!(sim.now(), SimTime::from_secs(5));
+/// assert_eq!(sim.now(), deadline);
 /// ```
 #[derive(Debug)]
 pub struct Sim<E> {
@@ -56,11 +58,6 @@ impl<E> Sim<E> {
     /// Total number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Reports kernel-layer telemetry (events popped, queue depth
@@ -96,15 +93,6 @@ impl<E> Sim<E> {
         self.queue.schedule(self.now + delay, event);
     }
 
-    /// The firing time of the next pending event, if any.
-    ///
-    /// Lets an owning engine drive the loop manually (peek → step →
-    /// handle) when closures over `run_until` would fight the borrow
-    /// checker.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Advances the clock to `to` without processing events.
     ///
     /// # Panics
@@ -120,23 +108,9 @@ impl<E> Sim<E> {
         }
     }
 
-    /// Pops the next event, advancing the clock to its firing time.
-    ///
-    /// Returns `None` when the queue is empty; the clock then stays put.
-    pub fn step(&mut self) -> Option<(SimTime, E)> {
-        let (at, ev) = self.queue.pop()?;
-        debug_assert!(at >= self.now, "event queue yielded an event from the past");
-        self.now = at;
-        self.processed += 1;
-        Some((at, ev))
-    }
-
     /// Pops the next event *if* it fires at or before `deadline`, advancing
     /// the clock to its firing time; `None` leaves the event queued and the
     /// clock untouched.
-    ///
-    /// The driver-loop primitive: `peek_time` + `step` scans the event
-    /// queue twice per event, this scans once.
     pub fn step_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let (at, ev) = self.queue.pop_before(deadline)?;
         debug_assert!(at >= self.now, "event queue yielded an event from the past");
@@ -144,42 +118,33 @@ impl<E> Sim<E> {
         self.processed += 1;
         Some((at, ev))
     }
-
-    /// Runs `handler` on every event up to and including `deadline`, then
-    /// advances the clock to `deadline`.
-    ///
-    /// Returns the number of events processed by this call.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Sim<E>, E),
-    {
-        let start = self.processed;
-        while let Some((_, ev)) = self.step_before(deadline) {
-            handler(self, ev);
-        }
-        if deadline > self.now && deadline != SimTime::MAX {
-            self.now = deadline;
-        }
-        self.processed - start
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs every event due by `deadline` through `handler`, then moves
+    /// the clock to `deadline` — the loop an owning engine drives.
+    fn run_to<E>(sim: &mut Sim<E>, deadline: SimTime, mut handler: impl FnMut(&mut Sim<E>, E)) {
+        while let Some((_, ev)) = sim.step_before(deadline) {
+            handler(sim, ev);
+        }
+        sim.advance_to(deadline);
+    }
+
     #[test]
     fn clock_advances_with_events() {
         let mut sim: Sim<u8> = Sim::new(0);
         sim.schedule_at(SimTime::from_millis(10), 1);
         sim.schedule_at(SimTime::from_millis(5), 2);
-        let (t1, e1) = sim.step().unwrap();
+        let (t1, e1) = sim.step_before(SimTime::MAX).unwrap();
         assert_eq!((t1, e1), (SimTime::from_millis(5), 2));
         assert_eq!(sim.now(), SimTime::from_millis(5));
-        let (t2, e2) = sim.step().unwrap();
+        let (t2, e2) = sim.step_before(SimTime::MAX).unwrap();
         assert_eq!((t2, e2), (SimTime::from_millis(10), 1));
         assert_eq!(sim.now(), SimTime::from_millis(10));
-        assert!(sim.step().is_none());
+        assert!(sim.step_before(SimTime::MAX).is_none());
     }
 
     #[test]
@@ -187,29 +152,38 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut sim: Sim<u8> = Sim::new(0);
         sim.schedule_at(SimTime::from_millis(10), 1);
-        sim.step();
+        sim.step_before(SimTime::MAX);
         sim.schedule_at(SimTime::from_millis(5), 2);
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
+    fn step_before_stops_at_deadline() {
         let mut sim: Sim<u32> = Sim::new(0);
         for i in 0..10 {
             sim.schedule_at(SimTime::from_secs(i), i as u32);
         }
         let mut seen = Vec::new();
-        let n = sim.run_until(SimTime::from_secs(4), |_, e| seen.push(e));
-        assert_eq!(n, 5); // t = 0,1,2,3,4 inclusive
+        run_to(&mut sim, SimTime::from_secs(4), |_, e| seen.push(e));
+        assert_eq!(sim.events_processed(), 5); // t = 0,1,2,3,4 inclusive
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(sim.now(), SimTime::from_secs(4));
-        assert_eq!(sim.pending_events(), 5);
+        run_to(&mut sim, SimTime::MAX, |_, e| seen.push(e));
+        assert_eq!(seen, (0..10).collect::<Vec<_>>(), "the other five stayed queued");
     }
 
     #[test]
-    fn run_until_advances_clock_when_idle() {
+    fn advance_to_moves_the_clock_when_idle() {
         let mut sim: Sim<()> = Sim::new(0);
-        sim.run_until(SimTime::from_secs(30), |_, _| {});
+        run_to(&mut sim, SimTime::from_secs(30), |_, _| {});
         assert_eq!(sim.now(), SimTime::from_secs(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance past a pending event")]
+    fn advance_to_refuses_to_skip_an_event() {
+        let mut sim: Sim<()> = Sim::new(0);
+        sim.schedule_at(SimTime::from_secs(1), ());
+        sim.advance_to(SimTime::from_secs(2));
     }
 
     #[test]
@@ -217,7 +191,7 @@ mod tests {
         let mut sim: Sim<u32> = Sim::new(0);
         sim.schedule_after(SimDuration::from_millis(1), 0);
         let mut count = 0;
-        sim.run_until(SimTime::from_millis(100), |sim, depth| {
+        run_to(&mut sim, SimTime::from_millis(100), |sim, depth| {
             count += 1;
             if depth < 4 {
                 sim.schedule_after(SimDuration::from_millis(1), depth + 1);
@@ -233,7 +207,7 @@ mod tests {
             let mut sim: Sim<u8> = Sim::new(seed);
             let mut out = Vec::new();
             sim.schedule_after(SimDuration::from_millis(1), 0);
-            sim.run_until(SimTime::from_secs(1), |sim, _| {
+            run_to(&mut sim, SimTime::from_secs(1), |sim, _| {
                 let jitter = sim.rng().gen_range(1u64..20);
                 out.push(jitter);
                 if out.len() < 100 {

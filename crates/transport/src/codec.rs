@@ -203,7 +203,7 @@ fn decode_descriptor(r: &mut Reader<'_>) -> Result<NodeDescriptor, CodecError> {
 }
 
 /// Routing TTLs ride as u32 milliseconds (the modeled 2-byte TTL of
-/// [`nylon::message::WireSizeModel`] would truncate the paper's 90 s hole
+/// [`nylon::message::ENTRY_BYTES`] would truncate the paper's 90 s hole
 /// timeout; the real encoding spends 2 more bytes to stay lossless).
 fn encode_entry(out: &mut Vec<u8>, e: &WireEntry) {
     encode_descriptor(out, &e.descriptor);

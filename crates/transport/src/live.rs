@@ -157,15 +157,13 @@ impl<S: LiveSampler, T: Transport<S::Payload>> LiveRunner<S, T> {
 /// * 1 ms fabric latency for the simulated twin (loopback is effectively
 ///   instant, and the NAT emulator forwards without added delay).
 pub fn scaled_configs(period_ms: u64) -> (NylonConfig, NetConfig) {
-    let hole = SimDuration::from_millis(period_ms * 18);
     let net = NetConfig {
         latency: SimDuration::from_millis(1),
-        hole_timeout: hole,
+        hole_timeout: SimDuration::from_millis(period_ms * 18),
         ..NetConfig::default()
     };
     let cfg = NylonConfig {
         shuffle_period: SimDuration::from_millis(period_ms),
-        hole_timeout: hole,
         punch_timeout: SimDuration::from_millis((period_ms * 2 / 5).max(50)),
         ..NylonConfig::default()
     };

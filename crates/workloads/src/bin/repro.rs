@@ -76,7 +76,8 @@
 use std::process::ExitCode;
 
 use nylon_workloads::cli::{
-    attack_names, engine_names, fault_names, parse_artifact_args, ArtifactArgs,
+    attack_names, engine_names, fault_names, parse_artifact_args, parse_live_args, ArtifactArgs,
+    LiveArgs,
 };
 use nylon_workloads::experiment::Experiment;
 use nylon_workloads::figures::{self, FIGURES};
@@ -202,63 +203,13 @@ fn stats_report_main(args: &[String]) -> ExitCode {
 
 /// The `repro live` subcommand: the on-wire loopback-UDP demo.
 fn live_main(args: &[String]) -> ExitCode {
-    use nylon_workloads::live::{run_live, run_sim_twin, LiveScale, OverlaySnapshot};
+    use nylon_workloads::live::{run_live, run_sim_twin, OverlaySnapshot};
 
-    let mut scale = LiveScale::default();
-    let mut compare = true;
-    let mut min_cluster = 50.0f64;
-    let mut stats: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--peers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale.peers = v,
-                None => return live_usage("--peers needs an integer"),
-            },
-            "--nat-pct" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale.nat_pct = v,
-                None => return live_usage("--nat-pct needs a number"),
-            },
-            "--rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale.rounds = v,
-                None => return live_usage("--rounds needs an integer"),
-            },
-            "--period-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale.period_ms = v,
-                None => return live_usage("--period-ms needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale.seed = v,
-                None => return live_usage("--seed needs an integer"),
-            },
-            "--min-cluster" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_cluster = v,
-                None => return live_usage("--min-cluster needs a number"),
-            },
-            "--no-compare" => compare = false,
-            "--faults" => match it.next() {
-                Some(v) => match nylon_faults::FaultSpec::parse(v) {
-                    Ok(spec) => scale.faults = Some(spec).filter(|s| !s.is_none()),
-                    Err(e) => return live_usage(&e),
-                },
-                None => {
-                    return live_usage(&format!(
-                        "--faults needs a spec: comma-separated of {}",
-                        fault_names()
-                    ))
-                }
-            },
-            "--stats" => match it.next() {
-                Some(v) => stats = Some(v.clone()),
-                None => return live_usage("--stats needs a file path"),
-            },
-            "--help" | "-h" => return live_usage(""),
-            other => return live_usage(&format!("unknown flag {other}")),
-        }
-    }
-    if let Err(e) = scale.validate() {
-        return live_usage(&e);
-    }
+    let LiveArgs { scale, compare, min_cluster, stats } = match parse_live_args(args) {
+        Ok(Some(request)) => request,
+        Ok(None) => return live_usage(""),
+        Err(e) => return live_usage(&e),
+    };
     if let Some(path) = &stats {
         if let Err(e) = nylon_obs::install(std::path::Path::new(path)) {
             eprintln!("warning: --stats {path} disabled: {e}");

@@ -1,12 +1,13 @@
-//! The `repro` artifact command's flags: parsed and checked in one pure
-//! function, so the binary acts only on a well-formed request and every
-//! bad flag is a usage error rather than a panic inside a cell.
+//! The `repro` commands' flags: each command's are parsed and checked in
+//! one pure function, so the binary acts only on a well-formed request and
+//! every bad flag is a usage error rather than a panic inside a run.
 
 use nylon_adversary::AttackKind;
 use nylon_faults::FaultSpec;
 
 use crate::experiment::ExecOptions;
 use crate::figures::{EngineKind, FigureScale, FIGURES};
+use crate::live::LiveScale;
 
 /// A well-formed artifact run.
 #[derive(Debug, Clone)]
@@ -151,6 +152,70 @@ pub fn parse_artifact_args(args: &[String]) -> Result<Option<ArtifactArgs>, Stri
     Ok(Some(ArtifactArgs { names, scale, opts, csv, out_dir, stats }))
 }
 
+/// A well-formed `repro live` run.
+#[derive(Debug, Clone)]
+pub struct LiveArgs {
+    /// The run's knobs, checked by [`LiveScale::validate`].
+    pub scale: LiveScale,
+    /// Also run the simulated twin (`--no-compare` clears it).
+    pub compare: bool,
+    /// `--min-cluster PCT`: the run fails when the live overlay's biggest
+    /// cluster holds less than this share of the peers; within [0, 100].
+    pub min_cluster: f64,
+    /// `--stats FILE`: the telemetry sink's path.
+    pub stats: Option<String>,
+}
+
+/// Parses the `live` command's arguments (everything after `live`), with
+/// the same contract as [`parse_artifact_args`]: `Ok(None)` asks for the
+/// usage text, `Err` carries the usage error. Never panics.
+pub fn parse_live_args(args: &[String]) -> Result<Option<LiveArgs>, String> {
+    let mut scale = LiveScale::default();
+    let mut compare = true;
+    let mut min_cluster = 50.0;
+    let mut stats: Option<String> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--peers" => scale.peers = value(it.next(), "--peers needs an integer")?,
+            "--nat-pct" => scale.nat_pct = value(it.next(), "--nat-pct needs a number")?,
+            "--rounds" => scale.rounds = value(it.next(), "--rounds needs an integer")?,
+            "--period-ms" => scale.period_ms = value(it.next(), "--period-ms needs an integer")?,
+            "--seed" => scale.seed = value(it.next(), "--seed needs an integer")?,
+            "--min-cluster" => {
+                let err = "--min-cluster needs a percentage within [0, 100]";
+                min_cluster = value(it.next(), err)?;
+                if !(0.0..=100.0).contains(&min_cluster) {
+                    return Err(err.into());
+                }
+            }
+            "--no-compare" => compare = false,
+            "--faults" => match it.next() {
+                Some(v) => scale.faults = Some(FaultSpec::parse(v)?).filter(|s| !s.is_none()),
+                None => {
+                    return Err(format!(
+                        "--faults needs a spec: comma-separated of {}",
+                        fault_names()
+                    ))
+                }
+            },
+            "--stats" => match it.next() {
+                Some(v) => stats = Some(v.clone()),
+                None => return Err("--stats needs a file path".into()),
+            },
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    scale.validate()?;
+    Ok(Some(LiveArgs { scale, compare, min_cluster, stats }))
+}
+
+/// A flag's value parsed as `T`, or the usage error `err`.
+fn value<T: std::str::FromStr>(value: Option<&String>, err: &str) -> Result<T, String> {
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| err.to_string())
+}
+
 /// A count flag's value: a positive integer (no run has zero peers,
 /// seeds, rounds or jobs).
 fn positive<T: std::str::FromStr + Default + PartialEq>(
@@ -275,7 +340,102 @@ mod tests {
         assert!(parse("--resume").unwrap_err().contains("--checkpoint"));
     }
 
+    fn parse_live(line: &str) -> Result<Option<LiveArgs>, String> {
+        parse_live_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// The `live` command's flags and values, good and bad.
+    const LIVE_TOKENS: [&str; 28] = [
+        "--peers",
+        "--nat-pct",
+        "--rounds",
+        "--period-ms",
+        "--seed",
+        "--min-cluster",
+        "--no-compare",
+        "--faults",
+        "--stats",
+        "--help",
+        "--bogus",
+        "",
+        "0",
+        "1",
+        "4",
+        "50",
+        "100",
+        "101",
+        "-5",
+        "nan",
+        "inf",
+        "-inf",
+        "1e3",
+        "rebind,cgn",
+        "partition",
+        "none",
+        "/tmp/x",
+        "é",
+    ];
+
+    #[test]
+    fn live_flags_build_the_scale() {
+        let args = parse_live(
+            "--peers 4 --nat-pct 50 --rounds 2 --period-ms 100 --seed 9 --min-cluster 0 \
+             --faults rebind --no-compare --stats s.jsonl",
+        )
+        .unwrap()
+        .unwrap();
+        let s = &args.scale;
+        assert_eq!((s.peers, s.nat_pct, s.rounds, s.period_ms, s.seed), (4, 50.0, 2, 100, 9));
+        assert!(s.faults.is_some_and(|f| f.rebind));
+        assert_eq!(args.min_cluster, 0.0);
+        assert!(!args.compare);
+        assert_eq!(args.stats.as_deref(), Some("s.jsonl"));
+        let d = parse_live("").unwrap().unwrap();
+        assert_eq!(d.min_cluster, 50.0);
+        assert!(d.compare);
+    }
+
+    #[test]
+    fn min_cluster_outside_zero_to_hundred_is_a_usage_error() {
+        for v in ["nan", "NaN", "-5", "101", "inf", "-inf", "x"] {
+            let err = parse_live(&format!("--min-cluster {v}")).expect_err(v);
+            assert!(err.contains("[0, 100]"), "{v}: {err}");
+        }
+        assert_eq!(parse_live("--min-cluster 100").unwrap().unwrap().min_cluster, 100.0);
+    }
+
+    #[test]
+    fn live_help_unknown_flags_and_bad_scales() {
+        assert!(parse_live("--peers 4 --help").unwrap().is_none());
+        assert!(parse_live("--bogus").unwrap_err().contains("unknown flag"));
+        assert!(parse_live("--peers").unwrap_err().contains("--peers"));
+        assert!(parse_live("--peers 1").unwrap_err().contains("peers"));
+        assert!(parse_live("--faults partition").unwrap_err().contains("rebind"));
+    }
+
     proptest! {
+        /// Any `live` argument vector parses to a run or a usage error —
+        /// no panic — a run's scale is valid and its cluster floor a
+        /// percentage, and a NaN or negative floor fails the parse
+        /// wherever it stands.
+        #[test]
+        fn prop_parse_live_never_panics(
+            picks in proptest::collection::vec(0usize..LIVE_TOKENS.len(), 0..12),
+        ) {
+            let args: Vec<String> = picks.iter().map(|&i| LIVE_TOKENS[i].to_string()).collect();
+            if let Ok(Some(a)) = parse_live_args(&args) {
+                prop_assert!(a.scale.validate().is_ok());
+                prop_assert!((0.0..=100.0).contains(&a.min_cluster));
+            }
+            for v in ["nan", "-5"] {
+                let bad = ["--min-cluster".to_string(), v.to_string()];
+                let first: Vec<String> = bad.iter().chain(&args).cloned().collect();
+                prop_assert!(parse_live_args(&first).is_err());
+                let last: Vec<String> = args.iter().chain(&bad).cloned().collect();
+                prop_assert!(!matches!(parse_live_args(&last), Ok(Some(_))));
+            }
+        }
+
         /// Any argument vector parses to a request or a usage error — no
         /// panic — a request never carries a zero count, and a zero peer or
         /// seed count fails the parse wherever it stands.

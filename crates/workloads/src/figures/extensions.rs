@@ -168,8 +168,7 @@ fn view_sweep(scale: &FigureScale) -> Sweep {
         let view = *view;
         sweep.point(view.to_string(), point_seeds(&scale, 0x00E2_0000 ^ (i as u64)), move |seed| {
             let scn = Scenario { view_size: view, ..Scenario::new(scale.peers, 80.0, seed) };
-            let cfg = NylonConfig { view_size: view, ..NylonConfig::default() };
-            let mut eng = build(&scn, cfg);
+            let mut eng = build(&scn, NylonConfig::default());
             eng.run_rounds(scale.rounds);
             let bytes: u64 = eng
                 .alive_peers()

@@ -38,8 +38,7 @@ pub fn build<C: SamplerConfig>(scn: &Scenario, cfg: C) -> C::Sampler {
 }
 
 /// [`build`] over a custom network fabric (loss injection, alternative NAT
-/// rule lifetimes). Protocol parameters tied to the fabric's are aligned
-/// first via [`SamplerConfig::align_to_net`].
+/// rule lifetimes).
 ///
 /// # Panics
 ///
@@ -96,7 +95,6 @@ pub fn build_with_plan<C: SamplerConfig>(
         panic!("invalid scenario: {e}");
     }
     cfg.set_view_size(scn.view_size);
-    cfg.align_to_net(&net_cfg);
     let mut eng = C::Sampler::with_seed(cfg, net_cfg, scn.seed);
     for class in scn.classes() {
         eng.add_peer(class);

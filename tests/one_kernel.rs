@@ -234,8 +234,8 @@ fn nylon_alone_is_the_one_shard_case() {
 
 #[test]
 fn static_rvp_alone_is_the_one_shard_case() {
-    let tiny = GossipConfig { shuffle_period: TINY_PERIOD, ..GossipConfig::default() };
-    engine_alone_equals_every_sharding(StaticRvpConfig::default(), StaticRvpConfig(tiny));
+    let tiny = StaticRvpConfig { shuffle_period: TINY_PERIOD, ..StaticRvpConfig::default() };
+    engine_alone_equals_every_sharding(StaticRvpConfig::default(), tiny);
 }
 
 #[test]
