@@ -1,12 +1,12 @@
 //! Overlay graph analysis: connectivity and degree distributions.
 //!
-//! The graph lives in a flat CSR (compressed sparse row) layout — one
-//! offsets array, one targets array — instead of an edge-pair list plus
-//! nested `Vec<Vec>` adjacency. Per-snapshot callers (the experiment
-//! executor takes one snapshot per round checkpoint) rebuild the graph
-//! into the same buffers via [`DiGraph::rebuild`] and run the metrics over
-//! reusable scratch ([`WccScratch`], [`UndirectedCsr`]), so steady-state
-//! snapshotting allocates nothing.
+//! Connectivity is one union-find pass, [`WccScratch::biggest_component`],
+//! over a stream of edges: a per-round cluster snapshot feeds it the
+//! overlay's edges straight from the views and stores nothing per edge.
+//! Metrics that need adjacency (clustering, path length) run over a
+//! [`DiGraph`], a flat CSR (compressed sparse row) layout — one offsets
+//! array, one targets array — whose component queries are thin adapters
+//! over the same stream.
 
 /// A directed graph over dense node indices, built from overlay views.
 ///
@@ -19,7 +19,7 @@
 /// assert_eq!(g.biggest_wcc_size(&mask), 3);
 /// assert!((g.biggest_wcc_fraction(&mask) - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DiGraph {
     n: usize,
     /// CSR row starts: `offsets[i]..offsets[i + 1]` indexes row `i` of
@@ -30,54 +30,32 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
-    /// An empty graph over zero nodes; populate with [`DiGraph::rebuild`].
-    pub fn new() -> Self {
-        DiGraph { n: 0, offsets: vec![0], targets: Vec::new() }
-    }
-
     /// Builds a graph over `n` nodes from an edge iterator.
     ///
     /// # Panics
     ///
     /// Panics if an edge references a node `>= n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let staged: Vec<(u32, u32)> = edges.into_iter().collect();
-        let mut g = DiGraph::new();
-        g.rebuild(n, &staged);
-        g
-    }
-
-    /// Re-populates the graph from staged edge pairs, reusing the CSR
-    /// buffers (no allocation once they have grown to the working size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge references a node `>= n`.
-    pub fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
-        for (a, b) in edges {
-            assert!((*a as usize) < n && (*b as usize) < n, "edge ({a},{b}) out of range");
-        }
-        self.n = n;
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for (a, _) in edges {
-            self.offsets[*a as usize + 1] += 1;
+        let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b) in &edges {
+            assert!((a as usize) < n && (b as usize) < n, "edge ({a},{b}) out of range");
+            offsets[a as usize + 1] += 1;
         }
         for i in 1..=n {
-            self.offsets[i] += self.offsets[i - 1];
+            offsets[i] += offsets[i - 1];
         }
-        self.targets.clear();
-        self.targets.resize(edges.len(), 0);
+        let mut targets = vec![0u32; edges.len()];
         // Counting-sort placement: `offsets[a]` doubles as the write cursor
         // for row `a` (it starts at the row's start and ends at the next
         // row's start), then one shift restores the canonical form.
-        for (a, b) in edges {
-            let w = self.offsets[*a as usize] as usize;
-            self.targets[w] = *b;
-            self.offsets[*a as usize] += 1;
+        for &(a, b) in &edges {
+            targets[offsets[a as usize] as usize] = b;
+            offsets[a as usize] += 1;
         }
-        self.offsets.copy_within(0..n, 1);
-        self.offsets[0] = 0;
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        DiGraph { n, offsets, targets }
     }
 
     /// Number of nodes.
@@ -100,80 +78,39 @@ impl DiGraph {
     /// nodes where `alive[i]` is true. Edges touching dead nodes are
     /// ignored. Returns 0 when no node is alive.
     pub fn biggest_wcc_size(&self, alive: &[bool]) -> usize {
-        self.biggest_wcc_size_with(alive, &mut WccScratch::new())
-    }
-
-    /// [`DiGraph::biggest_wcc_size`] over caller-provided scratch:
-    /// allocation-free once the scratch has grown to `n` nodes.
-    pub fn biggest_wcc_size_with(&self, alive: &[bool], scratch: &mut WccScratch) -> usize {
-        self.union_alive(alive, scratch);
-        let mut best = 0;
-        for (i, &is_alive) in alive.iter().enumerate() {
-            if is_alive {
-                // Only alive nodes are ever unioned, so a root's tree size
-                // is exactly its alive-component size.
-                let root = scratch.find(i as u32);
-                best = best.max(scratch.size[root as usize]);
-            }
-        }
-        best as usize
+        self.components(alive).0
     }
 
     /// The biggest weakly-connected cluster as a fraction of alive nodes
     /// (the y-axis of Figures 2 and 10). Returns 0 for an empty mask.
     pub fn biggest_wcc_fraction(&self, alive: &[bool]) -> f64 {
-        self.biggest_wcc_fraction_with(alive, &mut WccScratch::new())
-    }
-
-    /// [`DiGraph::biggest_wcc_fraction`] over caller-provided scratch.
-    pub fn biggest_wcc_fraction_with(&self, alive: &[bool], scratch: &mut WccScratch) -> f64 {
         let alive_count = alive.iter().filter(|a| **a).count();
         if alive_count == 0 {
             return 0.0;
         }
-        self.biggest_wcc_size_with(alive, scratch) as f64 / alive_count as f64
+        self.biggest_wcc_size(alive) as f64 / alive_count as f64
     }
 
     /// Number of weakly-connected components among alive nodes.
     pub fn wcc_count(&self, alive: &[bool]) -> usize {
-        let mut scratch = WccScratch::new();
-        self.union_alive(alive, &mut scratch);
-        // Every tree has exactly one root, and only alive nodes join trees.
-        (0..self.n).filter(|&i| alive[i] && scratch.find(i as u32) == i as u32).count()
+        self.components(alive).1
     }
 
-    /// Unions every alive-to-alive edge into the scratch forest.
-    fn union_alive(&self, alive: &[bool], scratch: &mut WccScratch) {
+    /// `(biggest, count)` of the alive components, streamed from the CSR.
+    fn components(&self, alive: &[bool]) -> (usize, usize) {
         assert_eq!(alive.len(), self.n, "mask length must equal node count");
-        scratch.reset(self.n);
-        for a in 0..self.n {
-            if !alive[a] {
-                continue;
-            }
-            for &b in self.row(a) {
-                if alive[b as usize] {
-                    scratch.union(a as u32, b);
-                }
-            }
-        }
+        let edges = (0..self.n).flat_map(|a| self.row(a).iter().map(move |&b| (a as u32, b)));
+        WccScratch::new().components(alive, edges)
     }
 
     /// In-degree of every node (edges from dead nodes still count unless
     /// masked out by the caller).
     pub fn in_degrees(&self) -> Vec<u32> {
-        let mut deg = Vec::new();
-        self.in_degrees_into(&mut deg);
-        deg
-    }
-
-    /// [`DiGraph::in_degrees`] into a caller-provided buffer (cleared
-    /// first): allocation-free once the buffer has grown to `n`.
-    pub fn in_degrees_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(self.n, 0);
+        let mut deg = vec![0u32; self.n];
         for &b in &self.targets {
-            out[b as usize] += 1;
+            deg[b as usize] += 1;
         }
+        deg
     }
 
     /// Builds the undirected adjacency (direction dropped, self-loops and
@@ -196,7 +133,7 @@ impl DiGraph {
         }
         out.neighbors.clear();
         out.neighbors.resize(out.offsets[n] as usize, 0);
-        // Same cursor trick as `rebuild`, both directions at once.
+        // Same cursor trick as `from_edges`, both directions at once.
         for a in 0..n {
             for &b in self.row(a) {
                 if b as usize != a {
@@ -238,16 +175,11 @@ impl DiGraph {
     /// zero. A healthy peer-sampling overlay looks like a random graph:
     /// clustering near `degree / n`, far below a lattice's.
     pub fn clustering_coefficient(&self) -> f64 {
-        self.clustering_coefficient_with(&mut UndirectedCsr::new())
-    }
-
-    /// [`DiGraph::clustering_coefficient`] over caller-provided adjacency
-    /// scratch: allocation-free once the scratch fits the overlay.
-    pub fn clustering_coefficient_with(&self, adj: &mut UndirectedCsr) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        self.undirected_into(adj);
+        let mut adj = UndirectedCsr::new();
+        self.undirected_into(&mut adj);
         let mut total = 0.0;
         for i in 0..self.n {
             let nbrs = adj.row(i);
@@ -330,7 +262,16 @@ impl UndirectedCsr {
 }
 
 /// Reusable union-find scratch (path halving, union by size) for the
-/// weakly-connected-component queries.
+/// weakly-connected-component queries: 8 bytes a node, nothing per edge.
+///
+/// ```
+/// use nylon_metrics::graph::WccScratch;
+///
+/// // 0 - 1 - 2 and 3 - 4; node 2 is dead, so {0, 1} and {3, 4} tie.
+/// let alive = [true, true, false, true, true];
+/// let mut wcc = WccScratch::new();
+/// assert_eq!(wcc.biggest_component(&alive, [(0, 1), (1, 2), (3, 4)]), 2);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct WccScratch {
     parent: Vec<u32>,
@@ -343,11 +284,47 @@ impl WccScratch {
         WccScratch::default()
     }
 
-    fn reset(&mut self, n: usize) {
+    /// Size of the biggest weakly-connected component among the nodes
+    /// where `alive[i]` is true, over a stream of directed edges (direction,
+    /// self-loops and duplicates do not matter; edges touching a dead node
+    /// are skipped). Returns 0 when no node is alive. Nothing is stored per
+    /// edge, and nothing is allocated once the scratch has grown to
+    /// `alive.len()` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge references a node `>= alive.len()`.
+    pub fn biggest_component(
+        &mut self,
+        alive: &[bool],
+        edges: impl IntoIterator<Item = (u32, u32)>,
+    ) -> usize {
+        self.components(alive, edges).0
+    }
+
+    /// `(biggest, count)` of the alive components: every union that joins
+    /// two trees removes one component from the alive count.
+    fn components(
+        &mut self,
+        alive: &[bool],
+        edges: impl IntoIterator<Item = (u32, u32)>,
+    ) -> (usize, usize) {
+        let n = alive.len();
         self.parent.clear();
         self.parent.extend(0..n as u32);
         self.size.clear();
         self.size.resize(n, 1);
+        let mut count = alive.iter().filter(|a| **a).count();
+        let mut biggest = count.min(1) as u32;
+        for (a, b) in edges {
+            if alive[a as usize] && alive[b as usize] {
+                if let Some(size) = self.union(a, b) {
+                    biggest = biggest.max(size);
+                    count -= 1;
+                }
+            }
+        }
+        (biggest as usize, count)
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -359,16 +336,19 @@ impl WccScratch {
         x
     }
 
-    fn union(&mut self, a: u32, b: u32) {
+    /// Joins the trees of `a` and `b`; the size of the joined tree, or
+    /// `None` if they were one already.
+    fn union(&mut self, a: u32, b: u32) -> Option<u32> {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return None;
         }
         if self.size[ra as usize] < self.size[rb as usize] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
+        Some(self.size[ra as usize])
     }
 }
 
@@ -445,34 +425,11 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_buffers_and_matches_fresh() {
-        let mut g = DiGraph::new();
-        g.rebuild(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(g.biggest_wcc_size(&[true; 4]), 4);
-        // Shrink to a different shape: results match a fresh build, and
-        // the buffers are reused (capacity only ever grows).
-        let cap = (g.offsets.capacity(), g.targets.capacity());
-        g.rebuild(3, &[(0, 1)]);
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.biggest_wcc_size(&[true; 3]), 2);
-        assert_eq!(g.in_degrees(), DiGraph::from_edges(3, [(0, 1)]).in_degrees());
-        assert_eq!((g.offsets.capacity(), g.targets.capacity()), cap);
-    }
-
-    #[test]
     fn scratch_reuse_matches_fresh_scratch() {
-        let g1 = DiGraph::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-        let g2 = DiGraph::from_edges(4, [(0, 1), (2, 3), (3, 2)]);
         let mut wcc = WccScratch::new();
-        let mut deg = Vec::new();
-        let mut adj = UndirectedCsr::new();
         for _ in 0..3 {
-            assert_eq!(g1.biggest_wcc_size_with(&[true; 5], &mut wcc), 3);
-            assert_eq!(g2.biggest_wcc_size_with(&[true; 4], &mut wcc), 2);
-            g1.in_degrees_into(&mut deg);
-            assert_eq!(deg, g1.in_degrees());
-            assert_eq!(g1.clustering_coefficient_with(&mut adj), g1.clustering_coefficient());
+            assert_eq!(wcc.biggest_component(&[true; 5], [(0, 1), (1, 2), (3, 4)]), 3);
+            assert_eq!(wcc.biggest_component(&[true; 4], [(0, 1), (2, 3), (3, 2)]), 2);
         }
     }
 
@@ -533,6 +490,40 @@ mod tests {
         assert!((exact - sampled).abs() < 0.5, "exact {exact} vs sampled {sampled}");
     }
 
+    /// Alive component sizes by breadth-first search over the undirected
+    /// alive subgraph: the oracle the union-find stream is held to.
+    fn bfs_component_sizes(alive: &[bool], edges: &[(u32, u32)]) -> Vec<usize> {
+        let n = alive.len();
+        let mut adj = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            if alive[a as usize] && alive[b as usize] {
+                adj[a as usize].push(b as usize);
+                adj[b as usize].push(a as usize);
+            }
+        }
+        let mut seen = vec![false; n];
+        let mut sizes = Vec::new();
+        for src in (0..n).filter(|&i| alive[i]) {
+            if seen[src] {
+                continue;
+            }
+            seen[src] = true;
+            let mut queue = std::collections::VecDeque::from([src]);
+            let mut size = 0;
+            while let Some(u) = queue.pop_front() {
+                size += 1;
+                for &v in &adj[u] {
+                    if !seen[v] {
+                        seen[v] = true;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            sizes.push(size);
+        }
+        sizes
+    }
+
     proptest! {
         /// The biggest component is never larger than the alive set, and a
         /// fully connected ring is always one component.
@@ -553,6 +544,33 @@ mod tests {
             // Sum over components equals n (checked via count bounds).
             let comps = g.wcc_count(&alive);
             prop_assert!(comps >= 1 && comps <= n);
+        }
+
+        /// The streamed union-find agrees with a BFS oracle on random edge
+        /// lists with self-loops, duplicates and random alive masks, in
+        /// either edge order, through a reused scratch; the graph adapters
+        /// agree with it too.
+        #[test]
+        fn prop_stream_matches_bfs_oracle(
+            n in 1usize..65,
+            raw in proptest::collection::vec((0u32..64, 0u32..64), 0..160),
+            mask in proptest::collection::vec(any::<bool>(), 64..65),
+        ) {
+            let mut edges: Vec<(u32, u32)> =
+                raw.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
+            let repeats: Vec<(u32, u32)> =
+                edges.iter().take(8).flat_map(|&(a, b)| [(a, a), (a, b), (b, a)]).collect();
+            edges.extend(repeats);
+            let alive = &mask[..n];
+            let sizes = bfs_component_sizes(alive, &edges);
+            let biggest = sizes.iter().copied().max().unwrap_or(0);
+            let mut wcc = WccScratch::new();
+            prop_assert_eq!(wcc.biggest_component(&[true; 64], []), 1);
+            prop_assert_eq!(wcc.biggest_component(alive, edges.iter().copied()), biggest);
+            prop_assert_eq!(wcc.biggest_component(alive, edges.iter().rev().copied()), biggest);
+            let g = DiGraph::from_edges(n, edges.iter().copied());
+            prop_assert_eq!(g.biggest_wcc_size(alive), biggest);
+            prop_assert_eq!(g.wcc_count(alive), sizes.len());
         }
 
         /// A ring over n nodes is one component regardless of direction.

@@ -27,7 +27,7 @@ use nylon_metrics::randomness::{chi_square_uniform, dispersion_index};
 
 use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
-use crate::runner::{biggest_cluster_pct, build};
+use crate::runner::{biggest_cluster_pct, build, usable_in_degrees};
 use crate::scenario::Scenario;
 
 use super::common::{dispatch_engine, mean_finite, point_seeds};
@@ -63,14 +63,7 @@ fn victim_count(peers: usize) -> usize {
 fn randomness_sample(scale: &FigureScale, kind: EngineKind, nat_pct: f64, seed: u64) -> Vec<f64> {
     fn measure<S: PeerSampler>(mut eng: S, rounds: u64) -> Vec<f64> {
         eng.run_rounds(rounds);
-        let mut counts = vec![0u64; eng.peer_count()];
-        for p in eng.alive_peers() {
-            for d in eng.view_of(p).iter() {
-                if eng.edge_usable(p, d) {
-                    counts[d.id.0 as usize] += 1;
-                }
-            }
-        }
+        let counts: Vec<u64> = usable_in_degrees(&eng).into_iter().map(u64::from).collect();
         vec![
             dispersion_index(&counts).unwrap_or(f64::NAN),
             chi_square_uniform(&counts).map(|c| c.p_value).unwrap_or(f64::NAN),

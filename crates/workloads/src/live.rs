@@ -18,7 +18,7 @@ use nylon_net::NatClass;
 use nylon_sim::SimDuration;
 use nylon_transport::{udp_over_emulated_nat, LiveClock, LiveRunner};
 
-use crate::runner::{biggest_cluster_pct, build_with_plan, overlay_graph, staleness};
+use crate::runner::{biggest_cluster_pct, build_with_plan, staleness, usable_in_degrees};
 use crate::scenario::Scenario;
 
 /// Scale knobs of a live run.
@@ -132,14 +132,8 @@ pub struct OverlaySnapshot {
 
 /// Extracts the overlay snapshot from a finished Nylon engine.
 pub fn snapshot(eng: &NylonEngine) -> OverlaySnapshot {
-    let (graph, alive) = overlay_graph(eng);
-    let indegrees: Summary = graph
-        .in_degrees()
-        .iter()
-        .zip(&alive)
-        .filter(|(_, a)| **a)
-        .map(|(d, _)| *d as f64)
-        .collect();
+    let counts = usable_in_degrees(eng);
+    let indegrees: Summary = eng.alive_peers().map(|p| f64::from(counts[p.index()])).collect();
     let stats = eng.stats();
     OverlaySnapshot {
         cluster_pct: biggest_cluster_pct(eng),

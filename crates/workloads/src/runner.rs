@@ -114,35 +114,53 @@ pub fn build_with_plan<C: SamplerConfig>(
     eng
 }
 
-/// The *usable* overlay graph of an engine: one edge per view entry over
-/// which the holder could communicate right now (per the engine's
-/// [`edge_usable`](PeerSampler::edge_usable) oracle), plus the alive mask.
+/// The *usable* edges of an engine's overlay: one `(holder, target)` pair
+/// per view entry of an alive holder over which it could communicate right
+/// now, per the engine's [`edge_usable`](PeerSampler::edge_usable) oracle.
 ///
 /// Stale entries are excluded: a reference the holder cannot use does not
 /// keep the overlay connected. This matches the paper's reading of
 /// "network partitions" — its Section 3 explains the surviving clusters as
 /// groups of peers that keep their mutual NAT holes alive by shuffling
 /// with each other within the filter-rule lifetime.
-pub fn overlay_graph<S: PeerSampler>(eng: &S) -> (DiGraph, Vec<bool>) {
-    let mut scratch = SnapshotScratch::new();
-    overlay_graph_into(eng, &mut scratch);
-    let SnapshotScratch { graph, alive, .. } = scratch;
-    (graph, alive)
+///
+/// The cluster snapshot, the in-degree counts and [`overlay_graph`] read
+/// the views through this one loop, generic over the engine so the oracle
+/// is a static call per edge.
+pub fn usable_edges<S: PeerSampler>(eng: &S) -> impl Iterator<Item = (u32, u32)> + '_ {
+    (0..eng.peer_count() as u32).map(PeerId).filter(|&p| eng.is_alive(p)).flat_map(move |p| {
+        eng.view_of(p).iter().filter(move |d| eng.edge_usable(p, d)).map(move |d| (p.0, d.id.0))
+    })
 }
 
-/// Reusable buffers for per-round overlay snapshots: the staged edge list,
-/// the alive mask, the CSR graph and the component scratch all survive
+/// Usable in-degree of every peer (alive or dead): how many usable view
+/// entries of alive holders point at it.
+pub fn usable_in_degrees<S: PeerSampler>(eng: &S) -> Vec<u32> {
+    let mut counts = vec![0u32; eng.peer_count()];
+    for (_, target) in usable_edges(eng) {
+        counts[target as usize] += 1;
+    }
+    counts
+}
+
+/// The usable overlay graph of an engine ([`usable_edges`] in CSR form),
+/// plus the alive mask: for the metrics that need adjacency (clustering
+/// coefficient, path length).
+pub fn overlay_graph<S: PeerSampler>(eng: &S) -> (DiGraph, Vec<bool>) {
+    let n = eng.peer_count();
+    let alive = (0..n).map(|i| eng.is_alive(PeerId(i as u32))).collect();
+    (DiGraph::from_edges(n, usable_edges(eng)), alive)
+}
+
+/// Reusable buffers for per-round cluster snapshots: the alive mask and
+/// the union-find arrays, 9 bytes a peer and nothing per edge, survive
 /// between snapshots, so a measurement loop (one snapshot per round
-/// checkpoint in the experiment executor) stops rebuilding nested `Vec`s.
+/// checkpoint in the experiment executor) allocates nothing.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
-    /// Staged `(holder, target)` pairs for the CSR rebuild.
-    edges: Vec<(u32, u32)>,
-    /// The usable overlay graph of the latest snapshot.
-    pub graph: DiGraph,
     /// The alive mask of the latest snapshot.
     pub alive: Vec<bool>,
-    /// Union-find scratch for component queries.
+    /// Union-find scratch the usable edges stream into.
     pub wcc: WccScratch,
 }
 
@@ -153,28 +171,6 @@ impl SnapshotScratch {
     }
 }
 
-/// [`overlay_graph`] into reusable scratch: `scratch.graph` and
-/// `scratch.alive` hold the result, and a steady-state snapshot loop
-/// allocates nothing.
-pub fn overlay_graph_into<S: PeerSampler>(eng: &S, scratch: &mut SnapshotScratch) {
-    let n = eng.peer_count();
-    scratch.alive.clear();
-    scratch.alive.extend((0..n).map(|i| eng.is_alive(PeerId(i as u32))));
-    scratch.edges.clear();
-    for i in 0..n {
-        let p = PeerId(i as u32);
-        if !scratch.alive[i] {
-            continue;
-        }
-        for d in eng.view_of(p).iter() {
-            if eng.edge_usable(p, d) {
-                scratch.edges.push((p.0, d.id.0));
-            }
-        }
-    }
-    scratch.graph.rebuild(n, &scratch.edges);
-}
-
 /// Biggest weakly-connected cluster as a percentage of alive peers
 /// (Figure 2 / Figure 10 y-axis).
 pub fn biggest_cluster_pct<S: PeerSampler>(eng: &S) -> f64 {
@@ -183,9 +179,17 @@ pub fn biggest_cluster_pct<S: PeerSampler>(eng: &S) -> f64 {
 
 /// [`biggest_cluster_pct`] over caller-provided scratch — the per-round
 /// snapshot path of the experiment executor and the ledger (`benchmark/`).
+/// The usable edges stream from the views into union-find; no graph is
+/// built.
 pub fn biggest_cluster_pct_with<S: PeerSampler>(eng: &S, scratch: &mut SnapshotScratch) -> f64 {
-    overlay_graph_into(eng, scratch);
-    100.0 * scratch.graph.biggest_wcc_fraction_with(&scratch.alive, &mut scratch.wcc)
+    scratch.alive.clear();
+    scratch.alive.extend((0..eng.peer_count()).map(|i| eng.is_alive(PeerId(i as u32))));
+    let alive_count = scratch.alive.iter().filter(|a| **a).count();
+    if alive_count == 0 {
+        return 0.0;
+    }
+    let biggest = scratch.wcc.biggest_component(&scratch.alive, usable_edges(eng));
+    100.0 * (biggest as f64 / alive_count as f64)
 }
 
 /// Staleness report for an engine, using its
@@ -222,8 +226,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nylon::{NylonConfig, NylonEngine};
-    use nylon_gossip::{BaselineEngine, GossipConfig};
+    use nylon::{NylonConfig, NylonEngine, StaticRvpConfig};
+    use nylon_gossip::{BaselineEngine, GossipConfig, PeerSwapConfig};
 
     fn scn(peers: usize, nat_pct: f64, seed: u64) -> Scenario {
         Scenario::new(peers, nat_pct, seed)
@@ -261,19 +265,35 @@ mod tests {
         assert!(stale.stale_pct < 5.0, "Nylon views must stay fresh, got {}", stale.stale_pct);
     }
 
-    #[test]
-    fn scratch_snapshot_matches_fresh_snapshot() {
-        let mut eng: NylonEngine = build(&scn(60, 70.0, 3), NylonConfig::default());
+    /// The streamed snapshot through a reused scratch equals a fresh one
+    /// and the cluster of the CSR overlay graph, before and after a kill
+    /// wave.
+    fn snapshot_paths_agree<C: SamplerConfig>(cfg: C) {
+        let mut eng = build(&scn(60, 70.0, 3), cfg);
         let mut scratch = SnapshotScratch::new();
-        for _ in 0..5 {
+        for step in 0..6 {
+            if step == 3 {
+                let wave: Vec<PeerId> = (0..60).step_by(3).map(PeerId).collect();
+                eng.kill_peers(&wave);
+            }
             eng.run_rounds(4);
             let fresh = biggest_cluster_pct(&eng);
             let reused = biggest_cluster_pct_with(&eng, &mut scratch);
             assert_eq!(fresh, reused, "scratch path diverged from the fresh path");
             let (graph, alive) = overlay_graph(&eng);
-            assert_eq!(graph.edge_count(), scratch.graph.edge_count());
+            assert_eq!(reused, 100.0 * graph.biggest_wcc_fraction(&alive));
             assert_eq!(alive, scratch.alive);
+            let dead = alive.iter().filter(|a| !**a).count();
+            assert_eq!(dead, if step < 3 { 0 } else { 20 });
         }
+    }
+
+    #[test]
+    fn scratch_snapshot_matches_fresh_snapshot() {
+        snapshot_paths_agree(GossipConfig::default());
+        snapshot_paths_agree(NylonConfig::default());
+        snapshot_paths_agree(StaticRvpConfig::default());
+        snapshot_paths_agree(PeerSwapConfig::default());
     }
 
     #[test]

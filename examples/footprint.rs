@@ -1,13 +1,16 @@
-//! Memory probe: prints the process' resident set (`VmRSS`) after every
-//! lifecycle stage of one population — construct, `add_peer`, bootstrap,
-//! start, every 12th of 144 rounds, and the cluster + staleness snapshot —
-//! beside the owners the engine's telemetry names: the bytes of the event
-//! queue's buffers (`kernel/wheel_slot_bytes`), of view slots
-//! (`view/slot_bytes`) and of routing slots (`routing/slot_bytes`, Nylon
-//! only), and the NAT-session map slots beside the sessions they hold
-//! (`net/nat_session_slots` and `net/nat_sessions`, in thousands, so
-//! slots per session read off). The stage tables in README
-//! "Per-node footprint" come from it:
+//! Memory probe: prints the process' resident set (`VmRSS`) and its peak
+//! so far (`VmHWM`) after every lifecycle stage of one population —
+//! construct, `add_peer`, bootstrap, start, every 12th of 144 rounds, and
+//! the cluster + staleness snapshot — beside the owners the engine's
+//! telemetry names: the bytes of the event queue's buffers
+//! (`kernel/wheel_slot_bytes`), of view slots (`view/slot_bytes`) and of
+//! routing slots (`routing/slot_bytes`, Nylon only), and the NAT-session
+//! map slots beside the sessions they hold (`net/nat_session_slots` and
+//! `net/nat_sessions`, in thousands, so slots per session read off).
+//! `VmHWM` shows what `VmRSS` cannot: a transient that rose and was freed
+//! between two stages (a stage whose `VmHWM` rises above the previous
+//! stage's peaked inside it). The stage tables in README "Per-node
+//! footprint" come from it:
 //!
 //! ```text
 //! cargo run --release --example footprint -- baseline 200000 2
@@ -31,11 +34,12 @@ use nylon_obs::{MetricValue, Report};
 use nylon_sim::ShardPlan;
 use nylon_workloads::{runner, Scenario};
 
-/// Prints `VmRSS` and the owner gauges. `eng` is `None` while the engine
-/// only records its set-up: querying it would build it early.
+/// Prints `VmRSS`, `VmHWM` and the owner gauges. `eng` is `None` while the
+/// engine only records its set-up: querying it would build it early.
 fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
     let mib = |bytes: u64| format!("{:.1}", bytes as f64 / (1024.0 * 1024.0));
     let rss = nylon_obs::process::rss_bytes().map_or("?".to_string(), mib);
+    let hwm = nylon_obs::process::peak_rss_bytes().map_or("?".to_string(), mib);
     let mut report = Report::new();
     if let Some(eng) = eng {
         eng.obs_report(&mut report);
@@ -51,17 +55,19 @@ fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
     let thousands = |n: u64| format!("{:.0}", n as f64 / 1e3);
     let nat = gauge("net", "nat_session_slots").map_or_else(dash, thousands);
     let sessions = gauge("net", "nat_sessions").map_or_else(dash, thousands);
-    println!("{name:<14} {rss:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9}");
+    println!(
+        "{name:<14} {rss:>9} {hwm:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9}"
+    );
 }
 
 fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     let unbuilt: Option<&C::Sampler> = None;
-    let columns = ["stage", "VmRSS", "wheel", "view", "routing", "NAT", "sessions"];
-    let units = ["", "MiB", "MiB", "MiB", "MiB", "k slots", "k"];
-    for [a, b, c, d, e, f, g] in [columns, units] {
-        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9}");
+    let columns = ["stage", "VmRSS", "VmHWM", "wheel", "view", "routing", "NAT", "sessions"];
+    let units = ["", "MiB", "MiB", "MiB", "MiB", "MiB", "k slots", "k"];
+    for [a, b, c, d, e, f, g, h] in [columns, units] {
+        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9} {h:>9}");
     }
     stage("construct", unbuilt);
     for class in scn.classes() {

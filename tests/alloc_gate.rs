@@ -24,7 +24,7 @@ use nylon_gossip::{
 use nylon_net::natbox::NatBox;
 use nylon_net::{Endpoint, Ip, NatClass, NatType, NetConfig, PeerId, Port};
 use nylon_sim::{EventQueue, ShardPlan, SimDuration, SimRng, SimTime};
-use nylon_workloads::runner::build;
+use nylon_workloads::runner::{biggest_cluster_pct_with, build, SnapshotScratch};
 use nylon_workloads::scenario::Scenario;
 
 #[global_allocator]
@@ -207,6 +207,18 @@ fn setup_bytes_per_peer<C: SamplerConfig>(cfg: C, workers: usize) -> u64 {
     bytes / scn.peers as u64
 }
 
+/// A cluster snapshot of a 10 000-peer, 70 %-NAT baseline overlay after 5
+/// rounds: `(blocks on a warm scratch, bytes per peer on a fresh one)`.
+fn snapshot_allocations() -> (u64, u64) {
+    let scn = Scenario::new(10_000, 70.0, 5);
+    let mut eng = build(&scn, GossipConfig::default());
+    eng.run_rounds(5);
+    let fresh = counting(|| black_box(biggest_cluster_pct_with(&eng, &mut SnapshotScratch::new())));
+    let mut scratch = SnapshotScratch::new();
+    let warm = allocations_of(|| biggest_cluster_pct_with(&eng, &mut scratch).to_bits());
+    (warm, fresh.2 / scn.peers as u64)
+}
+
 /// One test, run case by case, so nothing else in this binary allocates
 /// while a case counts.
 #[test]
@@ -242,6 +254,13 @@ fn hot_paths_allocate_no_more_than_recorded() {
         println!("{case}: {measured} allocations (recorded {recorded})");
         assert!(measured <= recorded, "{case}: {measured} allocations, recorded {recorded}");
     }
+
+    // A snapshot streams the usable edges into union-find: the alive mask
+    // and two `u32` arrays (9 bytes a peer), nothing per edge.
+    let (warm, fresh) = snapshot_allocations();
+    println!("cluster snapshot: {warm} allocations warm (recorded 0), {fresh} bytes per peer fresh (limit 12)");
+    assert_eq!(warm, 0, "cluster snapshot on a warm scratch: {warm} allocations");
+    assert!(fresh <= 12, "cluster snapshot on a fresh scratch: {fresh} bytes per peer, limit 12");
 
     let nylon = NylonConfig::default;
     // Set-up scales with the view, not the pool: a peer's 15 contacts cost
