@@ -8,7 +8,7 @@
 //! it.
 //!
 //! This module implements that scheme so the load-distribution claim can be
-//! measured (ablation `abl-rvp` in DESIGN.md): compare
+//! measured (ablation `abl-rvp`, README "Reproducing the paper"): compare
 //! [`nylon_net::Network::stats_of`] by NAT class against Nylon's Figure 8.
 //!
 //! Design notes: descriptors travel annotated with the peer's current RVP;

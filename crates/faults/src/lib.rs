@@ -450,8 +450,9 @@ impl FaultStats {
 ///
 /// One runtime lives inside each engine worker, all sharing the one plan.
 /// The worker schedules a timer for [`FaultRuntime::next_at`], calls
-/// [`FaultRuntime::apply_due`] when it fires, restarts the timers of any
-/// revived peers it owns, and re-arms for the next instant.
+/// [`FaultRuntime::apply_due`] when it fires, and re-arms for the next
+/// instant. Revived peers need no timer work: a dead peer's round timer
+/// keeps ticking idle, so a revived one resumes at its original phase.
 #[derive(Debug, Clone)]
 pub struct FaultRuntime {
     plan: Arc<FaultPlan>,
@@ -489,10 +490,8 @@ impl FaultRuntime {
     }
 
     /// Applies every event due at or before `now` to `net`, one worker's
-    /// fabric (see [`Network::owns`] — every peer on an unsharded one);
-    /// revived peers are appended to `revived` so the caller can restart
-    /// their protocol timers.
-    pub fn apply_due<P>(&mut self, now: SimTime, net: &mut Network<P>, revived: &mut Vec<PeerId>) {
+    /// fabric (see [`Network::owns`] — every peer on an unsharded one).
+    pub fn apply_due<P>(&mut self, now: SimTime, net: &mut Network<P>) {
         while let Some(ev) = self.plan.events.get(self.cursor).copied() {
             if ev.at > now {
                 break;
@@ -512,11 +511,8 @@ impl FaultRuntime {
                     }
                 }
                 FaultKind::Revive(p) => {
-                    if net.revive_peer(p) {
-                        revived.push(p);
-                        if net.owns(p) {
-                            self.stats.revives += 1;
-                        }
+                    if net.revive_peer(p) && net.owns(p) {
+                        self.stats.revives += 1;
                     }
                 }
                 FaultKind::LossBurst { until, prob_ppm, salt } => {
@@ -667,17 +663,15 @@ mod tests {
         ];
         let plan = FaultPlan { events, ..FaultPlan::default() };
         let mut rt = FaultRuntime::new(Arc::new(plan), true);
-        let mut revived = Vec::new();
 
         assert_eq!(rt.next_at(), Some(SimTime::from_millis(13)));
-        rt.apply_due(SimTime::from_millis(13), &mut net, &mut revived);
+        rt.apply_due(SimTime::from_millis(13), &mut net);
         assert!(!net.is_alive(PeerId(0)) && !net.is_alive(PeerId(1)));
         assert_eq!(rt.stats().crashes, 1, "only the owned crash is counted");
         assert_eq!(rt.next_at(), Some(SimTime::from_millis(63)));
 
-        rt.apply_due(SimTime::from_millis(63), &mut net, &mut revived);
+        rt.apply_due(SimTime::from_millis(63), &mut net);
         assert!(net.is_alive(PeerId(0)));
-        assert_eq!(revived, vec![PeerId(0)]);
         assert_eq!(rt.stats().revives, 1);
         assert_eq!(rt.next_at(), None);
     }
@@ -694,8 +688,7 @@ mod tests {
         let mut net: Network<u8> = Network::new(NetConfig::default(), 1);
         net.add_peer(NatClass::Public);
         let mut rt = FaultRuntime::new(Arc::new(plan), true);
-        let mut revived = Vec::new();
-        rt.apply_due(SimTime::from_millis(13), &mut net, &mut revived);
+        rt.apply_due(SimTime::from_millis(13), &mut net);
         let mut out = nylon_obs::Report::new();
         rt.obs_report(&mut out);
         assert!(matches!(out.get("faults", "crashes"), Some(nylon_obs::MetricValue::Counter(1))));

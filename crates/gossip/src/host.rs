@@ -632,7 +632,7 @@ impl<P: Protocol> Worker<P> {
         let host = &mut self.host;
         let now = host.sim.now();
         let Some(rt) = host.faults.as_mut() else { return };
-        rt.apply_due(now, &mut host.net, &mut Vec::new());
+        rt.apply_due(now, &mut host.net);
         if let Some(at) = rt.next_at() {
             host.sim.schedule_at(at, Ev::Fault);
         }

@@ -16,7 +16,7 @@
 //! every send is staged until the tick boundary and merged there in
 //! canonical order ([`crate::host::sort_tick_batch`]), so a run is
 //! byte-identical at every worker count and node→worker map. One worker
-//! is that loop run inline ([`nylon_sim::run_lone`]), without threads;
+//! is that loop run inline ([`nylon_sim::ShardedSim::run_until`]), without threads;
 //! queries go to the worker owning the peer they ask about.
 //!
 //! A state query made before `start` settles a self-sizing engine on one

@@ -1,195 +1,88 @@
-//! Overlay graph analysis: connectivity and degree distributions.
+//! Overlay graph analysis: connectivity and neighbourhood structure.
 //!
 //! Connectivity is one union-find pass, [`WccScratch::biggest_component`],
 //! over a stream of edges: a per-round cluster snapshot feeds it the
 //! overlay's edges straight from the views and stores nothing per edge.
-//! Metrics that need adjacency (clustering, path length) run over a
-//! [`DiGraph`], a flat CSR (compressed sparse row) layout — one offsets
-//! array, one targets array — whose component queries are thin adapters
-//! over the same stream.
+//! Metrics that need adjacency (clustering, path length) run over an
+//! [`UndirectedCsr`], a flat CSR (compressed sparse row) layout — one
+//! offsets array, one neighbours array — built from the same stream.
 
-/// A directed graph over dense node indices, built from overlay views.
+/// Undirected adjacency over dense node indices in CSR form: direction
+/// dropped, self-loops and duplicate edges removed, rows sorted.
 ///
 /// ```
-/// use nylon_metrics::graph::DiGraph;
+/// use nylon_metrics::graph::UndirectedCsr;
 ///
-/// // 0 -> 1 -> 2, 3 isolated.
-/// let g = DiGraph::from_edges(4, [(0, 1), (1, 2)]);
-/// let mask = vec![true; 4];
-/// assert_eq!(g.biggest_wcc_size(&mask), 3);
-/// assert!((g.biggest_wcc_fraction(&mask) - 0.75).abs() < 1e-12);
+/// // A triangle is fully clustered; every pair is one hop apart.
+/// let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
+/// assert!((g.clustering_coefficient() - 1.0).abs() < 1e-12);
+/// assert_eq!(g.mean_path_length(3), Some(1.0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct DiGraph {
-    n: usize,
-    /// CSR row starts: `offsets[i]..offsets[i + 1]` indexes row `i` of
-    /// `targets`. Length `n + 1` (a single `[0]` for the empty graph).
+pub struct UndirectedCsr {
+    /// Row starts: `offsets[i]..offsets[i + 1]` indexes row `i` of
+    /// `neighbors`. Length `n + 1`.
     offsets: Vec<u32>,
-    /// Edge targets, grouped by source.
-    targets: Vec<u32>,
+    neighbors: Vec<u32>,
 }
 
-impl DiGraph {
-    /// Builds a graph over `n` nodes from an edge iterator.
+impl UndirectedCsr {
+    /// Builds the adjacency of `n` nodes from a stream of directed edges.
     ///
     /// # Panics
     ///
     /// Panics if an edge references a node `>= n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        let mut pairs: Vec<(u32, u32)> = edges
+            .into_iter()
+            .filter(|&(a, b)| {
+                assert!((a as usize) < n && (b as usize) < n, "edge ({a},{b}) out of range");
+                a != b
+            })
+            .flat_map(|(a, b)| [(a, b), (b, a)])
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
         let mut offsets = vec![0u32; n + 1];
-        for &(a, b) in &edges {
-            assert!((a as usize) < n && (b as usize) < n, "edge ({a},{b}) out of range");
+        for &(a, _) in &pairs {
             offsets[a as usize + 1] += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let mut targets = vec![0u32; edges.len()];
-        // Counting-sort placement: `offsets[a]` doubles as the write cursor
-        // for row `a` (it starts at the row's start and ends at the next
-        // row's start), then one shift restores the canonical form.
-        for &(a, b) in &edges {
-            targets[offsets[a as usize] as usize] = b;
-            offsets[a as usize] += 1;
-        }
-        offsets.copy_within(0..n, 1);
-        offsets[0] = 0;
-        DiGraph { n, offsets, targets }
+        UndirectedCsr { offsets, neighbors: pairs.into_iter().map(|(_, b)| b).collect() }
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// The out-neighbours of node `i`.
+    /// The (sorted) neighbours of node `i`.
     #[inline]
     fn row(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Size (node count) of the biggest weakly-connected component among
-    /// nodes where `alive[i]` is true. Edges touching dead nodes are
-    /// ignored. Returns 0 when no node is alive.
-    pub fn biggest_wcc_size(&self, alive: &[bool]) -> usize {
-        self.components(alive).0
-    }
-
-    /// The biggest weakly-connected cluster as a fraction of alive nodes
-    /// (the y-axis of Figures 2 and 10). Returns 0 for an empty mask.
-    pub fn biggest_wcc_fraction(&self, alive: &[bool]) -> f64 {
-        let alive_count = alive.iter().filter(|a| **a).count();
-        if alive_count == 0 {
-            return 0.0;
-        }
-        self.biggest_wcc_size(alive) as f64 / alive_count as f64
-    }
-
-    /// Number of weakly-connected components among alive nodes.
-    pub fn wcc_count(&self, alive: &[bool]) -> usize {
-        self.components(alive).1
-    }
-
-    /// `(biggest, count)` of the alive components, streamed from the CSR.
-    fn components(&self, alive: &[bool]) -> (usize, usize) {
-        assert_eq!(alive.len(), self.n, "mask length must equal node count");
-        let edges = (0..self.n).flat_map(|a| self.row(a).iter().map(move |&b| (a as u32, b)));
-        WccScratch::new().components(alive, edges)
-    }
-
-    /// In-degree of every node (edges from dead nodes still count unless
-    /// masked out by the caller).
-    pub fn in_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.n];
-        for &b in &self.targets {
-            deg[b as usize] += 1;
-        }
-        deg
-    }
-
-    /// Builds the undirected adjacency (direction dropped, self-loops and
-    /// duplicate edges removed) into reusable CSR scratch: rows come out
-    /// sorted, ready for binary search.
-    pub fn undirected_into(&self, out: &mut UndirectedCsr) {
-        let n = self.n;
-        out.offsets.clear();
-        out.offsets.resize(n + 1, 0);
-        for a in 0..n {
-            for &b in self.row(a) {
-                if b as usize != a {
-                    out.offsets[a + 1] += 1;
-                    out.offsets[b as usize + 1] += 1;
-                }
-            }
-        }
-        for i in 1..=n {
-            out.offsets[i] += out.offsets[i - 1];
-        }
-        out.neighbors.clear();
-        out.neighbors.resize(out.offsets[n] as usize, 0);
-        // Same cursor trick as `from_edges`, both directions at once.
-        for a in 0..n {
-            for &b in self.row(a) {
-                if b as usize != a {
-                    let w = out.offsets[a] as usize;
-                    out.neighbors[w] = b;
-                    out.offsets[a] += 1;
-                    let w = out.offsets[b as usize] as usize;
-                    out.neighbors[w] = a as u32;
-                    out.offsets[b as usize] += 1;
-                }
-            }
-        }
-        out.offsets.copy_within(0..n, 1);
-        out.offsets[0] = 0;
-        // Sort each row and compact duplicates in place, rewriting the
-        // offsets as rows shrink.
-        let mut write = 0usize;
-        let mut row_start = 0usize;
-        for i in 0..n {
-            let row_end = out.offsets[i + 1] as usize;
-            out.neighbors[row_start..row_end].sort_unstable();
-            let new_start = write;
-            for j in row_start..row_end {
-                let v = out.neighbors[j];
-                if write == new_start || out.neighbors[write - 1] != v {
-                    out.neighbors[write] = v;
-                    write += 1;
-                }
-            }
-            out.offsets[i] = new_start as u32;
-            row_start = row_end;
-        }
-        out.offsets[n] = write as u32;
-        out.neighbors.truncate(write);
-    }
-
-    /// Average local clustering coefficient of the undirected overlay
-    /// (Watts–Strogatz). Nodes with fewer than two neighbours contribute
-    /// zero. A healthy peer-sampling overlay looks like a random graph:
-    /// clustering near `degree / n`, far below a lattice's.
+    /// Average local clustering coefficient (Watts–Strogatz). Nodes with
+    /// fewer than two neighbours contribute zero. A healthy peer-sampling
+    /// overlay looks like a random graph: clustering near `degree / n`, far
+    /// below a lattice's.
     pub fn clustering_coefficient(&self) -> f64 {
-        if self.n == 0 {
+        let n = self.node_count();
+        if n == 0 {
             return 0.0;
         }
-        let mut adj = UndirectedCsr::new();
-        self.undirected_into(&mut adj);
         let mut total = 0.0;
-        for i in 0..self.n {
-            let nbrs = adj.row(i);
+        for i in 0..n {
+            let nbrs = self.row(i);
             let k = nbrs.len();
             if k < 2 {
                 continue;
             }
             let mut links = 0usize;
             for (j, a) in nbrs.iter().enumerate() {
-                let a_nbrs = adj.row(*a as usize);
+                let a_nbrs = self.row(*a as usize);
                 for b in nbrs.iter().skip(j + 1) {
                     if a_nbrs.binary_search(b).is_ok() {
                         links += 1;
@@ -198,31 +91,30 @@ impl DiGraph {
             }
             total += 2.0 * links as f64 / (k * (k - 1)) as f64;
         }
-        total / self.n as f64
+        total / n as f64
     }
 
-    /// Mean shortest-path length of the undirected overlay, estimated by
-    /// BFS from up to `samples` evenly spaced sources. Unreachable pairs
-    /// are skipped; returns `None` if no finite path exists.
+    /// Mean shortest-path length, estimated by BFS from up to `samples`
+    /// evenly spaced sources. Unreachable pairs are skipped; returns `None`
+    /// if no finite path exists.
     pub fn mean_path_length(&self, samples: usize) -> Option<f64> {
-        if self.n == 0 || samples == 0 {
+        let n = self.node_count();
+        if n == 0 || samples == 0 {
             return None;
         }
-        let mut adj = UndirectedCsr::new();
-        self.undirected_into(&mut adj);
-        let step = (self.n / samples.min(self.n)).max(1);
+        let step = (n / samples.min(n)).max(1);
         let mut sum = 0u64;
         let mut count = 0u64;
-        let mut dist = vec![u32::MAX; self.n];
+        let mut dist = vec![u32::MAX; n];
         let mut queue = std::collections::VecDeque::new();
-        for src in (0..self.n).step_by(step) {
+        for src in (0..n).step_by(step) {
             dist.iter_mut().for_each(|d| *d = u32::MAX);
             dist[src] = 0;
             queue.clear();
             queue.push_back(src as u32);
             while let Some(u) = queue.pop_front() {
                 let du = dist[u as usize];
-                for v in adj.row(u as usize) {
+                for v in self.row(u as usize) {
                     if dist[*v as usize] == u32::MAX {
                         dist[*v as usize] = du + 1;
                         queue.push_back(*v);
@@ -237,27 +129,6 @@ impl DiGraph {
             }
         }
         (count > 0).then(|| sum as f64 / count as f64)
-    }
-}
-
-/// Reusable undirected CSR adjacency (sorted, deduplicated rows), filled
-/// by [`DiGraph::undirected_into`].
-#[derive(Debug, Clone, Default)]
-pub struct UndirectedCsr {
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-}
-
-impl UndirectedCsr {
-    /// Empty scratch.
-    pub fn new() -> Self {
-        UndirectedCsr::default()
-    }
-
-    /// The (sorted) neighbours of node `i`.
-    #[inline]
-    fn row(&self, i: usize) -> &[u32] {
-        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -359,69 +230,52 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = DiGraph::from_edges(0, []);
-        assert_eq!(g.biggest_wcc_size(&[]), 0);
-        assert_eq!(g.biggest_wcc_fraction(&[]), 0.0);
-        assert_eq!(g.wcc_count(&[]), 0);
+        let mut wcc = WccScratch::new();
+        assert_eq!(wcc.components(&[], []), (0, 0));
+        assert_eq!(UndirectedCsr::from_edges(0, []).node_count(), 0);
     }
 
     #[test]
     fn single_component() {
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let alive = vec![true; 4];
-        assert_eq!(g.biggest_wcc_size(&alive), 4);
-        assert_eq!(g.wcc_count(&alive), 1);
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.node_count(), 4);
+        let mut wcc = WccScratch::new();
+        assert_eq!(wcc.components(&[true; 4], [(0, 1), (1, 2), (2, 3)]), (4, 1));
     }
 
     #[test]
     fn direction_is_ignored_for_wcc() {
         // Arrows all point at 0; still one weak component.
-        let g = DiGraph::from_edges(3, [(1, 0), (2, 0)]);
-        assert_eq!(g.biggest_wcc_size(&[true, true, true]), 3);
+        assert_eq!(WccScratch::new().biggest_component(&[true; 3], [(1, 0), (2, 0)]), 3);
     }
 
     #[test]
     fn two_components() {
-        let g = DiGraph::from_edges(5, [(0, 1), (2, 3)]);
-        let alive = vec![true; 5];
-        assert_eq!(g.biggest_wcc_size(&alive), 2);
-        assert_eq!(g.wcc_count(&alive), 3); // {0,1}, {2,3}, {4}
+        // {0,1}, {2,3}, {4}
+        assert_eq!(WccScratch::new().components(&[true; 5], [(0, 1), (2, 3)]), (2, 3));
     }
 
     #[test]
     fn dead_nodes_split_components() {
         // 0 - 1 - 2 chain; killing 1 splits it.
-        let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
-        assert_eq!(g.biggest_wcc_size(&[true, false, true]), 1);
-        assert_eq!(g.wcc_count(&[true, false, true]), 2);
+        let mut wcc = WccScratch::new();
+        assert_eq!(wcc.components(&[true, false, true], [(0, 1), (1, 2)]), (1, 2));
     }
 
     #[test]
-    fn fraction_counts_alive_only() {
-        let g = DiGraph::from_edges(4, [(0, 1)]);
-        let f = g.biggest_wcc_fraction(&[true, true, false, false]);
-        assert!((f - 1.0).abs() < 1e-12, "2 of 2 alive nodes connected, got {f}");
-    }
-
-    #[test]
-    fn degrees() {
-        let g = DiGraph::from_edges(3, [(0, 1), (2, 1), (1, 0)]);
-        assert_eq!(g.in_degrees(), vec![1, 2, 0]);
+    fn components_count_alive_only() {
+        let mut wcc = WccScratch::new();
+        assert_eq!(wcc.components(&[true, true, false, false], [(0, 1)]), (2, 1));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        DiGraph::from_edges(2, [(0, 5)]);
+        UndirectedCsr::from_edges(2, [(0, 5)]);
     }
 
     #[test]
-    #[should_panic(expected = "mask length")]
-    fn wrong_mask_length_panics() {
-        let g = DiGraph::from_edges(2, [(0, 1)]);
-        g.biggest_wcc_size(&[true]);
+    #[should_panic(expected = "index out of bounds")]
+    fn edge_beyond_the_mask_panics() {
+        WccScratch::new().biggest_component(&[true], [(0, 1)]);
     }
 
     #[test]
@@ -436,26 +290,24 @@ mod tests {
     #[test]
     fn clustering_coefficient_triangle_vs_path() {
         // Triangle: fully clustered.
-        let tri = DiGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
+        let tri = UndirectedCsr::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
         assert!((tri.clustering_coefficient() - 1.0).abs() < 1e-12);
         // Path: no triangles at all.
-        let path = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
+        let path = UndirectedCsr::from_edges(3, [(0, 1), (1, 2)]);
         assert_eq!(path.clustering_coefficient(), 0.0);
         // Empty graph: zero by convention.
-        assert_eq!(DiGraph::from_edges(0, []).clustering_coefficient(), 0.0);
+        assert_eq!(UndirectedCsr::from_edges(0, []).clustering_coefficient(), 0.0);
     }
 
     #[test]
     fn clustering_ignores_direction_and_duplicates() {
-        let g = DiGraph::from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)]);
+        let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)]);
         assert!((g.clustering_coefficient() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn undirected_rows_are_sorted_and_deduped() {
-        let g = DiGraph::from_edges(4, [(2, 0), (0, 2), (0, 1), (0, 1), (3, 0), (1, 1)]);
-        let mut adj = UndirectedCsr::new();
-        g.undirected_into(&mut adj);
+        let adj = UndirectedCsr::from_edges(4, [(2, 0), (0, 2), (0, 1), (0, 1), (3, 0), (1, 1)]);
         assert_eq!(adj.row(0), &[1, 2, 3]);
         assert_eq!(adj.row(1), &[0], "self-loop and duplicate edges must vanish");
         assert_eq!(adj.row(2), &[0]);
@@ -465,17 +317,17 @@ mod tests {
     #[test]
     fn path_length_of_a_path_graph() {
         // 0-1-2-3: distances from all sources: mean of {1,2,3,1,1,2,2,1,1,3,2,1} = 5/3.
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+        let g = UndirectedCsr::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         let mpl = g.mean_path_length(4).unwrap();
         assert!((mpl - 5.0 / 3.0).abs() < 1e-9, "got {mpl}");
     }
 
     #[test]
     fn path_length_skips_unreachable() {
-        let g = DiGraph::from_edges(4, [(0, 1)]);
+        let g = UndirectedCsr::from_edges(4, [(0, 1)]);
         // Only the 0-1 pair is connected: mean distance 1.
         assert_eq!(g.mean_path_length(4), Some(1.0));
-        let isolated = DiGraph::from_edges(3, []);
+        let isolated = UndirectedCsr::from_edges(3, []);
         assert_eq!(isolated.mean_path_length(3), None);
     }
 
@@ -484,7 +336,7 @@ mod tests {
         // Ring of 40: exact mean distance is 10.2564 (n even: n^2/4/(n-1)).
         let n = 40;
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
-        let g = DiGraph::from_edges(n, edges);
+        let g = UndirectedCsr::from_edges(n, edges);
         let exact = g.mean_path_length(n).unwrap();
         let sampled = g.mean_path_length(8).unwrap();
         assert!((exact - sampled).abs() < 0.5, "exact {exact} vs sampled {sampled}");
@@ -536,20 +388,17 @@ mod tests {
                 .into_iter()
                 .filter(|(a, b)| (*a as usize) < n && (*b as usize) < n)
                 .collect();
-            let g = DiGraph::from_edges(n, edges);
-            let alive = vec![true; n];
-            let big = g.biggest_wcc_size(&alive);
+            let (big, comps) = WccScratch::new().components(&vec![true; n], edges);
             prop_assert!(big <= n);
             prop_assert!(big >= 1);
             // Sum over components equals n (checked via count bounds).
-            let comps = g.wcc_count(&alive);
             prop_assert!(comps >= 1 && comps <= n);
         }
 
         /// The streamed union-find agrees with a BFS oracle on random edge
         /// lists with self-loops, duplicates and random alive masks, in
-        /// either edge order, through a reused scratch; the graph adapters
-        /// agree with it too.
+        /// either edge order, through a reused scratch, component count
+        /// included.
         #[test]
         fn prop_stream_matches_bfs_oracle(
             n in 1usize..65,
@@ -568,9 +417,7 @@ mod tests {
             prop_assert_eq!(wcc.biggest_component(&[true; 64], []), 1);
             prop_assert_eq!(wcc.biggest_component(alive, edges.iter().copied()), biggest);
             prop_assert_eq!(wcc.biggest_component(alive, edges.iter().rev().copied()), biggest);
-            let g = DiGraph::from_edges(n, edges.iter().copied());
-            prop_assert_eq!(g.biggest_wcc_size(alive), biggest);
-            prop_assert_eq!(g.wcc_count(alive), sizes.len());
+            prop_assert_eq!(wcc.components(alive, edges.iter().copied()), (biggest, sizes.len()));
         }
 
         /// A ring over n nodes is one component regardless of direction.
@@ -578,8 +425,7 @@ mod tests {
         fn prop_ring_is_connected(n in 2usize..100) {
             let edges: Vec<(u32, u32)> =
                 (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
-            let g = DiGraph::from_edges(n, edges);
-            prop_assert_eq!(g.biggest_wcc_size(&vec![true; n]), n);
+            prop_assert_eq!(WccScratch::new().biggest_component(&vec![true; n], edges), n);
         }
     }
 }

@@ -28,7 +28,7 @@ pub mod staleness;
 pub mod stats;
 
 pub use bandwidth::BandwidthReport;
-pub use graph::{DiGraph, UndirectedCsr, WccScratch};
+pub use graph::{UndirectedCsr, WccScratch};
 pub use randomness::RandomnessReport;
 pub use staleness::StalenessReport;
 pub use stats::Summary;

@@ -4,7 +4,8 @@
 //! with the referenced peer — its NAT has no mapping or filters the holder
 //! out (Section 3). The reachability decision is delegated to an oracle
 //! closure so this module stays engine-agnostic; the production oracle is
-//! [`nylon_net::Network::reachable`].
+//! the engine's [`nylon_gossip::Protocol::edge_usable`], the per-edge test
+//! `nylon-workloads` reaches through `runner::usable_edges`.
 
 use nylon_gossip::NodeDescriptor;
 use nylon_net::PeerId;

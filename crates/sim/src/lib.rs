@@ -48,6 +48,6 @@ mod time;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shard::{run_lone, ShardAssign, ShardPlan, ShardWorker, ShardedSim, Share};
+pub use shard::{ShardAssign, ShardPlan, ShardWorker, ShardedSim, Share};
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

@@ -225,12 +225,11 @@ pub trait ShardWorker: Send {
 }
 
 /// Advances a lone worker from `from` to `deadline` in lockstep ticks: the
-/// whole kernel at S = 1, whether the worker sits under a [`ShardedSim`]
-/// or is an engine driven directly. Same boundary sequence, same staging
-/// and same canonical merge as the threaded path, so a one-worker run
-/// replays any S-worker run. `staged` observes each tick's outbox before
-/// it is absorbed.
-pub fn run_lone<W: ShardWorker>(
+/// whole kernel at S = 1, the one-shard case of [`ShardedSim::run_until`].
+/// Same boundary sequence, same staging and same canonical merge as the
+/// threaded path, so a one-worker run replays any S-worker run. `staged`
+/// observes each tick's outbox before it is absorbed.
+fn run_lone<W: ShardWorker>(
     worker: &mut W,
     from: SimTime,
     deadline: SimTime,
@@ -344,8 +343,7 @@ impl<W: ShardWorker> ShardedSim<W> {
 
     /// Advances every shard to `deadline` in lockstep ticks of `tick`.
     ///
-    /// With one shard the loop runs inline ([`run_lone`]: no threads, no
-    /// barriers); with more, shard 0 runs on the calling thread and one
+    /// With one shard the loop runs inline (no threads, no barriers); with more, shard 0 runs on the calling thread and one
     /// thread per other shard is spawned for the whole call, synchronized
     /// twice per tick — after staging (so outboxes are complete before
     /// anyone reads them) and after absorbing (so the next tick's staging

@@ -79,7 +79,6 @@ use nylon_workloads::cli::{
     attack_names, engine_names, fault_names, parse_artifact_args, parse_live_args, ArtifactArgs,
     LiveArgs,
 };
-use nylon_workloads::experiment::Experiment;
 use nylon_workloads::figures::{self, FIGURES};
 
 fn main() -> ExitCode {
@@ -125,26 +124,14 @@ fn main() -> ExitCode {
         scale.faults.map(|s| format!(", faults {}", s.label())).unwrap_or_default(),
     );
 
-    // One experiment for everything: sweeps shared between figures
-    // (fig3/fig4, fig7/fig8) merge into a single cell pool, and the pool
-    // parallelizes across figures and sweep points, not just seeds.
-    let mut experiment = Experiment::new();
-    let mut renders = Vec::new();
-    for name in &names {
-        let plan = figures::plan(name, &scale).expect("names validated above");
-        let (sweeps, render) = plan.into_parts();
-        for sweep in sweeps {
-            experiment.add_sweep(sweep);
-        }
-        renders.push((name.clone(), render));
-    }
+    let (experiment, renders) = figures::assemble(&names, &scale).expect("names validated above");
     eprintln!("[repro] {} cells across {} artifacts", experiment.cell_count(), renders.len());
     let results = experiment.run(&opts);
     if stats.is_some() {
         nylon_obs::final_snapshot();
     }
 
-    for (name, render) in renders {
+    for (name, render) in names.iter().zip(renders) {
         let tables = render(&results);
         for (i, table) in tables.iter().enumerate() {
             print!("{}", table.transcript(csv));
@@ -303,7 +290,8 @@ fn usage(err: &str) -> ExitCode {
     );
     eprintln!("       repro stats-report FILE");
     eprintln!("       repro stats-report --diff BEFORE AFTER");
-    eprintln!("artifacts: {} all", FIGURES.join(" "));
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    eprintln!("artifacts: {} all", names.join(" "));
     eprintln!("engines: {}", engine_names());
     eprintln!("attacks: {}", attack_names());
     eprintln!("faults: comma-separated of {}", fault_names());

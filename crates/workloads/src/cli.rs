@@ -116,9 +116,9 @@ pub fn parse_artifact_args(args: &[String]) -> Result<Option<ArtifactArgs>, Stri
         return Err("--resume needs --checkpoint DIR".into());
     }
     if names.is_empty() || names.iter().any(|n| n == "all") {
-        names = FIGURES.iter().map(|s| s.to_string()).collect();
+        names = FIGURES.iter().map(|(name, _)| name.to_string()).collect();
     }
-    if let Some(n) = names.iter().find(|n| !FIGURES.contains(&n.as_str())) {
+    if let Some(n) = names.iter().find(|n| !FIGURES.iter().any(|(name, _)| name == n)) {
         return Err(format!("unknown artifact '{n}'"));
     }
 
@@ -444,7 +444,7 @@ mod tests {
             let args: Vec<String> = picks.iter().map(|&i| TOKENS[i].to_string()).collect();
             if let Ok(Some(a)) = parse_artifact_args(&args) {
                 prop_assert!(a.scale.peers > 0 && a.scale.seeds > 0 && a.scale.rounds > 0);
-                prop_assert!(a.names.iter().all(|n| FIGURES.contains(&n.as_str())));
+                prop_assert!(a.names.iter().all(|n| FIGURES.iter().any(|(name, _)| name == n)));
             }
             for flag in ["--peers", "--seeds"] {
                 let bad = [flag.to_string(), "0".to_string()];

@@ -1,4 +1,4 @@
-//! Ablations called out in DESIGN.md:
+//! The ablations (README "Reproducing the paper"):
 //!
 //! * `abl-dist` — Section 5's "we evaluated other distributions and got
 //!   comparable results": Nylon under alternative NAT-type mixes.
@@ -7,17 +7,14 @@
 //! * `abl-push` — Section 3's remark that push propagation "consistently
 //!   exhibits significantly worse performances" than push/pull.
 
-use nylon::{NylonConfig, StaticRvpConfig};
-use nylon_gossip::{GossipConfig, PropagationPolicy};
-use nylon_metrics::Summary;
-
-use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build, staleness};
 use crate::scenario::{NatMix, Scenario};
+use nylon::NylonConfig;
+use nylon_gossip::{GossipConfig, PropagationPolicy};
 
-use super::common::{bandwidth_by_class, mean_finite, point_seeds};
-use super::{FigureScale, Plan};
+use super::common::{bandwidth_by_class, dispatch_engine, finite_means, point_seeds, summary_col};
+use super::{EngineKind, FigureScale, Grid, Plan};
 
 const MIXES: [(&str, NatMix); 4] = [
     ("paper 50/40/10 RC/PRC/SYM", NatMix::paper_default()),
@@ -28,20 +25,42 @@ const MIXES: [(&str, NatMix); 4] = [
 
 /// The ablation plan: three sweeps, three tables.
 pub fn plan(scale: &FigureScale) -> Plan {
-    let sweeps = vec![mix_sweep(scale), rvp_sweep(scale), push_sweep(scale)];
-    Plan::new("ablation", sweeps, |results| {
-        vec![render_mix(results), render_rvp(results), render_push(results)]
+    let grids = vec![mix_grid(scale), rvp_grid(scale), push_grid(scale)];
+    Plan::new(grids, |results, rows| {
+        let mix = Table::new(
+            "Ablation (abl-dist) — Nylon at 70% NAT under alternative NAT mixes",
+            ["mix", "biggest cluster %", "stale refs %", "mean chain len", "punch success %"],
+        );
+        let rvp = Table::new(
+            "Ablation (abl-rvp) — load distribution at 70% NAT: Nylon vs static public RVPs",
+            ["scheme", "public B/s", "natted B/s", "public/natted ratio"],
+        );
+        let push = Table::new(
+            "Ablation (abl-push) — push vs push/pull baseline, PRC NATs",
+            ["propagation", "NAT %", "biggest cluster %", "stale refs %"],
+        );
+        vec![
+            rows[0].render(results, mix, |p| finite_means(p[0], &[1, 2, 2, 1])),
+            rows[1].render(results, rvp, |p| {
+                let (public, natted) = (summary_col(p[0], 0), summary_col(p[0], 1));
+                let ratio = public.mean() / natted.mean();
+                vec![fmt_f(public.mean(), 0), fmt_f(natted.mean(), 0), fmt_f(ratio, 2)]
+            }),
+            rows[2].render(results, push, |p| {
+                vec![fmt_f(summary_col(p[0], 0).mean(), 1), fmt_f(summary_col(p[0], 1).mean(), 2)]
+            }),
+        ]
     })
 }
 
 /// Nylon at 70 % NAT under different NAT-type mixes. Cells are
 /// `[cluster %, stale %, chain len, punch success %]`.
-fn mix_sweep(scale: &FigureScale) -> Sweep {
-    let mut sweep = Sweep::new("abl-dist");
-    for (mi, (label, mix)) in MIXES.iter().enumerate() {
+fn mix_grid(scale: &FigureScale) -> Grid {
+    let mut grid = Grid::new("abl-dist");
+    for (mi, (label, mix)) in MIXES.into_iter().enumerate() {
         let scale = scale.clone();
-        let mix = *mix;
-        sweep.point(*label, point_seeds(&scale, 0x00AB_0000 ^ (mi as u64)), move |seed| {
+        let seeds = point_seeds(&scale, 0x00AB_0000 ^ (mi as u64));
+        grid.row([label.to_string()]).point(label.to_string(), seeds, move |seed| {
             let scn = Scenario { mix, ..Scenario::new(scale.peers, 70.0, seed) };
             let mut eng = build(&scn, NylonConfig::default());
             eng.run_rounds(scale.rounds);
@@ -59,88 +78,45 @@ fn mix_sweep(scale: &FigureScale) -> Sweep {
             ]
         });
     }
-    sweep
-}
-
-fn render_mix(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Ablation (abl-dist) — Nylon at 70% NAT under alternative NAT mixes",
-        ["mix", "biggest cluster %", "stale refs %", "mean chain len", "punch success %"],
-    );
-    for (label, _) in MIXES {
-        let rows = results.point("abl-dist", label);
-        table.push_row([
-            label.to_string(),
-            fmt_f(mean_finite(rows, 0), 1),
-            fmt_f(mean_finite(rows, 1), 2),
-            fmt_f(mean_finite(rows, 2), 2),
-            fmt_f(mean_finite(rows, 3), 1),
-        ]);
-    }
-    table
+    grid
 }
 
 /// Nylon vs the static-public-RVP strawman at 70 % NAT: load split by
 /// class. Cells are `[public B/s, natted B/s]` — the same generic
 /// bandwidth path over [`crate::runner::build`], with only the config
 /// (and therefore the engine) differing per point.
-fn rvp_sweep(scale: &FigureScale) -> Sweep {
-    let mut sweep = Sweep::new("abl-rvp");
+fn rvp_grid(scale: &FigureScale) -> Grid {
+    let mut grid = Grid::new("abl-rvp");
     let seed_list = point_seeds(scale, 0x00AB_1000);
-    {
+    for (kind, label, key) in [
+        (EngineKind::Nylon, "Nylon", "nylon"),
+        (EngineKind::StaticRvp, "static public RVPs", "static"),
+    ] {
         let scale = scale.clone();
-        sweep.point("nylon", seed_list.clone(), move |seed| {
+        grid.row([label.to_string()]).point(key.to_string(), seed_list.clone(), move |seed| {
             let scn = Scenario::new(scale.peers, 70.0, seed);
-            let mut eng = build(&scn, NylonConfig::default());
-            let (_, public, natted) = bandwidth_by_class(&mut eng, scale.rounds);
+            let (_, public, natted) = dispatch_engine!(kind, |cfg| {
+                bandwidth_by_class(&mut build(&scn, cfg), scale.rounds)
+            });
             vec![public, natted]
         });
     }
-    {
-        let scale = scale.clone();
-        sweep.point("static", seed_list, move |seed| {
-            let scn = Scenario::new(scale.peers, 70.0, seed);
-            let mut eng = build(&scn, StaticRvpConfig::default());
-            let (_, public, natted) = bandwidth_by_class(&mut eng, scale.rounds);
-            vec![public, natted]
-        });
-    }
-    sweep
-}
-
-fn render_rvp(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Ablation (abl-rvp) — load distribution at 70% NAT: Nylon vs static public RVPs",
-        ["scheme", "public B/s", "natted B/s", "public/natted ratio"],
-    );
-    for (key, label) in [("nylon", "Nylon"), ("static", "static public RVPs")] {
-        let rows = results.point("abl-rvp", key);
-        let public: Summary = rows.iter().map(|r| r[0]).collect();
-        let natted: Summary = rows.iter().map(|r| r[1]).collect();
-        let ratio = public.mean() / natted.mean();
-        table.push_row([
-            label.to_string(),
-            fmt_f(public.mean(), 0),
-            fmt_f(natted.mean(), 0),
-            fmt_f(ratio, 2),
-        ]);
-    }
-    table
+    grid
 }
 
 /// Push vs push/pull propagation for the baseline under moderate NATs.
 /// Cells are `[cluster %, stale %]`.
-fn push_sweep(scale: &FigureScale) -> Sweep {
-    let mut sweep = Sweep::new("abl-push");
+fn push_grid(scale: &FigureScale) -> Grid {
+    let mut grid = Grid::new("abl-push");
     for (pi, propagation) in
-        [PropagationPolicy::PushPull, PropagationPolicy::Push].iter().enumerate()
+        [PropagationPolicy::PushPull, PropagationPolicy::Push].into_iter().enumerate()
     {
-        for (ni, pct) in [30.0f64, 50.0].iter().enumerate() {
+        for (ni, pct) in [30.0f64, 50.0].into_iter().enumerate() {
             let salt = 0x00AB_2000 ^ ((pi as u64) << 8) ^ (ni as u64);
             let scale = scale.clone();
-            let propagation = *propagation;
-            let pct = *pct;
-            sweep.point(push_key(propagation, pct), point_seeds(&scale, salt), move |seed| {
+            let label = propagation.label();
+            grid.row([label.to_string(), format!("{pct:.0}")]);
+            grid.point(format!("{label}/{pct:.0}"), point_seeds(&scale, salt), move |seed| {
                 let scn =
                     Scenario { mix: NatMix::prc_only(), ..Scenario::new(scale.peers, pct, seed) };
                 let cfg = GossipConfig { propagation, ..GossipConfig::default() };
@@ -150,30 +126,5 @@ fn push_sweep(scale: &FigureScale) -> Sweep {
             });
         }
     }
-    sweep
-}
-
-fn push_key(propagation: PropagationPolicy, pct: f64) -> String {
-    format!("{}/{pct:.0}", propagation.label())
-}
-
-fn render_push(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Ablation (abl-push) — push vs push/pull baseline, PRC NATs",
-        ["propagation", "NAT %", "biggest cluster %", "stale refs %"],
-    );
-    for propagation in [PropagationPolicy::PushPull, PropagationPolicy::Push] {
-        for pct in [30.0f64, 50.0] {
-            let rows = results.point("abl-push", &push_key(propagation, pct));
-            let cluster: Summary = rows.iter().map(|r| r[0]).collect();
-            let stale: Summary = rows.iter().map(|r| r[1]).collect();
-            table.push_row([
-                propagation.label().to_string(),
-                format!("{pct:.0}"),
-                fmt_f(cluster.mean(), 1),
-                fmt_f(stale.mean(), 2),
-            ]);
-        }
-    }
-    table
+    grid
 }

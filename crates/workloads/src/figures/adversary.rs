@@ -25,13 +25,12 @@ use nylon_adversary::{Attack, AttackKind};
 use nylon_gossip::{Engine, PeerSampler, Protocol};
 use nylon_metrics::randomness::{chi_square_uniform, dispersion_index};
 
-use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build, usable_in_degrees};
 use crate::scenario::Scenario;
 
-use super::common::{dispatch_engine, mean_finite, point_seeds};
-use super::{EngineKind, FigureScale, Plan};
+use super::common::{dispatch_engine, finite_means, mean_finite, point_seeds};
+use super::{EngineKind, FigureScale, Grid, Plan};
 
 /// NAT percentages for the randomness head-to-head: a NAT-free control
 /// and a NATted population where staleness can bias sampling.
@@ -130,160 +129,116 @@ fn attacked_sample(
     })
 }
 
-/// The `randomness` plan: every engine at each NAT percentage.
+/// The `randomness` plan: one row per engine, a point per NAT percentage.
 pub fn plan_randomness(scale: &FigureScale) -> Plan {
-    let mut sweep = Sweep::new("randomness");
+    let mut grid = Grid::new("randomness");
     for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
-        for (i, pct) in RANDOMNESS_NAT_PCTS.iter().enumerate() {
+        grid.row([kind.label().to_string()]);
+        for (i, pct) in RANDOMNESS_NAT_PCTS.into_iter().enumerate() {
             let salt = 0x0AD0_0000 ^ ((k as u64) << 8) ^ (i as u64);
             let scale = scale.clone();
-            let pct = *pct;
-            sweep.point(
-                format!("{}/{pct:.0}", kind.label()),
-                point_seeds(&scale, salt),
-                move |seed| randomness_sample(&scale, kind, pct, seed),
-            );
+            let key = format!("{}/{pct:.0}", kind.label());
+            grid.point(key, point_seeds(&scale, salt), move |seed| {
+                randomness_sample(&scale, kind, pct, seed)
+            });
         }
     }
-    Plan::new("randomness", vec![sweep], |results| vec![render_randomness(results)])
-}
-
-fn render_randomness(results: &Results) -> Table {
-    let mut columns = vec!["engine".to_string()];
-    for pct in RANDOMNESS_NAT_PCTS {
-        columns.push(format!("dispersion @{pct:.0}% NAT"));
-        columns.push(format!("chi2 p @{pct:.0}% NAT"));
-    }
-    let mut table = Table::new(
-        "Randomness head-to-head — usable-overlay in-degree uniformity (dispersion: iid uniform = 1, lower is better)",
-        columns,
-    );
-    for kind in EngineKind::ALL {
-        let mut row = vec![kind.label().to_string()];
+    Plan::new(vec![grid], |results, rows| {
+        let mut columns = vec!["engine".to_string()];
         for pct in RANDOMNESS_NAT_PCTS {
-            let rows = results.point("randomness", &format!("{}/{pct:.0}", kind.label()));
-            row.push(fmt_f(mean_finite(rows, 0), 2));
-            row.push(fmt_f(mean_finite(rows, 1), 3));
+            columns.push(format!("dispersion @{pct:.0}% NAT"));
+            columns.push(format!("chi2 p @{pct:.0}% NAT"));
         }
-        table.push_row(row);
-    }
-    table
+        let table = Table::new(
+            "Randomness head-to-head — usable-overlay in-degree uniformity (dispersion: iid uniform = 1, lower is better)",
+            columns,
+        );
+        vec![rows[0].render(results, table, |points| {
+            points.iter().flat_map(|p| finite_means(p, &[2, 3])).collect()
+        })]
+    })
 }
 
-/// The `capture` plan: every engine at each attacker fraction, under the
-/// self-promotion attack (or the [`FigureScale::attack`] override).
+/// The `capture` plan: one row per engine, a point per attacker fraction,
+/// under the self-promotion attack (or the [`FigureScale::attack`]
+/// override).
 pub fn plan_capture(scale: &FigureScale) -> Plan {
     let attack = scale.attack.unwrap_or(AttackKind::SelfPromotion);
-    let mut sweep = Sweep::new("capture");
+    let mut grid = Grid::new("capture");
     for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
-        for (i, fraction) in CAPTURE_FRACTIONS.iter().enumerate() {
+        grid.row([kind.label().to_string()]);
+        for (i, fraction) in CAPTURE_FRACTIONS.into_iter().enumerate() {
             let salt = 0x0CA0_0000 ^ ((k as u64) << 8) ^ (i as u64);
             let scale = scale.clone();
-            let fraction = *fraction;
-            sweep.point(capture_key(kind, fraction), point_seeds(&scale, salt), move |seed| {
+            let key = format!("{}/{:.0}", kind.label(), fraction * 100.0);
+            grid.point(key, point_seeds(&scale, salt), move |seed| {
                 attacked_sample(&scale, kind, attack, CAPTURE_NAT_PCT, fraction, 0, seed)
             });
         }
     }
-    Plan::new("capture", vec![sweep], move |results| render_capture(results, attack))
-}
-
-fn capture_key(kind: EngineKind, fraction: f64) -> String {
-    format!("{}/{:.0}", kind.label(), fraction * 100.0)
-}
-
-fn render_capture(results: &Results, attack: AttackKind) -> Vec<Table> {
-    let mut columns = vec!["engine".to_string()];
-    columns.extend(CAPTURE_FRACTIONS.iter().map(|f| format!("{:.0}% attackers", f * 100.0)));
-    let mut capture = Table::new(
-        &format!(
-            "In-degree capture vs attacker fraction — {} attackers, {CAPTURE_NAT_PCT:.0}% NAT (attacker share of honest view entries, %)",
-            attack.label()
-        ),
-        columns.clone(),
-    );
-    let mut uniform = vec!["uniform share".to_string()];
-    uniform.extend(CAPTURE_FRACTIONS.iter().map(|f| fmt_f(f * 100.0, 1)));
-    capture.push_row(uniform);
-    let mut cluster = Table::new(
-        &format!(
-            "Biggest cluster under {} attackers, {CAPTURE_NAT_PCT:.0}% NAT (% of alive peers)",
-            attack.label()
-        ),
-        columns,
-    );
-    for kind in EngineKind::ALL {
-        let mut cap_row = vec![kind.label().to_string()];
-        let mut clu_row = vec![kind.label().to_string()];
-        for fraction in CAPTURE_FRACTIONS {
-            let rows = results.point("capture", &capture_key(kind, fraction));
-            cap_row.push(fmt_f(mean_finite(rows, 0), 1));
-            clu_row.push(fmt_f(mean_finite(rows, 1), 1));
-        }
-        capture.push_row(cap_row);
-        cluster.push_row(clu_row);
-    }
-    vec![capture, cluster]
-}
-
-/// The `eclipse` plan: every engine, two attacker fractions, two eclipse
-/// variants (colluder-padded NAT-free, forged-entry-padded at 60 % NAT),
-/// with 5 % of the population designated victims.
-pub fn plan_eclipse(scale: &FigureScale) -> Plan {
-    let victims = victim_count(scale.peers);
-    let mut sweep = Sweep::new("eclipse");
-    for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
-        for (v, (attack, nat_pct)) in ECLIPSE_VARIANTS.into_iter().enumerate() {
-            for (i, fraction) in ECLIPSE_FRACTIONS.iter().enumerate() {
-                let salt = 0x0EC0_0000 ^ ((k as u64) << 12) ^ ((v as u64) << 8) ^ (i as u64);
-                let scale = scale.clone();
-                let fraction = *fraction;
-                sweep.point(
-                    eclipse_key(kind, attack, fraction),
-                    point_seeds(&scale, salt),
-                    move |seed| {
-                        attacked_sample(&scale, kind, attack, nat_pct, fraction, victims, seed)
-                    },
-                );
-            }
-        }
-    }
-    Plan::new("eclipse", vec![sweep], |results| {
-        vec![
-            render_eclipse(
-                results,
-                1,
-                "Partition resistance under eclipse — biggest cluster (% of alive peers)",
+    Plan::new(vec![grid], move |results, rows| {
+        let mut columns = vec!["engine".to_string()];
+        columns.extend(CAPTURE_FRACTIONS.iter().map(|f| format!("{:.0}% attackers", f * 100.0)));
+        let mut capture = Table::new(
+            &format!(
+                "In-degree capture vs attacker fraction — {} attackers, {CAPTURE_NAT_PCT:.0}% NAT (attacker share of honest view entries, %)",
+                attack.label()
             ),
-            render_eclipse(
-                results,
-                2,
-                "Victim view pollution under eclipse (% of victim entries attacker-held or unusable)",
+            columns.clone(),
+        );
+        let mut uniform = vec!["uniform share".to_string()];
+        uniform.extend(CAPTURE_FRACTIONS.iter().map(|f| fmt_f(f * 100.0, 1)));
+        capture.push_row(uniform);
+        let cluster = Table::new(
+            &format!(
+                "Biggest cluster under {} attackers, {CAPTURE_NAT_PCT:.0}% NAT (% of alive peers)",
+                attack.label()
             ),
-        ]
+            columns,
+        );
+        [(capture, 0), (cluster, 1)]
+            .map(|(table, col)| {
+                rows[0].render(results, table, |points| {
+                    points.iter().map(|p| fmt_f(mean_finite(p, col), 1)).collect()
+                })
+            })
+            .into()
     })
 }
 
-fn eclipse_key(kind: EngineKind, attack: AttackKind, fraction: f64) -> String {
-    format!("{}/{}/{:.0}", kind.label(), attack.label(), fraction * 100.0)
-}
-
-fn render_eclipse(results: &Results, col: usize, title: &str) -> Table {
-    let mut columns = vec!["engine".to_string(), "variant".to_string()];
-    columns.extend(ECLIPSE_FRACTIONS.iter().map(|f| format!("{:.0}% attackers", f * 100.0)));
-    let mut table = Table::new(title, columns);
-    for kind in EngineKind::ALL {
-        for (attack, nat_pct) in ECLIPSE_VARIANTS {
-            let mut row =
-                vec![kind.label().to_string(), format!("{} @{nat_pct:.0}% NAT", attack.label())];
-            for fraction in ECLIPSE_FRACTIONS {
-                let rows = results.point("eclipse", &eclipse_key(kind, attack, fraction));
-                row.push(fmt_f(mean_finite(rows, col), 1));
+/// The `eclipse` plan: one row per engine and eclipse variant
+/// (colluder-padded NAT-free, forged-entry-padded at 60 % NAT), a point
+/// per attacker fraction, with 5 % of the population designated victims.
+pub fn plan_eclipse(scale: &FigureScale) -> Plan {
+    let victims = victim_count(scale.peers);
+    let mut grid = Grid::new("eclipse");
+    for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
+        for (v, (attack, nat_pct)) in ECLIPSE_VARIANTS.into_iter().enumerate() {
+            grid.row([kind.label().to_string(), format!("{} @{nat_pct:.0}% NAT", attack.label())]);
+            for (i, fraction) in ECLIPSE_FRACTIONS.into_iter().enumerate() {
+                let salt = 0x0EC0_0000 ^ ((k as u64) << 12) ^ ((v as u64) << 8) ^ (i as u64);
+                let scale = scale.clone();
+                let key = format!("{}/{}/{:.0}", kind.label(), attack.label(), fraction * 100.0);
+                grid.point(key, point_seeds(&scale, salt), move |seed| {
+                    attacked_sample(&scale, kind, attack, nat_pct, fraction, victims, seed)
+                });
             }
-            table.push_row(row);
         }
     }
-    table
+    Plan::new(vec![grid], |results, rows| {
+        let mut columns = vec!["engine".to_string(), "variant".to_string()];
+        columns.extend(ECLIPSE_FRACTIONS.iter().map(|f| format!("{:.0}% attackers", f * 100.0)));
+        [
+            (1, "Partition resistance under eclipse — biggest cluster (% of alive peers)"),
+            (2, "Victim view pollution under eclipse (% of victim entries attacker-held or unusable)"),
+        ]
+        .map(|(col, title)| {
+            rows[0].render(results, Table::new(title, columns.clone()), |points| {
+                points.iter().map(|p| fmt_f(mean_finite(p, col), 1)).collect()
+            })
+        })
+        .into()
+    })
 }
 
 #[cfg(test)]
@@ -319,8 +274,6 @@ mod tests {
     #[test]
     fn capture_honors_the_attack_override() {
         let scale = FigureScale { attack: Some(AttackKind::ShuffleLying), ..tiny() };
-        let plan = super::plan_capture(&scale);
-        assert_eq!(plan.name(), "capture");
         let tables = generate("capture", &scale).unwrap();
         assert!(tables[0].title.contains("shuffle-lying"));
     }

@@ -12,6 +12,7 @@ use nylon_gossip::{PeerSampler, SamplerConfig};
 use nylon_metrics::{BandwidthReport, Summary};
 use nylon_net::TrafficStats;
 
+use crate::output::fmt_f;
 use crate::runner::{biggest_cluster_pct, build, seeds, staleness};
 use crate::scenario::{NatMix, Scenario};
 
@@ -155,6 +156,12 @@ pub fn nylon_chain_sample(
 /// value, including NaN — use for columns that cannot produce NaN).
 pub fn summary_col(rows: &[Vec<f64>], idx: usize) -> Summary {
     rows.iter().map(|row| row[idx]).collect()
+}
+
+/// [`mean_finite`] of each metric column in turn, column `i` printed with
+/// `decimals[i]` decimals.
+pub fn finite_means(rows: &[Vec<f64>], decimals: &[usize]) -> Vec<String> {
+    decimals.iter().enumerate().map(|(col, &d)| fmt_f(mean_finite(rows, col), d)).collect()
 }
 
 /// NaN-filtered mean of one metric column; NaN when no seed produced a

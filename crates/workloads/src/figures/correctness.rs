@@ -25,32 +25,39 @@
 use nylon::NylonConfig;
 use nylon_metrics::randomness::{dispersion_index, serial_correlation};
 
-use crate::experiment::{Results, Sweep};
-use crate::output::{fmt_f, Table};
+use crate::output::Table;
 use crate::runner::{biggest_cluster_pct, build, staleness};
 use crate::scenario::Scenario;
 
-use super::common::{mean_finite, point_seeds};
-use super::{FigureScale, Plan};
-
-const SWEEP: &str = "correctness";
+use super::common::{finite_means, point_seeds};
+use super::{FigureScale, Grid, Plan};
 
 const NAT_PCTS: [f64; 4] = [0.0, 30.0, 60.0, 90.0];
 
-/// The correctness plan. Cells are
+/// The correctness plan: one row per NAT %. Cells are
 /// `[cluster %, stale %, share ratio, dispersion, serial corr]`.
 pub fn plan(scale: &FigureScale) -> Plan {
-    let mut sweep = Sweep::new(SWEEP);
-    for (i, pct) in NAT_PCTS.iter().enumerate() {
+    let mut grid = Grid::new("correctness");
+    for (i, pct) in NAT_PCTS.into_iter().enumerate() {
         let scale = scale.clone();
-        let pct = *pct;
-        sweep.point(
-            format!("{pct:.0}"),
-            point_seeds(&scale, 0x00C0_0000 ^ (i as u64)),
-            move |seed| sample(&scale, pct, seed),
-        );
+        let seeds = point_seeds(&scale, 0x00C0_0000 ^ (i as u64));
+        grid.row([format!("{pct:.0}")])
+            .point(format!("{pct:.0}"), seeds, move |seed| sample(&scale, pct, seed));
     }
-    Plan::new("correctness", vec![sweep], |results| vec![render(results)])
+    Plan::new(vec![grid], |results, rows| {
+        let table = Table::new(
+            "Section 5 'Correctness' — Nylon: partitions, staleness, sampling randomness",
+            [
+                "NAT %",
+                "biggest cluster %",
+                "stale refs %",
+                "natted share ratio",
+                "dispersion index",
+                "serial corr",
+            ],
+        );
+        vec![rows[0].render(results, table, |p| finite_means(p[0], &[1, 2, 3, 1, 4]))]
+    })
 }
 
 fn sample(scale: &FigureScale, pct: f64, seed: u64) -> Vec<f64> {
@@ -82,30 +89,4 @@ fn sample(scale: &FigureScale, pct: f64, seed: u64) -> Vec<f64> {
     let normalized: Vec<f64> = log.iter().map(|s| *s as f64 / n as f64).collect();
     let corr = serial_correlation(&normalized).unwrap_or(f64::NAN);
     vec![cluster, stale, share_ratio, dispersion, corr]
-}
-
-fn render(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Section 5 'Correctness' — Nylon: partitions, staleness, sampling randomness",
-        [
-            "NAT %",
-            "biggest cluster %",
-            "stale refs %",
-            "natted share ratio",
-            "dispersion index",
-            "serial corr",
-        ],
-    );
-    for pct in NAT_PCTS {
-        let rows = results.point(SWEEP, &format!("{pct:.0}"));
-        table.push_row([
-            format!("{pct:.0}"),
-            fmt_f(mean_finite(rows, 0), 1),
-            fmt_f(mean_finite(rows, 1), 2),
-            fmt_f(mean_finite(rows, 2), 3),
-            fmt_f(mean_finite(rows, 3), 1),
-            fmt_f(mean_finite(rows, 4), 4),
-        ]);
-    }
-    table
 }

@@ -8,15 +8,12 @@ use nylon::{NylonConfig, NylonEngine};
 use nylon_net::PeerId;
 use nylon_sim::SimRng;
 
-use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build};
 use crate::scenario::Scenario;
 
-use super::common::point_seeds;
-use super::{FigureScale, Plan};
-
-const SWEEP: &str = "fig10";
+use super::common::{point_seeds, summary_col};
+use super::{FigureScale, Grid, Plan};
 
 /// Percentages of peers leaving simultaneously (the paper's x-axis).
 const DEPARTURES: [f64; 5] = [50.0, 60.0, 70.0, 75.0, 80.0];
@@ -32,18 +29,19 @@ fn horizons(scale: &FigureScale) -> (u64, u64) {
     }
 }
 
-/// The Figure 10 plan. Cells are the biggest cluster among survivors,
-/// measured `post` shuffles after a mass departure at `warmup` shuffles.
+/// The Figure 10 plan: one row per departure %, a column per NAT %.
+/// Cells are the biggest cluster among survivors, measured `post`
+/// shuffles after a mass departure at `warmup` shuffles.
 pub fn plan(scale: &FigureScale) -> Plan {
     let (warmup, post) = horizons(scale);
-    let mut sweep = Sweep::new(SWEEP);
-    for (di, dep) in DEPARTURES.iter().enumerate() {
-        for (ni, pct) in NAT_PCTS.iter().enumerate() {
+    let mut grid = Grid::new("fig10");
+    for (di, dep) in DEPARTURES.into_iter().enumerate() {
+        grid.row([format!("{dep:.0}")]);
+        for (ni, pct) in NAT_PCTS.into_iter().enumerate() {
             let salt = 0x0010_0000 ^ ((di as u64) << 8) ^ (ni as u64);
-            let scale_c = scale.clone();
-            let (dep, pct) = (*dep, *pct);
-            sweep.point(point_key(dep, pct), point_seeds(scale, salt), move |seed| {
-                let scn = Scenario::new(scale_c.peers, pct, seed);
+            let scale = scale.clone();
+            grid.point(format!("d{dep:.0}/n{pct:.0}"), point_seeds(&scale, salt), move |seed| {
+                let scn = Scenario::new(scale.peers, pct, seed);
                 let mut eng = build(&scn, NylonConfig::default());
                 eng.run_rounds(warmup);
                 let victims = pick_victims(&eng, dep, seed);
@@ -53,40 +51,29 @@ pub fn plan(scale: &FigureScale) -> Plan {
             });
         }
     }
-    let scale = scale.clone();
-    Plan::new("fig10", vec![sweep], move |results| vec![render(results, &scale)])
-}
-
-fn point_key(dep: f64, pct: f64) -> String {
-    format!("d{dep:.0}/n{pct:.0}")
-}
-
-fn render(results: &Results, scale: &FigureScale) -> Table {
-    let (warmup, post) = horizons(scale);
-    let mut columns = vec!["departures %".to_string()];
-    columns.extend(NAT_PCTS.iter().map(|p| format!("{p:.0}% NAT")));
-    let mut table = Table::new(
-        &format!(
-            "Figure 10 — biggest cluster (% of survivors) {post} shuffles after mass departure (churn at {warmup} shuffles)"
-        ),
-        columns,
-    );
-    for dep in DEPARTURES {
-        let mut row = vec![format!("{dep:.0}")];
-        for pct in NAT_PCTS {
-            let s: nylon_metrics::Summary =
-                results.col(SWEEP, &point_key(dep, pct), 0).into_iter().collect();
-            // The paper: "any non negligible observed variance is
-            // indicated in the graphs" — churn is the noisy experiment.
-            if s.count() > 1 && s.std_dev() > 1.0 {
-                row.push(format!("{} ±{}", fmt_f(s.mean(), 1), fmt_f(s.std_dev(), 1)));
-            } else {
-                row.push(fmt_f(s.mean(), 1));
-            }
-        }
-        table.push_row(row);
-    }
-    table
+    Plan::new(vec![grid], move |results, rows| {
+        let mut columns = vec!["departures %".to_string()];
+        columns.extend(NAT_PCTS.iter().map(|p| format!("{p:.0}% NAT")));
+        let table = Table::new(
+            &format!(
+                "Figure 10 — biggest cluster (% of survivors) {post} shuffles after mass departure (churn at {warmup} shuffles)"
+            ),
+            columns,
+        );
+        vec![rows[0].render(results, table, |points| {
+            let cell = |p: &&[Vec<f64>]| {
+                let s = summary_col(p, 0);
+                // The paper: "any non negligible observed variance is
+                // indicated in the graphs" — churn is the noisy experiment.
+                if s.count() > 1 && s.std_dev() > 1.0 {
+                    format!("{} ±{}", fmt_f(s.mean(), 1), fmt_f(s.std_dev(), 1))
+                } else {
+                    fmt_f(s.mean(), 1)
+                }
+            };
+            points.iter().map(cell).collect()
+        })]
+    })
 }
 
 /// Picks `pct`% of the alive peers, public and natted proportionally to

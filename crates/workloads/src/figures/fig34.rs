@@ -12,74 +12,50 @@
 //! executes every cell once.
 
 use super::common::{engine_sample, mean_finite, point_seeds, prc_scenario, Metric};
-use super::{EngineKind, FigureScale, Plan};
-use crate::experiment::{Results, Sweep};
+use super::{EngineKind, FigureScale, Grid, Plan};
 use crate::output::{fmt_f, Table};
-
-const SWEEP: &str = "fig34";
 
 const NAT_PCTS: [f64; 11] = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
 
-/// The sweep both figures share: cells are `[stale %, natted non-stale %]`
-/// per (view, NAT %, seed), PRC NATs only. Measures the (push/pull, rand,
-/// healer) baseline unless [`FigureScale::engine`] reroutes the cells.
-fn sweep(scale: &FigureScale) -> Sweep {
+/// The plan both figures share: cells are `[stale %, natted non-stale %]`
+/// per (view, NAT %, seed), PRC NATs only, one row per NAT % with a column
+/// per view. Measures the (push/pull, rand, healer) baseline unless
+/// [`FigureScale::engine`] reroutes the cells; the render prints metric
+/// column `col` under `title`.
+fn plan(scale: &FigureScale, col: usize, title: &'static str) -> Plan {
     let kind = scale.engine.unwrap_or(EngineKind::Baseline);
-    let mut sweep = Sweep::new(SWEEP);
-    for view_size in [15usize, 27] {
-        for (i, pct) in NAT_PCTS.iter().enumerate() {
+    let mut grid = Grid::new("fig34");
+    for (i, pct) in NAT_PCTS.into_iter().enumerate() {
+        grid.row([format!("{pct:.0}")]);
+        for view_size in [15usize, 27] {
             let salt = 0x0003_0000 ^ ((view_size as u64) << 20) ^ (i as u64);
             let scale = scale.clone();
-            let pct = *pct;
-            sweep.point(point_key(view_size, pct), point_seeds(&scale, salt), move |seed| {
+            let key = format!("v{view_size}/{pct:.0}");
+            grid.point(key, point_seeds(&scale, salt), move |seed| {
                 let scn = prc_scenario(&scale, view_size, pct, seed);
                 engine_sample(kind, &scn, scale.rounds, Metric::Staleness)
             });
         }
     }
-    sweep
-}
-
-fn point_key(view_size: usize, pct: f64) -> String {
-    format!("v{view_size}/{pct:.0}")
-}
-
-fn render(results: &Results, col: usize, title: &str) -> Table {
-    let mut columns = vec!["NAT %".to_string()];
-    for view in [15usize, 27] {
-        columns.push(format!("view {view}"));
-    }
-    let mut table = Table::new(title, columns);
-    for pct in NAT_PCTS {
-        let mut row = vec![format!("{pct:.0}")];
-        for view_size in [15usize, 27] {
-            let rows = results.point(SWEEP, &point_key(view_size, pct));
-            row.push(fmt_f(mean_finite(rows, col), 1));
-        }
-        table.push_row(row);
-    }
-    table
+    Plan::new(vec![grid], move |results, rows| {
+        let table = Table::new(title, ["NAT %", "view 15", "view 27"]);
+        vec![rows[0].render(results, table, |points| {
+            points.iter().map(|p| fmt_f(mean_finite(p, col), 1)).collect()
+        })]
+    })
 }
 
 /// The Figure 3 plan: average % of stale references per view.
 pub fn plan_fig3(scale: &FigureScale) -> Plan {
-    Plan::new("fig3", vec![sweep(scale)], |results| {
-        vec![render(
-            results,
-            0,
-            "Figure 3 — stale references (% of view), (push/pull, rand, healer), PRC NATs",
-        )]
-    })
+    plan(scale, 0, "Figure 3 — stale references (% of view), (push/pull, rand, healer), PRC NATs")
 }
 
 /// The Figure 4 plan: average % of non-stale references that point at
 /// natted peers.
 pub fn plan_fig4(scale: &FigureScale) -> Plan {
-    Plan::new("fig4", vec![sweep(scale)], |results| {
-        vec![render(
-            results,
-            1,
-            "Figure 4 — non-stale references towards natted peers (%), (push/pull, rand, healer), PRC NATs",
-        )]
-    })
+    plan(
+        scale,
+        1,
+        "Figure 4 — non-stale references towards natted peers (%), (push/pull, rand, healer), PRC NATs",
+    )
 }

@@ -12,38 +12,36 @@
 
 use nylon_gossip::GossipConfig;
 
-use crate::experiment::Sweep;
 use crate::output::{fmt_f, Table};
 use crate::scenario::Scenario;
 
 use super::common::{engine_sample, point_seeds, sample, steady_scenario, summary_col, Metric};
-use super::{EngineKind, FigureScale, Plan};
-
-const SWEEP: &str = "fig78";
+use super::{EngineKind, FigureScale, Grid, Plan};
 
 const NAT_PCTS: [f64; 11] = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
 
-/// The sweep both figures share: per NAT percentage, cells are
+/// The sweep both figures share, one row per NAT percentage: cells are
 /// `[overall, public, natted]` B/s per peer (NaN for empty classes), of
 /// Nylon unless [`FigureScale::engine`] reroutes them. The reference
 /// point — the (push/pull, rand, healer) baseline in a NAT-free, fault-free
-/// population — is registered only when requested: Figure 8 never renders
-/// it, so a `fig8`-only run must not pay for it (the Experiment merge
-/// dedups the shared points when both figures run).
-fn sweep(scale: &FigureScale, with_reference: bool) -> Sweep {
-    let mut sweep = Sweep::new(SWEEP);
+/// population, read by every row after its own point — is registered only
+/// when requested: Figure 8 never renders it, so a `fig8`-only run must not
+/// pay for it (the Experiment merge dedups the shared points when both
+/// figures run).
+fn grid(scale: &FigureScale, with_reference: bool) -> Grid {
+    let mut grid = Grid::new("fig78");
     if with_reference {
         let scale = scale.clone();
-        sweep.point("reference", point_seeds(&scale, 0x0007_0F00), move |seed| {
+        grid.sweep.point("reference", point_seeds(&scale, 0x0007_0F00), move |seed| {
             let scn = Scenario::new(scale.peers, 0.0, seed);
             sample(&scn, GossipConfig::default(), scale.rounds, Metric::Bandwidth)
         });
     }
     let kind = scale.engine.unwrap_or(EngineKind::Nylon);
-    for (i, pct) in NAT_PCTS.iter().enumerate() {
+    for (i, pct) in NAT_PCTS.into_iter().enumerate() {
         let scale = scale.clone();
-        let pct = *pct;
-        sweep.point(nylon_key(pct), point_seeds(&scale, 0x0007_0000 ^ (i as u64)), move |seed| {
+        let seeds = point_seeds(&scale, 0x0007_0000 ^ (i as u64));
+        grid.row([format!("{pct:.0}")]).point(format!("nylon/{pct:.0}"), seeds, move |seed| {
             engine_sample(
                 kind,
                 &steady_scenario(&scale, pct, seed),
@@ -51,12 +49,11 @@ fn sweep(scale: &FigureScale, with_reference: bool) -> Sweep {
                 Metric::Bandwidth,
             )
         });
+        if with_reference {
+            grid.reads("reference");
+        }
     }
-    sweep
-}
-
-fn nylon_key(pct: f64) -> String {
-    format!("nylon/{pct:.0}")
+    grid
 }
 
 /// Mean over seeds of one class column, excluding runs where the class was
@@ -73,39 +70,26 @@ fn class_mean(rows: &[Vec<f64>], col: usize) -> f64 {
 
 /// The Figure 7 plan: total B/s per peer, Nylon vs reference.
 pub fn plan_fig7(scale: &FigureScale) -> Plan {
-    Plan::new("fig7", vec![sweep(scale, true)], |results| {
-        let mut table = Table::new(
+    Plan::new(vec![grid(scale, true)], |results, rows| {
+        let table = Table::new(
             "Figure 7 — bytes/s sent+received per peer, Nylon vs NAT-oblivious reference (RC/PRC/SYM mix 50/40/10)",
             ["NAT %", "Nylon B/s", "Reference B/s"],
         );
-        let reference = summary_col(results.point(SWEEP, "reference"), 0);
-        for pct in NAT_PCTS {
-            let overall = summary_col(results.point(SWEEP, &nylon_key(pct)), 0);
-            table.push_row([
-                format!("{pct:.0}"),
-                fmt_f(overall.mean(), 0),
-                fmt_f(reference.mean(), 0),
-            ]);
-        }
-        vec![table]
+        vec![rows[0].render(results, table, |points| {
+            points.iter().map(|p| fmt_f(summary_col(p, 0).mean(), 0)).collect()
+        })]
     })
 }
 
 /// The Figure 8 plan: B/s per peer for public vs natted peers under Nylon.
 pub fn plan_fig8(scale: &FigureScale) -> Plan {
-    Plan::new("fig8", vec![sweep(scale, false)], |results| {
-        let mut table = Table::new(
+    Plan::new(vec![grid(scale, false)], |results, rows| {
+        let table = Table::new(
             "Figure 8 — bytes/s sent+received per peer by class, Nylon (RC/PRC/SYM mix 50/40/10)",
             ["NAT %", "public peers B/s", "natted peers B/s"],
         );
-        for pct in NAT_PCTS {
-            let rows = results.point(SWEEP, &nylon_key(pct));
-            table.push_row([
-                format!("{pct:.0}"),
-                fmt_f(class_mean(rows, 1), 0),
-                fmt_f(class_mean(rows, 2), 0),
-            ]);
-        }
-        vec![table]
+        vec![rows[0].render(results, table, |p| {
+            vec![fmt_f(class_mean(p[0], 1), 0), fmt_f(class_mean(p[0], 2), 0)]
+        })]
     })
 }

@@ -6,8 +6,13 @@
 //! collected cell values into [`Table`]s — the same series the paper
 //! plots, with mean (and where meaningful, standard deviation) over
 //! seeds. Absolute numbers are not expected to match the authors' testbed
-//! — the *shapes* (who wins, where thresholds fall) are; see
-//! EXPERIMENTS.md for the side-by-side reading.
+//! — the *shapes* (who wins, where thresholds fall) are; see README
+//! "Reproducing the paper" for what each artifact shows.
+//!
+//! A plan states its grid once: while it registers the points of a sweep
+//! it records, in print order, the table rows they feed (`Rows`) — each
+//! row's label cells and the keys of the points behind its value cells —
+//! and the render reads that record, so it never rebuilds a key.
 //!
 //! Splitting plan from render is what buys the executor its leverage:
 //! sweeps from several artifacts merge into one cell pool (figures that
@@ -168,50 +173,116 @@ impl FigureScale {
     }
 }
 
-/// Names accepted by [`plan`]/[`generate`], in presentation order.
-pub const FIGURES: &[&str] = [
-    "table1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "correctness",
-    "ablation",
-    "extensions",
-    "timeline",
-    "randomness",
-    "capture",
-    "eclipse",
-    "resilience",
-]
-.as_slice();
+/// Builds one artifact's plan at a scale.
+type PlanFn = fn(&FigureScale) -> Plan;
+
+/// Every artifact, in presentation order, with the function building its
+/// plan: the names [`plan`] and [`generate`] accept.
+pub const FIGURES: &[(&str, PlanFn)] = &[
+    ("table1", table1::plan),
+    ("fig2", fig2::plan),
+    ("fig3", fig34::plan_fig3),
+    ("fig4", fig34::plan_fig4),
+    ("fig7", fig78::plan_fig7),
+    ("fig8", fig78::plan_fig8),
+    ("fig9", fig9::plan),
+    ("fig10", fig10::plan),
+    ("correctness", correctness::plan),
+    ("ablation", ablation::plan),
+    ("extensions", extensions::plan),
+    ("timeline", timeline::plan),
+    ("randomness", adversary::plan_randomness),
+    ("capture", adversary::plan_capture),
+    ("eclipse", adversary::plan_eclipse),
+    ("resilience", resilience::plan),
+];
 
 /// Renders collected cell values into an artifact's tables.
 type RenderFn = Box<dyn Fn(&Results) -> Vec<Table> + Send + Sync>;
 
+/// The rows a plan recorded for one sweep, in print order: each row's
+/// label cells and the keys of the points behind its value cells.
+#[derive(Debug)]
+struct Rows {
+    sweep: &'static str,
+    rows: Vec<(Vec<String>, Vec<String>)>,
+}
+
+impl Rows {
+    /// Appends one row to `table` per recorded row: its label cells, then
+    /// the value cells `cells` formats from the per-seed values of the
+    /// row's points, in recorded order.
+    fn render(
+        &self,
+        results: &Results,
+        mut table: Table,
+        mut cells: impl FnMut(&[&[Vec<f64>]]) -> Vec<String>,
+    ) -> Table {
+        for (labels, keys) in &self.rows {
+            let points: Vec<&[Vec<f64>]> =
+                keys.iter().map(|key| results.point(self.sweep, key)).collect();
+            table.push_row(labels.iter().cloned().chain(cells(&points)));
+        }
+        table
+    }
+}
+
+/// A sweep being planned together with the rows it feeds.
+struct Grid {
+    sweep: Sweep,
+    rows: Rows,
+}
+
+impl Grid {
+    fn new(sweep: &'static str) -> Self {
+        Grid { sweep: Sweep::new(sweep), rows: Rows { sweep, rows: Vec::new() } }
+    }
+
+    /// Starts a row with these label cells.
+    fn row(&mut self, labels: impl IntoIterator<Item = String>) -> &mut Self {
+        self.rows.rows.push((labels.into_iter().collect(), Vec::new()));
+        self
+    }
+
+    /// Registers a point ([`Sweep::point`]) behind the current row's next
+    /// value cell.
+    fn point(
+        &mut self,
+        key: String,
+        seeds: Vec<u64>,
+        run: impl Fn(u64) -> Vec<f64> + Send + Sync + 'static,
+    ) -> &mut Self {
+        self.reads(&key);
+        self.sweep.point(key, seeds, run);
+        self
+    }
+
+    /// Puts an already-registered point behind the current row's next
+    /// value cell.
+    fn reads(&mut self, key: &str) -> &mut Self {
+        let (_, keys) = self.rows.rows.last_mut().expect("a row to read the point into");
+        keys.push(key.to_string());
+        self
+    }
+}
+
 /// One artifact as a declarative unit: the sweeps it needs executed and
 /// the render step producing its tables from the results.
 pub struct Plan {
-    name: &'static str,
     sweeps: Vec<Sweep>,
     render: RenderFn,
 }
 
 impl Plan {
-    pub(crate) fn new(
-        name: &'static str,
-        sweeps: Vec<Sweep>,
-        render: impl Fn(&Results) -> Vec<Table> + Send + Sync + 'static,
+    /// A plan executing the sweeps of `grids`; `render` reads the rows
+    /// they recorded, one [`Rows`] per grid, in order.
+    fn new(
+        grids: Vec<Grid>,
+        render: impl Fn(&Results, &[Rows]) -> Vec<Table> + Send + Sync + 'static,
     ) -> Self {
-        Plan { name, sweeps, render: Box::new(render) }
-    }
-
-    /// The artifact this plan regenerates.
-    pub fn name(&self) -> &'static str {
-        self.name
+        let (sweeps, rows): (Vec<Sweep>, Vec<Rows>) =
+            grids.into_iter().map(|g| (g.sweep, g.rows)).unzip();
+        Plan { sweeps, render: Box::new(move |results| render(results, &rows)) }
     }
 
     /// Number of simulation cells the plan registers (before cross-plan
@@ -229,7 +300,7 @@ impl Plan {
 
 impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Plan").field("name", &self.name).field("sweeps", &self.sweeps).finish()
+        f.debug_struct("Plan").field("sweeps", &self.sweeps).finish()
     }
 }
 
@@ -240,26 +311,28 @@ impl std::fmt::Debug for Plan {
 /// their sweeps, so executing several plans through one [`Experiment`]
 /// runs the shared simulations once.
 pub fn plan(name: &str, scale: &FigureScale) -> Option<Plan> {
-    let plan = match name {
-        "table1" => Plan::new("table1", Vec::new(), |_| vec![table1::generate()]),
-        "fig2" => fig2::plan(scale),
-        "fig3" => fig34::plan_fig3(scale),
-        "fig4" => fig34::plan_fig4(scale),
-        "fig7" => fig78::plan_fig7(scale),
-        "fig8" => fig78::plan_fig8(scale),
-        "fig9" => fig9::plan(scale),
-        "fig10" => fig10::plan(scale),
-        "correctness" => correctness::plan(scale),
-        "ablation" => ablation::plan(scale),
-        "extensions" => extensions::plan(scale),
-        "timeline" => timeline::plan(scale),
-        "randomness" => adversary::plan_randomness(scale),
-        "capture" => adversary::plan_capture(scale),
-        "eclipse" => adversary::plan_eclipse(scale),
-        "resilience" => resilience::plan(scale),
-        _ => return None,
-    };
-    Some(plan)
+    FIGURES.iter().find(|(known, _)| *known == name).map(|(_, plan)| plan(scale))
+}
+
+/// One experiment over the plans of the named artifacts — sweeps they
+/// share merge, so the pool runs shared simulations once and parallelizes
+/// across artifacts, points and seeds — plus their renders, in order.
+///
+/// Returns `None` if a name is unknown.
+pub fn assemble(
+    names: &[impl AsRef<str>],
+    scale: &FigureScale,
+) -> Option<(Experiment, Vec<RenderFn>)> {
+    let mut experiment = Experiment::new();
+    let mut renders = Vec::new();
+    for name in names {
+        let (sweeps, render) = plan(name.as_ref(), scale)?.into_parts();
+        for sweep in sweeps {
+            experiment.add_sweep(sweep);
+        }
+        renders.push(render);
+    }
+    Some((experiment, renders))
 }
 
 /// Generates the table(s) for one named artifact by executing its plan on
@@ -272,14 +345,9 @@ pub fn generate(name: &str, scale: &FigureScale) -> Option<Vec<Table>> {
 
 /// [`generate`] with explicit execution options.
 pub fn generate_with(name: &str, scale: &FigureScale, opts: &ExecOptions) -> Option<Vec<Table>> {
-    let plan = plan(name, scale)?;
-    let (sweeps, render) = plan.into_parts();
-    let mut experiment = Experiment::new();
-    for sweep in sweeps {
-        experiment.add_sweep(sweep);
-    }
+    let (experiment, renders) = assemble(&[name], scale)?;
     let results = experiment.run(opts);
-    Some(render(&results))
+    Some(renders.iter().flat_map(|render| render(&results)).collect())
 }
 
 #[cfg(test)]
@@ -304,37 +372,23 @@ mod tests {
     }
 
     #[test]
-    fn every_figure_has_a_plan() {
-        let scale = FigureScale::default();
-        for name in FIGURES {
-            let p = plan(name, &scale).unwrap_or_else(|| panic!("no plan for {name}"));
-            assert_eq!(p.name(), *name);
+    fn every_artifact_is_registered_once() {
+        for (name, _) in FIGURES {
+            assert_eq!(FIGURES.iter().filter(|(n, _)| n == name).count(), 1, "{name} twice");
         }
     }
 
     #[test]
     fn shared_sweeps_dedup_across_plans() {
         let scale = FigureScale::default();
-        let mut pairs = 0;
         for (a, b) in [("fig3", "fig4"), ("fig7", "fig8")] {
-            let pa = plan(a, &scale).unwrap();
-            let pb = plan(b, &scale).unwrap();
-            let solo = pa.cell_count();
-            let mut exp = Experiment::new();
-            for s in pa.into_parts().0 {
-                exp.add_sweep(s);
-            }
-            for s in pb.into_parts().0 {
-                exp.add_sweep(s);
-            }
+            let solo = plan(a, &scale).unwrap().cell_count();
+            let pair = assemble(&[a, b], &scale).unwrap().0.cell_count();
             assert!(
-                exp.cell_count() <= solo.max(plan(b, &scale).unwrap().cell_count()),
-                "{a}+{b} must share cells: {} vs {solo} alone",
-                exp.cell_count()
+                pair <= solo.max(plan(b, &scale).unwrap().cell_count()),
+                "{a}+{b} must share cells: {pair} vs {solo} alone"
             );
-            pairs += 1;
         }
-        assert_eq!(pairs, 2);
     }
 
     /// Every sweep draws its own populations: across the plans of all
@@ -345,13 +399,8 @@ mod tests {
     /// static RVPs.
     #[test]
     fn no_two_sweeps_share_a_seed() {
-        let scale = FigureScale::default();
-        let mut exp = Experiment::new();
-        for name in FIGURES {
-            for sweep in plan(name, &scale).unwrap().into_parts().0 {
-                exp.add_sweep(sweep);
-            }
-        }
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        let (exp, _) = assemble(&names, &FigureScale::default()).unwrap();
         let mut points: HashMap<(String, String), Vec<u64>> = HashMap::new();
         for cell in exp.cell_ids() {
             points.entry((cell.sweep, cell.point)).or_default().push(cell.seed);
@@ -364,6 +413,29 @@ mod tests {
                 assert_eq!(points[owner], *seeds, "{owner:?} and {key:?} share seed {seed}");
             }
         }
+    }
+
+    /// `--engine` changes only the engine: naming a figure's own engine
+    /// renders its tables byte for byte, and fig2 under another engine
+    /// collapses to one row per view size, labelled with that engine.
+    #[test]
+    fn engine_override_changes_only_the_engine() {
+        let tiny = FigureScale { peers: 32, seeds: 1, rounds: 8, ..FigureScale::default() };
+        let csv = |names: &[&str], engine| {
+            let scale = FigureScale { engine, ..tiny.clone() };
+            let (exp, renders) = assemble(names, &scale).unwrap();
+            let results = exp.run(&ExecOptions::default());
+            renders.iter().flat_map(|r| r(&results)).map(|t| t.to_csv()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            csv(&["fig3", "fig4"], Some(EngineKind::Baseline)),
+            csv(&["fig3", "fig4"], None)
+        );
+        assert_eq!(csv(&["fig7", "fig8"], Some(EngineKind::Nylon)), csv(&["fig7", "fig8"], None));
+        let scale = FigureScale { engine: Some(EngineKind::PeerSwap), ..tiny };
+        let fig2 = generate("fig2", &scale).unwrap();
+        let rows: Vec<[&str; 2]> = fig2[0].rows.iter().map(|r| [&*r[0], &*r[1]]).collect();
+        assert_eq!(rows, [["15", "peerswap"], ["27", "peerswap"]]);
     }
 
     #[test]

@@ -25,18 +25,14 @@ use nylon_faults::FaultConfig;
 use nylon_gossip::PeerSampler;
 use nylon_sim::{SimDuration, SimTime};
 
-use crate::experiment::{Results, Sweep};
-use crate::output::{fmt_f, Table};
+use crate::output::Table;
 use crate::runner::{
     biggest_cluster_pct, biggest_cluster_pct_with, build_with_faults, SnapshotScratch,
 };
 use crate::scenario::Scenario;
 
-use super::common::{dispatch_engine, mean_finite, point_seeds};
-use super::{EngineKind, FigureScale, Plan};
-
-const SWEEP: &str = "resilience";
-const RETRY_SWEEP: &str = "resilience-retry";
+use super::common::{dispatch_engine, finite_means, point_seeds};
+use super::{EngineKind, FigureScale, Grid, Plan};
 
 /// Shuffle period shared by every engine's default configuration; fault
 /// onsets are expressed in rounds of it.
@@ -156,110 +152,68 @@ fn retry_sample(scale: &FigureScale, rebind_rounds: u64, harden: bool, seed: u64
     vec![s.punch_retries as f64, s.punch_retry_wins as f64, rate, s.stale_repunches as f64, last]
 }
 
-/// The resilience plan.
+/// The `on`/`off` label and key part of a hardening setting.
+fn on_off(harden: bool) -> &'static str {
+    if harden {
+        "on"
+    } else {
+        "off"
+    }
+}
+
+/// The resilience plan: the recovery table (one row per engine × profile
+/// × hardening) and the punch-retry table (one row per rebind period ×
+/// hardening), one point behind each row.
 pub fn plan(scale: &FigureScale) -> Plan {
-    let mut sweep = Sweep::new(SWEEP);
+    let mut recovery = Grid::new("resilience");
     for (e, kind) in EngineKind::ALL.into_iter().enumerate() {
         for (p, profile) in PROFILES.into_iter().enumerate() {
             for harden in [false, true] {
                 let salt = 0x0FA0_0000 ^ ((e as u64) << 16) ^ ((p as u64) << 8) ^ u64::from(harden);
                 let scale = scale.clone();
-                let key = recovery_key(kind, profile, harden);
-                sweep.point(key, point_seeds(&scale, salt), move |seed| {
+                let labels = [kind.label(), profile, on_off(harden)].map(str::to_string);
+                let key = labels.join("/");
+                recovery.row(labels).point(key, point_seeds(&scale, salt), move |seed| {
                     recovery_sample(&scale, kind, profile, harden, seed)
                 });
             }
         }
     }
-    let mut retry = Sweep::new(RETRY_SWEEP);
+    let mut retry = Grid::new("resilience-retry");
     for (i, rebind_rounds) in REBIND_ROUNDS.into_iter().enumerate() {
         for harden in [false, true] {
             // Not 0x0FA1_0000: the recovery salts take 0x0FA0–0x0FA3.
             let salt = 0x0FB0_0000 ^ ((i as u64) << 8) ^ u64::from(harden);
             let scale = scale.clone();
-            let key = retry_key(rebind_rounds, harden);
-            sweep_point_retry(&mut retry, key, &scale, salt, rebind_rounds, harden);
+            let key = format!("rebind-every-{rebind_rounds}/{}", on_off(harden));
+            retry.row([format!("{rebind_rounds} rounds"), on_off(harden).to_string()]);
+            retry.point(key, point_seeds(&scale, salt), move |seed| {
+                retry_sample(&scale, rebind_rounds, harden, seed)
+            });
         }
     }
-    Plan::new("resilience", vec![sweep, retry], |results| {
-        vec![render_recovery(results), render_retry(results)]
+    Plan::new(vec![recovery, retry], |results, rows| {
+        let recovery = Table::new(
+            "Resilience — biggest-cluster dip and recovery under fault injection \
+             (60% NAT, fault onset at 1/3 horizon; hardened = graceful-degradation on)",
+            ["engine", "fault", "hardened", "pre %", "dip %", "recover (rounds)", "final %"],
+        );
+        let retry = Table::new(
+            "Resilience — Nylon punch-retry economics under mapping rebinds \
+             (rebind wave hits 25% of natted peers every N rounds)",
+            [
+                "rebind period",
+                "hardened",
+                "retries",
+                "retry wins",
+                "win %",
+                "stale re-punches",
+                "final %",
+            ],
+        );
+        vec![
+            rows[0].render(results, recovery, |p| finite_means(p[0], &[1, 1, 1, 1])),
+            rows[1].render(results, retry, |p| finite_means(p[0], &[0, 0, 1, 0, 1])),
+        ]
     })
-}
-
-fn sweep_point_retry(
-    sweep: &mut Sweep,
-    key: String,
-    scale: &FigureScale,
-    salt: u64,
-    rebind_rounds: u64,
-    harden: bool,
-) {
-    let scale = scale.clone();
-    sweep.point(key, point_seeds(&scale, salt), move |seed| {
-        retry_sample(&scale, rebind_rounds, harden, seed)
-    });
-}
-
-fn recovery_key(kind: EngineKind, profile: &str, harden: bool) -> String {
-    format!("{}/{}/{}", kind.label(), profile, if harden { "on" } else { "off" })
-}
-
-fn retry_key(rebind_rounds: u64, harden: bool) -> String {
-    format!("rebind-every-{}/{}", rebind_rounds, if harden { "on" } else { "off" })
-}
-
-fn render_recovery(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Resilience — biggest-cluster dip and recovery under fault injection \
-         (60% NAT, fault onset at 1/3 horizon; hardened = graceful-degradation on)",
-        ["engine", "fault", "hardened", "pre %", "dip %", "recover (rounds)", "final %"],
-    );
-    for kind in EngineKind::ALL {
-        for profile in PROFILES {
-            for harden in [false, true] {
-                let rows = results.point(SWEEP, &recovery_key(kind, profile, harden));
-                table.push_row(vec![
-                    kind.label().to_string(),
-                    profile.to_string(),
-                    (if harden { "on" } else { "off" }).to_string(),
-                    fmt_f(mean_finite(rows, 0), 1),
-                    fmt_f(mean_finite(rows, 1), 1),
-                    fmt_f(mean_finite(rows, 2), 1),
-                    fmt_f(mean_finite(rows, 3), 1),
-                ]);
-            }
-        }
-    }
-    table
-}
-
-fn render_retry(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Resilience — Nylon punch-retry economics under mapping rebinds \
-         (rebind wave hits 25% of natted peers every N rounds)",
-        [
-            "rebind period",
-            "hardened",
-            "retries",
-            "retry wins",
-            "win %",
-            "stale re-punches",
-            "final %",
-        ],
-    );
-    for rebind_rounds in REBIND_ROUNDS {
-        for harden in [false, true] {
-            let rows = results.point(RETRY_SWEEP, &retry_key(rebind_rounds, harden));
-            table.push_row(vec![
-                format!("{rebind_rounds} rounds"),
-                (if harden { "on" } else { "off" }).to_string(),
-                fmt_f(mean_finite(rows, 0), 0),
-                fmt_f(mean_finite(rows, 1), 0),
-                fmt_f(mean_finite(rows, 2), 1),
-                fmt_f(mean_finite(rows, 3), 0),
-                fmt_f(mean_finite(rows, 4), 1),
-            ]);
-        }
-    }
-    table
 }

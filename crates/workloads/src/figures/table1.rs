@@ -5,6 +5,13 @@ use nylon_net::{NatClass, NatType};
 
 use crate::output::Table;
 
+use super::{FigureScale, Plan};
+
+/// The traversal table's plan: no simulation, one table.
+pub fn plan(_: &FigureScale) -> Plan {
+    Plan::new(Vec::new(), |_, _| vec![generate()])
+}
+
 /// Generates the traversal table exactly as printed in the paper (rows:
 /// source NAT type, columns: target NAT type).
 pub fn generate() -> Table {

@@ -11,15 +11,13 @@
 use nylon::NylonConfig;
 use nylon_gossip::GossipConfig;
 
-use crate::experiment::{Results, Sweep};
 use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct_with, build, staleness, SnapshotScratch};
 use crate::scenario::{NatMix, Scenario};
 
 use super::common::point_seeds;
-use super::{FigureScale, Plan};
+use super::{FigureScale, Grid, Plan};
 
-const SWEEP: &str = "timeline";
 const POINT: &str = "70";
 
 const NAT_PCT: f64 = 70.0;
@@ -32,11 +30,12 @@ const METRICS: usize = 4;
 
 /// The timeline plan: each cell walks both engines through the round
 /// checkpoints and returns the four metrics per checkpoint, flattened
-/// checkpoint-major.
+/// checkpoint-major; the table has one row per checkpoint, each reading
+/// the one point.
 pub fn plan(scale: &FigureScale) -> Plan {
-    let mut sweep = Sweep::new(SWEEP);
+    let mut grid = Grid::new("timeline");
     let scale_c = scale.clone();
-    sweep.point(POINT, point_seeds(scale, 0x0011_0000), move |seed| {
+    grid.sweep.point(POINT, point_seeds(scale, 0x0011_0000), move |seed| {
         let scn =
             Scenario { mix: NatMix::prc_only(), ..Scenario::new(scale_c.peers, NAT_PCT, seed) };
         let mut base = build(&scn, GossipConfig::default());
@@ -60,26 +59,22 @@ pub fn plan(scale: &FigureScale) -> Plan {
         }
         out
     });
-    Plan::new("timeline", vec![sweep], |results| vec![render(results)])
-}
-
-fn render(results: &Results) -> Table {
-    let mut table = Table::new(
-        "Timeline — convergence at 70% PRC NAT: usable cluster and staleness per round",
-        ["round", "baseline cluster %", "baseline stale %", "nylon cluster %", "nylon stale %"],
-    );
-    let rows = results.point(SWEEP, POINT);
-    for (i, cp) in CHECKPOINTS.iter().enumerate() {
-        let mean = |j: usize| -> f64 {
-            rows.iter().map(|r| r[i * METRICS + j]).sum::<f64>() / rows.len() as f64
-        };
-        table.push_row([
-            cp.to_string(),
-            fmt_f(mean(0), 1),
-            fmt_f(mean(1), 1),
-            fmt_f(mean(2), 1),
-            fmt_f(mean(3), 1),
-        ]);
+    for cp in CHECKPOINTS {
+        grid.row([cp.to_string()]).reads(POINT);
     }
-    table
+    Plan::new(vec![grid], |results, rows| {
+        let table = Table::new(
+            "Timeline — convergence at 70% PRC NAT: usable cluster and staleness per round",
+            ["round", "baseline cluster %", "baseline stale %", "nylon cluster %", "nylon stale %"],
+        );
+        // Row `i` reads checkpoint `i`'s slice of the cell vector.
+        let mut next = 0;
+        vec![rows[0].render(results, table, |p| {
+            let (first, seeds) = (next * METRICS, p[0].len() as f64);
+            next += 1;
+            (first..first + METRICS)
+                .map(|c| fmt_f(p[0].iter().map(|r| r[c]).sum::<f64>() / seeds, 1))
+                .collect()
+        })]
+    })
 }

@@ -14,7 +14,7 @@
 //! * [`output`] — result tables rendered as markdown or CSV.
 //! * [`figures`] — one experiment plan per paper artifact (Figures 2–4,
 //!   7–10, the Section 2 traversal table, the Section 5 correctness
-//!   checks, and the DESIGN.md ablations).
+//!   checks, and the ablations listed in README "Reproducing the paper").
 //! * [`live`] — the `repro live` demo: the same engine on real loopback
 //!   UDP sockets behind emulated NATs, compared against its simulated
 //!   twin.

@@ -16,7 +16,7 @@ use nylon_faults::{FaultConfig, FaultKind, FaultPlan, FaultSpec};
 use nylon_metrics::Summary;
 use nylon_net::NatClass;
 use nylon_sim::SimDuration;
-use nylon_transport::{udp_over_emulated_nat, LiveClock, LiveRunner};
+use nylon_transport::{scaled_configs, udp_over_emulated_nat, LiveClock, LiveRunner};
 
 use crate::runner::{biggest_cluster_pct, build_with_plan, staleness, usable_in_degrees};
 use crate::scenario::Scenario;
@@ -106,10 +106,6 @@ fn live_fault_plan(scale: &LiveScale, classes: &[NatClass]) -> Option<FaultPlan>
     (!plan.is_noop()).then_some(plan)
 }
 
-/// The paper's protocol/fabric constants scaled to `period_ms` — a re-export
-/// of [`nylon_transport::scaled_configs`], the single place the ratios live.
-pub use nylon_transport::scaled_configs as live_configs;
-
 /// Overlay health extracted from a finished engine — the same numbers for
 /// the live and the simulated run, from the same metric code.
 #[derive(Debug, Clone, Copy)]
@@ -178,7 +174,7 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
         panic!("invalid live scale: {e}");
     }
     let scn = scale.scenario();
-    let (cfg, net_cfg) = live_configs(scale.period_ms);
+    let (cfg, net_cfg) = scaled_configs(scale.period_ms);
     let classes = scn.classes();
     let plan = live_fault_plan(scale, &classes);
     // The wire replays rebind/CGN faults itself; the engine only gets the
@@ -253,7 +249,7 @@ pub fn run_sim_twin(scale: &LiveScale) -> OverlaySnapshot {
         panic!("invalid live scale: {e}");
     }
     let scn = scale.scenario();
-    let (cfg, net_cfg) = live_configs(scale.period_ms);
+    let (cfg, net_cfg) = scaled_configs(scale.period_ms);
     let classes = scn.classes();
     let mut engine: NylonEngine =
         build_with_plan(&scn, cfg, net_cfg, live_fault_plan(scale, &classes));
@@ -268,7 +264,7 @@ mod tests {
 
     #[test]
     fn scaled_configs_preserve_paper_ratios() {
-        let (cfg, net) = live_configs(150);
+        let (cfg, net) = scaled_configs(150);
         assert_eq!(cfg.shuffle_period, SimDuration::from_millis(150));
         assert_eq!(net.hole_timeout, SimDuration::from_millis(150 * 18));
         assert!(cfg.punch_timeout < cfg.shuffle_period);

@@ -10,7 +10,7 @@
 
 use nylon_faults::{FaultConfig, FaultPlan};
 use nylon_gossip::{PeerSampler, SamplerConfig};
-use nylon_metrics::graph::{DiGraph, WccScratch};
+use nylon_metrics::graph::WccScratch;
 use nylon_metrics::staleness::StalenessReport;
 use nylon_net::{NetConfig, PeerId};
 use nylon_sim::SimRng;
@@ -124,9 +124,10 @@ pub fn build_with_plan<C: SamplerConfig>(
 /// groups of peers that keep their mutual NAT holes alive by shuffling
 /// with each other within the filter-rule lifetime.
 ///
-/// The cluster snapshot, the in-degree counts and [`overlay_graph`] read
-/// the views through this one loop, generic over the engine so the oracle
-/// is a static call per edge.
+/// The cluster snapshot, the in-degree counts and the adjacency metrics
+/// (`ext-indegree`'s [`nylon_metrics::UndirectedCsr`]) read the views
+/// through this one loop, generic over the engine so the oracle is a
+/// static call per edge.
 pub fn usable_edges<S: PeerSampler>(eng: &S) -> impl Iterator<Item = (u32, u32)> + '_ {
     (0..eng.peer_count() as u32).map(PeerId).filter(|&p| eng.is_alive(p)).flat_map(move |p| {
         eng.view_of(p).iter().filter(move |d| eng.edge_usable(p, d)).map(move |d| (p.0, d.id.0))
@@ -141,15 +142,6 @@ pub fn usable_in_degrees<S: PeerSampler>(eng: &S) -> Vec<u32> {
         counts[target as usize] += 1;
     }
     counts
-}
-
-/// The usable overlay graph of an engine ([`usable_edges`] in CSR form),
-/// plus the alive mask: for the metrics that need adjacency (clustering
-/// coefficient, path length).
-pub fn overlay_graph<S: PeerSampler>(eng: &S) -> (DiGraph, Vec<bool>) {
-    let n = eng.peer_count();
-    let alive = (0..n).map(|i| eng.is_alive(PeerId(i as u32))).collect();
-    (DiGraph::from_edges(n, usable_edges(eng)), alive)
 }
 
 /// Reusable buffers for per-round cluster snapshots: the alive mask and
@@ -265,9 +257,40 @@ mod tests {
         assert!(stale.stale_pct < 5.0, "Nylon views must stay fresh, got {}", stale.stale_pct);
     }
 
+    /// Biggest cluster of the usable overlay by breadth-first search over
+    /// an adjacency list of the alive peers: the oracle the streamed
+    /// union-find snapshot is held to.
+    fn bfs_biggest_cluster<S: PeerSampler>(eng: &S) -> usize {
+        let n = eng.peer_count();
+        let alive = |p: u32| eng.is_alive(PeerId(p));
+        let mut adj = vec![Vec::new(); n];
+        for (a, b) in usable_edges(eng).filter(|&(a, b)| alive(a) && alive(b)) {
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
+        }
+        let mut seen = vec![false; n];
+        let mut biggest = 0;
+        for src in (0..n as u32).filter(|&p| alive(p)) {
+            if std::mem::replace(&mut seen[src as usize], true) {
+                continue;
+            }
+            let (mut queue, mut size) = (vec![src], 0);
+            while let Some(u) = queue.pop() {
+                size += 1;
+                for &v in &adj[u as usize] {
+                    if !std::mem::replace(&mut seen[v as usize], true) {
+                        queue.push(v);
+                    }
+                }
+            }
+            biggest = biggest.max(size);
+        }
+        biggest
+    }
+
     /// The streamed snapshot through a reused scratch equals a fresh one
-    /// and the cluster of the CSR overlay graph, before and after a kill
-    /// wave.
+    /// and a BFS over the usable overlay, before and after a kill wave;
+    /// the in-degrees count every usable edge and none at a dead peer.
     fn snapshot_paths_agree<C: SamplerConfig>(cfg: C) {
         let mut eng = build(&scn(60, 70.0, 3), cfg);
         let mut scratch = SnapshotScratch::new();
@@ -280,11 +303,13 @@ mod tests {
             let fresh = biggest_cluster_pct(&eng);
             let reused = biggest_cluster_pct_with(&eng, &mut scratch);
             assert_eq!(fresh, reused, "scratch path diverged from the fresh path");
-            let (graph, alive) = overlay_graph(&eng);
-            assert_eq!(reused, 100.0 * graph.biggest_wcc_fraction(&alive));
-            assert_eq!(alive, scratch.alive);
-            let dead = alive.iter().filter(|a| !**a).count();
-            assert_eq!(dead, if step < 3 { 0 } else { 20 });
+            let alive = eng.alive_peers().len();
+            assert_eq!(reused, 100.0 * (bfs_biggest_cluster(&eng) as f64 / alive as f64));
+            assert_eq!(scratch.alive.iter().filter(|a| **a).count(), alive);
+            assert_eq!(alive, if step < 3 { 60 } else { 40 });
+            let degrees = usable_in_degrees(&eng);
+            assert_eq!(degrees.iter().sum::<u32>() as usize, usable_edges(&eng).count());
+            assert!((0..60).step_by(3).all(|p| step < 3 || degrees[p] == 0));
         }
     }
 

@@ -16,7 +16,7 @@ fn tiny() -> FigureScale {
 #[test]
 fn every_figure_generates() {
     let scale = tiny();
-    for name in FIGURES {
+    for (name, _) in FIGURES {
         let tables = generate(name, &scale)
             .unwrap_or_else(|| panic!("registry lists unknown figure {name}"));
         assert!(!tables.is_empty(), "{name} produced no tables");
