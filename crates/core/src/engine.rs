@@ -15,87 +15,64 @@
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
-    Protocol, ProtocolStats, SelectionPolicy,
+    Protocol, SelectionPolicy,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NatClass, NatType, NetConfig, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
 use crate::config::NylonConfig;
 use crate::message::{NylonMsg, WireEntry};
 use crate::routing::{RouteWork, RoutingTable};
 
-/// Aggregate Nylon protocol counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NylonStats {
-    /// Shuffle rounds where a target was selected.
-    pub shuffles_initiated: u64,
-    /// Rounds skipped for lack of view entries.
-    pub empty_view_rounds: u64,
-    /// Shuffles sent directly (public target or live hole).
-    pub direct_requests: u64,
-    /// Shuffles relayed end-to-end (symmetric combinations).
-    pub relayed_requests: u64,
-    /// Hole punches initiated (OPEN_HOLE sent).
-    pub hole_punches: u64,
-    /// Hole punches that completed (PONG received, REQUEST sent).
-    pub punch_successes: u64,
-    /// Hole punches abandoned after the punch timeout.
-    pub punch_timeouts: u64,
-    /// Rounds lost because a natted target had no live route; the stale
-    /// entry is dropped from the view.
-    pub routes_missing: u64,
-    /// Messages forwarded on behalf of other peers (RVP duty).
-    pub forwards: u64,
-    /// Forwarding attempts without a live route.
-    pub forward_failures: u64,
-    /// REQUESTs that reached their final destination.
-    pub requests_completed: u64,
-    /// RESPONSEs that reached the shuffle initiator.
-    pub responses_completed: u64,
-    /// PONGs sent.
-    pub pongs_sent: u64,
-    /// Sum of RVP-chain lengths observed at destinations (Figure 9).
-    pub chain_hops_sum: u64,
-    /// Number of chain-length samples.
-    pub chain_samples: u64,
-    /// Routing-table entries installed from shuffle payloads (Figure 6
-    /// `update_routing_table()` upserts).
-    pub routes_installed: u64,
-    /// Routing-table entries compacted away after their TTL expired — the
-    /// cost center PR 5's profiling named.
-    pub route_ttl_expiries: u64,
-    /// Hardened mode: punches re-sent after a timeout (bounded exponential
-    /// backoff) instead of being abandoned.
-    pub punch_retries: u64,
-    /// Hardened mode: punches that completed on a retry attempt.
-    pub punch_retry_wins: u64,
-    /// Hardened mode: observed-endpoint mismatches (a mid-session NAT
-    /// rebind) answered with an immediate re-punch PING.
-    pub stale_repunches: u64,
-}
-
-impl ProtocolStats for NylonStats {
-    fn merge(&mut self, other: &NylonStats) {
-        self.shuffles_initiated += other.shuffles_initiated;
-        self.empty_view_rounds += other.empty_view_rounds;
-        self.direct_requests += other.direct_requests;
-        self.relayed_requests += other.relayed_requests;
-        self.hole_punches += other.hole_punches;
-        self.punch_successes += other.punch_successes;
-        self.punch_timeouts += other.punch_timeouts;
-        self.routes_missing += other.routes_missing;
-        self.forwards += other.forwards;
-        self.forward_failures += other.forward_failures;
-        self.requests_completed += other.requests_completed;
-        self.responses_completed += other.responses_completed;
-        self.pongs_sent += other.pongs_sent;
-        self.chain_hops_sum += other.chain_hops_sum;
-        self.chain_samples += other.chain_samples;
-        self.routes_installed += other.routes_installed;
-        self.route_ttl_expiries += other.route_ttl_expiries;
-        self.punch_retries += other.punch_retries;
-        self.punch_retry_wins += other.punch_retry_wins;
-        self.stale_repunches += other.stale_repunches;
+nylon_obs::counters! {
+    /// Aggregate Nylon protocol counters.
+    pub struct NylonStats {
+        /// Shuffle rounds where a target was selected.
+        shuffles_initiated,
+        /// Rounds skipped for lack of view entries.
+        empty_view_rounds,
+        /// Shuffles sent directly (public target or live hole).
+        direct_requests,
+        /// Shuffles relayed end-to-end (symmetric combinations).
+        relayed_requests,
+        /// Hole punches initiated (OPEN_HOLE sent).
+        hole_punches,
+        /// Hole punches that completed (PONG received, REQUEST sent).
+        punch_successes,
+        /// Hole punches abandoned after the punch timeout.
+        punch_timeouts,
+        /// Rounds lost because a natted target had no live route; the stale
+        /// entry is dropped from the view.
+        routes_missing,
+        /// Messages forwarded on behalf of other peers (RVP duty).
+        forwards = "rvp_forwards",
+        /// Forwarding attempts without a live route.
+        forward_failures = "rvp_forward_failures",
+        /// REQUESTs that reached their final destination.
+        requests_completed,
+        /// RESPONSEs that reached the shuffle initiator.
+        responses_completed,
+        /// PONGs sent.
+        pongs_sent,
+        /// Sum of RVP-chain lengths observed at destinations (Figure 9).
+        chain_hops_sum,
+        /// Number of chain-length samples.
+        chain_samples,
+        /// Routing-table entries installed from shuffle payloads (Figure 6
+        /// `update_routing_table()` upserts).
+        routes_installed,
+        /// Routing-table entries compacted away after their TTL expired — the
+        /// cost center PR 5's profiling named.
+        route_ttl_expiries,
+        /// Hardened mode: punches re-sent after a timeout (bounded exponential
+        /// backoff) instead of being abandoned.
+        punch_retries,
+        /// Hardened mode: punches that completed on a retry attempt.
+        punch_retry_wins,
+        /// Hardened mode: observed-endpoint mismatches (a mid-session NAT
+        /// rebind) answered with an immediate re-punch PING.
+        stale_repunches,
     }
 }
 
@@ -770,26 +747,7 @@ impl Protocol for Nylon {
         self.entry_pool.obs_report(out);
         self.id_pool.obs_report(out);
         let s = &self.stats;
-        out.counter("engine.nylon", "shuffles_initiated", s.shuffles_initiated);
-        out.counter("engine.nylon", "empty_view_rounds", s.empty_view_rounds);
-        out.counter("engine.nylon", "direct_requests", s.direct_requests);
-        out.counter("engine.nylon", "relayed_requests", s.relayed_requests);
-        out.counter("engine.nylon", "hole_punches", s.hole_punches);
-        out.counter("engine.nylon", "punch_successes", s.punch_successes);
-        out.counter("engine.nylon", "punch_timeouts", s.punch_timeouts);
-        out.counter("engine.nylon", "routes_missing", s.routes_missing);
-        out.counter("engine.nylon", "rvp_forwards", s.forwards);
-        out.counter("engine.nylon", "rvp_forward_failures", s.forward_failures);
-        out.counter("engine.nylon", "requests_completed", s.requests_completed);
-        out.counter("engine.nylon", "responses_completed", s.responses_completed);
-        out.counter("engine.nylon", "pongs_sent", s.pongs_sent);
-        out.counter("engine.nylon", "chain_hops_sum", s.chain_hops_sum);
-        out.counter("engine.nylon", "chain_samples", s.chain_samples);
-        out.counter("engine.nylon", "routes_installed", s.routes_installed);
-        out.counter("engine.nylon", "route_ttl_expiries", s.route_ttl_expiries);
-        out.counter("engine.nylon", "punch_retries", s.punch_retries);
-        out.counter("engine.nylon", "punch_retry_wins", s.punch_retry_wins);
-        out.counter("engine.nylon", "stale_repunches", s.stale_repunches);
+        s.report(out, "engine.nylon");
         let pending: usize = self.nodes.iter().map(|n| n.pending_sent.len()).sum();
         out.gauge_sum("engine.nylon", "pending_exchanges", pending as u64);
         // Routing storage health: snapshot-time walk over every node's

@@ -15,7 +15,7 @@
 //! memory is made of — `install_from_shuffle` runs for every descriptor of
 //! every shuffle, `entry_of`/`touch_direct` on every receive, and every
 //! peer owns one table. It sits on the workspace's one open-addressed map,
-//! a [`DenseMap`] from destination to a packed [`Route`]:
+//! a [`DenseMap`] from destination to a packed `Route`:
 //!
 //! * 16-byte slots (const-asserted), four to a cache line: key, expiry and
 //!   payload side by side, so a probe hit, a commit or a backward shift

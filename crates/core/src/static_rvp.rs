@@ -19,9 +19,10 @@
 use nylon_faults::FaultPlan;
 use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
-    Protocol, ProtocolStats, SamplerConfig, SelectionPolicy,
+    Protocol, SamplerConfig, SelectionPolicy,
 };
 use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{FxHashSet, Share, SimDuration, SimRng};
 
 use crate::message::{ENTRY_BYTES, HEADER_BYTES, ROUTING_BYTES};
@@ -64,41 +65,28 @@ pub enum StaticRvpMsg {
     },
 }
 
-/// Counters for the static-RVP scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaticRvpStats {
-    /// Shuffle rounds with a selected target.
-    pub shuffles_initiated: u64,
-    /// Rounds skipped for lack of view entries.
-    pub empty_view_rounds: u64,
-    /// Messages relayed by public RVPs.
-    pub relays: u64,
-    /// Relay attempts towards unknown/dead clients.
-    pub relay_failures: u64,
-    /// Keep-alive PINGs sent.
-    pub pings_sent: u64,
-    /// REQUESTs that reached their destination.
-    pub requests_completed: u64,
-    /// RESPONSEs that reached the initiator.
-    pub responses_completed: u64,
-    /// Natted peers that re-bound after their RVP died.
-    pub rebinds: u64,
-    /// Hardened mode: proactive re-binds after repeated relay silence,
-    /// before the TTL ever declares the RVP dead.
-    pub failovers: u64,
-}
-
-impl ProtocolStats for StaticRvpStats {
-    fn merge(&mut self, other: &StaticRvpStats) {
-        self.shuffles_initiated += other.shuffles_initiated;
-        self.empty_view_rounds += other.empty_view_rounds;
-        self.relays += other.relays;
-        self.relay_failures += other.relay_failures;
-        self.pings_sent += other.pings_sent;
-        self.requests_completed += other.requests_completed;
-        self.responses_completed += other.responses_completed;
-        self.rebinds += other.rebinds;
-        self.failovers += other.failovers;
+nylon_obs::counters! {
+    /// Counters for the static-RVP scheme.
+    pub struct StaticRvpStats {
+        /// Shuffle rounds with a selected target.
+        shuffles_initiated,
+        /// Rounds skipped for lack of view entries.
+        empty_view_rounds,
+        /// Messages relayed by public RVPs.
+        relays = "rvp_relays",
+        /// Relay attempts towards unknown/dead clients.
+        relay_failures = "rvp_relay_failures",
+        /// Keep-alive PINGs sent.
+        pings_sent,
+        /// REQUESTs that reached their destination.
+        requests_completed,
+        /// RESPONSEs that reached the initiator.
+        responses_completed,
+        /// Natted peers that re-bound after their RVP died.
+        rebinds,
+        /// Hardened mode: proactive re-binds after repeated relay silence,
+        /// before the TTL ever declares the RVP dead.
+        failovers = "rvp_failovers",
     }
 }
 
@@ -517,16 +505,7 @@ impl Protocol for StaticRvp {
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.entry_pool.obs_report(out);
         self.id_pool.obs_report(out);
-        let s = &self.stats;
-        out.counter("engine.static_rvp", "shuffles_initiated", s.shuffles_initiated);
-        out.counter("engine.static_rvp", "empty_view_rounds", s.empty_view_rounds);
-        out.counter("engine.static_rvp", "rvp_relays", s.relays);
-        out.counter("engine.static_rvp", "rvp_relay_failures", s.relay_failures);
-        out.counter("engine.static_rvp", "pings_sent", s.pings_sent);
-        out.counter("engine.static_rvp", "requests_completed", s.requests_completed);
-        out.counter("engine.static_rvp", "responses_completed", s.responses_completed);
-        out.counter("engine.static_rvp", "rebinds", s.rebinds);
-        out.counter("engine.static_rvp", "rvp_failovers", s.failovers);
+        self.stats.report(out, "engine.static_rvp");
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
         out.gauge_sum("engine.static_rvp", "pending_exchanges", pending as u64);
     }

@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use nylon_net::{NatClass, NatType, Network, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -233,7 +234,9 @@ pub enum FaultKind {
     Rebind(PeerId),
     /// Kill the peer (no-op if already dead).
     Crash(PeerId),
-    /// Revive the peer (no-op if alive); the engine must restart its timers.
+    /// Revive the peer (no-op if alive). No timer work: under a fault plan a
+    /// dead peer's round timer keeps ticking idle, so it resumes at its
+    /// original phase.
     Revive(PeerId),
     /// Random loss window: drop with `prob_ppm`/1e6 until `until`.
     LossBurst { until: SimTime, prob_ppm: u32, salt: u64 },
@@ -416,33 +419,23 @@ fn frac_count(len: usize, frac: f64) -> usize {
     ((len as f64 * frac).round() as usize).clamp(1, len)
 }
 
-/// Counters of faults actually applied.
-///
-/// Every worker of an engine applies every event; to keep the summed
-/// totals equal to the one-worker totals, per-peer faults are counted only
-/// by the worker that owns the target and global windows only by worker 0.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// NAT mappings rebound.
-    pub rebinds: u64,
-    /// Peers killed (crash waves + flap downs that found them alive).
-    pub crashes: u64,
-    /// Peers revived.
-    pub revives: u64,
-    /// Loss-burst windows opened.
-    pub loss_bursts: u64,
-    /// Partition windows opened.
-    pub partitions: u64,
-}
-
-impl FaultStats {
-    /// Sums `other` into `self`.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.rebinds += other.rebinds;
-        self.crashes += other.crashes;
-        self.revives += other.revives;
-        self.loss_bursts += other.loss_bursts;
-        self.partitions += other.partitions;
+nylon_obs::counters! {
+    /// Counters of faults actually applied.
+    ///
+    /// Every worker of an engine applies every event; to keep the summed
+    /// totals equal to the one-worker totals, per-peer faults are counted only
+    /// by the worker that owns the target and global windows only by worker 0.
+    pub struct FaultStats {
+        /// NAT mappings rebound.
+        rebinds,
+        /// Peers killed (crash waves + flap downs that found them alive).
+        crashes,
+        /// Peers revived.
+        revives,
+        /// Loss-burst windows opened.
+        loss_bursts,
+        /// Partition windows opened.
+        partitions,
     }
 }
 
@@ -533,11 +526,7 @@ impl FaultRuntime {
 
     /// Reports fault counters under the `faults` layer.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        out.counter("faults", "rebinds", self.stats.rebinds);
-        out.counter("faults", "crashes", self.stats.crashes);
-        out.counter("faults", "revives", self.stats.revives);
-        out.counter("faults", "loss_bursts", self.stats.loss_bursts);
-        out.counter("faults", "partitions", self.stats.partitions);
+        self.stats.report(out, "faults");
         if self.count_global {
             out.counter("faults", "planned_events", self.plan.events.len() as u64);
             out.counter("faults", "cgn_stacked", self.plan.cgn.len() as u64);

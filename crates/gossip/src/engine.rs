@@ -6,10 +6,11 @@
 //! Figures 2–4 quantify.
 
 use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
-use crate::host::{directly_reachable, Host, NodeTable, Protocol, ProtocolStats};
+use crate::host::{directly_reachable, Host, NodeTable, Protocol};
 use crate::policy::{GossipConfig, PropagationPolicy};
 use crate::view::{MergeScratch, PartialView};
 use crate::Engine;
@@ -59,25 +60,17 @@ const ENTRY_BYTES: u32 = 14;
 /// Wire-size model: fixed per-message protocol header bytes.
 const HEADER_BYTES: u32 = 8;
 
-/// Aggregate protocol counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShuffleStats {
-    /// Shuffle rounds in which a target was selected and a request sent.
-    pub initiated: u64,
-    /// Rounds skipped because the view was empty.
-    pub empty_view_rounds: u64,
-    /// Requests that reached their target.
-    pub requests_received: u64,
-    /// Responses that reached the initiator.
-    pub responses_received: u64,
-}
-
-impl ProtocolStats for ShuffleStats {
-    fn merge(&mut self, other: &ShuffleStats) {
-        self.initiated += other.initiated;
-        self.empty_view_rounds += other.empty_view_rounds;
-        self.requests_received += other.requests_received;
-        self.responses_received += other.responses_received;
+nylon_obs::counters! {
+    /// Aggregate protocol counters.
+    pub struct ShuffleStats {
+        /// Shuffle rounds in which a target was selected and a request sent.
+        initiated = "shuffles_initiated",
+        /// Rounds skipped because the view was empty.
+        empty_view_rounds,
+        /// Requests that reached their target.
+        requests_received,
+        /// Responses that reached the initiator.
+        responses_received,
     }
 }
 
@@ -267,10 +260,7 @@ impl Protocol for Baseline {
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.payload_pool.obs_report(out);
         self.id_pool.obs_report(out);
-        out.counter("engine.baseline", "shuffles_initiated", self.stats.initiated);
-        out.counter("engine.baseline", "empty_view_rounds", self.stats.empty_view_rounds);
-        out.counter("engine.baseline", "requests_received", self.stats.requests_received);
-        out.counter("engine.baseline", "responses_received", self.stats.responses_received);
+        self.stats.report(out, "engine.baseline");
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
         out.gauge_sum("engine.baseline", "pending_exchanges", pending as u64);
     }

@@ -34,14 +34,6 @@ use crate::sampler::SamplerConfig;
 use crate::view::PartialView;
 use crate::Engine;
 
-/// Protocol counters that sum across workers: every protocol event is
-/// counted on exactly one worker (the one owning the acting node), so
-/// merging the per-worker counters reproduces the one-worker totals.
-pub trait ProtocolStats: Copy + Default + fmt::Debug {
-    /// Adds another counter set into this one.
-    fn merge(&mut self, other: &Self);
-}
-
 /// A gossip peer-sampling protocol: per-node state plus the two handlers
 /// of the paper's pseudocode, hosted by [`Engine`].
 ///
@@ -81,8 +73,8 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     type Config: SamplerConfig<Sampler = Engine<Self>> + fmt::Debug;
     /// The wire message.
     type Msg: fmt::Debug + Send + 'static;
-    /// Aggregate protocol counters.
-    type Stats: ProtocolStats;
+    /// Aggregate protocol counters, summed across workers.
+    type Stats: nylon_obs::Counters;
 
     /// Fork label of the per-node RNG streams (or-ed with the peer id).
     const NODE_RNG_LABEL: u64;

@@ -59,7 +59,7 @@ pub mod view;
 
 pub use descriptor::NodeDescriptor;
 pub use engine::{Baseline, BaselineEngine, BaselineMsg, ShuffleStats};
-pub use host::{sort_tick_batch, Host, Intro, NodeTable, Protocol, ProtocolStats};
+pub use host::{sort_tick_batch, Host, Intro, NodeTable, Protocol};
 pub use lockstep::{auto_workers, with_workers, Engine, Workers};
 pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};

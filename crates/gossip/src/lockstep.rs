@@ -27,10 +27,11 @@ use std::sync::{Arc, OnceLock};
 
 use nylon_faults::{FaultPlan, FaultStats};
 use nylon_net::{Endpoint, NatClass, NetConfig, Network, Outbound, PeerId, TrafficStats};
+use nylon_obs::Counters;
 use nylon_sim::{ShardPlan, ShardedSim, Share, SimDuration, SimTime};
 
 use crate::descriptor::NodeDescriptor;
-use crate::host::{Intro, Protocol, ProtocolStats, Worker};
+use crate::host::{Intro, Protocol, Worker};
 use crate::sampler::PeerSampler;
 use crate::view::PartialView;
 

@@ -25,11 +25,12 @@
 //! versioned codec carries PeerSwap traffic unmodified.
 
 use nylon_net::{BufferPool, Endpoint, NetConfig, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::engine::BaselineMsg;
-use crate::host::{directly_reachable, Host, NodeTable, Protocol, ProtocolStats};
+use crate::host::{directly_reachable, Host, NodeTable, Protocol};
 use crate::policy::SelectionPolicy;
 use crate::view::PartialView;
 use crate::Engine;
@@ -62,30 +63,21 @@ impl crate::sampler::SamplerConfig for PeerSwapConfig {
     }
 }
 
-/// Aggregate PeerSwap counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerSwapStats {
-    /// Swaps initiated (a partner was selected and a request sent).
-    pub swaps_initiated: u64,
-    /// Rounds skipped because the view was empty.
-    pub empty_view_rounds: u64,
-    /// Swap requests that reached their partner.
-    pub requests_received: u64,
-    /// Swap responses that reached the initiator (committed swaps).
-    pub responses_received: u64,
-    /// Swaps whose response never arrived within one period (NAT drops,
-    /// dead partners); the shed partner entry stays gone — Cyclon-style
-    /// failure detection.
-    pub swaps_unanswered: u64,
-}
-
-impl ProtocolStats for PeerSwapStats {
-    fn merge(&mut self, other: &PeerSwapStats) {
-        self.swaps_initiated += other.swaps_initiated;
-        self.empty_view_rounds += other.empty_view_rounds;
-        self.requests_received += other.requests_received;
-        self.responses_received += other.responses_received;
-        self.swaps_unanswered += other.swaps_unanswered;
+nylon_obs::counters! {
+    /// Aggregate PeerSwap counters.
+    pub struct PeerSwapStats {
+        /// Swaps initiated (a partner was selected and a request sent).
+        swaps_initiated,
+        /// Rounds skipped because the view was empty.
+        empty_view_rounds,
+        /// Swap requests that reached their partner.
+        requests_received,
+        /// Swap responses that reached the initiator (committed swaps).
+        responses_received,
+        /// Swaps whose response never arrived within one period (NAT drops,
+        /// dead partners); the shed partner entry stays gone — Cyclon-style
+        /// failure detection.
+        swaps_unanswered,
     }
 }
 
@@ -325,11 +317,7 @@ impl Protocol for PeerSwap {
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.payload_pool.obs_report(out);
         self.id_pool.obs_report(out);
-        out.counter("engine.peerswap", "swaps_initiated", self.stats.swaps_initiated);
-        out.counter("engine.peerswap", "empty_view_rounds", self.stats.empty_view_rounds);
-        out.counter("engine.peerswap", "requests_received", self.stats.requests_received);
-        out.counter("engine.peerswap", "responses_received", self.stats.responses_received);
-        out.counter("engine.peerswap", "swaps_unanswered", self.stats.swaps_unanswered);
+        self.stats.report(out, "engine.peerswap");
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
         out.gauge_sum("engine.peerswap", "pending_exchanges", pending as u64);
     }

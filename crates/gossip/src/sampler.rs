@@ -1,7 +1,7 @@
 //! The engine-agnostic peer-sampling interface.
 //!
 //! Every sampling engine in this workspace — the NAT-oblivious
-//! [`BaselineEngine`](crate::BaselineEngine), Nylon itself, and the
+//! [`BaselineEngine`], Nylon itself, and the
 //! static-RVP strawman — exposes the same lifecycle: construct from a
 //! config and a seed, add the population, bootstrap, start, run, observe
 //! views. [`PeerSampler`] captures that lifecycle so the experiment

@@ -305,32 +305,12 @@ impl NatBox {
         self.rare.get_or_insert_with(Box::default)
     }
 
-    /// `true` if this box translates hairpin packets (see
-    /// [`NatBox::on_hairpin`]).
+    /// `true` if this box translates hairpin packets: a packet from behind
+    /// it addressed to its own public IP re-enters through regular ingress
+    /// filtering, as if it came from the internet, instead of being
+    /// dropped (see [`Network::deliver`](crate::Network::deliver)).
     pub fn hairpin_enabled(&self) -> bool {
         self.hairpin
-    }
-
-    /// Processes a packet from `from_private` addressed to this box's *own*
-    /// public endpoint `to` (hairpin / NAT loopback). A hairpinning box
-    /// applies regular egress translation and then regular ingress
-    /// processing against the translated source — the packet re-enters as
-    /// if it had come from the public internet. Non-hairpinning boxes
-    /// (the default) drop it outright.
-    ///
-    /// Returns the private destination endpoint on success.
-    pub fn on_hairpin(
-        &mut self,
-        now: SimTime,
-        from_private: Endpoint,
-        to: Endpoint,
-    ) -> Result<Endpoint, NatReject> {
-        debug_assert_eq!(to.ip, self.public_ip, "hairpin packet must address this box");
-        if !self.hairpin {
-            return Err(NatReject::HairpinBlocked);
-        }
-        let src = self.on_outbound(now, from_private, to);
-        self.on_inbound(now, to.port, src)
     }
 
     /// Mobile-style mid-session rebinding: the box loses its dynamic state
@@ -530,13 +510,6 @@ impl NatBox {
             m.expires = expires;
             Ok(m.private)
         }
-    }
-
-    /// Read-only filtering oracle: would a packet from `src` addressed to
-    /// `public_port` be forwarded at `now`? Unlike [`NatBox::on_inbound`],
-    /// no session is refreshed or created. Used by the staleness metric.
-    pub fn would_admit(&self, now: SimTime, public_port: Port, src: Endpoint) -> bool {
-        self.peek_inbound(now, public_port, src).is_some()
     }
 
     /// Read-only [`NatBox::on_inbound`]: the private endpoint a packet
@@ -802,15 +775,15 @@ mod tests {
     }
 
     #[test]
-    fn would_admit_matches_on_inbound_without_refresh() {
+    fn peek_inbound_matches_on_inbound_without_refresh() {
         let mut nat = boxed(NatType::PortRestrictedCone);
         let pub_ep = nat.on_outbound(SimTime::ZERO, private(), remote(1));
         let t = SimTime::from_secs(10);
-        assert!(nat.would_admit(t, pub_ep.port, remote(1)));
-        assert!(!nat.would_admit(t, pub_ep.port, remote(2)));
+        assert_eq!(nat.peek_inbound(t, pub_ep.port, remote(1)), Some(private()));
+        assert_eq!(nat.peek_inbound(t, pub_ep.port, remote(2)), None);
         // Oracle must not refresh: rule still expires on schedule.
         let after = SimTime::ZERO + TIMEOUT;
-        assert!(!nat.would_admit(after, pub_ep.port, remote(1)));
+        assert_eq!(nat.peek_inbound(after, pub_ep.port, remote(1)), None);
     }
 
     #[test]
@@ -864,7 +837,7 @@ mod tests {
             // Unsolicited, from anyone, long after any timeout.
             let late = SimTime::ZERO + TIMEOUT * 10;
             assert_eq!(nat.on_inbound(late, ep.port, remote(42)), Ok(private()), "{t}");
-            assert!(nat.would_admit(late, ep.port, remote(43)), "{t}");
+            assert_eq!(nat.peek_inbound(late, ep.port, remote(43)), Some(private()), "{t}");
             // Idempotent.
             assert_eq!(nat.enable_port_forwarding(private()), ep, "{t}");
         }
@@ -888,36 +861,16 @@ mod tests {
     }
 
     #[test]
-    fn hairpin_blocked_by_default_translated_when_enabled() {
-        let mut nat = boxed(NatType::PortRestrictedCone);
-        let p1 = Endpoint::new(Ip(Ip::PRIVATE_BASE + 1), Port(5000));
-        let p2 = Endpoint::new(Ip(Ip::PRIVATE_BASE + 2), Port(5000));
-        // p2 opens a hole towards p1's public mapping.
-        let pub1 = nat.on_outbound(SimTime::ZERO, p1, remote(1));
-        let pub2 = nat.on_outbound(SimTime::ZERO, p2, pub1);
-        nat.on_outbound(SimTime::ZERO, p1, pub2); // p1 opens back
-                                                  // Default: the loopback packet is dropped at the box.
-        assert_eq!(nat.on_hairpin(SimTime::from_secs(1), p2, pub1), Err(NatReject::HairpinBlocked));
-        // Enabled: egress-translate, then regular ingress admission.
-        nat.set_hairpin(true);
-        assert_eq!(nat.on_hairpin(SimTime::from_secs(1), p2, pub1), Ok(p1));
-        // Filtering still applies: a third private host p1 never talked to
-        // is rejected by the port-restricted rule even over hairpin.
-        let p3 = Endpoint::new(Ip(Ip::PRIVATE_BASE + 3), Port(5000));
-        assert_eq!(nat.on_hairpin(SimTime::from_secs(1), p3, pub1), Err(NatReject::Filtered));
-    }
-
-    #[test]
     fn rebind_reports_cone_mapping_and_drops_sessions() {
         let mut nat = boxed(NatType::PortRestrictedCone);
         let before = nat.on_outbound(SimTime::ZERO, private(), remote(1));
-        assert!(nat.would_admit(SimTime::from_secs(1), before.port, remote(1)));
+        assert!(nat.peek_inbound(SimTime::from_secs(1), before.port, remote(1)).is_some());
         assert_eq!(nat.rebind(), 1);
         let after = nat.on_outbound(SimTime::from_secs(2), private(), remote(1));
         assert_ne!(before.port, after.port, "rebind must move the mapping to a fresh port");
         assert_eq!(after.ip, before.ip);
         // The old port is gone and the old sessions did not survive.
-        assert!(!nat.would_admit(SimTime::from_secs(2), before.port, remote(1)));
+        assert_eq!(nat.peek_inbound(SimTime::from_secs(2), before.port, remote(1)), None);
         // The re-STUNed stable endpoint agrees with the new mapping.
         assert_eq!(nat.stable_public_endpoint(private()), Some(after));
     }
@@ -927,7 +880,7 @@ mod tests {
         let mut nat = boxed(NatType::Symmetric);
         let a = nat.on_outbound(SimTime::ZERO, private(), remote(1));
         assert_eq!(nat.rebind(), 1);
-        assert!(!nat.would_admit(SimTime::from_secs(1), a.port, remote(1)));
+        assert_eq!(nat.peek_inbound(SimTime::from_secs(1), a.port, remote(1)), None);
         let b = nat.on_outbound(SimTime::from_secs(1), private(), remote(1));
         assert_ne!(a.port, b.port);
     }

@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
 use crate::addr::{Endpoint, Ip, PeerId, Port};
@@ -48,17 +49,18 @@ impl Default for NetConfig {
     }
 }
 
-/// Per-peer traffic counters (cumulative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrafficStats {
-    /// Bytes sent, including per-datagram header overhead.
-    pub bytes_sent: u64,
-    /// Bytes received, including per-datagram header overhead.
-    pub bytes_received: u64,
-    /// Datagrams sent.
-    pub msgs_sent: u64,
-    /// Datagrams received.
-    pub msgs_received: u64,
+nylon_obs::counters! {
+    /// Per-peer traffic counters (cumulative).
+    pub struct TrafficStats {
+        /// Bytes sent, including per-datagram header overhead.
+        bytes_sent,
+        /// Bytes received, including per-datagram header overhead.
+        bytes_received,
+        /// Datagrams sent.
+        msgs_sent = "datagrams_sent",
+        /// Datagrams received.
+        msgs_received = "datagrams_received",
+    }
 }
 
 impl TrafficStats {
@@ -118,27 +120,28 @@ impl fmt::Display for DropReason {
     }
 }
 
-/// Cumulative drop counters by cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DropCounters {
-    /// Datagrams lost in transit.
-    pub loss: u64,
-    /// Datagrams to unassigned endpoints.
-    pub no_route: u64,
-    /// Datagrams to dead peers.
-    pub target_dead: u64,
-    /// Datagrams from dead peers.
-    pub source_dead: u64,
-    /// Datagrams hitting an expired/absent NAT mapping.
-    pub no_mapping: u64,
-    /// Datagrams rejected by NAT filtering rules.
-    pub filtered: u64,
-    /// Hairpin packets dropped by non-hairpinning boxes.
-    pub hairpin_blocked: u64,
-    /// Datagrams dropped by injected loss-burst windows.
-    pub fault_loss: u64,
-    /// Datagrams dropped by injected partition windows.
-    pub partitioned: u64,
+nylon_obs::counters! {
+    /// Cumulative drop counters by cause.
+    pub struct DropCounters {
+        /// Datagrams lost in transit.
+        loss = "drop_loss",
+        /// Datagrams to unassigned endpoints.
+        no_route = "drop_no_route",
+        /// Datagrams to dead peers.
+        target_dead = "drop_target_dead",
+        /// Datagrams from dead peers.
+        source_dead = "drop_source_dead",
+        /// Datagrams hitting an expired/absent NAT mapping.
+        no_mapping = "drop_no_mapping",
+        /// Datagrams rejected by NAT filtering rules.
+        filtered = "drop_filtered",
+        /// Hairpin packets dropped by non-hairpinning boxes.
+        hairpin_blocked = "drop_hairpin_blocked",
+        /// Datagrams dropped by injected loss-burst windows.
+        fault_loss = "drop_fault_loss",
+        /// Datagrams dropped by injected partition windows.
+        partitioned = "drop_partitioned",
+    }
 }
 
 impl DropCounters {
@@ -154,19 +157,6 @@ impl DropCounters {
             DropReason::FaultLoss => self.fault_loss += 1,
             DropReason::Partitioned => self.partitioned += 1,
         }
-    }
-
-    /// Sum of all counters.
-    pub fn total(&self) -> u64 {
-        self.loss
-            + self.no_route
-            + self.target_dead
-            + self.source_dead
-            + self.no_mapping
-            + self.filtered
-            + self.hairpin_blocked
-            + self.fault_loss
-            + self.partitioned
     }
 }
 
@@ -415,17 +405,11 @@ impl<P> Network<P> {
     /// `routing/slots` pair, for the fabric. Like those they are
     /// sum-merged gauges: a multi-worker run reports its total.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        let mut totals = TrafficStats::default();
-        for st in self.local.iter().map(|l| &l.stats) {
-            totals.bytes_sent += st.bytes_sent;
-            totals.bytes_received += st.bytes_received;
-            totals.msgs_sent += st.msgs_sent;
-            totals.msgs_received += st.msgs_received;
+        let mut traffic = TrafficStats::default();
+        for l in &self.local {
+            traffic.merge(&l.stats);
         }
-        out.counter("net", "bytes_sent", totals.bytes_sent);
-        out.counter("net", "bytes_received", totals.bytes_received);
-        out.counter("net", "datagrams_sent", totals.msgs_sent);
-        out.counter("net", "datagrams_received", totals.msgs_received);
+        traffic.report(out, "net");
         out.gauge("net", "alive_peers", self.alive_count as u64);
         let (mut sessions, mut slots) = (0u64, 0u64);
         for b in &self.boxes {
@@ -439,15 +423,7 @@ impl<P> Network<P> {
         if snap.count > 0 {
             out.histogram("net", "wire_bytes", snap);
         }
-        out.counter("net", "drop_loss", self.drops.loss);
-        out.counter("net", "drop_no_route", self.drops.no_route);
-        out.counter("net", "drop_target_dead", self.drops.target_dead);
-        out.counter("net", "drop_source_dead", self.drops.source_dead);
-        out.counter("net", "drop_no_mapping", self.drops.no_mapping);
-        out.counter("net", "drop_filtered", self.drops.filtered);
-        out.counter("net", "drop_hairpin_blocked", self.drops.hairpin_blocked);
-        out.counter("net", "drop_fault_loss", self.drops.fault_loss);
-        out.counter("net", "drop_partitioned", self.drops.partitioned);
+        self.drops.report(out, "net");
         out.counter("net", "drops_total", self.drops.total());
     }
 
@@ -1638,6 +1614,12 @@ mod tests {
         let d = send_and_deliver(&mut net, SimTime::from_millis(60), n, own, 2);
         let (to, _, payload) = expect_peer(d);
         assert_eq!((to, payload), (n, 2));
+        // Filtering still applies: a source on the box's own IP that `n`
+        // never talked to (another host behind it) is rejected by the
+        // port-restricted rule even over hairpin.
+        let mut f = net.send(SimTime::from_millis(120), n, own, 3, 100).expect("not lost");
+        f.src_ep.port = Port(f.src_ep.port.0 + 1);
+        assert_eq!(expect_drop(net.deliver(f.arrive_at, f)), DropReason::Filtered);
     }
 
     #[test]

@@ -20,16 +20,19 @@
 //! empty, only its capacity survives, and no RNG draw or event ordering
 //! depends on it — replay determinism is untouched.
 
-/// Counters describing how effective a pool has been.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffers handed out in total.
-    pub acquired: u64,
-    /// Acquisitions served from the free list (no allocation).
-    pub recycled: u64,
-    /// Buffers handed back — kept for reuse or, past the free-list bound,
-    /// dropped — so `acquired - released` is what is still out.
-    pub released: u64,
+use nylon_obs::Counters;
+
+nylon_obs::counters! {
+    /// Counters describing how effective a pool has been.
+    pub struct PoolStats {
+        /// Buffers handed out in total.
+        acquired = "pool_acquired",
+        /// Acquisitions served from the free list (no allocation).
+        recycled = "pool_recycled",
+        /// Buffers handed back — kept for reuse or, past the free-list bound,
+        /// dropped — so `acquired - released` is what is still out.
+        released = "pool_released",
+    }
 }
 
 /// Free-list capacity bound: beyond this many idle buffers, released
@@ -104,9 +107,7 @@ impl<T> BufferPool<T> {
     /// Reports this pool's hit/miss counters into the `kernel` telemetry
     /// layer. Counters merge by addition, so an engine's pools sum.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        out.counter("kernel", "pool_acquired", self.stats.acquired);
-        out.counter("kernel", "pool_recycled", self.stats.recycled);
-        out.counter("kernel", "pool_released", self.stats.released);
+        self.stats.report(out, "kernel");
     }
 }
 

@@ -6,7 +6,9 @@
 //! hot-path is gated on the `enabled` cargo feature: with the feature off
 //! the primitives are zero-sized types (const-asserted in `metrics.rs`)
 //! whose methods are empty `#[inline]` stubs, so instrumented crates pay
-//! nothing.
+//! nothing. The protocols', fabric's and fault plane's own `u64` counter
+//! sets, which the figures read, are always compiled: each is declared
+//! once with [`counters!`] and reported through [`Counters`].
 //!
 //! Two contracts the rest of the workspace leans on:
 //!
@@ -25,6 +27,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod buckets;
+mod counters;
 pub mod json;
 mod metrics;
 pub mod process;
@@ -32,6 +35,7 @@ mod report;
 mod sink;
 mod timer;
 
+pub use counters::Counters;
 pub use metrics::{AtomicCounter, Counter, Gauge, Histogram};
 pub use report::{HistSnapshot, MetricValue, Report};
 pub use sink::{final_snapshot, install, is_active, merge_report, periodic_snapshot};

@@ -5,8 +5,8 @@
 //! that (wire-tap mode: queued outbound datagrams, direct inbound
 //! injection), and [`LiveRunner`] is the event loop: advance the engine's
 //! virtual clock in ticks, flush what it wants to send into the transport,
-//! feed it what the transport delivered. Over a [`SimTransport`] that loop
-//! replays the simulator; over a [`crate::UdpTransport`] plus
+//! feed it what the transport delivered. Over a [`crate::SimTransport`]
+//! that loop replays the simulator; over a [`crate::UdpTransport`] plus
 //! [`crate::NatEmulator`] the *identical engine code path* runs on real
 //! loopback sockets behind emulated FC/RC/PRC/SYM NATs.
 

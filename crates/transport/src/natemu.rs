@@ -14,7 +14,7 @@
 //! 3. the destination virtual endpoint is resolved and ingress filtering
 //!    runs on the target's box — `FC`/`RC`/`PRC`/`SYM` behaviour exactly
 //!    as on the simulated fabric, because it *is* the fabric's code:
-//!    the emulator drives a payload-opaque [`Network`] over real packets;
+//!    the emulator drives a payload-opaque [`nylon_net::Network`] over real packets;
 //! 4. admitted frames get their source endpoint rewritten to the post-NAT
 //!    one (the user-space analogue of IP-header rewriting) and are
 //!    forwarded to the destination peer's real socket. Rejected frames are

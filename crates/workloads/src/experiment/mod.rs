@@ -15,7 +15,7 @@
 //!   10k-peer memory stays bounded;
 //! * with a checkpoint directory configured, every completed cell is
 //!   appended as a JSON line, and a resumed run restores whatever a
-//!   killed run managed to finish (see [`checkpoint`]).
+//!   killed run managed to finish (see `checkpoint.rs`).
 //!
 //! **Cell identity contract:** a cell is globally identified by
 //! `(sweep, point, seed)`. Registering the same identity twice — within a

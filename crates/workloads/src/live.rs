@@ -15,6 +15,7 @@ use nylon::{NylonEngine, NylonMsg};
 use nylon_faults::{FaultConfig, FaultKind, FaultPlan, FaultSpec};
 use nylon_metrics::Summary;
 use nylon_net::NatClass;
+use nylon_obs::Counters;
 use nylon_sim::SimDuration;
 use nylon_transport::{scaled_configs, udp_over_emulated_nat, LiveClock, LiveRunner};
 
@@ -162,9 +163,9 @@ pub struct LiveOutcome {
     pub wall: Duration,
 }
 
-/// Runs the live demo: builds the engine through the generic
-/// [`PeerSampler`] path, binds one loopback socket per node, spawns the
-/// NAT emulator, and drives the unmodified engine over real UDP.
+/// Runs the live demo: builds the engine through [`build_with_plan`],
+/// binds one loopback socket per node, spawns the NAT emulator, and
+/// drives the unmodified engine over real UDP.
 ///
 /// # Panics
 ///

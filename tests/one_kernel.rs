@@ -12,6 +12,7 @@ use nylon_gossip::{
     Protocol, SamplerConfig, Workers,
 };
 use nylon_net::{NetConfig, PeerId, TrafficStats};
+use nylon_obs::{MetricValue, Report};
 use nylon_sim::{ShardAssign, ShardPlan, SimDuration};
 use nylon_workloads::runner::{build, build_with_net};
 use nylon_workloads::scenario::Scenario;
@@ -242,4 +243,137 @@ fn static_rvp_alone_is_the_one_shard_case() {
 fn peerswap_alone_is_the_one_shard_case() {
     let tiny = PeerSwapConfig { shuffle_period: TINY_PERIOD, ..PeerSwapConfig::default() };
     engine_alone_equals_every_sharding(PeerSwapConfig::default(), tiny);
+}
+
+/// Every name a counter set reports, pinned per layer: the stats ledger
+/// and `repro stats-report` look counters up by name, so a renamed field
+/// would read as 0 there instead of failing to build.
+#[test]
+fn counter_sets_report_their_pinned_names() {
+    fn counters<C: SamplerConfig>(cfg: C) -> Report {
+        let scn = Scenario {
+            faults: Some(FaultSpec::parse("rebind,flap,loss-burst,harden,cgn").expect("valid")),
+            ..Scenario::new(60, 70.0, 5)
+        };
+        let mut eng = build(&scn, cfg);
+        eng.run_rounds(5);
+        let mut out = Report::new();
+        eng.obs_report(&mut out);
+        out
+    }
+    /// The counter names under `layer` that start with `prefix`, sorted.
+    fn names(out: &Report, layer: &str, prefix: &str) -> Vec<String> {
+        out.iter()
+            .filter(|(l, m, v)| {
+                *l == layer && m.starts_with(prefix) && matches!(v, MetricValue::Counter(_))
+            })
+            .map(|(_, m, _)| m.to_string())
+            .collect()
+    }
+    fn sorted(list: &[&str]) -> Vec<String> {
+        let mut v: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        v.sort();
+        v
+    }
+    let engines = [
+        (
+            "engine.baseline",
+            counters(GossipConfig::default()),
+            &["shuffles_initiated", "empty_view_rounds", "requests_received", "responses_received"]
+                [..],
+        ),
+        (
+            "engine.peerswap",
+            counters(PeerSwapConfig::default()),
+            &[
+                "swaps_initiated",
+                "empty_view_rounds",
+                "requests_received",
+                "responses_received",
+                "swaps_unanswered",
+            ],
+        ),
+        (
+            "engine.nylon",
+            counters(NylonConfig::default()),
+            &[
+                "shuffles_initiated",
+                "empty_view_rounds",
+                "direct_requests",
+                "relayed_requests",
+                "hole_punches",
+                "punch_successes",
+                "punch_timeouts",
+                "routes_missing",
+                "rvp_forwards",
+                "rvp_forward_failures",
+                "requests_completed",
+                "responses_completed",
+                "pongs_sent",
+                "chain_hops_sum",
+                "chain_samples",
+                "routes_installed",
+                "route_ttl_expiries",
+                "punch_retries",
+                "punch_retry_wins",
+                "stale_repunches",
+            ],
+        ),
+        (
+            "engine.static_rvp",
+            counters(StaticRvpConfig::default()),
+            &[
+                "shuffles_initiated",
+                "empty_view_rounds",
+                "rvp_relays",
+                "rvp_relay_failures",
+                "pings_sent",
+                "requests_completed",
+                "responses_completed",
+                "rebinds",
+                "rvp_failovers",
+            ],
+        ),
+    ];
+    let shared: [(&str, &str, &[&str]); 5] = [
+        (
+            "faults",
+            "",
+            &[
+                "rebinds",
+                "crashes",
+                "revives",
+                "loss_bursts",
+                "partitions",
+                "planned_events",
+                "cgn_stacked",
+                "hairpin_enabled",
+            ],
+        ),
+        ("kernel", "pool_", &["pool_acquired", "pool_recycled", "pool_released"]),
+        ("net", "bytes_", &["bytes_sent", "bytes_received"]),
+        ("net", "datagrams_", &["datagrams_sent", "datagrams_received"]),
+        (
+            "net",
+            "drop",
+            &[
+                "drop_loss",
+                "drop_no_route",
+                "drop_target_dead",
+                "drop_source_dead",
+                "drop_no_mapping",
+                "drop_filtered",
+                "drop_hairpin_blocked",
+                "drop_fault_loss",
+                "drop_partitioned",
+                "drops_total",
+            ],
+        ),
+    ];
+    for (engine, out, own) in &engines {
+        assert_eq!(names(out, engine, ""), sorted(own), "{engine}");
+        for (layer, prefix, expected) in &shared {
+            assert_eq!(names(out, layer, prefix), sorted(expected), "{engine}: {layer}/{prefix}*");
+        }
+    }
 }
