@@ -548,8 +548,8 @@ impl Protocol for Nylon {
 
     /// The join handshake: the contact enters the view — with a direct
     /// route through the hole pre-opened towards it, when the join opened
-    /// one (see [`nylon_net::Network::open_bootstrap_hole`]; a population
-    /// without public peers bootstraps this way).
+    /// one (see [`Protocol::JOIN_OPENS_HOLES`]; a population without
+    /// public peers bootstraps this way).
     fn join_contact(&mut self, _host: &mut NylonHost, p: PeerId, contact: &Intro) {
         let node = &mut self.nodes[p];
         node.view.insert(contact.descriptor);
@@ -760,19 +760,12 @@ impl Protocol for Nylon {
             entries += len;
             capacity += cap;
             reclaimed_early += node.routing.reclaimed_early();
-            let w = node.routing.work();
-            work.sweeps += w.sweeps;
-            work.sweep_slots += w.sweep_slots;
-            work.rebuilds += w.rebuilds;
-            work.rebuild_slots += w.rebuild_slots;
+            work.merge(&node.routing.work());
         }
         out.counter("routing", "installs", s.routes_installed);
         out.counter("routing", "ttl_expiries", s.route_ttl_expiries);
         out.counter("routing", "reclaimed_early", reclaimed_early);
-        out.counter("routing", "sweeps", work.sweeps);
-        out.counter("routing", "sweep_slots", work.sweep_slots);
-        out.counter("routing", "rebuilds", work.rebuilds);
-        out.counter("routing", "rebuild_slots", work.rebuild_slots);
+        work.report(out, "routing");
         out.gauge_sum("routing", "entries", entries);
         out.gauge_sum("routing", "slots", capacity);
         out.gauge_sum("routing", "slot_bytes", capacity * RoutingTable::SLOT_BYTES as u64);

@@ -214,18 +214,21 @@ impl Route {
     }
 }
 
-/// What keeping a table fitted has cost over its lifetime (telemetry):
-/// the other side of the bytes that [`RoutingTable::probe_stats`] reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteWork {
-    /// Expiry sweeps run, scheduled or early.
-    pub sweeps: u64,
-    /// Slots those sweeps walked (each walks the whole table).
-    pub sweep_slots: u64,
-    /// Storage rebuilds, growing or shrinking.
-    pub rebuilds: u64,
-    /// Slots those rebuilds walked: the old lane read, the new one written.
-    pub rebuild_slots: u64,
+nylon_obs::counters! {
+    /// What keeping a table fitted has cost over its lifetime (telemetry):
+    /// the other side of the bytes that [`RoutingTable::probe_stats`]
+    /// reports.
+    pub struct RouteWork {
+        /// Expiry sweeps run, scheduled or early.
+        sweeps,
+        /// Slots those sweeps walked (each walks the whole table).
+        sweep_slots,
+        /// Storage rebuilds, growing or shrinking.
+        rebuilds,
+        /// Slots those rebuilds walked: the old lane read, the new one
+        /// written.
+        rebuild_slots,
+    }
 }
 
 /// The routing table of one Nylon peer, backed by a [`DenseMap`] (see the

@@ -667,7 +667,6 @@ mod tests {
         let cfg = nylon_faults::FaultConfig {
             partition_at: SimTime::from_secs(30),
             partition_len: SimDuration::from_secs(30),
-            partition_cut_fraction: 0.5,
             harden,
             ..nylon_faults::FaultConfig::default()
         };

@@ -138,31 +138,27 @@ pub struct FaultConfig {
     pub rebind_period: SimDuration,
     /// Fraction of natted peers drawn per rebind wave.
     pub rebind_fraction: f64,
-    /// Instant of the correlated RVP crash wave (`ZERO` disables).
+    /// Instant of the correlated RVP crash wave, which kills
+    /// [`RVP_CRASH_FRACTION`] of the public peers (`ZERO` disables).
     pub rvp_crash_at: SimTime,
-    /// Fraction of public peers killed by the crash wave.
-    pub rvp_crash_fraction: f64,
-    /// Flap cycle period: kill at the cycle start, revive half-way
-    /// (`ZERO` disables).
+    /// Flap cycle period: kill [`FLAP_FRACTION`] of all peers at the cycle
+    /// start, revive them half-way (`ZERO` disables).
     pub flap_period: SimDuration,
-    /// Fraction of all peers drawn per flap cycle.
-    pub flap_fraction: f64,
-    /// Fraction of natted peers put behind a second, carrier-grade box.
-    pub cgn_fraction: f64,
-    /// Fraction of natted peers whose box gets hairpinning enabled.
-    pub hairpin_fraction: f64,
-    /// Period between loss-burst windows (`ZERO` disables).
-    pub burst_period: SimDuration,
-    /// Length of each loss-burst window.
-    pub burst_len: SimDuration,
-    /// Per-datagram drop probability inside a burst window.
-    pub burst_prob: f64,
-    /// Start of the partition window (`ZERO` disables).
+    /// Put [`CGN_FRACTION`] of the natted peers behind a second,
+    /// carrier-grade box.
+    pub cgn: bool,
+    /// Enable hairpinning on the boxes of [`HAIRPIN_FRACTION`] of the
+    /// natted peers.
+    pub hairpin: bool,
+    /// Open a [`BURST_LEN`] window of [`BURST_PROB`] loss every
+    /// [`BURST_PERIOD`].
+    pub loss_burst: bool,
+    /// Start of the partition window, which cuts the
+    /// [`PARTITION_CUT_FRACTION`] of peers with the lowest ids off from the
+    /// rest (`ZERO` disables).
     pub partition_at: SimTime,
     /// Length of the partition window.
     pub partition_len: SimDuration,
-    /// Fraction of peers (lowest ids) cut off from the rest.
-    pub partition_cut_fraction: f64,
     /// Enable engine graceful-degradation logic.
     pub harden: bool,
 }
@@ -174,17 +170,12 @@ impl Default for FaultConfig {
             rebind_period: SimDuration::ZERO,
             rebind_fraction: 0.0,
             rvp_crash_at: SimTime::ZERO,
-            rvp_crash_fraction: 0.0,
             flap_period: SimDuration::ZERO,
-            flap_fraction: 0.0,
-            cgn_fraction: 0.0,
-            hairpin_fraction: 0.0,
-            burst_period: SimDuration::ZERO,
-            burst_len: SimDuration::ZERO,
-            burst_prob: 0.0,
+            cgn: false,
+            hairpin: false,
+            loss_burst: false,
             partition_at: SimTime::ZERO,
             partition_len: SimDuration::ZERO,
-            partition_cut_fraction: 0.0,
             harden: false,
         }
     }
@@ -200,28 +191,17 @@ impl FaultConfig {
         }
         if spec.rvp_crash {
             cfg.rvp_crash_at = SimTime::from_secs(60);
-            cfg.rvp_crash_fraction = 0.5;
         }
         if spec.flap {
             cfg.flap_period = SimDuration::from_secs(40);
-            cfg.flap_fraction = 0.2;
-        }
-        if spec.cgn {
-            cfg.cgn_fraction = 0.3;
-        }
-        if spec.hairpin {
-            cfg.hairpin_fraction = 0.5;
-        }
-        if spec.loss_burst {
-            cfg.burst_period = SimDuration::from_secs(60);
-            cfg.burst_len = SimDuration::from_secs(10);
-            cfg.burst_prob = 0.3;
         }
         if spec.partition {
             cfg.partition_at = SimTime::from_secs(60);
             cfg.partition_len = SimDuration::from_secs(20);
-            cfg.partition_cut_fraction = 0.5;
         }
+        cfg.cgn = spec.cgn;
+        cfg.hairpin = spec.hairpin;
+        cfg.loss_burst = spec.loss_burst;
         cfg.harden = spec.harden;
         cfg
     }
@@ -255,6 +235,22 @@ pub struct FaultEvent {
 
 /// NAT type of the stacked carrier-grade boxes.
 const CGN_TYPE: NatType = NatType::PortRestrictedCone;
+/// Fraction of natted peers put behind a carrier-grade box.
+pub const CGN_FRACTION: f64 = 0.3;
+/// Fraction of natted peers whose box gets hairpinning enabled.
+pub const HAIRPIN_FRACTION: f64 = 0.5;
+/// Fraction of public peers killed by the RVP crash wave.
+pub const RVP_CRASH_FRACTION: f64 = 0.5;
+/// Fraction of all peers drawn per flap cycle.
+pub const FLAP_FRACTION: f64 = 0.2;
+/// Period between loss-burst windows.
+pub const BURST_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Length of each loss-burst window.
+pub const BURST_LEN: SimDuration = SimDuration::from_secs(10);
+/// Per-datagram drop probability inside a loss-burst window.
+pub const BURST_PROB: f64 = 0.3;
+/// Fraction of peers (lowest ids) the partition cuts off from the rest.
+pub const PARTITION_CUT_FRACTION: f64 = 0.5;
 
 /// A compiled, sorted fault schedule plus start-of-run topology changes.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -298,16 +294,16 @@ impl FaultPlan {
         let mut plan = FaultPlan { harden: cfg.harden, ..FaultPlan::default() };
 
         // Topology faults: applied once, before the engine starts.
-        if cfg.cgn_fraction > 0.0 {
-            let n = frac_count(natted.len(), cfg.cgn_fraction);
+        if cfg.cgn {
+            let n = frac_count(natted.len(), CGN_FRACTION);
             plan.cgn = rng
                 .sample_without_replacement(&natted, n)
                 .into_iter()
                 .map(|p| (p, CGN_TYPE))
                 .collect();
         }
-        if cfg.hairpin_fraction > 0.0 {
-            let n = frac_count(natted.len(), cfg.hairpin_fraction);
+        if cfg.hairpin {
+            let n = frac_count(natted.len(), HAIRPIN_FRACTION);
             plan.hairpin = rng.sample_without_replacement(&natted, n);
         }
 
@@ -332,7 +328,7 @@ impl FaultPlan {
         if cfg.rvp_crash_at > SimTime::ZERO && !publics.is_empty() {
             let at = cfg.rvp_crash_at + GRID_OFFSET;
             if at <= horizon {
-                let n = frac_count(publics.len(), cfg.rvp_crash_fraction);
+                let n = frac_count(publics.len(), RVP_CRASH_FRACTION);
                 for p in rng.sample_without_replacement(&publics, n) {
                     plan.events.push(FaultEvent { at, kind: FaultKind::Crash(p) });
                 }
@@ -342,7 +338,7 @@ impl FaultPlan {
         // Flap cycles: kill a drawn set at the cycle start, revive the same
         // set half a period later.
         if !cfg.flap_period.is_zero() && !everyone.is_empty() {
-            let n = frac_count(everyone.len(), cfg.flap_fraction);
+            let n = frac_count(everyone.len(), FLAP_FRACTION);
             let half = SimDuration::from_millis(cfg.flap_period.as_millis() / 2);
             let mut k = 1u64;
             loop {
@@ -360,18 +356,18 @@ impl FaultPlan {
         }
 
         // Loss-burst windows.
-        if !cfg.burst_period.is_zero() {
-            let prob_ppm = (cfg.burst_prob * 1e6).round() as u32;
+        if cfg.loss_burst {
+            let prob_ppm = (BURST_PROB * 1e6).round() as u32;
             let mut k = 1u64;
             loop {
-                let at = SimTime::ZERO + cfg.burst_period * k + GRID_OFFSET;
+                let at = SimTime::ZERO + BURST_PERIOD * k + GRID_OFFSET;
                 if at > horizon {
                     break;
                 }
                 let salt = rng.gen_u64();
                 plan.events.push(FaultEvent {
                     at,
-                    kind: FaultKind::LossBurst { until: at + cfg.burst_len, prob_ppm, salt },
+                    kind: FaultKind::LossBurst { until: at + BURST_LEN, prob_ppm, salt },
                 });
                 k += 1;
             }
@@ -381,7 +377,7 @@ impl FaultPlan {
         if cfg.partition_at > SimTime::ZERO {
             let at = cfg.partition_at + GRID_OFFSET;
             if at <= horizon {
-                let cut = frac_count(classes.len(), cfg.partition_cut_fraction) as u32;
+                let cut = frac_count(classes.len(), PARTITION_CUT_FRACTION) as u32;
                 plan.events.push(FaultEvent {
                     at,
                     kind: FaultKind::Partition { until: at + cfg.partition_len, cut },

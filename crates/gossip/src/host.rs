@@ -81,7 +81,9 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// Salt xor-ed into the run seed to seed the fabric's own stream.
     const NET_SEED_SALT: u64;
     /// Whether a join pre-opens NAT holes between a peer and the contact
-    /// it joins through (see [`Intro::hole`]).
+    /// it joins through (see [`Intro::hole`]): an out-of-band handshake
+    /// that lets a population with no public peer bootstrap. Pairs whose
+    /// filtering is port-exact on both sides still need relaying.
     const JOIN_OPENS_HOLES: bool = false;
     /// Whether a population with no alive public peer can bootstrap: it
     /// then joins arbitrary peers instead.
@@ -271,9 +273,12 @@ impl BootstrapPool {
 }
 
 /// Raw packet-level reachability, the usability oracle of protocols that
-/// address view entries directly (baseline, PeerSwap):
-/// [`Network::reachable`] with egress translation previewed on the
-/// holder's host and ingress filtering tested on the target's.
+/// address view entries directly (baseline, PeerSwap): would a datagram
+/// the alive `holder` sent to `d.addr` right now reach `d.id`? Egress
+/// translation is previewed on the holder's host
+/// ([`Network::source_toward`]), then delivery's own ingress walk runs
+/// read-only on the target's ([`Network::ingress`]) — only for an address
+/// the plan routes to `d.id`, so the walk stays on that host's boxes.
 pub fn directly_reachable<M>(
     holder_host: &Host<M>,
     target_host: &Host<M>,
@@ -281,14 +286,12 @@ pub fn directly_reachable<M>(
     d: &NodeDescriptor,
 ) -> bool {
     let net = &holder_host.net;
-    if d.id.index() >= net.peer_count() || !net.is_alive(d.id) {
+    if net.addressee_of(d.addr) != Some(d.id) || !net.is_alive(holder) {
         return false;
     }
     let now = holder_host.now();
-    match net.egress_src_preview(now, holder, d.addr) {
-        None => false,
-        Some(src_ep) => target_host.net.ingress_would_admit(now, d.id, d.addr, src_ep),
-    }
+    let src_ep = net.source_toward(now, holder, d.addr);
+    target_host.net.ingress(now, d.addr, src_ep) == Ok(d.id)
 }
 
 /// Engine events.

@@ -238,6 +238,16 @@ fn replay<P: Protocol>(w: &mut Worker<P>, op: &SetupOp, classes: &[NatClass]) {
 /// gathered on its worker — opening the NAT holes between the two when
 /// the protocol asks, one worker after the other as a handshake would —
 /// then handed to `p`'s.
+///
+/// The handshake models an out-of-band join (the paper bootstraps views
+/// with *public* peers; this exists for the degenerate 100 %-NAT
+/// population where no public peer is available). A public contact's hole
+/// is its identity endpoint. Towards a natted contact, the contact opens a
+/// session to `p`'s predicted source endpoint, then `p` one to the
+/// contact's so replies pass its own filter. Pairs whose filtering is
+/// port-exact on both sides (e.g. a symmetric joiner towards a
+/// port-restricted contact) cannot be pre-opened this way and still need
+/// relaying — exactly as in a real deployment.
 fn join<P: Protocol>(workers: &mut [Worker<P>], p: PeerId, contact: PeerId) {
     let (wp, wc) = (owner_index(workers, p), owner_index(workers, contact));
     let descriptor = workers[wc].host.descriptor_of(contact);
@@ -246,7 +256,6 @@ fn join<P: Protocol>(workers: &mut [Worker<P>], p: PeerId, contact: PeerId) {
         if descriptor.class.is_public() {
             return descriptor.addr;
         }
-        // `Network::open_bootstrap_hole`, its halves on their own workers.
         let now = workers[wp].host.now();
         let src = workers[wp].host.net.source_toward(now, p, descriptor.addr);
         let contact_ep = workers[wc].host.net.open_toward(now, contact, src);

@@ -11,19 +11,7 @@ use nylon_sim::{SimDuration, SimTime};
 use crate::addr::{Endpoint, Ip, Port};
 use crate::densemap::DenseMap;
 use crate::nat::NatType;
-
-/// Why an inbound packet was not forwarded by the NAT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NatReject {
-    /// No mapping exists at the destination public port (never created, or
-    /// every session expired).
-    NoMapping,
-    /// A mapping exists but the filtering rule rejects this source.
-    Filtered,
-    /// A packet from the private side addressed the box's own public
-    /// endpoint, and the box does not support hairpinning (NAT loopback).
-    HairpinBlocked,
-}
+use crate::network::DropReason;
 
 /// A session: one (private endpoint → remote endpoint) flow with an expiry.
 ///
@@ -133,17 +121,6 @@ impl ConeTable {
             ConeTable::Many(maps) => {
                 let private = *maps.by_port.get(&port)?;
                 Some((private, maps.by_private.get(&private)?))
-            }
-            _ => None,
-        }
-    }
-
-    fn at_port_mut(&mut self, port: Port) -> Option<(Endpoint, &mut ConeMapping)> {
-        match self {
-            ConeTable::One(p, m) if m.port == port => Some((*p, m)),
-            ConeTable::Many(maps) => {
-                let private = *maps.by_port.get(&port)?;
-                Some((private, maps.by_private.get_mut(&private)?))
             }
             _ => None,
         }
@@ -431,133 +408,139 @@ impl NatBox {
     /// creating or refreshing the mapping and filtering rule. Returns the
     /// public source endpoint the packet leaves with.
     pub fn on_outbound(&mut self, now: SimTime, private: Endpoint, remote: Endpoint) -> Endpoint {
-        let expires = now + self.hole_timeout;
-        let public_ip = self.public_ip;
         self.carried = true;
-        if self.nat_type.is_cone() {
-            if let Some(mapping) = self.cone.get_mut(&private) {
+        let expires = now + self.hole_timeout;
+        let port = match self.live_port(now, private, remote) {
+            Some(port) => {
+                self.touch(private, port, remote, expires);
+                port
+            }
+            None if self.nat_type.is_cone() => {
+                let port = self.alloc_port();
+                let mut mapping = ConeMapping::new(port);
                 mapping.note(remote, expires);
-                return Endpoint::new(public_ip, mapping.port);
+                self.cone.insert(private, mapping);
+                port
             }
-            let port = self.alloc_port();
-            let mut mapping = ConeMapping::new(port);
-            mapping.note(remote, expires);
-            self.cone.insert(private, mapping);
-            Endpoint::new(public_ip, port)
-        } else {
-            let key = (private, remote);
-            let rare = self.rare_mut();
-            // A live mapping keeps its port; an expired one is replaced by a
-            // fresh port, which is exactly what makes symmetric NATs hard to
-            // traverse.
-            if let Some(port) = rare.sym.get(&key).copied() {
-                let live = rare
-                    .sym_by_port
-                    .get_mut(&port)
-                    .filter(|m| m.expires > now && m.private == private && m.remote == remote);
-                if let Some(m) = live {
-                    m.expires = expires;
-                    return Endpoint::new(public_ip, port);
+            None => {
+                // An expired mapping is replaced by a fresh port, which is
+                // exactly what makes symmetric NATs hard to traverse; the
+                // stale one releases its port first.
+                let key = (private, remote);
+                let rare = self.rare_mut();
+                if let Some(stale) = rare.sym.remove(&key) {
+                    rare.sym_by_port.remove(&stale);
                 }
-                rare.sym.remove(&key);
-                rare.sym_by_port.remove(&port);
+                let port = self.alloc_port();
+                let rare = self.rare_mut();
+                rare.sym.insert(key, port);
+                rare.sym_by_port.insert(port, SymMapping { private, remote, expires });
+                port
             }
-            let port = self.alloc_port();
-            let rare = self.rare_mut();
-            rare.sym.insert(key, port);
-            rare.sym_by_port.insert(port, SymMapping { private, remote, expires });
-            Endpoint::new(public_ip, port)
+        };
+        Endpoint::new(self.public_ip, port)
+    }
+
+    /// The public port a packet from `private` to `remote` leaves through
+    /// at `now` without creating a mapping: a cone box's mapping for
+    /// `private`, a symmetric box's live mapping towards `remote`. `None`
+    /// when the packet needs a new mapping.
+    fn live_port(&self, now: SimTime, private: Endpoint, remote: Endpoint) -> Option<Port> {
+        if self.nat_type.is_cone() {
+            return self.cone.get(&private).map(|m| m.port);
+        }
+        let rare = self.rare()?;
+        let port = *rare.sym.get(&(private, remote))?;
+        rare.sym_by_port.get(&port).is_some_and(|m| m.expires > now).then_some(port)
+    }
+
+    /// Keeps the live session between `private`, mapped at `port`, and
+    /// `remote` alive until `expires`.
+    fn touch(&mut self, private: Endpoint, port: Port, remote: Endpoint, expires: SimTime) {
+        if self.nat_type.is_cone() {
+            self.cone.get_mut(&private).expect("mapped").note(remote, expires);
+        } else {
+            self.rare_mut().sym_by_port.get_mut(&port).expect("mapped").expires = expires;
+        }
+    }
+
+    /// Read-only [`NatBox::on_outbound`]: the public source endpoint a
+    /// packet from `private` to `remote` would leave with right now. Its
+    /// port is [`Port::UNKNOWN`] when the packet would need a new mapping
+    /// (on a symmetric box, an unpredictable port).
+    pub fn egress_preview(&self, now: SimTime, private: Endpoint, remote: Endpoint) -> Endpoint {
+        let port = self.live_port(now, private, remote).unwrap_or(Port::UNKNOWN);
+        Endpoint::new(self.public_ip, port)
+    }
+
+    /// The admission rule: the private endpoint a packet from `src`
+    /// addressed to `public_port` is forwarded to at `now`, or why it is
+    /// dropped. A permanent forwarding admits anyone; otherwise the
+    /// mapping at the port must be live and its filter must admit `src`.
+    /// Creates and refreshes nothing.
+    pub fn inbound(
+        &self,
+        now: SimTime,
+        public_port: Port,
+        src: Endpoint,
+    ) -> Result<Endpoint, DropReason> {
+        if public_port == Port::UNKNOWN {
+            return Err(DropReason::NoMapping);
+        }
+        if let Some(private) = self.rare().and_then(|r| r.forwarded.get(&public_port)) {
+            return Ok(*private);
+        }
+        if self.nat_type.is_cone() {
+            let (private, mapping) = self.cone.at_port(public_port).ok_or(DropReason::NoMapping)?;
+            if !mapping.live(now) {
+                return Err(DropReason::NoMapping);
+            }
+            if !mapping.admits(self.nat_type, now, src) {
+                return Err(DropReason::Filtered);
+            }
+            Ok(private)
+        } else {
+            let m = self.rare().and_then(|r| r.sym_by_port.get(&public_port));
+            let m = m.ok_or(DropReason::NoMapping)?;
+            if m.expires <= now {
+                return Err(DropReason::NoMapping);
+            }
+            if m.remote != src {
+                return Err(DropReason::Filtered);
+            }
+            Ok(m.private)
+        }
+    }
+
+    /// Refreshes the session a packet from `src` to `public_port`, which
+    /// [`inbound`](Self::inbound) admitted to `private`, arrived on:
+    /// receiving keeps a rule alive as sending does ("sent (or
+    /// received)"). A permanent forwarding has nothing to refresh.
+    pub(crate) fn refresh(
+        &mut self,
+        now: SimTime,
+        public_port: Port,
+        private: Endpoint,
+        src: Endpoint,
+    ) {
+        if !self.is_forwarded(public_port) {
+            self.touch(private, public_port, src, now + self.hole_timeout);
         }
     }
 
     /// Processes an inbound packet addressed to `public_port` coming from
-    /// `src`. On success returns the private destination endpoint and
-    /// refreshes the session; on failure reports why the packet was dropped.
+    /// `src`: the admission rule ([`inbound`](Self::inbound)), then on
+    /// success the session refresh. Returns the private destination
+    /// endpoint, or why the packet was dropped.
     pub fn on_inbound(
         &mut self,
         now: SimTime,
         public_port: Port,
         src: Endpoint,
-    ) -> Result<Endpoint, NatReject> {
-        if public_port == Port::UNKNOWN {
-            return Err(NatReject::NoMapping);
-        }
-        if let Some(private) = self.rare().and_then(|r| r.forwarded.get(&public_port)) {
-            return Ok(*private);
-        }
-        let (nat_type, expires) = (self.nat_type, now + self.hole_timeout);
-        if nat_type.is_cone() {
-            let (private, mapping) =
-                self.cone.at_port_mut(public_port).ok_or(NatReject::NoMapping)?;
-            if !mapping.live(now) {
-                return Err(NatReject::NoMapping);
-            }
-            if !mapping.admits(nat_type, now, src) {
-                return Err(NatReject::Filtered);
-            }
-            // Receiving refreshes the session ("sent (or received)").
-            mapping.note(src, expires);
-            Ok(private)
-        } else {
-            let sym = self.rare.as_mut().and_then(|r| r.sym_by_port.get_mut(&public_port));
-            let m = sym.ok_or(NatReject::NoMapping)?;
-            if m.expires <= now {
-                return Err(NatReject::NoMapping);
-            }
-            if m.remote != src {
-                return Err(NatReject::Filtered);
-            }
-            m.expires = expires;
-            Ok(m.private)
-        }
-    }
-
-    /// Read-only [`NatBox::on_inbound`]: the private endpoint a packet
-    /// from `src` addressed to `public_port` would be forwarded to at
-    /// `now`, or `None` if it would be dropped. No session is refreshed or
-    /// created. Used to resolve stacked (carrier-grade) NAT chains without
-    /// disturbing the inner box's state.
-    pub fn peek_inbound(&self, now: SimTime, public_port: Port, src: Endpoint) -> Option<Endpoint> {
-        if public_port == Port::UNKNOWN {
-            return None;
-        }
-        if let Some(private) = self.rare().and_then(|r| r.forwarded.get(&public_port)) {
-            return Some(*private);
-        }
-        if self.nat_type.is_cone() {
-            let (private, mapping) = self.cone.at_port(public_port)?;
-            (mapping.live(now) && mapping.admits(self.nat_type, now, src)).then_some(private)
-        } else {
-            let m = self.rare()?.sym_by_port.get(&public_port)?;
-            (m.expires > now && m.remote == src).then_some(m.private)
-        }
-    }
-
-    /// Read-only egress preview: the public source endpoint a packet from
-    /// `private` to `remote` would leave with right now, plus whether that
-    /// would require creating a *new* mapping (relevant for symmetric boxes,
-    /// where a new mapping means an unpredictable port).
-    pub fn egress_preview(
-        &self,
-        now: SimTime,
-        private: Endpoint,
-        remote: Endpoint,
-    ) -> (Endpoint, bool) {
-        if self.nat_type.is_cone() {
-            match self.cone.get(&private) {
-                Some(m) => (Endpoint::new(self.public_ip, m.port), false),
-                None => (Endpoint::new(self.public_ip, Port::UNKNOWN), true),
-            }
-        } else {
-            let live = self.rare().and_then(|r| {
-                let port = r.sym.get(&(private, remote))?;
-                r.sym_by_port.get(port).is_some_and(|m| m.expires > now).then_some(*port)
-            });
-            match live {
-                Some(port) => (Endpoint::new(self.public_ip, port), false),
-                None => (Endpoint::new(self.public_ip, Port::UNKNOWN), true),
-            }
-        }
+    ) -> Result<Endpoint, DropReason> {
+        let private = self.inbound(now, public_port, src)?;
+        self.refresh(now, public_port, private, src);
+        Ok(private)
     }
 
     /// Number of live sessions (cone) plus live symmetric mappings.
@@ -666,7 +649,7 @@ mod tests {
         // Different IP: filtered.
         assert_eq!(
             nat.on_inbound(SimTime::from_secs(1), pub_ep.port, remote(2)),
-            Err(NatReject::Filtered)
+            Err(DropReason::Filtered)
         );
     }
 
@@ -678,7 +661,7 @@ mod tests {
         let same_ip = Endpoint::new(remote(1).ip, Port(4242));
         assert_eq!(
             nat.on_inbound(SimTime::from_secs(1), pub_ep.port, same_ip),
-            Err(NatReject::Filtered)
+            Err(DropReason::Filtered)
         );
     }
 
@@ -689,7 +672,7 @@ mod tests {
         assert_eq!(nat.on_inbound(SimTime::from_secs(1), pub_ep.port, remote(1)), Ok(private()));
         assert_eq!(
             nat.on_inbound(SimTime::from_secs(1), pub_ep.port, remote(2)),
-            Err(NatReject::Filtered)
+            Err(DropReason::Filtered)
         );
     }
 
@@ -705,7 +688,7 @@ mod tests {
             let after_refresh = just_before + TIMEOUT;
             assert_eq!(
                 nat.on_inbound(after_refresh, pub_ep.port, remote(1)),
-                Err(NatReject::NoMapping),
+                Err(DropReason::NoMapping),
                 "{t}: rule must expire when idle"
             );
             let _ = just_after;
@@ -759,7 +742,7 @@ mod tests {
         let ep = nat.stable_public_endpoint(private()).unwrap();
         assert_eq!(
             nat.on_inbound(SimTime::ZERO, ep.port, remote(1)),
-            Err(NatReject::NoMapping),
+            Err(DropReason::NoMapping),
             "no outbound traffic yet, even FC must drop"
         );
     }
@@ -770,34 +753,38 @@ mod tests {
         nat.on_outbound(SimTime::ZERO, private(), remote(1));
         assert_eq!(
             nat.on_inbound(SimTime::ZERO, Port::UNKNOWN, remote(1)),
-            Err(NatReject::NoMapping)
+            Err(DropReason::NoMapping)
         );
     }
 
     #[test]
-    fn peek_inbound_matches_on_inbound_without_refresh() {
+    fn inbound_is_on_inbound_without_refresh() {
         let mut nat = boxed(NatType::PortRestrictedCone);
         let pub_ep = nat.on_outbound(SimTime::ZERO, private(), remote(1));
         let t = SimTime::from_secs(10);
-        assert_eq!(nat.peek_inbound(t, pub_ep.port, remote(1)), Some(private()));
-        assert_eq!(nat.peek_inbound(t, pub_ep.port, remote(2)), None);
-        // Oracle must not refresh: rule still expires on schedule.
+        assert_eq!(nat.inbound(t, pub_ep.port, remote(1)), Ok(private()));
+        assert_eq!(nat.inbound(t, pub_ep.port, remote(2)), Err(DropReason::Filtered));
+        // The oracle must not refresh: the rule still expires on schedule.
         let after = SimTime::ZERO + TIMEOUT;
-        assert_eq!(nat.peek_inbound(after, pub_ep.port, remote(1)), None);
+        assert_eq!(nat.inbound(after, pub_ep.port, remote(1)), Err(DropReason::NoMapping));
     }
 
     #[test]
-    fn egress_preview_reports_fresh_mappings() {
+    fn egress_preview_marks_new_mappings_unknown() {
         let mut nat = boxed(NatType::Symmetric);
-        let (_, fresh) = nat.egress_preview(SimTime::ZERO, private(), remote(1));
-        assert!(fresh);
+        let unknown = Endpoint::new(nat.public_ip(), Port::UNKNOWN);
+        assert_eq!(nat.egress_preview(SimTime::ZERO, private(), remote(1)), unknown);
         let ep = nat.on_outbound(SimTime::ZERO, private(), remote(1));
-        let (seen, fresh) = nat.egress_preview(SimTime::from_secs(1), private(), remote(1));
-        assert!(!fresh);
-        assert_eq!(seen, ep);
-        // Different destination: fresh again.
-        let (_, fresh) = nat.egress_preview(SimTime::from_secs(1), private(), remote(2));
-        assert!(fresh);
+        assert_eq!(nat.egress_preview(SimTime::from_secs(1), private(), remote(1)), ep);
+        // Different destination, or the mapping expired: a new one again.
+        assert_eq!(nat.egress_preview(SimTime::from_secs(1), private(), remote(2)), unknown);
+        assert_eq!(nat.egress_preview(SimTime::ZERO + TIMEOUT, private(), remote(1)), unknown);
+        // A cone box previews its one mapping, whatever the destination.
+        let mut cone = boxed(NatType::RestrictedCone);
+        let unknown = Endpoint::new(cone.public_ip(), Port::UNKNOWN);
+        assert_eq!(cone.egress_preview(SimTime::ZERO, private(), remote(1)), unknown);
+        let ep = cone.on_outbound(SimTime::ZERO, private(), remote(1));
+        assert_eq!(cone.egress_preview(SimTime::from_secs(1), private(), remote(2)), ep);
     }
 
     #[test]
@@ -837,7 +824,7 @@ mod tests {
             // Unsolicited, from anyone, long after any timeout.
             let late = SimTime::ZERO + TIMEOUT * 10;
             assert_eq!(nat.on_inbound(late, ep.port, remote(42)), Ok(private()), "{t}");
-            assert_eq!(nat.peek_inbound(late, ep.port, remote(43)), Some(private()), "{t}");
+            assert_eq!(nat.inbound(late, ep.port, remote(43)), Ok(private()), "{t}");
             // Idempotent.
             assert_eq!(nat.enable_port_forwarding(private()), ep, "{t}");
         }
@@ -864,13 +851,16 @@ mod tests {
     fn rebind_reports_cone_mapping_and_drops_sessions() {
         let mut nat = boxed(NatType::PortRestrictedCone);
         let before = nat.on_outbound(SimTime::ZERO, private(), remote(1));
-        assert!(nat.peek_inbound(SimTime::from_secs(1), before.port, remote(1)).is_some());
+        assert!(nat.inbound(SimTime::from_secs(1), before.port, remote(1)).is_ok());
         assert_eq!(nat.rebind(), 1);
         let after = nat.on_outbound(SimTime::from_secs(2), private(), remote(1));
         assert_ne!(before.port, after.port, "rebind must move the mapping to a fresh port");
         assert_eq!(after.ip, before.ip);
         // The old port is gone and the old sessions did not survive.
-        assert_eq!(nat.peek_inbound(SimTime::from_secs(2), before.port, remote(1)), None);
+        assert_eq!(
+            nat.inbound(SimTime::from_secs(2), before.port, remote(1)),
+            Err(DropReason::NoMapping)
+        );
         // The re-STUNed stable endpoint agrees with the new mapping.
         assert_eq!(nat.stable_public_endpoint(private()), Some(after));
     }
@@ -880,7 +870,10 @@ mod tests {
         let mut nat = boxed(NatType::Symmetric);
         let a = nat.on_outbound(SimTime::ZERO, private(), remote(1));
         assert_eq!(nat.rebind(), 1);
-        assert_eq!(nat.peek_inbound(SimTime::from_secs(1), a.port, remote(1)), None);
+        assert_eq!(
+            nat.inbound(SimTime::from_secs(1), a.port, remote(1)),
+            Err(DropReason::NoMapping)
+        );
         let b = nat.on_outbound(SimTime::from_secs(1), private(), remote(1));
         assert_ne!(a.port, b.port);
     }
@@ -960,10 +953,10 @@ mod tests {
         // ...and a stranger is filtered at the carrier already.
         assert_eq!(
             outer.on_inbound(SimTime::from_secs(1), hop2.port, remote(2)),
-            Err(NatReject::Filtered)
+            Err(DropReason::Filtered)
         );
-        // peek_inbound resolves the chain without refreshing any session.
-        assert_eq!(outer.peek_inbound(SimTime::from_secs(1), hop2.port, dst), Some(hop1));
-        assert_eq!(inner.peek_inbound(SimTime::from_secs(1), hop1.port, dst), Some(private()));
+        // `inbound` resolves the chain without refreshing any session.
+        assert_eq!(outer.inbound(SimTime::from_secs(1), hop2.port, dst), Ok(hop1));
+        assert_eq!(inner.inbound(SimTime::from_secs(1), hop1.port, dst), Ok(private()));
     }
 }

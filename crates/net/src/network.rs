@@ -17,7 +17,7 @@ use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
 use crate::addr::{Endpoint, Ip, PeerId, Port};
 use crate::nat::{NatClass, NatType};
-use crate::natbox::{NatBox, NatReject};
+use crate::natbox::NatBox;
 
 /// Fabric configuration, defaulting to the paper's experimental settings.
 #[derive(Debug, Clone)]
@@ -657,102 +657,97 @@ impl<P> Network<P> {
     }
 
     /// Delivers an in-flight datagram: ingress NAT filtering runs *now*,
-    /// against the NAT state at arrival time. Called on the worker owning
-    /// the addressee (see [`addressee_of`](Self::addressee_of)).
+    /// against the NAT state at arrival time — the walk of
+    /// [`ingress`](Self::ingress), after which every box that admitted the
+    /// datagram refreshes its session, also when a box behind it dropped
+    /// it. Called on the worker owning the addressee (see
+    /// [`addressee_of`](Self::addressee_of)).
     pub fn deliver(&mut self, now: SimTime, flight: InFlight<P>) -> Delivery<P> {
         let InFlight { dst_ep, src_ep, wire_bytes, payload, .. } = flight;
-        let owner = match self.owner_of_ip(dst_ep.ip) {
-            Some(o) => o,
-            None => {
-                self.drops.bump(DropReason::NoRoute);
-                return Delivery::Dropped { reason: DropReason::NoRoute, payload };
+        let mut passed = [None; 2];
+        let mut hops = passed.iter_mut();
+        let verdict = self.walk_in(now, dst_ep, src_ep, |hop| {
+            *hops.next().expect("at most a carrier box and a subscriber box") = Some(hop);
+        });
+        for (b, port, private) in passed.into_iter().flatten() {
+            self.boxes[b].refresh(now, port, private, src_ep);
+        }
+        match verdict {
+            Ok(to) => {
+                let slot = self.share.slot(to.0);
+                let st = &mut self.local[slot].stats;
+                st.bytes_received += wire_bytes as u64;
+                st.msgs_received += 1;
+                Delivery::ToPeer { to, from_ep: src_ep, payload }
             }
-        };
-        let to = match owner {
-            IpOwner::PublicPeer(pid) => {
-                if dst_ep.port != Port(PUBLIC_PEER_PORT) {
-                    self.drops.bump(DropReason::NoRoute);
-                    return Delivery::Dropped { reason: DropReason::NoRoute, payload };
-                }
-                pid
+            Err(reason) => {
+                self.drops.bump(reason);
+                Delivery::Dropped { reason, payload }
             }
+        }
+    }
+
+    /// The one ingress walk, read-only: the peer a datagram from `src_ep`
+    /// addressed to `dst_ep` would reach at `now`, or why it would be
+    /// dropped. It resolves the address plan, checks a public peer's port,
+    /// drops hairpin traffic at a box that does not loop it back, runs the
+    /// admission rule ([`NatBox::inbound`]) of every box down a carrier
+    /// chain, and last checks that the peer reached is alive. No NAT state
+    /// is created or refreshed: [`deliver`](Self::deliver) runs this walk
+    /// and then refreshes, and the usability oracle of Section 3 asks it
+    /// as an observer. Run on the worker owning the addressee.
+    pub fn ingress(
+        &self,
+        now: SimTime,
+        dst_ep: Endpoint,
+        src_ep: Endpoint,
+    ) -> Result<PeerId, DropReason> {
+        self.walk_in(now, dst_ep, src_ep, |_| {})
+    }
+
+    /// [`ingress`](Self::ingress), reporting each box that admitted the
+    /// datagram, outermost first: the box, the port the datagram was
+    /// addressed to there, and the private endpoint it was admitted to.
+    fn walk_in(
+        &self,
+        now: SimTime,
+        dst_ep: Endpoint,
+        src_ep: Endpoint,
+        mut admitted: impl FnMut((usize, Port, Endpoint)),
+    ) -> Result<PeerId, DropReason> {
+        let to = match self.owner_of_ip(dst_ep.ip).ok_or(DropReason::NoRoute)? {
+            IpOwner::PublicPeer(pid) if dst_ep.port == Port(PUBLIC_PEER_PORT) => pid,
+            IpOwner::PublicPeer(_) => return Err(DropReason::NoRoute),
             IpOwner::Nat(first) => {
                 let mut b = self.box_at(first);
                 // The sender sits behind the very box it is addressing:
                 // hairpin (NAT loopback), which most boxes drop outright.
                 if src_ep.ip == dst_ep.ip && !self.boxes[b].hairpin_enabled() {
-                    self.drops.bump(DropReason::HairpinBlocked);
-                    return Delivery::Dropped { reason: DropReason::HairpinBlocked, payload };
+                    return Err(DropReason::HairpinBlocked);
                 }
                 let mut port = dst_ep.port;
                 loop {
-                    let reason = match self.boxes[b].on_inbound(now, port, src_ep) {
-                        Ok(private) => match self.peer_at_private(private) {
-                            Some(pid) => break pid,
-                            // Not a peer: the next hop of a carrier-grade
-                            // chain (the subscriber box behind this one).
-                            None => match self.owner_of_ip(private.ip) {
-                                Some(IpOwner::Nat(next)) if self.box_at(next) != b => {
-                                    b = self.box_at(next);
-                                    port = private.port;
-                                    continue;
-                                }
-                                _ => DropReason::NoRoute,
-                            },
-                        },
-                        Err(NatReject::NoMapping) => DropReason::NoMapping,
-                        Err(NatReject::Filtered) => DropReason::Filtered,
-                        Err(NatReject::HairpinBlocked) => DropReason::HairpinBlocked,
-                    };
-                    self.drops.bump(reason);
-                    return Delivery::Dropped { reason, payload };
+                    let private = self.boxes[b].inbound(now, port, src_ep)?;
+                    admitted((b, port, private));
+                    if let Some(pid) = self.peer_at_private(private) {
+                        break pid;
+                    }
+                    // Not a peer: the next hop of a carrier-grade chain
+                    // (the subscriber box behind this one).
+                    match self.owner_of_ip(private.ip) {
+                        Some(IpOwner::Nat(next)) if self.box_at(next) != b => {
+                            b = self.box_at(next);
+                            port = private.port;
+                        }
+                        _ => return Err(DropReason::NoRoute),
+                    }
                 }
             }
         };
         if !self.peers[to.index()].alive {
-            self.drops.bump(DropReason::TargetDead);
-            return Delivery::Dropped { reason: DropReason::TargetDead, payload };
+            return Err(DropReason::TargetDead);
         }
-        let slot = self.share.slot(to.0);
-        let st = &mut self.local[slot].stats;
-        st.bytes_received += wire_bytes as u64;
-        st.msgs_received += 1;
-        Delivery::ToPeer { to, from_ep: src_ep, payload }
-    }
-
-    /// Read-only reachability oracle for the staleness metric of Section 3:
-    /// would a datagram sent *now* by `holder` to `target` at the advertised
-    /// endpoint `target_ep` be forwarded to `target`?
-    ///
-    /// No NAT state is created or refreshed — this is an observer, not a
-    /// participant.
-    pub fn reachable(
-        &self,
-        now: SimTime,
-        holder: PeerId,
-        target: PeerId,
-        target_ep: Endpoint,
-    ) -> bool {
-        match self.egress_src_preview(now, holder, target_ep) {
-            None => false,
-            Some(src_ep) => self.ingress_would_admit(now, target, target_ep, src_ep),
-        }
-    }
-
-    /// Egress half of [`reachable`](Self::reachable): the source endpoint a
-    /// datagram from `holder` to `target_ep` would carry after egress NAT
-    /// translation, or `None` if `holder` is dead. Read-only.
-    ///
-    /// Split out (with [`ingress_would_admit`](Self::ingress_would_admit))
-    /// so a sharded run can evaluate each half on the worker that owns the
-    /// NAT state for that side.
-    pub fn egress_src_preview(
-        &self,
-        now: SimTime,
-        holder: PeerId,
-        target_ep: Endpoint,
-    ) -> Option<Endpoint> {
-        self.is_alive(holder).then(|| self.source_toward(now, holder, target_ep))
+        Ok(to)
     }
 
     /// The source endpoint a datagram from owned `peer` to `dst_ep` would
@@ -764,10 +759,10 @@ impl<P> Network<P> {
             return l.identity;
         }
         let nat = &self.boxes[l.inner as usize];
-        let mid = nat.egress_preview(now, private_endpoint(peer), dst_ep).0;
+        let mid = nat.egress_preview(now, private_endpoint(peer), dst_ep);
         match l.outer {
             NO_BOX => mid,
-            outer => self.boxes[outer as usize].egress_preview(now, mid, dst_ep).0,
+            outer => self.boxes[outer as usize].egress_preview(now, mid, dst_ep),
         }
     }
 
@@ -784,43 +779,6 @@ impl<P> Network<P> {
         match l.outer {
             NO_BOX => mid,
             outer => self.boxes[outer as usize].on_outbound(now, mid, dst_ep),
-        }
-    }
-
-    /// Ingress half of [`reachable`](Self::reachable): would a datagram
-    /// from `src_ep` addressed to `target_ep` be forwarded to a live, owned
-    /// `target`? Read-only.
-    pub fn ingress_would_admit(
-        &self,
-        now: SimTime,
-        target: PeerId,
-        target_ep: Endpoint,
-        src_ep: Endpoint,
-    ) -> bool {
-        if !self.is_alive(target) {
-            return false;
-        }
-        let l = self.local_of(target);
-        if l.inner == NO_BOX {
-            return target_ep == l.identity;
-        }
-        let mut b = if l.outer == NO_BOX { l.inner } else { l.outer } as usize;
-        if target_ep.ip != self.boxes[b].public_ip() {
-            return false;
-        }
-        let mut port = target_ep.port;
-        loop {
-            match self.boxes[b].peek_inbound(now, port, src_ep) {
-                None => return false,
-                Some(ep) if ep == private_endpoint(target) => return true,
-                Some(ep) => match self.owner_of_ip(ep.ip) {
-                    Some(IpOwner::Nat(next)) if self.box_at(next) != b => {
-                        b = self.box_at(next);
-                        port = ep.port;
-                    }
-                    _ => return false,
-                },
-            }
         }
     }
 
@@ -859,39 +817,6 @@ impl<P> Network<P> {
             self.boxes[self.local[s].inner as usize].enable_port_forwarding(private_endpoint(peer));
         self.local[s].identity = ep;
         Some(ep)
-    }
-
-    /// Pre-opens a NAT hole so that `holder` can contact `target` without
-    /// traversal, returning the endpoint `holder` should use; both peers
-    /// must be owned (a multi-worker engine runs the three steps below on
-    /// the two workers instead).
-    ///
-    /// This models an out-of-band join handshake (the paper bootstraps
-    /// views with *public* peers; this helper exists for the degenerate
-    /// 100 %-NAT population where no public peer is available). For a
-    /// public `target` it is a no-op returning the identity endpoint. For a
-    /// natted `target`, an outbound session from the target towards the
-    /// holder's predicted source endpoint is installed; note that pairs
-    /// whose filtering is port-exact on both sides (e.g. a symmetric holder
-    /// towards a port-restricted target) cannot be pre-opened this way and
-    /// will still require relaying — exactly as in a real deployment.
-    pub fn open_bootstrap_hole(
-        &mut self,
-        now: SimTime,
-        holder: PeerId,
-        target: PeerId,
-    ) -> Option<Endpoint> {
-        let target_identity = self.identity_endpoint(target);
-        if self.class_of(target).is_public() {
-            return Some(target_identity);
-        }
-        // The holder's predicted source as the target sees it, the
-        // target's session towards it, then the holder's own session
-        // towards the target so replies pass its filter.
-        let holder_src = self.source_toward(now, holder, target_identity);
-        let target_ep = self.open_toward(now, target, holder_src);
-        self.open_toward(now, holder, target_ep);
-        Some(target_ep)
     }
 
     /// Traffic counters for one owned peer.
@@ -1098,6 +1023,19 @@ mod tests {
             Delivery::ToPeer { to, .. } => panic!("unexpectedly delivered to {to}"),
             Delivery::Dropped { reason, .. } => reason,
         }
+    }
+
+    /// Whether a datagram alive `holder` sent `target` at `target_ep` right
+    /// now would reach it: egress previewed, then the ingress walk.
+    fn reachable(
+        net: &Net,
+        now: SimTime,
+        holder: PeerId,
+        target: PeerId,
+        target_ep: Endpoint,
+    ) -> bool {
+        let src = net.source_toward(now, holder, target_ep);
+        net.is_alive(holder) && net.ingress(now, target_ep, src) == Ok(target)
     }
 
     #[test]
@@ -1313,19 +1251,19 @@ mod tests {
         let nat_peer = net.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
         let nat_ep = net.identity_endpoint(nat_peer);
         // Before any traffic: unreachable.
-        assert!(!net.reachable(SimTime::ZERO, pub_peer, nat_peer, nat_ep));
+        assert!(!reachable(&net, SimTime::ZERO, pub_peer, nat_peer, nat_ep));
         // Open the hole.
         let _ = {
             let ep = net.identity_endpoint(pub_peer);
             send_and_deliver(&mut net, SimTime::ZERO, nat_peer, ep, 1)
         };
         let t = SimTime::from_millis(100);
-        assert!(net.reachable(t, pub_peer, nat_peer, nat_ep));
+        assert!(reachable(&net, t, pub_peer, nat_peer, nat_ep));
         // The oracle does not refresh: rule expires on schedule.
         let late = SimTime::from_secs(120);
-        assert!(!net.reachable(late, pub_peer, nat_peer, nat_ep));
+        assert!(!reachable(&net, late, pub_peer, nat_peer, nat_ep));
         // Public target is always reachable at the right endpoint.
-        assert!(net.reachable(t, nat_peer, pub_peer, net.identity_endpoint(pub_peer)));
+        assert!(reachable(&net, t, nat_peer, pub_peer, net.identity_endpoint(pub_peer)));
     }
 
     #[test]
@@ -1335,7 +1273,7 @@ mod tests {
         let b = net.add_peer(NatClass::Public);
         let b_ep = net.identity_endpoint(b);
         net.kill_peer(b);
-        assert!(!net.reachable(SimTime::ZERO, a, b, b_ep));
+        assert!(!reachable(&net, SimTime::ZERO, a, b, b_ep));
     }
 
     #[test]
@@ -1349,9 +1287,9 @@ mod tests {
         };
         net.purge_expired_nat_state(SimTime::from_secs(10));
         // Rule was live, must survive purge.
-        assert!(net.reachable(SimTime::from_secs(10), p, n, net.identity_endpoint(n)));
+        assert!(reachable(&net, SimTime::from_secs(10), p, n, net.identity_endpoint(n)));
         net.purge_expired_nat_state(SimTime::from_secs(200));
-        assert!(!net.reachable(SimTime::from_secs(200), p, n, net.identity_endpoint(n)));
+        assert!(!reachable(&net, SimTime::from_secs(200), p, n, net.identity_endpoint(n)));
     }
 
     #[test]
@@ -1371,44 +1309,6 @@ mod tests {
     fn invalid_loss_probability_panics() {
         let cfg = NetConfig { loss_probability: 1.5, ..NetConfig::default() };
         let _ = Net::new(cfg, 1);
-    }
-
-    #[test]
-    fn bootstrap_hole_public_target_is_noop() {
-        let mut net = Net::new(NetConfig::default(), 1);
-        let a = net.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
-        let b = net.add_peer(NatClass::Public);
-        let ep = net.open_bootstrap_hole(SimTime::ZERO, a, b).unwrap();
-        assert_eq!(ep, net.identity_endpoint(b));
-    }
-
-    #[test]
-    fn bootstrap_hole_lets_holder_in() {
-        let mut net = Net::new(NetConfig::default(), 1);
-        let holder = net.add_peer(NatClass::Natted(NatType::RestrictedCone));
-        let target = net.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
-        let target_ep = net.open_bootstrap_hole(SimTime::ZERO, holder, target).unwrap();
-        // The holder can now initiate towards the natted target.
-        let d = {
-            let ep = target_ep;
-            send_and_deliver(&mut net, SimTime::from_millis(10), holder, ep, 5)
-        };
-        let (to, _, _) = expect_peer(d);
-        assert_eq!(to, target);
-    }
-
-    #[test]
-    fn bootstrap_hole_does_not_open_for_third_parties() {
-        let mut net = Net::new(NetConfig::default(), 1);
-        let holder = net.add_peer(NatClass::Public);
-        let target = net.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
-        let outsider = net.add_peer(NatClass::Public);
-        let target_ep = net.open_bootstrap_hole(SimTime::ZERO, holder, target).unwrap();
-        let d = {
-            let ep = target_ep;
-            send_and_deliver(&mut net, SimTime::from_millis(10), outsider, ep, 5)
-        };
-        assert_eq!(expect_drop(d), DropReason::Filtered, "hole is holder-specific");
     }
 
     #[test]
@@ -1457,7 +1357,7 @@ mod tests {
         let (to, _, payload) = expect_peer(d);
         assert_eq!((to, payload), (n, 9));
         // Oracle agrees.
-        assert!(net.reachable(SimTime::from_secs(300), a, n, fwd));
+        assert!(reachable(&net, SimTime::from_secs(300), a, n, fwd));
         // Public peers: no-op.
         assert!(net.enable_port_forwarding(a).is_none());
     }
@@ -1525,20 +1425,20 @@ mod tests {
             let ep = net.identity_endpoint(p);
             send_and_deliver(&mut net, SimTime::ZERO, n, ep, 1)
         };
-        assert!(net.reachable(SimTime::from_millis(100), p, n, old));
+        assert!(reachable(&net, SimTime::from_millis(100), p, n, old));
         assert!(net.rebind_nat(n));
         let new = net.identity_endpoint(n);
         assert_eq!(new.ip, old.ip);
         assert_ne!(new.port, old.port, "rebind must re-port the identity");
         // The old endpoint is a blackhole now; a fresh outbound re-punches.
         let t = SimTime::from_millis(200);
-        assert!(!net.reachable(t, p, n, old));
-        assert!(!net.reachable(t, p, n, new), "no session yet after rebind");
+        assert!(!reachable(&net, t, p, n, old));
+        assert!(!reachable(&net, t, p, n, new), "no session yet after rebind");
         let _ = {
             let ep = net.identity_endpoint(p);
             send_and_deliver(&mut net, t, n, ep, 2)
         };
-        assert!(net.reachable(SimTime::from_millis(300), p, n, new));
+        assert!(reachable(&net, SimTime::from_millis(300), p, n, new));
         // Public peers have nothing to rebind.
         assert!(!net.rebind_nat(p));
     }
@@ -1581,7 +1481,7 @@ mod tests {
         let (to, _, payload) = expect_peer(d);
         assert_eq!((to, payload), (n, 2));
         // ...the oracle agrees with reality...
-        assert!(net.reachable(SimTime::from_millis(100), p, n, observed));
+        assert!(reachable(&net, SimTime::from_millis(100), p, n, observed));
         // ...and a stranger is filtered at the carrier already.
         let stranger = net.add_peer(NatClass::Public);
         let d = send_and_deliver(&mut net, SimTime::from_millis(120), stranger, observed, 3);

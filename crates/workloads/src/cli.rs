@@ -37,6 +37,12 @@ struct ScaleOverrides {
     base_seed: Option<u64>,
 }
 
+/// The most OS threads `--jobs` or `--shards` may ask for. Each shard is
+/// a thread holding a replica of the address plan, each job a thread
+/// running cells: goldens and CI pin at most 4 shards, and the auto-sizer
+/// never exceeds the cores.
+const MAX_THREADS: usize = 64;
+
 /// Parses the artifact command's arguments (everything after the program
 /// name). `Ok(None)` asks for the usage text (`--help`); `Err` carries the
 /// usage error to print. Never panics.
@@ -66,9 +72,9 @@ pub fn parse_artifact_args(args: &[String]) -> Result<Option<ArtifactArgs>, Stri
                 None => return Err("--seed needs an integer".into()),
             },
             "--full" => full = true,
-            "--jobs" => jobs = positive(it.next(), "--jobs")?,
+            "--jobs" => jobs = at_most_max_threads(positive(it.next(), "--jobs")?, "--jobs")?,
             "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => shards = v,
+                Some(v) => shards = at_most_max_threads(v, "--shards")?,
                 None => return Err("--shards needs a non-negative integer".into()),
             },
             "--engine" => match it.next() {
@@ -228,6 +234,15 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(
     }
 }
 
+/// A thread-count flag's value, or the usage error when it exceeds
+/// [`MAX_THREADS`].
+fn at_most_max_threads(v: usize, flag: &str) -> Result<usize, String> {
+    if v > MAX_THREADS {
+        return Err(format!("{flag} takes at most {MAX_THREADS} threads"));
+    }
+    Ok(v)
+}
+
 /// The engine names `--engine` takes.
 pub fn engine_names() -> String {
     EngineKind::ALL.map(EngineKind::label).join(" ")
@@ -254,7 +269,7 @@ mod tests {
 
     /// Flags, artifact names and values, good and bad, that the property
     /// test draws argument vectors from.
-    const TOKENS: [&str; 40] = [
+    const TOKENS: [&str; 42] = [
         "--peers",
         "--seeds",
         "--rounds",
@@ -278,6 +293,8 @@ mod tests {
         "0",
         "1",
         "40",
+        "64",
+        "65",
         "-1",
         "18446744073709551616",
         "1e3",
@@ -328,6 +345,19 @@ mod tests {
         for line in ["fig2 --peers 0", "fig2 --seeds 0", "fig2 --rounds 0", "fig2 --jobs 0"] {
             let err = parse(line).expect_err(line);
             assert!(err.contains("positive integer"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn thread_counts_above_the_ceiling_are_usage_errors() {
+        for flag in ["--jobs", "--shards"] {
+            let at = parse(&format!("fig2 {flag} {MAX_THREADS}")).unwrap().unwrap();
+            assert_eq!(at.opts.jobs.max(at.opts.shards), MAX_THREADS, "{flag}");
+            for v in [MAX_THREADS + 1, 100_000] {
+                let line = format!("fig2 {flag} {v}");
+                let err = parse(&line).expect_err(&line);
+                assert!(err.contains("at most"), "{line}: {err}");
+            }
         }
     }
 
@@ -437,13 +467,15 @@ mod tests {
         }
 
         /// Any argument vector parses to a request or a usage error — no
-        /// panic — a request never carries a zero count, and a zero peer or
-        /// seed count fails the parse wherever it stands.
+        /// panic — a request never carries a zero count nor more threads
+        /// than the ceiling, and a zero peer or seed count fails the parse
+        /// wherever it stands.
         #[test]
         fn prop_parse_never_panics(picks in proptest::collection::vec(0usize..TOKENS.len(), 0..12)) {
             let args: Vec<String> = picks.iter().map(|&i| TOKENS[i].to_string()).collect();
             if let Ok(Some(a)) = parse_artifact_args(&args) {
                 prop_assert!(a.scale.peers > 0 && a.scale.seeds > 0 && a.scale.rounds > 0);
+                prop_assert!(a.opts.jobs <= MAX_THREADS && a.opts.shards <= MAX_THREADS);
                 prop_assert!(a.names.iter().all(|n| FIGURES.iter().any(|(name, _)| name == n)));
             }
             for flag in ["--peers", "--seeds"] {

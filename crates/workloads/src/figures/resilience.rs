@@ -62,11 +62,9 @@ fn profile_cfg(profile: &str, rounds: u64, harden: bool) -> FaultConfig {
         }
         "rvp-crash" => {
             cfg.rvp_crash_at = SimTime::ZERO + PERIOD * fault_round(rounds);
-            cfg.rvp_crash_fraction = 0.5;
         }
         "flap" => {
             cfg.flap_period = PERIOD * fault_round(rounds);
-            cfg.flap_fraction = 0.2;
         }
         "partition" => {
             // A half/half split: peers stay alive but the other half of
@@ -79,7 +77,6 @@ fn profile_cfg(profile: &str, rounds: u64, harden: bool) -> FaultConfig {
             // untouched and re-knit the instant it lifts.
             cfg.partition_at = SimTime::ZERO + PERIOD * fault_round(rounds);
             cfg.partition_len = PERIOD * (fault_round(rounds) / 4).max(1);
-            cfg.partition_cut_fraction = 0.5;
         }
         other => unreachable!("unknown resilience profile {other}"),
     }

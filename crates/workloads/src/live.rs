@@ -93,15 +93,12 @@ impl LiveScale {
 fn live_fault_plan(scale: &LiveScale, classes: &[NatClass]) -> Option<FaultPlan> {
     let spec = scale.faults.filter(|s| !s.is_none())?;
     let period = SimDuration::from_millis(scale.period_ms);
-    let mut cfg = FaultConfig { harden: spec.harden, ..FaultConfig::default() };
+    let mut cfg = FaultConfig { cgn: spec.cgn, harden: spec.harden, ..FaultConfig::default() };
     if spec.rebind {
         // One wave: k=1 lands just past mid-run, k=2 falls past the horizon.
         cfg.rebind_period = period * (scale.rounds / 2).max(1);
         cfg.horizon = cfg.rebind_period + period;
         cfg.rebind_fraction = 0.25;
-    }
-    if spec.cgn {
-        cfg.cgn_fraction = 0.3;
     }
     let plan = FaultPlan::compile(&cfg, scale.seed, classes);
     (!plan.is_noop()).then_some(plan)

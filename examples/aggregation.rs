@@ -64,13 +64,8 @@ fn main() {
             println!("{round:>6} | {bm:>12.2} ±{bs:>6.2} | {nm:>12.2} ±{ns:>6.2}");
         }
         // One synchronous aggregation round over *usable* links.
-        let now = base.now();
         aggregate_round(&mut base_vals, |p| {
-            base.view_of(p)
-                .iter()
-                .filter(|d| base.net().reachable(now, p, d.id, d.addr))
-                .map(|d| d.id)
-                .next()
+            base.view_of(p).iter().filter(|d| base.edge_usable(p, d)).map(|d| d.id).next()
         });
         aggregate_round(&mut nyl_vals, |p| {
             nyl.view_of(p)

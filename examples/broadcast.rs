@@ -34,12 +34,7 @@ fn main() {
 
     // Deliverable edges right now.
     let base_coverage = spread(|p| {
-        let now = base.now();
-        base.view_of(p)
-            .iter()
-            .filter(|d| base.net().reachable(now, p, d.id, d.addr))
-            .map(|d| d.id)
-            .collect()
+        base.view_of(p).iter().filter(|d| base.edge_usable(p, d)).map(|d| d.id).collect()
     });
     let nylon_coverage = spread(|p| {
         nyl.view_of(p)

@@ -159,7 +159,14 @@ proptest! {
         for dst in probes {
             let expect = reference.ip_owner.get(&dst.ip).copied();
             prop_assert_eq!(net.addressee_of(dst), reference.addressee(dst), "addressee of {}", dst);
-            match (deliver_to(&mut net, now, dst), expect) {
+            // The read-only walk foretells delivery's verdict exactly.
+            let foretold = net.ingress(now, dst, to_zero);
+            let delivery = deliver_to(&mut net, now, dst);
+            match &delivery {
+                Delivery::ToPeer { to, .. } => prop_assert_eq!(foretold, Ok(*to), "{}", dst),
+                Delivery::Dropped { reason, .. } => prop_assert_eq!(foretold, Err(*reason), "{}", dst),
+            }
+            match (delivery, expect) {
                 (Delivery::Dropped { reason, .. }, None) => {
                     prop_assert_eq!(reason, DropReason::NoRoute, "unowned {}", dst)
                 }
@@ -187,9 +194,8 @@ proptest! {
         for (p, ep) in observed {
             let chain_end = reference.peer_by_private[&private_endpoint(p)];
             prop_assert_eq!(reference.addressee(ep), Some(chain_end));
-            prop_assert!(net.ingress_would_admit(now, p, ep, to_zero), "{} not admitted at {}", p, ep);
-            let stranger = PeerId((p.0 + 1) % n);
-            prop_assert!(!net.ingress_would_admit(now, stranger, ep, to_zero) || stranger == p);
+            // The walk admits the reply, and to `p` alone.
+            prop_assert_eq!(net.ingress(now, ep, to_zero), Ok(p), "{} not admitted at {}", p, ep);
             match deliver_to(&mut net, now, ep) {
                 Delivery::ToPeer { to, .. } => prop_assert_eq!(to, chain_end),
                 Delivery::Dropped { reason, .. } => prop_assert!(false, "reply to {p} dropped: {reason}"),

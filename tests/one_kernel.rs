@@ -5,13 +5,13 @@
 //! `run_rounds(k)` or `k × run_rounds(1)`, and whether the engine sized
 //! itself or was built under a fixed plan ([`Workers::Plan`]).
 
-use nylon::{NylonConfig, StaticRvpConfig};
+use nylon::{NylonConfig, NylonEngine, StaticRvpConfig};
 use nylon_faults::{FaultSpec, FaultStats};
 use nylon_gossip::{
     auto_workers, with_workers, Engine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig,
     Protocol, SamplerConfig, Workers,
 };
-use nylon_net::{NetConfig, PeerId, TrafficStats};
+use nylon_net::{DropReason, NatClass, NatType, NetConfig, PeerId, TrafficStats};
 use nylon_obs::{MetricValue, Report};
 use nylon_sim::{ShardAssign, ShardPlan, SimDuration};
 use nylon_workloads::runner::{build, build_with_net};
@@ -376,4 +376,109 @@ fn counter_sets_report_their_pinned_names() {
             assert_eq!(names(out, layer, prefix), sorted(expected), "{engine}: {layer}/{prefix}*");
         }
     }
+    // Only Nylon keeps routing tables: its installs and expiries, then the
+    // `RouteWork` set its tables merge into.
+    let (_, nylon, _) = &engines[2];
+    let routing = [
+        "installs",
+        "ttl_expiries",
+        "reclaimed_early",
+        "sweeps",
+        "sweep_slots",
+        "rebuilds",
+        "rebuild_slots",
+    ];
+    assert_eq!(names(nylon, "routing", ""), sorted(&routing));
+}
+
+/// Every datagram the fabric counts as sent is received or dropped, under
+/// every fault the plan injects, on one worker and on two: after 62
+/// rounds (past the plan's 300 s horizon) every alive peer is killed and
+/// one more round drains what is still in flight. A source-dead drop is
+/// never counted as sent.
+#[test]
+fn datagrams_are_conserved() {
+    fn check<C, P>(cfg: C)
+    where
+        C: SamplerConfig<Sampler = Engine<P>>,
+        P: Protocol,
+    {
+        let scn = Scenario {
+            faults: Some(
+                FaultSpec::parse("rebind,flap,loss-burst,partition,cgn,hairpin,harden")
+                    .expect("valid"),
+            ),
+            ..Scenario::new(60, 70.0, 5)
+        };
+        for shards in [1, 2] {
+            let out = on(shards, ShardAssign::RoundRobin, || {
+                let mut eng = build(&scn, cfg.clone());
+                eng.run_rounds(62);
+                let alive: Vec<PeerId> = eng.alive_peers().collect();
+                eng.kill_peers(&alive);
+                eng.run_rounds(1);
+                let mut out = Report::new();
+                eng.obs_report(&mut out);
+                out
+            });
+            let net = |metric: &str| match out.get("net", metric) {
+                Some(MetricValue::Counter(v)) => *v,
+                other => panic!("net/{metric}: {other:?}"),
+            };
+            let sent = net("datagrams_sent");
+            assert!(sent > 0, "S = {shards}: nothing was sent");
+            assert_eq!(
+                sent,
+                net("datagrams_received") + net("drops_total") - net("drop_source_dead"),
+                "S = {shards}: {}",
+                std::any::type_name::<C>()
+            );
+        }
+    }
+    check(GossipConfig::default());
+    check(PeerSwapConfig::default());
+    check(StaticRvpConfig::default());
+    check(NylonConfig::default());
+}
+
+/// The join handshake of a protocol that opens holes (Nylon), on one
+/// worker and on two, where the joiner's half runs on its worker and the
+/// contact's on the other: a public contact's hole is its identity, and a
+/// natted contact's hole admits the joiner's predicted source but filters
+/// a third peer. One worker shows the NAT state; on two, the joiner's
+/// first rounds reach the natted contact through the hole (nobody else
+/// knows it), and every view, counter and peer's traffic ends as on one.
+#[test]
+fn join_opens_the_contacts_hole_at_one_and_two_workers() {
+    let run = |shards: usize| {
+        on(shards, ShardAssign::RoundRobin, || {
+            let mut eng = NylonEngine::new(NylonConfig::default(), NetConfig::default(), 5);
+            let public = eng.add_peer(NatClass::Public);
+            let natted = eng.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
+            let third = eng.add_peer(NatClass::Public);
+            let cone = NatClass::Natted(NatType::RestrictedCone);
+            let via_public = eng.add_peer_with_bootstrap(cone, &[public]);
+            let via_natted = eng.add_peer_with_bootstrap(cone, &[natted]);
+            eng.start();
+            assert_eq!(eng.worker_count(), shards);
+            if shards == 1 {
+                let (net, now) = (eng.net(), eng.now());
+                let routing = |p| eng.protocol().routing_of(p);
+                let identity = net.identity_endpoint(public);
+                assert_eq!(routing(via_public).contact_of(public), Some(identity));
+                let hole = routing(via_natted).contact_of(natted).expect("a hole was opened");
+                let joiner = net.source_toward(now, via_natted, hole);
+                assert_eq!(net.ingress(now, hole, joiner), Ok(natted));
+                let stranger = net.source_toward(now, third, hole);
+                assert_eq!(net.ingress(now, hole, stranger), Err(DropReason::Filtered));
+            }
+            eng.run_rounds(2);
+            assert!(eng.traffic_of(natted).msgs_received > 0, "S = {shards}: the hole is shut");
+            let peers = || (0..eng.peer_count() as u32).map(PeerId);
+            let views: Vec<Vec<PeerId>> = peers().map(|p| eng.view_of(p).ids()).collect();
+            let traffic: Vec<TrafficStats> = peers().map(|p| eng.traffic_of(p)).collect();
+            (format!("{:?}", eng.stats()), views, traffic)
+        })
+    };
+    assert_eq!(run(2), run(1));
 }
