@@ -45,7 +45,18 @@ pub use attack::{forged_descriptor, AttackCtx, AttackKind};
 
 use nylon_gossip::{Engine, NodeDescriptor, Protocol};
 use nylon_net::PeerId;
+use nylon_obs::Counters;
 use nylon_sim::SimRng;
+
+nylon_obs::counters! {
+    /// What the corruption pass did, under the `adversary` telemetry layer.
+    struct AttackStats {
+        /// Attacker views rewritten, one per alive attacker per round.
+        views_rewritten,
+        /// Descriptors the rewrites put into attacker views.
+        descriptors_injected,
+    }
+}
 
 /// A Byzantine minority of one engine's population and the pass that
 /// corrupts its views.
@@ -63,8 +74,7 @@ pub struct Attack {
     rngs: Vec<SimRng>,
     /// Sorted.
     victims: Vec<PeerId>,
-    views_rewritten: u64,
-    descriptors_injected: u64,
+    stats: AttackStats,
 }
 
 impl Attack {
@@ -97,7 +107,7 @@ impl Attack {
             alive.iter().copied().filter(|p| attackers.binary_search(p).is_err()).collect();
         let mut victims = rng.sample_without_replacement(&honest, victims.min(honest.len()));
         victims.sort_unstable();
-        Attack { kind, attackers, rngs, victims, views_rewritten: 0, descriptors_injected: 0 }
+        Attack { kind, attackers, rngs, victims, stats: AttackStats::default() }
     }
 
     /// The recruited attackers, in id order.
@@ -142,8 +152,8 @@ impl Attack {
             let view = eng.view_of_mut(*a);
             let mut ctx =
                 AttackCtx { view, attackers: &attackers, victims: &victims, rng, n_peers };
-            self.descriptors_injected += u64::from(self.kind.corrupt(&mut ctx));
-            self.views_rewritten += 1;
+            self.stats.descriptors_injected += u64::from(self.kind.corrupt(&mut ctx));
+            self.stats.views_rewritten += 1;
         }
     }
 }
@@ -156,8 +166,7 @@ impl Drop for Attack {
         let mut out = nylon_obs::Report::new();
         out.counter("adversary", "attackers", self.attackers.len() as u64);
         out.counter("adversary", "victims", self.victims.len() as u64);
-        out.counter("adversary", "views_rewritten", self.views_rewritten);
-        out.counter("adversary", "descriptors_injected", self.descriptors_injected);
+        self.stats.report(&mut out, "adversary");
         nylon_obs::merge_report(&out);
     }
 }

@@ -270,7 +270,7 @@ impl Protocol for Baseline {
 mod tests {
     use super::*;
     use crate::policy::{MergePolicy, SelectionPolicy};
-    use nylon_net::{NatClass, NatType};
+    use nylon_net::{DropReason, NatClass, NatType};
 
     fn engine_with(publics: usize, natted: usize, nat: NatType, seed: u64) -> BaselineEngine {
         let mut eng = BaselineEngine::new(GossipConfig::default(), NetConfig::default(), seed);
@@ -434,7 +434,10 @@ mod tests {
             s.initiated
         );
         let drops = eng.net().drop_counters();
-        assert!(drops.no_mapping + drops.filtered > 0, "drops must be NAT-caused: {drops:?}");
+        assert!(
+            drops[DropReason::NoMapping] + drops[DropReason::Filtered] > 0,
+            "drops must be NAT-caused: {drops:?}"
+        );
     }
 
     #[test]
@@ -466,13 +469,13 @@ mod tests {
         fc.run_rounds(40);
         let fc_failures = {
             let d = fc.net().drop_counters();
-            d.no_mapping + d.filtered
+            d[DropReason::NoMapping] + d[DropReason::Filtered]
         };
         let mut prc = engine_with(5, 35, NatType::PortRestrictedCone, 23);
         prc.run_rounds(40);
         let prc_failures = {
             let d = prc.net().drop_counters();
-            d.no_mapping + d.filtered
+            d[DropReason::NoMapping] + d[DropReason::Filtered]
         };
         assert!(
             fc_failures * 10 < prc_failures.max(1),

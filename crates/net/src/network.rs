@@ -10,8 +10,6 @@
 //! delivery, routing to a worker ([`Network::addressee_of`]) and the
 //! carrier-grade chain walk alike.
 
-use std::fmt;
-
 use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
@@ -68,96 +66,32 @@ impl TrafficStats {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_sent + self.bytes_received
     }
-
-    /// Counter-wise difference `self - earlier`; saturates at zero.
-    pub fn since(&self, earlier: &TrafficStats) -> TrafficStats {
-        TrafficStats {
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            msgs_sent: self.msgs_sent.saturating_sub(earlier.msgs_sent),
-            msgs_received: self.msgs_received.saturating_sub(earlier.msgs_received),
-        }
-    }
 }
 
-/// Why a datagram never reached a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
-    /// Random in-transit loss.
-    Loss,
-    /// The destination endpoint's IP is not assigned to anyone.
-    NoRoute,
-    /// The destination peer (or the host behind the NAT) is dead.
-    TargetDead,
-    /// The sender is dead (engines should not let this happen).
-    SourceDead,
-    /// The NAT had no live mapping at the destination port.
-    NoMapping,
-    /// The NAT filtering rule rejected the source.
-    Filtered,
-    /// A hairpin (NAT loopback) packet hit a box with hairpinning off.
-    HairpinBlocked,
-    /// Dropped by an injected loss-burst window (fault plane).
-    FaultLoss,
-    /// Dropped by an injected partition window (fault plane).
-    Partitioned,
-}
-
-impl fmt::Display for DropReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DropReason::Loss => "in-transit loss",
-            DropReason::NoRoute => "no route to endpoint",
-            DropReason::TargetDead => "target dead",
-            DropReason::SourceDead => "source dead",
-            DropReason::NoMapping => "no NAT mapping",
-            DropReason::Filtered => "filtered by NAT",
-            DropReason::HairpinBlocked => "hairpin not supported",
-            DropReason::FaultLoss => "injected loss burst",
-            DropReason::Partitioned => "injected partition",
-        };
-        f.write_str(s)
+nylon_obs::keyed_counters! {
+    /// Why a datagram never reached a peer.
+    pub enum DropReason {
+        /// Random in-transit loss.
+        Loss = "in-transit loss" => "drop_loss",
+        /// The destination endpoint's IP is not assigned to anyone.
+        NoRoute = "no route to endpoint" => "drop_no_route",
+        /// The destination peer (or the host behind the NAT) is dead.
+        TargetDead = "target dead" => "drop_target_dead",
+        /// The sender is dead (engines should not let this happen).
+        SourceDead = "source dead" => "drop_source_dead",
+        /// The NAT had no live mapping at the destination port.
+        NoMapping = "no NAT mapping" => "drop_no_mapping",
+        /// The NAT filtering rule rejected the source.
+        Filtered = "filtered by NAT" => "drop_filtered",
+        /// A hairpin (NAT loopback) packet hit a box with hairpinning off.
+        HairpinBlocked = "hairpin not supported" => "drop_hairpin_blocked",
+        /// Dropped by an injected loss-burst window (fault plane).
+        FaultLoss = "injected loss burst" => "drop_fault_loss",
+        /// Dropped by an injected partition window (fault plane).
+        Partitioned = "injected partition" => "drop_partitioned",
     }
-}
-
-nylon_obs::counters! {
-    /// Cumulative drop counters by cause.
-    pub struct DropCounters {
-        /// Datagrams lost in transit.
-        loss = "drop_loss",
-        /// Datagrams to unassigned endpoints.
-        no_route = "drop_no_route",
-        /// Datagrams to dead peers.
-        target_dead = "drop_target_dead",
-        /// Datagrams from dead peers.
-        source_dead = "drop_source_dead",
-        /// Datagrams hitting an expired/absent NAT mapping.
-        no_mapping = "drop_no_mapping",
-        /// Datagrams rejected by NAT filtering rules.
-        filtered = "drop_filtered",
-        /// Hairpin packets dropped by non-hairpinning boxes.
-        hairpin_blocked = "drop_hairpin_blocked",
-        /// Datagrams dropped by injected loss-burst windows.
-        fault_loss = "drop_fault_loss",
-        /// Datagrams dropped by injected partition windows.
-        partitioned = "drop_partitioned",
-    }
-}
-
-impl DropCounters {
-    fn bump(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::Loss => self.loss += 1,
-            DropReason::NoRoute => self.no_route += 1,
-            DropReason::TargetDead => self.target_dead += 1,
-            DropReason::SourceDead => self.source_dead += 1,
-            DropReason::NoMapping => self.no_mapping += 1,
-            DropReason::Filtered => self.filtered += 1,
-            DropReason::HairpinBlocked => self.hairpin_blocked += 1,
-            DropReason::FaultLoss => self.fault_loss += 1,
-            DropReason::Partitioned => self.partitioned += 1,
-        }
-    }
+    /// Cumulative drop counters by cause, indexed by [`DropReason`].
+    pub struct DropCounters;
 }
 
 /// A datagram travelling through the fabric.
@@ -1179,7 +1113,7 @@ mod tests {
         let b = net.add_peer(NatClass::Public);
         net.kill_peer(a);
         assert!(net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).is_none());
-        assert_eq!(net.drop_counters().source_dead, 1);
+        assert_eq!(net.drop_counters()[DropReason::SourceDead], 1);
     }
 
     #[test]
@@ -1225,7 +1159,7 @@ mod tests {
         let a = net.add_peer(NatClass::Public);
         let b = net.add_peer(NatClass::Public);
         assert!(net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).is_none());
-        assert_eq!(net.drop_counters().loss, 1);
+        assert_eq!(net.drop_counters()[DropReason::Loss], 1);
         // Bytes sent are still accounted.
         assert_eq!(net.stats_of(a).msgs_sent, 1);
     }
@@ -1339,7 +1273,7 @@ mod tests {
             };
             assert_eq!(expect_drop(d), DropReason::NoMapping);
         }
-        assert_eq!(net.drop_counters().no_mapping, 5);
+        assert_eq!(net.drop_counters()[DropReason::NoMapping], 5);
         assert_eq!(net.drop_counters().total(), 5);
     }
 
@@ -1508,7 +1442,7 @@ mod tests {
         // Self-addressed traffic loops via the box: dropped by default.
         let d = send_and_deliver(&mut net, SimTime::ZERO, n, own, 1);
         assert_eq!(expect_drop(d), DropReason::HairpinBlocked);
-        assert_eq!(net.drop_counters().hairpin_blocked, 1);
+        assert_eq!(net.drop_counters()[DropReason::HairpinBlocked], 1);
         // With hairpinning on, the packet is translated back in.
         assert!(net.set_hairpin(n, true));
         let d = send_and_deliver(&mut net, SimTime::from_millis(60), n, own, 2);
@@ -1531,7 +1465,7 @@ mod tests {
         net.inject_partition(SimTime::from_secs(10), 1);
         // Cross-cut traffic is dropped at send time.
         assert!(net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).is_none());
-        assert_eq!(net.drop_counters().partitioned, 1);
+        assert_eq!(net.drop_counters()[DropReason::Partitioned], 1);
         // Same-side traffic flows.
         let d = {
             let ep = net.identity_endpoint(c);
@@ -1554,7 +1488,7 @@ mod tests {
         let b = net.add_peer(NatClass::Public);
         net.inject_loss_burst(SimTime::from_secs(5), 1.0, 0xDEAD);
         assert!(net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).is_none());
-        assert_eq!(net.drop_counters().fault_loss, 1);
+        assert_eq!(net.drop_counters()[DropReason::FaultLoss], 1);
         // Bytes still accounted: the datagram left the host.
         assert_eq!(net.stats_of(a).msgs_sent, 1);
         let d = {

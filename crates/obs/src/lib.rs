@@ -6,9 +6,11 @@
 //! hot-path is gated on the `enabled` cargo feature: with the feature off
 //! the primitives are zero-sized types (const-asserted in `metrics.rs`)
 //! whose methods are empty `#[inline]` stubs, so instrumented crates pay
-//! nothing. The protocols', fabric's and fault plane's own `u64` counter
-//! sets, which the figures read, are always compiled: each is declared
-//! once with [`counters!`] and reported through [`Counters`].
+//! nothing. The protocols', fabric's, fault plane's and live path's own
+//! `u64` counter sets, which the figures read, are always compiled: each is
+//! declared once with [`counters!`] (named fields) or [`keyed_counters!`]
+//! (indexed by an enum, with an atomic twin for threads) and reported
+//! through [`Counters`].
 //!
 //! Two contracts the rest of the workspace leans on:
 //!
@@ -36,7 +38,7 @@ mod sink;
 mod timer;
 
 pub use counters::Counters;
-pub use metrics::{AtomicCounter, Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use report::{HistSnapshot, MetricValue, Report};
 pub use sink::{final_snapshot, install, is_active, merge_report, periodic_snapshot};
 pub use timer::{PhaseMark, PhaseTimer};

@@ -1,17 +1,15 @@
 //! The hot-path primitives: counters, gauges, histograms.
 //!
 //! Two compilations of the same API. With the `enabled` feature the types
-//! hold real state (`Cell<u64>` for single-threaded sim code, `AtomicU64`
-//! for the live UDP threads, a fixed inline bucket array for histograms —
-//! nothing here ever allocates, so `tests/alloc_gate.rs` reads the same
-//! counts with stats on). Without the feature every type is a zero-sized
-//! struct (asserted at compile time below) and every method an empty
-//! `#[inline]` stub, so instrumented call sites compile to nothing.
+//! hold real state (`Cell<u64>` for counters and gauges, a fixed inline
+//! bucket array for histograms — nothing here ever allocates, so
+//! `tests/alloc_gate.rs` reads the same counts with stats on). Without the
+//! feature every type is a zero-sized struct (asserted at compile time
+//! below) and every method an empty `#[inline]` stub, so instrumented call
+//! sites compile to nothing.
 
 #[cfg(feature = "enabled")]
 use std::cell::Cell;
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::report::HistSnapshot;
 
@@ -81,39 +79,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.get()
-    }
-}
-
-/// Monotonic counter for the multi-threaded live path (UDP receive loops,
-/// NAT emulator thread). Relaxed ordering: counts are statistics, not
-/// synchronization.
-#[cfg(feature = "enabled")]
-#[derive(Debug, Default)]
-pub struct AtomicCounter(AtomicU64);
-
-#[cfg(feature = "enabled")]
-impl AtomicCounter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        AtomicCounter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -252,33 +217,6 @@ impl Gauge {
     }
 }
 
-/// Thread-safe monotonic counter (no-op stub: `enabled` feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Default)]
-pub struct AtomicCounter;
-
-#[cfg(not(feature = "enabled"))]
-impl AtomicCounter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        AtomicCounter
-    }
-
-    /// Adds one (no-op).
-    #[inline(always)]
-    pub fn inc(&self) {}
-
-    /// Adds `n` (no-op).
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-
-    /// Current count (always 0).
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
 /// Log-bucketed histogram (no-op stub: `enabled` feature off).
 #[cfg(not(feature = "enabled"))]
 #[derive(Debug, Default, Clone, Copy)]
@@ -317,6 +255,5 @@ impl Histogram {
 const _: () = {
     assert!(std::mem::size_of::<Counter>() == 0);
     assert!(std::mem::size_of::<Gauge>() == 0);
-    assert!(std::mem::size_of::<AtomicCounter>() == 0);
     assert!(std::mem::size_of::<Histogram>() == 0);
 };

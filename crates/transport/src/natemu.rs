@@ -22,12 +22,13 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nylon_net::{Delivery, DropCounters, NatClass, NetConfig, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::{SimDuration, SimTime};
 
 use crate::clock::LiveClock;
@@ -41,6 +42,21 @@ const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
 /// Receive timeout so the thread notices shutdown promptly.
 const RECV_TIMEOUT: Duration = Duration::from_millis(20);
 
+nylon_obs::keyed_counters! {
+    /// What the middlebox counts besides the fabric's drops, under the
+    /// `emulator` telemetry layer.
+    enum Emu {
+        /// Frames forwarded end-to-end, source endpoint rewritten.
+        Forwarded = "forwarded" => "forwarded",
+        /// Datagrams whose frame did not parse.
+        Malformed = "malformed frame" => "malformed",
+    }
+    /// [`Emu`] counts.
+    struct EmuCounts;
+    /// [`EmuCounts`] shared by the handle and the middlebox thread.
+    struct AtomicEmuCounts;
+}
+
 /// A running NAT emulator; dropping the handle shuts the thread down.
 #[derive(Debug)]
 pub struct NatEmulator {
@@ -48,8 +64,7 @@ pub struct NatEmulator {
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
     net: Arc<Mutex<EmuNet>>,
-    forwarded: Arc<AtomicU64>,
-    malformed: Arc<AtomicU64>,
+    counts: Arc<AtomicEmuCounts>,
 }
 
 impl NatEmulator {
@@ -79,10 +94,8 @@ impl NatEmulator {
             ..net_cfg.clone()
         };
         let mut net = EmuNet::new(cfg, 0);
-        let mut peer_by_real: HashMap<SocketAddr, PeerId> = HashMap::new();
-        for (i, class) in classes.iter().enumerate() {
-            let id = net.add_peer(*class);
-            peer_by_real.insert(peer_addrs[i], id);
+        for class in classes {
+            net.add_peer(*class);
         }
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_read_timeout(Some(RECV_TIMEOUT))?;
@@ -90,30 +103,18 @@ impl NatEmulator {
 
         let net = Arc::new(Mutex::new(net));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let forwarded = Arc::new(AtomicU64::new(0));
-        let malformed = Arc::new(AtomicU64::new(0));
+        let counts = Arc::new(AtomicEmuCounts::default());
         let real_addrs: Vec<SocketAddr> = peer_addrs.to_vec();
 
         let thread = {
             let net = Arc::clone(&net);
             let shutdown = Arc::clone(&shutdown);
-            let forwarded = Arc::clone(&forwarded);
-            let malformed = Arc::clone(&malformed);
+            let counts = Arc::clone(&counts);
             std::thread::Builder::new().name("nat-emulator".into()).spawn(move || {
-                run_loop(
-                    &socket,
-                    addr,
-                    &net,
-                    &clock,
-                    &peer_by_real,
-                    &real_addrs,
-                    &shutdown,
-                    &forwarded,
-                    &malformed,
-                );
+                run_loop(&socket, addr, &net, &clock, &real_addrs, &shutdown, &counts);
             })?
         };
-        Ok(NatEmulator { addr, shutdown, thread: Some(thread), net, forwarded, malformed })
+        Ok(NatEmulator { addr, shutdown, thread: Some(thread), net, counts })
     }
 
     /// The real socket address nodes must send their frames to.
@@ -123,16 +124,17 @@ impl NatEmulator {
 
     /// Frames forwarded end-to-end so far.
     pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
+        self.counts.snapshot()[Emu::Forwarded]
     }
 
     /// Datagrams discarded because their frame did not parse.
     pub fn malformed(&self) -> u64 {
-        self.malformed.load(Ordering::Relaxed)
+        self.counts.snapshot()[Emu::Malformed]
     }
 
-    /// Drop counters of the emulated fabric, by cause (`no_mapping`,
-    /// `filtered`, `no_route`, …) — the on-wire NAT behaviour, observable.
+    /// Drop counters of the emulated fabric, indexed by
+    /// [`DropReason`](nylon_net::DropReason) — the on-wire NAT behaviour,
+    /// observable.
     pub fn drop_counters(&self) -> DropCounters {
         self.net.lock().expect("emulator lock poisoned").drop_counters()
     }
@@ -157,14 +159,10 @@ impl NatEmulator {
 
     /// Reports middlebox activity under the `emulator` telemetry layer:
     /// frames forwarded (source endpoints rewritten), malformed frames,
-    /// and the fabric's ingress verdicts by drop cause.
+    /// and the fabric's ingress verdicts by drop cause, every cause.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        out.counter("emulator", "forwarded", self.forwarded());
-        out.counter("emulator", "malformed", self.malformed());
-        let drops = self.drop_counters();
-        out.counter("emulator", "drop_no_route", drops.no_route);
-        out.counter("emulator", "drop_no_mapping", drops.no_mapping);
-        out.counter("emulator", "drop_filtered", drops.filtered);
+        self.counts.snapshot().report(out, "emulator");
+        self.drop_counters().report(out, "emulator");
     }
 }
 
@@ -177,18 +175,18 @@ impl Drop for NatEmulator {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The middlebox thread; `real_addrs[i]` is the real socket of peer `i`.
 fn run_loop(
     socket: &UdpSocket,
     addr: SocketAddr,
     net: &Mutex<EmuNet>,
     clock: &LiveClock,
-    peer_by_real: &HashMap<SocketAddr, PeerId>,
     real_addrs: &[SocketAddr],
     shutdown: &AtomicBool,
-    forwarded: &AtomicU64,
-    malformed: &AtomicU64,
+    counts: &AtomicEmuCounts,
 ) {
+    let peer_by_real: HashMap<SocketAddr, PeerId> =
+        real_addrs.iter().enumerate().map(|(i, a)| (*a, PeerId(i as u32))).collect();
     let mut buf = [0u8; 65_536];
     let mut last_purge = SimTime::ZERO;
     while !shutdown.load(Ordering::Relaxed) {
@@ -214,7 +212,7 @@ fn run_loop(
         let header = match codec::peek_header(frame) {
             Ok(h) => h,
             Err(_) => {
-                malformed.fetch_add(1, Ordering::Relaxed);
+                counts.add(Emu::Malformed, 1);
                 continue;
             }
         };
@@ -232,13 +230,11 @@ fn run_loop(
         match verdict {
             Delivery::ToPeer { to, from_ep, .. } => {
                 if codec::rewrite_src(frame, from_ep).is_err() {
-                    malformed.fetch_add(1, Ordering::Relaxed);
+                    counts.add(Emu::Malformed, 1);
                     continue;
                 }
                 match socket.send_to(frame, real_addrs[to.index()]) {
-                    Ok(_) => {
-                        forwarded.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Ok(_) => counts.add(Emu::Forwarded, 1),
                     Err(e) => panic!(
                         "NAT emulator at {addr}: forward to {to} ({}) failed: {e}",
                         real_addrs[to.index()]

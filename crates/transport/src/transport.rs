@@ -127,7 +127,7 @@ impl<P> Transport<P> for SimTransport<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nylon_net::NatType;
+    use nylon_net::{DropReason, NatType};
     use nylon_sim::SimDuration;
 
     #[test]
@@ -143,7 +143,7 @@ mod tests {
         // Unsolicited towards the natted peer: swallowed.
         t.send(SimTime::ZERO, public, nylon_net::private_endpoint(public), nat_ep, 1, 16);
         assert!(t.poll(SimTime::from_secs(1)).is_none());
-        assert_eq!(t.net().drop_counters().no_mapping, 1);
+        assert_eq!(t.net().drop_counters()[DropReason::NoMapping], 1);
 
         // Natted initiates: arrives after the fabric latency, not before.
         t.send(SimTime::from_secs(1), natted, private, pub_ep, 2, 16);

@@ -8,13 +8,14 @@
 //! simulator's event loop.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nylon_net::{Endpoint, PeerId};
+use nylon_obs::Counters;
 use nylon_sim::SimTime;
 
 use crate::clock::LiveClock;
@@ -30,6 +31,26 @@ const POLL_SLICE: Duration = Duration::from_millis(50);
 /// dropped like an overflowing UDP socket buffer (never block — a blocked
 /// sender could deadlock shutdown).
 const CHANNEL_BOUND: usize = 4096;
+
+nylon_obs::keyed_counters! {
+    /// What the live path counts, under the `live` telemetry layer.
+    enum Live {
+        /// Frames sent to the NAT emulator.
+        PacketsSent = "frames sent" => "packets_sent",
+        /// Bytes of those frames.
+        BytesSent = "frame bytes sent" => "bytes_sent",
+        /// Datagrams read off the nodes' sockets.
+        PacketsReceived = "datagrams received" => "packets_received",
+        /// Datagrams whose frame failed to decode.
+        DecodeErrors = "undecodable frame" => "decode_errors",
+        /// Decoded frames dropped because the arrival channel was full.
+        OverflowDrops = "arrival channel full" => "overflow_drops",
+    }
+    /// [`Live`] counts.
+    struct LiveCounts;
+    /// [`LiveCounts`] shared by the driver loop and the receive threads.
+    struct AtomicLiveCounts;
+}
 
 /// Binds one loopback socket per peer, in peer-id order.
 pub fn bind_loopback(peer_count: usize) -> std::io::Result<Vec<UdpSocket>> {
@@ -51,11 +72,7 @@ pub struct UdpTransport<P> {
     rx: Receiver<Arrival<P>>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    decode_errors: Arc<AtomicU64>,
-    overflow_drops: Arc<AtomicU64>,
-    packets_sent: nylon_obs::AtomicCounter,
-    bytes_sent: nylon_obs::AtomicCounter,
-    packets_received: Arc<nylon_obs::AtomicCounter>,
+    counts: Arc<AtomicLiveCounts>,
 }
 
 impl<P: WireMessage + Send + 'static> UdpTransport<P> {
@@ -74,9 +91,7 @@ impl<P: WireMessage + Send + 'static> UdpTransport<P> {
     ) -> std::io::Result<Self> {
         let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_BOUND);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let overflow_drops = Arc::new(AtomicU64::new(0));
-        let packets_received = Arc::new(nylon_obs::AtomicCounter::new());
+        let counts = Arc::new(AtomicLiveCounts::default());
         let mut threads = Vec::with_capacity(sockets.len());
         for (i, socket) in sockets.iter().enumerate() {
             let peer = PeerId(i as u32);
@@ -91,71 +106,40 @@ impl<P: WireMessage + Send + 'static> UdpTransport<P> {
             });
             let tx: SyncSender<Arrival<P>> = tx.clone();
             let shutdown = Arc::clone(&shutdown);
-            let decode_errors = Arc::clone(&decode_errors);
-            let overflow_drops = Arc::clone(&overflow_drops);
-            let packets_received = Arc::clone(&packets_received);
-            let handle =
-                std::thread::Builder::new().name(format!("udp-recv-{peer}")).spawn(move || {
-                    receive_loop(
-                        peer,
-                        addr,
-                        &sock,
-                        &tx,
-                        &shutdown,
-                        &decode_errors,
-                        &overflow_drops,
-                        &packets_received,
-                    )
-                })?;
+            let counts = Arc::clone(&counts);
+            let handle = std::thread::Builder::new()
+                .name(format!("udp-recv-{peer}"))
+                .spawn(move || receive_loop(peer, addr, &sock, &tx, &shutdown, &counts))?;
             threads.push(handle);
         }
         drop(tx);
-        Ok(UdpTransport {
-            sockets,
-            emulator,
-            clock,
-            rx,
-            shutdown,
-            threads,
-            decode_errors,
-            overflow_drops,
-            packets_sent: nylon_obs::AtomicCounter::new(),
-            bytes_sent: nylon_obs::AtomicCounter::new(),
-            packets_received,
-        })
+        Ok(UdpTransport { sockets, emulator, clock, rx, shutdown, threads, counts })
     }
 
     /// Datagrams discarded because their frame failed to decode.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.counts.snapshot()[Live::DecodeErrors]
     }
 
     /// Datagrams discarded because the arrival channel was full (the
     /// user-space analogue of a UDP socket buffer overflowing).
     pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops.load(Ordering::Relaxed)
+        self.counts.snapshot()[Live::OverflowDrops]
     }
 
     /// Reports live-path traffic under the `live` telemetry layer.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        out.counter("live", "packets_sent", self.packets_sent.get());
-        out.counter("live", "bytes_sent", self.bytes_sent.get());
-        out.counter("live", "packets_received", self.packets_received.get());
-        out.counter("live", "decode_errors", self.decode_errors());
-        out.counter("live", "overflow_drops", self.overflow_drops());
+        self.counts.snapshot().report(out, "live");
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn receive_loop<P: WireMessage>(
     peer: PeerId,
     addr: SocketAddr,
     sock: &UdpSocket,
     tx: &SyncSender<Arrival<P>>,
     shutdown: &AtomicBool,
-    decode_errors: &AtomicU64,
-    overflow_drops: &AtomicU64,
-    packets_received: &nylon_obs::AtomicCounter,
+    counts: &AtomicLiveCounts,
 ) {
     let mut buf = [0u8; 65_536];
     while !shutdown.load(Ordering::Relaxed) {
@@ -174,7 +158,7 @@ fn receive_loop<P: WireMessage>(
                 panic!("UdpTransport: receive thread of {peer} at {addr} failed: {e}");
             }
         };
-        packets_received.inc();
+        counts.add(Live::PacketsReceived, 1);
         match codec::decode_frame::<P>(&buf[..len]) {
             Ok(frame) => {
                 let arrival = Arrival { to: peer, from_ep: frame.src, payload: frame.payload };
@@ -184,15 +168,11 @@ fn receive_loop<P: WireMessage>(
                 // UDP socket buffer does under an overwhelmed receiver.
                 match tx.try_send(arrival) {
                     Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        overflow_drops.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Err(TrySendError::Full(_)) => counts.add(Live::OverflowDrops, 1),
                     Err(TrySendError::Disconnected(_)) => break, // driver gone
                 }
             }
-            Err(_) => {
-                decode_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => counts.add(Live::DecodeErrors, 1),
         }
     }
 }
@@ -223,8 +203,8 @@ impl<P: WireMessage + Send + 'static> Transport<P> for UdpTransport<P> {
         _payload_bytes: u32,
     ) {
         let frame = codec::encode_frame(src, dst, &payload);
-        self.packets_sent.inc();
-        self.bytes_sent.add(frame.len() as u64);
+        self.counts.add(Live::PacketsSent, 1);
+        self.counts.add(Live::BytesSent, frame.len() as u64);
         let socket = &self.sockets[from.index()];
         socket.send_to(&frame, self.emulator).unwrap_or_else(|e| {
             let local = socket

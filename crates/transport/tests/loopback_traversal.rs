@@ -8,7 +8,8 @@
 //! behaviour itself (filtering unsolicited traffic, source rewriting).
 
 use nylon::{NylonEngine, NylonMsg};
-use nylon_net::{private_endpoint, NatClass, NatType, NetConfig, PeerId};
+use nylon_net::{private_endpoint, DropReason, NatClass, NatType, NetConfig, PeerId};
+use nylon_obs::{Counters, MetricValue, Report};
 use nylon_sim::SimDuration;
 use nylon_transport::{
     scaled_configs, udp_over_emulated_nat, LiveClock, LiveRunner, NatEmulator, Transport,
@@ -103,7 +104,10 @@ fn emulator_filters_and_rewrites_raw_frames() {
         8,
     );
     assert!(wait(&mut transport).is_none(), "unsolicited frame must be filtered on-wire");
-    assert!(emulator.drop_counters().no_mapping > 0, "the NAT must have refused a mapping");
+    assert!(
+        emulator.drop_counters()[DropReason::NoMapping] > 0,
+        "the NAT must have refused a mapping"
+    );
 
     // 2. Natted initiates: arrives at the public peer with a rewritten,
     //    public source endpoint (not the private one it was sent with).
@@ -142,4 +146,41 @@ fn emulator_filters_and_rewrites_raw_frames() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert!(emulator.forwarded() >= 2);
+
+    // The live report: every counter of both sets under its pinned name,
+    // every drop cause of the emulated fabric among them.
+    let mut out = Report::new();
+    transport.obs_report(&mut out);
+    emulator.obs_report(&mut out);
+    let count = |layer: &str, metric: &str| match out.get(layer, metric) {
+        Some(MetricValue::Counter(c)) => *c,
+        other => panic!("{layer}/{metric} is {other:?}, not a counter"),
+    };
+    let names = |layer: &str| -> Vec<&str> {
+        out.iter().filter(|(l, _, _)| *l == layer).map(|(_, m, _)| m).collect()
+    };
+    let sorted = |mut list: Vec<&'static str>| {
+        list.sort();
+        list
+    };
+    let live =
+        ["packets_sent", "bytes_sent", "packets_received", "decode_errors", "overflow_drops"];
+    assert_eq!(names("live"), sorted(live.to_vec()));
+    assert_eq!(count("live", "packets_sent"), 3, "three frames were sent");
+    assert_eq!(count("live", "packets_received"), 2, "two frames made it through");
+    let drops = [
+        "drop_loss",
+        "drop_no_route",
+        "drop_target_dead",
+        "drop_source_dead",
+        "drop_no_mapping",
+        "drop_filtered",
+        "drop_hairpin_blocked",
+        "drop_fault_loss",
+        "drop_partitioned",
+    ];
+    assert_eq!(names("emulator"), sorted([&["forwarded", "malformed"][..], &drops].concat()));
+    let reported: u64 = drops.iter().map(|m| count("emulator", m)).sum();
+    assert_eq!(reported, emulator.drop_counters().total(), "every drop is reported");
+    assert_eq!(reported, 1, "one frame was filtered");
 }

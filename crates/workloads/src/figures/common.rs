@@ -11,6 +11,7 @@ use nylon::{NylonConfig, NylonEngine};
 use nylon_gossip::{PeerSampler, SamplerConfig};
 use nylon_metrics::{BandwidthReport, Summary};
 use nylon_net::TrafficStats;
+use nylon_obs::Counters;
 
 use crate::output::fmt_f;
 use crate::runner::{biggest_cluster_pct, build, seeds, staleness};
