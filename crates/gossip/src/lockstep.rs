@@ -999,6 +999,7 @@ mod tests {
             [
                 ("net", "nat_sessions"),
                 ("net", "nat_session_slots"),
+                ("net", "nat_box_bytes"),
                 ("net", "alive_peers"),
                 ("view", "slot_bytes"),
             ]

@@ -12,25 +12,35 @@
 //!   an insert or a backward shift touches one slot. Empty slots hold
 //!   [`DenseKey::EMPTY`], a key value the caller's key space provably never
 //!   produces (asserted on insert): no occupancy bitmap, no per-slot enum
-//!   discriminant. A NAT session and a 12-byte route both make 16-byte
-//!   slots, four to a cache line.
+//!   discriminant, no stored probe distance. A NAT session and a 12-byte
+//!   route both make 16-byte slots, four to a cache line.
 //! * **Fitted capacity.** Any multiple of four slots, not a power of two.
 //!   A key's home slot is the multiply-high range reduction of its folded
 //!   fx hash ([`DenseKey::hash_u64`] reuses
 //!   [`nylon_sim::fxhash::FxHasher`], the workspace's one hashing scheme),
 //!   uniform over any capacity without a division; probing is linear from
 //!   there and wraps explicitly. An insert that would take the load past
-//!   3/4 rebuilds to [`DenseMap::fit`] of the entries: 5/3 slots per entry
+//!   7/8 rebuilds to [`DenseMap::fit`] of the entries: 10/7 slots per entry
 //!   in whole cache lines, so growth is geometric (at least 5/4 a step),
-//!   inserts stay amortised O(1), and a map holds 4/3 to 5/3 slots per
+//!   inserts stay amortised O(1), and a map holds 8/7 to 10/7 slots per
 //!   entry at its largest.
-//! * **Backward-shift deletion** — no tombstones, so probe chains never
-//!   rot, load factor alone (≤ 3/4) bounds probe length, and
-//!   [`DenseMap::retain`] compacts in place without rehashing.
+//! * **Robin Hood order** (Celis, 1986). Every cluster keeps its entries
+//!   in the order of their home slots, so an entry's distance from home is
+//!   at most its predecessor's plus one. A miss stops at the first
+//!   resident that sits nearer its own home than the probe has walked from
+//!   the key's — the key would have been stored there — instead of at the
+//!   next vacancy, which is what keeps misses short at 7/8 load where plain
+//!   linear probing would walk ½(1 + 1/(1 − α)²) = 32.5 slots. An insert
+//!   takes that slot and shifts the rest of the cluster one slot right.
+//! * **Backward-shift deletion** — no tombstones: a removal shifts the
+//!   entries behind it back one slot until an entry already home, so
+//!   probe chains never rot, load factor alone (≤ 7/8) bounds probe
+//!   length, and [`DenseMap::retain`] compacts in place without rehashing.
 //! * **A surface for owners with their own capacity policy.** The routing
 //!   table reclaims lapsed routes before it grows and shrinks after a
-//!   sweep. It builds that on [`DenseMap::probe`] (one probe yields the hit
-//!   to update or the vacancy to fill), [`DenseMap::has_room`],
+//!   sweep, the NAT boxes refit their maps after a purge. They build that
+//!   on [`DenseMap::probe`] (one probe yields the hit to update or the
+//!   vacancy to fill), [`DenseMap::has_room`], [`DenseMap::fit`],
 //!   [`DenseMap::rebuild`] and [`DenseMap::retain`].
 //! * **Deterministic layout.** Slot positions are a pure function of the
 //!   insertion history, so replay stays byte-identical. Iteration follows
@@ -119,8 +129,8 @@ impl DenseKey for (Endpoint, Endpoint) {
 /// hand the value out without unsafe code).
 #[derive(Debug, Clone)]
 pub struct DenseMap<K: DenseKey, V> {
-    /// `capacity` slots (0 until the first insert), probed linearly;
-    /// a key of `EMPTY` marks a vacancy.
+    /// `capacity` slots (0 until the first insert), probed linearly and
+    /// kept in Robin Hood order; a key of `EMPTY` marks a vacancy.
     slots: Vec<(K, V)>,
     len: usize,
 }
@@ -143,11 +153,18 @@ pub struct Vacancy<'a, K: DenseKey, V> {
 }
 
 impl<K: DenseKey, V> Vacancy<'_, K, V> {
-    /// Stores the probed key with `val`.
+    /// Stores the probed key with `val`, shifting the rest of the cluster
+    /// from its slot one slot right, up to the next vacancy.
     #[inline]
     pub fn insert(self, val: V) {
-        self.map.slots[self.slot] = (self.key, val);
-        self.map.len += 1;
+        let Vacancy { map, key, slot } = self;
+        let (mut carry, mut i) = ((key, val), slot);
+        while map.slots[i].0 != K::EMPTY {
+            std::mem::swap(&mut map.slots[i], &mut carry);
+            i = if i + 1 == map.slots.len() { 0 } else { i + 1 };
+        }
+        map.slots[i] = carry;
+        map.len += 1;
     }
 }
 
@@ -185,18 +202,25 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         self.slots.len()
     }
 
-    /// Slots a rebuild allocates to hold `entries`: 4/3 for the load
-    /// factor times 5/4 of headroom, i.e. 5/3 per entry, rounded up to a
-    /// whole cache line of four slots. Nothing for no entries.
-    pub fn fit(entries: usize) -> usize {
-        (entries * 5).div_ceil(3).next_multiple_of(4)
+    /// Bytes of the slot array: [`DenseMap::SLOT_BYTES`] per slot, vacant
+    /// or not.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * Self::SLOT_BYTES
     }
 
-    /// Whether `additional` more entries fit under the ≤ 3/4 load factor
-    /// that keeps linear-probe chains short.
+    /// Slots a rebuild allocates to hold `entries`: 8/7 for the load
+    /// factor times 5/4 of headroom, i.e. 10/7 per entry, rounded up to a
+    /// whole cache line of four slots. Nothing for no entries.
+    pub fn fit(entries: usize) -> usize {
+        (entries * 10).div_ceil(7).next_multiple_of(4)
+    }
+
+    /// Whether `additional` more entries fit under the ≤ 7/8 load factor
+    /// that Robin Hood order keeps probes short at.
     #[inline]
     pub fn has_room(&self, additional: usize) -> bool {
-        (self.len + additional) * 4 <= self.slots.len() * 3
+        (self.len + additional) * 8 <= self.slots.len() * 7
     }
 
     /// The slot `key` hashes to in a map of `cap` slots: multiply-high
@@ -227,14 +251,18 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         }
     }
 
-    /// Probes for `key`: `Ok` is the slot holding it, `Err` the vacant slot
-    /// where it would be inserted (the sentinel is never found). The load
-    /// factor keeps the walk finite; a map that never allocated answers
-    /// `Err(0)`, a slot it does not have — [`DenseMap::probe`] makes room
-    /// before it looks.
+    /// Probes for `key`: `Ok` is the slot holding it, `Err` the slot it
+    /// would be inserted at — a vacancy, or the first resident nearer its
+    /// own home than the probe has walked from `key`'s (the sentinel is
+    /// never found). No resident is nearer home than 0, so the home slot
+    /// itself is not checked. The load factor keeps the walk finite; a map
+    /// that never allocated answers `Err(0)`, a slot it does not have —
+    /// [`DenseMap::probe`] makes room before it looks.
     #[inline]
     fn find(&self, key: K) -> Result<usize, usize> {
-        let mut i = Self::home(key, self.slots.len());
+        let cap = self.slots.len();
+        let mut i = Self::home(key, cap);
+        let mut walked = 0;
         loop {
             let k = self.slots.get(i).map_or(K::EMPTY, |s| s.0);
             if k == K::EMPTY {
@@ -243,7 +271,11 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
             if k == key {
                 return Ok(i);
             }
+            if walked > 0 && self.distance(Self::home(k, cap), i) < walked {
+                return Err(i);
+            }
             i = self.next(i);
+            walked += 1;
         }
     }
 
@@ -267,7 +299,7 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
 
     /// Probes for `key` with room for it reserved — growing to the
     /// [`DenseMap::fit`] of one more entry if it would take the load past
-    /// 3/4 — so one probe yields the value to update or the vacancy to fill.
+    /// 7/8 — so one probe yields the value to update or the vacancy to fill.
     ///
     /// # Panics
     ///
@@ -301,21 +333,16 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
         self.find(*key).ok().map(|i| self.remove_at(i))
     }
 
-    /// Vacates slot `i` and compacts the probe chain behind it.
+    /// Vacates slot `i` and shifts the entries behind it back one slot,
+    /// up to a vacancy or an entry already in its home slot.
     fn remove_at(&mut self, mut i: usize) -> V {
         let val = std::mem::take(&mut self.slots[i].1);
         self.slots[i].0 = K::EMPTY;
         self.len -= 1;
         let mut j = self.next(i);
-        while self.slots[j].0 != K::EMPTY {
-            let home = Self::home(self.slots[j].0, self.slots.len());
-            // slots[j] may move into the hole at i only if its home slot
-            // is not inside the cyclic interval (i, j].
-            if self.distance(home, j) >= self.distance(i, j) {
-                self.slots.swap(i, j);
-                i = j;
-            }
-            j = self.next(j);
+        while self.slots[j].0 != K::EMPTY && Self::home(self.slots[j].0, self.slots.len()) != j {
+            self.slots.swap(i, j);
+            (i, j) = (j, self.next(j));
         }
         val
     }
@@ -386,15 +413,42 @@ impl<K: DenseKey, V: Default> DenseMap<K, V> {
     pub fn rebuild(&mut self, cap: usize) {
         assert!(cap > self.len || cap == 0 && self.len == 0, "DenseMap: {cap} slots too few");
         let vacant = (0..cap).map(|_| (K::EMPTY, V::default())).collect();
-        for slot in std::mem::replace(&mut self.slots, vacant) {
-            if slot.0 == K::EMPTY {
+        self.len = 0;
+        for (key, val) in std::mem::replace(&mut self.slots, vacant) {
+            if key == K::EMPTY {
                 continue;
             }
-            let mut i = Self::home(slot.0, cap);
-            while self.slots[i].0 != K::EMPTY {
+            let Err(slot) = self.find(key) else { unreachable!("DenseMap: {key:?} stored twice") };
+            Vacancy { map: self, key, slot }.insert(val);
+        }
+    }
+}
+
+#[cfg(test)]
+impl<K: DenseKey, V: Default> DenseMap<K, V> {
+    /// Asserts Robin Hood order: each occupied slot sits at most one
+    /// further from its home than its predecessor does (so the slot after
+    /// a vacancy is a home slot), and a probe for each `absent` key misses
+    /// without walking past the first vacancy after its home.
+    fn assert_robin_hood(&self, absent: impl IntoIterator<Item = K>) {
+        let cap = self.slots.len();
+        let dist = |i: usize| {
+            let k = self.slots[i].0;
+            (k != K::EMPTY).then(|| self.distance(Self::home(k, cap), i))
+        };
+        for i in 0..cap {
+            if let Some(d) = dist(i) {
+                let bound = dist((i + cap - 1) % cap).map_or(0, |before| before + 1);
+                assert!(d <= bound, "slot {i} is {d} from home, its predecessor allows {bound}");
+            }
+        }
+        for key in absent {
+            let Err(stop) = self.find(key) else { panic!("absent {key:?} found") };
+            let mut i = Self::home(key, cap);
+            while i != stop {
+                assert_ne!(self.slots[i].0, K::EMPTY, "a miss for {key:?} walked past a vacancy");
                 i = self.next(i);
             }
-            self.slots[i] = slot;
         }
     }
 }
@@ -449,14 +503,14 @@ mod tests {
         for i in 0..1000 {
             m.insert(PeerId(i), i * 7);
             if m.capacity() != cap {
-                // Only the insert that would pass 3/4 load grows the map,
+                // Only the insert that would pass 7/8 load grows the map,
                 // and it grows to that many entries' fit.
-                assert!(m.len() * 4 > cap * 3, "grew at {} entries in {cap} slots", m.len());
+                assert!(m.len() * 8 > cap * 7, "grew at {} entries in {cap} slots", m.len());
                 assert_eq!(m.capacity(), DenseMap::<PeerId, u32>::fit(m.len()));
                 (cap, growths) = (m.capacity(), growths + 1);
             }
         }
-        assert_eq!((m.len(), m.capacity(), growths), (1000, 1444, 21));
+        assert_eq!((m.len(), m.capacity(), growths), (1000, 1156, 21));
         for i in 0..1000 {
             assert_eq!(m.get(&PeerId(i)), Some(&(i * 7)));
         }
@@ -518,6 +572,7 @@ mod tests {
                 }
             }
             assert_eq!(dense.len(), reference.len());
+            dense.assert_robin_hood((0..61).map(PeerId).filter(|k| !reference.contains_key(k)));
         }
         let mut a: Vec<(PeerId, u64)> = dense.iter().map(|(k, v)| (k, *v)).collect();
         let mut b: Vec<(PeerId, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
@@ -565,9 +620,11 @@ mod storage {
 
     /// Every resident key is where a probe finds it, at its cyclic
     /// distance from home with no vacancy on the way — what backward-shift
-    /// deletion and the in-place `retain` rely on — and nothing else is
-    /// resident.
-    fn check(map: &Map, model: &HashMap<PeerId, u64>) {
+    /// deletion and the in-place `retain` rely on — nothing else is
+    /// resident, and the slots are in Robin Hood order for every key of
+    /// `pool` that misses.
+    fn check(map: &Map, model: &HashMap<PeerId, u64>, pool: &[PeerId]) {
+        map.assert_robin_hood(pool.iter().copied().filter(|k| !model.contains_key(k)));
         assert_eq!(map.len, model.len());
         let resident = map.slots.iter().enumerate().filter(|(_, s)| s.0 != PeerId::EMPTY);
         assert_eq!(resident.clone().count(), model.len());
@@ -620,12 +677,12 @@ mod storage {
                     }
                     5 if cap < *CAPS.end() => map.rebuild(cap + 4),
                     6 => {
-                        let tight = (map.len * 4).div_ceil(3).next_multiple_of(4);
+                        let tight = (map.len * 8).div_ceil(7).next_multiple_of(4);
                         map.rebuild(tight.max(*CAPS.start()));
                     }
                     _ => {}
                 }
-                check(&map, &model);
+                check(&map, &model, &all);
             }
         }
     }

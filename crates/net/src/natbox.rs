@@ -9,7 +9,7 @@
 use nylon_sim::{SimDuration, SimTime};
 
 use crate::addr::{Endpoint, Ip, Port};
-use crate::densemap::DenseMap;
+use crate::densemap::{DenseKey, DenseMap};
 use crate::nat::NatType;
 use crate::network::DropReason;
 
@@ -557,10 +557,12 @@ impl NatBox {
 
     /// Sessions held (cone sessions plus symmetric mappings, expired ones
     /// included until the next purge) and the map slots allocated to hold
-    /// them — what `net/nat_sessions` and `net/nat_session_slots` sum.
+    /// them, the symmetric mappings' forward index included — what
+    /// `net/nat_sessions` and `net/nat_session_slots` sum.
     pub fn session_footprint(&self) -> (usize, usize) {
-        let (mut held, mut slots) =
-            self.rare().map_or((0, 0), |r| (r.sym_by_port.len(), r.sym_by_port.capacity()));
+        let (mut held, mut slots) = self
+            .rare()
+            .map_or((0, 0), |r| (r.sym_by_port.len(), r.sym_by_port.capacity() + r.sym.capacity()));
         for (_, mapping) in self.cone.iter() {
             held += mapping.sessions.len();
             slots += mapping.sessions.capacity();
@@ -568,9 +570,28 @@ impl NatBox {
         (held, slots)
     }
 
-    /// Drops expired sessions and mappings to bound memory. Port
-    /// reservations for cone mappings are kept (they are the peer's stable
-    /// identity).
+    /// Bytes this box holds: itself inline, its boxed tables, and every
+    /// slot its maps allocated — what `net/nat_box_bytes` sums.
+    pub fn bytes(&self) -> usize {
+        let mut bytes = std::mem::size_of::<NatBox>();
+        for (_, mapping) in self.cone.iter() {
+            bytes += mapping.sessions.heap_bytes();
+        }
+        if let ConeTable::Many(maps) = &self.cone {
+            bytes += std::mem::size_of::<ConeMaps>();
+            bytes += maps.by_private.heap_bytes() + maps.by_port.heap_bytes();
+        }
+        if let Some(r) = self.rare() {
+            bytes += std::mem::size_of::<RareTables>();
+            bytes += r.sym.heap_bytes() + r.sym_by_port.heap_bytes() + r.forwarded.heap_bytes();
+        }
+        bytes
+    }
+
+    /// Drops expired sessions and mappings to bound memory, and refits
+    /// every map the purge leaves over 3/2 of its fit, so a box that once
+    /// held a burst of sessions gives the slots back. Port reservations
+    /// for cone mappings are kept (they are the peer's stable identity).
     pub fn purge_expired(&mut self, now: SimTime) {
         if !self.carried {
             return;
@@ -579,15 +600,34 @@ impl NatBox {
         // identity); only expired sessions are reclaimed.
         for (_, mapping) in self.cone.iter_mut() {
             mapping.sessions.retain(|_, s| s.expires > now);
+            refit(&mut mapping.sessions);
+        }
+        if let ConeTable::Many(maps) = &mut self.cone {
+            refit(&mut maps.by_private);
+            refit(&mut maps.by_port);
         }
         let Some(rare) = &mut self.rare else { return };
-        let dead: Vec<Port> =
-            rare.sym_by_port.iter().filter(|(_, m)| m.expires <= now).map(|(p, _)| p).collect();
-        for port in dead {
-            if let Some(m) = rare.sym_by_port.remove(&port) {
-                rare.sym.remove(&(m.private, m.remote));
+        let RareTables { sym, sym_by_port, .. } = &mut **rare;
+        // `retain` visits only survivors twice, so each dead mapping drops
+        // its forward-index key once.
+        sym_by_port.retain(|_, m| {
+            let live = m.expires > now;
+            if !live {
+                sym.remove(&(m.private, m.remote));
             }
-        }
+            live
+        });
+        refit(sym);
+        refit(sym_by_port);
+    }
+}
+
+/// Rebuilds `map` to [`DenseMap::fit`] of its entries when its capacity
+/// is above 3/2 of that — to no storage at all once it is empty.
+fn refit<K: DenseKey, V: Default>(map: &mut DenseMap<K, V>) {
+    let fit = DenseMap::<K, V>::fit(map.len());
+    if 2 * map.capacity() > 3 * fit {
+        map.rebuild(fit);
     }
 }
 
@@ -804,6 +844,33 @@ mod tests {
     }
 
     #[test]
+    fn purge_refits_maps_to_what_survives() {
+        // Sessions towards 1 000 remotes, of which 10 stay live past the
+        // purge: the maps that grew for all of them shrink to the fit of
+        // 10, on a cone box (its one session map) and on a symmetric box
+        // (its mappings and their forward index).
+        let fit = DenseMap::<Endpoint, Session>::fit(10);
+        for (t, maps) in [(NatType::PortRestrictedCone, 1), (NatType::Symmetric, 2)] {
+            let mut nat = boxed(t);
+            for i in 0..1_000 {
+                nat.on_outbound(SimTime::ZERO, private(), remote(i));
+            }
+            let grown = nat.bytes();
+            for i in 0..10 {
+                nat.on_outbound(SimTime::from_secs(60), private(), remote(i));
+            }
+            nat.purge_expired(SimTime::from_secs(100));
+            assert_eq!(nat.session_footprint(), (10, maps * fit), "{t}");
+            assert!(nat.bytes() * 20 < grown, "{t}: {} of {grown} bytes kept", nat.bytes());
+            let at = SimTime::from_secs(101);
+            for i in 0..10 {
+                let port = nat.egress_preview(at, private(), remote(i)).port;
+                assert_eq!(nat.inbound(at, port, remote(i)), Ok(private()), "{t}: survivor {i}");
+            }
+        }
+    }
+
+    #[test]
     fn multiple_private_endpoints_behind_one_box() {
         let mut nat = boxed(NatType::PortRestrictedCone);
         let p1 = Endpoint::new(Ip(Ip::PRIVATE_BASE + 1), Port(5000));
@@ -897,6 +964,7 @@ mod tests {
         let ep = nat.stable_public_endpoint(private()).unwrap();
         assert!(matches!(nat.cone, ConeTable::One(..)) && nat.rare.is_none());
         assert_eq!(nat.session_footprint(), (0, 0));
+        assert_eq!(nat.bytes(), std::mem::size_of::<NatBox>());
         // Nothing was ever sent: the purge has nothing to walk.
         assert!(!nat.carried);
         nat.purge_expired(SimTime::from_secs(1_000));

@@ -336,8 +336,10 @@ impl<P> Network<P> {
     /// `net/nat_sessions` is the number of sessions the boxes hold and
     /// `net/nat_session_slots` the map slots allocated for them (see
     /// [`NatBox::session_footprint`]) — the `routing/entries` versus
-    /// `routing/slots` pair, for the fabric. Like those they are
-    /// sum-merged gauges: a multi-worker run reports its total.
+    /// `routing/slots` pair, for the fabric. `net/nat_box_bytes` is every
+    /// byte the boxes hold, inline and on the heap ([`NatBox::bytes`]).
+    /// Like the routing gauges they are sum-merged: a multi-worker run
+    /// reports its total.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         let mut traffic = TrafficStats::default();
         for l in &self.local {
@@ -345,14 +347,16 @@ impl<P> Network<P> {
         }
         traffic.report(out, "net");
         out.gauge("net", "alive_peers", self.alive_count as u64);
-        let (mut sessions, mut slots) = (0u64, 0u64);
+        let (mut sessions, mut slots, mut bytes) = (0u64, 0u64, 0u64);
         for b in &self.boxes {
             let (held, allocated) = b.session_footprint();
             sessions += held as u64;
             slots += allocated as u64;
+            bytes += b.bytes() as u64;
         }
         out.gauge_sum("net", "nat_sessions", sessions);
         out.gauge_sum("net", "nat_session_slots", slots);
+        out.gauge_sum("net", "nat_box_bytes", bytes);
         let snap = self.wire_hist.snapshot();
         if snap.count > 0 {
             out.histogram("net", "wire_bytes", snap);

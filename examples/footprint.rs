@@ -6,7 +6,9 @@
 //! (`kernel/wheel_slot_bytes`), of view slots (`view/slot_bytes`) and of
 //! routing slots (`routing/slot_bytes`, Nylon only), and the NAT-session
 //! map slots beside the sessions they hold (`net/nat_session_slots` and
-//! `net/nat_sessions`, in thousands, so slots per session read off).
+//! `net/nat_sessions`, in thousands, so slots per session read off), and
+//! every byte of the NAT boxes themselves (`net/nat_box_bytes`: inline,
+//! session maps and the rarer tables).
 //! `VmHWM` shows what `VmRSS` cannot: a transient that rose and was freed
 //! between two stages (a stage whose `VmHWM` rises above the previous
 //! stage's peaked inside it). The stage tables in README "Per-node
@@ -55,8 +57,10 @@ fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
     let thousands = |n: u64| format!("{:.0}", n as f64 / 1e3);
     let nat = gauge("net", "nat_session_slots").map_or_else(dash, thousands);
     let sessions = gauge("net", "nat_sessions").map_or_else(dash, thousands);
+    let boxes = gauge("net", "nat_box_bytes").map_or_else(dash, mib);
     println!(
-        "{name:<14} {rss:>9} {hwm:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9}"
+        "{name:<14} {rss:>9} {hwm:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9} \
+         {boxes:>9}"
     );
 }
 
@@ -64,10 +68,11 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     let unbuilt: Option<&C::Sampler> = None;
-    let columns = ["stage", "VmRSS", "VmHWM", "wheel", "view", "routing", "NAT", "sessions"];
-    let units = ["", "MiB", "MiB", "MiB", "MiB", "MiB", "k slots", "k"];
-    for [a, b, c, d, e, f, g, h] in [columns, units] {
-        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9} {h:>9}");
+    let columns =
+        ["stage", "VmRSS", "VmHWM", "wheel", "view", "routing", "NAT", "sessions", "NAT boxes"];
+    let units = ["", "MiB", "MiB", "MiB", "MiB", "MiB", "k slots", "k", "MiB"];
+    for [a, b, c, d, e, f, g, h, i] in [columns, units] {
+        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9} {h:>9} {i:>9}");
     }
     stage("construct", unbuilt);
     for class in scn.classes() {

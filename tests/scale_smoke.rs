@@ -57,9 +57,10 @@ fn hundred_thousand_nodes_twenty_rounds() {
 /// cannot flake on a noisy host): 5 000 peers at 70 % NAT — the ledger's
 /// `nylon-steady-20k` population in miniature — past the first full 90 s
 /// expiry cadence. Capacity must be fitted to the *live* routes: at most
-/// two 16-byte slots per live entry, and no more than 7 KiB of slots per
-/// node (power-of-two capacity read 2.33 slots and, at 24 bytes each,
-/// 10.9 KB here).
+/// 5/3 16-byte slots per live entry, and no more than 5.5 KiB of slots
+/// per node. Robin Hood maps at 7/8 load read 1.547 slots and 4 886 B
+/// here; linear probing at 3/4 read 1.806 and 5 707 B, power-of-two
+/// capacity 2.33 slots and, at 24 bytes each, 10.9 KB.
 #[test]
 fn nylon_routing_footprint_tracks_live_routes() {
     const PEERS: u64 = 5_000;
@@ -73,10 +74,10 @@ fn nylon_routing_footprint_tracks_live_routes() {
     };
     let (entries, slots) = (gauge("entries"), gauge("slots"));
     assert!(entries > 100 * PEERS, "tables never filled: {entries} live routes");
-    assert!(slots <= 2 * entries, "{slots} slots for {entries} live routes");
+    assert!(3 * slots <= 5 * entries, "{slots} slots for {entries} live routes");
     assert_eq!(gauge("slot_bytes"), slots * RoutingTable::SLOT_BYTES as u64);
     let per_node = gauge("slot_bytes") / PEERS;
-    assert!(per_node <= 7 * 1024, "{per_node} B of routing slots per node");
+    assert!(2 * per_node <= 11 * 1024, "{per_node} B of routing slots per node");
     // The cost side, as exact counts: growth is geometric, so every
     // rebuild since the tables were empty walked a bounded multiple of the
     // slots that now stand, and sweeps come a few rounds apart.
@@ -150,8 +151,10 @@ fn wheel_buffers_follow_pending_events() {
 /// NAT-session maps are sized to the sessions they hold: the baseline at
 /// the view test's population, after 40 rounds (200 s, so sessions have
 /// cycled through the 90 s hole timeout and the purge twice), holds at
-/// most 2.5 map slots per session. Fitted maps read 2.07 here; maps that
-/// doubled to powers of two read 3.17.
+/// most 1.8 map slots per session, the symmetric mappings' forward index
+/// included. Robin Hood maps that the purge refits read 1.70 here; maps
+/// that only grew read 2.07 without that index, maps that doubled to
+/// powers of two 3.17.
 #[test]
 fn nat_session_slots_track_sessions() {
     let mut eng = build(&Scenario::new(5_000, 70.0, 5), GossipConfig::default());
@@ -159,7 +162,7 @@ fn nat_session_slots_track_sessions() {
     let (sessions, slots) =
         (metric(&eng, "net", "nat_sessions"), metric(&eng, "net", "nat_session_slots"));
     assert!(sessions > 5 * 3_500, "{sessions} sessions in 3 500 NAT boxes");
-    assert!(2 * slots <= 5 * sessions, "{slots} NAT-session slots for {sessions} sessions");
+    assert!(5 * slots <= 9 * sessions, "{slots} NAT-session slots for {sessions} sessions");
 }
 
 /// One counter or gauge of `eng`'s telemetry.
