@@ -16,13 +16,17 @@
 //!
 //! repro stats-report FILE
 //! repro stats-report --diff BEFORE AFTER
+//! repro stats-report --counters FILE
 //!
 //! The `stats-report` subcommand summarizes the JSONL a `--stats` run
 //! wrote: per-layer metric table plus derived events/s, allocations
 //! avoided, cell latency quantiles and per-shard imbalance. With
 //! `--diff` it compares two such files instead: per-(layer, metric)
 //! counter deltas and histogram quantile shifts, for before/after
-//! comparisons across a change.
+//! comparisons across a change. With `--counters` it prints every counter,
+//! gauge and histogram digest as a sorted `layer/metric value` list, less
+//! the rows that move with the host or the worker count: the form
+//! `scripts/golden.sh` commits beside each golden transcript.
 //!
 //! The `live` subcommand runs the on-wire demo instead: N in-process
 //! nodes over real loopback UDP behind the user-space NAT emulator,
@@ -149,7 +153,8 @@ fn main() -> ExitCode {
 }
 
 /// The `repro stats-report` subcommand: summarize a `--stats` JSONL file,
-/// or diff two of them (`--diff BEFORE AFTER`).
+/// diff two of them (`--diff BEFORE AFTER`), or list its exact counters
+/// (`--counters FILE`).
 fn stats_report_main(args: &[String]) -> ExitCode {
     let read = |path: &String| match std::fs::read_to_string(path) {
         Ok(t) => Some(t),
@@ -170,9 +175,15 @@ fn stats_report_main(args: &[String]) -> ExitCode {
             nylon_workloads::stats_report::render_diff(&b, &a)
                 .map_err(|e| format!("{before} vs {after}: {e}"))
         }
+        [flag, path] if flag == "--counters" => {
+            let Some(text) = read(path) else { return ExitCode::FAILURE };
+            nylon_workloads::stats_report::render_counters(&text)
+                .map_err(|e| format!("{path}: {e}"))
+        }
         _ => {
             eprintln!("usage: repro stats-report FILE");
             eprintln!("       repro stats-report --diff BEFORE AFTER");
+            eprintln!("       repro stats-report --counters FILE");
             return ExitCode::FAILURE;
         }
     };
@@ -290,6 +301,7 @@ fn usage(err: &str) -> ExitCode {
     );
     eprintln!("       repro stats-report FILE");
     eprintln!("       repro stats-report --diff BEFORE AFTER");
+    eprintln!("       repro stats-report --counters FILE");
     let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!("artifacts: {} all", names.join(" "));
     eprintln!("engines: {}", engine_names());

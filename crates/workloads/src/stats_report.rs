@@ -5,6 +5,9 @@
 //! per-layer markdown table plus the derived health numbers the layers
 //! only imply together: kernel events per wall second, allocations the
 //! buffer pools avoided, cell latency quantiles and per-shard imbalance.
+//! [`render_counters`] prints the same snapshot as a sorted `layer/metric
+//! value` list without the rows that move with the host or the worker
+//! count ([`IMPLEMENTATION_ROWS`]): the exact telemetry a golden can pin.
 //!
 //! Lines are read with [`nylon_obs::json`]; tolerance means skipping
 //! unparseable lines (a killed run can truncate its tail), not accepting
@@ -20,7 +23,48 @@ use nylon_obs::json::{self, Value};
 struct Metric {
     kind: String,
     value: u64,
-    hist: Option<(u64, u64, u64, u64)>, // (count, mean, p50, p99)
+    hist: Option<Hist>,
+}
+
+/// A histogram's summary fields (the buckets are left out).
+#[derive(Debug, Clone, Copy)]
+struct Hist {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    p50: u64,
+    p90: u64,
+    p99: u64,
+}
+
+impl Hist {
+    /// `(count, mean, p50, p99)`: what the table and the diff show.
+    fn brief(self) -> (u64, u64, u64, u64) {
+        (self.count, self.sum.checked_div(self.count).unwrap_or(0), self.p50, self.p99)
+    }
+}
+
+/// Rows [`render_counters`] leaves out, each a `layer/metric` name or a
+/// `layer/prefix*` pattern, with why it cannot be a golden: each moves with
+/// the host or the worker count while the behaviour stays the same.
+pub const IMPLEMENTATION_ROWS: [(&str, &str); 8] = [
+    ("exec/*", "wall-clock timings of the executor and its cells"),
+    ("process/*", "the operating system's view of the process: RSS, CPU time"),
+    ("shard/*", "lane, envelope and barrier accounting of the lockstep workers"),
+    ("kernel/events_processed", "each worker arms its own purge timer"),
+    ("kernel/pending_events", "each worker holds its own pending purge timer"),
+    ("kernel/pool_recycled", "event free lists are per worker"),
+    ("kernel/queue_depth_hwm", "each worker's queue peaks on its own schedule"),
+    ("kernel/wheel_*", "each worker's timer wheel sizes its own levels and buckets"),
+];
+
+/// Whether `layer/metric` is one of the [`IMPLEMENTATION_ROWS`].
+fn is_implementation_row(row: &str) -> bool {
+    IMPLEMENTATION_ROWS.iter().any(|(pattern, _)| match pattern.strip_suffix('*') {
+        Some(prefix) => row.starts_with(prefix),
+        None => row == *pattern,
+    })
 }
 
 /// The last snapshot of one stats file, flattened for rendering.
@@ -69,9 +113,16 @@ fn summarize(text: &str) -> Result<Summary, String> {
             for (name, m) in metric_fields {
                 let kind = m.get("type").and_then(Value::as_str).unwrap_or("?").to_string();
                 let (value, hist) = if kind == "histogram" {
-                    let count = uint(m, "count");
-                    let mean = uint(m, "sum").checked_div(count).unwrap_or(0);
-                    (count, Some((count, mean, uint(m, "p50"), uint(m, "p99"))))
+                    let hist = Hist {
+                        count: uint(m, "count"),
+                        sum: uint(m, "sum"),
+                        min: uint(m, "min"),
+                        max: uint(m, "max"),
+                        p50: uint(m, "p50"),
+                        p90: uint(m, "p90"),
+                        p99: uint(m, "p99"),
+                    };
+                    (hist.count, Some(hist))
                 } else {
                     (uint(m, "value"), None)
                 };
@@ -93,7 +144,7 @@ pub fn render(text: &str) -> Result<String, String> {
     let _ = writeln!(out, "|---|---|---|---|");
     for (layer, metrics) in &layers {
         for (name, m) in metrics {
-            let shown = match m.hist {
+            let shown = match m.hist.map(Hist::brief) {
                 Some((count, mean, p50, p99)) => {
                     format!("count={count} mean={mean} p50={p50} p99={p99}")
                 }
@@ -118,7 +169,9 @@ pub fn render(text: &str) -> Result<String, String> {
     if let Some(recycled) = lookup("kernel", "pool_recycled") {
         let _ = writeln!(out, "- allocations avoided (pool recycles): {}", recycled.value);
     }
-    if let Some((count, mean, p50, p99)) = lookup("exec", "cell_wall_ms").and_then(|m| m.hist) {
+    if let Some((count, mean, p50, p99)) =
+        lookup("exec", "cell_wall_ms").and_then(|m| m.hist).map(Hist::brief)
+    {
         let _ = writeln!(
             out,
             "- cell latency: {count} cells, mean={mean} ms p50={p50} ms p99={p99} ms"
@@ -210,14 +263,15 @@ pub fn render_diff(before_text: &str, after_text: &str) -> Result<String, String
             let show = |m: Option<&Metric>| -> String {
                 match m {
                     None => "(absent)".to_string(),
-                    Some(Metric { hist: Some((count, mean, p50, p99)), .. }) => {
+                    Some(Metric { hist: Some(h), .. }) => {
+                        let (count, mean, p50, p99) = h.brief();
                         format!("count={count} mean={mean} p50={p50} p99={p99}")
                     }
                     Some(m) => m.value.to_string(),
                 }
             };
             let delta = match (b, a) {
-                (Some(b), Some(a)) => match (b.hist, a.hist) {
+                (Some(b), Some(a)) => match (b.hist.map(Hist::brief), a.hist.map(Hist::brief)) {
                     (Some((bc, bm, bp50, bp99)), Some((ac, am, ap50, ap99))) => format!(
                         "count {} mean {} p50 {} p99 {}",
                         signed(ac, bc),
@@ -240,6 +294,33 @@ pub fn render_diff(before_text: &str, after_text: &str) -> Result<String, String
         }
     }
     Ok(out)
+}
+
+/// The last snapshot of a stats JSONL file as sorted `layer/metric value`
+/// lines, one per counter and gauge and one digest per histogram (`count=
+/// sum= min= max= p50= p90= p99=`), without the [`IMPLEMENTATION_ROWS`].
+///
+/// Everything it prints is a pure function of the run's seed and scale:
+/// the same at every `--jobs` and `--shards`, so a golden can hold it.
+pub fn render_counters(text: &str) -> Result<String, String> {
+    let Summary { layers, .. } = summarize(text)?;
+    let mut lines: Vec<String> = Vec::new();
+    for (layer, metrics) in &layers {
+        for (name, m) in metrics {
+            let row = format!("{layer}/{name}");
+            if is_implementation_row(&row) {
+                continue;
+            }
+            lines.push(match m.hist {
+                Some(Hist { count, sum, min, max, p50, p90, p99 }) => format!(
+                    "{row} count={count} sum={sum} min={min} max={max} p50={p50} p90={p90} p99={p99}"
+                ),
+                None => format!("{row} {}", m.value),
+            });
+        }
+    }
+    lines.sort_unstable();
+    Ok(lines.into_iter().map(|l| l + "\n").collect())
 }
 
 #[cfg(test)]
@@ -319,6 +400,28 @@ mod tests {
             report.contains("| shard | lane0_events | counter | 100 | (absent) | gone |"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn counters_skip_implementation_rows_and_sort() {
+        const SNAPSHOT: &str =
+            "{\"schema\":\"nylon-obs/1\",\"kind\":\"final\",\"t_ms\":9,\"layers\":{\
+            \"kernel\":{\"events_processed\":{\"type\":\"counter\",\"value\":5000},\
+            \"wheel_l0_events\":{\"type\":\"gauge\",\"value\":3},\
+            \"wheel_lifetime_ops\":{\"type\":\"counter\",\"value\":4},\
+            \"shuffles\":{\"type\":\"counter\",\"value\":7}},\
+            \"net\":{\"wire_bytes\":{\"type\":\"histogram\",\"count\":2,\"sum\":90,\
+            \"min\":40,\"max\":50,\"p50\":40,\"p90\":50,\"p99\":50,\"buckets\":[[26,2]]},\
+            \"alive_peers\":{\"type\":\"gauge\",\"value\":40}},\
+            \"process\":{\"peak_rss_bytes\":{\"type\":\"gauge\",\"value\":1}}}}";
+        let counters = render_counters(&format!("{LINE}\n{SNAPSHOT}\n")).expect("renders");
+        assert_eq!(
+            counters,
+            "kernel/shuffles 7\n\
+             net/alive_peers 40\n\
+             net/wire_bytes count=2 sum=90 min=40 max=50 p50=40 p90=50 p99=50\n"
+        );
+        assert!(render_counters("").is_err());
     }
 
     #[test]

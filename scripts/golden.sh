@@ -9,6 +9,13 @@
 # without a --shards flag and at --shards 1, 2 and 4, telemetry off and on:
 # one byte family, so every one of the thirty-two transcripts must equal the
 # committed file. --write cuts them from the flag-less, stats-off run.
+#
+# Beside each transcript `<name>.txt` sits `<name>.counters`: the run's
+# exact telemetry as `repro stats-report --counters` prints it (every
+# counter, gauge and histogram digest less the rows that move with the host
+# or the worker count). --write cuts it from the flag-less stats-on run;
+# --check compares it after each of the four stats-on runs, so a change of
+# behaviour that moves no table digit still fails here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,22 +32,30 @@ cargo build --release -q -p nylon-workloads --bin repro
 
 case "${1:-}" in
 --write)
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
     for g in "${goldens[@]}"; do
-        "$bin" ${g#*|} $scale 2>/dev/null > "${g%%|*}"
+        golden=${g%%|*}
+        "$bin" ${g#*|} $scale 2>/dev/null > "$golden"
+        "$bin" ${g#*|} $scale --stats "$out/stats.jsonl" 2>/dev/null > /dev/null
+        "$bin" stats-report --counters "$out/stats.jsonl" > "${golden%.txt}.counters"
     done
     ;;
 --check)
     out=$(mktemp -d)
     trap 'rm -rf "$out"' EXIT
     for g in "${goldens[@]}"; do
+        golden=${g%%|*}
         for shards in "" "--shards 1" "--shards 2" "--shards 4"; do
             "$bin" ${g#*|} $scale $shards 2>/dev/null > "$out/off.txt"
             "$bin" ${g#*|} $scale $shards --stats "$out/stats.jsonl" 2>/dev/null > "$out/on.txt"
-            diff "${g%%|*}" "$out/off.txt"
-            diff "${g%%|*}" "$out/on.txt"
+            diff "$golden" "$out/off.txt"
+            diff "$golden" "$out/on.txt"
+            "$bin" stats-report --counters "$out/stats.jsonl" > "$out/counters"
+            diff "${golden%.txt}.counters" "$out/counters"
         done
     done
-    echo "goldens reproduced: no flag and --shards 1, 2, 4; --stats off and on"
+    echo "goldens reproduced: no flag and --shards 1, 2, 4; --stats off and on; counters at each stats-on run"
     ;;
 *)
     echo "usage: scripts/golden.sh --check | --write" >&2
