@@ -27,103 +27,135 @@ pub const GRID_OFFSET: SimDuration = SimDuration::from_millis(13);
 /// RNG fork label for the fault plan stream ("faults").
 pub const FAULTS_RNG_LABEL: u64 = 0x6661_756C_7473;
 
-/// All fault names accepted by [`FaultSpec::parse`].
-pub const FAULT_NAMES: [&str; 9] =
-    ["rebind", "rvp-crash", "flap", "cgn", "hairpin", "loss-burst", "partition", "harden", "none"];
+/// One fault token: its name and the standard intensities it sets.
+struct Fault {
+    /// The token [`FaultSpec::parse`] accepts and [`FaultSpec::label`]
+    /// prints.
+    name: &'static str,
+    /// Whether a live run can replay it on the wire (see
+    /// [`FaultSpec::LIVE`]).
+    live: bool,
+    /// Switches the category on in a [`FaultConfig`] at its standard
+    /// intensity.
+    enable: fn(&mut FaultConfig),
+}
 
-/// Which fault categories a scenario enables.
+/// Every fault token, in label order. A [`FaultSpec`] is a set of rows of
+/// this table; [`FAULT_NAMES`], [`FaultSpec::parse`], [`FaultSpec::label`],
+/// [`FaultSpec::LIVE`] and [`FaultConfig::from_spec`] all read it.
+const FAULTS: [Fault; 8] = [
+    // Mobile-style mid-session NAT mapping rebinding.
+    Fault {
+        name: "rebind",
+        live: true,
+        enable: |c| {
+            c.rebind_period = SimDuration::from_secs(30);
+            c.rebind_fraction = 0.2;
+        },
+    },
+    // One correlated crash wave over the public (RVP-capable) peers.
+    Fault { name: "rvp-crash", live: false, enable: |c| c.rvp_crash_at = SimTime::from_secs(60) },
+    // Periodic kill/revive flapping waves.
+    Fault { name: "flap", live: false, enable: |c| c.flap_period = SimDuration::from_secs(40) },
+    // Carrier-grade NAT: stack a second `NatBox` in front of some peers.
+    Fault { name: "cgn", live: true, enable: |c| c.cgn = true },
+    // Enable hairpinning on some NAT boxes (it is off by default).
+    Fault { name: "hairpin", live: false, enable: |c| c.hairpin = true },
+    // Periodic windows of heavy random loss.
+    Fault { name: "loss-burst", live: false, enable: |c| c.loss_burst = true },
+    // One window during which the population is split in two.
+    Fault {
+        name: "partition",
+        live: false,
+        enable: |c| {
+            c.partition_at = SimTime::from_secs(60);
+            c.partition_len = SimDuration::from_secs(20);
+        },
+    },
+    // Engine graceful-degradation logic (punch retries, RVP failover,
+    // stale-mapping re-punch). Off by default so the clean path is
+    // byte-identical to the pre-fault-plane code.
+    Fault { name: "harden", live: true, enable: |c| c.harden = true },
+];
+
+/// All fault names accepted by [`FaultSpec::parse`]: every token, then the
+/// no-op `none`.
+pub const FAULT_NAMES: [&str; FAULTS.len() + 1] = {
+    let mut names = ["none"; FAULTS.len() + 1];
+    let mut i = 0;
+    while i < FAULTS.len() {
+        names[i] = FAULTS[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// Which fault categories a scenario enables: a set of fault tokens.
 ///
 /// This is the CLI/scenario-facing switchboard; intensities live in
 /// [`FaultConfig`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Mobile-style mid-session NAT mapping rebinding.
-    pub rebind: bool,
-    /// One correlated crash wave over the public (RVP-capable) peers.
-    pub rvp_crash: bool,
-    /// Periodic kill/revive flapping waves.
-    pub flap: bool,
-    /// Carrier-grade NAT: stack a second `NatBox` in front of some peers.
-    pub cgn: bool,
-    /// Enable hairpinning on some NAT boxes (it is off by default).
-    pub hairpin: bool,
-    /// Periodic windows of heavy random loss.
-    pub loss_burst: bool,
-    /// One window during which the population is split in two.
-    pub partition: bool,
-    /// Engine graceful-degradation logic (punch retries, RVP failover,
-    /// stale-mapping re-punch).  Off by default so the clean path is
-    /// byte-identical to the pre-fault-plane code.
-    pub harden: bool,
-}
+pub struct FaultSpec(u8);
 
 impl FaultSpec {
+    /// The faults a live run replays: the NAT emulator rebinds mappings and
+    /// stacks carrier-grade boxes on the wire, and hardening is the
+    /// engine's own; every other category is simulation-only.
+    pub const LIVE: FaultSpec = {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < FAULTS.len() {
+            if FAULTS[i].live {
+                bits |= 1 << i;
+            }
+            i += 1;
+        }
+        FaultSpec(bits)
+    };
+
     /// Parses a comma-separated fault list, e.g. `"rebind,flap,harden"`.
     ///
     /// `"none"` is accepted as an explicit no-op token.  Unknown names
     /// error out enumerating every valid name.
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut spec = FaultSpec::default();
-        for name in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match name {
-                "rebind" => spec.rebind = true,
-                "rvp-crash" => spec.rvp_crash = true,
-                "flap" => spec.flap = true,
-                "cgn" => spec.cgn = true,
-                "hairpin" => spec.hairpin = true,
-                "loss-burst" => spec.loss_burst = true,
-                "partition" => spec.partition = true,
-                "harden" => spec.harden = true,
-                "none" => {}
-                other => {
-                    return Err(format!(
-                        "unknown fault '{other}' (valid: {})",
-                        FAULT_NAMES.join(", ")
-                    ));
-                }
-            }
+        for name in s.split(',').map(str::trim).filter(|t| !t.is_empty() && *t != "none") {
+            let Some(i) = FAULTS.iter().position(|f| f.name == name) else {
+                return Err(format!("unknown fault '{name}' (valid: {})", FAULT_NAMES.join(", ")));
+            };
+            spec.0 |= 1 << i;
         }
         Ok(spec)
     }
 
+    /// The table rows in the set, in label order.
+    fn rows(self) -> impl Iterator<Item = &'static Fault> {
+        let faults: &'static [Fault] = &FAULTS;
+        faults.iter().enumerate().filter(move |(i, _)| self.0 & (1 << i) != 0).map(|(_, f)| f)
+    }
+
+    /// The names of the tokens in the set, in label order.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        self.rows().map(|f| f.name)
+    }
+
     /// `true` when no fault category (and no hardening) is enabled.
     pub fn is_none(&self) -> bool {
-        *self == FaultSpec::default()
+        self.0 == 0
+    }
+
+    /// `true` when every token of `self` is also in `other`.
+    pub fn is_subset(self, other: FaultSpec) -> bool {
+        self.0 & !other.0 == 0
     }
 
     /// Canonical `+`-joined label, `"none"` when empty; round-trips through
     /// [`FaultSpec::parse`] (after `+` → `,`).
     pub fn label(&self) -> String {
-        let mut parts = Vec::new();
-        if self.rebind {
-            parts.push("rebind");
+        if self.is_none() {
+            return "none".to_owned();
         }
-        if self.rvp_crash {
-            parts.push("rvp-crash");
-        }
-        if self.flap {
-            parts.push("flap");
-        }
-        if self.cgn {
-            parts.push("cgn");
-        }
-        if self.hairpin {
-            parts.push("hairpin");
-        }
-        if self.loss_burst {
-            parts.push("loss-burst");
-        }
-        if self.partition {
-            parts.push("partition");
-        }
-        if self.harden {
-            parts.push("harden");
-        }
-        if parts.is_empty() {
-            "none".to_owned()
-        } else {
-            parts.join("+")
-        }
+        self.names().collect::<Vec<_>>().join("+")
     }
 }
 
@@ -185,24 +217,9 @@ impl FaultConfig {
     /// Standard intensities for each category enabled in `spec`.
     pub fn from_spec(spec: &FaultSpec) -> Self {
         let mut cfg = FaultConfig::default();
-        if spec.rebind {
-            cfg.rebind_period = SimDuration::from_secs(30);
-            cfg.rebind_fraction = 0.2;
+        for f in spec.rows() {
+            (f.enable)(&mut cfg);
         }
-        if spec.rvp_crash {
-            cfg.rvp_crash_at = SimTime::from_secs(60);
-        }
-        if spec.flap {
-            cfg.flap_period = SimDuration::from_secs(40);
-        }
-        if spec.partition {
-            cfg.partition_at = SimTime::from_secs(60);
-            cfg.partition_len = SimDuration::from_secs(20);
-        }
-        cfg.cgn = spec.cgn;
-        cfg.hairpin = spec.hairpin;
-        cfg.loss_burst = spec.loss_burst;
-        cfg.harden = spec.harden;
         cfg
     }
 }
@@ -255,8 +272,9 @@ pub const PARTITION_CUT_FRACTION: f64 = 0.5;
 /// A compiled, sorted fault schedule plus start-of-run topology changes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Engine graceful-degradation switch (carried with the plan so it
-    /// rides the same install seam).
+    /// Engine graceful-degradation switch, carried with the plan so it
+    /// rides the same install seam: the engine host reads it once, when
+    /// the plan is installed, and protocols ask the host.
     pub harden: bool,
     /// Peers put behind a second, carrier-grade NAT box before start.
     pub cgn: Vec<(PeerId, NatType)>,
@@ -463,7 +481,8 @@ impl FaultRuntime {
         &self.plan
     }
 
-    /// Whether engine graceful-degradation logic is on.
+    /// Whether engine graceful-degradation logic is on (the plan's
+    /// [`FaultPlan::harden`]).
     pub fn harden(&self) -> bool {
         self.plan.harden
     }
@@ -548,11 +567,49 @@ mod tests {
         let spec =
             FaultSpec::parse("rebind,rvp-crash,flap,cgn,hairpin,loss-burst,partition,harden")
                 .unwrap();
-        assert!(spec.rebind && spec.rvp_crash && spec.flap && spec.cgn);
-        assert!(spec.hairpin && spec.loss_burst && spec.partition && spec.harden);
+        assert_eq!(spec.names().collect::<Vec<_>>(), FAULT_NAMES[..8]);
         assert!(FaultSpec::parse("none").unwrap().is_none());
         assert!(FaultSpec::parse("").unwrap().is_none());
         assert_eq!(FaultSpec::parse(" rebind , none ").unwrap().label(), "rebind");
+    }
+
+    /// Every one of the 256 token sets prints a label that parses back to
+    /// the same set, and no two sets share a label.
+    #[test]
+    fn every_token_set_round_trips_through_its_label() {
+        let mut labels = std::collections::BTreeSet::new();
+        for bits in 0..=u8::MAX {
+            let spec = FaultSpec(bits);
+            let label = spec.label();
+            assert_eq!(FaultSpec::parse(&label.replace('+', ",")), Ok(spec), "{label}");
+            assert!(labels.insert(label));
+        }
+    }
+
+    /// The standard intensities of each single token, written out: a table
+    /// row cannot move one unseen.
+    #[test]
+    fn each_token_sets_its_standard_intensities() {
+        let off = FaultConfig::default();
+        let one = |name: &str| FaultConfig::from_spec(&FaultSpec::parse(name).unwrap());
+        let secs = SimDuration::from_secs;
+        assert_eq!(
+            one("rebind"),
+            FaultConfig { rebind_period: secs(30), rebind_fraction: 0.2, ..off }
+        );
+        assert_eq!(one("rvp-crash"), FaultConfig { rvp_crash_at: SimTime::from_secs(60), ..off });
+        assert_eq!(one("flap"), FaultConfig { flap_period: secs(40), ..off });
+        assert_eq!(one("cgn"), FaultConfig { cgn: true, ..off });
+        assert_eq!(one("hairpin"), FaultConfig { hairpin: true, ..off });
+        assert_eq!(one("loss-burst"), FaultConfig { loss_burst: true, ..off });
+        assert_eq!(
+            one("partition"),
+            FaultConfig { partition_at: SimTime::from_secs(60), partition_len: secs(20), ..off }
+        );
+        assert_eq!(one("harden"), FaultConfig { harden: true, ..off });
+        assert_eq!(one("none"), off);
+        assert_eq!(off.horizon, secs(300));
+        assert_eq!(FaultSpec::LIVE.label(), "rebind+cgn+harden");
     }
 
     #[test]
@@ -577,7 +634,7 @@ mod tests {
     fn disabled_config_compiles_to_noop_plan() {
         let plan = FaultPlan::compile(&FaultConfig::default(), 7, &classes(4, 12));
         assert!(plan.is_noop());
-        let spec = FaultSpec { harden: true, ..FaultSpec::default() };
+        let spec = FaultSpec::parse("harden").unwrap();
         let plan = FaultPlan::compile(&FaultConfig::from_spec(&spec), 7, &classes(4, 12));
         assert!(plan.harden && plan.events.is_empty());
     }

@@ -80,8 +80,8 @@
 use std::process::ExitCode;
 
 use nylon_workloads::cli::{
-    attack_names, engine_names, fault_names, parse_artifact_args, parse_live_args, ArtifactArgs,
-    LiveArgs,
+    attack_names, engine_names, fault_names, live_fault_names, parse_artifact_args,
+    parse_live_args, ArtifactArgs, LiveArgs,
 };
 use nylon_workloads::figures::{self, FIGURES};
 
@@ -284,7 +284,10 @@ fn live_usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: repro live [--peers N] [--nat-pct PCT] [--rounds R] [--period-ms MS] [--seed S] [--faults SPEC] [--no-compare] [--min-cluster PCT] [--stats FILE]"
     );
-    eprintln!("live faults: comma-separated of rebind cgn harden (others are simulation-only)");
+    eprintln!(
+        "live faults: comma-separated of {} (others are simulation-only)",
+        live_fault_names()
+    );
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

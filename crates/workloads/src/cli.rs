@@ -258,6 +258,11 @@ pub fn fault_names() -> String {
     nylon_faults::FAULT_NAMES.join(" ")
 }
 
+/// The fault names `repro live --faults` takes ([`FaultSpec::LIVE`]).
+pub fn live_fault_names() -> String {
+    FaultSpec::LIVE.names().collect::<Vec<_>>().join(" ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,7 +421,7 @@ mod tests {
         .unwrap();
         let s = &args.scale;
         assert_eq!((s.peers, s.nat_pct, s.rounds, s.period_ms, s.seed), (4, 50.0, 2, 100, 9));
-        assert!(s.faults.is_some_and(|f| f.rebind));
+        assert_eq!(s.faults.map(|f| f.label()).as_deref(), Some("rebind"));
         assert_eq!(args.min_cluster, 0.0);
         assert!(!args.compare);
         assert_eq!(args.stats.as_deref(), Some("s.jsonl"));

@@ -33,12 +33,12 @@ pub struct LiveScale {
     pub rounds: u64,
     /// Shuffle period in milliseconds (paper: 5000; scaled default 150).
     pub period_ms: u64,
-    /// Fault plan for the on-wire run: `rebind` replays a mapping-rebind
-    /// wave through the NAT emulator at mid-run (real packets towards the
-    /// old mappings blackhole), `cgn` stacks carrier-grade boxes on the
-    /// wire before traffic flows, and `harden` arms the engine's
-    /// graceful-degradation logic. Other fault categories are
-    /// simulation-only and rejected by [`LiveScale::validate`].
+    /// Fault plan for the on-wire run, within [`FaultSpec::LIVE`]: `rebind`
+    /// replays a mapping-rebind wave through the NAT emulator at mid-run
+    /// (real packets towards the old mappings blackhole), `cgn` stacks
+    /// carrier-grade boxes on the wire before traffic flows, and `harden`
+    /// arms the engine's graceful-degradation logic. Other fault categories
+    /// are simulation-only and rejected by [`LiveScale::validate`].
     pub faults: Option<FaultSpec>,
     /// Seed for the scenario and every engine choice.
     pub seed: u64,
@@ -72,12 +72,11 @@ impl LiveScale {
         if !self.nat_pct.is_finite() || !(0.0..=100.0).contains(&self.nat_pct) {
             return Err(format!("nat-pct must be within [0, 100], got {}", self.nat_pct));
         }
-        if let Some(s) = self.faults {
-            if s.rvp_crash || s.flap || s.hairpin || s.loss_burst || s.partition {
-                return Err(
-                    "live runs replay only rebind, cgn and harden faults on the wire".to_string()
-                );
-            }
+        if self.faults.is_some_and(|s| !s.is_subset(FaultSpec::LIVE)) {
+            return Err(format!(
+                "live runs replay only {} faults on the wire",
+                FaultSpec::LIVE.names().collect::<Vec<_>>().join(", ")
+            ));
         }
         Ok(())
     }
@@ -88,13 +87,14 @@ impl LiveScale {
 }
 
 /// Compiles the live fault plan — shared by the on-wire run and the sim
-/// twin, so both replay the identical wave. Rebinds land as one wave
-/// right past the mid-run round boundary; CGN boxes stack up front.
+/// twin, so both replay the identical wave. `cgn` and `harden` keep their
+/// standard settings and CGN boxes stack up front; rebinds land as one wave
+/// right past the mid-run round boundary.
 fn live_fault_plan(scale: &LiveScale, classes: &[NatClass]) -> Option<FaultPlan> {
     let spec = scale.faults.filter(|s| !s.is_none())?;
     let period = SimDuration::from_millis(scale.period_ms);
-    let mut cfg = FaultConfig { cgn: spec.cgn, harden: spec.harden, ..FaultConfig::default() };
-    if spec.rebind {
+    let mut cfg = FaultConfig::from_spec(&spec);
+    if !cfg.rebind_period.is_zero() {
         // One wave: k=1 lands just past mid-run, k=2 falls past the horizon.
         cfg.rebind_period = period * (scale.rounds / 2).max(1);
         cfg.horizon = cfg.rebind_period + period;
@@ -283,15 +283,7 @@ mod tests {
 
     #[test]
     fn live_fault_plan_is_one_midrun_rebind_wave() {
-        let scale = LiveScale {
-            faults: Some(FaultSpec {
-                rebind: true,
-                cgn: true,
-                harden: true,
-                ..FaultSpec::default()
-            }),
-            ..LiveScale::default()
-        };
+        let scale = LiveScale { faults: Some(FaultSpec::LIVE), ..LiveScale::default() };
         scale.validate().expect("rebind+cgn+harden is live-replayable");
         let classes = scale.scenario().classes();
         let plan = live_fault_plan(&scale, &classes).expect("nonzero plan");
@@ -307,10 +299,8 @@ mod tests {
 
     #[test]
     fn sim_only_faults_are_rejected_on_the_live_path() {
-        let scale = LiveScale {
-            faults: Some(FaultSpec { partition: true, ..FaultSpec::default() }),
-            ..LiveScale::default()
-        };
+        let scale =
+            LiveScale { faults: FaultSpec::parse("partition").ok(), ..LiveScale::default() };
         let err = scale.validate().unwrap_err();
         assert!(err.contains("rebind"), "error should name the supported faults: {err}");
     }
@@ -319,7 +309,7 @@ mod tests {
     fn sim_twin_survives_a_hardened_rebind_wave() {
         let snap = run_sim_twin(&LiveScale {
             rounds: 25,
-            faults: Some(FaultSpec { rebind: true, harden: true, ..FaultSpec::default() }),
+            faults: FaultSpec::parse("rebind,harden").ok(),
             ..LiveScale::default()
         });
         assert!(snap.cluster_pct > 80.0, "hardened twin must recover, got {}", snap.cluster_pct);
