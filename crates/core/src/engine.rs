@@ -12,7 +12,6 @@
 //! * relaying of whole shuffles for the symmetric-NAT combinations where no
 //!   hole can be punched (lines 5–7 and 20–22).
 
-use nylon_faults::FaultPlan;
 use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
     Protocol, SelectionPolicy,
@@ -185,9 +184,6 @@ pub struct Nylon {
     /// [`MAX_FORWARD_HOPS`] times, and every transmission takes at most the
     /// fabric's latency plus jitter.
     reply_horizon: SimDuration,
-    /// Graceful-degradation switch, cached off the installed fault plan:
-    /// punch retries, stale-mapping re-punch.
-    harden: bool,
 }
 
 /// The Nylon protocol engine: [`Nylon`] on the shared [`Engine`] host, so
@@ -337,7 +333,7 @@ impl Nylon {
     /// endpoint so our own NAT opens an egress session towards it, instead
     /// of silently blackholing until TTL death.
     fn touch(&mut self, host: &mut NylonHost, me: PeerId, via: PeerId, observed: Endpoint) {
-        if self.harden {
+        if host.hardened() {
             let prior = self.nodes[me].routing.contact_of(via);
             if prior.is_some_and(|c| c != observed) {
                 self.stats.stale_repunches += 1;
@@ -509,7 +505,6 @@ impl Protocol for Nylon {
             scratch_descs: Vec::new(),
             merge_scratch: MergeScratch::default(),
             reply_horizon,
-            harden: false,
         }
     }
 
@@ -565,7 +560,7 @@ impl Protocol for Nylon {
         // punch is outstanding — the common case for public peers).
         let node = &mut self.nodes[p];
         if !node.pending_punch.is_empty() {
-            if self.harden {
+            if host.hardened() {
                 for (t, punch) in take_expired(&mut node.pending_punch, now) {
                     self.retry_punch(host, p, t, punch);
                 }
@@ -641,8 +636,15 @@ impl Protocol for Nylon {
                     let sent_ok = if relay_resp {
                         self.route_and_send(host, to, src.id, resp)
                     } else {
-                        // Defensive fallback; per the traversal analysis a
-                        // relayed request implies the relay_resp condition.
+                        // Honest classes never get here: a relayed request
+                        // implies the relay_resp condition. A forged one
+                        // does — the initiator relayed because its view
+                        // holds a symmetric-NAT class for us (the adversary's
+                        // forged descriptors, `shuffle-lying` and
+                        // `nat-eclipse`) while neither real class calls for
+                        // relaying. The answer goes straight to the
+                        // initiator's advertised endpoint and arrives only
+                        // if the initiator's NAT admits it.
                         host.send_msg(self, to, src.addr, resp);
                         true
                     };
@@ -794,15 +796,12 @@ impl Protocol for Nylon {
     fn on_idle_round(&mut self, peer: PeerId) {
         self.nodes[peer].routing.decrease_ttls(self.cfg.shuffle_period);
     }
-
-    fn on_fault_plan(&mut self, plan: &FaultPlan) {
-        self.harden = plan.harden;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nylon_faults::FaultPlan;
 
     /// The population, not yet bootstrapped or started.
     fn mixed_population(

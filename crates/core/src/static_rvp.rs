@@ -16,7 +16,6 @@
 //! period (proactive keep-alive, unlike Nylon's reactive punching) and
 //! re-bind to a fresh public peer if their RVP dies.
 
-use nylon_faults::FaultPlan;
 use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
     Protocol, SamplerConfig, SelectionPolicy,
@@ -142,6 +141,18 @@ impl SamplerConfig for StaticRvpConfig {
 /// The fabric as the static-RVP handlers see it.
 type RvpHost = Host<StaticRvpMsg>;
 
+/// Where a message for peer `d` goes first: a public peer is reached
+/// directly, a natted one through `rvp`, its RVP binding, while that RVP
+/// is alive. `None` means the peer is unreachable — the failure mode the
+/// paper points out.
+fn first_hop(host: &RvpHost, d: &NodeDescriptor, rvp: Option<PeerId>) -> Option<PeerId> {
+    if d.class.is_public() {
+        Some(d.id)
+    } else {
+        rvp.filter(|r| host.net.is_alive(*r))
+    }
+}
+
 /// The static-RVP strawman; see the module docs.
 #[derive(Debug)]
 pub struct StaticRvp {
@@ -159,9 +170,6 @@ pub struct StaticRvp {
     merge_scratch: MergeScratch,
     /// Reused scratch for the binding-cache keep set (merge truncation).
     scratch_keep: FxHashSet<PeerId>,
-    /// Graceful-degradation mode from the fault plan: silence-based RVP
-    /// failover instead of waiting for TTL death.
-    harden: bool,
 }
 
 /// Engine for the static-RVP strawman: [`StaticRvp`] on the shared
@@ -171,6 +179,11 @@ pub type StaticRvpEngine = Engine<StaticRvp>;
 impl StaticRvp {
     fn self_descriptor(&self, host: &RvpHost, peer: PeerId) -> BoundDescriptor {
         BoundDescriptor { descriptor: host.descriptor_of(peer), rvp: self.nodes[peer].rvp }
+    }
+
+    /// The RVP `holder` last learned for `peer`, if any.
+    fn binding(&self, holder: PeerId, peer: PeerId) -> Option<PeerId> {
+        self.nodes[holder].bindings.get(&peer).copied().flatten()
     }
 
     fn wire_view(&mut self, host: &RvpHost, peer: PeerId) -> Vec<BoundDescriptor> {
@@ -203,7 +216,7 @@ impl StaticRvp {
             node.rvp = Some(*rvp);
             node.silent_rounds = 0;
             self.stats.rebinds += 1;
-        } else if self.harden && self.nodes[p].silent_rounds >= FAILOVER_SILENT_ROUNDS {
+        } else if host.hardened() && self.nodes[p].silent_rounds >= FAILOVER_SILENT_ROUNDS {
             // Silence-based failover: the RVP looks alive by TTL but no
             // RESPONSE has made it back for several rounds — its relay
             // state (our hole, its client table) may be stale. Re-register
@@ -229,7 +242,7 @@ impl StaticRvp {
             node.silent_rounds = 0;
         }
         let node = &mut self.nodes[p];
-        if self.harden {
+        if host.hardened() {
             node.silent_rounds = node.silent_rounds.saturating_add(1);
         }
         let rvp_ep = host.net.identity_endpoint(node.rvp.expect("just bound"));
@@ -302,7 +315,6 @@ impl Protocol for StaticRvp {
             scratch_descs: Vec::new(),
             merge_scratch: MergeScratch::default(),
             scratch_keep: FxHashSet::default(),
-            harden: false,
         }
     }
 
@@ -390,19 +402,11 @@ impl Protocol for StaticRvp {
                     dest: target.id,
                     entries,
                 };
-                // Natted targets are reached via their RVP.
-                let hop = if target.class.is_public() {
-                    Some(target.id)
-                } else {
-                    let rvp = self.nodes[p].bindings.get(&target.id).copied().flatten();
-                    rvp.filter(|r| host.net.is_alive(*r))
-                };
-                match hop {
+                match first_hop(host, &target, self.binding(p, target.id)) {
                     Some(hop) => host.send_msg(self, p, host.net.identity_endpoint(hop), msg),
                     None => {
                         // Binding unknown or RVP dead: the reference is
-                        // unusable (the failure mode the paper points
-                        // out). Drop it.
+                        // unusable. Drop it.
                         self.nodes[p].view.remove(target.id);
                         self.recycle(msg);
                     }
@@ -433,12 +437,7 @@ impl Protocol for StaticRvp {
                     dest: src.descriptor.id,
                     entries: resp_entries,
                 };
-                let hop = if src.descriptor.class.is_public() {
-                    Some(src.descriptor.id)
-                } else {
-                    src.rvp.filter(|r| host.net.is_alive(*r))
-                };
-                match hop {
+                match first_hop(host, &src.descriptor, src.rvp) {
                     Some(hop) => host.send_msg(self, to, host.net.identity_endpoint(hop), resp),
                     // No way back to the initiator: the response is never
                     // sent (the paper's failure mode); recycle it.
@@ -481,8 +480,8 @@ impl Protocol for StaticRvp {
     }
 
     /// Whether `holder` could shuffle over this view entry right now: the
-    /// target is alive and either public or relayable through an RVP the
-    /// holder knows about (and which is itself still alive).
+    /// target is alive and has a [`first_hop`] through the RVP the holder
+    /// knows for it.
     fn edge_usable(
         &self,
         host: &RvpHost,
@@ -490,16 +489,9 @@ impl Protocol for StaticRvp {
         holder: PeerId,
         d: &NodeDescriptor,
     ) -> bool {
-        if d.id.index() >= host.net.peer_count() || !host.net.is_alive(d.id) {
-            return false;
-        }
-        if d.class.is_public() {
-            return true;
-        }
-        match self.nodes[holder].bindings.get(&d.id) {
-            Some(Some(rvp)) => host.net.is_alive(*rvp),
-            _ => false,
-        }
+        d.id.index() < host.net.peer_count()
+            && host.net.is_alive(d.id)
+            && first_hop(host, d, self.binding(holder, d.id)).is_some()
     }
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
@@ -509,15 +501,12 @@ impl Protocol for StaticRvp {
         let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
         out.gauge_sum("engine.static_rvp", "pending_exchanges", pending as u64);
     }
-
-    fn on_fault_plan(&mut self, plan: &FaultPlan) {
-        self.harden = plan.harden;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nylon_faults::FaultPlan;
     use nylon_net::{NatClass, NatType};
     use nylon_sim::SimTime;
 
@@ -652,6 +641,36 @@ mod tests {
         // warm-up they succeed. Either way the counters are consistent.
         let s = eng.stats();
         assert!(s.relays + s.relay_failures > 0);
+    }
+
+    /// The oracle's three cases: a public target is usable, a natted one
+    /// only through an RVP the holder knows and which is alive.
+    #[test]
+    fn natted_entries_are_usable_only_through_a_live_rvp() {
+        let mut eng = engine(10, 40, 21);
+        eng.run_rounds(20);
+        let proto = eng.protocol();
+        let (holder, target, rvp) = eng
+            .alive_peers()
+            .find_map(|p| {
+                eng.view_of(p).iter().filter(|d| d.class.is_natted()).find_map(|d| {
+                    let rvp = proto.binding(p, d.id).filter(|r| *r != p)?;
+                    eng.is_alive(rvp).then_some((p, *d, rvp))
+                })
+            })
+            .expect("some natted entry is bound to a live RVP");
+        let public = eng.descriptor_of(
+            eng.alive_peers().find(|q| eng.class_of(*q).is_public() && *q != rvp).unwrap(),
+        );
+        // A peer that joined just now: no one has learned its RVP yet.
+        let newcomer = eng.add_peer(NatClass::Natted(NatType::PortRestrictedCone));
+        let unbound = eng.descriptor_of(newcomer);
+        assert!(eng.edge_usable(holder, &public), "public target");
+        assert!(eng.edge_usable(holder, &target), "natted target, live RVP");
+        assert!(!eng.edge_usable(holder, &unbound), "natted target, unknown RVP");
+        eng.kill_peers(&[rvp]);
+        assert!(eng.is_alive(target.id));
+        assert!(!eng.edge_usable(holder, &target), "natted target, dead RVP");
     }
 
     /// A partition leaves RVPs alive by TTL but silently unreachable — the

@@ -10,7 +10,7 @@ use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
-use crate::host::{directly_reachable, Host, NodeTable, Protocol};
+use crate::host::{Host, NodeTable, Protocol};
 use crate::policy::{GossipConfig, PropagationPolicy};
 use crate::view::{MergeScratch, PartialView};
 use crate::Engine;
@@ -243,18 +243,6 @@ impl Protocol for Baseline {
 
     fn recycle(&mut self, msg: BaselineMsg) {
         self.payload_pool.release(msg.into_entries());
-    }
-
-    /// The baseline has no traversal machinery: an entry is usable only if
-    /// the raw NAT state admits a packet from the holder right now.
-    fn edge_usable(
-        &self,
-        holder_host: &Host<BaselineMsg>,
-        target_host: &Host<BaselineMsg>,
-        holder: PeerId,
-        d: &NodeDescriptor,
-    ) -> bool {
-        directly_reachable(holder_host, target_host, holder, d)
     }
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {

@@ -46,8 +46,9 @@ use crate::Engine;
 ///
 /// 1. [`new`](Self::new), then [`add_node`](Self::add_node) once per
 ///    *owned* peer in id order.
-/// 2. Optionally [`on_fault_plan`](Self::on_fault_plan), then one
-///    [`join_contact`](Self::join_contact) per bootstrap contact.
+/// 2. One [`join_contact`](Self::join_contact) per bootstrap contact. A
+///    fault plan, if any, is installed on the host before this step
+///    ([`Host::hardened`] reads its hardening switch).
 /// 3. [`on_start`](Self::on_start) with the owned alive peers, after which
 ///    the host draws each one's first-round phase from
 ///    [`rng_of`](Self::rng_of). A peer joining a started engine repeats
@@ -144,13 +145,31 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// (see [`crate::PeerSampler::edge_usable`]), asked of the holder's
     /// worker with the hosts owning each side's NAT state — the same host
     /// twice on one worker.
+    ///
+    /// The default is raw packet-level reachability, the oracle of the
+    /// protocols that address view entries directly (the baseline,
+    /// PeerSwap): would a datagram the alive `holder` sent to `d.addr`
+    /// right now reach `d.id`? Egress translation is previewed on the
+    /// holder's host ([`Network::source_toward`]), then delivery's own
+    /// ingress walk runs read-only on the target's ([`Network::ingress`]) —
+    /// only for an address the plan routes to `d.id`, so the walk stays on
+    /// that host's boxes. Protocols that reach peers through relays
+    /// override it.
     fn edge_usable(
         &self,
         holder_host: &Host<Self::Msg>,
         target_host: &Host<Self::Msg>,
         holder: PeerId,
         d: &NodeDescriptor,
-    ) -> bool;
+    ) -> bool {
+        let net = &holder_host.net;
+        if net.addressee_of(d.addr) != Some(d.id) || !net.is_alive(holder) {
+            return false;
+        }
+        let now = holder_host.now();
+        let src_ep = net.source_toward(now, holder, d.addr);
+        target_host.net.ingress(now, d.addr, src_ep) == Ok(d.id)
+    }
 
     /// Reports protocol-layer telemetry (counters, pools) into `out`,
     /// including the gauge `engine.<protocol>/pending_exchanges`: the
@@ -171,9 +190,6 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// peer, but state that ages by rounds must keep ageing here, or it
     /// reads on revival as fresh as it was at the crash.
     fn on_idle_round(&mut self, _peer: PeerId) {}
-
-    /// A fault plan is being installed.
-    fn on_fault_plan(&mut self, _plan: &FaultPlan) {}
 }
 
 /// A protocol's per-node state on one worker: one `N` per owned peer, in
@@ -272,28 +288,6 @@ impl BootstrapPool {
     }
 }
 
-/// Raw packet-level reachability, the usability oracle of protocols that
-/// address view entries directly (baseline, PeerSwap): would a datagram
-/// the alive `holder` sent to `d.addr` right now reach `d.id`? Egress
-/// translation is previewed on the holder's host
-/// ([`Network::source_toward`]), then delivery's own ingress walk runs
-/// read-only on the target's ([`Network::ingress`]) — only for an address
-/// the plan routes to `d.id`, so the walk stays on that host's boxes.
-pub fn directly_reachable<M>(
-    holder_host: &Host<M>,
-    target_host: &Host<M>,
-    holder: PeerId,
-    d: &NodeDescriptor,
-) -> bool {
-    let net = &holder_host.net;
-    if net.addressee_of(d.addr) != Some(d.id) || !net.is_alive(holder) {
-        return false;
-    }
-    let now = holder_host.now();
-    let src_ep = net.source_toward(now, holder, d.addr);
-    target_host.net.ingress(now, d.addr, src_ep) == Ok(d.id)
-}
-
 /// Engine events.
 ///
 /// `Deliver` carries only a slab handle: the actual [`InFlight`] datagram
@@ -356,6 +350,9 @@ pub struct Host<M> {
     pub(crate) sample_log: Option<Vec<Sample>>,
     /// `Some` when a fault plan is installed.
     faults: Option<FaultRuntime>,
+    /// The installed fault plan's hardening switch (see
+    /// [`Host::hardened`]).
+    hardened: bool,
     started: bool,
 }
 
@@ -363,6 +360,13 @@ impl<M> Host<M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
+    }
+
+    /// Whether the installed fault plan turns on graceful degradation
+    /// (Nylon's punch retries and stale-mapping re-punch, static RVP's
+    /// silence-based failover); `false` without a plan.
+    pub fn hardened(&self) -> bool {
+        self.hardened
     }
 
     /// Whether this worker owns `peer`: holds its protocol state and acts
@@ -464,6 +468,7 @@ impl<P: Protocol> Worker<P> {
                 wire_tap: None,
                 sample_log: None,
                 faults: None,
+                hardened: false,
                 started: false,
             },
         }
@@ -490,8 +495,8 @@ impl<P: Protocol> Worker<P> {
         assert!(!host.started, "install the fault plan before start()");
         assert!(host.faults.is_none(), "fault plan already installed");
         plan.apply_topology(&mut host.net);
-        self.proto.on_fault_plan(&plan);
         let rt = FaultRuntime::new(plan, host.net.share().index() == 0);
+        host.hardened = rt.harden();
         if let Some(at) = rt.next_at() {
             host.sim.schedule_at(at, Ev::Fault);
         }

@@ -30,7 +30,7 @@ use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::engine::BaselineMsg;
-use crate::host::{directly_reachable, Host, NodeTable, Protocol};
+use crate::host::{Host, NodeTable, Protocol};
 use crate::policy::SelectionPolicy;
 use crate::view::PartialView;
 use crate::Engine;
@@ -300,18 +300,6 @@ impl Protocol for PeerSwap {
 
     fn recycle(&mut self, msg: BaselineMsg) {
         self.payload_pool.release(msg.into_entries());
-    }
-
-    /// PeerSwap, like the baseline, addresses entries directly and has no
-    /// traversal machinery, so usability is raw NAT reachability.
-    fn edge_usable(
-        &self,
-        holder_host: &Host<BaselineMsg>,
-        target_host: &Host<BaselineMsg>,
-        holder: PeerId,
-        d: &NodeDescriptor,
-    ) -> bool {
-        directly_reachable(holder_host, target_host, holder, d)
     }
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
