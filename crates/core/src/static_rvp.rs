@@ -480,8 +480,8 @@ impl Protocol for StaticRvp {
     }
 
     /// Whether `holder` could shuffle over this view entry right now: the
-    /// target is alive and has a [`first_hop`] through the RVP the holder
-    /// knows for it.
+    /// target is alive and has a first hop (public: itself; natted: the RVP
+    /// the holder knows for it, if alive).
     fn edge_usable(
         &self,
         host: &RvpHost,

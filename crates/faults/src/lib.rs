@@ -48,10 +48,7 @@ const FAULTS: [Fault; 8] = [
     Fault {
         name: "rebind",
         live: true,
-        enable: |c| {
-            c.rebind_period = SimDuration::from_secs(30);
-            c.rebind_fraction = 0.2;
-        },
+        enable: |c| (c.rebind_period, c.rebind_fraction) = (SimDuration::from_secs(30), 0.2),
     },
     // One correlated crash wave over the public (RVP-capable) peers.
     Fault { name: "rvp-crash", live: false, enable: |c| c.rvp_crash_at = SimTime::from_secs(60) },
@@ -68,8 +65,7 @@ const FAULTS: [Fault; 8] = [
         name: "partition",
         live: false,
         enable: |c| {
-            c.partition_at = SimTime::from_secs(60);
-            c.partition_len = SimDuration::from_secs(20);
+            (c.partition_at, c.partition_len) = (SimTime::from_secs(60), SimDuration::from_secs(20))
         },
     },
     // Engine graceful-degradation logic (punch retries, RVP failover,
@@ -102,12 +98,9 @@ impl FaultSpec {
     /// stacks carrier-grade boxes on the wire, and hardening is the
     /// engine's own; every other category is simulation-only.
     pub const LIVE: FaultSpec = {
-        let mut bits = 0;
-        let mut i = 0;
+        let (mut bits, mut i) = (0, 0);
         while i < FAULTS.len() {
-            if FAULTS[i].live {
-                bits |= 1 << i;
-            }
+            bits |= (FAULTS[i].live as u8) << i;
             i += 1;
         }
         FaultSpec(bits)
@@ -135,8 +128,8 @@ impl FaultSpec {
     }
 
     /// The names of the tokens in the set, in label order.
-    pub fn names(self) -> impl Iterator<Item = &'static str> {
-        self.rows().map(|f| f.name)
+    pub fn names(self) -> Vec<&'static str> {
+        self.rows().map(|f| f.name).collect()
     }
 
     /// `true` when no fault category (and no hardening) is enabled.
@@ -155,7 +148,7 @@ impl FaultSpec {
         if self.is_none() {
             return "none".to_owned();
         }
-        self.names().collect::<Vec<_>>().join("+")
+        self.names().join("+")
     }
 }
 
@@ -476,11 +469,6 @@ impl FaultRuntime {
         FaultRuntime { plan, cursor: 0, count_global, stats: FaultStats::default() }
     }
 
-    /// The plan being replayed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether engine graceful-degradation logic is on (the plan's
     /// [`FaultPlan::harden`]).
     pub fn harden(&self) -> bool {
@@ -567,7 +555,7 @@ mod tests {
         let spec =
             FaultSpec::parse("rebind,rvp-crash,flap,cgn,hairpin,loss-burst,partition,harden")
                 .unwrap();
-        assert_eq!(spec.names().collect::<Vec<_>>(), FAULT_NAMES[..8]);
+        assert_eq!(spec.names(), FAULT_NAMES[..8]);
         assert!(FaultSpec::parse("none").unwrap().is_none());
         assert!(FaultSpec::parse("").unwrap().is_none());
         assert_eq!(FaultSpec::parse(" rebind , none ").unwrap().label(), "rebind");

@@ -260,7 +260,7 @@ pub fn fault_names() -> String {
 
 /// The fault names `repro live --faults` takes ([`FaultSpec::LIVE`]).
 pub fn live_fault_names() -> String {
-    FaultSpec::LIVE.names().collect::<Vec<_>>().join(" ")
+    FaultSpec::LIVE.names().join(" ")
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ impl LiveScale {
         if self.faults.is_some_and(|s| !s.is_subset(FaultSpec::LIVE)) {
             return Err(format!(
                 "live runs replay only {} faults on the wire",
-                FaultSpec::LIVE.names().collect::<Vec<_>>().join(", ")
+                FaultSpec::LIVE.names().join(", ")
             ));
         }
         Ok(())

@@ -23,26 +23,9 @@ use nylon_obs::json::{self, Value};
 struct Metric {
     kind: String,
     value: u64,
-    hist: Option<Hist>,
-}
-
-/// A histogram's summary fields (the buckets are left out).
-#[derive(Debug, Clone, Copy)]
-struct Hist {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    p50: u64,
-    p90: u64,
-    p99: u64,
-}
-
-impl Hist {
-    /// `(count, mean, p50, p99)`: what the table and the diff show.
-    fn brief(self) -> (u64, u64, u64, u64) {
-        (self.count, self.sum.checked_div(self.count).unwrap_or(0), self.p50, self.p99)
-    }
+    hist: Option<(u64, u64, u64, u64)>, // (count, mean, p50, p99)
+    /// What [`render_counters`] prints: the value, or a histogram's digest.
+    digest: String,
 }
 
 /// Rows [`render_counters`] leaves out, each a `layer/metric` name or a
@@ -112,21 +95,18 @@ fn summarize(text: &str) -> Result<Summary, String> {
             let entry = layers.entry(layer.clone()).or_default();
             for (name, m) in metric_fields {
                 let kind = m.get("type").and_then(Value::as_str).unwrap_or("?").to_string();
-                let (value, hist) = if kind == "histogram" {
-                    let hist = Hist {
-                        count: uint(m, "count"),
-                        sum: uint(m, "sum"),
-                        min: uint(m, "min"),
-                        max: uint(m, "max"),
-                        p50: uint(m, "p50"),
-                        p90: uint(m, "p90"),
-                        p99: uint(m, "p99"),
-                    };
-                    (hist.count, Some(hist))
+                let (value, hist, digest) = if kind == "histogram" {
+                    let count = uint(m, "count");
+                    let mean = uint(m, "sum").checked_div(count).unwrap_or(0);
+                    let digest = ["count", "sum", "min", "max", "p50", "p90", "p99"]
+                        .map(|k| format!("{k}={}", uint(m, k)))
+                        .join(" ");
+                    (count, Some((count, mean, uint(m, "p50"), uint(m, "p99"))), digest)
                 } else {
-                    (uint(m, "value"), None)
+                    let value = uint(m, "value");
+                    (value, None, value.to_string())
                 };
-                entry.insert(name.clone(), Metric { kind, value, hist });
+                entry.insert(name.clone(), Metric { kind, value, hist, digest });
             }
         }
     }
@@ -144,7 +124,7 @@ pub fn render(text: &str) -> Result<String, String> {
     let _ = writeln!(out, "|---|---|---|---|");
     for (layer, metrics) in &layers {
         for (name, m) in metrics {
-            let shown = match m.hist.map(Hist::brief) {
+            let shown = match m.hist {
                 Some((count, mean, p50, p99)) => {
                     format!("count={count} mean={mean} p50={p50} p99={p99}")
                 }
@@ -169,9 +149,7 @@ pub fn render(text: &str) -> Result<String, String> {
     if let Some(recycled) = lookup("kernel", "pool_recycled") {
         let _ = writeln!(out, "- allocations avoided (pool recycles): {}", recycled.value);
     }
-    if let Some((count, mean, p50, p99)) =
-        lookup("exec", "cell_wall_ms").and_then(|m| m.hist).map(Hist::brief)
-    {
+    if let Some((count, mean, p50, p99)) = lookup("exec", "cell_wall_ms").and_then(|m| m.hist) {
         let _ = writeln!(
             out,
             "- cell latency: {count} cells, mean={mean} ms p50={p50} ms p99={p99} ms"
@@ -263,15 +241,14 @@ pub fn render_diff(before_text: &str, after_text: &str) -> Result<String, String
             let show = |m: Option<&Metric>| -> String {
                 match m {
                     None => "(absent)".to_string(),
-                    Some(Metric { hist: Some(h), .. }) => {
-                        let (count, mean, p50, p99) = h.brief();
+                    Some(Metric { hist: Some((count, mean, p50, p99)), .. }) => {
                         format!("count={count} mean={mean} p50={p50} p99={p99}")
                     }
                     Some(m) => m.value.to_string(),
                 }
             };
             let delta = match (b, a) {
-                (Some(b), Some(a)) => match (b.hist.map(Hist::brief), a.hist.map(Hist::brief)) {
+                (Some(b), Some(a)) => match (b.hist, a.hist) {
                     (Some((bc, bm, bp50, bp99)), Some((ac, am, ap50, ap99))) => format!(
                         "count {} mean {} p50 {} p99 {}",
                         signed(ac, bc),
@@ -304,23 +281,15 @@ pub fn render_diff(before_text: &str, after_text: &str) -> Result<String, String
 /// the same at every `--jobs` and `--shards`, so a golden can hold it.
 pub fn render_counters(text: &str) -> Result<String, String> {
     let Summary { layers, .. } = summarize(text)?;
-    let mut lines: Vec<String> = Vec::new();
-    for (layer, metrics) in &layers {
-        for (name, m) in metrics {
-            let row = format!("{layer}/{name}");
-            if is_implementation_row(&row) {
-                continue;
-            }
-            lines.push(match m.hist {
-                Some(Hist { count, sum, min, max, p50, p90, p99 }) => format!(
-                    "{row} count={count} sum={sum} min={min} max={max} p50={p50} p90={p90} p99={p99}"
-                ),
-                None => format!("{row} {}", m.value),
-            });
-        }
-    }
+    let mut lines: Vec<String> = layers
+        .iter()
+        .flat_map(|(layer, metrics)| metrics.iter().map(move |(name, m)| (layer, name, m)))
+        .map(|(layer, name, m)| (format!("{layer}/{name}"), m))
+        .filter(|(row, _)| !is_implementation_row(row))
+        .map(|(row, m)| format!("{row} {}\n", m.digest))
+        .collect();
     lines.sort_unstable();
-    Ok(lines.into_iter().map(|l| l + "\n").collect())
+    Ok(lines.concat())
 }
 
 #[cfg(test)]
