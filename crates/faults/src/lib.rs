@@ -93,6 +93,8 @@ pub const FAULT_NAMES: [&str; FAULTS.len() + 1] = {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec(u8);
 
+const _: () = assert!(FAULTS.len() <= u8::BITS as usize, "FaultSpec holds one bit per token");
+
 impl FaultSpec {
     /// The faults a live run replays: the NAT emulator rebinds mappings and
     /// stacks carrier-grade boxes on the wire, and hardening is the
