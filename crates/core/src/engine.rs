@@ -16,7 +16,8 @@ use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
     Protocol, SelectionPolicy,
 };
-use nylon_net::{BufferPool, DenseMap, Endpoint, NatClass, NatType, NetConfig, PeerId};
+use nylon_net::traversal::{contact_method, ContactMethod};
+use nylon_net::{BufferPool, DenseMap, Endpoint, NetConfig, PeerId};
 use nylon_obs::Counters;
 use nylon_sim::{Share, SimDuration, SimRng, SimTime};
 
@@ -343,25 +344,36 @@ impl Nylon {
         self.nodes[me].routing.touch_direct(via, self.hole_timeout, observed);
     }
 
-    /// Hardened punch-timeout handling: re-send the OPEN_HOLE + PING pair
-    /// with bounded exponential backoff and deterministic jitter from the
-    /// node's own RNG stream, up to [`PUNCH_MAX_ATTEMPTS`] total tries.
-    fn retry_punch(&mut self, host: &mut NylonHost, p: PeerId, t: PeerId, mut punch: Punch) {
-        if u32::from(punch.attempts) + 1 >= PUNCH_MAX_ATTEMPTS {
-            self.stats.punch_timeouts += 1;
-            return;
-        }
+    /// Figure 6 lines 10–12: OPEN_HOLE from `p` along its RVP chain towards
+    /// `t` and, from a natted `p`, a PING to `t`'s advertised endpoint
+    /// `addr` that opens `p`'s own hole. For a symmetric target that
+    /// endpoint is a sentinel the PING cannot reach, but the egress session
+    /// it creates is what lets the PONG back in. Returns `false`, sending
+    /// nothing, if the chain is broken.
+    fn punch(&mut self, host: &mut NylonHost, p: PeerId, t: PeerId, addr: Endpoint) -> bool {
         let msg = NylonMsg::OpenHole { src: host.descriptor_of(p), dest: t, via: p, hops: 0 };
         if !self.route_and_send(host, p, t, msg) {
-            // The chain died too; nothing left to retry through.
+            return false;
+        }
+        if !host.net.class_of(p).is_public() {
+            host.send_msg(self, p, addr, NylonMsg::Ping { from: p });
+        }
+        true
+    }
+
+    /// Hardened punch-timeout handling: punch again with bounded
+    /// exponential backoff and deterministic jitter from the node's own RNG
+    /// stream, up to [`PUNCH_MAX_ATTEMPTS`] total tries.
+    fn retry_punch(&mut self, host: &mut NylonHost, p: PeerId, t: PeerId, mut punch: Punch) {
+        let out_of_tries = u32::from(punch.attempts) + 1 >= PUNCH_MAX_ATTEMPTS;
+        if out_of_tries || !self.punch(host, p, t, punch.addr) {
+            // Out of tries, or the chain died too: nothing left to retry
+            // through.
             self.stats.punch_timeouts += 1;
             return;
         }
         punch.attempts += 1;
         self.stats.punch_retries += 1;
-        if !host.net.class_of(p).is_public() {
-            host.send_msg(self, p, punch.addr, NylonMsg::Ping { from: p });
-        }
         let backoff = self.cfg.punch_timeout * (1u64 << punch.attempts.min(6));
         let jitter = {
             let node = &mut self.nodes[p];
@@ -378,56 +390,51 @@ impl Nylon {
         NylonMsg::Request { src: host.descriptor_of(p), dest, via: p, hops: 0, entries }
     }
 
-    /// Figure 6, lines 3–12: direct send, relaying, or reactive hole
-    /// punching depending on the NAT combination.
+    /// Figure 6, lines 3–12: a live direct route wins; otherwise
+    /// [`contact_method`] picks direct send, relaying or reactive hole
+    /// punching from the two NAT classes.
     fn initiate(&mut self, host: &mut NylonHost, p: PeerId, target: NodeDescriptor) {
         let t = target.id;
-        let self_class = host.net.class_of(p);
-        let direct = target.class.is_public() || self.nodes[p].routing.is_direct(t);
-        if direct {
-            let entries = self.wire_view(host, p, t);
-            let sent = Self::sent_ids(&mut self.id_pool, &entries);
-            self.note_pending_sent(host.now(), p, t, sent);
-            let ep = self
-                .contact_ep(host, p, t, Some(target.addr))
-                .expect("fallback endpoint always present");
-            host.send_msg(self, p, ep, Self::request(host, p, t, entries));
-            self.stats.direct_requests += 1;
-            return;
-        }
-        let relaying = (target.class.is_symmetric()
-            && self_class == NatClass::Natted(NatType::PortRestrictedCone))
-            || self_class.is_symmetric();
-        if relaying {
-            // Lines 5–7: ship the whole shuffle through the RVP chain.
-            let entries = self.wire_view(host, p, t);
-            let sent = Self::sent_ids(&mut self.id_pool, &entries);
-            let msg = Self::request(host, p, t, entries);
-            if self.route_and_send(host, p, t, msg) {
-                self.note_pending_sent(host.now(), p, t, sent);
-                self.stats.relayed_requests += 1;
-            } else {
-                self.id_pool.release(sent);
-                self.drop_unroutable(p, t);
-            }
+        let method = if self.nodes[p].routing.is_direct(t) {
+            ContactMethod::Direct
         } else {
-            // Lines 8–12: reactive hole punching.
-            let msg = NylonMsg::OpenHole { src: host.descriptor_of(p), dest: t, via: p, hops: 0 };
-            if self.route_and_send(host, p, t, msg) {
-                self.stats.hole_punches += 1;
-                let deadline = host.now() + self.cfg.punch_timeout;
-                self.nodes[p]
-                    .pending_punch
-                    .insert(t, Punch { deadline, attempts: 0, addr: target.addr });
-                if !self_class.is_public() {
-                    // Open our own hole towards the target (line 11–12); for
-                    // symmetric targets the advertised endpoint is a
-                    // sentinel the PING cannot reach, but the egress session
-                    // it creates is what lets the PONG back in.
-                    host.send_msg(self, p, target.addr, NylonMsg::Ping { from: p });
+            contact_method(host.net.class_of(p), target.class)
+        };
+        match method {
+            ContactMethod::Direct => {
+                let entries = self.wire_view(host, p, t);
+                let sent = Self::sent_ids(&mut self.id_pool, &entries);
+                self.note_pending_sent(host.now(), p, t, sent);
+                let ep = self
+                    .contact_ep(host, p, t, Some(target.addr))
+                    .expect("fallback endpoint always present");
+                host.send_msg(self, p, ep, Self::request(host, p, t, entries));
+                self.stats.direct_requests += 1;
+            }
+            ContactMethod::Relaying => {
+                // Lines 5–7: ship the whole shuffle through the RVP chain.
+                let entries = self.wire_view(host, p, t);
+                let sent = Self::sent_ids(&mut self.id_pool, &entries);
+                let msg = Self::request(host, p, t, entries);
+                if self.route_and_send(host, p, t, msg) {
+                    self.note_pending_sent(host.now(), p, t, sent);
+                    self.stats.relayed_requests += 1;
+                } else {
+                    self.id_pool.release(sent);
+                    self.drop_unroutable(p, t);
                 }
-            } else {
-                self.drop_unroutable(p, t);
+            }
+            ContactMethod::HolePunching => {
+                // Lines 8–12: reactive hole punching.
+                if self.punch(host, p, t, target.addr) {
+                    self.stats.hole_punches += 1;
+                    let deadline = host.now() + self.cfg.punch_timeout;
+                    self.nodes[p]
+                        .pending_punch
+                        .insert(t, Punch { deadline, attempts: 0, addr: target.addr });
+                } else {
+                    self.drop_unroutable(p, t);
+                }
             }
         }
     }
@@ -599,17 +606,18 @@ impl Protocol for Nylon {
         self.stats.route_ttl_expiries += node.routing.decrease_ttls(self.cfg.shuffle_period);
     }
 
-    /// Figure 6's `on receive`.
+    /// Figure 6's `on receive`. Every message first refreshes the direct
+    /// route to its last hop, and a routed one addressed elsewhere travels
+    /// on along the chain (lines 17–19, 29–31 and 40; a forwarded RESPONSE
+    /// carries the received payload — the paper's line 31 has a typo
+    /// shipping the relay's own view).
     fn on_msg(&mut self, host: &mut NylonHost, to: PeerId, from_ep: Endpoint, msg: NylonMsg) {
+        self.touch(host, to, msg.last_hop(), from_ep);
+        if let Some((dest, hops)) = msg.route().filter(|&(dest, _)| dest != to) {
+            return self.forward(host, to, dest, hops, msg.onward(to));
+        }
         match msg {
-            NylonMsg::Request { src, dest, via, hops, entries } => {
-                self.touch(host, to, via, from_ep);
-                if dest != to {
-                    // Lines 17–19: forward along the chain.
-                    let hops_next = hops.saturating_add(1);
-                    let msg = NylonMsg::Request { src, dest, via: to, hops: hops_next, entries };
-                    return self.forward(host, to, dest, hops, msg);
-                }
+            NylonMsg::Request { src, via, hops, entries, .. } => {
                 self.stats.requests_completed += 1;
                 let relayed = via != src.id;
                 if relayed {
@@ -657,16 +665,7 @@ impl Protocol for Nylon {
                 self.id_pool.release(resp_sent);
                 self.entry_pool.release(entries);
             }
-            NylonMsg::Response { from, dest, via, hops, entries } => {
-                self.touch(host, to, via, from_ep);
-                if dest != to {
-                    // Lines 29–31 (forwarding the *received* payload; the
-                    // paper's line 31 has a typo shipping the relay's own
-                    // view).
-                    let hops_next = hops.saturating_add(1);
-                    let msg = NylonMsg::Response { from, dest, via: to, hops: hops_next, entries };
-                    return self.forward(host, to, dest, hops, msg);
-                }
+            NylonMsg::Response { from, via, hops, entries, .. } => {
                 self.stats.responses_completed += 1;
                 if via != from {
                     self.learn_reverse_chain(to, from, via, hops);
@@ -676,23 +675,15 @@ impl Protocol for Nylon {
                 self.id_pool.release(sent.ids);
                 self.entry_pool.release(entries);
             }
-            NylonMsg::OpenHole { src, dest, via, hops } => {
-                self.touch(host, to, via, from_ep);
-                if dest != to {
-                    // Line 40: forward along the chain.
-                    let msg =
-                        NylonMsg::OpenHole { src, dest, via: to, hops: hops.saturating_add(1) };
-                    return self.forward(host, to, dest, hops, msg);
-                }
+            NylonMsg::OpenHole { src, hops, .. } => {
                 // Lines 37–38: we are the punch target; PONG opens our hole
                 // towards the initiator. Chain length sample for Figure 9.
                 self.stats.record_chain(hops);
                 self.stats.pongs_sent += 1;
                 host.send_msg(self, to, src.addr, NylonMsg::Pong { from: to });
             }
-            NylonMsg::Ping { from } => {
+            NylonMsg::Ping { .. } => {
                 // Lines 41–43.
-                self.touch(host, to, from, from_ep);
                 self.stats.pongs_sent += 1;
                 host.send_msg(self, to, from_ep, NylonMsg::Pong { from: to });
             }
@@ -701,7 +692,6 @@ impl Protocol for Nylon {
                 // pending: a PING/OPEN_HOLE pair can produce two PONGs and
                 // the unconditional REQUEST of the pseudocode would then
                 // shuffle twice in one round.
-                self.touch(host, to, from, from_ep);
                 if let Some(punch) = self.nodes[to].pending_punch.remove(&from) {
                     self.stats.punch_successes += 1;
                     if punch.attempts > 0 {
@@ -802,6 +792,7 @@ impl Protocol for Nylon {
 mod tests {
     use super::*;
     use nylon_faults::FaultPlan;
+    use nylon_net::{NatClass, NatType};
 
     /// The population, not yet bootstrapped or started.
     fn mixed_population(
@@ -881,6 +872,53 @@ mod tests {
         let mut eng = mixed_engine(5, 0, 10, 25, 4);
         eng.run_rounds(50);
         assert!(eng.stats().relayed_requests > 0, "SYM initiators must relay");
+    }
+
+    /// Every (initiator, target) pair over the five classes: with a live
+    /// chain to the target and no direct route, one initiation moves
+    /// exactly the counter [`contact_method`] names.
+    #[test]
+    fn initiation_follows_contact_method() {
+        let classes = [NatClass::Public]
+            .into_iter()
+            .chain(NatType::ALL.map(NatClass::Natted))
+            .collect::<Vec<_>>();
+        for &src in &classes {
+            for &dst in &classes {
+                let mut eng = NylonEngine::new(NylonConfig::default(), NetConfig::default(), 1);
+                let (p, rvp, t) =
+                    (eng.add_peer(src), eng.add_peer(NatClass::Public), eng.add_peer(dst));
+                // Sends are collected, not delivered: nothing answers.
+                eng.enable_wire_tap();
+                eng.start();
+                // The RVP's shuffle answer gives `p` a direct route to the
+                // RVP and a chain through it to `t`; then `t` is all `p`
+                // holds, and the other views stay empty.
+                let hole = NetConfig::default().hole_timeout;
+                let entries = vec![
+                    WireEntry::new(eng.descriptor_of(rvp), hole, 0),
+                    WireEntry::new(eng.descriptor_of(t), hole, 1),
+                ];
+                let (from, via, hops) = (rvp, rvp, 0);
+                let answer = NylonMsg::Response { from, dest: p, via, hops, entries };
+                eng.deliver_wire(p, eng.net().identity_endpoint(rvp), answer);
+                eng.view_of_mut(p).remove(rvp);
+                let routing = eng.protocol().routing_of(p);
+                assert!(!routing.is_direct(t), "{src} -> {dst}");
+                assert!(dst.is_public() || routing.next_rvp(t) == Some(rvp), "{src} -> {dst}");
+                let count = |s: NylonStats| [s.direct_requests, s.relayed_requests, s.hole_punches];
+                let before = count(eng.stats());
+                eng.run_rounds(1);
+                let moved: Vec<u64> =
+                    count(eng.stats()).iter().zip(before).map(|(a, b)| a - b).collect();
+                let want = match contact_method(src, dst) {
+                    ContactMethod::Direct => [1, 0, 0],
+                    ContactMethod::Relaying => [0, 1, 0],
+                    ContactMethod::HolePunching => [0, 0, 1],
+                };
+                assert_eq!(moved, want, "{src} -> {dst}: direct, relayed, punched");
+            }
+        }
     }
 
     #[test]

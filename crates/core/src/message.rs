@@ -108,26 +108,42 @@ impl NylonMsg {
         }
     }
 
-    /// The final destination this message must be routed to, when it is a
-    /// routed message (relays forward these).
-    pub fn routed_dest(&self) -> Option<PeerId> {
+    /// The peer this datagram came from last: the source or relay of a
+    /// routed message, the sender of a PING or PONG.
+    pub fn last_hop(&self) -> PeerId {
         match self {
-            NylonMsg::Request { dest, .. }
-            | NylonMsg::Response { dest, .. }
-            | NylonMsg::OpenHole { dest, .. } => Some(*dest),
+            NylonMsg::Request { via, .. }
+            | NylonMsg::Response { via, .. }
+            | NylonMsg::OpenHole { via, .. } => *via,
+            NylonMsg::Ping { from } | NylonMsg::Pong { from } => *from,
+        }
+    }
+
+    /// The final destination of a routed message and the relay hops it
+    /// has travelled so far; `None` for PING and PONG, which go one hop.
+    pub fn route(&self) -> Option<(PeerId, u8)> {
+        match self {
+            NylonMsg::Request { dest, hops, .. }
+            | NylonMsg::Response { dest, hops, .. }
+            | NylonMsg::OpenHole { dest, hops, .. } => Some((*dest, *hops)),
             NylonMsg::Ping { .. } | NylonMsg::Pong { .. } => None,
         }
     }
 
-    /// Short label for diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            NylonMsg::Request { .. } => "REQUEST",
-            NylonMsg::Response { .. } => "RESPONSE",
-            NylonMsg::OpenHole { .. } => "OPEN_HOLE",
-            NylonMsg::Ping { .. } => "PING",
-            NylonMsg::Pong { .. } => "PONG",
+    /// The message as `relay` forwards it one hop further: `relay` becomes
+    /// the last hop and the hop count grows by one. PING and PONG are
+    /// never forwarded and come back unchanged.
+    pub fn onward(mut self, relay: PeerId) -> Self {
+        match &mut self {
+            NylonMsg::Request { via, hops, .. }
+            | NylonMsg::Response { via, hops, .. }
+            | NylonMsg::OpenHole { via, hops, .. } => {
+                *via = relay;
+                *hops = hops.saturating_add(1);
+            }
+            NylonMsg::Ping { .. } | NylonMsg::Pong { .. } => {}
         }
+        self
     }
 }
 
@@ -168,16 +184,22 @@ mod tests {
     }
 
     #[test]
-    fn routed_dest_only_for_routed_messages() {
+    fn routed_messages_travel_onward_and_hop_messages_do_not() {
         let oh = NylonMsg::OpenHole { src: desc(1), dest: PeerId(2), via: PeerId(1), hops: 0 };
-        assert_eq!(oh.routed_dest(), Some(PeerId(2)));
-        assert_eq!(NylonMsg::Ping { from: PeerId(1) }.routed_dest(), None);
-        assert_eq!(NylonMsg::Pong { from: PeerId(1) }.routed_dest(), None);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(NylonMsg::Ping { from: PeerId(1) }.label(), "PING");
-        assert_eq!(NylonMsg::Pong { from: PeerId(1) }.label(), "PONG");
+        assert_eq!((oh.last_hop(), oh.route()), (PeerId(1), Some((PeerId(2), 0))));
+        let oh = oh.onward(PeerId(7)).onward(PeerId(8));
+        assert_eq!((oh.last_hop(), oh.route()), (PeerId(8), Some((PeerId(2), 2))));
+        let resp = NylonMsg::Response {
+            from: PeerId(3),
+            dest: PeerId(4),
+            via: PeerId(5),
+            hops: u8::MAX,
+            entries: entries(1),
+        };
+        assert_eq!(resp.onward(PeerId(6)).route(), Some((PeerId(4), u8::MAX)), "hops saturate");
+        for msg in [NylonMsg::Ping { from: PeerId(1) }, NylonMsg::Pong { from: PeerId(1) }] {
+            assert_eq!((msg.last_hop(), msg.route()), (PeerId(1), None));
+            assert_eq!(msg.onward(PeerId(9)).last_hop(), PeerId(1));
+        }
     }
 }

@@ -1,21 +1,31 @@
-//! NAT traversal techniques and the Section 2.2 decision table.
+//! NAT traversal techniques and the rule that picks one per (source,
+//! target) pair.
 //!
-//! The paper summarizes which traversal technique applies for each
-//! combination of source and target NAT type (source in rows, target in
+//! [`contact_method`] is the one rule: the Nylon engine's `initiate`
+//! dispatches on it and `repro table1` prints it (source in rows, target in
 //! columns):
 //!
-//! | src \ dst | public | RC | PRC | SYM |
-//! |---|---|---|---|---|
-//! | public | direct | hole punching | hole punching | relay |
-//! | RC | direct | hole punching | hole punching | hole punching |
-//! | PRC | direct | hole punching | hole punching | relaying |
-//! | SYM | direct | mod. hole punching | relaying | relaying |
+//! | src \ dst | public | FC | RC | PRC | SYM |
+//! |---|---|---|---|---|---|
+//! | public | direct | hole punching | hole punching | hole punching | hole punching |
+//! | FC | direct | hole punching | hole punching | hole punching | hole punching |
+//! | RC | direct | hole punching | hole punching | hole punching | hole punching |
+//! | PRC | direct | hole punching | hole punching | hole punching | relaying |
+//! | SYM | direct | relaying | relaying | relaying | relaying |
 //!
-//! Full-cone NATs are omitted from the table because, as the paper notes,
-//! "peers behind FC NATs behave similarly to public peers as long as they
-//! frequently send or receive messages"; [`contact_method`] treats them
-//! accordingly (FC target is directly addressable while its mapping is kept
-//! alive, FC source behaves as an unfiltered source).
+//! It departs from the paper's Section 2.2 table in two cells:
+//!
+//! * public → SYM: the paper relays, Nylon punches. The symmetric box maps
+//!   its PONG towards the public peer's one known endpoint, and that
+//!   mapping lets the exchange run direct (`tests/traversal_matrix.rs`
+//!   drives this at packet level).
+//! * SYM → RC: the paper uses modified hole punching, where the PONG
+//!   returns along the rendez-vous chain (its footnote 2). Nylon has no
+//!   such path and relays.
+//!
+//! The paper leaves full-cone (FC) NATs out of its table. Here an FC peer is
+//! natted like an RC one: unsolicited traffic does not reach it, and Nylon
+//! punches towards it.
 
 use std::fmt;
 
@@ -29,10 +39,6 @@ pub enum ContactMethod {
     /// Classic hole punching: PING to the target, OPEN_HOLE via a
     /// rendez-vous peer, PONG back from the target.
     HolePunching,
-    /// Hole punching where the PONG must travel back through the
-    /// rendez-vous peer because the source's public endpoint is not
-    /// predictable (source behind a symmetric NAT; footnote 2 of the paper).
-    ModifiedHolePunching,
     /// No hole can be punched; every message must be relayed by the
     /// rendez-vous peer.
     Relaying,
@@ -43,11 +49,6 @@ impl ContactMethod {
     pub const fn is_relayed(self) -> bool {
         matches!(self, ContactMethod::Relaying)
     }
-
-    /// `true` if some form of hole punching establishes a direct flow.
-    pub const fn is_hole_punching(self) -> bool {
-        matches!(self, ContactMethod::HolePunching | ContactMethod::ModifiedHolePunching)
-    }
 }
 
 impl fmt::Display for ContactMethod {
@@ -55,17 +56,13 @@ impl fmt::Display for ContactMethod {
         let s = match self {
             ContactMethod::Direct => "direct",
             ContactMethod::HolePunching => "hole punching",
-            ContactMethod::ModifiedHolePunching => "mod. hole punching",
             ContactMethod::Relaying => "relaying",
         };
         f.write_str(s)
     }
 }
 
-/// The Section 2.2 decision table: technique to contact `dst` from `src`.
-///
-/// Full-cone endpoints are folded onto the `public` row/column, per the
-/// paper's observation that active FC peers behave like public ones.
+/// The technique to contact `dst` from `src` (see the module table).
 ///
 /// ```
 /// use nylon_net::nat::{NatClass, NatType};
@@ -77,34 +74,14 @@ impl fmt::Display for ContactMethod {
 /// assert_eq!(contact_method(sym, NatClass::Public), ContactMethod::Direct);
 /// ```
 pub fn contact_method(src: NatClass, dst: NatClass) -> ContactMethod {
-    use ContactMethod::*;
-    use NatType::*;
-
-    // Effective row/column classes: FC folds onto public.
-    let eff = |c: NatClass| -> Option<NatType> {
-        match c {
-            NatClass::Public | NatClass::Natted(FullCone) => None,
-            NatClass::Natted(t) => Some(t),
+    use NatType::{PortRestrictedCone, Symmetric};
+    match (src, dst) {
+        (_, NatClass::Public) => ContactMethod::Direct,
+        (NatClass::Natted(Symmetric), _) => ContactMethod::Relaying,
+        (NatClass::Natted(PortRestrictedCone), NatClass::Natted(Symmetric)) => {
+            ContactMethod::Relaying
         }
-    };
-
-    match (eff(src), eff(dst)) {
-        // Column "public" (and FC): always direct.
-        (_, None) => Direct,
-        // FC rows/columns were folded onto `None` above; these patterns are
-        // unreachable but keep the match exhaustive.
-        (Some(FullCone), _) | (_, Some(FullCone)) => unreachable!("FC folded onto public"),
-        // Row "public".
-        (None, Some(RestrictedCone | PortRestrictedCone)) => HolePunching,
-        (None, Some(Symmetric)) => Relaying,
-        // Row "RC".
-        (Some(RestrictedCone), Some(_)) => HolePunching,
-        // Row "PRC".
-        (Some(PortRestrictedCone), Some(Symmetric)) => Relaying,
-        (Some(PortRestrictedCone), Some(_)) => HolePunching,
-        // Row "SYM".
-        (Some(Symmetric), Some(RestrictedCone)) => ModifiedHolePunching,
-        (Some(Symmetric), Some(_)) => Relaying,
+        _ => ContactMethod::HolePunching,
     }
 }
 
@@ -118,35 +95,35 @@ mod tests {
     const PRC: NatClass = NatClass::Natted(NatType::PortRestrictedCone);
     const SYM: NatClass = NatClass::Natted(NatType::Symmetric);
 
-    /// The exact table printed in Section 2.2 of the paper.
+    /// The table printed in Section 2.2 of the paper, which
+    /// [`contact_method`] follows except in its two departures; those two
+    /// cells and the FC row and column, which the paper leaves out, are
+    /// pinned to what the engine does.
     #[test]
     fn matches_paper_table() {
         use ContactMethod::*;
-        let expected = [
-            (PUB, [Direct, HolePunching, HolePunching, Relaying]),
-            (RC, [Direct, HolePunching, HolePunching, HolePunching]),
-            (PRC, [Direct, HolePunching, HolePunching, Relaying]),
-            (SYM, [Direct, ModifiedHolePunching, Relaying, Relaying]),
+        let paper = [
+            (PUB, ["direct", "hole punching", "hole punching", "relaying"]),
+            (RC, ["direct", "hole punching", "hole punching", "hole punching"]),
+            (PRC, ["direct", "hole punching", "hole punching", "relaying"]),
+            (SYM, ["direct", "mod. hole punching", "relaying", "relaying"]),
         ];
+        let departures = [((PUB, SYM), HolePunching), ((SYM, RC), Relaying)];
         let cols = [PUB, RC, PRC, SYM];
-        for (src, row) in expected {
-            for (dst, want) in cols.iter().zip(row) {
-                assert_eq!(
-                    contact_method(src, *dst),
-                    want,
-                    "src={} dst={}",
-                    src.label(),
-                    dst.label()
-                );
+        for (src, row) in paper {
+            for (dst, cell) in cols.into_iter().zip(row) {
+                let got = contact_method(src, dst);
+                match departures.iter().find(|(pair, _)| *pair == (src, dst)) {
+                    Some(&(_, engine)) => assert_eq!(got, engine, "{src} -> {dst}"),
+                    None => assert_eq!(got.to_string(), cell, "{src} -> {dst}"),
+                }
             }
         }
-    }
-
-    #[test]
-    fn full_cone_folds_onto_public() {
         for other in [PUB, FC, RC, PRC, SYM] {
-            assert_eq!(contact_method(FC, other), contact_method(PUB, other));
-            assert_eq!(contact_method(other, FC), contact_method(other, PUB));
+            let from_fc = if other == PUB { Direct } else { HolePunching };
+            assert_eq!(contact_method(FC, other), from_fc, "FC -> {other}");
+            let to_fc = if other == SYM { Relaying } else { HolePunching };
+            assert_eq!(contact_method(other, FC), to_fc, "{other} -> FC");
         }
     }
 
@@ -154,14 +131,13 @@ mod tests {
     fn predicates() {
         assert!(ContactMethod::Relaying.is_relayed());
         assert!(!ContactMethod::Direct.is_relayed());
-        assert!(ContactMethod::HolePunching.is_hole_punching());
-        assert!(ContactMethod::ModifiedHolePunching.is_hole_punching());
-        assert!(!ContactMethod::Relaying.is_hole_punching());
+        assert!(!ContactMethod::HolePunching.is_relayed());
     }
 
     #[test]
     fn display_labels() {
         assert_eq!(ContactMethod::Direct.to_string(), "direct");
-        assert_eq!(ContactMethod::ModifiedHolePunching.to_string(), "mod. hole punching");
+        assert_eq!(ContactMethod::HolePunching.to_string(), "hole punching");
+        assert_eq!(ContactMethod::Relaying.to_string(), "relaying");
     }
 }
