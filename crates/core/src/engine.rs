@@ -624,8 +624,10 @@ impl Protocol for Nylon {
                     self.stats.record_chain(hops);
                     self.learn_reverse_chain(to, src.id, via, hops);
                 }
-                // Lines 20–24: answer.
-                let to_class = host.net.class_of(to);
+                // Lines 20–24: answer the way the request came — along the
+                // reverse chain just learned, or through the observed hole.
+                // The classes are not consulted again: a forged symmetric
+                // class costs relay hops on both legs, nothing else.
                 let resp_entries = self.wire_view(host, to, src.id);
                 let resp_sent = Self::sent_ids(&mut self.id_pool, &resp_entries);
                 let resp = NylonMsg::Response {
@@ -636,29 +638,9 @@ impl Protocol for Nylon {
                     entries: resp_entries,
                 };
                 if !relayed {
-                    // The hole to the initiator is open: answer through it.
                     host.send_msg(self, to, from_ep, resp);
-                } else {
-                    let relay_resp = (src.class.is_symmetric() && !to_class.is_public())
-                        || (to_class.is_symmetric() && !src.class.is_public());
-                    let sent_ok = if relay_resp {
-                        self.route_and_send(host, to, src.id, resp)
-                    } else {
-                        // Honest classes never get here: a relayed request
-                        // implies the relay_resp condition. A forged one
-                        // does — the initiator relayed because its view
-                        // holds a symmetric-NAT class for us (the adversary's
-                        // forged descriptors, `shuffle-lying` and
-                        // `nat-eclipse`) while neither real class calls for
-                        // relaying. The answer goes straight to the
-                        // initiator's advertised endpoint and arrives only
-                        // if the initiator's NAT admits it.
-                        host.send_msg(self, to, src.addr, resp);
-                        true
-                    };
-                    if !sent_ok {
-                        self.stats.forward_failures += 1;
-                    }
+                } else if !self.route_and_send(host, to, src.id, resp) {
+                    self.stats.forward_failures += 1;
                 }
                 // Lines 25–26: merge and learn routes.
                 self.merge_shuffle(to, src.id, &entries, &resp_sent);
