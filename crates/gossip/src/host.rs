@@ -24,6 +24,7 @@ use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use nylon_faults::{FaultPlan, FaultRuntime, FaultStats};
+use nylon_net::natbox::PURGE_EVERY;
 use nylon_net::{
     Delivery, Endpoint, InFlight, NatClass, NetConfig, Network, Outbound, PeerId, Slab, SlabKey,
 };
@@ -308,9 +309,6 @@ enum Ev {
 
 // The whole point of the slab indirection: wheeled events stay slim.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32, "Ev must stay slim for the timer wheel");
-
-/// Interval between NAT garbage-collection sweeps.
-const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
 
 /// Sorts a merged tick batch into the canonical delivery order: arrival
 /// instant, then sending node (per-sender order is positional — a sender's

@@ -7,9 +7,9 @@
 //!   and 10), in-degree distributions.
 //! * [`staleness`] — stale view references and the natted-reference ratio
 //!   (Figures 3 and 4).
-//! * [`randomness`] — a statistical battery standing in for the diehard
-//!   suite the paper cites: chi-square uniformity, lag-1 serial
-//!   correlation, Kolmogorov–Smirnov.
+//! * [`randomness`] — statistics standing in for the diehard suite the
+//!   paper cites: chi-square uniformity, index of dispersion, lag-1 serial
+//!   correlation.
 //! * [`stats`] — summary statistics shared by the harness.
 //! * [`bandwidth`] — per-class bytes-per-second aggregation (Figures 7
 //!   and 8).
@@ -29,6 +29,5 @@ pub mod stats;
 
 pub use bandwidth::BandwidthReport;
 pub use graph::{UndirectedCsr, WccScratch};
-pub use randomness::RandomnessReport;
 pub use staleness::StalenessReport;
 pub use stats::Summary;

@@ -7,10 +7,8 @@
 //! gossip-selected peer ids:
 //!
 //! * [`chi_square_uniform`] — are all peers selected equally often?
+//! * [`dispersion_index`] — how far are the selection counts spread?
 //! * [`serial_correlation`] — are consecutive selections independent?
-//! * [`ks_uniform`] — does the empirical distribution match uniform?
-//!
-//! [`RandomnessReport::evaluate`] bundles the three.
 
 /// Result of a chi-square goodness-of-fit test against uniformity.
 #[derive(Debug, Clone, Copy)]
@@ -89,16 +87,6 @@ fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Deterministic hash of `x` to a unit-interval value in `[0, 1)`
-/// (SplitMix64 finalizer).
-fn hash_unit(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Index of dispersion (variance-to-mean ratio) of category counts.
 ///
 /// For an iid uniform sampler the counts are multinomial and the index is
@@ -144,103 +132,6 @@ pub fn serial_correlation(xs: &[f64]) -> Option<f64> {
     }
     let cov: f64 = xs.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
     Some(cov / var)
-}
-
-/// Result of a Kolmogorov–Smirnov test against the uniform distribution on
-/// `[0, 1]`.
-#[derive(Debug, Clone, Copy)]
-pub struct KsTest {
-    /// The KS statistic (max distance between empirical and uniform CDF).
-    pub statistic: f64,
-    /// Approximate p-value (asymptotic Kolmogorov distribution).
-    pub p_value: f64,
-}
-
-/// One-sample KS test that `samples` (values in `[0, 1]`) are uniform.
-///
-/// Returns `None` for empty input.
-///
-/// # Panics
-///
-/// Panics if any sample is NaN or outside `[0, 1]`.
-pub fn ks_uniform(samples: &[f64]) -> Option<KsTest> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    for s in &sorted {
-        assert!((0.0..=1.0).contains(s), "KS sample {s} outside [0, 1]");
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in KS input"));
-    let n = sorted.len() as f64;
-    let mut d: f64 = 0.0;
-    for (i, x) in sorted.iter().enumerate() {
-        let cdf_hi = (i + 1) as f64 / n;
-        let cdf_lo = i as f64 / n;
-        d = d.max((cdf_hi - x).abs()).max((x - cdf_lo).abs());
-    }
-    let lambda = (n.sqrt() + 0.12 + 0.11 / n.sqrt()) * d;
-    let mut p = 0.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64).powi(2) * lambda * lambda).exp();
-        p += if k % 2 == 1 { 2.0 * term } else { -2.0 * term };
-    }
-    Some(KsTest { statistic: d, p_value: p.clamp(0.0, 1.0) })
-}
-
-/// Bundled verdict over a stream of sampled peer indices.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomnessReport {
-    /// Chi-square uniformity over selection frequencies.
-    pub chi_square: ChiSquare,
-    /// Lag-1 serial correlation of the (normalized) id stream.
-    pub serial_corr: f64,
-    /// KS test of normalized ids against uniform.
-    pub ks: KsTest,
-}
-
-impl RandomnessReport {
-    /// Evaluates the battery over a stream of sampled peer indices in
-    /// `0..n_peers`.
-    ///
-    /// Returns `None` if the stream is too short (< 3 samples) or `n_peers`
-    /// < 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sample index is `>= n_peers`.
-    pub fn evaluate(samples: &[u32], n_peers: usize) -> Option<RandomnessReport> {
-        if samples.len() < 3 || n_peers < 2 {
-            return None;
-        }
-        let mut counts = vec![0u64; n_peers];
-        for s in samples {
-            counts[*s as usize] += 1;
-        }
-        let chi_square = chi_square_uniform(&counts)?;
-        // Normalize ids to (0, 1) with a deterministic intra-cell dither:
-        // under H0 (discrete uniform over cells) the dithered value is
-        // exactly continuous uniform, so the KS test is applicable. A fixed
-        // half-step offset would instead leave a detectable lattice that KS
-        // rejects at large sample counts.
-        let normalized: Vec<f64> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let u = hash_unit(((i as u64) << 32) ^ *s as u64);
-                (*s as f64 + u) / n_peers as f64
-            })
-            .collect();
-        let serial_corr = serial_correlation(&normalized)?;
-        let ks = ks_uniform(&normalized)?;
-        Some(RandomnessReport { chi_square, serial_corr, ks })
-    }
-
-    /// A lenient pass/fail verdict: no test rejects at the given
-    /// significance level (and serial correlation is negligible).
-    pub fn passes(&self, alpha: f64) -> bool {
-        self.chi_square.p_value > alpha && self.ks.p_value > alpha && self.serial_corr.abs() < 0.1
-    }
 }
 
 #[cfg(test)]
@@ -293,107 +184,12 @@ mod tests {
         assert!(serial_correlation(&[3.0; 10]).is_none());
     }
 
-    #[test]
-    fn ks_accepts_uniform_rng() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
-        let xs: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>()).collect();
-        let r = ks_uniform(&xs).unwrap();
-        assert!(r.p_value > 0.01, "uniform sample rejected: p = {}", r.p_value);
-    }
-
-    #[test]
-    fn ks_rejects_clustered() {
-        let xs: Vec<f64> = (0..1000).map(|i| 0.4 + 0.2 * (i as f64 / 1000.0)).collect();
-        let r = ks_uniform(&xs).unwrap();
-        assert!(r.p_value < 1e-6);
-        assert!(r.statistic > 0.3);
-    }
-
-    #[test]
-    fn ks_empty_is_none() {
-        assert!(ks_uniform(&[]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn ks_out_of_range_panics() {
-        ks_uniform(&[0.5, 1.5]);
-    }
-
-    #[test]
-    fn report_passes_for_uniform_sampler() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        let n = 50usize;
-        let samples: Vec<u32> = (0..20_000).map(|_| rng.gen_range(0..n as u32)).collect();
-        let rep = RandomnessReport::evaluate(&samples, n).unwrap();
-        assert!(rep.passes(0.01), "uniform sampler failed: {rep:?}");
-    }
-
-    #[test]
-    fn report_fails_for_biased_sampler() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
-        let n = 50usize;
-        // Peer 0 is sampled 10x too often (a "public peers only" bias).
-        let samples: Vec<u32> = (0..20_000)
-            .map(|_| if rng.gen::<f64>() < 0.3 { 0 } else { rng.gen_range(0..n as u32) })
-            .collect();
-        let rep = RandomnessReport::evaluate(&samples, n).unwrap();
-        assert!(!rep.passes(0.01), "biased sampler passed: {rep:?}");
-    }
-
-    #[test]
-    fn report_degenerate_inputs() {
-        assert!(RandomnessReport::evaluate(&[1, 2], 10).is_none());
-        assert!(RandomnessReport::evaluate(&[0, 0, 0], 1).is_none());
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
-        use rand::rngs::SmallRng;
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-            /// A known-uniform reference sampler passes the battery for
-            /// any seed and population size. The significance level is
-            /// strict (1e-6) because a true-uniform stream fails a level-α
-            /// test with probability α by construction — across 32 cases
-            /// the false-failure probability stays negligible.
-            #[test]
-            fn prop_uniform_reference_sampler_passes(
-                seed in 0u64..(1 << 32),
-                n in 10usize..60,
-            ) {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let samples: Vec<u32> =
-                    (0..5000).map(|_| rng.gen_range(0..n as u32)).collect();
-                let rep = RandomnessReport::evaluate(&samples, n).unwrap();
-                prop_assert!(rep.passes(1e-6), "uniform sampler rejected: {rep:?}");
-            }
-
-            /// A deliberately biased sampler — one peer drawn with an
-            /// extra 20–50 % probability mass, the "public peers are
-            /// over-sampled" failure mode — is always rejected.
-            #[test]
-            fn prop_biased_sampler_fails(
-                seed in 0u64..(1 << 32),
-                n in 10usize..60,
-                bias in 0.2f64..0.5,
-            ) {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let samples: Vec<u32> = (0..5000)
-                    .map(|_| {
-                        if rng.gen::<f64>() < bias {
-                            0
-                        } else {
-                            rng.gen_range(0..n as u32)
-                        }
-                    })
-                    .collect();
-                let rep = RandomnessReport::evaluate(&samples, n).unwrap();
-                prop_assert!(!rep.passes(0.01), "biased sampler passed: {rep:?}");
-            }
 
             /// Balanced counts sit near zero dispersion; concentrating the
             /// same mass on one category blows the index up — the ordering

@@ -197,6 +197,15 @@ struct RareTables {
     forwarded: DenseMap<Port, Endpoint>,
 }
 
+/// Interval between two [`NatBox::purge_expired`] sweeps, in the simulated
+/// fabric and the live NAT emulator alike.
+///
+/// Sessions live `hole_timeout` (90 s by default, see
+/// [`crate::NetConfig`]) and are purged every 60 s, so a box holds up to
+/// 150 s worth of sessions just before a purge and 90 s worth just after:
+/// a 5/3 swing, above the 3/2 of its fit at which a purge refits a map.
+pub const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
+
 /// A NAT device fronting one or more private endpoints.
 ///
 /// The box owns one public IP. Cone types reserve a *stable* public port per

@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use nylon_net::natbox::PURGE_EVERY;
 use nylon_net::{Delivery, DropCounters, NatClass, NetConfig, PeerId};
 use nylon_obs::Counters;
 use nylon_sim::{SimDuration, SimTime};
@@ -37,8 +38,6 @@ use crate::codec;
 /// Payload-opaque fabric: the emulator routes bytes, not messages.
 type EmuNet = nylon_net::Network<()>;
 
-/// Interval between NAT garbage-collection sweeps, in virtual time.
-const PURGE_EVERY: SimDuration = SimDuration::from_secs(60);
 /// Receive timeout so the thread notices shutdown promptly.
 const RECV_TIMEOUT: Duration = Duration::from_millis(20);
 

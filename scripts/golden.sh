@@ -42,6 +42,14 @@ case "${1:-}" in
     done
     ;;
 --check)
+    # diff FILE RUN, naming the run (golden, --shards flag, --stats) that
+    # diverged before failing.
+    same() {
+        diff "$1" "$2" || {
+            echo "golden.sh: $1 diverges from: repro ${g#*|} $scale ${shards:-(no --shards flag)}, --stats $3" >&2
+            exit 1
+        }
+    }
     out=$(mktemp -d)
     trap 'rm -rf "$out"' EXIT
     for g in "${goldens[@]}"; do
@@ -49,10 +57,10 @@ case "${1:-}" in
         for shards in "" "--shards 1" "--shards 2" "--shards 4"; do
             "$bin" ${g#*|} $scale $shards 2>/dev/null > "$out/off.txt"
             "$bin" ${g#*|} $scale $shards --stats "$out/stats.jsonl" 2>/dev/null > "$out/on.txt"
-            diff "$golden" "$out/off.txt"
-            diff "$golden" "$out/on.txt"
+            same "$golden" "$out/off.txt" off
+            same "$golden" "$out/on.txt" on
             "$bin" stats-report --counters "$out/stats.jsonl" > "$out/counters"
-            diff "${golden%.txt}.counters" "$out/counters"
+            same "${golden%.txt}.counters" "$out/counters" on
         done
     done
     echo "goldens reproduced: no flag and --shards 1, 2, 4; --stats off and on; counters at each stats-on run"

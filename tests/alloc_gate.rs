@@ -6,7 +6,7 @@
 //! below replays identically and is held to its recorded count. The three
 //! long-lived engines still grow maps now and then after warm-up, a
 //! residue that moves with any change to a growth policy, so their mean
-//! per round is held to twice the recorded one (a reintroduced
+//! per round is held to 5/4 of the recorded one (a reintroduced
 //! per-message allocation shows up as hundreds).
 
 #[path = "support/counting_alloc.rs"]
@@ -311,21 +311,19 @@ fn hot_paths_allocate_no_more_than_recorded() {
     // tick loop (`nylon_sim::run_lone`) over the same staging vector, which
     // is lent to `absorb` and handed back: pinning must add no allocation.
     let (auto, pinned) = (Workers::OneOf(1), Workers::Plan(ShardPlan::round_robin(1)));
-    // Maps grow one slot array at a time by fitted steps of at least 5/4,
-    // where they used to double two lanes: fewer blocks where maps settle
-    // early (PeerSwap, 6.6 before), more where they still grow past
-    // warm-up (Nylon, 6.6 before).
+    // Most of the residue is NAT session maps refitted after a purge and
+    // regrown before the next one (7.3 and 4.8 before the refit).
     let engines: [(&str, f64, f64); 3] = [
-        ("nylon round", 7.3, allocations_per_round(nylon(), auto)),
-        ("peerswap round", 4.8, allocations_per_round(PeerSwapConfig::default(), auto)),
-        ("nylon round, pinned S=1", 7.3, allocations_per_round(nylon(), pinned)),
+        ("nylon round", 11.3, allocations_per_round(nylon(), auto)),
+        ("peerswap round", 6.2, allocations_per_round(PeerSwapConfig::default(), auto)),
+        ("nylon round, pinned S=1", 11.3, allocations_per_round(nylon(), pinned)),
     ];
     assert_eq!(engines[0].2, engines[2].2, "pinned S=1 allocates differently from self-sized");
     for (case, recorded, measured) in engines {
         println!("{case}: {measured:.1} allocations per round (recorded {recorded})");
         assert!(
-            measured <= 2.0 * recorded,
-            "{case}: {measured:.1} allocations per round, recorded {recorded} (limit 2x)"
+            measured <= 1.25 * recorded,
+            "{case}: {measured:.1} allocations per round, recorded {recorded} (limit 5/4)"
         );
     }
 }

@@ -123,6 +123,23 @@ fn rc_to_sym_hole_punching_works() {
     }
 }
 
+/// public → SYM is "hole punching" in the table Nylon runs (Section 2.2
+/// relays): the PONG leaves the symmetric box from a fresh port towards
+/// the public peer's one known endpoint, and the public peer's reply to
+/// that port is the mapping's own destination, so it passes.
+#[test]
+fn public_to_sym_hole_punching_works() {
+    let mut pair = Pair::new(NatClass::Public, NatClass::Natted(NatType::Symmetric));
+    let dst_identity = pair.net.identity_endpoint(pair.dst);
+    let src_identity = pair.net.identity_endpoint(pair.src);
+    let pong_src = pair.observed(pair.dst, src_identity).expect("public peers are unfiltered");
+    assert_ne!(pong_src, dst_identity, "symmetric mapping allocates a fresh port");
+    match pair.exchange(pair.src, pong_src, "request") {
+        Delivery::ToPeer { to, .. } => assert_eq!(to, pair.dst),
+        Delivery::Dropped { reason, .. } => panic!("public->SYM punch failed: {reason}"),
+    }
+}
+
 /// PRC → SYM is "relaying" in the table: the PONG from the fresh symmetric
 /// port fails the PRC's exact-endpoint filter, so no hole can be punched.
 #[test]
