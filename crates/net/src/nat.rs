@@ -83,11 +83,6 @@ impl NatClass {
         !self.is_public()
     }
 
-    /// `true` for peers behind a symmetric NAT.
-    pub const fn is_symmetric(self) -> bool {
-        matches!(self, NatClass::Natted(NatType::Symmetric))
-    }
-
     /// The NAT type, if natted.
     pub const fn nat_type(self) -> Option<NatType> {
         match self {
@@ -142,9 +137,8 @@ mod tests {
         let pub_ = NatClass::Public;
         let sym = NatClass::Natted(NatType::Symmetric);
         let rc = NatClass::Natted(NatType::RestrictedCone);
-        assert!(pub_.is_public() && !pub_.is_natted() && !pub_.is_symmetric());
-        assert!(sym.is_natted() && sym.is_symmetric());
-        assert!(rc.is_natted() && !rc.is_symmetric());
+        assert!(pub_.is_public() && !pub_.is_natted());
+        assert!(sym.is_natted() && rc.is_natted());
         assert_eq!(pub_.nat_type(), None);
         assert_eq!(rc.nat_type(), Some(NatType::RestrictedCone));
     }

@@ -24,8 +24,8 @@
 //!   such path and relays.
 //!
 //! The paper leaves full-cone (FC) NATs out of its table. Here an FC peer is
-//! natted like an RC one: unsolicited traffic does not reach it, and Nylon
-//! punches towards it.
+//! natted like an RC one: traffic reaches it only while an outbound mapping
+//! is alive, which its contacts cannot know, so Nylon punches towards it.
 
 use std::fmt;
 
@@ -42,13 +42,6 @@ pub enum ContactMethod {
     /// No hole can be punched; every message must be relayed by the
     /// rendez-vous peer.
     Relaying,
-}
-
-impl ContactMethod {
-    /// `true` if messages flow through a relay for the whole exchange.
-    pub const fn is_relayed(self) -> bool {
-        matches!(self, ContactMethod::Relaying)
-    }
 }
 
 impl fmt::Display for ContactMethod {
@@ -125,13 +118,6 @@ mod tests {
             let to_fc = if other == SYM { Relaying } else { HolePunching };
             assert_eq!(contact_method(other, FC), to_fc, "{other} -> FC");
         }
-    }
-
-    #[test]
-    fn predicates() {
-        assert!(ContactMethod::Relaying.is_relayed());
-        assert!(!ContactMethod::Direct.is_relayed());
-        assert!(!ContactMethod::HolePunching.is_relayed());
     }
 
     #[test]

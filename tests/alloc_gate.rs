@@ -312,7 +312,7 @@ fn hot_paths_allocate_no_more_than_recorded() {
     // is lent to `absorb` and handed back: pinning must add no allocation.
     let (auto, pinned) = (Workers::OneOf(1), Workers::Plan(ShardPlan::round_robin(1)));
     // Most of the residue is NAT session maps refitted after a purge and
-    // regrown before the next one (7.3 and 4.8 before the refit).
+    // regrown before the next one.
     let engines: [(&str, f64, f64); 3] = [
         ("nylon round", 11.3, allocations_per_round(nylon(), auto)),
         ("peerswap round", 6.2, allocations_per_round(PeerSwapConfig::default(), auto)),
