@@ -11,6 +11,11 @@
 //!   `REQUEST` (Figure 6 lines 8–12 and 35–46);
 //! * relaying of whole shuffles for the symmetric-NAT combinations where no
 //!   hole can be punched (lines 5–7 and 20–22).
+//!
+//! Which of the three a shuffle uses is
+//! [`nylon_net::traversal::contact_method`] of the two NAT classes, once no
+//! live direct route exists; the responder answers the way the REQUEST
+//! came.
 
 use nylon_gossip::{
     Engine, Host, Intro, MergePolicy, MergeScratch, NodeDescriptor, NodeTable, PartialView,
