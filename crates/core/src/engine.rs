@@ -631,8 +631,8 @@ impl Protocol for Nylon {
                 }
                 // Lines 20–24: answer the way the request came — along the
                 // reverse chain just learned, or through the observed hole.
-                // The classes are not consulted again: a forged symmetric
-                // class costs relay hops on both legs, nothing else.
+                // The classes are not consulted again, so a forged
+                // symmetric class costs relay hops on both legs.
                 let resp_entries = self.wire_view(host, to, src.id);
                 let resp_sent = Self::sent_ids(&mut self.id_pool, &resp_entries);
                 let resp = NylonMsg::Response {
@@ -886,8 +886,7 @@ mod tests {
                     WireEntry::new(eng.descriptor_of(rvp), hole, 0),
                     WireEntry::new(eng.descriptor_of(t), hole, 1),
                 ];
-                let (from, via, hops) = (rvp, rvp, 0);
-                let answer = NylonMsg::Response { from, dest: p, via, hops, entries };
+                let answer = NylonMsg::Response { from: rvp, dest: p, via: rvp, hops: 0, entries };
                 eng.deliver_wire(p, eng.net().identity_endpoint(rvp), answer);
                 eng.view_of_mut(p).remove(rvp);
                 let routing = eng.protocol().routing_of(p);
