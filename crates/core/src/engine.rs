@@ -109,15 +109,6 @@ struct Punch {
     addr: Endpoint,
 }
 
-/// The ids shipped in one outstanding shuffle, for the swapper merge.
-#[derive(Debug, Default)]
-struct SentIds {
-    /// Past this instant no RESPONSE can arrive (see
-    /// [`Nylon::reply_horizon`]) and the round-start sweep drops the entry.
-    expires: SimTime,
-    ids: Vec<PeerId>,
-}
-
 #[derive(Debug)]
 struct Node {
     view: PartialView,
@@ -125,13 +116,10 @@ struct Node {
     /// route's hole was observed from lives inside the route entry, so a
     /// receive touches one map instead of two.
     routing: RoutingTable,
-    /// Outstanding hole punches by target.
+    /// Outstanding hole punches by target: the one exchange Nylon waits
+    /// on. A shuffle keeps no state, since the healer merge never reads the
+    /// ids it shipped.
     pending_punch: DenseMap<PeerId, Punch>,
-    /// Outstanding shuffles by target. More than one can be open at once
-    /// (a punch that completes a round late sends its REQUEST next to the
-    /// current round's), so unlike the baseline's this is a map — aged out
-    /// at round start, because most unanswered requests are never retried.
-    pending_sent: DenseMap<PeerId, SentIds>,
     rng: SimRng,
 }
 
@@ -180,16 +168,10 @@ pub struct Nylon {
     /// consumed, so steady-state shuffling allocates nothing (see
     /// `nylon_net::pool`).
     entry_pool: BufferPool<WireEntry>,
-    /// Recycled id buffers for the shipped-id lists of the swapper merge.
-    id_pool: BufferPool<PeerId>,
     /// Reused scratch for the descriptor projection of a merge.
     scratch_descs: Vec<NodeDescriptor>,
     /// The workspace every merge of this worker runs in.
     merge_scratch: MergeScratch,
-    /// Longest a RESPONSE can trail its REQUEST: both may be relayed
-    /// [`MAX_FORWARD_HOPS`] times, and every transmission takes at most the
-    /// fabric's latency plus jitter.
-    reply_horizon: SimDuration,
 }
 
 /// The Nylon protocol engine: [`Nylon`] on the shared [`Engine`] host, so
@@ -246,23 +228,6 @@ impl Nylon {
             out.push(WireEntry::new(*d, ttl, hops));
         }
         out
-    }
-
-    /// A pooled id buffer holding the descriptor ids of `entries` (the
-    /// shipped-id list the swapper merge consults).
-    fn sent_ids(pool: &mut BufferPool<PeerId>, entries: &[WireEntry]) -> Vec<PeerId> {
-        let mut v = pool.acquire();
-        v.extend(entries.iter().map(|e| e.descriptor.id));
-        v
-    }
-
-    /// Records the ids shipped to `target` at `now`, recycling any buffer
-    /// left from an earlier, unanswered exchange with the same target.
-    fn note_pending_sent(&mut self, now: SimTime, p: PeerId, target: PeerId, ids: Vec<PeerId>) {
-        let sent = SentIds { expires: now + self.reply_horizon, ids };
-        if let Some(old) = self.nodes[p].pending_sent.insert(target, sent) {
-            self.id_pool.release(old.ids);
-        }
     }
 
     /// The endpoint `me` should use to reach `peer` directly: public
@@ -408,8 +373,6 @@ impl Nylon {
         match method {
             ContactMethod::Direct => {
                 let entries = self.wire_view(host, p, t);
-                let sent = Self::sent_ids(&mut self.id_pool, &entries);
-                self.note_pending_sent(host.now(), p, t, sent);
                 let ep = self
                     .contact_ep(host, p, t, Some(target.addr))
                     .expect("fallback endpoint always present");
@@ -419,13 +382,10 @@ impl Nylon {
             ContactMethod::Relaying => {
                 // Lines 5–7: ship the whole shuffle through the RVP chain.
                 let entries = self.wire_view(host, p, t);
-                let sent = Self::sent_ids(&mut self.id_pool, &entries);
                 let msg = Self::request(host, p, t, entries);
                 if self.route_and_send(host, p, t, msg) {
-                    self.note_pending_sent(host.now(), p, t, sent);
                     self.stats.relayed_requests += 1;
                 } else {
-                    self.id_pool.release(sent);
                     self.drop_unroutable(p, t);
                 }
             }
@@ -461,14 +421,9 @@ impl Nylon {
     }
 
     /// Figure 6 lines 25–26 / 33–34: merge the received view and install
-    /// chain routes with the partner as RVP.
-    fn merge_shuffle(
-        &mut self,
-        me: PeerId,
-        partner: PeerId,
-        entries: &[WireEntry],
-        sent: &[PeerId],
-    ) {
+    /// chain routes with the partner as RVP. The healer merge never reads
+    /// the ids this peer shipped, so none are passed.
+    fn merge_shuffle(&mut self, me: PeerId, partner: PeerId, entries: &[WireEntry]) {
         // Reused scratch for the descriptor projection; routes install
         // straight off the wire entries. Neither path allocates in steady
         // state.
@@ -478,7 +433,7 @@ impl Nylon {
         let node = &mut self.nodes[me];
         node.view.merge_and_truncate_with(
             &descriptors,
-            sent,
+            &[],
             MergePolicy::Healer,
             &mut node.rng,
             &mut self.merge_scratch,
@@ -505,18 +460,14 @@ impl Protocol for Nylon {
 
     /// `HOLE_TIMEOUT` is the fabric's NAT rule lifetime.
     fn new(cfg: NylonConfig, net_cfg: &NetConfig, share: Share) -> Self {
-        let reply_horizon =
-            (net_cfg.latency + net_cfg.latency_jitter) * (2 * (u64::from(MAX_FORWARD_HOPS) + 1));
         Nylon {
             cfg,
             hole_timeout: net_cfg.hole_timeout,
             nodes: NodeTable::new(share),
             stats: NylonStats::default(),
             entry_pool: BufferPool::new(),
-            id_pool: BufferPool::new(),
             scratch_descs: Vec::new(),
             merge_scratch: MergeScratch::default(),
-            reply_horizon,
         }
     }
 
@@ -535,7 +486,6 @@ impl Protocol for Nylon {
                 view: PartialView::new(id, self.cfg.view_size),
                 routing: RoutingTable::new(id),
                 pending_punch: DenseMap::new(),
-                pending_sent: DenseMap::new(),
                 rng,
             },
         );
@@ -582,18 +532,6 @@ impl Protocol for Nylon {
                 self.stats.punch_timeouts += (before - node.pending_punch.len()) as u64;
             }
         }
-        // Forget shuffles whose RESPONSE can no longer arrive.
-        let node = &mut self.nodes[p];
-        if !node.pending_sent.is_empty() {
-            let id_pool = &mut self.id_pool;
-            node.pending_sent.retain(|_, sent| {
-                let open = sent.expires > now;
-                if !open {
-                    id_pool.release(std::mem::take(&mut sent.ids));
-                }
-                open
-            });
-        }
         let target = {
             let node = &mut self.nodes[p];
             node.view.select_target(SelectionPolicy::Rand, &mut node.rng)
@@ -634,7 +572,6 @@ impl Protocol for Nylon {
                 // The classes are not consulted again, so a forged
                 // symmetric class costs relay hops on both legs.
                 let resp_entries = self.wire_view(host, to, src.id);
-                let resp_sent = Self::sent_ids(&mut self.id_pool, &resp_entries);
                 let resp = NylonMsg::Response {
                     from: to,
                     dest: src.id,
@@ -648,8 +585,7 @@ impl Protocol for Nylon {
                     self.stats.forward_failures += 1;
                 }
                 // Lines 25–26: merge and learn routes.
-                self.merge_shuffle(to, src.id, &entries, &resp_sent);
-                self.id_pool.release(resp_sent);
+                self.merge_shuffle(to, src.id, &entries);
                 self.entry_pool.release(entries);
             }
             NylonMsg::Response { from, via, hops, entries, .. } => {
@@ -657,9 +593,7 @@ impl Protocol for Nylon {
                 if via != from {
                     self.learn_reverse_chain(to, from, via, hops);
                 }
-                let sent = self.nodes[to].pending_sent.remove(&from).unwrap_or_default();
-                self.merge_shuffle(to, from, &entries, &sent.ids);
-                self.id_pool.release(sent.ids);
+                self.merge_shuffle(to, from, &entries);
                 self.entry_pool.release(entries);
             }
             NylonMsg::OpenHole { src, hops, .. } => {
@@ -685,8 +619,6 @@ impl Protocol for Nylon {
                         self.stats.punch_retry_wins += 1;
                     }
                     let entries = self.wire_view(host, to, from);
-                    let sent = Self::sent_ids(&mut self.id_pool, &entries);
-                    self.note_pending_sent(host.now(), to, from, sent);
                     host.send_msg(self, to, from_ep, Self::request(host, to, from, entries));
                 }
             }
@@ -724,10 +656,9 @@ impl Protocol for Nylon {
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.entry_pool.obs_report(out);
-        self.id_pool.obs_report(out);
         let s = &self.stats;
         s.report(out, "engine.nylon");
-        let pending: usize = self.nodes.iter().map(|n| n.pending_sent.len()).sum();
+        let pending: usize = self.nodes.iter().map(|n| n.pending_punch.len()).sum();
         out.gauge_sum("engine.nylon", "pending_exchanges", pending as u64);
         // Routing storage health: snapshot-time walk over every node's
         // table (read-only — the hot path carries no histogram state).
@@ -755,15 +686,12 @@ impl Protocol for Nylon {
     }
 
     /// A peer killed for good never reads its routing table or pending
-    /// maps again: free them on the spot instead of carrying them to the
+    /// punches again: free them on the spot instead of carrying them to the
     /// end of the run (the view stays: dead peers keep their last view).
     fn on_kill(&mut self, peer: PeerId) {
         let node = &mut self.nodes[peer];
         node.routing.release();
         node.pending_punch = DenseMap::new();
-        for (_, sent) in std::mem::take(&mut node.pending_sent).iter_mut() {
-            self.id_pool.release(std::mem::take(&mut sent.ids));
-        }
     }
 
     /// The routing clock runs through an outage: the NAT holes behind a
@@ -934,7 +862,7 @@ mod tests {
     #[test]
     fn killed_peers_release_their_storage() {
         // No fault plan, so no Revive: a kill wave must free the victims'
-        // tables and pending maps, and leave the run byte-for-byte what it
+        // tables and pending punches, and leave the run byte-for-byte what it
         // was (the victims never read them again). The reference run
         // installs an empty fault plan, under which kills stay revocable
         // and nothing is released.
@@ -954,7 +882,7 @@ mod tests {
             for v in victims.iter().filter(|_| release) {
                 let node = &eng.protocol().nodes[*v];
                 assert_eq!(node.routing.probe_stats(&mut nylon_obs::Histogram::new()), (0, 0));
-                assert_eq!(node.pending_punch.capacity() + node.pending_sent.capacity(), 0);
+                assert_eq!(node.pending_punch.capacity(), 0);
                 assert!(!node.view.is_empty(), "dead peers keep their last view");
             }
             eng.run_rounds(30);

@@ -96,11 +96,6 @@ struct Node {
     rvp: Option<PeerId>,
     /// For public peers: observed endpoints of natted clients bound to us.
     clients: DenseMap<PeerId, Endpoint>,
-    /// The one outstanding shuffle: the target plus the ids shipped to it.
-    /// A new round abandons it — the same as remembering every unanswered
-    /// request as long as a reply (at most four relay hops) takes less
-    /// than one shuffle period.
-    pending: Option<(PeerId, Vec<PeerId>)>,
     rng: SimRng,
     /// RVP annotations learned alongside view entries.
     bindings: DenseMap<PeerId, Option<PeerId>>,
@@ -162,8 +157,6 @@ pub struct StaticRvp {
     /// Recycled wire-view buffers (see `nylon_net::pool`): steady-state
     /// shuffling allocates nothing.
     entry_pool: BufferPool<BoundDescriptor>,
-    /// Recycled id buffers for the shipped-id lists.
-    id_pool: BufferPool<PeerId>,
     /// Reused scratch for the descriptor projection of a merge.
     scratch_descs: Vec<NodeDescriptor>,
     /// The workspace every merge of this worker runs in.
@@ -196,13 +189,6 @@ impl StaticRvp {
             out.push(BoundDescriptor { descriptor: *d, rvp });
         }
         out
-    }
-
-    /// A pooled id buffer holding the descriptor ids of `entries`.
-    fn sent_ids(&mut self, entries: &[BoundDescriptor]) -> Vec<PeerId> {
-        let mut sent = self.id_pool.acquire();
-        sent.extend(entries.iter().map(|e| e.descriptor.id));
-        sent
     }
 
     /// Keep-alive / re-bind: a natted peer pings its RVP every period.
@@ -265,7 +251,9 @@ impl StaticRvp {
         }
     }
 
-    fn merge(&mut self, me: PeerId, entries: &[BoundDescriptor], sent: &[PeerId]) {
+    /// Merges a received view under healer, which never reads the ids this
+    /// peer shipped, so none are kept or passed.
+    fn merge(&mut self, me: PeerId, entries: &[BoundDescriptor]) {
         let mut descriptors = std::mem::take(&mut self.scratch_descs);
         let mut keep = std::mem::take(&mut self.scratch_keep);
         descriptors.clear();
@@ -278,7 +266,7 @@ impl StaticRvp {
         }
         node.view.merge_and_truncate_with(
             &descriptors,
-            sent,
+            &[],
             MergePolicy::Healer,
             &mut node.rng,
             &mut self.merge_scratch,
@@ -311,7 +299,6 @@ impl Protocol for StaticRvp {
             nodes: NodeTable::new(share),
             stats: StaticRvpStats::default(),
             entry_pool: BufferPool::new(),
-            id_pool: BufferPool::new(),
             scratch_descs: Vec::new(),
             merge_scratch: MergeScratch::default(),
             scratch_keep: FxHashSet::default(),
@@ -333,7 +320,6 @@ impl Protocol for StaticRvp {
                 view: PartialView::new(id, self.cfg.view_size),
                 rvp: None,
                 clients: DenseMap::new(),
-                pending: None,
                 rng,
                 bindings: DenseMap::new(),
                 silent_rounds: 0,
@@ -379,9 +365,6 @@ impl Protocol for StaticRvp {
     }
 
     fn on_round(&mut self, host: &mut RvpHost, p: PeerId) {
-        if let Some((_, unanswered)) = self.nodes[p].pending.take() {
-            self.id_pool.release(unanswered);
-        }
         if host.net.class_of(p).is_natted() && !self.keep_alive(host, p) {
             return;
         }
@@ -395,8 +378,6 @@ impl Protocol for StaticRvp {
                 host.log_sample(p, target.id);
                 self.stats.shuffles_initiated += 1;
                 let entries = self.wire_view(host, p);
-                let sent = self.sent_ids(&entries);
-                self.nodes[p].pending = Some((target.id, sent));
                 let msg = StaticRvpMsg::Request {
                     src: self.self_descriptor(host, p),
                     dest: target.id,
@@ -431,7 +412,6 @@ impl Protocol for StaticRvp {
             StaticRvpMsg::Request { src, entries, .. } => {
                 self.stats.requests_completed += 1;
                 let resp_entries = self.wire_view(host, to);
-                let resp_sent = self.sent_ids(&resp_entries);
                 let resp = StaticRvpMsg::Response {
                     from: to,
                     dest: src.descriptor.id,
@@ -443,17 +423,13 @@ impl Protocol for StaticRvp {
                     // sent (the paper's failure mode); recycle it.
                     None => self.recycle(resp),
                 }
-                self.merge(to, &entries, &resp_sent);
-                self.id_pool.release(resp_sent);
+                self.merge(to, &entries);
                 self.entry_pool.release(entries);
             }
-            StaticRvpMsg::Response { from, entries, .. } => {
+            StaticRvpMsg::Response { entries, .. } => {
                 self.stats.responses_completed += 1;
                 self.nodes[to].silent_rounds = 0;
-                let answered = self.nodes[to].pending.take_if(|(t, _)| *t == from);
-                let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
-                self.merge(to, &entries, &sent);
-                self.id_pool.release(sent);
+                self.merge(to, &entries);
                 self.entry_pool.release(entries);
             }
         }
@@ -496,10 +472,7 @@ impl Protocol for StaticRvp {
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.entry_pool.obs_report(out);
-        self.id_pool.obs_report(out);
         self.stats.report(out, "engine.static_rvp");
-        let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
-        out.gauge_sum("engine.static_rvp", "pending_exchanges", pending as u64);
     }
 }
 

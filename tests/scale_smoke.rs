@@ -182,19 +182,22 @@ fn metric<S: PeerSampler>(eng: &S, layer: &str, name: &str) -> u64 {
 /// period). Runs on two workers. A buffer acquired on one worker may be
 /// released on another, so buffers are counted run-wide (counters merge
 /// by sum), and so are exchanges pending (a sum-merged gauge).
-/// `one_slot` protocols additionally hold at most one exchange per peer.
 fn assert_exchange_state_is_bounded<C: SamplerConfig>(
     scn: &Scenario,
     cfg: C,
     layer: &str,
-    one_slot: bool,
+    kept: Pending,
 ) {
     // (pooled buffers handed out and not yet returned, exchanges the
     // protocol says it still waits on)
     let state = |eng: &C::Sampler| {
         let buffers =
             metric(eng, "kernel", "pool_acquired") - metric(eng, "kernel", "pool_released");
-        (buffers, metric(eng, layer, "pending_exchanges"))
+        let pending = match kept {
+            Pending::Nothing => 0,
+            Pending::OneSlot | Pending::Many => metric(eng, layer, "pending_exchanges"),
+        };
+        (buffers, pending)
     };
     let slack = scn.peers as u64 / 10;
     let mut eng = with_workers(Workers::Plan(ShardPlan::round_robin(2)), || build(scn, cfg));
@@ -206,9 +209,20 @@ fn assert_exchange_state_is_bounded<C: SamplerConfig>(
     assert!(buffers <= buffers40 + slack, "{at}: {buffers40} -> {buffers} buffers outstanding");
     assert!(pending <= pending40 + slack, "{at}: {pending40} -> {pending} exchanges pending");
     assert!(buffers <= pending + slack, "{at}: {buffers} buffers for {pending} exchanges");
-    if one_slot {
+    if matches!(kept, Pending::OneSlot) {
         assert!(pending <= scn.peers as u64, "{at}: {pending} exchanges pending");
     }
+}
+
+/// The exchange state a protocol keeps, reported as `pending_exchanges`.
+#[derive(Clone, Copy)]
+enum Pending {
+    /// None (static RVP): every outstanding buffer is a message in flight.
+    Nothing,
+    /// At most one exchange per peer (the baseline's and PeerSwap's slot).
+    OneSlot,
+    /// Any number per peer (Nylon's punches waiting for their PONG).
+    Many,
 }
 
 /// The leak gate: the paper's mix at 70 % NAT, where 46 % of the
@@ -222,15 +236,18 @@ fn exchange_state_tracks_live_exchanges() {
         ..Scenario::new(2_000, 95.0, 5)
     };
     for scn in [&mixed, &symmetric] {
-        assert_exchange_state_is_bounded(scn, GossipConfig::default(), "engine.baseline", true);
+        let baseline = GossipConfig::default();
+        assert_exchange_state_is_bounded(scn, baseline, "engine.baseline", Pending::OneSlot);
+        let rvp = StaticRvpConfig::default();
+        assert_exchange_state_is_bounded(scn, rvp, "engine.static_rvp", Pending::Nothing);
+        let peerswap = PeerSwapConfig::default();
+        assert_exchange_state_is_bounded(scn, peerswap, "engine.peerswap", Pending::OneSlot);
         assert_exchange_state_is_bounded(
             scn,
-            StaticRvpConfig::default(),
-            "engine.static_rvp",
-            true,
+            NylonConfig::default(),
+            "engine.nylon",
+            Pending::Many,
         );
-        assert_exchange_state_is_bounded(scn, PeerSwapConfig::default(), "engine.peerswap", true);
-        assert_exchange_state_is_bounded(scn, NylonConfig::default(), "engine.nylon", false);
     }
 }
 
@@ -238,8 +255,13 @@ fn exchange_state_tracks_live_exchanges() {
 #[test]
 fn exchange_state_is_bounded_at_five_thousand_peers() {
     let scn = Scenario::new(5_000, 70.0, 5);
-    assert_exchange_state_is_bounded(&scn, GossipConfig::default(), "engine.baseline", true);
-    assert_exchange_state_is_bounded(&scn, NylonConfig::default(), "engine.nylon", false);
+    assert_exchange_state_is_bounded(
+        &scn,
+        GossipConfig::default(),
+        "engine.baseline",
+        Pending::OneSlot,
+    );
+    assert_exchange_state_is_bounded(&scn, NylonConfig::default(), "engine.nylon", Pending::Many);
 }
 
 /// Nylon in the shape of the ledger's `scale-baseline-200k-s2`: 200 000
