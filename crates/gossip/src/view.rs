@@ -706,6 +706,10 @@ mod tests {
         /// at differing ages, self-references, and far-over-capacity
         /// batches. Storage order and RNG consumption both feed later
         /// random choices, so replay determinism rides on this.
+        ///
+        /// A third view merges healer and blind batches without the shipped
+        /// ids and must stay identical too: only swapper reads them, which
+        /// is why the healer-only engines keep no shipped-id lists.
         #[test]
         fn prop_merge_matches_reference(
             seed in any::<u64>(),
@@ -717,8 +721,10 @@ mod tests {
         ) {
             let mut rng_new = SimRng::new(seed);
             let mut rng_ref = SimRng::new(seed);
+            let mut rng_unsent = SimRng::new(seed);
             let mut v_new = PartialView::new(PeerId(0), cap);
             let mut v_ref = PartialView::new(PeerId(0), cap);
+            let mut v_unsent = PartialView::new(PeerId(0), cap);
             for (bi, batch) in batches.iter().enumerate() {
                 // Narrow id/age ranges force duplicates and age ties; id 0
                 // is the owner, so self-references are exercised too.
@@ -732,6 +738,15 @@ mod tests {
                 };
                 v_new.merge_and_truncate(&received, &sent, policy, &mut rng_new);
                 v_ref.merge_and_truncate_reference(&received, &sent, policy, &mut rng_ref);
+                let unsent: &[PeerId] = if policy == MergePolicy::Swapper { &sent } else { &[] };
+                v_unsent.merge_and_truncate(&received, unsent, policy, &mut rng_unsent);
+                prop_assert_eq!(
+                    v_unsent.as_slice(),
+                    v_new.as_slice(),
+                    "the shipped ids moved a {:?} merge after batch {}",
+                    policy,
+                    bi
+                );
                 prop_assert_eq!(
                     v_new.as_slice(),
                     v_ref.as_slice(),
@@ -739,12 +754,20 @@ mod tests {
                     bi,
                     policy
                 );
+                let draw = rng_new.gen_u64();
                 prop_assert_eq!(
-                    rng_new.gen_u64(),
+                    draw,
                     rng_ref.gen_u64(),
                     "RNG consumption diverged from reference after batch {} ({:?})",
                     bi,
                     policy
+                );
+                prop_assert_eq!(
+                    draw,
+                    rng_unsent.gen_u64(),
+                    "the shipped ids moved a {:?} merge's RNG draws after batch {}",
+                    policy,
+                    bi
                 );
             }
         }

@@ -10,11 +10,13 @@
 //! `release` takes it back once the message is consumed.
 //!
 //! The fabric ([`crate::Network`]) stays payload-opaque, so the pools live
-//! with whoever creates and consumes the buffers — each engine embeds the
-//! pools for its own wire-entry and peer-id vectors. In steady state every
-//! acquire is a recycle and the per-round allocation count drops to the
-//! slow-path residue (hash-map growth, rare oversized views), which
-//! `tests/alloc_gate.rs` counts.
+//! with whoever creates and consumes the buffers — each engine embeds a
+//! pool for its own wire-entry vectors, and a peer-id pool only where a
+//! merge reads the ids a shuffle shipped (the baseline, whose merge policy
+//! may be swapper, and PeerSwap; the healer-only engines keep no such
+//! list). In steady state every acquire is a recycle and the per-round
+//! allocation count drops to the slow-path residue (hash-map growth, rare
+//! oversized views), which `tests/alloc_gate.rs` counts.
 //!
 //! Recycling never changes observable behaviour: a recycled vector is
 //! empty, only its capacity survives, and no RNG draw or event ordering

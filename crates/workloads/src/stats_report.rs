@@ -37,7 +37,7 @@ pub const IMPLEMENTATION_ROWS: [(&str, &str); 8] = [
     ("shard/*", "lane, envelope and barrier accounting of the lockstep workers"),
     ("kernel/events_processed", "each worker arms its own purge timer"),
     ("kernel/pending_events", "each worker holds its own pending purge timer"),
-    ("kernel/pool_recycled", "event free lists are per worker"),
+    ("kernel/pool_recycled", "payload pools are per worker; a buffer may be released on another"),
     ("kernel/queue_depth_hwm", "each worker's queue peaks on its own schedule"),
     ("kernel/wheel_*", "each worker's timer wheel sizes its own levels and buckets"),
 ];
