@@ -29,7 +29,7 @@ use crate::output::{fmt_f, Table};
 use crate::runner::{biggest_cluster_pct, build, usable_in_degrees};
 use crate::scenario::Scenario;
 
-use super::common::{dispatch_engine, finite_means, mean_finite, point_seeds};
+use super::common::{dispatch_engine, finite_means, mean_finite, mean_sd_finite, point_seeds};
 use super::{EngineKind, FigureScale, Grid, Plan};
 
 /// NAT percentages for the randomness head-to-head: a NAT-free control
@@ -234,7 +234,7 @@ pub fn plan_eclipse(scale: &FigureScale) -> Plan {
         ]
         .map(|(col, title)| {
             rows[0].render(results, Table::new(title, columns.clone()), |points| {
-                points.iter().map(|p| fmt_f(mean_finite(p, col), 1)).collect()
+                points.iter().map(|p| mean_sd_finite(p, col)).collect()
             })
         })
         .into()

@@ -165,6 +165,21 @@ pub fn finite_means(rows: &[Vec<f64>], decimals: &[usize]) -> Vec<String> {
     decimals.iter().enumerate().map(|(col, &d)| fmt_f(mean_finite(rows, col), d)).collect()
 }
 
+/// [`mean_finite`] of one metric column with one decimal, followed by
+/// `±sd` of the same finite values when more than one seed produced one
+/// and they spread by more than a point. The paper: "any non negligible
+/// observed variance is indicated in the graphs"; a cell of a few noisy
+/// samples (churn, a handful of eclipse victims) needs it most.
+pub fn mean_sd_finite(rows: &[Vec<f64>], idx: usize) -> String {
+    let finite: Summary = rows.iter().map(|row| row[idx]).filter(|v| !v.is_nan()).collect();
+    let mean = fmt_f(mean_finite(rows, idx), 1);
+    if finite.count() > 1 && finite.std_dev() > 1.0 {
+        format!("{mean} ±{}", fmt_f(finite.std_dev(), 1))
+    } else {
+        mean
+    }
+}
+
 /// NaN-filtered mean of one metric column; NaN when no seed produced a
 /// finite value (rendered as "-").
 pub fn mean_finite(rows: &[Vec<f64>], idx: usize) -> f64 {
@@ -173,5 +188,19 @@ pub fn mean_finite(rows: &[Vec<f64>], idx: usize) -> f64 {
         f64::NAN
     } else {
         vals.iter().sum::<f64>() / vals.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mean_sd_finite_skips_nan_and_shows_only_a_real_spread() {
+        let rows = |vals: &[f64]| vals.iter().map(|v| vec![*v]).collect::<Vec<_>>();
+        assert_eq!(mean_sd_finite(&rows(&[f64::NAN, 10.0, 14.0]), 0), "12.0 ±2.8");
+        assert_eq!(mean_sd_finite(&rows(&[10.0, 10.4]), 0), "10.2");
+        assert_eq!(mean_sd_finite(&rows(&[7.0, f64::NAN]), 0), "7.0");
+        assert_eq!(mean_sd_finite(&rows(&[f64::NAN, f64::NAN]), 0), "-");
     }
 }

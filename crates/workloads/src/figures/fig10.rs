@@ -8,11 +8,11 @@ use nylon::{NylonConfig, NylonEngine};
 use nylon_net::PeerId;
 use nylon_sim::SimRng;
 
-use crate::output::{fmt_f, Table};
+use crate::output::Table;
 use crate::runner::{biggest_cluster_pct, build};
 use crate::scenario::Scenario;
 
-use super::common::{point_seeds, summary_col};
+use super::common::{mean_sd_finite, point_seeds};
 use super::{FigureScale, Grid, Plan};
 
 /// Percentages of peers leaving simultaneously (the paper's x-axis).
@@ -60,19 +60,8 @@ pub fn plan(scale: &FigureScale) -> Plan {
             ),
             columns,
         );
-        vec![rows[0].render(results, table, |points| {
-            let cell = |p: &&[Vec<f64>]| {
-                let s = summary_col(p, 0);
-                // The paper: "any non negligible observed variance is
-                // indicated in the graphs" — churn is the noisy experiment.
-                if s.count() > 1 && s.std_dev() > 1.0 {
-                    format!("{} ±{}", fmt_f(s.mean(), 1), fmt_f(s.std_dev(), 1))
-                } else {
-                    fmt_f(s.mean(), 1)
-                }
-            };
-            points.iter().map(cell).collect()
-        })]
+        vec![rows[0]
+            .render(results, table, |points| points.iter().map(|p| mean_sd_finite(p, 0)).collect())]
     })
 }
 
