@@ -175,7 +175,8 @@ pub trait Protocol: fmt::Debug + Send + Sized + 'static {
     /// Reports protocol-layer telemetry (counters, pools) into `out`. A
     /// protocol that keeps per-exchange state reports it as the gauge
     /// `engine.<protocol>/pending_exchanges`: the exchanges nodes still
-    /// wait on, which must track live state rather than history. Levels of per-node state are sum-merged gauges
+    /// wait on, which must track live state rather than history. Levels of
+    /// per-node state are sum-merged gauges
     /// ([`nylon_obs::Report::gauge_sum`]), so a multi-worker run reports
     /// its total.
     fn obs_report(&self, out: &mut nylon_obs::Report);
