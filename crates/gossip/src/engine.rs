@@ -11,7 +11,7 @@ use nylon_sim::{Share, SimDuration, SimRng};
 
 use crate::descriptor::NodeDescriptor;
 use crate::host::{Host, NodeTable, Protocol};
-use crate::policy::{GossipConfig, PropagationPolicy};
+use crate::policy::{GossipConfig, MergePolicy, PropagationPolicy};
 use crate::view::{MergeScratch, PartialView};
 use crate::Engine;
 
@@ -78,9 +78,36 @@ nylon_obs::counters! {
 struct Node {
     view: PartialView,
     rng: SimRng,
-    /// The one exchange the active thread of Figure 1 is waiting on: the
-    /// target plus the ids shipped to it, for the swapper merge.
-    pending: Option<(PeerId, Vec<PeerId>)>,
+}
+
+// Per-exchange state lives in `Shipped`, not in every node.
+const _: () = assert!(size_of::<Node>() <= 80, "a baseline node is its view and its RNG");
+
+/// The ids each shuffle shipped, which only the swapper merge reads: it
+/// first drops what it sent to the partner.
+#[derive(Debug)]
+struct Shipped {
+    /// Per node, the one exchange the active thread of Figure 1 is
+    /// waiting on: the target plus the ids shipped to it.
+    pending: NodeTable<Option<(PeerId, Vec<PeerId>)>>,
+    /// Recycled id buffers for the shipped-id lists.
+    id_pool: BufferPool<PeerId>,
+}
+
+impl Shipped {
+    /// A buffer holding the ids of `payload`.
+    fn ids_of(&mut self, payload: &[NodeDescriptor]) -> Vec<PeerId> {
+        let mut ids = self.id_pool.acquire();
+        ids.extend(payload.iter().map(|d| d.id));
+        ids
+    }
+
+    /// Abandons the exchange `p` is waiting on, if any.
+    fn abandon(&mut self, p: PeerId) {
+        if let Some((_, unanswered)) = self.pending[p].take() {
+            self.id_pool.release(unanswered);
+        }
+    }
 }
 
 /// The generic (NAT-oblivious) protocol of Figure 1, parameterized by a
@@ -96,7 +123,9 @@ struct Node {
 /// requests NATs swallow. This equals remembering every unanswered request
 /// as long as a reply takes less than one shuffle period (100 ms against
 /// 5 s at the paper's settings); a later reply still merges, only without
-/// its shipped-id list.
+/// its shipped-id list. Only the swapper merge reads that list, so only a
+/// swapper configuration keeps it: the healer and blind merges ship and
+/// merge with no per-exchange state at all.
 #[derive(Debug)]
 pub struct Baseline {
     cfg: GossipConfig,
@@ -105,8 +134,8 @@ pub struct Baseline {
     /// Recycled descriptor buffers for shuffle payloads: in steady state
     /// no exchange allocates (see `nylon_net::pool`).
     payload_pool: BufferPool<NodeDescriptor>,
-    /// Recycled id buffers for the shipped-id lists of the swapper merge.
-    id_pool: BufferPool<PeerId>,
+    /// The shipped-id lists, under [`MergePolicy::Swapper`] only.
+    shipped: Option<Shipped>,
     /// The workspace every merge of this worker runs in.
     merge_scratch: MergeScratch,
 }
@@ -123,12 +152,16 @@ impl Protocol for Baseline {
     const NET_SEED_SALT: u64 = 0x4E59_4C4F_4E00_0001;
 
     fn new(cfg: GossipConfig, _net_cfg: &NetConfig, share: Share) -> Self {
+        let shipped = (cfg.merge == MergePolicy::Swapper).then(|| Shipped {
+            pending: NodeTable::new(share.clone()),
+            id_pool: BufferPool::new(),
+        });
         Baseline {
             cfg,
             nodes: NodeTable::new(share),
             stats: ShuffleStats::default(),
             payload_pool: BufferPool::new(),
-            id_pool: BufferPool::new(),
+            shipped,
             merge_scratch: MergeScratch::default(),
         }
     }
@@ -142,8 +175,10 @@ impl Protocol for Baseline {
     }
 
     fn add_node(&mut self, id: PeerId, rng: SimRng) {
-        self.nodes
-            .push(id, Node { view: PartialView::new(id, self.cfg.view_size), rng, pending: None });
+        self.nodes.push(id, Node { view: PartialView::new(id, self.cfg.view_size), rng });
+        if let Some(shipped) = &mut self.shipped {
+            shipped.pending.push(id, None);
+        }
     }
 
     fn view_of(&self, peer: PeerId) -> &PartialView {
@@ -161,8 +196,8 @@ impl Protocol for Baseline {
     /// Figure 1, lines 1–7: select target, ship view, age entries.
     fn on_round(&mut self, host: &mut Host<BaselineMsg>, p: PeerId) {
         let self_d = host.descriptor_of(p);
-        if let Some((_, unanswered)) = self.nodes[p].pending.take() {
-            self.id_pool.release(unanswered);
+        if let Some(shipped) = &mut self.shipped {
+            shipped.abandon(p);
         }
         let target = {
             let node = &mut self.nodes[p];
@@ -174,9 +209,9 @@ impl Protocol for Baseline {
                 host.log_sample(p, target.id);
                 let mut payload = self.payload_pool.acquire();
                 self.nodes[p].view.write_shuffle_payload(self_d, &mut payload);
-                let mut sent_ids = self.id_pool.acquire();
-                sent_ids.extend(payload.iter().map(|d| d.id));
-                self.nodes[p].pending = Some((target.id, sent_ids));
+                if let Some(shipped) = &mut self.shipped {
+                    shipped.pending[p] = Some((target.id, shipped.ids_of(&payload)));
+                }
                 let msg = BaselineMsg::Request { from: p, entries: payload };
                 host.send_msg(self, p, target.addr, msg);
                 self.stats.initiated += 1;
@@ -197,41 +232,27 @@ impl Protocol for Baseline {
             BaselineMsg::Request { entries, .. } => {
                 self.stats.requests_received += 1;
                 let self_d = host.descriptor_of(to);
-                let mut sent_ids = self.id_pool.acquire();
+                let mut sent = None;
                 if self.cfg.propagation == PropagationPolicy::PushPull {
                     let mut payload = self.payload_pool.acquire();
                     self.nodes[to].view.write_shuffle_payload(self_d, &mut payload);
-                    sent_ids.extend(payload.iter().map(|d| d.id));
+                    sent = self.shipped.as_mut().map(|s| s.ids_of(&payload));
                     let msg = BaselineMsg::Response { from: to, entries: payload };
                     // Reply to the *observed* source endpoint: travels back
                     // through whatever hole the request opened.
                     host.send_msg(self, to, from_ep, msg);
                 }
-                let node = &mut self.nodes[to];
-                node.view.merge_and_truncate_with(
-                    &entries,
-                    &sent_ids,
-                    self.cfg.merge,
-                    &mut node.rng,
-                    &mut self.merge_scratch,
-                );
-                self.id_pool.release(sent_ids);
+                self.merge(to, &entries, sent);
                 self.payload_pool.release(entries);
             }
             // Figure 1, lines 4–6: initiator merges the pulled view.
             BaselineMsg::Response { from, entries } => {
                 self.stats.responses_received += 1;
-                let node = &mut self.nodes[to];
-                let answered = node.pending.take_if(|(target, _)| *target == from);
-                let sent = answered.map(|(_, sent)| sent).unwrap_or_default();
-                node.view.merge_and_truncate_with(
-                    &entries,
-                    &sent,
-                    self.cfg.merge,
-                    &mut node.rng,
-                    &mut self.merge_scratch,
-                );
-                self.id_pool.release(sent);
+                let sent = self.shipped.as_mut().and_then(|s| {
+                    let answered = s.pending[to].take_if(|(target, _)| *target == from);
+                    answered.map(|(_, sent)| sent)
+                });
+                self.merge(to, &entries, sent);
                 self.payload_pool.release(entries);
             }
         }
@@ -247,10 +268,31 @@ impl Protocol for Baseline {
 
     fn obs_report(&self, out: &mut nylon_obs::Report) {
         self.payload_pool.obs_report(out);
-        self.id_pool.obs_report(out);
         self.stats.report(out, "engine.baseline");
-        let pending = self.nodes.iter().filter(|n| n.pending.is_some()).count();
-        out.gauge_sum("engine.baseline", "pending_exchanges", pending as u64);
+        if let Some(shipped) = &self.shipped {
+            shipped.id_pool.obs_report(out);
+            let pending = shipped.pending.iter().filter(|p| p.is_some()).count();
+            out.gauge_sum("engine.baseline", "pending_exchanges", pending as u64);
+        }
+    }
+}
+
+impl Baseline {
+    /// Figure 1's `merge_and_truncate` of `received` into `to`'s view,
+    /// with the ids `to` shipped in this exchange (swapper only), whose
+    /// buffer goes back to its pool.
+    fn merge(&mut self, to: PeerId, received: &[NodeDescriptor], sent: Option<Vec<PeerId>>) {
+        let node = &mut self.nodes[to];
+        node.view.merge_and_truncate_with(
+            received,
+            sent.as_deref().unwrap_or_default(),
+            self.cfg.merge,
+            &mut node.rng,
+            &mut self.merge_scratch,
+        );
+        if let (Some(shipped), Some(sent)) = (&mut self.shipped, sent) {
+            shipped.id_pool.release(sent);
+        }
     }
 }
 
@@ -392,6 +434,29 @@ mod tests {
         assert!(eng.stats().responses_received > 0);
         for p in eng.alive_peers().collect::<Vec<_>>() {
             assert!(!eng.view_of(p).is_empty());
+        }
+    }
+
+    /// Only a swapper configuration keeps shipped ids: a healer or blind
+    /// round acquires no id buffer, a swapper round one for every payload
+    /// it ships (a request, and the response to each request answered).
+    #[test]
+    fn only_swapper_rounds_acquire_id_buffers() {
+        for merge in [MergePolicy::Healer, MergePolicy::Blind, MergePolicy::Swapper] {
+            let cfg = GossipConfig { merge, ..GossipConfig::default() };
+            let mut eng = BaselineEngine::new(cfg, NetConfig::default(), 29);
+            for _ in 0..30 {
+                eng.add_peer(NatClass::Public);
+            }
+            eng.bootstrap_random_public(8);
+            eng.start();
+            eng.run_rounds(1);
+            let baseline = eng.protocol();
+            let payloads = baseline.payload_pool.stats().acquired;
+            assert!(payloads > 30, "{merge:?}: {payloads} payloads in a round of 30 peers");
+            let ids = baseline.shipped.as_ref().map(|s| s.id_pool.stats().acquired);
+            let expected = (merge == MergePolicy::Swapper).then_some(payloads);
+            assert_eq!(ids, expected, "{merge:?}: id buffers acquired");
         }
     }
 

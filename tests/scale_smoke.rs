@@ -12,8 +12,8 @@
 use nylon::routing::RoutingTable;
 use nylon::{NylonConfig, StaticRvpConfig};
 use nylon_gossip::{
-    with_workers, BaselineEngine, GossipConfig, NodeDescriptor, PeerSampler, PeerSwapConfig,
-    SamplerConfig, Workers,
+    with_workers, BaselineEngine, GossipConfig, MergePolicy, NodeDescriptor, PeerSampler,
+    PeerSwapConfig, SamplerConfig, Workers,
 };
 use nylon_net::{NatClass, NatType, NetConfig};
 use nylon_obs::MetricValue;
@@ -180,8 +180,9 @@ fn metric<S: PeerSampler>(eng: &S, layer: &str, name: &str) -> u64 {
 }
 
 /// Exchange state must track *live* exchanges, not history: buffers
-/// outstanding and exchanges pending are the same at round 200 as at
-/// round 40, up to what is in flight at the instant of the snapshot (a
+/// outstanding and exchanges pending (for a [`Pending::DecayingSlot`],
+/// the buffers beyond the exchanges pending) are the same at round 200
+/// as at round 40, up to what is in flight at the instant of the snapshot (a
 /// tenth of the population is generous: a round trip is 100 ms of a 5 s
 /// period). Runs on two workers. A buffer acquired on one worker may be
 /// released on another, so buffers are counted run-wide (counters merge
@@ -199,7 +200,7 @@ fn assert_exchange_state_is_bounded<C: SamplerConfig>(
             metric(eng, "kernel", "pool_acquired") - metric(eng, "kernel", "pool_released");
         let pending = match kept {
             Pending::Nothing => 0,
-            Pending::OneSlot | Pending::Many => metric(eng, layer, "pending_exchanges"),
+            _ => metric(eng, layer, "pending_exchanges"),
         };
         (buffers, pending)
     };
@@ -210,10 +211,18 @@ fn assert_exchange_state_is_bounded<C: SamplerConfig>(
     eng.run_rounds(160);
     let (buffers, pending): (u64, u64) = state(&eng);
     let at = format!("{layer} at {} % NAT", scn.nat_pct);
-    assert!(buffers <= buffers40 + slack, "{at}: {buffers40} -> {buffers} buffers outstanding");
-    assert!(pending <= pending40 + slack, "{at}: {pending40} -> {pending} exchanges pending");
+    if matches!(kept, Pending::DecayingSlot) {
+        // The slot bounds the exchanges pending; the buffers beyond them
+        // are messages in flight and stay level.
+        let (beyond40, beyond) =
+            (buffers40.saturating_sub(pending40), buffers.saturating_sub(pending));
+        assert!(beyond <= beyond40 + slack, "{at}: {beyond40} -> {beyond} buffers in flight");
+    } else {
+        assert!(buffers <= buffers40 + slack, "{at}: {buffers40} -> {buffers} buffers outstanding");
+        assert!(pending <= pending40 + slack, "{at}: {pending40} -> {pending} exchanges pending");
+    }
     assert!(buffers <= pending + slack, "{at}: {buffers} buffers for {pending} exchanges");
-    if matches!(kept, Pending::OneSlot) {
+    if matches!(kept, Pending::OneSlot | Pending::DecayingSlot) {
         assert!(pending <= scn.peers as u64, "{at}: {pending} exchanges pending");
     }
 }
@@ -221,10 +230,17 @@ fn assert_exchange_state_is_bounded<C: SamplerConfig>(
 /// The exchange state a protocol keeps, reported as `pending_exchanges`.
 #[derive(Clone, Copy)]
 enum Pending {
-    /// None (static RVP): every outstanding buffer is a message in flight.
+    /// None (static RVP, and the baseline under healer or blind): every
+    /// outstanding buffer is a message in flight.
     Nothing,
-    /// At most one exchange per peer (the baseline's and PeerSwap's slot).
+    /// At most one exchange per peer (PeerSwap's slot).
     OneSlot,
+    /// One slot per peer, filled by a share of unanswered exchanges that
+    /// keeps rising: the baseline under swapper, whose views decay under
+    /// NATs (1 056 -> 1 353 of 2 000 peers waiting at 70 % NAT between
+    /// rounds 40 and 200, 1 416 -> 1 840 at 95 %). The slot is the bound,
+    /// and only the buffers beyond the exchanges pending are held level.
+    DecayingSlot,
     /// Any number per peer (Nylon's punches waiting for their PONG).
     Many,
 }
@@ -241,7 +257,9 @@ fn exchange_state_tracks_live_exchanges() {
     };
     for scn in [&mixed, &symmetric] {
         let baseline = GossipConfig::default();
-        assert_exchange_state_is_bounded(scn, baseline, "engine.baseline", Pending::OneSlot);
+        assert_exchange_state_is_bounded(scn, baseline, "engine.baseline", Pending::Nothing);
+        let swapper = GossipConfig { merge: MergePolicy::Swapper, ..GossipConfig::default() };
+        assert_exchange_state_is_bounded(scn, swapper, "engine.baseline", Pending::DecayingSlot);
         let rvp = StaticRvpConfig::default();
         assert_exchange_state_is_bounded(scn, rvp, "engine.static_rvp", Pending::Nothing);
         let peerswap = PeerSwapConfig::default();
@@ -263,7 +281,7 @@ fn exchange_state_is_bounded_at_five_thousand_peers() {
         &scn,
         GossipConfig::default(),
         "engine.baseline",
-        Pending::OneSlot,
+        Pending::Nothing,
     );
     assert_exchange_state_is_bounded(&scn, NylonConfig::default(), "engine.nylon", Pending::Many);
 }
