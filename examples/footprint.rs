@@ -2,8 +2,10 @@
 //! so far (`VmHWM`) after every lifecycle stage of one population —
 //! construct, `add_peer`, bootstrap, start, every 12th of 144 rounds, and
 //! the cluster + staleness snapshot — beside the owners the engine's
-//! telemetry names: the bytes of the event queue's buffers
-//! (`kernel/wheel_slot_bytes`), of view slots (`view/slot_bytes`) and of
+//! telemetry names: the bytes of the event queue's block arena
+//! (`kernel/wheel_slot_bytes`) beside the events queued in its wheel (Σ
+//! `kernel/wheel_l*_events`, in thousands, so bytes per queued event
+//! read off), of view slots (`view/slot_bytes`) and of
 //! routing slots (`routing/slot_bytes`, Nylon only), and the NAT-session
 //! map slots beside the sessions they hold (`net/nat_session_slots` and
 //! `net/nat_sessions`, in thousands, so slots per session read off), and
@@ -46,21 +48,24 @@ fn stage<S: PeerSampler>(name: &str, eng: Option<&S>) {
     if let Some(eng) = eng {
         eng.obs_report(&mut report);
     }
-    let gauge = |layer, metric| match report.get(layer, metric) {
+    let gauge = |layer: &str, metric: &str| match report.get(layer, metric) {
         Some(MetricValue::Gauge(v)) => Some(*v),
         _ => None,
     };
     let dash = || "-".to_string();
     let wheel = gauge("kernel", "wheel_slot_bytes").map_or_else(dash, mib);
+    let thousands = |n: u64| format!("{:.0}", n as f64 / 1e3);
+    let levels: Option<Vec<u64>> =
+        (0..4).map(|l| gauge("kernel", &format!("wheel_l{l}_events"))).collect();
+    let queued = levels.map(|n| n.iter().sum()).map_or_else(dash, thousands);
     let view = gauge("view", "slot_bytes").map_or_else(dash, mib);
     let routing = gauge("routing", "slot_bytes").map_or_else(dash, mib);
-    let thousands = |n: u64| format!("{:.0}", n as f64 / 1e3);
     let nat = gauge("net", "nat_session_slots").map_or_else(dash, thousands);
     let sessions = gauge("net", "nat_sessions").map_or_else(dash, thousands);
     let boxes = gauge("net", "nat_box_bytes").map_or_else(dash, mib);
     println!(
-        "{name:<14} {rss:>9} {hwm:>9} {wheel:>9} {view:>9} {routing:>9} {nat:>9} {sessions:>9} \
-         {boxes:>9}"
+        "{name:<14} {rss:>9} {hwm:>9} {wheel:>9} {queued:>9} {view:>9} {routing:>9} {nat:>9} \
+         {sessions:>9} {boxes:>9}"
     );
 }
 
@@ -68,11 +73,21 @@ fn probe<C: SamplerConfig>(cfg: C, peers: usize) {
     let scn = Scenario::new(peers, 70.0, 5);
     let mut eng = C::Sampler::with_seed(cfg, NetConfig::default(), scn.seed);
     let unbuilt: Option<&C::Sampler> = None;
-    let columns =
-        ["stage", "VmRSS", "VmHWM", "wheel", "view", "routing", "NAT", "sessions", "NAT boxes"];
-    let units = ["", "MiB", "MiB", "MiB", "MiB", "MiB", "k slots", "k", "MiB"];
-    for [a, b, c, d, e, f, g, h, i] in [columns, units] {
-        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9} {h:>9} {i:>9}");
+    let columns = [
+        "stage",
+        "VmRSS",
+        "VmHWM",
+        "wheel",
+        "queued",
+        "view",
+        "routing",
+        "NAT",
+        "sessions",
+        "NAT boxes",
+    ];
+    let units = ["", "MiB", "MiB", "MiB", "k", "MiB", "MiB", "k slots", "k", "MiB"];
+    for [a, b, c, d, e, f, g, h, i, j] in [columns, units] {
+        println!("{a:<14} {b:>9} {c:>9} {d:>9} {e:>9} {f:>9} {g:>9} {h:>9} {i:>9} {j:>9}");
     }
     stage("construct", unbuilt);
     for class in scn.classes() {
