@@ -28,7 +28,7 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 4;
 /// Total bits covered by the wheel proper.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
-/// Entry slots per arena block: 256 bytes of 16-byte entries.
+/// Entry slots per arena block.
 const BLOCK: usize = 16;
 /// The block index that ends a chain or the free list.
 const NIL: u32 = u32::MAX;
@@ -59,11 +59,17 @@ impl Chain {
 /// one growable buffer, linked by index and recycled through one free
 /// list. A bucket that drains gives its blocks back one at a time as it
 /// empties them, so the blocks in use follow the entries pending.
+///
+/// Slot `k` of block `b` is index `b * BLOCK + k` of two lanes, firing
+/// times and events. An event lane of `Option<E>` costs no more than `E`
+/// for an enum like the simulator's, and keeps moves of an entry in and
+/// out of its slot as cheap as moves of `E` (one lane of
+/// `Option<Entry<E>>` took twice the time per event for such an `E`).
 #[derive(Debug)]
 struct Arena<E> {
-    /// `BLOCK` slots per block, block `b` at `b * BLOCK..`. A slot holds
-    /// `None` unless it carries a pending entry.
-    slots: Vec<Option<Entry<E>>>,
+    times: Vec<SimTime>,
+    /// `None` unless the slot carries a pending entry.
+    events: Vec<Option<E>>,
     /// The block after block `b` in its chain or in the free list.
     next: Vec<u32>,
     /// First block of the free list.
@@ -72,13 +78,14 @@ struct Arena<E> {
 
 impl<E> Arena<E> {
     fn new() -> Self {
-        Arena { slots: Vec::new(), next: Vec::new(), free: NIL }
+        Arena { times: Vec::new(), events: Vec::new(), next: Vec::new(), free: NIL }
     }
 
     /// Room for `blocks` more blocks before the buffers grow.
     fn reserve(&mut self, blocks: usize) {
         self.next.reserve_exact(blocks);
-        self.slots.reserve_exact(blocks * BLOCK);
+        self.times.reserve_exact(blocks * BLOCK);
+        self.events.reserve_exact(blocks * BLOCK);
     }
 
     /// A block off the free list, or a new one carved from the buffer,
@@ -93,9 +100,12 @@ impl<E> Arena<E> {
         if self.next.len() == self.next.capacity() {
             self.reserve((self.next.len() / 2).max(MIN_GROWTH));
         }
-        self.slots.extend(std::iter::repeat_with(|| None).take(BLOCK));
+        let b = u32::try_from(self.next.len()).ok().filter(|&b| b != NIL);
+        let b = b.expect("block indices stay below NIL");
+        self.times.extend([SimTime::ZERO; BLOCK]);
+        self.events.extend(std::iter::repeat_with(|| None).take(BLOCK));
         self.next.push(NIL);
-        (self.next.len() - 1) as u32
+        b
     }
 
     /// Puts block `b` at the front of the free list.
@@ -118,32 +128,37 @@ impl<E> Arena<E> {
             }
             chain.tail = b;
         }
-        self.slots[chain.tail as usize * BLOCK + i] = Some(entry);
+        let k = chain.tail as usize * BLOCK + i;
+        self.times[k] = entry.at;
+        self.events[k] = Some(entry.event);
         chain.len += 1;
     }
 
     /// Moves the entry in slot `i` of block `b` out.
     #[inline]
     fn take(&mut self, b: u32, i: usize) -> Entry<E> {
-        self.slots[b as usize * BLOCK + i].take().expect("slot of a pending entry")
+        let k = b as usize * BLOCK + i;
+        let event = self.events[k].take().expect("slot of a pending entry");
+        Entry { at: self.times[k], event }
     }
 
-    /// The entries of `chain`, front to back.
-    fn iter(&self, chain: Chain) -> impl Iterator<Item = &Entry<E>> {
-        let mut b = chain.head;
-        (0..chain.len as usize).map(move |k| {
-            let i = k % BLOCK;
-            if i == 0 && k > 0 {
-                b = self.next[b as usize];
-            }
-            self.slots[b as usize * BLOCK + i].as_ref().expect("slot of a pending entry")
-        })
+    /// The earliest firing time in `chain`, if any.
+    fn earliest(&self, chain: Chain) -> Option<SimTime> {
+        let (mut b, mut left) = (chain.head, chain.len as usize);
+        let mut min = SimTime::MAX;
+        while left > 0 {
+            let n = left.min(BLOCK);
+            min = self.times[b as usize * BLOCK..][..n].iter().fold(min, |m, &t| m.min(t));
+            left -= n;
+            b = self.next[b as usize];
+        }
+        (chain.len > 0).then_some(min)
     }
 
     /// Drops every entry and puts every block on the free list, in
     /// buffer order.
     fn clear(&mut self) {
-        self.slots.fill_with(|| None);
+        self.events.fill_with(|| None);
         let blocks = self.next.len() as u32;
         for (b, next) in self.next.iter_mut().enumerate() {
             *next = if b as u32 + 1 < blocks { b as u32 + 1 } else { NIL };
@@ -152,7 +167,8 @@ impl<E> Arena<E> {
     }
 
     fn bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<Option<Entry<E>>>()
+        self.times.capacity() * size_of::<SimTime>()
+            + self.events.capacity() * size_of::<Option<E>>()
             + self.next.capacity() * size_of::<u32>()
     }
 }
@@ -294,8 +310,8 @@ impl<E> EventQueue<E> {
         std::array::from_fn(|l| self.levels[l].buckets.iter().map(|c| c.len as usize).sum())
     }
 
-    /// Bytes of event storage the queue holds: the arena's slot and link
-    /// buffers at their capacity, free blocks included (report-time
+    /// Bytes of event storage the queue holds: the arena's time, event and
+    /// link buffers at their capacity, free blocks included (report-time
     /// telemetry).
     pub fn slot_bytes(&self) -> usize {
         self.arena.bytes()
@@ -486,10 +502,10 @@ impl<E> EventQueue<E> {
             // is found by scanning the bucket. Rare: only the first peek
             // after the near-time levels drain pays this, the pop that
             // follows cascades the bucket down.
-            return self.arena.iter(lv.buckets[slot]).map(|e| e.at).min();
+            return self.arena.earliest(lv.buckets[slot]);
         }
         let (_, &bucket) = self.overflow.first_key_value()?;
-        self.arena.iter(bucket).map(|e| e.at).min()
+        self.arena.earliest(bucket)
     }
 
     /// Number of pending events.
@@ -709,10 +725,9 @@ mod tests {
     /// keep most of the population in one 4.096 s level-2 bucket at a
     /// time. Once the level-2 ring has turned (262 s), a wheel whose slots
     /// kept their buffers would hold one sized for that load in every one
-    /// of its 64 level-2 slots, ≈ 70 × what is pending; per-level lists of
-    /// spare bucket buffers read 5.3 ×. The block arena stays under 4 ×
-    /// (3.3 measured): a `u64` event has no niche, so its `Option` slot
-    /// takes 24 bytes to the entry's 16; the 64 level-1 buckets the
+    /// of its 64 level-2 slots, ≈ 70 × what is pending. The block arena
+    /// stays under 4 × (3.3 measured): a `u64` event has no niche, so its
+    /// `Option` takes 16 bytes beside the 8-byte time, 24 to the entry's 16; the 64 level-1 buckets the
     /// cascades fill each end in a part-filled block (182 blocks of 16
     /// carved for 2 000 entries); and the arena's last growth step, by
     /// half, reserved 271.

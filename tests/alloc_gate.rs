@@ -231,9 +231,9 @@ fn hot_paths_allocate_no_more_than_recorded() {
                 fill_and_drain(&mut queue)
             })
         }),
-        // The arena's slot and link buffers, one reservation each (a
-        // `Vec` per bucket cost 306).
-        ("event queue, cold build to 10k pending", 2, {
+        // The arena's time, event and link buffers, one reservation each
+        // (a `Vec` per bucket cost 306).
+        ("event queue, cold build to 10k pending", 3, {
             allocations_of(|| fill_and_drain(&mut EventQueue::with_capacity(10_000)))
         }),
         (

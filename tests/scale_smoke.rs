@@ -121,8 +121,7 @@ fn view_buffers_hold_exactly_their_capacity() {
 /// last growth step, which alone may reach 1.5 ×). A wheel whose every
 /// slot kept the buffer of the busiest bucket it had held reads 97–105 ×
 /// here: each re-armed round timer lands 5 s ahead, so 82 % of the
-/// population passes through every 4.096 s level-2 bucket. Per-level
-/// lists of spare bucket buffers read 9.7–12.8 ×.
+/// population passes through every 4.096 s level-2 bucket.
 #[test]
 fn wheel_buffers_follow_pending_events() {
     /// A wheel entry: the 8-byte firing time and the 8-byte event (a peer
@@ -140,10 +139,6 @@ fn wheel_buffers_follow_pending_events() {
         ("static-RVP", wheel(&scn, StaticRvpConfig::default())),
         ("peerswap", wheel(&scn, PeerSwapConfig::default())),
     ] {
-        println!(
-            "{protocol}: {bytes} B hwm {hwm} ratio {:.3}",
-            bytes as f64 / (hwm * ENTRY_BYTES) as f64
-        );
         assert!(hwm >= scn.peers as u64, "{protocol}: queue depth peaked at {hwm}");
         assert!(
             bytes <= 2 * hwm * ENTRY_BYTES,
