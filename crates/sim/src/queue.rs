@@ -358,7 +358,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event *if* it fires at or before
     /// `deadline`; `None` otherwise (the event stays queued).
     ///
-    /// The driver loop's pacing primitive. When the drain chain already
+    /// The event loop's pacing primitive. When the drain chain already
     /// holds the next batch, one comparison decides both "what is next"
     /// and "is it due" (a `peek_time` + `pop` pair scans the wheel twice
     /// per event). When it is empty, the check goes through the
