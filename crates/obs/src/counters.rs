@@ -204,7 +204,13 @@ macro_rules! keyed_counters {
             /// Counts one event of `key`.
             #[inline]
             pub fn bump(&mut self, key: $key) {
-                self.0[key as usize] += 1;
+                self.add(key, 1);
+            }
+
+            /// Adds `n` to the counter of `key`.
+            #[inline]
+            pub fn add(&mut self, key: $key, n: u64) {
+                self.0[key as usize] += n;
             }
         }
 

@@ -379,17 +379,29 @@ pub struct FrameHeader {
     pub dst: Endpoint,
 }
 
-/// Encodes one frame (one UDP datagram).
+/// Encodes one frame (one UDP datagram) into a fresh buffer.
 pub fn encode_frame<P: WireMessage>(src: Endpoint, dst: Endpoint, payload: &P) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    put_u32(&mut out, 0); // length back-patched below
+    encode_frame_into(&mut out, src, dst, payload);
+    out
+}
+
+/// Encodes one frame into `out`, replacing its contents: a sender that
+/// reuses one buffer allocates nothing per frame once it has grown.
+pub fn encode_frame_into<P: WireMessage>(
+    out: &mut Vec<u8>,
+    src: Endpoint,
+    dst: Endpoint,
+    payload: &P,
+) {
+    out.clear();
+    put_u32(out, 0); // length back-patched below
     out.push(WIRE_VERSION);
-    encode_endpoint(&mut out, src);
-    encode_endpoint(&mut out, dst);
-    payload.encode_body(&mut out);
+    encode_endpoint(out, src);
+    encode_endpoint(out, dst);
+    payload.encode_body(out);
     let body = u32::try_from(out.len() - 4).expect("frame bodies are far below 4 GiB");
     out[..4].copy_from_slice(&body.to_le_bytes());
-    out
 }
 
 /// Validates the length prefix and version, returning a reader positioned
@@ -493,6 +505,15 @@ mod tests {
             }
             _ => panic!("kind changed in flight"),
         }
+    }
+
+    #[test]
+    fn encoding_into_a_used_buffer_replaces_its_bytes() {
+        let (src, dst) = eps();
+        let mut buf = encode_frame(src, dst, &sample_request());
+        let ping = NylonMsg::Ping { from: PeerId(4) };
+        encode_frame_into(&mut buf, src, dst, &ping);
+        assert_eq!(buf, encode_frame(src, dst, &ping));
     }
 
     #[test]

@@ -172,10 +172,11 @@ pub fn scaled_configs(period_ms: u64) -> (NylonConfig, NetConfig) {
 
 /// Builds the full live stack for a peer population: loopback sockets, the
 /// NAT emulator middlebox seeded with the same classes and NAT rule
-/// lifetime, and the [`UdpTransport`] pumping them.
+/// lifetime, and the [`UdpTransport`] that reads a node's socket when the
+/// emulator rings its doorbell. The emulator's is the stack's one thread.
 ///
 /// `classes` must be in peer-id order (the engine's `add_peer` order).
-pub fn udp_over_emulated_nat<P: WireMessage + Send + 'static>(
+pub fn udp_over_emulated_nat<P: WireMessage>(
     classes: &[NatClass],
     net_cfg: &NetConfig,
     clock: LiveClock,
@@ -183,8 +184,9 @@ pub fn udp_over_emulated_nat<P: WireMessage + Send + 'static>(
     let sockets = bind_loopback(classes.len())?;
     let addrs: Vec<SocketAddr> =
         sockets.iter().map(|s| s.local_addr()).collect::<std::io::Result<_>>()?;
-    let emulator = NatEmulator::spawn(classes, net_cfg, clock.clone(), &addrs)?;
-    let transport = UdpTransport::start(sockets, emulator.addr(), clock)?;
+    let (ring, doorbell) = std::sync::mpsc::channel();
+    let emulator = NatEmulator::spawn(classes, net_cfg, clock.clone(), &addrs, ring)?;
+    let transport = UdpTransport::start(sockets, emulator.addr(), doorbell, clock)?;
     Ok((transport, emulator))
 }
 

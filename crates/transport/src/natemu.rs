@@ -18,11 +18,19 @@
 //! 4. admitted frames get their source endpoint rewritten to the post-NAT
 //!    one (the user-space analogue of IP-header rewriting) and are
 //!    forwarded to the destination peer's real socket. Rejected frames are
-//!    dropped silently, like a NAT drops unsolicited traffic.
+//!    dropped silently, like a NAT drops unsolicited traffic;
+//! 5. after each forward the emulator rings the doorbell: it sends the
+//!    destination peer's id on a channel, and the [`crate::UdpTransport`]
+//!    reads that peer's socket on the driver thread. The emulator's is the
+//!    only thread of a live stack, whatever the population.
+//!
+//! Socket failures never stop the middlebox: a failed read or forward is
+//! counted and the loop goes on.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -49,6 +57,11 @@ nylon_obs::keyed_counters! {
         Forwarded = "forwarded" => "forwarded",
         /// Datagrams whose frame did not parse.
         Malformed = "malformed frame" => "malformed",
+        /// Reads of the emulator's socket that failed with an error other
+        /// than the shutdown-check timeout.
+        RecvErrors = "socket read failed" => "recv_errors",
+        /// Admitted frames whose forward to the destination socket failed.
+        ForwardErrors = "forward failed" => "forward_errors",
     }
     /// [`Emu`] counts.
     struct EmuCounts;
@@ -56,7 +69,8 @@ nylon_obs::keyed_counters! {
     struct AtomicEmuCounts;
 }
 
-/// A running NAT emulator; dropping the handle shuts the thread down.
+/// A running NAT emulator; dropping the handle shuts the thread down and
+/// hangs up the doorbell.
 #[derive(Debug)]
 pub struct NatEmulator {
     addr: SocketAddr,
@@ -74,12 +88,14 @@ impl NatEmulator {
     /// `peer_addrs[i]` must be the real loopback socket of peer `i`.
     /// Latency, jitter and loss of `net_cfg` are ignored — the real wire
     /// supplies those — but the NAT `hole_timeout` is honoured against
-    /// `clock`.
+    /// `clock`. Each forwarded frame's destination peer is sent on
+    /// `doorbell` once the frame is on its way.
     pub fn spawn(
         classes: &[NatClass],
         net_cfg: &NetConfig,
         clock: LiveClock,
         peer_addrs: &[SocketAddr],
+        doorbell: Sender<PeerId>,
     ) -> std::io::Result<NatEmulator> {
         assert_eq!(
             classes.len(),
@@ -110,7 +126,7 @@ impl NatEmulator {
             let shutdown = Arc::clone(&shutdown);
             let counts = Arc::clone(&counts);
             std::thread::Builder::new().name("nat-emulator".into()).spawn(move || {
-                run_loop(&socket, addr, &net, &clock, &real_addrs, &shutdown, &counts);
+                run_loop(&socket, &net, &clock, &real_addrs, &doorbell, &shutdown, &counts);
             })?
         };
         Ok(NatEmulator { addr, shutdown, thread: Some(thread), net, counts })
@@ -177,10 +193,10 @@ impl Drop for NatEmulator {
 /// The middlebox thread; `real_addrs[i]` is the real socket of peer `i`.
 fn run_loop(
     socket: &UdpSocket,
-    addr: SocketAddr,
     net: &Mutex<EmuNet>,
     clock: &LiveClock,
     real_addrs: &[SocketAddr],
+    doorbell: &Sender<PeerId>,
     shutdown: &AtomicBool,
     counts: &AtomicEmuCounts,
 ) {
@@ -197,11 +213,9 @@ fn run_loop(
             {
                 continue
             }
-            Err(e) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                panic!("NAT emulator at {addr}: receive failed: {e}");
+            Err(_) => {
+                counts.add(Emu::RecvErrors, 1);
+                continue;
             }
         };
         // Unknown senders and unparseable frames are dropped like line
@@ -233,11 +247,12 @@ fn run_loop(
                     continue;
                 }
                 match socket.send_to(frame, real_addrs[to.index()]) {
-                    Ok(_) => counts.add(Emu::Forwarded, 1),
-                    Err(e) => panic!(
-                        "NAT emulator at {addr}: forward to {to} ({}) failed: {e}",
-                        real_addrs[to.index()]
-                    ),
+                    Ok(_) => {
+                        counts.add(Emu::Forwarded, 1);
+                        // A transport that is gone reads nothing more.
+                        let _ = doorbell.send(to);
+                    }
+                    Err(_) => counts.add(Emu::ForwardErrors, 1),
                 }
             }
             Delivery::Dropped { .. } => {} // counted by the fabric, like a real NAT: silence

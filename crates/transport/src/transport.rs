@@ -13,7 +13,8 @@
 //!   wall-clock-free, so tests of the live code path need no sockets.
 //! * [`crate::UdpTransport`] — real `std::net::UdpSocket`s over loopback,
 //!   with NAT behaviour supplied by the user-space
-//!   [`crate::NatEmulator`] middlebox.
+//!   [`crate::NatEmulator`] middlebox, whose doorbell tells the driver
+//!   thread which socket to read.
 
 use nylon_net::{
     Delivery, Endpoint, InFlight, NatClass, NetConfig, Network, PeerId, Slab, SlabKey,

@@ -1,17 +1,18 @@
-//! Real-socket transport: one loopback `std::net::UdpSocket` per node, a
-//! receive thread per socket, and bounded channels into the driver loop.
+//! Real-socket transport: one loopback `std::net::UdpSocket` per node, read
+//! by the driver loop itself when the NAT emulator rings its doorbell.
 //!
-//! Deliberately `std`-thread based — no async runtime. The container
-//! vendors all dependencies, and N blocking receive threads parked on
-//! loopback sockets are cheap at the scales a single process hosts; the
-//! driver loop stays single-threaded and deterministic-ish, mirroring the
-//! simulator's event loop.
+//! Deliberately `std`-based — no async runtime and no receive threads. The
+//! container vendors all dependencies, and every datagram a node socket
+//! receives was forwarded by the [`crate::NatEmulator`] thread, which names
+//! the receiving peer on a channel right after the forward. The driver
+//! waits on that channel and reads exactly one datagram from the named
+//! socket, so a live stack runs one thread besides the driver whatever the
+//! population, idles without a system call, and stays single-threaded and
+//! deterministic-ish, mirroring the simulator's event loop.
 
+use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
 
 use nylon_net::{Endpoint, PeerId};
@@ -22,15 +23,17 @@ use crate::clock::LiveClock;
 use crate::codec::{self, WireMessage};
 use crate::transport::{Arrival, Transport};
 
-/// Receive timeout so threads notice shutdown promptly.
-const RECV_TIMEOUT: Duration = Duration::from_millis(20);
+/// How long a read waits for the datagram its doorbell announced. Loopback
+/// normally queues a datagram before the emulator's send returns; the wait
+/// covers one still in the kernel's backlog. A read that times out found a
+/// datagram the receive buffer dropped. The kernel rounds the wait up to a
+/// scheduler tick (up to 10 ms).
+const READ_TIMEOUT: Duration = Duration::from_millis(1);
 /// Longest single block inside `poll`, so far-future deadlines stay
 /// responsive to arrivals.
 const POLL_SLICE: Duration = Duration::from_millis(50);
-/// Arrivals buffered across all receive threads; beyond this, frames are
-/// dropped like an overflowing UDP socket buffer (never block — a blocked
-/// sender could deadlock shutdown).
-const CHANNEL_BOUND: usize = 4096;
+/// The largest datagram a socket can hand over.
+const MAX_DATAGRAM: usize = 65_536;
 
 nylon_obs::keyed_counters! {
     /// What the live path counts, under the `live` telemetry layer.
@@ -39,17 +42,21 @@ nylon_obs::keyed_counters! {
         PacketsSent = "frames sent" => "packets_sent",
         /// Bytes of those frames.
         BytesSent = "frame bytes sent" => "bytes_sent",
+        /// Frames whose socket write failed; the frame is lost.
+        SendErrors = "socket write failed" => "send_errors",
         /// Datagrams read off the nodes' sockets.
         PacketsReceived = "datagrams received" => "packets_received",
         /// Datagrams whose frame failed to decode.
         DecodeErrors = "undecodable frame" => "decode_errors",
-        /// Decoded frames dropped because the arrival channel was full.
-        OverflowDrops = "arrival channel full" => "overflow_drops",
+        /// Doorbells whose datagram never reached the socket: the kernel's
+        /// receive buffer was full and dropped it.
+        OverflowDrops = "receive buffer full" => "overflow_drops",
+        /// Doorbells whose socket read failed with an error other than
+        /// finding nothing to read.
+        RecvErrors = "socket read failed" => "recv_errors",
     }
     /// [`Live`] counts.
     struct LiveCounts;
-    /// [`LiveCounts`] shared by the driver loop and the receive threads.
-    struct AtomicLiveCounts;
 }
 
 /// Binds one loopback socket per peer, in peer-id order.
@@ -59,140 +66,113 @@ pub fn bind_loopback(peer_count: usize) -> std::io::Result<Vec<UdpSocket>> {
 
 /// A [`Transport`] over real UDP sockets.
 ///
-/// Every node sends its frames to the NAT emulator's socket (the
-/// middlebox owns the virtual address space) and receives on its own
-/// socket, each pumped by a dedicated receive thread into one bounded
-/// channel the driver loop drains. Dropping the transport stops and joins
-/// all threads.
+/// Every node's socket is connected to the NAT emulator's (the middlebox
+/// owns the virtual address space), so it sends only there and receives
+/// only what the emulator forwarded. The emulator rings a doorbell naming
+/// the receiver after each forward; [`Transport::poll`] waits on the
+/// doorbells and reads one datagram per ring on the driver thread. No
+/// thread belongs to the transport, so dropping it only closes sockets.
 #[derive(Debug)]
 pub struct UdpTransport<P> {
     sockets: Vec<UdpSocket>,
-    emulator: SocketAddr,
+    doorbell: Receiver<PeerId>,
     clock: LiveClock,
-    rx: Receiver<Arrival<P>>,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    counts: Arc<AtomicLiveCounts>,
+    /// Outbound frames are encoded here, one after the other.
+    frame: Vec<u8>,
+    /// Inbound datagrams are read here before they decode.
+    datagram: Vec<u8>,
+    /// Sockets whose last read timed out, now read without waiting. A
+    /// receiver that fell behind finds each further dropped datagram at
+    /// once instead of stalling the driver a tick per drop; the socket
+    /// waits again from its next datagram on.
+    overflowed: Vec<bool>,
+    counts: LiveCounts,
+    payload: PhantomData<fn() -> P>,
 }
 
-impl<P: WireMessage + Send + 'static> UdpTransport<P> {
-    /// Takes ownership of the nodes' sockets (index = peer id) and starts
-    /// one receive thread per socket. `emulator` is where outbound frames
-    /// are sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the peer and socket address, if a socket cannot be
-    /// cloned or configured for its receive thread.
+impl<P: WireMessage> UdpTransport<P> {
+    /// Takes ownership of the nodes' sockets (index = peer id) and connects
+    /// each to `emulator`, where outbound frames go. `doorbell` names the
+    /// peer whose socket the emulator just forwarded a datagram to.
     pub fn start(
         sockets: Vec<UdpSocket>,
         emulator: SocketAddr,
+        doorbell: Receiver<PeerId>,
         clock: LiveClock,
     ) -> std::io::Result<Self> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_BOUND);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let counts = Arc::new(AtomicLiveCounts::default());
-        let mut threads = Vec::with_capacity(sockets.len());
-        for (i, socket) in sockets.iter().enumerate() {
-            let peer = PeerId(i as u32);
-            let addr = socket
-                .local_addr()
-                .unwrap_or_else(|e| panic!("UdpTransport: no local address for {peer}: {e}"));
-            let sock = socket.try_clone().unwrap_or_else(|e| {
-                panic!("UdpTransport: cannot clone socket of {peer} at {addr}: {e}")
-            });
-            sock.set_read_timeout(Some(RECV_TIMEOUT)).unwrap_or_else(|e| {
-                panic!("UdpTransport: cannot set read timeout for {peer} at {addr}: {e}")
-            });
-            let tx: SyncSender<Arrival<P>> = tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let counts = Arc::clone(&counts);
-            let handle = std::thread::Builder::new()
-                .name(format!("udp-recv-{peer}"))
-                .spawn(move || receive_loop(peer, addr, &sock, &tx, &shutdown, &counts))?;
-            threads.push(handle);
+        for socket in &sockets {
+            socket.connect(emulator)?;
+            socket.set_read_timeout(Some(READ_TIMEOUT))?;
         }
-        drop(tx);
-        Ok(UdpTransport { sockets, emulator, clock, rx, shutdown, threads, counts })
+        Ok(UdpTransport {
+            overflowed: vec![false; sockets.len()],
+            sockets,
+            doorbell,
+            clock,
+            frame: Vec::with_capacity(512),
+            datagram: vec![0; MAX_DATAGRAM],
+            counts: LiveCounts::default(),
+            payload: PhantomData,
+        })
     }
 
     /// Datagrams discarded because their frame failed to decode.
     pub fn decode_errors(&self) -> u64 {
-        self.counts.snapshot()[Live::DecodeErrors]
+        self.counts[Live::DecodeErrors]
     }
 
-    /// Datagrams discarded because the arrival channel was full (the
-    /// user-space analogue of a UDP socket buffer overflowing).
+    /// Datagrams the emulator forwarded that the receiving socket's kernel
+    /// buffer dropped because it was full (read attempts that found
+    /// nothing).
     pub fn overflow_drops(&self) -> u64 {
-        self.counts.snapshot()[Live::OverflowDrops]
+        self.counts[Live::OverflowDrops]
     }
 
     /// Reports live-path traffic under the `live` telemetry layer.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.counts.snapshot().report(out, "live");
+        self.counts.report(out, "live");
     }
-}
 
-fn receive_loop<P: WireMessage>(
-    peer: PeerId,
-    addr: SocketAddr,
-    sock: &UdpSocket,
-    tx: &SyncSender<Arrival<P>>,
-    shutdown: &AtomicBool,
-    counts: &AtomicLiveCounts,
-) {
-    let mut buf = [0u8; 65_536];
-    while !shutdown.load(Ordering::Relaxed) {
-        let len = match sock.recv_from(&mut buf) {
-            Ok((len, _)) => len,
+    /// Reads the one datagram a doorbell announced on `peer`'s socket.
+    fn read(&mut self, peer: PeerId) -> Option<Arrival<P>> {
+        let (socket, overflowed) =
+            (&self.sockets[peer.index()], &mut self.overflowed[peer.index()]);
+        let len = match socket.recv(&mut self.datagram) {
+            Ok(len) => {
+                if *overflowed {
+                    *overflowed = socket.set_nonblocking(false).is_err();
+                }
+                len
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                continue
-            }
-            Err(e) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
+                if !*overflowed {
+                    *overflowed = socket.set_nonblocking(true).is_ok();
                 }
-                panic!("UdpTransport: receive thread of {peer} at {addr} failed: {e}");
+                self.counts.bump(Live::OverflowDrops);
+                return None;
+            }
+            Err(_) => {
+                self.counts.bump(Live::RecvErrors);
+                return None;
             }
         };
-        counts.add(Live::PacketsReceived, 1);
-        match codec::decode_frame::<P>(&buf[..len]) {
-            Ok(frame) => {
-                let arrival = Arrival { to: peer, from_ep: frame.src, payload: frame.payload };
-                // try_send, never send: a blocking send could wedge this
-                // thread on a full channel while Drop waits to join it.
-                // A full buffer drops the datagram — exactly what a real
-                // UDP socket buffer does under an overwhelmed receiver.
-                match tx.try_send(arrival) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => counts.add(Live::OverflowDrops, 1),
-                    Err(TrySendError::Disconnected(_)) => break, // driver gone
-                }
+        self.counts.bump(Live::PacketsReceived);
+        match codec::decode_frame::<P>(&self.datagram[..len]) {
+            Ok(frame) => Some(Arrival { to: peer, from_ep: frame.src, payload: frame.payload }),
+            Err(_) => {
+                self.counts.bump(Live::DecodeErrors);
+                None
             }
-            Err(_) => counts.add(Live::DecodeErrors, 1),
         }
     }
 }
 
-impl<P> Drop for UdpTransport<P> {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl<P: WireMessage + Send + 'static> Transport<P> for UdpTransport<P> {
-    /// Encodes and ships one frame to the NAT emulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the sending peer, its socket address and the
-    /// emulator address, if the socket write fails.
+impl<P: WireMessage> Transport<P> for UdpTransport<P> {
+    /// Encodes and ships one frame to the NAT emulator. A failed write
+    /// loses the frame, as a full interface queue would, and counts it.
     fn send(
         &mut self,
         _now: SimTime,
@@ -202,37 +182,39 @@ impl<P: WireMessage + Send + 'static> Transport<P> for UdpTransport<P> {
         payload: P,
         _payload_bytes: u32,
     ) {
-        let frame = codec::encode_frame(src, dst, &payload);
-        self.counts.add(Live::PacketsSent, 1);
-        self.counts.add(Live::BytesSent, frame.len() as u64);
-        let socket = &self.sockets[from.index()];
-        socket.send_to(&frame, self.emulator).unwrap_or_else(|e| {
-            let local = socket
-                .local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "<unknown>".to_string());
-            panic!(
-                "UdpTransport: send from {from} ({local}) to NAT emulator {} failed: {e}",
-                self.emulator
-            )
-        });
+        codec::encode_frame_into(&mut self.frame, src, dst, &payload);
+        self.counts.bump(Live::PacketsSent);
+        self.counts.add(Live::BytesSent, self.frame.len() as u64);
+        if self.sockets[from.index()].send(&self.frame).is_err() {
+            self.counts.bump(Live::SendErrors);
+        }
     }
 
     /// Blocks until the wall clock reaches `deadline`'s instant, returning
-    /// arrivals as they land; `None` once the deadline passed and the
-    /// channel is drained.
+    /// arrivals as their doorbells ring; `None` once the deadline passed
+    /// and no doorbell is pending.
     fn poll(&mut self, deadline: SimTime) -> Option<Arrival<P>> {
         loop {
-            match self.rx.try_recv() {
-                Ok(a) => return Some(a),
-                Err(TryRecvError::Disconnected) => return None, // all threads gone
-                Err(TryRecvError::Empty) => {}
-            }
-            let wait = self.clock.wall_until(deadline)?;
-            match self.rx.recv_timeout(wait.min(POLL_SLICE)) {
-                Ok(a) => return Some(a),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
+            let peer = match self.doorbell.try_recv() {
+                Ok(peer) => peer,
+                Err(TryRecvError::Empty) => {
+                    let wait = self.clock.wall_until(deadline)?;
+                    match self.doorbell.recv_timeout(wait.min(POLL_SLICE)) {
+                        Ok(peer) => peer,
+                        Err(_) => continue,
+                    }
+                }
+                Err(TryRecvError::Disconnected) => {
+                    // The emulator is gone: nothing arrives any more, but
+                    // the wall clock still paces the caller.
+                    if let Some(wait) = self.clock.wall_until(deadline) {
+                        std::thread::sleep(wait);
+                    }
+                    return None;
+                }
+            };
+            if let Some(arrival) = self.read(peer) {
+                return Some(arrival);
             }
         }
     }

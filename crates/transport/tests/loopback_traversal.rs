@@ -5,7 +5,8 @@
 //! direct exchange (public targets), reactive hole punching (cone NATs),
 //! and end-to-end relaying (symmetric combinations). A fourth test drives
 //! raw frames through the emulator to pin down the packet-level NAT
-//! behaviour itself (filtering unsolicited traffic, source rewriting).
+//! behaviour itself (filtering unsolicited traffic, source rewriting), and
+//! a fifth floods one socket to hold the doorbells to the forwards.
 
 use nylon::{NylonEngine, NylonMsg};
 use nylon_net::{private_endpoint, DropReason, NatClass, NatType, NetConfig, PeerId};
@@ -163,8 +164,15 @@ fn emulator_filters_and_rewrites_raw_frames() {
         list.sort();
         list
     };
-    let live =
-        ["packets_sent", "bytes_sent", "packets_received", "decode_errors", "overflow_drops"];
+    let live = [
+        "packets_sent",
+        "bytes_sent",
+        "send_errors",
+        "packets_received",
+        "decode_errors",
+        "overflow_drops",
+        "recv_errors",
+    ];
     assert_eq!(names("live"), sorted(live.to_vec()));
     assert_eq!(count("live", "packets_sent"), 3, "three frames were sent");
     assert_eq!(count("live", "packets_received"), 2, "two frames made it through");
@@ -179,8 +187,68 @@ fn emulator_filters_and_rewrites_raw_frames() {
         "drop_fault_loss",
         "drop_partitioned",
     ];
-    assert_eq!(names("emulator"), sorted([&["forwarded", "malformed"][..], &drops].concat()));
+    let emu = ["forwarded", "malformed", "recv_errors", "forward_errors"];
+    assert_eq!(names("emulator"), sorted([&emu[..], &drops].concat()));
     let reported: u64 = drops.iter().map(|m| count("emulator", m)).sum();
     assert_eq!(reported, emulator.drop_counters().total(), "every drop is reported");
     assert_eq!(reported, 1, "one frame was filtered");
+}
+
+/// Doorbells stay one to one with forwarded datagrams when the receiver
+/// falls behind: a flood sent without polling overflows the receiving
+/// socket, and every forward is then either read exactly once or counted
+/// as an overflow drop.
+#[test]
+fn doorbells_account_for_every_forward_under_a_flood() {
+    const FLOOD: u32 = 3_000;
+    const BURST: u32 = 100;
+    let classes = vec![NatClass::Public; 2];
+    let net_cfg = NetConfig::default();
+    let clock = LiveClock::start_now();
+    let (mut transport, emulator): (UdpTransport<NylonMsg>, NatEmulator) =
+        udp_over_emulated_nat(&classes, &net_cfg, clock.clone()).expect("sockets must bind");
+    let sim_plan: nylon_transport::SimTransport<NylonMsg> =
+        nylon_transport::SimTransport::new(&classes, net_cfg, 0);
+    let (from, to) = (PeerId(0), PeerId(1));
+    let dst = sim_plan.net().identity_endpoint(to);
+    // Bursts well below a socket buffer, each forwarded before the next
+    // goes: the flood overflows the receiver's socket, not the emulator's.
+    for burst in 0..FLOOD / BURST {
+        for k in burst * BURST..(burst + 1) * BURST {
+            let ping = NylonMsg::Ping { from: PeerId(k) };
+            transport.send(clock.now_sim(), from, private_endpoint(from), dst, ping, 8);
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while emulator.forwarded() < u64::from((burst + 1) * BURST) {
+            assert!(std::time::Instant::now() < deadline, "the emulator stopped forwarding");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+    let forwarded = emulator.forwarded();
+    assert_eq!(forwarded, u64::from(FLOOD), "public -> public frames must pass");
+
+    let mut seen = vec![false; FLOOD as usize];
+    while let Some(a) = transport.poll(clock.now_sim()) {
+        assert_eq!(a.to, to);
+        let NylonMsg::Ping { from: PeerId(k) } = a.payload else {
+            panic!("a frame that was not sent arrived: {:?}", a.payload)
+        };
+        assert!(!std::mem::replace(&mut seen[k as usize], true), "frame {k} was read twice");
+    }
+
+    let mut out = Report::new();
+    transport.obs_report(&mut out);
+    let count = |metric: &str| match out.get("live", metric) {
+        Some(MetricValue::Counter(c)) => *c,
+        other => panic!("live/{metric} is {other:?}, not a counter"),
+    };
+    let read = seen.iter().filter(|s| **s).count() as u64;
+    assert_eq!(count("packets_received"), read, "every datagram read decoded");
+    assert_eq!(
+        count("packets_received") + count("overflow_drops"),
+        forwarded,
+        "each forward is read once or counted as dropped"
+    );
+    assert!(count("overflow_drops") > 0, "{FLOOD} frames must overflow one socket buffer");
+    assert_eq!(count("send_errors") + count("recv_errors"), 0);
 }

@@ -5,8 +5,8 @@
 //! cargo run --release --example live_loopback
 //! ```
 //!
-//! 32 in-process nodes (each with its own `UdpSocket` and receive thread)
-//! gossip through the user-space NAT emulator for ~3 seconds of wall
+//! 32 in-process nodes (each with its own `UdpSocket`, read by the driver
+//! loop) gossip through the user-space NAT emulator for ~3 seconds of wall
 //! time, then the overlay is measured with the same metrics the simulated
 //! figures use.
 
