@@ -248,9 +248,11 @@ fn run_loop(
                 }
                 match socket.send_to(frame, real_addrs[to.index()]) {
                     Ok(_) => {
-                        counts.add(Emu::Forwarded, 1);
-                        // A transport that is gone reads nothing more.
+                        // Ring before counting, so every counted forward
+                        // already has its doorbell queued. A transport that
+                        // is gone reads nothing more.
                         let _ = doorbell.send(to);
+                        counts.add(Emu::Forwarded, 1);
                     }
                     Err(_) => counts.add(Emu::ForwardErrors, 1),
                 }

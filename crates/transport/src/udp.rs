@@ -81,11 +81,6 @@ pub struct UdpTransport<P> {
     frame: Vec<u8>,
     /// Inbound datagrams are read here before they decode.
     datagram: Vec<u8>,
-    /// Sockets whose last read timed out, now read without waiting. A
-    /// receiver that fell behind finds each further dropped datagram at
-    /// once instead of stalling the driver a tick per drop; the socket
-    /// waits again from its next datagram on.
-    overflowed: Vec<bool>,
     counts: LiveCounts,
     payload: PhantomData<fn() -> P>,
 }
@@ -105,7 +100,6 @@ impl<P: WireMessage> UdpTransport<P> {
             socket.set_read_timeout(Some(READ_TIMEOUT))?;
         }
         Ok(UdpTransport {
-            overflowed: vec![false; sockets.len()],
             sockets,
             doorbell,
             clock,
@@ -135,22 +129,12 @@ impl<P: WireMessage> UdpTransport<P> {
 
     /// Reads the one datagram a doorbell announced on `peer`'s socket.
     fn read(&mut self, peer: PeerId) -> Option<Arrival<P>> {
-        let (socket, overflowed) =
-            (&self.sockets[peer.index()], &mut self.overflowed[peer.index()]);
-        let len = match socket.recv(&mut self.datagram) {
-            Ok(len) => {
-                if *overflowed {
-                    *overflowed = socket.set_nonblocking(false).is_err();
-                }
-                len
-            }
+        let len = match self.sockets[peer.index()].recv(&mut self.datagram) {
+            Ok(len) => len,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if !*overflowed {
-                    *overflowed = socket.set_nonblocking(true).is_ok();
-                }
                 self.counts.bump(Live::OverflowDrops);
                 return None;
             }
