@@ -21,7 +21,10 @@
 //! observable output is byte-identical for every shard count and every
 //! node→shard map.
 
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -249,6 +252,118 @@ fn run_lone<W: ShardWorker>(
     }
 }
 
+/// How long a lane that reached the tick barrier early yields its core
+/// before it sleeps. A tick's work is about 100 µs at 20 000 peers on two
+/// lanes, so the last lane is usually within this bound; a lane that
+/// waits longer (an idle shard, more lanes than cores) stops burning a
+/// core other lanes may need.
+const YIELD_FOR: Duration = Duration::from_micros(50);
+
+/// The lanes' one meeting point per tick: an arrival count and a
+/// generation counter.
+///
+/// The last lane to arrive opens the next generation; the others yield
+/// their core until it moves, for at most [`YIELD_FOR`], then sleep on the
+/// condvar. Yielding rather than spinning keeps a lane that waits from
+/// holding a core the lane it waits for needs, when there are more lanes
+/// than cores. The last lane touches the lock only when some lane sleeps.
+/// A lane that panics breaks the barrier ([`Leave`]), and every lane that
+/// waits at it, or comes to it later, panics too instead of waiting for
+/// ever.
+#[derive(Debug)]
+struct TickBarrier {
+    lanes: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Lanes asleep on `wake` (or about to be): the opener notifies only
+    /// when this is nonzero.
+    sleepers: AtomicUsize,
+    broken: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl TickBarrier {
+    fn new(lanes: usize) -> Self {
+        TickBarrier {
+            lanes,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            broken: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Whether the lanes are still waiting for `generation` to end.
+    fn holds(&self, generation: usize) -> bool {
+        assert!(!self.broken.load(SeqCst), "another lockstep lane panicked");
+        self.generation.load(SeqCst) == generation
+    }
+
+    /// Returns once all `lanes` lanes have called `wait` for this
+    /// generation.
+    ///
+    /// Every access is `SeqCst`. The opener's `arrived` reset comes before
+    /// its generation store, and a waiter arrives at the next generation
+    /// only after it saw that store, so no arrival is lost to the reset.
+    /// No wake-up is lost either: a sleeper counts itself in `sleepers`
+    /// and then re-reads the generation while it holds the lock, and the
+    /// opener stores the generation and then reads `sleepers`. In the
+    /// single order of those four operations, either the sleeper sees the
+    /// new generation and does not sleep, or the opener sees the sleeper
+    /// and notifies under the lock, which it can take only once the
+    /// sleeper is waiting.
+    fn wait(&self) {
+        let generation = self.generation.load(SeqCst);
+        if self.arrived.fetch_add(1, SeqCst) + 1 == self.lanes {
+            self.arrived.store(0, SeqCst);
+            self.generation.store(generation.wrapping_add(1), SeqCst);
+            if self.sleepers.load(SeqCst) > 0 {
+                let _held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.wake.notify_all();
+            }
+            return;
+        }
+        let yield_from = Instant::now();
+        while self.holds(generation) {
+            if yield_from.elapsed() >= YIELD_FOR {
+                // The lock guards no data: a lane that panicked holding it
+                // (at `holds`) left nothing half-written.
+                let mut held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.sleepers.fetch_add(1, SeqCst);
+                while self.holds(generation) {
+                    held = self.wake.wait(held).unwrap_or_else(PoisonError::into_inner);
+                }
+                self.sleepers.fetch_sub(1, SeqCst);
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Breaks its lane's barrier if the lane unwinds, so the lanes waiting
+/// there panic too and the run fails instead of hanging.
+struct Leave<'a>(&'a TickBarrier);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.broken.store(true, SeqCst);
+            // Under the lock, so a lane between its last check and its
+            // sleep cannot miss the wake-up.
+            let _held = self.0.lock.lock();
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// One tick's envelopes between lanes: entry `src` locks what lane `src`
+/// staged, one vector per destination lane.
+type OutboxSet<E> = Vec<Mutex<Vec<Vec<E>>>>;
+
 /// Per-shard exchange telemetry (all fields are zero-sized no-ops unless
 /// the `nylon-obs` `enabled` feature is on).
 #[derive(Debug, Default)]
@@ -259,8 +374,8 @@ struct LaneObs {
     envelopes: nylon_obs::Counter,
     /// Wire bytes those envelopes carried (per `ShardWorker::envelope_bytes`).
     bytes: nylon_obs::Counter,
-    /// Wall-clock nanoseconds this lane spent blocked on the two tick
-    /// barriers — the lockstep imbalance cost.
+    /// Wall-clock nanoseconds this lane spent waiting at the tick barrier,
+    /// yielding or asleep — the lockstep imbalance cost.
     stall_ns: nylon_obs::Counter,
 }
 
@@ -343,11 +458,12 @@ impl<W: ShardWorker> ShardedSim<W> {
 
     /// Advances every shard to `deadline` in lockstep ticks of `tick`.
     ///
-    /// With one shard the loop runs inline (no threads, no barriers); with more, shard 0 runs on the calling thread and one
-    /// thread per other shard is spawned for the whole call, synchronized
-    /// twice per tick — after staging (so outboxes are complete before
-    /// anyone reads them) and after absorbing (so the next tick's staging
-    /// cannot race a slow reader).
+    /// With one shard the loop runs inline (no threads, no barriers); with
+    /// more, shard 0 runs on the calling thread and one thread per other
+    /// shard is spawned for the whole call. The lanes meet once per tick,
+    /// after staging, so every outbox is complete before anyone reads it;
+    /// consecutive ticks publish into alternate sets of outboxes, so the
+    /// next tick's staging cannot race a slow reader of this one.
     ///
     /// # Panics
     ///
@@ -369,48 +485,49 @@ impl<W: ShardWorker> ShardedSim<W> {
             return;
         }
 
-        // outboxes[src][dst]: published at the first barrier, drained by
-        // `dst` after it. Each mutex is only ever contended *across* ticks
-        // (publisher of tick k+1 vs. a slow reader of tick k), which the
-        // second barrier prevents — so these locks never block in practice.
-        let outboxes: Vec<Mutex<Vec<Vec<W::Envelope>>>> =
-            (0..shards).map(|_| Mutex::new((0..shards).map(|_| Vec::new()).collect())).collect();
-        let staged = Barrier::new(shards);
-        let absorbed = Barrier::new(shards);
+        // outboxes[k % 2][src][dst]: tick k's envelopes from `src`,
+        // published before barrier k and drained by `dst` after it. A lane
+        // publishes into set k % 2 again only at tick k + 2, after it passed
+        // barrier k + 1; no lane arrives there before it has drained tick k.
+        // So a set is never written while a slow lane still reads it, and
+        // each mutex is contended only by the readers of one tick.
+        let outboxes: [OutboxSet<W::Envelope>; 2] = std::array::from_fn(|_| {
+            (0..shards).map(|_| Mutex::new((0..shards).map(|_| Vec::new()).collect())).collect()
+        });
+        let barrier = TickBarrier::new(shards);
         let start = self.now;
 
         const POISONED: &str = "an outbox lock is poisoned only by a worker that panicked";
         // One lane per worker. Every lane walks the same boundary sequence —
         // a pure function of (start, tick, deadline), so no coordination
-        // beyond the barriers is needed.
+        // beyond the barrier is needed.
         let lane = |idx: usize, worker: &mut W, obs: &mut LaneObs| {
             let mut batch = Vec::new();
             let mut now = start;
+            let mut parity = 0;
+            let _leave = Leave(&barrier);
             while now < deadline {
                 now = (now + tick).min(deadline);
                 worker.run_tick(now);
                 obs.note_staged::<W>(worker.outbox());
+                let set = &outboxes[parity];
+                parity ^= 1;
                 // Publish by swapping with the vectors every reader drained
-                // last tick: the capacity cycles between the worker and the
-                // exchange.
-                outboxes[idx].lock().expect(POISONED).swap_with_slice(worker.outbox());
+                // two ticks ago: the capacity cycles between the worker and
+                // the exchange.
+                set[idx].lock().expect(POISONED).swap_with_slice(worker.outbox());
                 // Barrier stall is wall-clock-only telemetry: it never feeds
                 // back into the simulation, so timing jitter cannot perturb
                 // determinism.
-                let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
-                staged.wait();
+                let stall_from = nylon_obs::ENABLED.then(Instant::now);
+                barrier.wait();
                 if let Some(t) = stall_from {
                     obs.stall_ns.add(t.elapsed().as_nanos() as u64);
                 }
-                for src in &outboxes {
+                for src in set {
                     batch.append(&mut src.lock().expect(POISONED)[idx]);
                 }
                 worker.absorb(&mut batch);
-                let stall_from = nylon_obs::ENABLED.then(std::time::Instant::now);
-                absorbed.wait();
-                if let Some(t) = stall_from {
-                    obs.stall_ns.add(t.elapsed().as_nanos() as u64);
-                }
             }
         };
         std::thread::scope(|scope| {
@@ -449,7 +566,12 @@ mod tests {
         now: SimTime,
         seq: u64,
         out: Vec<Vec<ToyMsg>>,
+        /// Sleep [`NAP`] at the start of every even tick: a lane that is
+        /// last at one barrier and first out of the next tick.
+        naps: bool,
     }
+
+    const NAP: Duration = Duration::from_micros(200);
 
     #[derive(Debug)]
     struct ToyMsg {
@@ -467,7 +589,7 @@ mod tests {
                 .map(|n| (n, splitmix64(0xC0_FFEE ^ u64::from(n))))
                 .collect();
             let out = (0..plan.shards()).map(|_| Vec::new()).collect();
-            ToyShard { plan, idx, nodes, counters, now: SimTime::ZERO, seq: 0, out }
+            ToyShard { plan, idx, nodes, counters, now: SimTime::ZERO, seq: 0, out, naps: false }
         }
     }
 
@@ -478,6 +600,9 @@ mod tests {
             // One send per owned node per tick, keyed purely on
             // (node, tick) so the traffic pattern is shard-independent.
             let tick_no = boundary.as_millis();
+            if self.naps && tick_no % 2 == 0 {
+                std::thread::sleep(NAP);
+            }
             for (&node, &value) in &self.counters {
                 let dst =
                     (splitmix64(u64::from(node) ^ (tick_no << 32)) % u64::from(self.nodes)) as u32;
@@ -513,8 +638,11 @@ mod tests {
     }
 
     fn run_toy(plan: ShardPlan, nodes: u32, ticks: u64) -> BTreeMap<u32, u64> {
-        let workers: Vec<ToyShard> =
-            (0..plan.shards()).map(|i| ToyShard::new(plan, i, nodes)).collect();
+        let workers = (0..plan.shards()).map(|i| ToyShard::new(plan, i, nodes)).collect();
+        run_workers(workers, ticks)
+    }
+
+    fn run_workers(workers: Vec<ToyShard>, ticks: u64) -> BTreeMap<u32, u64> {
         let mut sim = ShardedSim::new(workers);
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(ticks), SimDuration::from_millis(1));
         let mut merged = BTreeMap::new();
@@ -543,6 +671,74 @@ mod tests {
                 assert_eq!(got, reference, "state diverged at shards={shards} assign={assign:?}");
             }
         }
+    }
+
+    /// A lane that naps on every other tick arrives last at that tick's
+    /// barrier, after the others went to sleep on it, and runs the next
+    /// tick while they wake: it publishes tick k + 1 while they still
+    /// drain tick k. Each tick's envelopes must still reach their readers
+    /// whole and in their own tick.
+    #[test]
+    fn a_slow_lane_cannot_overwrite_a_tick_still_being_drained() {
+        let (nodes, ticks) = (97, 200);
+        let reference = run_toy(ShardPlan::round_robin(1), nodes, ticks);
+        for shards in [2usize, 3] {
+            let plan = ShardPlan::round_robin(shards);
+            let mut workers: Vec<ToyShard> =
+                (0..shards).map(|i| ToyShard::new(plan, i, nodes)).collect();
+            workers[shards - 1].naps = true;
+            assert_eq!(run_workers(workers, ticks), reference, "state diverged at shards={shards}");
+        }
+    }
+
+    /// More lanes than cores cross many generations; one lane now and then
+    /// stays away long enough that the others fall asleep. No lane may
+    /// leave a generation before every lane arrived at it, and none may
+    /// sleep through the wake-up that ends it.
+    #[test]
+    fn the_tick_barrier_holds_every_lane_until_the_last_arrives() {
+        const GENERATIONS: usize = 10_000;
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+        let barrier = TickBarrier::new(lanes);
+        let arrivals = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for lane in 0..lanes {
+                let (barrier, arrivals) = (&barrier, &arrivals);
+                scope.spawn(move || {
+                    let _leave = Leave(barrier);
+                    for g in 0..GENERATIONS {
+                        if lane == 0 && g % 500 == 0 {
+                            std::thread::sleep(YIELD_FOR * 2);
+                        }
+                        arrivals.fetch_add(1, SeqCst);
+                        barrier.wait();
+                        // Every lane arrived at g; this one has not yet
+                        // arrived at g + 1, so no lane can have passed it.
+                        let seen = arrivals.load(SeqCst);
+                        assert!(seen >= (g + 1) * lanes, "left generation {g} after {seen}");
+                        assert!(seen < (g + 2) * lanes, "generation {g} saw {seen}");
+                    }
+                });
+            }
+        });
+        assert_eq!(arrivals.into_inner(), GENERATIONS * lanes);
+    }
+
+    #[test]
+    fn a_lane_that_panics_releases_the_lanes_waiting_for_it() {
+        let barrier = TickBarrier::new(3);
+        let run = std::panic::catch_unwind(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| barrier.wait());
+                }
+                let _leave = Leave(&barrier);
+                // Let the waiters reach their sleep before this lane fails.
+                std::thread::sleep(YIELD_FOR * 4);
+                panic!("a worker failed");
+            })
+        });
+        assert!(run.is_err());
     }
 
     #[test]
