@@ -44,6 +44,12 @@ const HEADER_BYTES: usize = 1 + ENDPOINT_BYTES * 2;
 const ENDPOINT_BYTES: usize = 6;
 /// Offset of the `src` endpoint within a frame.
 const SRC_OFFSET: usize = 4 + 1;
+/// Bytes of an encoded descriptor (id, endpoint, class, age).
+const DESCRIPTOR_BYTES: usize = 4 + ENDPOINT_BYTES + 1 + 2;
+/// Bytes of an encoded routing entry (descriptor, TTL, hops).
+const ENTRY_BYTES: usize = DESCRIPTOR_BYTES + 4 + 1;
+/// Bytes of an entry count.
+const COUNT_BYTES: usize = 2;
 
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +251,10 @@ pub trait WireMessage: Sized {
     /// Appends the message (discriminant + body) to `out`.
     fn encode_body(&self, out: &mut Vec<u8>);
 
+    /// The number of bytes [`WireMessage::encode_body`] appends, computed
+    /// without encoding.
+    fn encoded_len(&self) -> usize;
+
     /// Decodes a message written by [`WireMessage::encode_body`].
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
@@ -294,6 +304,19 @@ impl WireMessage for NylonMsg {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            NylonMsg::Request { entries, .. } => {
+                DESCRIPTOR_BYTES + 4 + 4 + 1 + COUNT_BYTES + ENTRY_BYTES * entries.len()
+            }
+            NylonMsg::Response { entries, .. } => {
+                4 + 4 + 4 + 1 + COUNT_BYTES + ENTRY_BYTES * entries.len()
+            }
+            NylonMsg::OpenHole { .. } => DESCRIPTOR_BYTES + 4 + 4 + 1,
+            NylonMsg::Ping { .. } | NylonMsg::Pong { .. } => 4,
+        }
+    }
+
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             KIND_NYLON_REQUEST => Ok(NylonMsg::Request {
@@ -335,6 +358,11 @@ impl WireMessage for BaselineMsg {
         for d in entries {
             encode_descriptor(out, d);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let (BaselineMsg::Request { entries, .. } | BaselineMsg::Response { entries, .. }) = self;
+        1 + 4 + COUNT_BYTES + DESCRIPTOR_BYTES * entries.len()
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -379,11 +407,17 @@ pub struct FrameHeader {
     pub dst: Endpoint,
 }
 
-/// Encodes one frame (one UDP datagram) into a fresh buffer.
+/// Encodes one frame (one UDP datagram) into a fresh buffer of exactly
+/// its length: one allocation.
 pub fn encode_frame<P: WireMessage>(src: Endpoint, dst: Endpoint, payload: &P) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::with_capacity(frame_len(payload));
     encode_frame_into(&mut out, src, dst, payload);
     out
+}
+
+/// The length of `payload`'s frame: length prefix, header and message.
+fn frame_len<P: WireMessage>(payload: &P) -> usize {
+    4 + HEADER_BYTES + payload.encoded_len()
 }
 
 /// Encodes one frame into `out`, replacing its contents: a sender that
@@ -400,6 +434,7 @@ pub fn encode_frame_into<P: WireMessage>(
     encode_endpoint(out, src);
     encode_endpoint(out, dst);
     payload.encode_body(out);
+    debug_assert_eq!(out.len(), frame_len(payload), "encoded_len disagrees with encode_body");
     let body = u32::try_from(out.len() - 4).expect("frame bodies are far below 4 GiB");
     out[..4].copy_from_slice(&body.to_le_bytes());
 }
@@ -504,6 +539,42 @@ mod tests {
                 assert_eq!(e, e2);
             }
             _ => panic!("kind changed in flight"),
+        }
+    }
+
+    /// `encode_frame` reserves each frame's exact length up front, so a
+    /// frame costs one allocation whatever its kind and size.
+    #[test]
+    fn a_fresh_frame_is_allocated_once_at_its_exact_length() {
+        fn exact<P: WireMessage>(msg: &P) {
+            let (src, dst) = eps();
+            let buf = encode_frame(src, dst, msg);
+            assert_eq!(buf.capacity(), buf.len());
+        }
+        let entry = |i: u32| WireEntry::new(desc(i, NatClass::Public, 1), SimDuration::ZERO, 0);
+        let src = desc(1, NatClass::Natted(NatType::Symmetric), 2);
+        let (dest, via, hops) = (PeerId(2), PeerId(3), 1);
+        exact(&NylonMsg::OpenHole { src, dest, via, hops });
+        exact(&NylonMsg::Ping { from: PeerId(1) });
+        exact(&NylonMsg::Pong { from: PeerId(1) });
+        for n in [0u32, 1, 16, 27] {
+            exact(&NylonMsg::Request {
+                src,
+                dest,
+                via,
+                hops,
+                entries: (0..n).map(entry).collect(),
+            });
+            exact(&NylonMsg::Response {
+                from: PeerId(1),
+                dest,
+                via,
+                hops,
+                entries: (0..n).map(entry).collect(),
+            });
+            let view = || (0..n).map(|i| desc(i, NatClass::Public, 0)).collect();
+            exact(&BaselineMsg::Request { from: PeerId(1), entries: view() });
+            exact(&BaselineMsg::Response { from: PeerId(1), entries: view() });
         }
     }
 
