@@ -110,6 +110,12 @@ impl<P: WireMessage> UdpTransport<P> {
         })
     }
 
+    /// Frames handed to the sockets for the NAT emulator, a failed write
+    /// included.
+    pub fn packets_sent(&self) -> u64 {
+        self.counts[Live::PacketsSent]
+    }
+
     /// Datagrams discarded because their frame failed to decode.
     pub fn decode_errors(&self) -> u64 {
         self.counts[Live::DecodeErrors]

@@ -246,8 +246,16 @@ fn live_main(args: &[String]) -> ExitCode {
     println!("## live loopback-UDP overlay\n");
     print_snapshot("live", &live.overlay);
     println!(
-        "{:<10} forwarded {}   NAT-dropped {}   decode errors {}   wall {:.1?}",
-        "emulator", live.emulator_forwarded, live.emulator_dropped, live.decode_errors, live.wall
+        "{:<10} sent {}   forwarded {}   NAT-dropped {}   malformed {}   unaccounted {}   \
+         decode errors {}   wall {:.1?}",
+        "emulator",
+        live.packets_sent,
+        live.emulator_forwarded,
+        live.emulator_dropped,
+        live.emulator_malformed,
+        live.unaccounted,
+        live.decode_errors,
+        live.wall
     );
     if live.wire_rebinds > 0 || live.wire_cgn > 0 {
         println!(
@@ -259,9 +267,11 @@ fn live_main(args: &[String]) -> ExitCode {
         let sim = run_sim_twin(&scale);
         print_snapshot("simulated", &sim);
         println!(
-            "{:<10} cluster delta {:+.1} pts (live - simulated)",
+            "{:<10} cluster delta {:+.1} pts (live - simulated)   shuffles {} live / {} simulated",
             "delta",
-            live.overlay.cluster_pct - sim.cluster_pct
+            live.overlay.cluster_pct - sim.cluster_pct,
+            live.overlay.requests_completed,
+            sim.requests_completed
         );
     }
     if stats.is_some() {

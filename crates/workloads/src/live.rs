@@ -22,6 +22,10 @@ use nylon_transport::{scaled_configs, udp_over_emulated_nat, LiveClock, LiveRunn
 use crate::runner::{biggest_cluster_pct, build_with_plan, staleness, usable_in_degrees};
 use crate::scenario::Scenario;
 
+/// How long a finished live run waits for the emulator to account for
+/// the frames still in its socket.
+const SETTLE: Duration = Duration::from_millis(200);
+
 /// Scale knobs of a live run.
 #[derive(Debug, Clone)]
 pub struct LiveScale {
@@ -152,6 +156,15 @@ pub struct LiveOutcome {
     pub emulator_dropped: u64,
     /// Datagrams discarded because their frame failed to decode.
     pub decode_errors: u64,
+    /// Frames the nodes sent to the emulator (`live/packets_sent`).
+    pub packets_sent: u64,
+    /// Datagrams the emulator discarded because their frame header did
+    /// not parse.
+    pub emulator_malformed: u64,
+    /// Frames sent that the emulator neither forwarded, dropped at a NAT
+    /// nor found malformed: lost before it read them, by a full receive
+    /// buffer or a failed socket write.
+    pub unaccounted: u64,
     /// Mapping rebinds replayed on the wire (mid-run fault wave).
     pub wire_rebinds: u64,
     /// Carrier-grade NAT boxes stacked on the wire before traffic.
@@ -217,7 +230,21 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
         }
         runner.run_rounds(scale.rounds - half);
     }
+    let wall = started.elapsed();
     let decode_errors = runner.transport().decode_errors();
+    let packets_sent = runner.transport().packets_sent();
+    // The emulator may still be reading the last tick's frames: give it a
+    // moment to account for every frame sent before counting a loss.
+    let settle_by = std::time::Instant::now() + SETTLE;
+    let unaccounted = loop {
+        let accounted =
+            emulator.forwarded() + emulator.drop_counters().total() + emulator.malformed();
+        let missing = packets_sent.saturating_sub(accounted);
+        if missing == 0 || std::time::Instant::now() >= settle_by {
+            break missing;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     if nylon_obs::is_active() {
         let mut r = nylon_obs::Report::new();
         runner.transport().obs_report(&mut r);
@@ -230,9 +257,12 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
         emulator_forwarded: emulator.forwarded(),
         emulator_dropped: emulator.drop_counters().total(),
         decode_errors,
+        packets_sent,
+        emulator_malformed: emulator.malformed(),
+        unaccounted,
         wire_rebinds,
         wire_cgn,
-        wall: started.elapsed(),
+        wall,
     })
 }
 

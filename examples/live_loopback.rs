@@ -28,8 +28,14 @@ fn main() {
         live.overlay.indegree_std
     );
     println!(
-        "wire:      {} frames forwarded, {} NAT-dropped, {} decode errors, {:.1?} wall",
-        live.emulator_forwarded, live.emulator_dropped, live.decode_errors, live.wall
+        "wire:      {} frames sent, {} forwarded, {} NAT-dropped, {} unaccounted, \
+         {} decode errors, {:.1?} wall",
+        live.packets_sent,
+        live.emulator_forwarded,
+        live.emulator_dropped,
+        live.unaccounted,
+        live.decode_errors,
+        live.wall
     );
     let sim = run_sim_twin(&scale);
     println!(
