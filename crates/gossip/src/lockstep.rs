@@ -35,9 +35,10 @@ use crate::host::{Intro, Protocol, Worker};
 use crate::sampler::PeerSampler;
 use crate::view::PartialView;
 
-/// Peers per worker the automatic sizing aims at: below it, the tick
-/// barriers eat what a second worker saves (a 2 000-peer baseline runs no
-/// faster on two).
+/// Peers per worker the automatic sizing aims at. Set when a 2 000-peer
+/// baseline ran no faster on two workers than on one; since the lanes
+/// meet at one yielding barrier a tick, two workers take it from 0.18 to
+/// 0.14 s (README, "worker rule"), so the crossover now lies lower.
 const PEERS_PER_WORKER: usize = 5_000;
 
 /// The number of workers an engine of `peers` starts on: one per 5 000
