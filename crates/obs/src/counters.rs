@@ -8,10 +8,8 @@
 //!
 //! [`keyed_counters!`] declares a set indexed by an enum instead: one list
 //! of keys, each with its doc, display text and metric name, gives the
-//! enum, its `Display`, the `u64` set (`bump(key)`, `set[key]`) and,
-//! optionally, an atomic twin of the set that threads share (`add(key, n)`,
-//! `snapshot()`). The fabric's drop reasons and the live path's counters
-//! are keyed sets.
+//! enum, its `Display` and the `u64` set (`bump(key)`, `set[key]`). The
+//! fabric's drop reasons and the live path's counters are keyed sets.
 //!
 //! Both kinds are compiled in whether or not the `enabled` feature is, and
 //! are folded into a [`Report`] only at report time.
@@ -120,11 +118,7 @@ macro_rules! counters {
 ///   `metric()` name;
 /// - the set: `bump(key)` adds one, `set[key]` reads a count, and
 ///   `merge`, `report`, `total` and `since` walk the keys in declaration
-///   order;
-/// - when a second struct follows, an atomic twin of the set for counts
-///   shared between threads: `add(key, n)` (relaxed: counts are
-///   statistics, not synchronization) and `snapshot()`, which returns the
-///   plain set.
+///   order.
 ///
 /// ```
 /// use nylon_obs::{Counters, MetricValue, Report};
@@ -139,8 +133,6 @@ macro_rules! counters {
 ///     }
 ///     /// Discarded frames by reason.
 ///     pub struct Discards;
-///     /// [`Discards`], shared between threads.
-///     pub struct AtomicDiscards;
 /// }
 ///
 /// let mut d = Discards::default();
@@ -148,10 +140,6 @@ macro_rules! counters {
 /// d.bump(Discard::NoRoute);
 /// assert_eq!((d[Discard::Malformed], d[Discard::NoRoute], d.total()), (0, 2, 2));
 /// assert_eq!(Discard::NoRoute.to_string(), "no route");
-///
-/// let shared = AtomicDiscards::default();
-/// shared.add(Discard::NoRoute, 2);
-/// assert_eq!(shared.snapshot(), d);
 ///
 /// let mut out = Report::new();
 /// d.report(&mut out, "emulator");
@@ -167,10 +155,6 @@ macro_rules! keyed_counters {
         }
         $(#[$set_meta:meta])*
         $set_vis:vis struct $set:ident;
-        $(
-            $(#[$atomic_meta:meta])*
-            $atomic_vis:vis struct $atomic:ident;
-        )?
     ) => {
         $(#[$key_meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,33 +243,6 @@ macro_rules! keyed_counters {
                 $set(::std::array::from_fn(|i| self.0[i].saturating_sub(earlier.0[i])))
             }
         }
-
-        $(
-            $(#[$atomic_meta])*
-            #[derive(Debug)]
-            $atomic_vis struct $atomic([::std::sync::atomic::AtomicU64; $key::COUNT]);
-
-            impl $atomic {
-                /// Adds `n` to the counter of `key`.
-                #[inline]
-                pub fn add(&self, key: $key, n: u64) {
-                    self.0[key as usize].fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
-                }
-
-                /// The counts so far, as a plain set.
-                pub fn snapshot(&self) -> $set {
-                    $set(::std::array::from_fn(|i| {
-                        self.0[i].load(::std::sync::atomic::Ordering::Relaxed)
-                    }))
-                }
-            }
-
-            impl ::std::default::Default for $atomic {
-                fn default() -> Self {
-                    $atomic(::std::array::from_fn(|_| ::std::sync::atomic::AtomicU64::new(0)))
-                }
-            }
-        )?
     };
 }
 
@@ -305,8 +262,6 @@ mod tests {
         }
         /// Fates by key.
         struct Fates;
-        /// Fates, shared.
-        struct AtomicFates;
     }
 
     #[test]
@@ -353,21 +308,5 @@ mod tests {
             Fate::ALL.iter().map(|k| (k.metric().to_string(), a[*k])).collect();
         expected.sort();
         assert_eq!(reported, expected, "one counter per key, none other");
-    }
-
-    #[test]
-    fn atomic_twin_snapshots_to_the_plain_set() {
-        let shared = AtomicFates::default();
-        let mut plain = Fates::default();
-        assert_eq!(shared.snapshot(), plain);
-        for (key, n) in [(Fate::Filtered, 3), (Fate::Delivered, 1), (Fate::Filtered, 2)] {
-            shared.add(key, n);
-            for _ in 0..n {
-                plain.bump(key);
-            }
-        }
-        assert_eq!(shared.snapshot(), plain);
-        assert_eq!(shared.snapshot()[Fate::Filtered], 5);
-        assert_eq!(shared.snapshot()[Fate::Lost], 0);
     }
 }

@@ -9,7 +9,7 @@
 //! nothing. The protocols', fabric's, fault plane's and live path's own
 //! `u64` counter sets, which the figures read, are always compiled: each is
 //! declared once with [`counters!`] (named fields) or [`keyed_counters!`]
-//! (indexed by an enum, with an atomic twin for threads) and reported
+//! (indexed by an enum) and reported
 //! through [`Counters`].
 //!
 //! Two contracts the rest of the workspace leans on:

@@ -9,14 +9,16 @@
 //!   structs). Decoding is total: malformed input errors, never panics.
 //! * [`Transport`] — who carries a datagram: [`SimTransport`] adapts the
 //!   existing simulated fabric, [`UdpTransport`] drives real
-//!   `std::net::UdpSocket`s, reading a node's socket on the driver thread
-//!   when the emulator rings its doorbell (std only, no async runtime and
-//!   no receive threads — the container vendors dependencies).
+//!   `std::net::UdpSocket`s on the driver thread: each frame goes from
+//!   the sender's socket to the receiver's, and `poll` reads the receivers
+//!   in send order (std only, no async runtime and no threads — the
+//!   container vendors dependencies).
 //! * [`NatEmulator`] — a user-space middlebox that filters and rewrites
-//!   real loopback UDP packets with the *same*
+//!   real loopback UDP frames with the *same*
 //!   [`nylon_net::natbox::NatBox`] state machine the simulator uses, so
-//!   FC/RC/PRC/SYM behaviour is exercised on-wire. Its thread is the only
-//!   one a live stack starts, whatever the population.
+//!   FC/RC/PRC/SYM behaviour is exercised on-wire. It is a step of
+//!   [`UdpTransport`]'s send path, so a live stack starts no thread,
+//!   whatever the population.
 //! * [`LiveRunner`] / [`LiveSampler`] — the event loop driving an
 //!   unmodified engine over either transport. No protocol logic lives in
 //!   this crate.

@@ -8,9 +8,8 @@
 //! feed it what the transport delivered. Over a [`crate::SimTransport`]
 //! that loop replays the simulator; over a [`crate::UdpTransport`] plus
 //! [`crate::NatEmulator`] the *identical engine code path* runs on real
-//! loopback sockets behind emulated FC/RC/PRC/SYM NATs.
-
-use std::net::SocketAddr;
+//! loopback sockets behind emulated FC/RC/PRC/SYM NATs. Either way the
+//! loop, the sockets and the middlebox all run on the caller's thread.
 
 use nylon::NylonConfig;
 use nylon_gossip::{Engine, PeerSampler, Protocol};
@@ -171,9 +170,9 @@ pub fn scaled_configs(period_ms: u64) -> (NylonConfig, NetConfig) {
 }
 
 /// Builds the full live stack for a peer population: loopback sockets, the
-/// NAT emulator middlebox seeded with the same classes and NAT rule
-/// lifetime, and the [`UdpTransport`] that reads a node's socket when the
-/// emulator rings its doorbell. The emulator's is the stack's one thread.
+/// NAT emulator's middlebox seeded with the same classes and NAT rule
+/// lifetime, and the [`UdpTransport`] that runs every frame through it. The
+/// stack starts no thread.
 ///
 /// `classes` must be in peer-id order (the engine's `add_peer` order).
 pub fn udp_over_emulated_nat<P: WireMessage>(
@@ -181,12 +180,8 @@ pub fn udp_over_emulated_nat<P: WireMessage>(
     net_cfg: &NetConfig,
     clock: LiveClock,
 ) -> std::io::Result<(UdpTransport<P>, NatEmulator)> {
-    let sockets = bind_loopback(classes.len())?;
-    let addrs: Vec<SocketAddr> =
-        sockets.iter().map(|s| s.local_addr()).collect::<std::io::Result<_>>()?;
-    let (ring, doorbell) = std::sync::mpsc::channel();
-    let emulator = NatEmulator::spawn(classes, net_cfg, clock.clone(), &addrs, ring)?;
-    let transport = UdpTransport::start(sockets, emulator.addr(), doorbell, clock)?;
+    let emulator = NatEmulator::new(classes, net_cfg);
+    let transport = UdpTransport::start(bind_loopback(classes.len())?, &emulator, clock)?;
     Ok((transport, emulator))
 }
 

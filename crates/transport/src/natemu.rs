@@ -1,107 +1,121 @@
-//! The user-space NAT emulator: a middlebox thread that filters and
-//! rewrites real loopback UDP packets with the *same*
+//! The user-space NAT emulator: a step of [`crate::UdpTransport`]'s send
+//! path that filters and rewrites real loopback UDP frames with the *same*
 //! [`nylon_net::natbox::NatBox`] state machine the simulator uses.
 //!
 //! Topology of a live run: every node binds a loopback socket (its
 //! "private" interface) and addresses peers by their **virtual** endpoints
 //! — the synthetic address plan of the simulated fabric, carried in the
-//! frame header ([`crate::codec`]). All datagrams physically cross the
-//! emulator's socket, which plays the internet-plus-NAT-devices role:
+//! frame header ([`crate::codec`]). Before a frame leaves its sender's
+//! socket, the middlebox plays the internet-plus-NAT-devices role:
 //!
-//! 1. the real source socket identifies the sending peer;
+//! 1. the sending peer is the one whose socket the transport sends from;
 //! 2. egress NAT processing maps its private virtual endpoint to a public
 //!    one (opening/refreshing holes on its NAT box);
 //! 3. the destination virtual endpoint is resolved and ingress filtering
 //!    runs on the target's box — `FC`/`RC`/`PRC`/`SYM` behaviour exactly
 //!    as on the simulated fabric, because it *is* the fabric's code:
-//!    the emulator drives a payload-opaque [`nylon_net::Network`] over real packets;
+//!    the emulator drives a payload-opaque [`nylon_net::Network`] over real
+//!    frames;
 //! 4. admitted frames get their source endpoint rewritten to the post-NAT
-//!    one (the user-space analogue of IP-header rewriting) and are
-//!    forwarded to the destination peer's real socket. Rejected frames are
-//!    dropped silently, like a NAT drops unsolicited traffic;
-//! 5. after each forward the emulator rings the doorbell: it sends the
-//!    destination peer's id on a channel, and the [`crate::UdpTransport`]
-//!    reads that peer's socket on the driver thread. The emulator's is the
-//!    only thread of a live stack, whatever the population.
+//!    one (the user-space analogue of IP-header rewriting), and the
+//!    transport sends them from the sender's socket straight to the
+//!    destination peer's. Rejected frames are never sent, like a NAT drops
+//!    unsolicited traffic.
 //!
-//! Socket failures never stop the middlebox: a failed read or forward is
-//! counted and the loop goes on.
+//! The middlebox has no thread and no socket: the transport and the
+//! [`NatEmulator`] handle share its state on the driver thread.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nylon_net::natbox::PURGE_EVERY;
 use nylon_net::{Delivery, DropCounters, NatClass, NetConfig, PeerId};
 use nylon_obs::Counters;
 use nylon_sim::{SimDuration, SimTime};
 
-use crate::clock::LiveClock;
 use crate::codec;
 
 /// Payload-opaque fabric: the emulator routes bytes, not messages.
 type EmuNet = nylon_net::Network<()>;
 
-/// Receive timeout so the thread notices shutdown promptly.
-const RECV_TIMEOUT: Duration = Duration::from_millis(20);
-
 nylon_obs::keyed_counters! {
     /// What the middlebox counts besides the fabric's drops, under the
     /// `emulator` telemetry layer.
-    enum Emu {
-        /// Frames forwarded end-to-end, source endpoint rewritten.
+    pub(crate) enum Emu {
+        /// Frames sent on to the destination socket, source endpoint
+        /// rewritten.
         Forwarded = "forwarded" => "forwarded",
-        /// Datagrams whose frame did not parse.
+        /// Frames whose header did not parse.
         Malformed = "malformed frame" => "malformed",
-        /// Reads of the emulator's socket that failed with an error other
-        /// than the shutdown-check timeout.
-        RecvErrors = "socket read failed" => "recv_errors",
-        /// Admitted frames whose forward to the destination socket failed.
-        ForwardErrors = "forward failed" => "forward_errors",
+        /// Datagrams a node socket received from a socket outside the
+        /// stack, skipped unread.
+        OutsideSenders = "sender outside the stack" => "outside_senders",
     }
     /// [`Emu`] counts.
-    struct EmuCounts;
-    /// [`EmuCounts`] shared by the handle and the middlebox thread.
-    struct AtomicEmuCounts;
+    pub(crate) struct EmuCounts;
 }
 
-/// A running NAT emulator; dropping the handle shuts the thread down and
-/// hangs up the doorbell.
+/// The NAT state of a live stack, shared by its transport and its
+/// [`NatEmulator`] handle.
+#[derive(Debug)]
+pub(crate) struct Middlebox {
+    net: EmuNet,
+    pub(crate) counts: EmuCounts,
+    last_purge: SimTime,
+}
+
+impl Middlebox {
+    /// Runs a frame `from` sent at `now` through its egress NAT and the
+    /// receiver's ingress filter. Returns the receiving peer, the frame's
+    /// source rewritten to the post-NAT endpoint, or `None` for a frame the
+    /// fabric dropped (counted by reason) or whose header did not parse.
+    pub(crate) fn admit(&mut self, now: SimTime, from: PeerId, frame: &mut [u8]) -> Option<PeerId> {
+        let Ok(header) = codec::peek_header(frame) else {
+            self.counts.bump(Emu::Malformed);
+            return None;
+        };
+        if now.saturating_since(self.last_purge) >= PURGE_EVERY {
+            self.net.purge_expired_nat_state(now);
+            self.last_purge = now;
+        }
+        // Egress NAT (mapping + hole refresh) then immediate ingress
+        // filtering — the wire itself adds the latency.
+        let flight = self.net.send(now, from, header.dst, (), frame.len() as u32)?;
+        match self.net.deliver(flight.arrive_at, flight) {
+            Delivery::ToPeer { to, from_ep, .. } => {
+                if codec::rewrite_src(frame, from_ep).is_err() {
+                    self.counts.bump(Emu::Malformed);
+                    return None;
+                }
+                Some(to)
+            }
+            Delivery::Dropped { .. } => None, // counted by the fabric, like a real NAT: silence
+        }
+    }
+
+    /// Frames the fabric dropped or found malformed: every frame `admit`
+    /// refused.
+    pub(crate) fn refused(&self) -> u64 {
+        self.net.drop_counters().total() + self.counts[Emu::Malformed]
+    }
+}
+
+/// The handle to a live stack's NAT state: counters, drops and the
+/// on-wire fault replays. Dropping it leaves the transport working.
 #[derive(Debug)]
 pub struct NatEmulator {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    net: Arc<Mutex<EmuNet>>,
-    counts: Arc<AtomicEmuCounts>,
+    middlebox: Rc<RefCell<Middlebox>>,
 }
 
 impl NatEmulator {
-    /// Spawns the middlebox for a peer population.
+    /// The middlebox for a peer population.
     ///
     /// `classes` must list the peers in id order (the same order the engine
-    /// added them, so both sides agree on the virtual address plan) and
-    /// `peer_addrs[i]` must be the real loopback socket of peer `i`.
+    /// added them, so both sides agree on the virtual address plan).
     /// Latency, jitter and loss of `net_cfg` are ignored — the real wire
-    /// supplies those — but the NAT `hole_timeout` is honoured against
-    /// `clock`. Each forwarded frame's destination peer is sent on
-    /// `doorbell` once the frame is on its way.
-    pub fn spawn(
-        classes: &[NatClass],
-        net_cfg: &NetConfig,
-        clock: LiveClock,
-        peer_addrs: &[SocketAddr],
-        doorbell: Sender<PeerId>,
-    ) -> std::io::Result<NatEmulator> {
-        assert_eq!(
-            classes.len(),
-            peer_addrs.len(),
-            "one real socket address per peer class is required"
-        );
+    /// supplies those — but the NAT `hole_timeout` is honoured against the
+    /// instants the transport passes in.
+    pub fn new(classes: &[NatClass], net_cfg: &NetConfig) -> NatEmulator {
         let cfg = NetConfig {
             latency: SimDuration::ZERO,
             latency_jitter: SimDuration::ZERO,
@@ -112,46 +126,30 @@ impl NatEmulator {
         for class in classes {
             net.add_peer(*class);
         }
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(RECV_TIMEOUT))?;
-        let addr = socket.local_addr()?;
-
-        let net = Arc::new(Mutex::new(net));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let counts = Arc::new(AtomicEmuCounts::default());
-        let real_addrs: Vec<SocketAddr> = peer_addrs.to_vec();
-
-        let thread = {
-            let net = Arc::clone(&net);
-            let shutdown = Arc::clone(&shutdown);
-            let counts = Arc::clone(&counts);
-            std::thread::Builder::new().name("nat-emulator".into()).spawn(move || {
-                run_loop(&socket, &net, &clock, &real_addrs, &doorbell, &shutdown, &counts);
-            })?
-        };
-        Ok(NatEmulator { addr, shutdown, thread: Some(thread), net, counts })
+        let middlebox = Middlebox { net, counts: EmuCounts::default(), last_purge: SimTime::ZERO };
+        NatEmulator { middlebox: Rc::new(RefCell::new(middlebox)) }
     }
 
-    /// The real socket address nodes must send their frames to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    /// The state this handle shares with a transport.
+    pub(crate) fn middlebox(&self) -> Rc<RefCell<Middlebox>> {
+        Rc::clone(&self.middlebox)
     }
 
     /// Frames forwarded end-to-end so far.
     pub fn forwarded(&self) -> u64 {
-        self.counts.snapshot()[Emu::Forwarded]
+        self.middlebox.borrow().counts[Emu::Forwarded]
     }
 
-    /// Datagrams discarded because their frame did not parse.
+    /// Frames discarded because their header did not parse.
     pub fn malformed(&self) -> u64 {
-        self.counts.snapshot()[Emu::Malformed]
+        self.middlebox.borrow().counts[Emu::Malformed]
     }
 
     /// Drop counters of the emulated fabric, indexed by
     /// [`DropReason`](nylon_net::DropReason) — the on-wire NAT behaviour,
     /// observable.
     pub fn drop_counters(&self) -> DropCounters {
-        self.net.lock().expect("emulator lock poisoned").drop_counters()
+        self.middlebox.borrow().net.drop_counters()
     }
 
     /// Replays a mapping-rebind fault on the wire: the peer's NAT box
@@ -161,7 +159,7 @@ impl NatEmulator {
     /// `nylon-faults` plan, applied to real packets. Returns `false` for
     /// public peers (nothing to rebind).
     pub fn rebind_nat(&self, peer: PeerId) -> bool {
-        self.net.lock().expect("emulator lock poisoned").rebind_nat(peer)
+        self.middlebox.borrow_mut().net.rebind_nat(peer)
     }
 
     /// Stacks a carrier-grade NAT of `nat_type` onto a natted peer's path
@@ -169,95 +167,16 @@ impl NatEmulator {
     /// before traffic flows — CGN egress rewrites apply to new mappings.
     /// Returns `false` for public peers.
     pub fn stack_cgn(&self, peer: PeerId, nat_type: nylon_net::NatType) -> bool {
-        self.net.lock().expect("emulator lock poisoned").stack_cgn(peer, nat_type)
+        self.middlebox.borrow_mut().net.stack_cgn(peer, nat_type)
     }
 
     /// Reports middlebox activity under the `emulator` telemetry layer:
     /// frames forwarded (source endpoints rewritten), malformed frames,
-    /// and the fabric's ingress verdicts by drop cause, every cause.
+    /// datagrams from outside the stack, and the fabric's ingress verdicts
+    /// by drop cause, every cause.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.counts.snapshot().report(out, "emulator");
-        self.drop_counters().report(out, "emulator");
-    }
-}
-
-impl Drop for NatEmulator {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The middlebox thread; `real_addrs[i]` is the real socket of peer `i`.
-fn run_loop(
-    socket: &UdpSocket,
-    net: &Mutex<EmuNet>,
-    clock: &LiveClock,
-    real_addrs: &[SocketAddr],
-    doorbell: &Sender<PeerId>,
-    shutdown: &AtomicBool,
-    counts: &AtomicEmuCounts,
-) {
-    let peer_by_real: HashMap<SocketAddr, PeerId> =
-        real_addrs.iter().enumerate().map(|(i, a)| (*a, PeerId(i as u32))).collect();
-    let mut buf = [0u8; 65_536];
-    let mut last_purge = SimTime::ZERO;
-    while !shutdown.load(Ordering::Relaxed) {
-        let (len, real_src) = match socket.recv_from(&mut buf) {
-            Ok(x) => x,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => {
-                counts.add(Emu::RecvErrors, 1);
-                continue;
-            }
-        };
-        // Unknown senders and unparseable frames are dropped like line
-        // noise; the emulator must survive anything the wire hands it.
-        let Some(peer) = peer_by_real.get(&real_src).copied() else { continue };
-        let frame = &mut buf[..len];
-        let header = match codec::peek_header(frame) {
-            Ok(h) => h,
-            Err(_) => {
-                counts.add(Emu::Malformed, 1);
-                continue;
-            }
-        };
-        let now = clock.now_sim();
-        let mut fabric = net.lock().expect("emulator lock poisoned");
-        if now.saturating_since(last_purge) >= PURGE_EVERY {
-            fabric.purge_expired_nat_state(now);
-            last_purge = now;
-        }
-        // Egress NAT (mapping + hole refresh) then immediate ingress
-        // filtering — the wire itself adds the latency.
-        let Some(flight) = fabric.send(now, peer, header.dst, (), len as u32) else { continue };
-        let verdict = fabric.deliver(flight.arrive_at, flight);
-        drop(fabric);
-        match verdict {
-            Delivery::ToPeer { to, from_ep, .. } => {
-                if codec::rewrite_src(frame, from_ep).is_err() {
-                    counts.add(Emu::Malformed, 1);
-                    continue;
-                }
-                match socket.send_to(frame, real_addrs[to.index()]) {
-                    Ok(_) => {
-                        // Ring before counting, so every counted forward
-                        // already has its doorbell queued. A transport that
-                        // is gone reads nothing more.
-                        let _ = doorbell.send(to);
-                        counts.add(Emu::Forwarded, 1);
-                    }
-                    Err(_) => counts.add(Emu::ForwardErrors, 1),
-                }
-            }
-            Delivery::Dropped { .. } => {} // counted by the fabric, like a real NAT: silence
-        }
+        let middlebox = self.middlebox.borrow();
+        middlebox.counts.report(out, "emulator");
+        middlebox.net.drop_counters().report(out, "emulator");
     }
 }

@@ -13,8 +13,8 @@
 //!   wall-clock-free, so tests of the live code path need no sockets.
 //! * [`crate::UdpTransport`] — real `std::net::UdpSocket`s over loopback,
 //!   with NAT behaviour supplied by the user-space
-//!   [`crate::NatEmulator`] middlebox, whose doorbell tells the driver
-//!   thread which socket to read.
+//!   [`crate::NatEmulator`] middlebox, which every frame passes on its way
+//!   out of the sender's socket.
 
 use nylon_net::{
     Delivery, Endpoint, InFlight, NatClass, NetConfig, Network, PeerId, Slab, SlabKey,

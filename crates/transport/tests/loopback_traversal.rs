@@ -6,7 +6,7 @@
 //! and end-to-end relaying (symmetric combinations). A fourth test drives
 //! raw frames through the emulator to pin down the packet-level NAT
 //! behaviour itself (filtering unsolicited traffic, source rewriting), and
-//! a fifth floods one socket to hold the doorbells to the forwards.
+//! two bursts hold every frame sent to exactly one counted end.
 
 use nylon::{NylonEngine, NylonMsg};
 use nylon_net::{private_endpoint, DropReason, NatClass, NatType, NetConfig, PeerId};
@@ -139,14 +139,7 @@ fn emulator_filters_and_rewrites_raw_frames() {
     let back = wait(&mut transport).expect("reply through the hole must pass");
     assert_eq!(back.to, natted);
     assert!(matches!(back.payload, NylonMsg::Pong { .. }));
-    // The frames arrived, so the middlebox forwarded them — but its
-    // counter increments on the emulator thread; give it a moment rather
-    // than racing a single read.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    while emulator.forwarded() < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(emulator.forwarded() >= 2);
+    assert_eq!(emulator.forwarded(), 2);
 
     // The live report: every counter of both sets under its pinned name,
     // every drop cause of the emulated fabric among them.
@@ -187,71 +180,117 @@ fn emulator_filters_and_rewrites_raw_frames() {
         "drop_fault_loss",
         "drop_partitioned",
     ];
-    let emu = ["forwarded", "malformed", "recv_errors", "forward_errors"];
+    let emu = ["forwarded", "malformed", "outside_senders"];
     assert_eq!(names("emulator"), sorted([&emu[..], &drops].concat()));
     let reported: u64 = drops.iter().map(|m| count("emulator", m)).sum();
     assert_eq!(reported, emulator.drop_counters().total(), "every drop is reported");
     assert_eq!(reported, 1, "one frame was filtered");
 }
 
-/// Doorbells stay one to one with forwarded datagrams when the receiver
-/// falls behind: a flood sent without polling overflows the receiving
-/// socket, and every forward is then either read exactly once or counted
-/// as an overflow drop.
+/// Burst stack: public peer 0 sends to public peers `1..=receivers`.
+fn burst_stack(
+    receivers: usize,
+) -> (UdpTransport<NylonMsg>, NatEmulator, LiveClock, Vec<nylon_net::Endpoint>) {
+    let classes = vec![NatClass::Public; receivers + 1];
+    let net_cfg = NetConfig::default();
+    let clock = LiveClock::start_now();
+    let (transport, emulator) =
+        udp_over_emulated_nat(&classes, &net_cfg, clock.clone()).expect("sockets must bind");
+    let sim_plan: nylon_transport::SimTransport<NylonMsg> =
+        nylon_transport::SimTransport::new(&classes, net_cfg, 0);
+    let eps = (0..=receivers).map(|i| sim_plan.net().identity_endpoint(PeerId(i as u32))).collect();
+    (transport, emulator, clock, eps)
+}
+
+/// Sends `frames` pings from peer 0, frame `k` to peer `1 + k % receivers`.
+fn burst(
+    transport: &mut UdpTransport<NylonMsg>,
+    clock: &LiveClock,
+    eps: &[nylon_net::Endpoint],
+    frames: u32,
+) {
+    let (from, receivers) = (PeerId(0), eps.len() as u32 - 1);
+    for k in 0..frames {
+        let dst = eps[(1 + k % receivers) as usize];
+        let ping = NylonMsg::Ping { from: PeerId(k) };
+        transport.send(clock.now_sim(), from, private_endpoint(from), dst, ping, 8);
+    }
+}
+
+/// Polls until nothing is left and returns, per frame, how often it was
+/// read; each must arrive at the peer it was sent to.
+fn read_all(
+    transport: &mut UdpTransport<NylonMsg>,
+    clock: &LiveClock,
+    frames: u32,
+    receivers: u32,
+) -> Vec<u32> {
+    let mut seen = vec![0u32; frames as usize];
+    while let Some(a) = transport.poll(clock.now_sim()) {
+        let NylonMsg::Ping { from: PeerId(k) } = a.payload else {
+            panic!("a frame that was not sent arrived: {:?}", a.payload)
+        };
+        assert_eq!(a.to, PeerId(1 + k % receivers), "frame {k} reached the wrong peer");
+        seen[k as usize] += 1;
+    }
+    seen
+}
+
+fn live_counts(transport: &UdpTransport<NylonMsg>) -> impl Fn(&str) -> u64 {
+    let mut out = Report::new();
+    transport.obs_report(&mut out);
+    move |metric: &str| match out.get("live", metric) {
+        Some(MetricValue::Counter(c)) => *c,
+        other => panic!("live/{metric} is {other:?}, not a counter"),
+    }
+}
+
+/// The middlebox forwards a frame inside `send`, so a burst sent without
+/// polling is forwarded in full before anything reads it, and every frame
+/// is then read exactly once.
 #[test]
-fn doorbells_account_for_every_forward_under_a_flood() {
+fn every_frame_of_a_burst_is_forwarded_at_send_and_read_once() {
+    // 100 frames a receiver: well within one default socket buffer.
+    const FRAMES: u32 = 3_000;
+    const RECEIVERS: usize = 30;
+    let (mut transport, emulator, clock, eps) = burst_stack(RECEIVERS);
+    burst(&mut transport, &clock, &eps, FRAMES);
+    assert_eq!(live_counts(&transport)("packets_sent"), u64::from(FRAMES));
+    assert_eq!(emulator.forwarded(), u64::from(FRAMES), "forwarded before any poll");
+    assert_eq!(transport.unaccounted(), 0, "every frame waits in the FIFO");
+
+    let seen = read_all(&mut transport, &clock, FRAMES, RECEIVERS as u32);
+    assert!(seen.iter().all(|n| *n == 1), "every frame is read exactly once");
+    let count = live_counts(&transport);
+    assert_eq!(count("packets_received"), u64::from(FRAMES));
+    assert_eq!(count("overflow_drops"), 0);
+    assert_eq!(count("send_errors") + count("recv_errors"), 0);
+    assert_eq!(transport.unaccounted(), 0);
+}
+
+/// A receiver that falls behind overflows its socket: every forward is then
+/// either read exactly once or counted as an overflow drop.
+#[test]
+fn an_overflowed_socket_counts_each_frame_it_dropped() {
     // A 208 KiB default receive buffer holds 256 of these frames. Each
     // one beyond that is a read that waits out its timeout, a scheduler
     // tick, so the flood overflows it by about 250 frames and no more.
     const FLOOD: u32 = 500;
-    const BURST: u32 = 100;
-    let classes = vec![NatClass::Public; 2];
-    let net_cfg = NetConfig::default();
-    let clock = LiveClock::start_now();
-    let (mut transport, emulator): (UdpTransport<NylonMsg>, NatEmulator) =
-        udp_over_emulated_nat(&classes, &net_cfg, clock.clone()).expect("sockets must bind");
-    let sim_plan: nylon_transport::SimTransport<NylonMsg> =
-        nylon_transport::SimTransport::new(&classes, net_cfg, 0);
-    let (from, to) = (PeerId(0), PeerId(1));
-    let dst = sim_plan.net().identity_endpoint(to);
-    // Bursts well below a socket buffer, each forwarded before the next
-    // goes: the flood overflows the receiver's socket, not the emulator's.
-    for burst in 0..FLOOD / BURST {
-        for k in burst * BURST..(burst + 1) * BURST {
-            let ping = NylonMsg::Ping { from: PeerId(k) };
-            transport.send(clock.now_sim(), from, private_endpoint(from), dst, ping, 8);
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while emulator.forwarded() < u64::from((burst + 1) * BURST) {
-            assert!(std::time::Instant::now() < deadline, "the emulator stopped forwarding");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    let forwarded = emulator.forwarded();
-    assert_eq!(forwarded, u64::from(FLOOD), "public -> public frames must pass");
+    let (mut transport, emulator, clock, eps) = burst_stack(1);
+    burst(&mut transport, &clock, &eps, FLOOD);
+    assert_eq!(emulator.forwarded(), u64::from(FLOOD), "public -> public frames must pass");
 
-    let mut seen = vec![false; FLOOD as usize];
-    while let Some(a) = transport.poll(clock.now_sim()) {
-        assert_eq!(a.to, to);
-        let NylonMsg::Ping { from: PeerId(k) } = a.payload else {
-            panic!("a frame that was not sent arrived: {:?}", a.payload)
-        };
-        assert!(!std::mem::replace(&mut seen[k as usize], true), "frame {k} was read twice");
-    }
-
-    let mut out = Report::new();
-    transport.obs_report(&mut out);
-    let count = |metric: &str| match out.get("live", metric) {
-        Some(MetricValue::Counter(c)) => *c,
-        other => panic!("live/{metric} is {other:?}, not a counter"),
-    };
-    let read = seen.iter().filter(|s| **s).count() as u64;
+    let seen = read_all(&mut transport, &clock, FLOOD, 1);
+    assert!(seen.iter().all(|n| *n <= 1), "no frame is read twice");
+    let read = seen.iter().filter(|n| **n == 1).count() as u64;
+    let count = live_counts(&transport);
     assert_eq!(count("packets_received"), read, "every datagram read decoded");
     assert_eq!(
         count("packets_received") + count("overflow_drops"),
-        forwarded,
+        u64::from(FLOOD),
         "each forward is read once or counted as dropped"
     );
     assert!(count("overflow_drops") > 0, "{FLOOD} frames must overflow one socket buffer");
     assert_eq!(count("send_errors") + count("recv_errors"), 0);
+    assert_eq!(transport.unaccounted(), 0);
 }

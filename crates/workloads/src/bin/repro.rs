@@ -30,8 +30,10 @@
 //!
 //! The `live` subcommand runs the on-wire demo instead: N in-process
 //! nodes over real loopback UDP behind the user-space NAT emulator,
-//! driven by the unmodified Nylon engine, then (unless --no-compare)
-//! the simulated twin of the same scenario for a side-by-side.
+//! driven by the unmodified Nylon engine, beside (unless --no-compare)
+//! the simulated twin of the same scenario, which runs first and stays out
+//! of the --stats file. It exits 1 when a frame sent ended in no counted
+//! place.
 //!
 //! --peers N        network size             (default 400; paper 10000)
 //! --seeds K        seeds per data point     (default 3; paper 30)
@@ -208,12 +210,6 @@ fn live_main(args: &[String]) -> ExitCode {
         Ok(None) => return live_usage(""),
         Err(e) => return live_usage(&e),
     };
-    if let Some(path) = &stats {
-        if let Err(e) = nylon_obs::install(std::path::Path::new(path)) {
-            eprintln!("warning: --stats {path} disabled: {e}");
-        }
-    }
-
     eprintln!(
         "[repro] live: {} nodes over loopback UDP, {}% NAT, {} rounds at {} ms/round (~{:.1} s){}",
         scale.peers,
@@ -223,6 +219,15 @@ fn live_main(args: &[String]) -> ExitCode {
         (scale.rounds * scale.period_ms) as f64 / 1000.0,
         scale.faults.map(|s| format!(", faults {}", s.label())).unwrap_or_default()
     );
+    // The simulated twin runs before the sink is installed, so the stats
+    // file holds the live run's rows alone.
+    let sim = compare.then(|| run_sim_twin(&scale));
+    if let Some(path) = &stats {
+        if let Err(e) = nylon_obs::install(std::path::Path::new(path)) {
+            eprintln!("warning: --stats {path} disabled: {e}");
+        }
+    }
+
     let live = match run_live(&scale) {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -263,8 +268,7 @@ fn live_main(args: &[String]) -> ExitCode {
             "faults", live.wire_rebinds, live.wire_cgn
         );
     }
-    if compare {
-        let sim = run_sim_twin(&scale);
+    if let Some(sim) = sim {
         print_snapshot("simulated", &sim);
         println!(
             "{:<10} cluster delta {:+.1} pts (live - simulated)   shuffles {} live / {} simulated",
@@ -276,6 +280,10 @@ fn live_main(args: &[String]) -> ExitCode {
     }
     if stats.is_some() {
         nylon_obs::final_snapshot();
+    }
+    if live.unaccounted > 0 {
+        eprintln!("error: {} frames sent ended in no counted place", live.unaccounted);
+        return ExitCode::FAILURE;
     }
     if live.overlay.cluster_pct < min_cluster {
         eprintln!(

@@ -22,10 +22,6 @@ use nylon_transport::{scaled_configs, udp_over_emulated_nat, LiveClock, LiveRunn
 use crate::runner::{biggest_cluster_pct, build_with_plan, staleness, usable_in_degrees};
 use crate::scenario::Scenario;
 
-/// How long a finished live run waits for the emulator to account for
-/// the frames still in its socket.
-const SETTLE: Duration = Duration::from_millis(200);
-
 /// Scale knobs of a live run.
 #[derive(Debug, Clone)]
 pub struct LiveScale {
@@ -161,9 +157,11 @@ pub struct LiveOutcome {
     /// Datagrams the emulator discarded because their frame header did
     /// not parse.
     pub emulator_malformed: u64,
-    /// Frames sent that the emulator neither forwarded, dropped at a NAT
-    /// nor found malformed: lost before it read them, by a full receive
-    /// buffer or a failed socket write.
+    /// Frames sent that ended in no counted place — read, overflowed,
+    /// failed to write or read, NAT-dropped or malformed: zero unless the
+    /// transport lost track of one ([`UdpTransport::unaccounted`]).
+    ///
+    /// [`UdpTransport::unaccounted`]: nylon_transport::UdpTransport::unaccounted
     pub unaccounted: u64,
     /// Mapping rebinds replayed on the wire (mid-run fault wave).
     pub wire_rebinds: u64,
@@ -174,7 +172,7 @@ pub struct LiveOutcome {
 }
 
 /// Runs the live demo: builds the engine through [`build_with_plan`],
-/// binds one loopback socket per node, spawns the NAT emulator, and
+/// binds one loopback socket per node behind the NAT emulator, and
 /// drives the unmodified engine over real UDP.
 ///
 /// # Panics
@@ -233,18 +231,7 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
     let wall = started.elapsed();
     let decode_errors = runner.transport().decode_errors();
     let packets_sent = runner.transport().packets_sent();
-    // The emulator may still be reading the last tick's frames: give it a
-    // moment to account for every frame sent before counting a loss.
-    let settle_by = std::time::Instant::now() + SETTLE;
-    let unaccounted = loop {
-        let accounted =
-            emulator.forwarded() + emulator.drop_counters().total() + emulator.malformed();
-        let missing = packets_sent.saturating_sub(accounted);
-        if missing == 0 || std::time::Instant::now() >= settle_by {
-            break missing;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    let unaccounted = runner.transport().unaccounted();
     if nylon_obs::is_active() {
         let mut r = nylon_obs::Report::new();
         runner.transport().obs_report(&mut r);

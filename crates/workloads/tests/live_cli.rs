@@ -1,5 +1,6 @@
 //! `repro live` through the release binary's command line: the summary
-//! accounts for every frame the nodes sent.
+//! accounts for every frame the nodes sent, and the stats file holds the
+//! live run alone.
 
 use std::process::Command;
 
@@ -12,8 +13,10 @@ fn count_after(text: &str, label: &str) -> u64 {
 
 #[test]
 fn a_small_live_run_accounts_for_every_frame_it_sent() {
+    let stats = std::env::temp_dir().join(format!("nylon-live-cli-{}.jsonl", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["live", "--peers", "32", "--rounds", "12", "--period-ms", "100"])
+        .args(["live", "--peers", "32", "--rounds", "12", "--period-ms", "100", "--stats"])
+        .arg(&stats)
         .output()
         .expect("repro runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -24,4 +27,17 @@ fn a_small_live_run_accounts_for_every_frame_it_sent() {
     let live = count_after(&stdout, "   shuffles ");
     assert!(live > 0, "no live shuffle completed:\n{stdout}");
     assert!(stdout.contains(&format!("shuffles {live} live / ")), "{stdout}");
+
+    // The simulated twin ran too, yet the fabric rows count the live run's
+    // datagrams alone.
+    let counters = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["stats-report", "--counters"])
+        .arg(&stats)
+        .output()
+        .expect("repro stats-report runs");
+    let _ = std::fs::remove_file(&stats);
+    let counters = String::from_utf8_lossy(&counters.stdout);
+    let sent = count_after(&counters, "live/packets_sent ");
+    assert!(sent > 0, "no live row in the stats file:\n{counters}");
+    assert_eq!(count_after(&counters, "net/datagrams_sent "), sent, "{counters}");
 }

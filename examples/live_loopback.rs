@@ -5,10 +5,10 @@
 //! cargo run --release --example live_loopback
 //! ```
 //!
-//! 32 in-process nodes (each with its own `UdpSocket`, read by the driver
-//! loop) gossip through the user-space NAT emulator for ~3 seconds of wall
-//! time, then the overlay is measured with the same metrics the simulated
-//! figures use.
+//! 32 in-process nodes (each with its own `UdpSocket`, all driven by one
+//! loop on the main thread, which also runs every frame through the
+//! user-space NAT emulator) gossip for ~3 seconds of wall time, then the
+//! overlay is measured with the same metrics the simulated figures use.
 
 use nylon_workloads::live::{run_live, run_sim_twin, LiveScale};
 
