@@ -5,7 +5,7 @@
 //! [`start`](Engine::start), when the population is complete and it knows
 //! how many workers to use. That comes from the [`Workers`] scope the
 //! engine was built in ([`with_workers`]): by default one worker per
-//! 5 000 peers, at least one, at most the cores this thread may use
+//! 625 peers, at least one, at most the cores this thread may use
 //! ([`auto_workers`]); under a fixed [`ShardPlan`], that plan. Each
 //! worker then replays the record on its own thread, keeping state only
 //! for the peers it owns plus the address plan of the rest; a join, which
@@ -35,13 +35,13 @@ use crate::host::{Intro, Protocol, Worker};
 use crate::sampler::PeerSampler;
 use crate::view::PartialView;
 
-/// Peers per worker the automatic sizing aims at. Set when a 2 000-peer
-/// baseline ran no faster on two workers than on one; since the lanes
-/// meet at one yielding barrier a tick, two workers take it from 0.18 to
-/// 0.14 s (README, "worker rule"), so the crossover now lies lower.
-const PEERS_PER_WORKER: usize = 5_000;
+/// Peers per worker the automatic sizing aims at: two workers from 1 250
+/// peers, where a steady baseline runs as fast on two as on one (ledger
+/// sweep, README "worker rule"). Nylon, with more work per peer, gains
+/// from two already at 500.
+const PEERS_PER_WORKER: usize = 625;
 
-/// The number of workers an engine of `peers` starts on: one per 5 000
+/// The number of workers an engine of `peers` starts on: one per 625
 /// peers, at least one, and at most its share of `cores` when it runs as
 /// one of `jobs` concurrent jobs.
 pub fn auto_workers(peers: usize, cores: usize, jobs: usize) -> usize {
@@ -904,12 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_one_per_five_thousand_peers_within_the_core_share() {
+    fn workers_are_one_per_625_peers_within_the_core_share() {
         assert_eq!(auto_workers(400, 2, 1), 1);
-        assert_eq!(auto_workers(9_999, 2, 1), 1);
-        assert_eq!(auto_workers(10_000, 2, 1), 2);
+        assert_eq!(auto_workers(1_249, 2, 1), 1);
+        assert_eq!(auto_workers(1_250, 2, 1), 2);
         assert_eq!(auto_workers(200_000, 2, 1), 2);
-        assert_eq!(auto_workers(20_000, 8, 1), 4);
+        assert_eq!(auto_workers(2_500, 8, 1), 4);
+        assert_eq!(auto_workers(20_000, 8, 1), 8);
         assert_eq!(auto_workers(200_000, 8, 1), 8);
         // `repro --full`: as many jobs as cores leaves each cell one.
         assert_eq!(auto_workers(10_000, 2, 2), 1);

@@ -220,36 +220,14 @@ impl PartialView {
         let cap = self.capacity;
         let entries = &mut scratch.0;
         entries.clear();
-        // Room for every candidate plus the healer's gather: one
+        // Room for every candidate plus the fallback's gather: one
         // allocation for a fresh scratch, none for a warm one.
         entries.reserve(self.entries.len() + received.len() + cap);
         entries.extend_from_slice(&self.entries);
-        // Cheap membership filter for the dedup scan: one bit per id
-        // (mod 64). A clear bit proves the id is absent, so the common
-        // case — a received descriptor not in the view — pushes without
-        // scanning; only possible collisions pay the exact linear check.
-        let mut mask = 0u64;
-        for e in entries.iter() {
-            mask |= 1 << (e.id.0 & 63);
-        }
-        for d in received {
-            if d.id == self.owner {
-                continue;
-            }
-            let bit = 1u64 << (d.id.0 & 63);
-            if mask & bit == 0 {
-                entries.push(*d);
-                mask |= bit;
-                continue;
-            }
-            match entries.iter_mut().find(|e| e.id == d.id) {
-                Some(existing) => {
-                    if d.age < existing.age {
-                        *existing = *d;
-                    }
-                }
-                None => entries.push(*d),
-            }
+        if entries.len() + received.len() <= KERNEL_CANDIDATES {
+            dedup_indexed(entries, received, self.owner);
+        } else {
+            dedup_filtered(entries, received, self.owner);
         }
         if entries.len() > cap {
             let excess = entries.len() - cap;
@@ -267,6 +245,9 @@ impl PartialView {
                     // random: a stable sort would systematically favour
                     // incumbents over freshly appended descriptors of equal
                     // age, starving newly joined peers out of every view.
+                    if select_youngest_shuffled(entries, cap, rng, &mut self.entries) {
+                        return;
+                    }
                     rng.shuffle(entries);
                     select_youngest_stable(entries, cap);
                 }
@@ -321,10 +302,158 @@ impl PartialView {
     }
 }
 
+/// Merges with at most this many candidates (incumbents plus received)
+/// dedup through [`dedup_indexed`], and healer merges with at most this
+/// many after dedup select through [`select_youngest_shuffled`]: one bit
+/// each in a `u64` position mask, one byte each in the permutation.
+const KERNEL_CANDIDATES: usize = 64;
+
+/// [`select_youngest_shuffled`] handles ages below this, one position
+/// mask each; a merge holding an older candidate takes the sort. An age
+/// counts the shuffle periods since its peer sent it, and a healer view
+/// keeps the youngest, so only a node whose shuffles have failed for many
+/// periods holds one this old.
+const KERNEL_AGES: usize = 63;
+
+/// Slots of [`dedup_indexed`]'s open-addressed index: at most a quarter
+/// full, so a probe rarely passes a second slot.
+const INDEX_SLOTS: usize = 256;
+
+/// Appends each of `received` that is neither the owner nor already among
+/// `entries`; a duplicate instead replaces its candidate when younger.
+/// Exact: an open-addressed index of candidate positions, keyed by id,
+/// stands in for a scan of the 20-byte entries. Needs
+/// `entries.len() + received.len() <= KERNEL_CANDIDATES`, and the
+/// incumbents in `entries` distinct, as a view's are.
+fn dedup_indexed(entries: &mut Vec<NodeDescriptor>, received: &[NodeDescriptor], owner: PeerId) {
+    debug_assert!(entries.len() + received.len() <= KERNEL_CANDIDATES);
+    // Candidate position + 1 per slot; 0 = vacant.
+    let mut index = [0u8; INDEX_SLOTS];
+    let home = |id: PeerId| (id.0.wrapping_mul(0x9E37_79B9) >> 24) as usize;
+    for (pos, e) in entries.iter().enumerate() {
+        let mut slot = home(e.id);
+        while index[slot] != 0 {
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+        index[slot] = pos as u8 + 1;
+    }
+    for d in received {
+        if d.id == owner {
+            continue;
+        }
+        let mut slot = home(d.id);
+        loop {
+            let Some(pos) = index[slot].checked_sub(1) else {
+                index[slot] = entries.len() as u8 + 1;
+                entries.push(*d);
+                break;
+            };
+            let existing = &mut entries[pos as usize];
+            if existing.id == d.id {
+                if d.age < existing.age {
+                    *existing = *d;
+                }
+                break;
+            }
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+    }
+}
+
+/// [`dedup_indexed`] for merges of more than [`KERNEL_CANDIDATES`]: a
+/// membership filter of one bit per id (mod 64) in front of a linear scan.
+/// A clear bit proves the id is absent, so only possible collisions pay
+/// the scan.
+fn dedup_filtered(entries: &mut Vec<NodeDescriptor>, received: &[NodeDescriptor], owner: PeerId) {
+    let mut mask = 0u64;
+    for e in entries.iter() {
+        mask |= 1 << (e.id.0 & 63);
+    }
+    for d in received {
+        if d.id == owner {
+            continue;
+        }
+        let bit = 1u64 << (d.id.0 & 63);
+        if mask & bit == 0 {
+            entries.push(*d);
+            mask |= bit;
+            continue;
+        }
+        match entries.iter_mut().find(|e| e.id == d.id) {
+            Some(existing) => {
+                if d.age < existing.age {
+                    *existing = *d;
+                }
+            }
+            None => entries.push(*d),
+        }
+    }
+}
+
+/// The healer's shuffle, stable sort by age and truncate to `cap`, written
+/// into `out` — the same entries in the same order for the same draws, if
+/// `entries` holds at most [`KERNEL_CANDIDATES`] candidates all younger
+/// than [`KERNEL_AGES`]. Otherwise it draws nothing, leaves `out` alone
+/// and returns `false`.
+///
+/// The Fisher–Yates runs over a byte permutation of the positions instead
+/// of the 20-byte entries: its draws depend on the length alone, so they
+/// are the entry shuffle's. Shuffled position `k` then sets bit `k` in
+/// its age's mask, and walking the ages youngest-first, each mask's bits
+/// lowest-first, visits the candidates in the stable sort's order.
+fn select_youngest_shuffled(
+    entries: &[NodeDescriptor],
+    cap: usize,
+    rng: &mut SimRng,
+    out: &mut Vec<NodeDescriptor>,
+) -> bool {
+    let n = entries.len();
+    debug_assert!(n > cap);
+    if n > KERNEL_CANDIDATES {
+        return false;
+    }
+    let mut ages = [0u8; KERNEL_CANDIDATES];
+    for (age, e) in ages.iter_mut().zip(entries) {
+        if usize::from(e.age) >= KERNEL_AGES {
+            return false;
+        }
+        *age = e.age as u8;
+    }
+    let mut perm = [0u8; KERNEL_CANDIDATES];
+    for (k, p) in perm.iter_mut().enumerate() {
+        *p = k as u8;
+    }
+    let perm = &mut perm[..n];
+    rng.shuffle(perm);
+    // Shuffled positions per age, and the ages present.
+    let mut at_age = [0u64; KERNEL_AGES];
+    let mut present = 0u64;
+    for (k, &p) in perm.iter().enumerate() {
+        let age = ages[p as usize];
+        at_age[age as usize] |= 1 << k;
+        present |= 1 << age;
+    }
+    out.clear();
+    let mut left = cap;
+    while left > 0 {
+        let age = present.trailing_zeros() as usize;
+        present &= present - 1;
+        let mut positions = at_age[age];
+        while positions != 0 && left > 0 {
+            let k = positions.trailing_zeros() as usize;
+            positions &= positions - 1;
+            out.push(entries[perm[k] as usize]);
+            left -= 1;
+        }
+    }
+    true
+}
+
 /// Keeps the `cap` youngest of `entries`, in age order with ties in
 /// current array order — exactly the truncated result of a stable
 /// `sort_by_key(age)`, without the sort (Rust's stable sort allocates a
-/// merge buffer; this is in place and allocation-free).
+/// merge buffer; this is in place and allocation-free). The healer's
+/// fallback for merges [`select_youngest_shuffled`] declines.
 ///
 /// Bounded stable selection: `entries[0..k]` is maintained as the sorted
 /// prefix of the youngest entries seen so far (`k <= cap`). Each element
@@ -333,8 +462,8 @@ impl PartialView {
 /// is full) or is skipped because the stable sort would have placed it
 /// past the capacity cut. O(n · cap) worst case over a few dozen 20-byte
 /// entries — cheaper than the sort's allocation alone. Equivalence to the
-/// sort is proven by `prop_merge_matches_reference` (packed-key path) and
-/// `oversized_merge_matches_reference` (the n > 256 fallback).
+/// sort is proven by `prop_kernel_edges_match_reference` (packed-key path)
+/// and `oversized_merge_matches_reference` (the n > 256 fallback).
 fn select_youngest_stable(entries: &mut Vec<NodeDescriptor>, cap: usize) {
     let n = entries.len();
     debug_assert!(n > cap);
@@ -664,7 +793,108 @@ mod tests {
         }
     }
 
+    /// The shuffled selection takes exactly the merges within its edges —
+    /// up to 64 candidates, every age below 63 — and, on one that it
+    /// takes, writes what the entry shuffle, stable sort and truncate
+    /// keep, after the same draws.
+    #[test]
+    fn shuffled_selection_takes_exactly_its_edges() {
+        let cands = |n: u32, old: u16| -> Vec<NodeDescriptor> {
+            (1..=n).map(|i| d(i, if i == n { old } else { (i % 5) as u16 })).collect()
+        };
+        for (n, old, taken) in [
+            (64, 62, true),
+            (64, 63, false),
+            (64, 64, false),
+            (64, u16::MAX, false),
+            (65, 0, false),
+            (16, 62, true),
+            (16, 63, false),
+        ] {
+            let entries = cands(n, old);
+            let (mut rng, mut rng_ref) = (SimRng::new(u64::from(n)), SimRng::new(u64::from(n)));
+            let mut out = Vec::new();
+            let took = select_youngest_shuffled(&entries, 15, &mut rng, &mut out);
+            assert_eq!(took, taken, "{n} candidates, oldest {old}");
+            let mut expected = entries.clone();
+            if took {
+                rng_ref.shuffle(&mut expected);
+                expected.sort_by_key(|e| e.age);
+                expected.truncate(15);
+            } else {
+                expected.clear();
+            }
+            assert_eq!(out, expected, "{n} candidates, oldest {old}");
+            assert_eq!(rng.gen_u64(), rng_ref.gen_u64(), "{n} candidates, oldest {old}");
+        }
+    }
+
+    /// An age for [`prop_kernel_edges_match_reference`] from a `(kind,
+    /// raw)` draw: mostly young ones that tie, some around the kernel's
+    /// limit (60..66), some of any age at all.
+    fn edge_age(kind: u8, raw: u16) -> u16 {
+        match kind {
+            0..=5 => raw % 8,
+            6 | 7 => 60 + raw % 6,
+            _ => raw,
+        }
+    }
+
     proptest! {
+        /// The merge kernel's edges against the reference: views of 15,
+        /// 27 and 50; merges of up to and past 64 candidates (ids in
+        /// 0..100 against up to 50 incumbents); batches whose ages reach
+        /// at most 62, exactly 63 or anything above, ties and equal-age
+        /// duplicates among them; id 0, the owner, as self entries. After
+        /// every merge the contents, their order and the RNG stream
+        /// position must be the reference's.
+        #[test]
+        fn prop_kernel_edges_match_reference(
+            seed in any::<u64>(),
+            cap_pick in 0usize..3,
+            batches in proptest::collection::vec(
+                (0usize..3, proptest::collection::vec((0u32..100, 0u8..9, any::<u16>()), 0..90)),
+                1..6,
+            ),
+        ) {
+            let cap = [15, 27, 50][cap_pick];
+            let mut rng_new = SimRng::new(seed);
+            let mut rng_ref = SimRng::new(seed);
+            let mut v_new = PartialView::new(PeerId(0), cap);
+            let mut v_ref = PartialView::new(PeerId(0), cap);
+            for (bi, (ceiling_pick, batch)) in batches.iter().enumerate() {
+                let ceiling = [62, 63, u16::MAX][*ceiling_pick];
+                let received: Vec<NodeDescriptor> = batch
+                    .iter()
+                    .map(|&(id, kind, raw)| d(id, edge_age(kind, raw).min(ceiling)))
+                    .collect();
+                let sent = v_new.ids();
+                let policy = match bi % 4 {
+                    2 => MergePolicy::Swapper,
+                    3 => MergePolicy::Blind,
+                    _ => MergePolicy::Healer,
+                };
+                v_new.merge_and_truncate(&received, &sent, policy, &mut rng_new);
+                v_ref.merge_and_truncate_reference(&received, &sent, policy, &mut rng_ref);
+                prop_assert_eq!(
+                    v_new.as_slice(),
+                    v_ref.as_slice(),
+                    "entry order diverged from reference after batch {} ({:?})",
+                    bi,
+                    policy
+                );
+                prop_assert_eq!(
+                    rng_new.gen_u64(),
+                    rng_ref.gen_u64(),
+                    "RNG stream diverged from reference after batch {} ({:?})",
+                    bi,
+                    policy
+                );
+                v_new.increase_age();
+                v_ref.increase_age();
+            }
+        }
+
         /// Invariants hold after arbitrary merge sequences: bounded size, no
         /// duplicates, no self-reference.
         #[test]

@@ -45,7 +45,7 @@
 //!                  (default: available parallelism)
 //! --shards N       run every engine of every artifact's cells on N
 //!                  lockstep workers, one thread each, instead of letting
-//!                  it size itself (one worker per 5 000 peers, at most
+//!                  it size itself (one worker per 625 peers, at most
 //!                  the cores left per concurrent job); 0 is the same as
 //!                  no flag. Like --jobs, a wall-clock knob: output is
 //!                  byte-identical for every N and without the flag.

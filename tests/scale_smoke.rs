@@ -121,14 +121,17 @@ fn view_buffers_hold_exactly_their_capacity() {
 /// last growth step, which alone may reach 1.5 ×). A wheel whose every
 /// slot kept the buffer of the busiest bucket it had held reads 97–105 ×
 /// here: each re-armed round timer lands 5 s ahead, so 82 % of the
-/// population passes through every 4.096 s level-2 bucket.
+/// population passes through every 4.096 s level-2 bucket. One worker,
+/// so one wheel holds every peer's events: a self-sized engine of this
+/// size would start two.
 #[test]
 fn wheel_buffers_follow_pending_events() {
     /// A wheel entry: the 8-byte firing time and the 8-byte event (a peer
     /// id or a slab handle behind an enum tag).
     const ENTRY_BYTES: u64 = 16;
     fn wheel<C: SamplerConfig>(scn: &Scenario, cfg: C) -> (u64, u64) {
-        let mut eng = build(scn, cfg);
+        let one = Workers::Plan(ShardPlan::round_robin(1));
+        let mut eng = with_workers(one, || build(scn, cfg));
         eng.run_rounds(60);
         (metric(&eng, "kernel", "wheel_slot_bytes"), metric(&eng, "kernel", "queue_depth_hwm"))
     }
