@@ -81,13 +81,9 @@ pub fn with_workers<R>(workers: Workers, f: impl FnOnce() -> R) -> R {
 /// Panics on a zero-minimum-latency config (the lookahead argument needs
 /// every send to take at least one virtual millisecond).
 fn lockstep_tick(cfg: &NetConfig) -> SimDuration {
-    let base = cfg.latency.as_millis();
-    let jitter = cfg.latency_jitter.as_millis();
-    // Mirrors Network::send: jitter-free sends take exactly `base`;
-    // jittered ones are clamped below at 1 ms.
-    let min = if jitter == 0 { base } else { base.saturating_sub(jitter).max(1) };
-    assert!(min >= 1, "sharded runs need a minimum network latency of at least 1 ms");
-    SimDuration::from_millis(min)
+    let min = cfg.min_latency();
+    assert!(!min.is_zero(), "sharded runs need a minimum network latency of at least 1 ms");
+    min
 }
 
 /// The cores this process may use.
@@ -386,9 +382,9 @@ impl<P: Protocol> Engine<P> {
     /// The protocol state of the engine's one worker, for
     /// protocol-specific accessors (e.g. Nylon's `routing_of`).
     ///
-    /// An engine of 10 000 peers or more starts on several workers when
-    /// the machine has the cores (see [`auto_workers`]); a caller that
-    /// needs this at that scale pins one worker by building the engine
+    /// An engine starts on several workers when [`auto_workers`] gives
+    /// more than one for its population on the machine's cores; a caller
+    /// that needs this then pins one worker by building the engine
     /// under [`with_workers`]`(Workers::Plan(ShardPlan::round_robin(1)), ..)`.
     /// Counters summed over the workers are [`stats`](Self::stats).
     ///
@@ -402,9 +398,9 @@ impl<P: Protocol> Engine<P> {
     /// The fabric of the engine's one worker (for oracles and traffic
     /// stats).
     ///
-    /// As with [`protocol`](Self::protocol), a caller that needs this at
-    /// 10 000 peers or more pins one worker. At any worker count,
-    /// [`traffic_of`](Self::traffic_of) answers `net().stats_of`, and
+    /// As with [`protocol`](Self::protocol), a caller that needs this on
+    /// an engine [`auto_workers`] would split pins one worker. At any
+    /// worker count, [`traffic_of`](Self::traffic_of) answers `net().stats_of`, and
     /// [`class_of`](Self::class_of), [`is_alive`](Self::is_alive) and
     /// [`peer_count`](Self::peer_count) their namesakes.
     ///

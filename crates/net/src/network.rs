@@ -21,8 +21,8 @@ use crate::natbox::NatBox;
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// One-way message latency (paper: 50 ms). Engines advance in ticks of
-    /// the shortest latency a datagram can see and refuse a fabric where
-    /// that is under 1 ms; a bare [`Network`] takes any value.
+    /// [`NetConfig::min_latency`] and refuse a fabric where that is under
+    /// 1 ms; a bare [`Network`] takes any value.
     pub latency: SimDuration,
     /// Uniform latency jitter, applied as ± `jitter` around [`NetConfig::latency`].
     pub latency_jitter: SimDuration,
@@ -31,6 +31,22 @@ pub struct NetConfig {
     /// Lifetime of NAT mappings/filter rules after the last activity
     /// (paper: 90 s, "a typical vendor value").
     pub hole_timeout: SimDuration,
+}
+
+impl NetConfig {
+    /// The shortest one-way latency a datagram can see: [`latency`] less
+    /// [`latency_jitter`], never under 1 ms when there is jitter (a
+    /// jittered draw is clamped there). Engines tick at this lookahead.
+    ///
+    /// [`latency`]: NetConfig::latency
+    /// [`latency_jitter`]: NetConfig::latency_jitter
+    pub fn min_latency(&self) -> SimDuration {
+        if self.latency_jitter.is_zero() {
+            self.latency
+        } else {
+            self.latency.saturating_sub(self.latency_jitter).max(SimDuration::from_millis(1))
+        }
+    }
 }
 
 /// Per-datagram overhead added to every payload (IP + UDP headers).
@@ -290,8 +306,7 @@ pub struct Network<P> {
     alive_count: usize,
     /// Active fault windows; `None` on the clean path.
     fault_overlay: Option<FaultOverlay>,
-    /// Distribution of per-datagram wire sizes, recorded at every send
-    /// (zero-sized no-op unless the telemetry feature is on).
+    /// Distribution of per-datagram wire sizes, recorded at every send.
     wire_hist: nylon_obs::Histogram,
     _payload: std::marker::PhantomData<fn() -> P>,
 }
@@ -576,16 +591,15 @@ impl<P> Network<P> {
             self.drops.bump(DropReason::Loss);
             return None;
         }
-        let jitter = self.cfg.latency_jitter.as_millis();
-        let latency_ms = if jitter == 0 {
-            self.cfg.latency.as_millis()
+        let (base, jitter) = (self.cfg.latency.as_millis(), self.cfg.latency_jitter.as_millis());
+        let sampled = if jitter == 0 {
+            base
         } else {
-            let base = self.cfg.latency.as_millis();
-            let sampled = self.peer_rng[slot].gen_range(0..=2 * jitter);
-            (base + sampled).saturating_sub(jitter).max(1)
+            (base + self.peer_rng[slot].gen_range(0..=2 * jitter)).saturating_sub(jitter)
         };
+        let latency = SimDuration::from_millis(sampled).max(self.cfg.min_latency());
         Some(InFlight {
-            arrive_at: now + SimDuration::from_millis(latency_ms),
+            arrive_at: now + latency,
             src_ep,
             dst_ep,
             sender: peer,
@@ -1168,17 +1182,29 @@ mod tests {
         assert_eq!(net.stats_of(a).msgs_sent, 1);
     }
 
+    /// Every arrival lies within ± jitter of the latency and never before
+    /// `min_latency()`, the floor engines tick at: jitter below, equal to
+    /// and above the latency, and none.
     #[test]
     fn jitter_bounds_latency() {
-        let cfg =
-            NetConfig { latency_jitter: SimDuration::from_millis(20), ..NetConfig::default() };
-        let mut net = Net::new(cfg, 42);
-        let a = net.add_peer(NatClass::Public);
-        let b = net.add_peer(NatClass::Public);
-        for _ in 0..200 {
-            let f = net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).unwrap();
-            let ms = f.arrive_at.as_millis();
-            assert!((30..=70).contains(&ms), "latency {ms}ms out of bounds");
+        for (latency, jitter, floor) in [(50, 20, 30), (20, 20, 1), (5, 20, 1), (50, 0, 50)] {
+            let cfg = NetConfig {
+                latency: SimDuration::from_millis(latency),
+                latency_jitter: SimDuration::from_millis(jitter),
+                ..NetConfig::default()
+            };
+            assert_eq!(cfg.min_latency(), SimDuration::from_millis(floor));
+            let mut net = Net::new(cfg, 42);
+            let a = net.add_peer(NatClass::Public);
+            let b = net.add_peer(NatClass::Public);
+            for _ in 0..200 {
+                let f = net.send(SimTime::ZERO, a, net.identity_endpoint(b), 1, 10).unwrap();
+                let ms = f.arrive_at.as_millis();
+                assert!(
+                    (floor..=latency + jitter).contains(&ms),
+                    "latency {ms}ms out of bounds at {latency} ± {jitter}ms"
+                );
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! Log-bucket index math shared by the live [`Histogram`](crate::Histogram)
-//! and its feature-off stub's snapshot type.
+//! Log-bucket index math shared by [`Histogram`](crate::Histogram) and
+//! its snapshot type.
 //!
 //! The layout is a sub-bucketed base-2 logarithm: each octave `[2^k, 2^(k+1))`
 //! splits into 4 equal sub-buckets, bounding the relative quantization error

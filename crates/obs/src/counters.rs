@@ -11,8 +11,7 @@
 //! enum, its `Display` and the `u64` set (`bump(key)`, `set[key]`). The
 //! fabric's drop reasons and the live path's counters are keyed sets.
 //!
-//! Both kinds are compiled in whether or not the `enabled` feature is, and
-//! are folded into a [`Report`] only at report time.
+//! Both kinds are folded into a [`Report`] only at report time.
 //!
 //! [`counters!`]: crate::counters
 //! [`keyed_counters!`]: crate::keyed_counters

@@ -1,7 +1,6 @@
 //! The workspace's one JSON codec: a value tree, a parser and a writer for
 //! the line-oriented files the tools exchange — `--stats` snapshots
 //! ([`crate::install`]) and the experiment executor's checkpoint cells.
-//! Always compiled, whatever the `enabled` feature says.
 //!
 //! Two properties the callers lean on:
 //!

@@ -1,15 +1,13 @@
-//! Zero-overhead runtime telemetry for the Nylon reproduction.
+//! Runtime telemetry for the Nylon reproduction.
 //!
-//! Three primitive kinds — monotonic [`Counter`]s, high-water [`Gauge`]s,
-//! and log-bucketed [`Histogram`]s — plus a process-global JSONL stats
-//! sink ([`install`] / [`merge_report`] / [`final_snapshot`]). Everything
-//! hot-path is gated on the `enabled` cargo feature: with the feature off
-//! the primitives are zero-sized types (const-asserted in `metrics.rs`)
-//! whose methods are empty `#[inline]` stubs, so instrumented crates pay
-//! nothing. The protocols', fabric's, fault plane's and live path's own
-//! `u64` counter sets, which the figures read, are always compiled: each is
-//! declared once with [`counters!`] (named fields) or [`keyed_counters!`]
-//! (indexed by an enum) and reported
+//! Log-bucketed [`Histogram`]s, the [`Report`] they and every other
+//! reading fold into, and a process-global JSONL stats sink ([`install`]
+//! / [`merge_report`] / [`final_snapshot`]). One build: what a layer
+//! records costs the same whether or not a sink is installed, and that
+//! cost is on the performance ledger. The protocols', fabric's, fault
+//! plane's, kernel's and live path's counts are plain `u64`s: the counter
+//! sets the figures read are each declared once with [`counters!`] (named
+//! fields) or [`keyed_counters!`] (indexed by an enum) and reported
 //! through [`Counters`].
 //!
 //! Two contracts the rest of the workspace leans on:
@@ -38,17 +36,10 @@ mod sink;
 mod timer;
 
 pub use counters::Counters;
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::Histogram;
 pub use report::{HistSnapshot, MetricValue, Report};
 pub use sink::{final_snapshot, install, is_active, merge_report, periodic_snapshot};
 pub use timer::{PhaseMark, PhaseTimer};
-
-/// `true` when the `enabled` cargo feature is compiled in.
-///
-/// A `const`, so `if nylon_obs::ENABLED { .. }` around measurement code
-/// (e.g. `Instant` reads for barrier-stall timing) is dead-code-eliminated
-/// in the disabled configuration.
-pub const ENABLED: bool = cfg!(feature = "enabled");
 
 /// Schema identifier written into every snapshot line of the stats JSONL.
 ///

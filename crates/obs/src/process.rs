@@ -15,8 +15,8 @@ fn status_fields() -> (Option<u64>, Option<u64>) {
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or
-/// `None` off Linux / without procfs. Always compiled: it reads kernel
-/// state, costs one file read, and is only called at snapshot time.
+/// `None` off Linux / without procfs. One file read, made at snapshot
+/// time.
 pub fn peak_rss_bytes() -> Option<u64> {
     status_fields().0
 }

@@ -3,10 +3,9 @@
 //! the same totals no matter the completion order (`--jobs` and the worker
 //! count never change stats semantics).
 //!
-//! Always compiled — reports are only built at cell boundaries and
-//! snapshot time, never on a hot path — but with the `enabled` feature off
-//! every counter reads 0 and the sink refuses to install, so none of this
-//! runs.
+//! Reports are only built at cell boundaries and snapshot time, never on
+//! a hot path, and only when the sink [`is_active`](crate::is_active) or
+//! a caller asks for one.
 
 use std::collections::BTreeMap;
 

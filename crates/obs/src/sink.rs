@@ -11,31 +11,22 @@
 //!   "exec":{"cells_completed":{"type":"counter","value":3}, ...}, ...}}
 //! ```
 //!
-//! Lines are written through [`crate::json::Writer`]. With the `enabled`
-//! feature off the whole module is a stub — [`install`] reports
-//! `Unsupported` and [`is_active`] is a constant `false`.
+//! Lines are written through [`crate::json::Writer`]. Until [`install`]
+//! succeeds [`is_active`] is `false` and every other call is a no-op.
 
 use std::io;
 use std::path::Path;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
-#[cfg(feature = "enabled")]
 use crate::json::Writer;
-#[cfg(feature = "enabled")]
-use crate::report::MetricValue;
-use crate::report::Report;
+use crate::report::{MetricValue, Report};
 
 /// Minimum milliseconds between two periodic snapshot lines; calls inside
 /// the window are dropped (the final snapshot always writes).
-#[cfg(feature = "enabled")]
 const PERIODIC_EVERY_MS: u64 = 1000;
 
-#[cfg(feature = "enabled")]
 struct Sink {
     started: Instant,
     file: Mutex<io::BufWriter<std::fs::File>>,
@@ -44,12 +35,10 @@ struct Sink {
     last_emit_ms: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 static SINK: OnceLock<Sink> = OnceLock::new();
 
 /// Opens `path` (truncating) as the process-global stats sink. At most
 /// one sink per process: a second call fails with `AlreadyExists`.
-#[cfg(feature = "enabled")]
 pub fn install(path: &Path) -> io::Result<()> {
     let file = std::fs::File::create(path)?;
     let sink = Sink {
@@ -64,13 +53,11 @@ pub fn install(path: &Path) -> io::Result<()> {
 
 /// `true` once [`install`] has succeeded — the cue for instrumented code
 /// to build and merge reports (skip the work entirely when off).
-#[cfg(feature = "enabled")]
 pub fn is_active() -> bool {
     SINK.get().is_some()
 }
 
 /// Folds `r` into the global aggregate. No-op without an installed sink.
-#[cfg(feature = "enabled")]
 pub fn merge_report(r: &Report) {
     if let Some(s) = SINK.get() {
         s.agg.lock().expect("stats aggregate poisoned").absorb(r);
@@ -79,7 +66,6 @@ pub fn merge_report(r: &Report) {
 
 /// Writes a `"periodic"` snapshot line unless one was written within the
 /// last second. Call freely at natural boundaries (cell completions).
-#[cfg(feature = "enabled")]
 pub fn periodic_snapshot() {
     let Some(s) = SINK.get() else { return };
     let now_ms = s.started.elapsed().as_millis() as u64;
@@ -93,14 +79,12 @@ pub fn periodic_snapshot() {
 }
 
 /// Writes the closing `"final"` snapshot line (never rate-limited).
-#[cfg(feature = "enabled")]
 pub fn final_snapshot() {
     let Some(s) = SINK.get() else { return };
     let now_ms = s.started.elapsed().as_millis() as u64;
     write_snapshot(s, "final", now_ms);
 }
 
-#[cfg(feature = "enabled")]
 fn write_snapshot(s: &Sink, kind: &str, t_ms: u64) {
     let mut report = s.agg.lock().expect("stats aggregate poisoned").clone();
     // Process-wide context every snapshot should carry, refreshed at
@@ -135,7 +119,6 @@ fn write_snapshot(s: &Sink, kind: &str, t_ms: u64) {
     let _ = file.flush();
 }
 
-#[cfg(feature = "enabled")]
 fn write_metric(w: &mut Writer, value: &MetricValue) {
     w.open('{').key("type");
     match value {
@@ -157,67 +140,7 @@ fn write_metric(w: &mut Writer, value: &MetricValue) {
     w.close('}');
 }
 
-// ---------------------------------------------------------------------------
-// disabled: stubs
-// ---------------------------------------------------------------------------
-
-/// Opens a stats sink (stub: always `Unsupported` — the binary was built
-/// without the `enabled` feature, so there is nothing to record).
-#[cfg(not(feature = "enabled"))]
-pub fn install(_path: &Path) -> io::Result<()> {
-    Err(io::Error::new(io::ErrorKind::Unsupported, "built without the nylon-obs `enabled` feature"))
-}
-
-/// `true` once a sink is installed (stub: always `false`).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn is_active() -> bool {
-    false
-}
-
-/// Folds a report into the global aggregate (stub: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn merge_report(_r: &Report) {}
-
-/// Writes a rate-limited periodic snapshot (stub: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn periodic_snapshot() {}
-
-/// Writes the closing snapshot (stub: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn final_snapshot() {}
-
-#[cfg(all(test, not(feature = "enabled")))]
-mod disabled_tests {
-    use super::*;
-    use crate::{Counter, Histogram};
-
-    #[test]
-    fn sink_and_primitives_are_inert() {
-        let path = std::env::temp_dir().join(format!("nylon_obs_off_{}.jsonl", std::process::id()));
-        let err = install(&path).expect_err("a disabled build has no sink to install");
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        assert!(!is_active());
-
-        let mut r = Report::new();
-        r.counter("kernel", "events_processed", 42);
-        merge_report(&r);
-        periodic_snapshot();
-        final_snapshot();
-        assert!(!path.exists(), "a disabled sink must not touch the file system");
-
-        let (c, mut h) = (Counter::new(), Histogram::new());
-        c.add(7);
-        h.record(7);
-        assert_eq!((c.get(), h.count()), (0, 0));
-        assert_eq!(h.snapshot(), crate::HistSnapshot::default());
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,8 +1,7 @@
 //! Wall-clock phase timing for executors and drivers.
 //!
-//! Always compiled (no feature gate): phase timing feeds user-facing
-//! progress lines, which must exist whether or not the stats sink is
-//! active. One [`PhaseTimer`] per run is the intended shape — every
+//! Phase timing feeds user-facing progress lines, which must exist
+//! whether or not the stats sink is active. One [`PhaseTimer`] per run is the intended shape — every
 //! worker measures its cells as offsets from the same epoch, so all
 //! reported durations share one clock instead of one `Instant` per
 //! worker.

@@ -246,9 +246,8 @@ pub struct EventQueue<E> {
     /// Slot of `pending`'s head block that holds its next entry.
     cursor: usize,
     arena: Arena<E>,
-    /// High-water mark of `len` (zero-sized no-op unless the telemetry
-    /// feature is on — see `nylon-obs`).
-    depth_hwm: nylon_obs::Gauge,
+    /// High-water mark of `len`; [`clear`](Self::clear) keeps it.
+    depth_hwm: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -262,7 +261,7 @@ impl<E> EventQueue<E> {
             pending: Chain::EMPTY,
             cursor: 0,
             arena: Arena::new(),
-            depth_hwm: nylon_obs::Gauge::new(),
+            depth_hwm: 0,
         }
     }
 
@@ -296,13 +295,13 @@ impl<E> EventQueue<E> {
         );
         self.insert(Entry { at, event });
         self.len += 1;
-        self.depth_hwm.set_max(self.len as u64);
+        self.depth_hwm = self.depth_hwm.max(self.len as u64);
     }
 
-    /// High-water mark of the queue depth since construction (0 when the
-    /// telemetry feature is off).
+    /// High-water mark of the queue depth since construction, across
+    /// [`clear`](Self::clear)s.
     pub fn depth_hwm(&self) -> u64 {
-        self.depth_hwm.get()
+        self.depth_hwm
     }
 
     /// Events currently parked in each wheel level (report-time telemetry).
@@ -678,6 +677,30 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// `kernel/queue_depth_hwm` (no golden holds it): the deepest the
+    /// queue has been since construction, which neither a pop nor a
+    /// `clear` lowers.
+    #[test]
+    fn depth_hwm_tracks_the_deepest_queue() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.depth_hwm(), 0);
+        for i in 0..3 {
+            q.schedule(SimTime::from_millis(10 + i), i);
+        }
+        assert_eq!(q.depth_hwm(), 3);
+        assert!(q.pop().is_some() && q.pop().is_some());
+        q.schedule(SimTime::from_millis(50), 9);
+        assert_eq!((q.len(), q.depth_hwm()), (2, 3));
+        for i in 0..3 {
+            q.schedule(SimTime::from_millis(60), i);
+        }
+        assert_eq!(q.depth_hwm(), 5);
+        q.clear();
+        assert_eq!(q.depth_hwm(), 5, "clear keeps the high-water mark");
+        q.schedule(SimTime::from_millis(1), 0);
+        assert_eq!(q.depth_hwm(), 5);
     }
 
     #[test]

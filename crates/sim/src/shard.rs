@@ -364,33 +364,28 @@ impl Drop for Leave<'_> {
 /// staged, one vector per destination lane.
 type OutboxSet<E> = Vec<Mutex<Vec<Vec<E>>>>;
 
-/// Per-shard exchange telemetry (all fields are zero-sized no-ops unless
-/// the `nylon-obs` `enabled` feature is on).
+/// Per-shard exchange telemetry.
 #[derive(Debug, Default)]
 struct LaneObs {
     /// Lockstep ticks this lane ran.
-    ticks: nylon_obs::Counter,
+    ticks: u64,
     /// Envelopes this lane staged into the exchange (all destinations).
-    envelopes: nylon_obs::Counter,
+    envelopes: u64,
     /// Wire bytes those envelopes carried (per `ShardWorker::envelope_bytes`).
-    bytes: nylon_obs::Counter,
+    bytes: u64,
     /// Wall-clock nanoseconds this lane spent waiting at the tick barrier,
     /// yielding or asleep — the lockstep imbalance cost.
-    stall_ns: nylon_obs::Counter,
+    stall_ns: u64,
 }
 
 impl LaneObs {
     /// Counts one staged outbox (a tick's worth of envelopes).
     #[inline]
-    fn note_staged<W: ShardWorker>(&self, staged: &[Vec<W::Envelope>]) {
-        if nylon_obs::ENABLED {
-            self.ticks.inc();
-            for per_dst in staged {
-                self.envelopes.add(per_dst.len() as u64);
-                for env in per_dst {
-                    self.bytes.add(W::envelope_bytes(env));
-                }
-            }
+    fn note_staged<W: ShardWorker>(&mut self, staged: &[Vec<W::Envelope>]) {
+        self.ticks += 1;
+        for per_dst in staged {
+            self.envelopes += per_dst.len() as u64;
+            self.bytes += per_dst.iter().map(W::envelope_bytes).sum::<u64>();
         }
     }
 }
@@ -427,13 +422,13 @@ impl<W: ShardWorker> ShardedSim<W> {
         out.gauge("shard", "lanes", self.lane_obs.len() as u64);
         let (mut envs, mut bytes, mut stall) = (0u64, 0u64, 0u64);
         for (i, lane) in self.lane_obs.iter().enumerate() {
-            envs += lane.envelopes.get();
-            bytes += lane.bytes.get();
-            stall += lane.stall_ns.get();
-            out.counter("shard", &format!("lane{i}_envelopes"), lane.envelopes.get());
-            out.counter("shard", &format!("lane{i}_stall_ns"), lane.stall_ns.get());
+            envs += lane.envelopes;
+            bytes += lane.bytes;
+            stall += lane.stall_ns;
+            out.counter("shard", &format!("lane{i}_envelopes"), lane.envelopes);
+            out.counter("shard", &format!("lane{i}_stall_ns"), lane.stall_ns);
         }
-        out.counter("shard", "ticks", self.lane_obs.first().map_or(0, |l| l.ticks.get()));
+        out.counter("shard", "ticks", self.lane_obs.first().map_or(0, |l| l.ticks));
         out.counter("shard", "outbox_envelopes", envs);
         out.counter("shard", "outbox_bytes", bytes);
         out.counter("shard", "stall_ns", stall);
@@ -477,7 +472,7 @@ impl<W: ShardWorker> ShardedSim<W> {
         assert!(tick > SimDuration::ZERO, "lockstep tick must be positive (zero-latency network?)");
         let shards = self.workers.len();
         if shards == 1 {
-            let obs = &self.lane_obs[0];
+            let obs = &mut self.lane_obs[0];
             run_lone(&mut self.workers[0], self.now, deadline, tick, |out| {
                 obs.note_staged::<W>(out)
             });
@@ -519,11 +514,9 @@ impl<W: ShardWorker> ShardedSim<W> {
                 // Barrier stall is wall-clock-only telemetry: it never feeds
                 // back into the simulation, so timing jitter cannot perturb
                 // determinism.
-                let stall_from = nylon_obs::ENABLED.then(Instant::now);
+                let stall_from = Instant::now();
                 barrier.wait();
-                if let Some(t) = stall_from {
-                    obs.stall_ns.add(t.elapsed().as_nanos() as u64);
-                }
+                obs.stall_ns += stall_from.elapsed().as_nanos() as u64;
                 for src in set {
                     batch.append(&mut src.lock().expect(POISONED)[idx]);
                 }
@@ -593,8 +586,15 @@ mod tests {
         }
     }
 
+    /// Wire size the toy attributes to each envelope.
+    const TOY_MSG_BYTES: u64 = 32;
+
     impl ShardWorker for ToyShard {
         type Envelope = ToyMsg;
+
+        fn envelope_bytes(_envelope: &ToyMsg) -> u64 {
+            TOY_MSG_BYTES
+        }
 
         fn run_tick(&mut self, boundary: SimTime) {
             // One send per owned node per tick, keyed purely on
@@ -670,6 +670,36 @@ mod tests {
                 let got = run_toy(ShardPlan::new(shards, assign), nodes, ticks);
                 assert_eq!(got, reference, "state diverged at shards={shards} assign={assign:?}");
             }
+        }
+    }
+
+    /// The exchange counters the ledger reads (`shard/*` rows are not in
+    /// any golden): every lane counts the ticks it ran and the envelopes
+    /// and bytes it staged, on the lone-lane path and the threaded one.
+    #[test]
+    fn lane_counters_count_every_tick_and_envelope() {
+        let (nodes, ticks) = (97u32, 50u64);
+        let sent = u64::from(nodes) * ticks;
+        for lanes in [1usize, 3] {
+            let plan = ShardPlan::round_robin(lanes);
+            let mut sim =
+                ShardedSim::new((0..lanes).map(|i| ToyShard::new(plan, i, nodes)).collect());
+            sim.run_until(
+                SimTime::ZERO + SimDuration::from_millis(ticks),
+                SimDuration::from_millis(1),
+            );
+            let mut out = nylon_obs::Report::new();
+            sim.obs_report(&mut out);
+            let read = |metric: &str| match out.get("shard", metric) {
+                Some(nylon_obs::MetricValue::Counter(v) | nylon_obs::MetricValue::Gauge(v)) => *v,
+                other => panic!("shard/{metric} at {lanes} lanes: {other:?}"),
+            };
+            assert_eq!(read("lanes"), lanes as u64);
+            assert_eq!(read("ticks"), ticks);
+            assert_eq!(read("outbox_envelopes"), sent);
+            assert_eq!(read("outbox_bytes"), sent * TOY_MSG_BYTES);
+            let per_lane: u64 = (0..lanes).map(|i| read(&format!("lane{i}_envelopes"))).sum();
+            assert_eq!(per_lane, sent, "lane envelopes at {lanes} lanes");
         }
     }
 

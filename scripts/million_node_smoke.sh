@@ -28,5 +28,5 @@ if [[ -s "$STATS_FILE" ]]; then
     echo "[1M] telemetry summary of $STATS_FILE:"
     cargo run --release -q -p nylon-workloads --bin repro -- stats-report "$STATS_FILE"
 else
-    echo "[1M] no stats written to $STATS_FILE (obs feature off?)"
+    echo "[1M] no stats written to $STATS_FILE (did the scale test run?)"
 fi
