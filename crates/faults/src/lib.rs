@@ -27,51 +27,49 @@ pub const GRID_OFFSET: SimDuration = SimDuration::from_millis(13);
 /// RNG fork label for the fault plan stream ("faults").
 pub const FAULTS_RNG_LABEL: u64 = 0x6661_756C_7473;
 
+/// The shuffle period the standard intensities are stated at by
+/// [`FaultConfig::from_spec`]: the paper's 5 s.
+pub const PAPER_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// Shuffle periods after which a standard plan generates no more periodic
+/// events.
+const HORIZON_PERIODS: u64 = 60;
+
 /// One fault token: its name and the standard intensities it sets.
 struct Fault {
     /// The token [`FaultSpec::parse`] accepts and [`FaultSpec::label`]
     /// prints.
     name: &'static str,
-    /// Whether a live run can replay it on the wire (see
-    /// [`FaultSpec::LIVE`]).
-    live: bool,
     /// Switches the category on in a [`FaultConfig`] at its standard
-    /// intensity.
-    enable: fn(&mut FaultConfig),
+    /// intensity, stated in shuffle periods of the given length.
+    enable: fn(&mut FaultConfig, SimDuration),
 }
 
 /// Every fault token, in label order. A [`FaultSpec`] is a set of rows of
-/// this table; [`FAULT_NAMES`], [`FaultSpec::parse`], [`FaultSpec::label`],
-/// [`FaultSpec::LIVE`] and [`FaultConfig::from_spec`] all read it.
+/// this table; [`FAULT_NAMES`], [`FaultSpec::parse`], [`FaultSpec::label`]
+/// and [`FaultConfig::at_period`] all read it.
 const FAULTS: [Fault; 8] = [
-    // Mobile-style mid-session NAT mapping rebinding.
-    Fault {
-        name: "rebind",
-        live: true,
-        enable: |c| (c.rebind_period, c.rebind_fraction) = (SimDuration::from_secs(30), 0.2),
-    },
+    // Mobile-style mid-session NAT mapping rebinding, every 6 periods.
+    Fault { name: "rebind", enable: |c, p| (c.rebind_period, c.rebind_fraction) = (p * 6, 0.2) },
     // One correlated crash wave over the public (RVP-capable) peers.
-    Fault { name: "rvp-crash", live: false, enable: |c| c.rvp_crash_at = SimTime::from_secs(60) },
+    Fault { name: "rvp-crash", enable: |c, p| c.rvp_crash_at = SimTime::ZERO + p * 12 },
     // Periodic kill/revive flapping waves.
-    Fault { name: "flap", live: false, enable: |c| c.flap_period = SimDuration::from_secs(40) },
+    Fault { name: "flap", enable: |c, p| c.flap_period = p * 8 },
     // Carrier-grade NAT: stack a second `NatBox` in front of some peers.
-    Fault { name: "cgn", live: true, enable: |c| c.cgn = true },
+    Fault { name: "cgn", enable: |c, _| c.cgn = true },
     // Enable hairpinning on some NAT boxes (it is off by default).
-    Fault { name: "hairpin", live: false, enable: |c| c.hairpin = true },
-    // Periodic windows of heavy random loss.
-    Fault { name: "loss-burst", live: false, enable: |c| c.loss_burst = true },
+    Fault { name: "hairpin", enable: |c, _| c.hairpin = true },
+    // Windows of heavy random loss, 2 periods out of every 12.
+    Fault { name: "loss-burst", enable: |c, p| c.loss_burst_period = p * 12 },
     // One window during which the population is split in two.
     Fault {
         name: "partition",
-        live: false,
-        enable: |c| {
-            (c.partition_at, c.partition_len) = (SimTime::from_secs(60), SimDuration::from_secs(20))
-        },
+        enable: |c, p| (c.partition_at, c.partition_len) = (SimTime::ZERO + p * 12, p * 4),
     },
     // Engine graceful-degradation logic (punch retries, RVP failover,
     // stale-mapping re-punch). Off by default so the clean path is
     // byte-identical to the pre-fault-plane code.
-    Fault { name: "harden", live: true, enable: |c| c.harden = true },
+    Fault { name: "harden", enable: |c, _| c.harden = true },
 ];
 
 /// All fault names accepted by [`FaultSpec::parse`]: every token, then the
@@ -96,18 +94,6 @@ pub struct FaultSpec(u8);
 const _: () = assert!(FAULTS.len() <= u8::BITS as usize, "FaultSpec holds one bit per token");
 
 impl FaultSpec {
-    /// The faults a live run replays: the NAT emulator rebinds mappings and
-    /// stacks carrier-grade boxes on the wire, and hardening is the
-    /// engine's own; every other category is simulation-only.
-    pub const LIVE: FaultSpec = {
-        let (mut bits, mut i) = (0, 0);
-        while i < FAULTS.len() {
-            bits |= (FAULTS[i].live as u8) << i;
-            i += 1;
-        }
-        FaultSpec(bits)
-    };
-
     /// Parses a comma-separated fault list, e.g. `"rebind,flap,harden"`.
     ///
     /// `"none"` is accepted as an explicit no-op token.  Unknown names
@@ -137,11 +123,6 @@ impl FaultSpec {
     /// `true` when no fault category (and no hardening) is enabled.
     pub fn is_none(&self) -> bool {
         self.0 == 0
-    }
-
-    /// `true` when every token of `self` is also in `other`.
-    pub fn is_subset(self, other: FaultSpec) -> bool {
-        self.0 & !other.0 == 0
     }
 
     /// Canonical `+`-joined label, `"none"` when empty; round-trips through
@@ -177,9 +158,9 @@ pub struct FaultConfig {
     /// Enable hairpinning on the boxes of [`HAIRPIN_FRACTION`] of the
     /// natted peers.
     pub hairpin: bool,
-    /// Open a [`BURST_LEN`] window of [`BURST_PROB`] loss every
-    /// [`BURST_PERIOD`].
-    pub loss_burst: bool,
+    /// Period between loss-burst windows of [`BURST_PROB`] loss, each
+    /// lasting `1 / BURST_SHARE` of it (`ZERO` disables).
+    pub loss_burst_period: SimDuration,
     /// Start of the partition window, which cuts the
     /// [`PARTITION_CUT_FRACTION`] of peers with the lowest ids off from the
     /// rest (`ZERO` disables).
@@ -200,7 +181,7 @@ impl Default for FaultConfig {
             flap_period: SimDuration::ZERO,
             cgn: false,
             hairpin: false,
-            loss_burst: false,
+            loss_burst_period: SimDuration::ZERO,
             partition_at: SimTime::ZERO,
             partition_len: SimDuration::ZERO,
             harden: false,
@@ -209,11 +190,19 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Standard intensities for each category enabled in `spec`.
+    /// Standard intensities for each category enabled in `spec`, at the
+    /// paper's shuffle period ([`PAPER_PERIOD`]).
     pub fn from_spec(spec: &FaultSpec) -> Self {
-        let mut cfg = FaultConfig::default();
+        Self::at_period(spec, PAPER_PERIOD)
+    }
+
+    /// The standard intensities of [`from_spec`](Self::from_spec) for a
+    /// run whose shuffle period is `period`: every instant and period is
+    /// the same number of shuffle periods.
+    pub fn at_period(spec: &FaultSpec, period: SimDuration) -> Self {
+        let mut cfg = FaultConfig { horizon: period * HORIZON_PERIODS, ..FaultConfig::default() };
         for f in spec.rows() {
-            (f.enable)(&mut cfg);
+            (f.enable)(&mut cfg, period);
         }
         cfg
     }
@@ -255,10 +244,8 @@ pub const HAIRPIN_FRACTION: f64 = 0.5;
 pub const RVP_CRASH_FRACTION: f64 = 0.5;
 /// Fraction of all peers drawn per flap cycle.
 pub const FLAP_FRACTION: f64 = 0.2;
-/// Period between loss-burst windows.
-pub const BURST_PERIOD: SimDuration = SimDuration::from_secs(60);
-/// Length of each loss-burst window.
-pub const BURST_LEN: SimDuration = SimDuration::from_secs(10);
+/// A loss-burst window lasts `1 / BURST_SHARE` of the burst period.
+pub const BURST_SHARE: u64 = 6;
 /// Per-datagram drop probability inside a loss-burst window.
 pub const BURST_PROB: f64 = 0.3;
 /// Fraction of peers (lowest ids) the partition cuts off from the rest.
@@ -369,18 +356,19 @@ impl FaultPlan {
         }
 
         // Loss-burst windows.
-        if cfg.loss_burst {
+        if !cfg.loss_burst_period.is_zero() {
             let prob_ppm = (BURST_PROB * 1e6).round() as u32;
+            let len = SimDuration::from_millis(cfg.loss_burst_period.as_millis() / BURST_SHARE);
             let mut k = 1u64;
             loop {
-                let at = SimTime::ZERO + BURST_PERIOD * k + GRID_OFFSET;
+                let at = SimTime::ZERO + cfg.loss_burst_period * k + GRID_OFFSET;
                 if at > horizon {
                     break;
                 }
                 let salt = rng.gen_u64();
                 plan.events.push(FaultEvent {
                     at,
-                    kind: FaultKind::LossBurst { until: at + BURST_LEN, prob_ppm, salt },
+                    kind: FaultKind::LossBurst { until: at + len, prob_ppm, salt },
                 });
                 k += 1;
             }
@@ -477,6 +465,11 @@ impl FaultRuntime {
         self.plan.harden
     }
 
+    /// The plan this runtime applies.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
     /// Instant of the next unapplied event, if any.
     pub fn next_at(&self) -> Option<SimTime> {
         self.plan.events.get(self.cursor).map(|e| e.at)
@@ -529,13 +522,14 @@ impl FaultRuntime {
         }
     }
 
-    /// Reports fault counters under the `faults` layer.
-    pub fn obs_report(&self, out: &mut nylon_obs::Report) {
-        self.stats.report(out, "faults");
+    /// Reports fault counters under `layer`: `faults` for an engine's
+    /// fabric, `emulator` for the NAT emulator's.
+    pub fn obs_report(&self, out: &mut nylon_obs::Report, layer: &str) {
+        self.stats.report(out, layer);
         if self.count_global {
-            out.counter("faults", "planned_events", self.plan.events.len() as u64);
-            out.counter("faults", "cgn_stacked", self.plan.cgn.len() as u64);
-            out.counter("faults", "hairpin_enabled", self.plan.hairpin.len() as u64);
+            out.counter(layer, "planned_events", self.plan.events.len() as u64);
+            out.counter(layer, "cgn_stacked", self.plan.cgn.len() as u64);
+            out.counter(layer, "hairpin_enabled", self.plan.hairpin.len() as u64);
         }
     }
 }
@@ -591,7 +585,7 @@ mod tests {
         assert_eq!(one("flap"), FaultConfig { flap_period: secs(40), ..off });
         assert_eq!(one("cgn"), FaultConfig { cgn: true, ..off });
         assert_eq!(one("hairpin"), FaultConfig { hairpin: true, ..off });
-        assert_eq!(one("loss-burst"), FaultConfig { loss_burst: true, ..off });
+        assert_eq!(one("loss-burst"), FaultConfig { loss_burst_period: secs(60), ..off });
         assert_eq!(
             one("partition"),
             FaultConfig { partition_at: SimTime::from_secs(60), partition_len: secs(20), ..off }
@@ -599,7 +593,32 @@ mod tests {
         assert_eq!(one("harden"), FaultConfig { harden: true, ..off });
         assert_eq!(one("none"), off);
         assert_eq!(off.horizon, secs(300));
-        assert_eq!(FaultSpec::LIVE.label(), "rebind+cgn+harden");
+    }
+
+    /// Every token states its intensities in shuffle periods: at a period
+    /// 50 times shorter than the paper's, every instant and period is 50
+    /// times shorter, and the fractions and switches are the same.
+    #[test]
+    fn intensities_scale_with_the_period() {
+        let spec = FaultSpec(u8::MAX);
+        let paper = FaultConfig::from_spec(&spec);
+        let live = FaultConfig::at_period(&spec, SimDuration::from_millis(100));
+        let d = |d: SimDuration| SimDuration::from_millis(d.as_millis() / 50);
+        let t = |t: SimTime| SimTime::from_millis(t.as_millis() / 50);
+        assert_eq!(
+            live,
+            FaultConfig {
+                horizon: d(paper.horizon),
+                rebind_period: d(paper.rebind_period),
+                rvp_crash_at: t(paper.rvp_crash_at),
+                flap_period: d(paper.flap_period),
+                loss_burst_period: d(paper.loss_burst_period),
+                partition_at: t(paper.partition_at),
+                partition_len: d(paper.partition_len),
+                ..paper
+            }
+        );
+        assert_eq!(live.horizon, SimDuration::from_secs(6));
     }
 
     #[test]
@@ -722,7 +741,7 @@ mod tests {
         let mut rt = FaultRuntime::new(Arc::new(plan), true);
         rt.apply_due(SimTime::from_millis(13), &mut net);
         let mut out = nylon_obs::Report::new();
-        rt.obs_report(&mut out);
+        rt.obs_report(&mut out, "faults");
         assert!(matches!(out.get("faults", "crashes"), Some(nylon_obs::MetricValue::Counter(1))));
         assert!(matches!(
             out.get("faults", "planned_events"),

@@ -582,7 +582,7 @@ impl<P: Protocol> Worker<P> {
         out.gauge_sum("view", "slot_bytes", (slots * size_of::<NodeDescriptor>()) as u64);
         self.proto.obs_report(out);
         if let Some(f) = &self.host.faults {
-            f.obs_report(out);
+            f.obs_report(out, "faults");
         }
     }
 

@@ -61,6 +61,9 @@ pub use descriptor::NodeDescriptor;
 pub use engine::{Baseline, BaselineEngine, BaselineMsg, ShuffleStats};
 pub use host::{sort_tick_batch, Host, Intro, NodeTable, Protocol};
 pub use lockstep::{auto_workers, with_workers, Engine, Workers};
+/// The fault plane an [`Engine`] installs, for substrates outside the
+/// simulator that replay the same plan.
+pub use nylon_faults::{FaultEvent, FaultKind, FaultPlan, FaultRuntime, FaultStats};
 pub use peerswap::{PeerSwap, PeerSwapConfig, PeerSwapEngine, PeerSwapStats};
 pub use policy::{GossipConfig, MergePolicy, PropagationPolicy, SelectionPolicy};
 pub use sampler::{PeerSampler, SamplerConfig};

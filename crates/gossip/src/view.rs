@@ -220,14 +220,14 @@ impl PartialView {
         let cap = self.capacity;
         let entries = &mut scratch.0;
         entries.clear();
-        // Room for every candidate plus the fallback's gather: one
-        // allocation for a fresh scratch, none for a warm one.
-        entries.reserve(self.entries.len() + received.len() + cap);
+        // Room for every candidate: one allocation for a fresh scratch,
+        // none for a warm one.
+        entries.reserve(self.entries.len() + received.len());
         entries.extend_from_slice(&self.entries);
         if entries.len() + received.len() <= KERNEL_CANDIDATES {
             dedup_indexed(entries, received, self.owner);
         } else {
-            dedup_filtered(entries, received, self.owner);
+            dedup_linear(entries, received, self.owner);
         }
         if entries.len() > cap {
             let excess = entries.len() - cap;
@@ -245,11 +245,14 @@ impl PartialView {
                     // random: a stable sort would systematically favour
                     // incumbents over freshly appended descriptors of equal
                     // age, starving newly joined peers out of every view.
+                    // The kernel takes every merge within its edges; the
+                    // rest shuffle, sort stably by age and truncate.
                     if select_youngest_shuffled(entries, cap, rng, &mut self.entries) {
                         return;
                     }
                     rng.shuffle(entries);
-                    select_youngest_stable(entries, cap);
+                    entries.sort_by_key(|d| d.age);
+                    entries.truncate(cap);
                 }
                 MergePolicy::Swapper => {
                     let mut to_drop = excess;
@@ -361,22 +364,10 @@ fn dedup_indexed(entries: &mut Vec<NodeDescriptor>, received: &[NodeDescriptor],
 }
 
 /// [`dedup_indexed`] for merges of more than [`KERNEL_CANDIDATES`]: a
-/// membership filter of one bit per id (mod 64) in front of a linear scan.
-/// A clear bit proves the id is absent, so only possible collisions pay
-/// the scan.
-fn dedup_filtered(entries: &mut Vec<NodeDescriptor>, received: &[NodeDescriptor], owner: PeerId) {
-    let mut mask = 0u64;
-    for e in entries.iter() {
-        mask |= 1 << (e.id.0 & 63);
-    }
+/// linear find among the candidates for each received descriptor.
+fn dedup_linear(entries: &mut Vec<NodeDescriptor>, received: &[NodeDescriptor], owner: PeerId) {
     for d in received {
         if d.id == owner {
-            continue;
-        }
-        let bit = 1u64 << (d.id.0 & 63);
-        if mask & bit == 0 {
-            entries.push(*d);
-            mask |= bit;
             continue;
         }
         match entries.iter_mut().find(|e| e.id == d.id) {
@@ -449,68 +440,6 @@ fn select_youngest_shuffled(
     true
 }
 
-/// Keeps the `cap` youngest of `entries`, in age order with ties in
-/// current array order — exactly the truncated result of a stable
-/// `sort_by_key(age)`, without the sort (Rust's stable sort allocates a
-/// merge buffer; this is in place and allocation-free). The healer's
-/// fallback for merges [`select_youngest_shuffled`] declines.
-///
-/// Bounded stable selection: `entries[0..k]` is maintained as the sorted
-/// prefix of the youngest entries seen so far (`k <= cap`). Each element
-/// either inserts into the prefix at its stable position (after every kept
-/// entry of age `<=` its own, displacing the current last when the prefix
-/// is full) or is skipped because the stable sort would have placed it
-/// past the capacity cut. O(n · cap) worst case over a few dozen 20-byte
-/// entries — cheaper than the sort's allocation alone. Equivalence to the
-/// sort is proven by `prop_kernel_edges_match_reference` (packed-key path)
-/// and `oversized_merge_matches_reference` (the n > 256 fallback).
-fn select_youngest_stable(entries: &mut Vec<NodeDescriptor>, cap: usize) {
-    let n = entries.len();
-    debug_assert!(n > cap);
-    if n <= 256 {
-        // Pack (age, position) into one u32 key per entry: sorting the
-        // keys ascending *is* the stable sort by age (the position bits
-        // break ties in original order), and the 20-byte entries move
-        // exactly once, in the final gather — no merge-sort allocation, no
-        // descriptor shifting.
-        let mut keys = [0u32; 256];
-        for (i, e) in entries.iter().enumerate() {
-            keys[i] = ((e.age as u32) << 8) | i as u32;
-        }
-        keys[..n].sort_unstable();
-        // Gather the `cap` youngest into the tail (spare capacity the
-        // merge reserved), then slide them down.
-        for &key in &keys[..cap] {
-            let e = entries[(key & 0xFF) as usize];
-            entries.push(e);
-        }
-        entries.copy_within(n.., 0);
-        entries.truncate(cap);
-        return;
-    }
-    // Oversized views: bounded stable insertion selection, in place.
-    let mut k = 0usize;
-    for i in 0..n {
-        let d = entries[i];
-        if k == cap {
-            if entries[k - 1].age <= d.age {
-                continue; // would sort at index >= cap: dropped
-            }
-            k -= 1; // d displaces the currently oldest kept entry
-        }
-        // Shift the strictly-older tail of the prefix right by one and drop
-        // `d` in front of it (stable: equal ages keep incumbents in front).
-        let mut j = k;
-        while j > 0 && entries[j - 1].age > d.age {
-            entries[j] = entries[j - 1];
-            j -= 1;
-        }
-        entries[j] = d;
-        k += 1;
-    }
-    entries.truncate(cap);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,8 +448,9 @@ mod tests {
 
     impl PartialView {
         /// The pre-PR-5 `merge_and_truncate`, kept as the executable
-        /// specification: the healer path is the shuffle + stable
-        /// `sort_by_key(age)` + truncate the bounded selection replaced.
+        /// specification: the healer path is a shuffle, a stable
+        /// `sort_by_key(age)` and a truncate, which the merge kernel
+        /// replaces within its edges and the fallback still is.
         /// `prop_merge_matches_reference` demands identical view contents
         /// *and* identical RNG consumption across all policies.
         fn merge_and_truncate_reference(
@@ -756,10 +686,10 @@ mod tests {
         PartialView::new(PeerId(0), 0);
     }
 
-    /// The packed-key selection only handles up to 256 over-capacity
-    /// entries; this drives the insertion-selection fallback (n > 256)
-    /// against the reference implementation, which the proptest (views
-    /// of at most ~50 entries) never reaches.
+    /// A merge of some 420 candidates takes the linear dedup and the
+    /// sorting fallback, which the proptests (views of at most 50 entries)
+    /// reach only past 64 candidates; it must match the reference
+    /// implementation all the same.
     #[test]
     fn oversized_merge_matches_reference() {
         for seed in 0..8u64 {

@@ -24,10 +24,18 @@
 //!
 //! The middlebox has no thread and no socket: the transport and the
 //! [`NatEmulator`] handle share its state on the driver thread.
+//!
+//! A run's fault plan acts on the wire the way an engine's host applies it
+//! to the simulated fabric: [`NatEmulator::install_fault_plan`] stacks the
+//! carrier-grade boxes and enables hairpinning up front, and each frame
+//! first applies the events due at its send instant — rebinds, crashes and
+//! revives, loss-burst and partition windows.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use nylon_gossip::{FaultPlan, FaultRuntime, FaultStats};
 use nylon_net::natbox::PURGE_EVERY;
 use nylon_net::{Delivery, DropCounters, NatClass, NetConfig, PeerId};
 use nylon_obs::Counters;
@@ -60,6 +68,8 @@ nylon_obs::keyed_counters! {
 #[derive(Debug)]
 pub(crate) struct Middlebox {
     net: EmuNet,
+    /// `Some` once a fault plan is installed.
+    faults: Option<FaultRuntime>,
     pub(crate) counts: EmuCounts,
     last_purge: SimTime,
 }
@@ -74,6 +84,9 @@ impl Middlebox {
             self.counts.bump(Emu::Malformed);
             return None;
         };
+        if let Some(rt) = &mut self.faults {
+            rt.apply_due(now, &mut self.net);
+        }
         if now.saturating_since(self.last_purge) >= PURGE_EVERY {
             self.net.purge_expired_nat_state(now);
             self.last_purge = now;
@@ -100,8 +113,8 @@ impl Middlebox {
     }
 }
 
-/// The handle to a live stack's NAT state: counters, drops and the
-/// on-wire fault replays. Dropping it leaves the transport working.
+/// The handle to a live stack's NAT state: counters, drops and the fault
+/// plan. Dropping it leaves the transport working.
 #[derive(Debug)]
 pub struct NatEmulator {
     middlebox: Rc<RefCell<Middlebox>>,
@@ -126,7 +139,12 @@ impl NatEmulator {
         for class in classes {
             net.add_peer(*class);
         }
-        let middlebox = Middlebox { net, counts: EmuCounts::default(), last_purge: SimTime::ZERO };
+        let middlebox = Middlebox {
+            net,
+            faults: None,
+            counts: EmuCounts::default(),
+            last_purge: SimTime::ZERO,
+        };
         NatEmulator { middlebox: Rc::new(RefCell::new(middlebox)) }
     }
 
@@ -152,31 +170,192 @@ impl NatEmulator {
         self.middlebox.borrow().net.drop_counters()
     }
 
-    /// Replays a mapping-rebind fault on the wire: the peer's NAT box
-    /// forgets every mapping and hole and renumbers its public side, so
-    /// live traffic towards the old observed endpoints blackholes until
-    /// the overlay re-punches — exactly the `rebind` event of a
-    /// `nylon-faults` plan, applied to real packets. Returns `false` for
-    /// public peers (nothing to rebind).
-    pub fn rebind_nat(&self, peer: PeerId) -> bool {
-        self.middlebox.borrow_mut().net.rebind_nat(peer)
+    /// Installs a compiled fault plan on the wire: applies its topology
+    /// faults now, before traffic flows, and its timed events as frames
+    /// pass, each at the first frame sent at or after its instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan is already installed.
+    pub fn install_fault_plan(&self, plan: FaultPlan) {
+        let mut middlebox = self.middlebox.borrow_mut();
+        assert!(middlebox.faults.is_none(), "fault plan already installed");
+        plan.apply_topology(&mut middlebox.net);
+        middlebox.faults = Some(FaultRuntime::new(Arc::new(plan), true));
     }
 
-    /// Stacks a carrier-grade NAT of `nat_type` onto a natted peer's path
-    /// (the `cgn` topology fault of a `nylon-faults` plan, on-wire). Call
-    /// before traffic flows — CGN egress rewrites apply to new mappings.
-    /// Returns `false` for public peers.
-    pub fn stack_cgn(&self, peer: PeerId, nat_type: nylon_net::NatType) -> bool {
-        self.middlebox.borrow_mut().net.stack_cgn(peer, nat_type)
+    /// Counters of the faults applied on the wire so far.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.middlebox.borrow().faults.as_ref().map(FaultRuntime::stats).unwrap_or_default()
+    }
+
+    /// Peers the installed plan put behind a carrier-grade box.
+    pub fn cgn_stacked(&self) -> u64 {
+        self.middlebox.borrow().faults.as_ref().map_or(0, |rt| rt.plan().cgn.len() as u64)
     }
 
     /// Reports middlebox activity under the `emulator` telemetry layer:
     /// frames forwarded (source endpoints rewritten), malformed frames,
-    /// datagrams from outside the stack, and the fabric's ingress verdicts
-    /// by drop cause, every cause.
+    /// datagrams from outside the stack, the fabric's ingress verdicts by
+    /// drop cause, every cause, and the faults applied on the wire — apart
+    /// from the engine's own `faults` rows.
     pub fn obs_report(&self, out: &mut nylon_obs::Report) {
         let middlebox = self.middlebox.borrow();
         middlebox.counts.report(out, "emulator");
         middlebox.net.drop_counters().report(out, "emulator");
+        if let Some(rt) = &middlebox.faults {
+            rt.obs_report(out, "emulator");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::LiveClock;
+    use crate::live::udp_over_emulated_nat;
+    use crate::transport::Transport;
+    use crate::udp::UdpTransport;
+    use nylon::NylonMsg;
+    use nylon_gossip::{FaultEvent, FaultKind};
+    use nylon_net::{private_endpoint, DropReason, Endpoint, NatType};
+
+    /// Gap between the plan's events: each phase's frames go out right
+    /// after its event and long before the next.
+    const GAP: SimDuration = SimDuration::from_millis(100);
+
+    /// A frame through the live stack and the same frame through a
+    /// reference `Network` driven like an engine's host drives its fabric
+    /// (due faults applied at the send instant, then send and deliver):
+    /// the receiver and the source it sees, or `None` for a refusal.
+    struct Pair {
+        clock: LiveClock,
+        transport: UdpTransport<NylonMsg>,
+        net: EmuNet,
+        faults: FaultRuntime,
+    }
+
+    impl Pair {
+        fn send(&mut self, from: PeerId, dst: Endpoint) -> Option<(PeerId, Endpoint)> {
+            let now = self.clock.now_sim();
+            self.faults.apply_due(now, &mut self.net);
+            let want = self.net.send(now, from, dst, (), 8).and_then(|f| {
+                match self.net.deliver(f.arrive_at, f) {
+                    Delivery::ToPeer { to, from_ep, .. } => Some((to, from_ep)),
+                    Delivery::Dropped { .. } => None,
+                }
+            });
+            let ping = NylonMsg::Ping { from };
+            self.transport.send(now, from, private_endpoint(from), dst, ping, 8);
+            let got = self.transport.poll(now).map(|a| (a.to, a.from_ep));
+            assert!(self.transport.poll(now).is_none(), "one frame, at most one arrival");
+            assert_eq!(got, want, "{from} -> {dst:?} at {now:?}");
+            got
+        }
+
+        /// Sleeps to the instant of the plan's `k`-th event.
+        fn phase(&self, start: SimTime, k: u64) {
+            if let Some(wait) = self.clock.wall_until(start + GAP * k) {
+                std::thread::sleep(wait);
+            }
+        }
+    }
+
+    /// Every kind of fault in one hand-built plan, frames sent through the
+    /// live stack between its events: `admit` passes or refuses each one
+    /// exactly as the fabric does under the same plan, rewrites sources
+    /// through the carrier box and the rebound box alike, counts each
+    /// refusal under its drop reason, and loses track of none.
+    #[test]
+    fn the_plan_acts_on_the_wire_as_on_the_fabric() {
+        // 0, 1, 4 public; 2 behind a carrier box; 3 with hairpinning on;
+        // 5 with it off, and rebound.
+        let prc = NatClass::Natted(NatType::PortRestrictedCone);
+        let classes = [NatClass::Public, NatClass::Public, prc, prc, NatClass::Public, prc];
+        let net_cfg = NetConfig::default();
+        let clock = LiveClock::start_now();
+        let (transport, emulator) =
+            udp_over_emulated_nat::<NylonMsg>(&classes, &net_cfg, clock.clone()).unwrap();
+        let start = clock.now_sim();
+        let forever = start + SimDuration::from_secs(3600);
+        let at = |k: u64, kind| FaultEvent { at: start + GAP * k, kind };
+        let plan = FaultPlan {
+            harden: false,
+            cgn: vec![(PeerId(2), NatType::PortRestrictedCone)],
+            hairpin: vec![PeerId(3)],
+            events: vec![
+                at(1, FaultKind::Partition { until: forever, cut: 1 }),
+                at(2, FaultKind::Crash(PeerId(4))),
+                at(3, FaultKind::Revive(PeerId(4))),
+                at(4, FaultKind::Rebind(PeerId(5))),
+                at(5, FaultKind::LossBurst { until: forever, prob_ppm: 1_000_000, salt: 7 }),
+            ],
+        };
+        emulator.install_fault_plan(plan.clone());
+        let mut net = EmuNet::new(emulator.middlebox.borrow().net.config().clone(), 0);
+        for class in classes {
+            net.add_peer(class);
+        }
+        plan.apply_topology(&mut net);
+        let faults = FaultRuntime::new(Arc::new(plan), true);
+        let mut pair = Pair { clock, transport, net, faults };
+        let id = |pair: &Pair, p: u32| pair.net.identity_endpoint(PeerId(p));
+        let (p1, p4) = (id(&pair, 1), id(&pair, 4));
+
+        // Before any event: through the carrier box and back, the boxes'
+        // filters, hairpinning on and off.
+        let (_, seen2) = pair.send(PeerId(2), p1).expect("a carrier box lets its peer out");
+        assert_eq!(seen2, id(&pair, 2), "seen at the identity the carrier box gave it");
+        assert!(pair.send(PeerId(1), seen2).is_some(), "the reply finds the hole");
+        assert!(pair.send(PeerId(0), seen2).is_none(), "unsolicited: filtered");
+        let (_, seen5) = pair.send(PeerId(5), p1).expect("a natted peer gets out");
+        let p3 = id(&pair, 3);
+        assert!(pair.send(PeerId(3), p3).is_some(), "hairpinning on loops back");
+        let p5 = id(&pair, 5);
+        assert!(pair.send(PeerId(5), p5).is_none(), "hairpinning off drops");
+        assert!(pair.send(PeerId(0), p1).is_some());
+
+        pair.phase(start, 1); // peer 0 cut off from the rest
+        assert!(pair.send(PeerId(0), p1).is_none(), "partitioned");
+        assert!(pair.send(PeerId(1), p4).is_some(), "both on one side");
+        pair.phase(start, 2); // peer 4 crashed
+        assert!(pair.send(PeerId(1), p4).is_none(), "target dead");
+        assert!(pair.send(PeerId(4), p1).is_none(), "source dead");
+        pair.phase(start, 3); // peer 4 revived
+        assert!(pair.send(PeerId(1), p4).is_some(), "revived");
+        assert!(pair.send(PeerId(1), seen5).is_some(), "the hole is still open");
+        pair.phase(start, 4); // peer 5's box rebound
+        assert!(pair.send(PeerId(1), seen5).is_none(), "the rebind closed the hole");
+        let (_, reseen5) = pair.send(PeerId(5), p1).expect("a rebound peer gets out");
+        assert_ne!(reseen5, seen5, "under a new mapping");
+        pair.phase(start, 5); // every frame lost
+        assert!(pair.send(PeerId(1), p4).is_none(), "loss burst");
+
+        let drops = emulator.drop_counters();
+        assert_eq!(drops, pair.net.drop_counters());
+        for reason in [
+            DropReason::Filtered,
+            DropReason::HairpinBlocked,
+            DropReason::Partitioned,
+            DropReason::TargetDead,
+            DropReason::SourceDead,
+            DropReason::NoMapping,
+            DropReason::FaultLoss,
+        ] {
+            assert_eq!(drops[reason], 1, "{reason:?}");
+        }
+        let mut out = nylon_obs::Report::new();
+        emulator.obs_report(&mut out);
+        let counter = |name| match out.get("emulator", name) {
+            Some(nylon_obs::MetricValue::Counter(n)) => *n,
+            other => panic!("emulator/{name}: {other:?}"),
+        };
+        for name in ["drop_partitioned", "drop_fault_loss", "rebinds", "crashes", "revives"] {
+            assert_eq!(counter(name), 1, "emulator/{name}");
+        }
+        assert_eq!((counter("cgn_stacked"), counter("hairpin_enabled")), (1, 1));
+        assert_eq!(emulator.fault_stats(), pair.faults.stats());
+        assert_eq!(emulator.cgn_stacked(), 1);
+        assert_eq!(pair.transport.unaccounted(), 0);
     }
 }

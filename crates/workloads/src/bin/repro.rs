@@ -68,9 +68,8 @@
 //! --csv            print CSV instead of markdown
 //! --out DIR        also write one .csv file per table into DIR
 //! --stats FILE     record runtime telemetry snapshots (schema-versioned
-//!                  JSONL) to FILE; requires a build with the `obs`
-//!                  feature (the default). Telemetry only observes:
-//!                  figure output is byte-identical with or without it.
+//!                  JSONL) to FILE. Telemetry only observes: figure
+//!                  output is byte-identical with or without it.
 //! ```
 //!
 //! All requested artifacts execute as **one** experiment: their sweeps
@@ -82,8 +81,8 @@
 use std::process::ExitCode;
 
 use nylon_workloads::cli::{
-    attack_names, engine_names, fault_names, live_fault_names, parse_artifact_args,
-    parse_live_args, ArtifactArgs, LiveArgs,
+    attack_names, engine_names, fault_names, parse_artifact_args, parse_live_args, ArtifactArgs,
+    LiveArgs,
 };
 use nylon_workloads::figures::{self, FIGURES};
 
@@ -302,10 +301,7 @@ fn live_usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: repro live [--peers N] [--nat-pct PCT] [--rounds R] [--period-ms MS] [--seed S] [--faults SPEC] [--no-compare] [--min-cluster PCT] [--stats FILE]"
     );
-    eprintln!(
-        "live faults: comma-separated of {} (others are simulation-only)",
-        live_fault_names()
-    );
+    eprintln!("live faults: comma-separated of {}", fault_names());
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

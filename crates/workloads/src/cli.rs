@@ -258,11 +258,6 @@ pub fn fault_names() -> String {
     nylon_faults::FAULT_NAMES.join(" ")
 }
 
-/// The fault names `repro live --faults` takes ([`FaultSpec::LIVE`]).
-pub fn live_fault_names() -> String {
-    FaultSpec::LIVE.names().join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +440,6 @@ mod tests {
         assert!(parse_live("--bogus").unwrap_err().contains("unknown flag"));
         assert!(parse_live("--peers").unwrap_err().contains("--peers"));
         assert!(parse_live("--peers 1").unwrap_err().contains("peers"));
-        assert!(parse_live("--faults partition").unwrap_err().contains("rebind"));
     }
 
     proptest! {

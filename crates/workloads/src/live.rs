@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use nylon::{NylonEngine, NylonMsg};
-use nylon_faults::{FaultConfig, FaultKind, FaultPlan, FaultSpec};
+use nylon_faults::{FaultConfig, FaultPlan, FaultSpec};
 use nylon_metrics::Summary;
 use nylon_net::NatClass;
 use nylon_obs::Counters;
@@ -33,12 +33,14 @@ pub struct LiveScale {
     pub rounds: u64,
     /// Shuffle period in milliseconds (paper: 5000; scaled default 150).
     pub period_ms: u64,
-    /// Fault plan for the on-wire run, within [`FaultSpec::LIVE`]: `rebind`
-    /// replays a mapping-rebind wave through the NAT emulator at mid-run
-    /// (real packets towards the old mappings blackhole), `cgn` stacks
-    /// carrier-grade boxes on the wire before traffic flows, and `harden`
-    /// arms the engine's graceful-degradation logic. Other fault categories
-    /// are simulation-only and rejected by [`LiveScale::validate`].
+    /// Fault tokens, at their standard intensities in shuffle periods of
+    /// `period_ms` ([`FaultConfig::at_period`]). The one compiled plan is
+    /// installed in the engine and in the NAT emulator, so every token acts
+    /// on the wire and on the engine as it does in the simulated twin:
+    /// rebinds renumber live NAT boxes, kill waves stop live peers,
+    /// partitions and loss bursts drop real frames, `cgn` and `hairpin`
+    /// reshape the emulated boxes before traffic flows, and `harden` arms
+    /// the engine's graceful-degradation logic.
     pub faults: Option<FaultSpec>,
     /// Seed for the scenario and every engine choice.
     pub seed: u64,
@@ -72,12 +74,6 @@ impl LiveScale {
         if !self.nat_pct.is_finite() || !(0.0..=100.0).contains(&self.nat_pct) {
             return Err(format!("nat-pct must be within [0, 100], got {}", self.nat_pct));
         }
-        if self.faults.is_some_and(|s| !s.is_subset(FaultSpec::LIVE)) {
-            return Err(format!(
-                "live runs replay only {} faults on the wire",
-                FaultSpec::LIVE.names().join(", ")
-            ));
-        }
         Ok(())
     }
 
@@ -86,20 +82,12 @@ impl LiveScale {
     }
 }
 
-/// Compiles the live fault plan — shared by the on-wire run and the sim
-/// twin, so both replay the identical wave. `cgn` and `harden` keep their
-/// standard settings and CGN boxes stack up front; rebinds land as one wave
-/// right past the mid-run round boundary.
+/// Compiles the live fault plan — the standard rows at the live shuffle
+/// period, installed in the engine and the NAT emulator of the on-wire run
+/// and in the sim twin, so all three replay the identical plan.
 fn live_fault_plan(scale: &LiveScale, classes: &[NatClass]) -> Option<FaultPlan> {
     let spec = scale.faults.filter(|s| !s.is_none())?;
-    let period = SimDuration::from_millis(scale.period_ms);
-    let mut cfg = FaultConfig::from_spec(&spec);
-    if !cfg.rebind_period.is_zero() {
-        // One wave: k=1 lands just past mid-run, k=2 falls past the horizon.
-        cfg.rebind_period = period * (scale.rounds / 2).max(1);
-        cfg.horizon = cfg.rebind_period + period;
-        cfg.rebind_fraction = 0.25;
-    }
+    let cfg = FaultConfig::at_period(&spec, SimDuration::from_millis(scale.period_ms));
     let plan = FaultPlan::compile(&cfg, scale.seed, classes);
     (!plan.is_noop()).then_some(plan)
 }
@@ -163,9 +151,9 @@ pub struct LiveOutcome {
     ///
     /// [`UdpTransport::unaccounted`]: nylon_transport::UdpTransport::unaccounted
     pub unaccounted: u64,
-    /// Mapping rebinds replayed on the wire (mid-run fault wave).
+    /// Mapping rebinds the NAT emulator's fault runtime applied.
     pub wire_rebinds: u64,
-    /// Carrier-grade NAT boxes stacked on the wire before traffic.
+    /// Carrier-grade NAT boxes the plan stacked on the wire before traffic.
     pub wire_cgn: u64,
     /// Wall time the run took.
     pub wall: Duration,
@@ -186,48 +174,17 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
     let (cfg, net_cfg) = scaled_configs(scale.period_ms);
     let classes = scn.classes();
     let plan = live_fault_plan(scale, &classes);
-    // The wire replays rebind/CGN faults itself; the engine only gets the
-    // hardening switch, so its internal fabric stays fault-free.
-    let harden_only = plan
-        .as_ref()
-        .filter(|p| p.harden)
-        .map(|_| FaultPlan { harden: true, ..FaultPlan::default() });
-    let engine: NylonEngine = build_with_plan(&scn, cfg, net_cfg.clone(), harden_only);
+    let engine: NylonEngine = build_with_plan(&scn, cfg, net_cfg.clone(), plan.clone());
 
     let started = std::time::Instant::now();
     let clock = LiveClock::start_now();
     let (transport, emulator) = udp_over_emulated_nat::<NylonMsg>(&classes, &net_cfg, clock)?;
-    let mut wire_cgn = 0u64;
-    if let Some(p) = &plan {
-        for (peer, ty) in &p.cgn {
-            if emulator.stack_cgn(*peer, *ty) {
-                wire_cgn += 1;
-            }
-        }
+    if let Some(plan) = plan {
+        emulator.install_fault_plan(plan);
     }
-    let rebinds: Vec<_> = plan
-        .iter()
-        .flat_map(|p| p.events.iter())
-        .filter_map(|e| match e.kind {
-            FaultKind::Rebind(p) => Some(p),
-            _ => None,
-        })
-        .collect();
     let tick = SimDuration::from_millis((scale.period_ms / 10).max(5));
     let mut runner = LiveRunner::new(engine, transport, tick);
-    let mut wire_rebinds = 0u64;
-    if rebinds.is_empty() {
-        runner.run_rounds(scale.rounds);
-    } else {
-        let half = (scale.rounds / 2).max(1);
-        runner.run_rounds(half);
-        for p in &rebinds {
-            if emulator.rebind_nat(*p) {
-                wire_rebinds += 1;
-            }
-        }
-        runner.run_rounds(scale.rounds - half);
-    }
+    runner.run_rounds(scale.rounds);
     let wall = started.elapsed();
     let decode_errors = runner.transport().decode_errors();
     let packets_sent = runner.transport().packets_sent();
@@ -247,8 +204,8 @@ pub fn run_live(scale: &LiveScale) -> std::io::Result<LiveOutcome> {
         packets_sent,
         emulator_malformed: emulator.malformed(),
         unaccounted,
-        wire_rebinds,
-        wire_cgn,
+        wire_rebinds: emulator.fault_stats().rebinds,
+        wire_cgn: emulator.cgn_stacked(),
         wall,
     })
 }
@@ -298,28 +255,27 @@ mod tests {
         let _ = run_sim_twin(&LiveScale { peers: 1, ..LiveScale::default() });
     }
 
+    /// No token is accepted live but inert: at 100 ms periods over 14
+    /// rounds, each one's plan switches the engine's hardening on, reshapes
+    /// boxes before traffic, or has an event inside the run.
     #[test]
-    fn live_fault_plan_is_one_midrun_rebind_wave() {
-        let scale = LiveScale { faults: Some(FaultSpec::LIVE), ..LiveScale::default() };
-        scale.validate().expect("rebind+cgn+harden is live-replayable");
-        let classes = scale.scenario().classes();
-        let plan = live_fault_plan(&scale, &classes).expect("nonzero plan");
-        assert!(plan.harden);
-        assert!(!plan.cgn.is_empty(), "cgn boxes must stack on the wire");
-        let rebinds = plan.events.iter().filter(|e| matches!(e.kind, FaultKind::Rebind(_))).count();
-        assert!(rebinds > 0, "the wave must rebind someone");
-        // Exactly one wave: nothing but rebinds, all past mid-run.
-        assert_eq!(rebinds, plan.events.len());
-        let mid = SimTime::ZERO + SimDuration::from_millis(scale.period_ms) * (scale.rounds / 2);
-        assert!(plan.events.iter().all(|e| e.at >= mid));
-    }
-
-    #[test]
-    fn sim_only_faults_are_rejected_on_the_live_path() {
-        let scale =
-            LiveScale { faults: FaultSpec::parse("partition").ok(), ..LiveScale::default() };
-        let err = scale.validate().unwrap_err();
-        assert!(err.contains("rebind"), "error should name the supported faults: {err}");
+    fn every_token_acts_inside_a_short_live_run() {
+        for name in nylon_faults::FAULT_NAMES.iter().filter(|n| **n != "none") {
+            let scale = LiveScale {
+                rounds: 14,
+                period_ms: 100,
+                faults: FaultSpec::parse(name).ok(),
+                ..LiveScale::default()
+            };
+            scale.validate().expect("every token runs live");
+            let plan = live_fault_plan(&scale, &scale.scenario().classes()).expect(name);
+            let end = SimTime::ZERO + SimDuration::from_millis(scale.period_ms) * scale.rounds;
+            let acts = plan.harden
+                || !plan.cgn.is_empty()
+                || !plan.hairpin.is_empty()
+                || plan.events.iter().any(|e| e.at < end);
+            assert!(acts, "{name} does nothing in a {}-round live run", scale.rounds);
+        }
     }
 
     #[test]

@@ -64,11 +64,11 @@ fn live_overlay_matches_simulated_baseline_within_tolerance() {
 
 #[test]
 fn live_overlay_survives_a_wire_rebind_wave() {
-    // The same `rebind` fault the simulator schedules, replayed on real
-    // packets: at mid-run the NAT emulator renumbers 25% of the natted
-    // boxes (hardening on), so live traffic towards the old observed
-    // endpoints blackholes until the engines re-punch. The overlay must
-    // take the hit and still converge.
+    // The same `rebind` fault the simulator schedules, applied to real
+    // packets: every 6 rounds the NAT emulator renumbers a fifth of the
+    // natted boxes (hardening on), so live traffic towards the old
+    // observed endpoints blackholes until the engines re-punch. The
+    // overlay must take the hits and still converge.
     let scale = LiveScale {
         peers: 32,
         nat_pct: 60.0,
@@ -79,7 +79,7 @@ fn live_overlay_survives_a_wire_rebind_wave() {
     };
     let live = run_live(&scale).expect("loopback sockets must bind");
 
-    assert!(live.wire_rebinds > 0, "the mid-run wave must rebind at least one live NAT box");
+    assert!(live.wire_rebinds > 0, "the plan must rebind at least one live NAT box");
     assert_eq!(live.decode_errors, 0, "every on-wire frame must decode");
     assert!(live.overlay.punch_successes > 0, "hole punching must work over real UDP");
     assert!(
